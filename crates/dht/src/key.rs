@@ -3,7 +3,6 @@
 use crate::sha1::sha1;
 use serde::de::{Deserialize, Deserializer, Visitor};
 use serde::ser::{Serialize, Serializer};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// The number of bits in a key (and buckets in a routing table).
@@ -45,11 +44,18 @@ impl Key {
 
     /// XOR distance to `other`.
     pub fn distance(&self, other: &Key) -> Distance {
-        let mut d = [0u8; 20];
-        for (i, byte) in d.iter_mut().enumerate() {
-            *byte = self.0[i] ^ other.0[i];
-        }
-        Distance(d)
+        let (hi, lo) = self.words();
+        let (other_hi, other_lo) = other.words();
+        Distance { hi: hi ^ other_hi, lo: lo ^ other_lo }
+    }
+
+    /// The key as big-endian integer words: bits 0..128 and 128..160.
+    fn words(&self) -> (u128, u32) {
+        let (hi, lo) = self.0.split_at(16);
+        (
+            u128::from_be_bytes(hi.try_into().expect("16 of 20 bytes")),
+            u32::from_be_bytes(lo.try_into().expect("4 of 20 bytes")),
+        )
     }
 
     /// Index of the k-bucket a contact at `other` falls into, as seen from
@@ -92,36 +98,40 @@ impl Key {
     }
 }
 
-/// An XOR distance. Ordered lexicographically, which equals numeric order
-/// for big-endian byte strings.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Distance(pub [u8; 20]);
+/// An XOR distance: the 160-bit big-endian number `a ^ b`, held as integer
+/// words so that XOR and comparison are a few register operations. The
+/// derived ordering (high word, then low word) is numeric order, which
+/// equals lexicographic order of the big-endian bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Distance {
+    /// Bits 0..128 (bit 0 = most significant).
+    hi: u128,
+    /// Bits 128..160.
+    lo: u32,
+}
 
 impl Distance {
     /// The number of leading zero bits (160 for distance zero).
     pub fn leading_zeros(&self) -> usize {
-        for (i, byte) in self.0.iter().enumerate() {
-            if *byte != 0 {
-                return i * 8 + byte.leading_zeros() as usize;
-            }
+        if self.hi != 0 {
+            self.hi.leading_zeros() as usize
+        } else {
+            128 + self.lo.leading_zeros() as usize
         }
-        KEY_BITS
     }
 
     pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|b| *b == 0)
+        self.hi == 0 && self.lo == 0
     }
-}
 
-impl PartialOrd for Distance {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Distance {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
+    /// The bit at position `i` (0 = most significant).
+    pub fn bit(&self, i: usize) -> bool {
+        debug_assert!(i < KEY_BITS);
+        if i < 128 {
+            (self.hi >> (127 - i)) & 1 == 1
+        } else {
+            (self.lo >> (KEY_BITS - 1 - i)) & 1 == 1
+        }
     }
 }
 
@@ -185,14 +195,11 @@ mod tests {
         assert_eq!(a.distance(&b), b.distance(&a));
         // XOR triangle equality: d(a,c) = d(a,b) XOR d(b,c); in particular
         // the triangle inequality holds for the XOR metric.
-        let ab = a.distance(&b);
-        let bc = b.distance(&c);
-        let ac = a.distance(&c);
         let mut x = [0u8; 20];
         for (i, xi) in x.iter_mut().enumerate() {
-            *xi = ab.0[i] ^ bc.0[i];
+            *xi = (a.0[i] ^ b.0[i]) ^ (b.0[i] ^ c.0[i]);
         }
-        assert_eq!(ac.0, x);
+        assert_eq!(a.distance(&c), Key::ZERO.distance(&Key(x)));
     }
 
     #[test]
@@ -245,7 +252,22 @@ mod tests {
         near[19] = 5;
         let mut far = [0u8; 20];
         far[0] = 1;
-        assert!(Distance(near) < Distance(far));
+        assert!(Key::ZERO.distance(&Key(near)) < Key::ZERO.distance(&Key(far)));
+        // The low word only decides between equal high words.
+        let mut low_word = [0u8; 20];
+        low_word[16] = 0xff;
+        let mut high_word = [0u8; 20];
+        high_word[15] = 1;
+        assert!(Key::ZERO.distance(&Key(low_word)) < Key::ZERO.distance(&Key(high_word)));
+    }
+
+    #[test]
+    fn distance_bits_match_key_bits() {
+        let k = Key::hash(b"bits");
+        let d = Key::ZERO.distance(&k);
+        for i in 0..KEY_BITS {
+            assert_eq!(d.bit(i), k.bit(i), "bit {i}");
+        }
     }
 
     #[test]

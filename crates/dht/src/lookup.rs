@@ -6,7 +6,7 @@
 //! the k closest live candidates have all answered.
 
 use crate::contact::Contact;
-use crate::key::Key;
+use crate::key::{Distance, Key};
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum EntryState {
@@ -14,6 +14,14 @@ enum EntryState {
     InFlight,
     Responded,
     Failed,
+}
+
+/// One candidate, with its distance to the target computed once on entry.
+#[derive(Clone, Copy)]
+struct Entry {
+    distance: Distance,
+    contact: Contact,
+    state: EntryState,
 }
 
 /// What the lookup is for; drives which RPC the core sends and what happens
@@ -36,7 +44,7 @@ pub struct Lookup {
     alpha: usize,
     /// Sorted ascending by XOR distance to `target`; no duplicates; never
     /// contains the local node.
-    entries: Vec<(Contact, EntryState)>,
+    entries: Vec<Entry>,
     /// Values collected from FIND_VALUE responses (deduplicated).
     pub values: Vec<Vec<u8>>,
     /// How many distinct nodes supplied values.
@@ -47,7 +55,7 @@ pub struct Lookup {
 
 impl pier_netsim::HeapSize for Lookup {
     fn heap_bytes(&self) -> usize {
-        self.entries.capacity() * size_of::<(Contact, EntryState)>()
+        self.entries.capacity() * size_of::<Entry>()
             + self.values.heap_bytes()
             + match &self.kind {
                 LookupKind::Publish { value, .. } => value.heap_bytes(),
@@ -85,34 +93,39 @@ impl Lookup {
             if c.key == self_key {
                 continue;
             }
-            if self.entries.iter().any(|(e, _)| e.key == c.key) {
-                continue;
+            let distance = c.key.distance(&self.target);
+            if let Err(pos) = self.position(distance) {
+                self.entries.insert(pos, Entry { distance, contact: *c, state: EntryState::New });
             }
-            let d = c.key.distance(&self.target);
-            let pos = self.entries.partition_point(|(e, _)| e.key.distance(&self.target) < d);
-            self.entries.insert(pos, (*c, EntryState::New));
         }
+    }
+
+    /// Index of the candidate at `distance` (`Ok`), or where it would be
+    /// inserted (`Err`). Distances to one target are equal only for equal
+    /// keys, so this also finds a candidate by key.
+    fn position(&self, distance: Distance) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&distance, |e| e.distance)
     }
 
     /// Contacts to query now: new entries among the k closest non-failed
     /// candidates, respecting the α in-flight limit. Marks them in-flight.
     pub fn next_batch(&mut self) -> Vec<Contact> {
-        let in_flight = self.entries.iter().filter(|(_, s)| *s == EntryState::InFlight).count();
+        let in_flight = self.entries.iter().filter(|e| e.state == EntryState::InFlight).count();
         let mut budget = self.alpha.saturating_sub(in_flight);
         let mut out = Vec::new();
         let mut considered = 0;
-        for (contact, state) in self.entries.iter_mut() {
-            if *state == EntryState::Failed {
+        for e in self.entries.iter_mut() {
+            if e.state == EntryState::Failed {
                 continue;
             }
             considered += 1;
             if considered > self.k {
                 break;
             }
-            if *state == EntryState::New && budget > 0 {
-                *state = EntryState::InFlight;
+            if e.state == EntryState::New && budget > 0 {
+                e.state = EntryState::InFlight;
                 budget -= 1;
-                out.push(*contact);
+                out.push(e.contact);
             }
         }
         self.queries_sent += out.len() as u32;
@@ -143,39 +156,39 @@ impl Lookup {
     }
 
     fn mark(&mut self, key: &Key, state: EntryState) {
-        if let Some((_, s)) = self.entries.iter_mut().find(|(c, _)| c.key == *key) {
-            *s = state;
+        if let Ok(pos) = self.position(key.distance(&self.target)) {
+            self.entries[pos].state = state;
         }
     }
 
     /// Complete when nothing is in flight and no unqueried candidate remains
     /// within the k closest live entries.
     pub fn is_complete(&self) -> bool {
-        if self.entries.iter().any(|(_, s)| *s == EntryState::InFlight) {
+        if self.entries.iter().any(|e| e.state == EntryState::InFlight) {
             return false;
         }
         !self
             .entries
             .iter()
-            .filter(|(_, s)| *s != EntryState::Failed)
+            .filter(|e| e.state != EntryState::Failed)
             .take(self.k)
-            .any(|(_, s)| *s == EntryState::New)
+            .any(|e| e.state == EntryState::New)
     }
 
     /// The n closest contacts that responded, ascending by distance.
     pub fn closest_responded(&self, n: usize) -> Vec<Contact> {
         self.entries
             .iter()
-            .filter(|(_, s)| *s == EntryState::Responded)
+            .filter(|e| e.state == EntryState::Responded)
             .take(n)
-            .map(|(c, _)| *c)
+            .map(|e| e.contact)
             .collect()
     }
 
     /// Whether `key` is one of this lookup's candidates (for response
     /// attribution).
     pub fn knows(&self, key: &Key) -> bool {
-        self.entries.iter().any(|(c, _)| c.key == *key)
+        self.position(key.distance(&self.target)).is_ok()
     }
 }
 

@@ -8,7 +8,7 @@
 //! same stability bias ultrapeer election applies in Gnutella).
 
 use crate::contact::Contact;
-use crate::key::{Key, KEY_BITS};
+use crate::key::{Distance, Key, KEY_BITS};
 use pier_netsim::{NodeId, SimTime};
 
 /// Result of offering a contact to the table.
@@ -45,6 +45,9 @@ pub struct RoutingTable {
     local: Contact,
     k: usize,
     buckets: Vec<Bucket>,
+    /// Buckets at or past this index have never held a contact, so the
+    /// nearest-first walks stop here instead of at bucket 159.
+    depth: usize,
 }
 
 impl pier_netsim::HeapSize for RoutingTable {
@@ -61,7 +64,7 @@ impl pier_netsim::HeapSize for RoutingTable {
 impl RoutingTable {
     pub fn new(local: Contact, k: usize) -> Self {
         assert!(k > 0, "bucket capacity must be positive");
-        RoutingTable { local, k, buckets: (0..KEY_BITS).map(|_| Bucket::new()).collect() }
+        RoutingTable { local, k, buckets: (0..KEY_BITS).map(|_| Bucket::new()).collect(), depth: 0 }
     }
 
     pub fn local(&self) -> Contact {
@@ -82,6 +85,7 @@ impl RoutingTable {
         let Some(idx) = self.local.key.bucket_index(&contact.key) else {
             return InsertOutcome::SelfEntry;
         };
+        self.depth = self.depth.max(idx + 1);
         let bucket = &mut self.buckets[idx];
         bucket.last_touched = now;
         if let Some(pos) = bucket.entries.iter().position(|c| c.key == contact.key) {
@@ -119,20 +123,63 @@ impl RoutingTable {
         self.remove(stale);
     }
 
+    /// The non-empty buckets whose contacts are all strictly closer to the
+    /// target than the local node, nearest bucket first. `own` is the local
+    /// node's distance to the target.
+    ///
+    /// A contact in bucket `i` shares exactly `i` leading bits with the
+    /// local key, so its distance to the target equals `own` above bit `i`
+    /// and differs from it at bit `i`; every contact in a deeper bucket, and
+    /// the local node itself, still agrees with `own` at bit `i`. Bucket `i`
+    /// as a whole is therefore nearer than all of those where `own` has bit
+    /// `i` set and farther than all of them where it is clear. Nearest
+    /// first, the table reads: the buckets at the set bits of `own`,
+    /// shallowest first; the local node; the buckets at the clear bits,
+    /// deepest first.
+    fn closer_buckets(&self, own: Distance) -> impl Iterator<Item = &[Contact]> {
+        (own.leading_zeros()..self.depth)
+            .filter(move |&i| own.bit(i))
+            .map(|i| self.buckets[i].entries.as_slice())
+            .filter(|entries| !entries.is_empty())
+    }
+
+    /// The non-empty buckets farther from the target than the local node,
+    /// nearest bucket first (see [`Self::closer_buckets`]).
+    fn farther_buckets(&self, own: Distance) -> impl Iterator<Item = &[Contact]> {
+        (0..self.depth)
+            .rev()
+            .filter(move |&i| !own.bit(i))
+            .map(|i| self.buckets[i].entries.as_slice())
+            .filter(|entries| !entries.is_empty())
+    }
+
     /// The `n` contacts closest to `target`, ascending by XOR distance.
+    ///
+    /// Walks the buckets nearest first and sorts each one on its own, so it
+    /// stops at the bucket that completes `n` and never orders more than
+    /// `k` contacts at a time.
     pub fn closest(&self, target: &Key, n: usize) -> Vec<Contact> {
-        let mut all: Vec<Contact> =
-            self.buckets.iter().flat_map(|b| b.entries.iter().copied()).collect();
-        all.sort_by_key(|c| c.key.distance(target));
-        all.truncate(n);
-        all
+        let own = self.local.key.distance(target);
+        let mut out = Vec::new();
+        for entries in self.closer_buckets(own).chain(self.farther_buckets(own)) {
+            if out.len() >= n {
+                break;
+            }
+            let start = out.len();
+            out.extend_from_slice(entries);
+            // Keys within a table are distinct, so distances are too and
+            // the unstable sort has exactly one result.
+            out[start..].sort_unstable_by_key(|c| c.key.distance(target));
+        }
+        out.truncate(n);
+        out
     }
 
     /// The single closest contact strictly closer to `target` than the
     /// local node, if any — the greedy step of recursive routing.
     pub fn next_hop(&self, target: &Key) -> Option<Contact> {
         let own = self.local.key.distance(target);
-        self.closest(target, 1).into_iter().find(|c| c.key.distance(target) < own)
+        self.closer_buckets(own).next()?.iter().min_by_key(|c| c.key.distance(target)).copied()
     }
 
     /// Whether the local node is closer to `target` than every stored

@@ -42,5 +42,5 @@ pub use msg::{GnutellaMsg, Guid, Hit, HEADER_BYTES};
 pub use net::{CtxGnutellaNet, GnutellaNet};
 pub use node::{LeafNode, UltrapeerNode, UP_TICK};
 pub use pier_vocab::{TermId, Terms};
-pub use topology::{spawn, spawn_stores, GnutellaHandles, Topology, TopologyConfig};
+pub use topology::{spawn, spawn_stores, GnutellaHandles, Topology, TopologyConfig, UpLeaves};
 pub use ultrapeer::{QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore};

@@ -47,6 +47,21 @@ pub struct Topology {
     pub leaf_homes: Vec<Vec<usize>>,
 }
 
+/// The inverse of [`Topology::leaf_homes`]: each ultrapeer's leaves, in one
+/// flat array with per-ultrapeer offsets.
+pub struct UpLeaves {
+    /// `leaves[offsets[i]..offsets[i + 1]]` are ultrapeer `i`'s leaves.
+    offsets: Vec<u32>,
+    leaves: Vec<u32>,
+}
+
+impl UpLeaves {
+    /// The leaves attached to ultrapeer `up`, ascending.
+    pub fn of(&self, up: usize) -> &[u32] {
+        &self.leaves[self.offsets[up] as usize..self.offsets[up + 1] as usize]
+    }
+}
+
 impl Topology {
     /// Generate a random topology with configuration-model wiring among
     /// ultrapeers (degree targets from their profiles).
@@ -145,6 +160,28 @@ impl Topology {
         self.leaf_homes.len()
     }
 
+    /// Invert `leaf_homes` in one pass over the leaves (a counting sort by
+    /// ultrapeer), so spawning costs O(leaves) instead of a scan of every
+    /// leaf's homes per ultrapeer.
+    pub fn up_leaves(&self) -> UpLeaves {
+        let mut offsets = vec![0u32; self.ultrapeer_count() + 1];
+        for &up in self.leaf_homes.iter().flatten() {
+            offsets[up + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut next = offsets.clone();
+        let mut leaves = vec![0u32; offsets[self.ultrapeer_count()] as usize];
+        for (j, homes) in self.leaf_homes.iter().enumerate() {
+            for &up in homes {
+                leaves[next[up] as usize] = j as u32;
+                next[up] += 1;
+            }
+        }
+        UpLeaves { offsets, leaves }
+    }
+
     /// Adjacency lists of the ultrapeer graph.
     pub fn up_adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.up_profiles.len()];
@@ -196,14 +233,13 @@ pub fn spawn_stores(
     let leaf_id = |j: usize| NodeId::new(base + topo.ultrapeer_count() as u32 + j as u32);
 
     let adj = topo.up_adjacency();
+    let up_leaves = topo.up_leaves();
     let mut ups = Vec::with_capacity(topo.ultrapeer_count());
     for (i, store) in up_stores.into_iter().enumerate() {
         let mut core = UltrapeerCore::new(topo.up_profiles[i].clone(), store);
         core.set_neighbors(adj[i].iter().map(|&n| up_id(n)).collect());
-        for (j, homes) in topo.leaf_homes.iter().enumerate() {
-            if homes.contains(&i) {
-                core.add_leaf(leaf_id(j));
-            }
+        for &j in up_leaves.of(i) {
+            core.add_leaf(leaf_id(j as usize));
         }
         let id = sim.add_node(UltrapeerNode::new(core));
         debug_assert_eq!(id, up_id(i));
@@ -274,6 +310,22 @@ mod tests {
             let set: std::collections::HashSet<_> = homes.iter().collect();
             assert_eq!(set.len(), 3, "homes must be distinct");
         }
+    }
+
+    #[test]
+    fn up_leaves_inverts_leaf_homes() {
+        let mut topo = Topology::generate(&small_cfg());
+        // An ultrapeer no leaf homes on.
+        topo.up_profiles.push(UltrapeerConfig::default());
+        let inverted = topo.up_leaves();
+        for i in 0..topo.ultrapeer_count() {
+            // The scan `spawn_stores` used to run per ultrapeer.
+            let scanned: Vec<u32> = (0..topo.leaf_count() as u32)
+                .filter(|&j| topo.leaf_homes[j as usize].contains(&i))
+                .collect();
+            assert_eq!(inverted.of(i), scanned, "ultrapeer {i}");
+        }
+        assert!(inverted.of(topo.ultrapeer_count() - 1).is_empty());
     }
 
     #[test]

@@ -51,15 +51,14 @@ pub fn spawn(
         (0..cfg.hybrid_ups).map(|i| Contact::for_node(up_id(i))).collect();
 
     let adj = topo.up_adjacency();
+    let up_leaves = topo.up_leaves();
     let mut hybrid_ups = Vec::with_capacity(cfg.hybrid_ups);
     let mut plain_ups = Vec::new();
     for (i, profile) in topo.up_profiles.iter().enumerate() {
         let mut core = UltrapeerCore::new(profile.clone(), FileStore::default());
         core.set_neighbors(adj[i].iter().map(|&n| up_id(n)).collect());
-        for (j, homes) in topo.leaf_homes.iter().enumerate() {
-            if homes.contains(&i) {
-                core.add_leaf(leaf_id(j));
-            }
+        for &j in up_leaves.of(i) {
+            core.add_leaf(leaf_id(j as usize));
         }
         if i < cfg.hybrid_ups {
             let mut dht = DhtCore::new(cfg.dht.clone(), Contact::for_node(up_id(i)));

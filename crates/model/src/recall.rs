@@ -42,6 +42,35 @@ impl PublishedSet {
     }
 }
 
+/// Equation 2 at one network size and horizon, evaluated at most once per
+/// distinct replica count: [`pf_gnutella_frac`] is an O(horizon) loop whose
+/// value depends on nothing else, and a trace asks for the same few counts
+/// once per (query, matching file).
+struct PfByReplicas {
+    hosts: u64,
+    horizon_frac: f64,
+    /// Indexed by replica count; NaN = not evaluated yet.
+    pf: Vec<f64>,
+}
+
+impl PfByReplicas {
+    fn new(hosts: u64, horizon_frac: f64) -> Self {
+        PfByReplicas { hosts, horizon_frac, pf: Vec::new() }
+    }
+
+    fn get(&mut self, r: u32) -> f64 {
+        // Equation 2 clamps `r` to the network size, so the table can too.
+        let i = (r as u64).min(self.hosts) as usize;
+        if i >= self.pf.len() {
+            self.pf.resize(i + 1, f64::NAN);
+        }
+        if self.pf[i].is_nan() {
+            self.pf[i] = pf_gnutella_frac(self.hosts, self.horizon_frac, r as u64);
+        }
+        self.pf[i]
+    }
+}
+
 impl TraceView {
     /// Average Query Recall: per query, the expected fraction of matching
     /// *instances* returned by the hybrid system; averaged over queries
@@ -81,6 +110,7 @@ impl TraceView {
     /// the Equation-2 flooding probability.
     pub fn avg_qdr(&self, horizon_frac: f64, published: &PublishedSet) -> f64 {
         assert_eq!(published.per_file.len(), self.replicas.len());
+        let mut pf = PfByReplicas::new(self.hosts, horizon_frac);
         let mut sum = 0.0;
         let mut counted = 0usize;
         for q in &self.queries {
@@ -90,11 +120,7 @@ impl TraceView {
             let mut found = 0.0;
             for &fi in q {
                 let r = self.replicas[fi as usize];
-                found += if published.per_file[fi as usize] > 0 {
-                    1.0
-                } else {
-                    pf_gnutella_frac(self.hosts, horizon_frac, r as u64)
-                };
+                found += if published.per_file[fi as usize] > 0 { 1.0 } else { pf.get(r) };
             }
             sum += found / q.len() as f64;
             counted += 1;
@@ -112,16 +138,13 @@ impl TraceView {
         if self.queries.is_empty() {
             return 0.0;
         }
+        let mut pf = PfByReplicas::new(self.hosts, horizon_frac);
         let mut zero = 0.0;
         for q in &self.queries {
             let mut p_all_missed = 1.0;
             for &fi in q {
                 let r = self.replicas[fi as usize];
-                let p_found = if published.per_file[fi as usize] > 0 {
-                    1.0
-                } else {
-                    pf_gnutella_frac(self.hosts, horizon_frac, r as u64)
-                };
+                let p_found = if published.per_file[fi as usize] > 0 { 1.0 } else { pf.get(r) };
                 p_all_missed *= 1.0 - p_found;
             }
             zero += p_all_missed; // empty query: product over nothing = 1
@@ -220,6 +243,66 @@ mod tests {
         assert!(after < before);
         // The empty query contributes 1/4 forever (nothing to find).
         assert!(after >= 0.25);
+    }
+
+    /// Equation 2 evaluated afresh for every (query, matching file), as
+    /// `avg_qdr` and `zero_result_fraction` are defined.
+    fn direct(v: &TraceView, h: f64, p: &PublishedSet) -> (f64, f64) {
+        let p_found = |fi: u32| {
+            if p.per_file[fi as usize] > 0 {
+                1.0
+            } else {
+                pf_gnutella_frac(v.hosts, h, v.replicas[fi as usize] as u64)
+            }
+        };
+        let (mut qdr_sum, mut counted, mut zero) = (0.0, 0usize, 0.0);
+        for q in &v.queries {
+            let mut found = 0.0;
+            let mut p_all_missed = 1.0;
+            for &fi in q {
+                found += p_found(fi);
+                p_all_missed *= 1.0 - p_found(fi);
+            }
+            zero += p_all_missed;
+            if !q.is_empty() {
+                qdr_sum += found / q.len() as f64;
+                counted += 1;
+            }
+        }
+        (qdr_sum / counted as f64, zero / v.queries.len() as f64)
+    }
+
+    #[test]
+    fn one_evaluation_per_replica_count_is_bit_equal_to_direct() {
+        // Repeated counts, counts past the network size (clamped), zero,
+        // and a file reached by several queries.
+        let v = TraceView {
+            replicas: vec![1, 2, 2, 7, 1, 40, 0, 250, 5_000, u32::MAX],
+            queries: vec![
+                vec![0, 1, 2, 3],
+                vec![4, 5, 6],
+                vec![],
+                vec![7, 8, 9, 0],
+                vec![2, 2, 1],
+                vec![6],
+            ],
+            hosts: 300,
+        };
+        for h in [0.0, 0.05, 0.15, 0.5, 1.0] {
+            for published in [
+                PublishedSet::none(v.replicas.len()),
+                PublishedSet { per_file: vec![1, 0, 2, 0, 0, 0, 0, 3, 0, 0] },
+                PublishedSet { per_file: v.replicas.clone() },
+            ] {
+                let (qdr, zero) = direct(&v, h, &published);
+                assert_eq!(v.avg_qdr(h, &published).to_bits(), qdr.to_bits(), "qdr h={h}");
+                assert_eq!(
+                    v.zero_result_fraction(h, &published).to_bits(),
+                    zero.to_bits(),
+                    "zero h={h}"
+                );
+            }
+        }
     }
 
     #[test]
