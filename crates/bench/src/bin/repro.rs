@@ -2,7 +2,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro all            # everything (also what EXPERIMENTS.md records)
+//! repro all            # everything
 //! repro fig4 … fig15   # a single figure
 //! repro sec5-posting   # §5 posting-list replay
 //! repro sec7-deploy    # §7 deployment (micro costs + 50-node run)
@@ -21,12 +21,10 @@
 //! any shard count, only wall-clock time changes, and it composes with
 //! sweep `--jobs` (J trial threads × S shard workers each).
 //! The scale flag: `metro` is the 1.1M-node single-network run (100k
-//! ultrapeers carrying 1M leaves; `REPRO_METRO_LITE=1` shrinks it to a
-//! CI-smoke size), `metro-lite` that CI-smoke size addressed directly,
-//! `full` paper magnitudes, `sparse` the large sparse topology where even
-//! new-style vantages see only part of the network.
-//! The `REPRO_SCALE` environment variable remains as a fallback when the
-//! flag is absent, so existing CI plumbing keeps working.
+//! ultrapeers carrying 1M leaves), `metro-lite` the same code path at a
+//! CI-smoke size, `full` paper magnitudes, `sparse` the large sparse
+//! topology where even new-style vantages see only part of the network;
+//! `quick` is the default.
 //!
 //! Observability (all stat-neutral — pinned outputs are bit-identical with
 //! these on or off):
@@ -49,9 +47,8 @@ use pier_bench::sweep::{run_sweep, Experiment, SweepConfig, DEFAULT_BASE_SEED};
 use pier_bench::Scale;
 use pier_trace::Obs;
 
-/// Extract `--scale <name>` from the argument list (any position), so
-/// sweeps and CI don't need env plumbing. A present-but-unparseable value
-/// is a hard error, mirroring `parse_flag`.
+/// Extract `--scale <name>` from the argument list (any position). A
+/// present-but-unparseable value is a hard error, mirroring `parse_flag`.
 fn parse_scale(args: &mut Vec<String>) -> Option<Scale> {
     let i = args.iter().position(|a| a == "--scale")?;
     let Some(v) = args.get(i + 1) else {
@@ -184,7 +181,7 @@ base seed {base_seed:#x}",
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = parse_scale(&mut args).unwrap_or_else(Scale::from_env);
+    let scale = parse_scale(&mut args).unwrap_or(Scale::Quick);
     let shards = parse_shards(&mut args).unwrap_or(1);
     let profile = take_flag(&mut args, "--profile");
     let progress = take_flag(&mut args, "--progress");
@@ -204,7 +201,7 @@ fn main() {
     let dispatch_phase = obs.phase(&format!("exp.{what}"));
     match what {
         "fig4" | "fig5" | "fig6" | "fig7" | "figs4-7" => {
-            emit(&figs4to7::run_with(scale, shards, &obs), "figs4to7");
+            emit(&figs4to7::run(scale, shards, &obs), "figs4to7");
         }
         "fig8" | "crawl" => {
             emit(&fig8::run(scale, shards).tables, "fig8");
@@ -228,7 +225,7 @@ fn main() {
             emit(&ablations::run(scale, shards), "ablations");
         }
         "horizon" | "sparse" => {
-            emit(&horizon::run_with(scale, shards, &obs), "horizon");
+            emit(&horizon::run(scale, shards, &obs), "horizon");
         }
         "churn" => {
             emit(&churn::run(scale, shards), "churn");
@@ -237,7 +234,7 @@ fn main() {
             run_sweep_cmd(scale, shards, &args[1..]);
         }
         "all" => {
-            emit(&figs4to7::run_with(scale, shards, &obs), "figs4to7");
+            emit(&figs4to7::run(scale, shards, &obs), "figs4to7");
             emit(&fig8::run(scale, shards).tables, "fig8");
             emit(&figs9to12::run(scale), "figs9to12");
             emit(&figs13to15::run(scale), "figs13to15");

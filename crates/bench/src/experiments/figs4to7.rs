@@ -254,14 +254,10 @@ fn pct_at_most(values: &[usize], x: usize) -> f64 {
     100.0 * values.iter().filter(|v| **v <= x).count() as f64 / values.len() as f64
 }
 
-/// Run all four figures (one replay on a `shards`-way kernel) and return
-/// the tables, reporting kernel throughput on stdout.
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    run_with(scale, shards, &Obs::default())
-}
-
-/// [`run`] under an observability config (`repro --profile` / `--trace-queries`).
-pub fn run_with(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
+/// Run all four figures (one replay on a `shards`-way kernel, under `repro`'s
+/// observability config) and return the tables, reporting kernel
+/// throughput on stdout.
+pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
     let t0 = std::time::Instant::now();
     let data = collect_seeded_obs(scale, DEFAULT_SEED, shards, obs);
     crate::report_kernel_rate("figs4to7", data.events, shards, t0.elapsed());

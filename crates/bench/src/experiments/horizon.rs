@@ -50,8 +50,8 @@ pub fn collect_seeded_obs(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> 
     collect_cfg_obs(LabConfig::at_sharded(scale, seed, shards), rate, obs)
 }
 
-/// One full replay of an explicit lab config (tests drive metro-lite
-/// through this without touching process-global env state).
+/// One full replay of an explicit lab config (tests drive metro-lite at
+/// a chosen shard count through this).
 pub fn collect_cfg(cfg: LabConfig, inject_rate_per_s: f64) -> HorizonData {
     collect_cfg_obs(cfg, inject_rate_per_s, &Obs::default())
 }
@@ -122,14 +122,10 @@ pub fn mean_zero_single_rate(data: &HorizonData, wanted: impl Fn(usize) -> bool)
     rates.iter().sum::<f64>() / rates.len() as f64
 }
 
-/// Run the experiment (one replay on a `shards`-way kernel) and return
-/// the table, reporting kernel throughput on stdout.
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    run_with(scale, shards, &Obs::default())
-}
-
-/// [`run`] under an observability config (`repro --profile` / `--trace-queries`).
-pub fn run_with(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
+/// Run the experiment (one replay on a `shards`-way kernel, under `repro`'s
+/// observability config) and return the table, reporting kernel
+/// throughput on stdout.
+pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
     let t0 = std::time::Instant::now();
     let data = collect_seeded_obs(scale, DEFAULT_SEED, shards, obs);
     crate::report_kernel_rate("horizon", data.events, shards, t0.elapsed());

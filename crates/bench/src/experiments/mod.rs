@@ -1,5 +1,5 @@
-//! One module per reproduced experiment. See DESIGN.md §2 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! One module per reproduced experiment. See DESIGN.md's "Experiment
+//! index" for the paper-artifact → module map.
 
 pub mod ablations;
 pub mod churn;

@@ -13,7 +13,7 @@ use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, Query
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Experiment scale. `Quick` keeps `cargo bench` under a few minutes;
+/// Experiment scale. `Quick` keeps `repro all` under a few minutes;
 /// `Sparse` is a larger, sparsely-connected topology where even a
 /// 32-neighbor vantage's dynamic query covers only part of the network
 /// (the paper's horizon effect); `Full` approaches the paper's magnitudes
@@ -32,13 +32,12 @@ pub enum Scale {
     Metro,
     /// The metro preset's CI-smoke sibling — same code path (shared
     /// catalogs, mixed profiles, metro experiment arms) at a size that
-    /// builds in under a second. Addressable directly so timing harnesses
-    /// and CI don't need the `REPRO_METRO_LITE` env fallback.
+    /// builds in under a second.
     MetroLite,
 }
 
 impl Scale {
-    /// Parse a scale name (the `--scale` flag / `REPRO_SCALE` values).
+    /// Parse a scale name (the `--scale` flag's values).
     pub fn parse(name: &str) -> Option<Scale> {
         match name {
             "quick" => Some(Scale::Quick),
@@ -50,11 +49,7 @@ impl Scale {
         }
     }
 
-    pub fn from_env() -> Scale {
-        std::env::var("REPRO_SCALE").ok().and_then(|v| Scale::parse(&v)).unwrap_or(Scale::Quick)
-    }
-
-    /// Lower-case name, as accepted by `REPRO_SCALE` and emitted in JSON.
+    /// Lower-case name, as accepted by `--scale` and emitted in JSON.
     pub fn name(self) -> &'static str {
         match self {
             Scale::Quick => "quick",
@@ -164,35 +159,25 @@ impl LabConfig {
             // columnar catalog, QRP filters are sparse position lists
             // interned in a process-wide catalog, and the kernel's
             // per-node slot state is one packed word.
-            // `REPRO_METRO_LITE=1` shrinks the preset to a CI-smoke size
-            // that still exercises the metro code path (shared catalogs,
-            // metro experiment arms) in seconds instead of minutes.
-            Scale::Metro => {
-                if std::env::var("REPRO_METRO_LITE").map(|v| v == "1").unwrap_or(false) {
-                    LabConfig::metro_lite(seed)
-                } else {
-                    LabConfig {
-                        ultrapeers: 100_000,
-                        leaves: 1_000_000,
-                        old_style_fraction: 0.6,
-                        leaf_ups: 2,
-                        distinct_files: 150_000,
-                        queries: 240,
-                        vantages: 24,
-                        mixed_profile_vantages: true,
-                        seed,
-                        shards: 1,
-                    }
-                }
-            }
+            Scale::Metro => LabConfig {
+                ultrapeers: 100_000,
+                leaves: 1_000_000,
+                old_style_fraction: 0.6,
+                leaf_ups: 2,
+                distinct_files: 150_000,
+                queries: 240,
+                vantages: 24,
+                mixed_profile_vantages: true,
+                seed,
+                shards: 1,
+            },
             Scale::MetroLite => LabConfig::metro_lite(seed),
         }
     }
 
-    /// The CI-sized metro variant (what `REPRO_METRO_LITE=1` selects):
-    /// same code path — shared catalogs, mixed profiles, metro experiment
-    /// arms — at a size a release test can build in seconds. Tests call
-    /// this directly so they don't depend on process-global env state.
+    /// The CI-sized metro variant (`Scale::MetroLite`): same code path —
+    /// shared catalogs, mixed profiles, metro experiment arms — at a size
+    /// a release test can build in seconds.
     pub fn metro_lite(seed: u64) -> LabConfig {
         LabConfig {
             ultrapeers: 300,
@@ -236,16 +221,10 @@ pub struct Lab {
 
 impl Lab {
     /// Build the network, place the catalog on the leaves, pick vantage
-    /// ultrapeers.
-    pub fn build(cfg: LabConfig) -> Lab {
-        Lab::build_with(cfg, &Obs::default())
-    }
-
-    /// [`Lab::build`] with observability: every stage runs under a named
-    /// phase scope, the kernel probe is installed when requested, and (when
-    /// tracing) every protocol core gets a handle to the shared tracer.
-    /// With an inert `Obs` every hook is a no-op and the built lab is
-    /// bit-identical to `Lab::build`'s.
+    /// ultrapeers. Every stage runs under a named phase scope, the kernel
+    /// probe is installed when requested, and (when tracing) every protocol
+    /// core gets a handle to the shared tracer. With an inert `Obs`
+    /// (`Obs::default()`) every hook is a no-op.
     pub fn build_with(cfg: LabConfig, obs: &Obs) -> Lab {
         let _build = obs.phase("lab.build");
         let topo = {
@@ -370,17 +349,12 @@ impl Lab {
 
     /// Replay the whole trace from every vantage, staggering injections so
     /// queries overlap realistically. Returns, per query, the per-vantage
-    /// results (`out[q][v]`).
-    pub fn replay(&mut self, inject_rate_per_s: f64) -> Vec<Vec<VantageResult>> {
-        self.replay_with(inject_rate_per_s, &Obs::default())
-    }
-
-    /// [`Lab::replay`] with observability: phase scopes around injection /
-    /// drain / collection, a progress target for the heartbeat, and — when
-    /// tracing — registration of an evenly-spaced sample of
-    /// `obs.trace_queries` injections with the tracer. Registration happens
-    /// *after* `start_query` returns and reads only the returned guid, so
-    /// the simulation is bit-identical with tracing on or off.
+    /// results (`out[q][v]`). Injection / drain / collection run under
+    /// phase scopes, the heartbeat gets a progress target, and — when
+    /// tracing — an evenly-spaced sample of `obs.trace_queries` injections
+    /// is registered with the tracer. Registration happens *after*
+    /// `start_query` returns and reads only the returned guid, so the
+    /// simulation is bit-identical with tracing on or off.
     pub fn replay_with(&mut self, inject_rate_per_s: f64, obs: &Obs) -> Vec<Vec<VantageResult>> {
         let _replay = obs.phase("lab.replay");
         let queries: Vec<Query> = self.trace.queries.clone();
@@ -528,10 +502,8 @@ mod tests {
             "Full runs a mixed ultrapeer profile"
         );
         assert!(full.mixed_profile_vantages, "Full vantage sets must span both profiles");
-        if std::env::var("REPRO_METRO_LITE").is_err() {
-            assert!(metro.ultrapeers >= 10 * full.ultrapeers, "Metro is an order past Full");
-            assert!(metro.leaves >= 10 * full.leaves, "Metro is an order past Full");
-        }
+        assert!(metro.ultrapeers >= 10 * full.ultrapeers, "Metro is an order past Full");
+        assert!(metro.leaves >= 10 * full.leaves, "Metro is an order past Full");
         assert!(metro.mixed_profile_vantages);
         // metro-lite is the metro code path shrunk to CI size: smaller than
         // Full, same mixed-profile shape as Metro.
@@ -554,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_names_round_trip_through_env_convention() {
+    fn scale_names_round_trip_through_parse() {
         for s in [Scale::Quick, Scale::Sparse, Scale::Full, Scale::Metro, Scale::MetroLite] {
             assert!(!s.name().is_empty());
             assert_eq!(Scale::parse(s.name()), Some(s));

@@ -10,9 +10,9 @@
 //!
 //! or a single experiment by id (`fig4` … `fig15`, `fig8`, `sec5-posting`,
 //! `sec7-deploy`, `model-params`, `crawl`). Results print as tables and are
-//! written as CSV under `results/`. Pass `--scale full` (or set
-//! `REPRO_SCALE=full`) for paper-magnitude runs (minutes); the default
-//! quick scale keeps everything under a few minutes total.
+//! written as CSV under `results/`. Pass `--scale full` for
+//! paper-magnitude runs (minutes); the default quick scale keeps
+//! everything under a few minutes total.
 //!
 //! For multi-seed statistics (mean ± stderr error bars), every experiment
 //! can run as a parallel sweep:
@@ -27,9 +27,7 @@
 pub mod experiments;
 pub mod floodbench;
 pub mod lab;
-pub mod membench;
 pub mod output;
-pub mod qrpbench;
 pub mod sweep;
 
 pub use lab::Scale;

@@ -274,7 +274,7 @@ pub fn write_trace_jsonl(
 }
 
 /// `results/` next to the workspace root when available.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("CARGO_MANIFEST_DIR") {
         // crates/bench → workspace root.
         let p = PathBuf::from(dir);

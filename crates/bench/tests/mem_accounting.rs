@@ -1,0 +1,25 @@
+//! The per-subsystem `HeapSize` accounting behind the benchmark's
+//! `netsim.heap_bytes_per_node` row is wired through a built lab, and
+//! multihomed leaves share one interned QRP filter.
+
+use pier_bench::lab::{Lab, LabConfig, DEFAULT_SEED};
+use pier_gnutella::UltrapeerNode;
+
+#[test]
+fn built_lab_accounts_every_node_and_interns_leaf_filters() {
+    let cfg = LabConfig::metro_lite(DEFAULT_SEED);
+    let (ultrapeers, leaves) = (cfg.ultrapeers, cfg.leaves);
+    let lab = Lab::build_with(cfg, &Default::default());
+
+    let stats = lab.sim.mem_stats();
+    assert_eq!(stats.nodes, ultrapeers + leaves);
+    assert!(stats.subsystems.get("leaf.share") > 0, "leaves report their share views");
+    assert!(stats.subsystems.get("up.qrp") > 0, "ultrapeers report their QRP entries");
+
+    // metro-lite leaves are 2-homed: both ultrapeers hold the same `Arc`.
+    let qrp_refs: usize =
+        lab.handles.ups.iter().map(|&id| lab.sim.actor::<UltrapeerNode>(id).core.qrp_refs()).sum();
+    let unique = pier_gnutella::qrp_catalog::stats().unique;
+    assert!(unique > 0, "QRP propagation ran during the build");
+    assert!(qrp_refs > unique, "{qrp_refs} ultrapeer entries over {unique} distinct filters");
+}

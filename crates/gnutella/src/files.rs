@@ -227,27 +227,6 @@ impl FileStore {
     pub fn own_heap_bytes(&self) -> usize {
         self.files.len() * size_of::<FileId>() + self.all_tokens.len() * size_of::<TermId>()
     }
-
-    /// What the pre-catalog layout would have charged this node for the
-    /// same share: a `FileMeta` (with its own `Arc<str>` name allocation)
-    /// and a `Box<[TermId]>` token set per file, plus the `Vec` spines and
-    /// the token-union cache. This is the "before" of `mem_bench`'s
-    /// before-vs-after reduction floor.
-    pub fn legacy_heap_bytes(&self) -> usize {
-        let per_file: usize = self
-            .files
-            .iter()
-            .map(|&id| {
-                let name = &self.catalog.meta(id).name;
-                size_of::<FileMeta>() + name.heap_bytes() + size_of_val(self.catalog.tokens(id))
-            })
-            .sum();
-        // Vec<FileMeta> + Vec<Box<[TermId]>> spines, and the old Vec-backed
-        // all_tokens cache.
-        per_file
-            + self.files.len() * size_of::<Box<[TermId]>>()
-            + self.all_tokens.len() * size_of::<TermId>()
-    }
 }
 
 impl HeapSize for FileStore {
@@ -349,23 +328,6 @@ mod tests {
             let b: Vec<&str> = owning.matching_query(q).iter().map(|f| &*f.name).collect();
             assert_eq!(a, b, "query {q:?}");
         }
-    }
-
-    /// The point of the exercise: per-node share state must be a small
-    /// fraction of what the per-node `FileMeta` + token-set layout cost.
-    #[test]
-    fn shared_share_state_is_much_smaller_than_legacy() {
-        let metas: Vec<FileMeta> = (0..200)
-            .map(|i| FileMeta::new(&format!("artist_{i}_album_{i}_track_{i}.mp3"), 1))
-            .collect();
-        let catalog = Arc::new(ShareCatalog::build(metas));
-        let store = FileStore::shared(catalog, (0..200u32).collect());
-        assert!(
-            store.legacy_heap_bytes() >= 3 * store.own_heap_bytes(),
-            "legacy {} vs own {}",
-            store.legacy_heap_bytes(),
-            store.own_heap_bytes()
-        );
     }
 
     #[test]

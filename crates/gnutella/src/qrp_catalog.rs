@@ -24,8 +24,8 @@ use std::sync::{Arc, Mutex, Weak};
 
 /// Interner buckets: content hash → live (weak) filters with that hash.
 /// Weak references let a dropped lab's filters free their memory while the
-/// catalog itself lives for the process (`mem_bench` builds several labs
-/// in one run).
+/// catalog itself lives for the process (a sweep builds several labs in
+/// one run).
 type Buckets = BTreeMap<u64, Vec<Weak<QrpFilter>>>;
 
 // pier-lint: allow(shard-static): content-addressed interner — the result

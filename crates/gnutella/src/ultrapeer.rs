@@ -238,8 +238,9 @@ impl UltrapeerCore {
     }
 
     /// Number of leaves that have published a QRP filter here (each is one
-    /// `Arc` reference into the process-wide filter catalog). `mem_bench`
-    /// sums this across ultrapeers to report the dedup ratio.
+    /// `Arc` reference into the process-wide filter catalog). Summed across
+    /// ultrapeers and divided by `qrp_catalog::stats().unique`, it is the
+    /// interning dedup ratio.
     pub fn qrp_refs(&self) -> usize {
         self.leaves.values().filter(|f| f.is_some()).count()
     }

@@ -68,7 +68,7 @@ fn same_master_seed_is_bit_reproducible() {
 /// it, returning the full metrics snapshot.
 fn sparse_run_and_snapshot() -> Vec<(&'static str, u64, u64)> {
     use pier_bench::lab::{Lab, LabConfig, Scale};
-    let mut lab = Lab::build(LabConfig::at(Scale::Sparse));
+    let mut lab = Lab::build_with(LabConfig::at(Scale::Sparse), &Default::default());
     let vantages = lab.vantages.clone();
     for (i, &v) in vantages.iter().enumerate().take(6) {
         let terms = lab.trace.queries[i].text();
