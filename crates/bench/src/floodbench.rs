@@ -8,8 +8,10 @@
 //! sparse-preset catalog/trace (`Scale::Sparse` magnitudes: an old-style
 //! 6-neighbor ultrapeer with its 4 single-homed leaves, queries from a
 //! calibrated trace). Simulated time advances one second per hop and the
-//! maintenance tick runs periodically, so the seen-GUID table stays at its
-//! steady-state size exactly as in a live network.
+//! maintenance tick runs periodically: the tick only moves the seen-GUID
+//! expiry horizon, and the hop's own insert sweeps expired entries when the
+//! table would otherwise grow, so the table holds a bounded multiple of one
+//! `seen_ttl` of GUIDs as in a live network (the sweep is part of the hop).
 //!
 //! The hop runs through the real cores: [`Terms`] payloads (`Arc` clone per
 //! relay), sorted-`TermId`-slice matching, QRP checks on hashes cached in
@@ -22,6 +24,7 @@ use pier_gnutella::{
 use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sparse-preset magnitudes: 2,560 single-homed leaves over 640 ultrapeers
@@ -30,7 +33,7 @@ const NEIGHBORS: usize = 6;
 const LEAVES: usize = 4;
 const QUERIES: usize = 512;
 
-/// Run the maintenance sweep (seen-table expiry) every this many hops.
+/// Run the maintenance tick (seen-table expiry horizon) every this many hops.
 const TICK_EVERY: u64 = 256;
 
 const UP_ID: u32 = 1_000;
@@ -153,7 +156,7 @@ fn build_interned(w: &FloodWorkload) -> InternedFixture {
         let leaf = LeafCore::new(LeafConfig::default(), FileStore::new(share.clone()));
         let mut filter = QrpFilter::with_defaults();
         filter.insert_ids(leaf.store().all_tokens());
-        up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { filter: Box::new(filter) });
+        up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { filter: Arc::new(filter) });
         leaves.push((leaf_id, leaf, SinkNet::new(LEAF_BASE + i as u32)));
     }
     InternedFixture { up, leaves }

@@ -26,7 +26,10 @@
 //! Every probe goes through an inline 4096-block summary bitmap first
 //! (`QrpFilter::summary`): one 512-byte-resident load rejects probes to
 //! clear blocks before any repr dispatch, table access, or binary search —
-//! the O(1) fast path of the miss-dominated last-hop loop.
+//! the O(1) fast path of the miss-dominated last-hop loop. An ultrapeer
+//! goes one step further and ORs its leaves' summaries into one
+//! [`QrpUnion`]: a query with any position in a block no leaf has set
+//! cannot match any of them, so the loop is not entered at all.
 
 use pier_vocab::{intern, TermId, Terms};
 use serde::{Deserialize, Serialize};
@@ -52,12 +55,19 @@ enum Repr {
     Dense(Vec<u64>),
 }
 
+/// Word index and bit mask of position `p`'s block in a summary bitmap.
+#[inline]
+fn summary_slot(p: u32) -> (usize, u64) {
+    let b = (p >> SUMMARY_SHIFT) % SUMMARY_BLOCKS;
+    ((b >> 6) as usize, 1 << (b & 63))
+}
+
 /// The summary bitmap of a sorted position set.
 fn summary_of(positions: &[u32]) -> [u64; SUMMARY_WORDS] {
     let mut s = [0u64; SUMMARY_WORDS];
     for &p in positions {
-        let b = (p >> SUMMARY_SHIFT) % SUMMARY_BLOCKS;
-        s[(b >> 6) as usize] |= 1 << (b & 63);
+        let (w, bit) = summary_slot(p);
+        s[w] |= bit;
     }
     s
 }
@@ -165,8 +175,8 @@ impl QrpFilter {
 
     #[inline]
     fn set_bit(&mut self, p: u32) {
-        let b = (p >> SUMMARY_SHIFT) % SUMMARY_BLOCKS;
-        self.summary[(b >> 6) as usize] |= 1 << (b & 63);
+        let (w, bit) = summary_slot(p);
+        self.summary[w] |= bit;
         match &mut self.repr {
             Repr::Dense(bits) => bits[(p / 64) as usize] |= 1 << (p % 64),
             Repr::Sparse(pos) => {
@@ -185,8 +195,8 @@ impl QrpFilter {
     fn test_bit(&self, p: u32) -> bool {
         // Summary first: one load settles ~96% of probes at leaf-share
         // densities, for either representation.
-        let b = (p >> SUMMARY_SHIFT) % SUMMARY_BLOCKS;
-        if self.summary[(b >> 6) as usize] & (1 << (b & 63)) == 0 {
+        let (w, bit) = summary_slot(p);
+        if self.summary[w] & bit == 0 {
             return false;
         }
         match &self.repr {
@@ -273,7 +283,7 @@ impl QrpFilter {
         } else {
             // Geometry mismatch (never the case inside one network):
             // recompute positions for this filter's own table.
-            !probe.hashes.is_empty() && probe.hashes.iter().all(|&h| self.contains_hashes(h))
+            self.matches_all(&probe.terms)
         }
     }
 
@@ -336,26 +346,79 @@ pub struct QrpProbe {
     /// order of [`QrpFilter::matches_all`]). Empty ⇔ empty query, which
     /// routes nowhere.
     positions: Vec<u32>,
-    /// The cached hash pairs, for the geometry-mismatch fallback.
-    hashes: Vec<(u64, u64)>,
+    /// The query (an `Arc` bump, not a copy): its cached hash pairs serve
+    /// the geometry-mismatch fallback.
+    terms: Terms,
 }
 
 impl QrpProbe {
     /// Precompute the probe for `terms` against `(m, k)` tables.
     pub fn new(m: u32, k: u32, terms: &Terms) -> QrpProbe {
-        let hashes = terms.qrp_hashes().to_vec();
+        let hashes = terms.qrp_hashes();
         let mut positions = Vec::with_capacity(hashes.len() * k as usize);
-        for &h in &hashes {
+        for &h in hashes {
             for i in 0..k {
                 positions.push(bit_position(m, h, i));
             }
         }
-        QrpProbe { m, k, positions, hashes }
+        QrpProbe { m, k, positions, terms: terms.clone() }
     }
 
     /// Probe against the standard LimeWire table geometry.
     pub fn with_defaults(terms: &Terms) -> QrpProbe {
         QrpProbe::new(QrpFilter::DEFAULT_BITS, QrpFilter::DEFAULT_HASHES, terms)
+    }
+
+    /// Could any filter folded into `union` match this probe? `false` is
+    /// exact — a filter matches only if every probe position is set, hence
+    /// every position's block is set in its summary and so in the union —
+    /// and costs at most one load per position in 512 resident bytes.
+    /// `true` means "ask the filters": every position's block is some
+    /// leaf's, or the union cannot speak for this probe's geometry.
+    pub(crate) fn may_match_any(&self, union: &QrpUnion) -> bool {
+        if union.foreign || (self.m, self.k) != QrpUnion::GEOMETRY {
+            return true;
+        }
+        !self.positions.is_empty()
+            && self.positions.iter().all(|&p| {
+                let (w, bit) = summary_slot(p);
+                union.blocks[w] & bit != 0
+            })
+    }
+}
+
+/// The union of many filters' block summaries: one screen in front of an
+/// ultrapeer's whole last-hop loop. Block `b` is set iff some folded
+/// filter of the standard table geometry has a position in block `b`; a
+/// filter of any other geometry sets `foreign`, which turns the screen off
+/// (its positions for the same term land elsewhere, so the union cannot
+/// rule it out). Grow-only: a filter leaving the set means rebuilding
+/// from the rest.
+#[derive(Clone, Debug)]
+pub(crate) struct QrpUnion {
+    blocks: [u64; SUMMARY_WORDS],
+    foreign: bool,
+}
+
+impl QrpUnion {
+    /// The `(m, k)` the union speaks for — what
+    /// [`QrpProbe::with_defaults`] probes.
+    const GEOMETRY: (u32, u32) = (QrpFilter::DEFAULT_BITS, QrpFilter::DEFAULT_HASHES);
+
+    /// The union of no filters.
+    pub(crate) fn new() -> Self {
+        QrpUnion { blocks: [0; SUMMARY_WORDS], foreign: false }
+    }
+
+    /// Fold one more filter in.
+    pub(crate) fn add(&mut self, filter: &QrpFilter) {
+        if (filter.m, filter.k) == Self::GEOMETRY {
+            for (u, s) in self.blocks.iter_mut().zip(&filter.summary) {
+                *u |= s;
+            }
+        } else {
+            self.foreign = true;
+        }
     }
 }
 

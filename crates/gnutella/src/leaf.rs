@@ -99,7 +99,7 @@ impl LeafCore {
     /// Push the share's QRP filter to one ultrapeer (re-attachment path;
     /// the full-broadcast [`LeafCore::publish_qrp`] runs on connect).
     pub fn publish_qrp_to(&mut self, net: &mut dyn GnutellaNet, up: NodeId) {
-        let filter = Box::new(QrpFilter::clone(self.qrp_filter()));
+        let filter = Arc::clone(self.qrp_filter());
         net.send(up, GnutellaMsg::QrpUpdate { filter });
     }
 
@@ -125,7 +125,7 @@ impl LeafCore {
     pub fn publish_qrp(&mut self, net: &mut dyn GnutellaNet) {
         let shared = Arc::clone(self.qrp_filter());
         for &up in &self.ultrapeers {
-            net.send(up, GnutellaMsg::QrpUpdate { filter: Box::new(QrpFilter::clone(&shared)) });
+            net.send(up, GnutellaMsg::QrpUpdate { filter: Arc::clone(&shared) });
         }
     }
 
@@ -179,18 +179,15 @@ impl LeafCore {
                     .map(|f| Hit { file: f.clone(), host: net.self_node() })
                     .collect();
                 net.count(crate::classes::LEAF_MATCHES.id(), hits.len() as u64);
-                if let Some(t) = self.trace.lookup(guid.0) {
-                    let (me, at) = (net.self_node().index() as u64, net.now().as_micros());
-                    self.trace.emit(
-                        t,
-                        at,
-                        me,
-                        TraceKind::LeafMatch,
-                        Some(from.index() as u64),
-                        hits.len() as u64,
-                        0,
-                    );
-                }
+                self.trace.emit_guid(
+                    guid.0,
+                    net.now(),
+                    net.self_node(),
+                    TraceKind::LeafMatch,
+                    Some(from),
+                    hits.len() as u64,
+                    0,
+                );
                 if !hits.is_empty() {
                     net.send(from, GnutellaMsg::LeafHits { guid, hits });
                 }

@@ -12,6 +12,7 @@ use crate::files::FileMeta;
 use pier_netsim::{MetricClass, NodeId};
 use pier_vocab::Terms;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Gnutella descriptor header: 16-byte GUID + type + TTL + hops + 4-byte
 /// payload length.
@@ -67,11 +68,12 @@ pub enum GnutellaMsg {
         neighbors: Vec<NodeId>,
         leaves: Vec<NodeId>,
     },
-    /// Leaf → ultrapeer: its QRP keyword filter. Boxed: the filter (with
-    /// its inline probe-summary bitmap) dwarfs every other variant, and
-    /// the receiver interns it rather than keeping the copy.
+    /// Leaf → ultrapeer: its QRP keyword filter — the leaf's own interned
+    /// copy (see [`crate::qrp_catalog`]), which the receiver keeps as is:
+    /// publishing to N home ultrapeers is N `Arc` bumps, not N table
+    /// copies and N catalog lookups.
     QrpUpdate {
-        filter: Box<QrpFilter>,
+        filter: Arc<QrpFilter>,
     },
     /// Leaf → ultrapeer: please run this search for me.
     LeafQuery {

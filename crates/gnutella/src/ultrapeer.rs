@@ -2,7 +2,7 @@
 //! last-hop QRP filtering for its leaves, and runs LimeWire-style *dynamic
 //! querying* for searches it originates.
 
-use crate::bloom::QrpFilter;
+use crate::bloom::{QrpFilter, QrpProbe, QrpUnion};
 use crate::config::UltrapeerConfig;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Guid, Hit};
@@ -76,9 +76,9 @@ impl pier_netsim::HeapSize for SnoopEvent {
 
 /// Hasher for the seen-GUID table: GUIDs are uniform 64-bit randoms, so
 /// one SplitMix64 round replaces SipHash on the per-relay duplicate check
-/// — the hottest lookup on the flood path. (Only `contains`/`insert`/
-/// `remove`/`retain` run against this map, so iteration order never leaks
-/// into behavior.)
+/// — the hottest lookup on the flood path. (Only `get`/`insert`/`retain`/
+/// `clear` run against this map, so iteration order never leaks into
+/// behavior.)
 #[derive(Default)]
 struct GuidHasher(u64);
 
@@ -121,9 +121,24 @@ pub struct UltrapeerCore {
     /// leaves with identical share-views cost one filter copy between all
     /// their ultrapeers — each entry here is one `Arc` pointer.
     leaves: BTreeMap<NodeId, Option<Arc<QrpFilter>>>,
+    /// Block-summary union of every filter in `leaves`: the one-probe
+    /// screen in front of the last-hop loop ([`QrpProbe::may_match_any`]).
+    /// Kept equal to the fold of `leaves` wherever `leaves` changes.
+    leaf_union: QrpUnion,
     store: FileStore,
     /// GUID → where the query came from (reverse-path routing table).
+    /// Read only through [`UltrapeerCore::seen_from`] and written only
+    /// through [`UltrapeerCore::mark_seen`], which between them make an
+    /// entry at or before `seen_horizon` indistinguishable from a removed
+    /// one.
     seen: SeenMap,
+    /// Expiry horizon, moved by every tick to `now − seen_ttl` (`None`
+    /// while `now < seen_ttl`): a `seen` entry with `at ≤ horizon` is
+    /// expired. It may still sit in the table — it is swept when an insert
+    /// would otherwise grow the table — but no read can see it, so an
+    /// entry dies at the first tick with `at + seen_ttl ≤ now` exactly as
+    /// if the tick had walked the table, and an idle tick costs one store.
+    seen_horizon: Option<SimTime>,
     /// Queries this node originated.
     queries: BTreeMap<Guid, QueryRecord>,
     dyn_state: BTreeMap<Guid, DynState>,
@@ -143,8 +158,10 @@ impl UltrapeerCore {
             cfg,
             neighbors: Box::default(),
             leaves: BTreeMap::new(),
+            leaf_union: QrpUnion::new(),
             store,
             seen: SeenMap::default(),
+            seen_horizon: None,
             queries: BTreeMap::new(),
             dyn_state: BTreeMap::new(),
             snoop: false,
@@ -192,7 +209,28 @@ impl UltrapeerCore {
 
     /// Topology repair: drop a dead leaf (its QRP entry goes with it).
     pub fn remove_leaf(&mut self, leaf: NodeId) -> bool {
-        self.leaves.remove(&leaf).is_some()
+        let removed = self.leaves.remove(&leaf);
+        if let Some(Some(_)) = removed {
+            self.rebuild_leaf_union();
+        }
+        removed.is_some()
+    }
+
+    /// Record `leaf`'s published filter (replacing any earlier one).
+    fn set_leaf_filter(&mut self, leaf: NodeId, filter: Arc<QrpFilter>) {
+        self.leaf_union.add(&filter);
+        if let Some(Some(_)) = self.leaves.insert(leaf, Some(filter)) {
+            // The union only grows; dropping the old filter's blocks
+            // means folding the remaining filters afresh.
+            self.rebuild_leaf_union();
+        }
+    }
+
+    fn rebuild_leaf_union(&mut self) {
+        self.leaf_union = QrpUnion::new();
+        for filter in self.leaves.values().flatten() {
+            self.leaf_union.add(filter);
+        }
     }
 
     pub fn add_leaf(&mut self, leaf: NodeId) {
@@ -207,6 +245,7 @@ impl UltrapeerCore {
     /// through their own failure detection.
     pub fn end_session(&mut self) {
         self.seen.clear();
+        self.seen_horizon = None;
         self.dyn_state.clear();
         self.snoop_log.clear();
     }
@@ -230,9 +269,15 @@ impl UltrapeerCore {
         acc.add("up.topology", self.neighbors.heap_bytes());
         // Filters are catalog-interned `Arc`s, charged once process-wide
         // by `qrp_catalog::stats()` — here each leaf entry costs only its
-        // map slot (BTreeMap model: ~1.5 slots per live entry).
+        // map slot (BTreeMap model: ~1.5 slots per live entry) — plus the
+        // leaf union, which is the core's own.
         let slots = self.leaves.len() + self.leaves.len() / 2;
-        acc.add("up.qrp", slots * size_of::<(NodeId, Option<Arc<QrpFilter>>)>());
+        acc.add(
+            "up.qrp",
+            slots * size_of::<(NodeId, Option<Arc<QrpFilter>>)>() + size_of::<QrpUnion>(),
+        );
+        // `seen` is charged by capacity, so expired-but-unswept entries
+        // stay on the bill until their buckets are reused.
         acc.add("up.relay", self.seen.heap_bytes() + self.snoop_log.heap_bytes());
         acc.add("up.queries", self.queries.heap_bytes() + self.dyn_state.heap_bytes());
     }
@@ -278,7 +323,7 @@ impl UltrapeerCore {
         let guid = Guid(net.rng().random());
         // Claim the GUID so our own flood cannot route hits elsewhere.
         let me = net.self_node();
-        self.seen.insert(guid, SeenEntry { from: me, at: net.now() });
+        self.mark_seen(guid, me, net.now());
 
         let mut record = QueryRecord {
             terms: terms.clone(),
@@ -301,13 +346,8 @@ impl UltrapeerCore {
             record.first_hit_at = Some(net.now());
             record.hits.extend(own_hits);
         }
-        // ...and matching leaves (last-hop QRP; one probe, many filters).
-        let probe = crate::bloom::QrpProbe::with_defaults(&terms);
-        for (&leaf, qrp) in &self.leaves {
-            if qrp.as_ref().is_some_and(|f| f.matches_probe(&probe)) {
-                net.send(leaf, GnutellaMsg::LeafForward { guid, terms: terms.clone() });
-            }
-        }
+        // ...and matching leaves.
+        self.forward_to_leaves(net, guid, &terms);
 
         // Probe phase: a cheap TTL-1 query to a handful of neighbors. The
         // remaining neighbors are kept for the paced deep phase — a probed
@@ -344,7 +384,7 @@ impl UltrapeerCore {
         let terms: Terms = terms.into();
         let guid = Guid(net.rng().random());
         let me = net.self_node();
-        self.seen.insert(guid, SeenEntry { from: me, at: net.now() });
+        self.mark_seen(guid, me, net.now());
         let record = QueryRecord {
             terms: terms.clone(),
             origin: QueryOrigin::Driver,
@@ -381,11 +421,9 @@ impl UltrapeerCore {
             GnutellaMsg::LeafQuery { qid, terms } => {
                 self.start_query(net, &terms, QueryOrigin::Leaf { leaf: from, qid });
             }
-            GnutellaMsg::QrpUpdate { filter } => {
-                // Resolve through the process-wide catalog: leaves with
-                // identical shares hand every ultrapeer the same Arc.
-                self.leaves.insert(from, Some(crate::qrp_catalog::intern(*filter)));
-            }
+            // The leaf's own catalog-interned copy: leaves with identical
+            // shares hand every ultrapeer the same `Arc`.
+            GnutellaMsg::QrpUpdate { filter } => self.set_leaf_filter(from, filter),
             GnutellaMsg::CrawlPing => {
                 let reply = GnutellaMsg::CrawlPong {
                     neighbors: self.neighbors.to_vec(),
@@ -402,6 +440,59 @@ impl UltrapeerCore {
         }
     }
 
+    /// Where the live `seen` entry for `guid` came from, if there is one.
+    fn seen_from(&self, guid: Guid) -> Option<NodeId> {
+        let entry = self.seen.get(&guid)?;
+        self.seen_horizon.is_none_or(|h| entry.at > h).then_some(entry.from)
+    }
+
+    /// Record `guid` as seen from `from` at `now`, overwriting an expired
+    /// entry for the same GUID. Expired entries are swept here and only
+    /// here, when the table is full and the insert would otherwise grow
+    /// it. After a sweep the map doubles only if more than half of it is
+    /// still live, and otherwise has at least half its capacity free until
+    /// the next one — so sweeping costs amortized O(1) per insert and
+    /// capacity stays within 4× the live set (lazy expiry cannot leak).
+    fn mark_seen(&mut self, guid: Guid, from: NodeId, now: SimTime) {
+        if self.seen.len() == self.seen.capacity() {
+            if let Some(h) = self.seen_horizon {
+                self.seen.retain(|_, e| e.at > h);
+            }
+        }
+        self.seen.insert(guid, SeenEntry { from, at: now });
+    }
+
+    /// Last-hop leaf forwarding via QRP (cached hashes: no re-hashing; one
+    /// probe's positions shared across every leaf filter, and tested
+    /// against the leaf union first — when that says no, no leaf filter is
+    /// touched). Returns the number of leaves forwarded to.
+    fn forward_to_leaves(&self, net: &mut dyn GnutellaNet, guid: Guid, terms: &Terms) -> u64 {
+        let probe = QrpProbe::with_defaults(terms);
+        if !probe.may_match_any(&self.leaf_union) {
+            return 0;
+        }
+        let mut forwards = 0;
+        for (&leaf, qrp) in &self.leaves {
+            if qrp.as_ref().is_some_and(|f| f.matches_probe(&probe)) {
+                net.send(leaf, GnutellaMsg::LeafForward { guid, terms: terms.clone() });
+                forwards += 1;
+            }
+        }
+        forwards
+    }
+
+    /// Send `hits` to `dst` in `QueryHit`s of at most `max_hits_per_msg`;
+    /// a batch that fits one message is moved into it, not copied.
+    fn send_hits(&self, net: &mut dyn GnutellaNet, dst: NodeId, guid: Guid, hits: Vec<Hit>) {
+        if hits.len() > self.cfg.max_hits_per_msg {
+            for chunk in hits.chunks(self.cfg.max_hits_per_msg) {
+                net.send(dst, GnutellaMsg::QueryHit { guid, hits: chunk.to_vec() });
+            }
+        } else if !hits.is_empty() {
+            net.send(dst, GnutellaMsg::QueryHit { guid, hits });
+        }
+    }
+
     fn handle_query(
         &mut self,
         net: &mut dyn GnutellaNet,
@@ -411,36 +502,30 @@ impl UltrapeerCore {
         hops: u8,
         terms: Terms,
     ) {
-        if self.seen.contains_key(&guid) {
+        let (me, now) = (net.self_node(), net.now());
+        if self.seen_from(guid).is_some() {
             net.count(crate::classes::DUPLICATE_QUERY.id(), 1);
-            if let Some(t) = self.trace.lookup(guid.0) {
-                let (me, at) = (net.self_node().index() as u64, net.now().as_micros());
-                self.trace.emit(
-                    t,
-                    at,
-                    me,
-                    TraceKind::DupDrop,
-                    Some(from.index() as u64),
-                    ttl as u64,
-                    hops as u64,
-                );
-            }
-            return;
-        }
-        self.seen.insert(guid, SeenEntry { from, at: net.now() });
-        let traced = self.trace.lookup(guid.0);
-        if let Some(t) = traced {
-            let (me, at) = (net.self_node().index() as u64, net.now().as_micros());
-            self.trace.emit(
-                t,
-                at,
+            self.trace.emit_guid(
+                guid.0,
+                now,
                 me,
-                TraceKind::RelayRecv,
-                Some(from.index() as u64),
+                TraceKind::DupDrop,
+                Some(from),
                 ttl as u64,
                 hops as u64,
             );
+            return;
         }
+        self.mark_seen(guid, from, now);
+        self.trace.emit_guid(
+            guid.0,
+            now,
+            me,
+            TraceKind::RelayRecv,
+            Some(from),
+            ttl as u64,
+            hops as u64,
+        );
         if self.snoop {
             self.snoop_log.push(SnoopEvent::Query { guid, terms: terms.clone() });
         }
@@ -450,28 +535,14 @@ impl UltrapeerCore {
             .store
             .matching(&terms)
             .into_iter()
-            .map(|f| Hit { file: f.clone(), host: net.self_node() })
+            .map(|f| Hit { file: f.clone(), host: me })
             .collect();
-        for chunk in own_hits.chunks(self.cfg.max_hits_per_msg) {
-            net.send(from, GnutellaMsg::QueryHit { guid, hits: chunk.to_vec() });
-        }
+        self.send_hits(net, from, guid, own_hits);
 
-        // Last-hop leaf forwarding via QRP (cached hashes: no re-hashing;
-        // one probe's positions shared across every leaf filter).
-        let probe = crate::bloom::QrpProbe::with_defaults(&terms);
-        let mut forwards = 0u64;
-        for (&leaf, qrp) in &self.leaves {
-            if qrp.as_ref().is_some_and(|f| f.matches_probe(&probe)) {
-                net.send(leaf, GnutellaMsg::LeafForward { guid, terms: terms.clone() });
-                forwards += 1;
-            }
-        }
+        let forwards = self.forward_to_leaves(net, guid, &terms);
         net.count(crate::classes::LEAF_FORWARDS.id(), forwards);
-        if let Some(t) = traced {
-            let screened = self.leaves.len() as u64 - forwards;
-            let (me, at) = (net.self_node().index() as u64, net.now().as_micros());
-            self.trace.emit(t, at, me, TraceKind::QrpScreen, None, forwards, screened);
-        }
+        let screened = self.leaves.len() as u64 - forwards;
+        self.trace.emit_guid(guid.0, now, me, TraceKind::QrpScreen, None, forwards, screened);
 
         // Relay deeper.
         if ttl > 1 {
@@ -495,56 +566,38 @@ impl UltrapeerCore {
         if self.snoop && !hits.is_empty() {
             self.snoop_log.push(SnoopEvent::Hits { guid, hits: hits.clone() });
         }
+        let n = hits.len() as u64;
         if let Some(record) = self.queries.get_mut(&guid) {
             // Ours: record and stream onward to the asking leaf.
-            if record.first_hit_at.is_none() && !hits.is_empty() {
+            if record.first_hit_at.is_none() && n > 0 {
                 record.first_hit_at = Some(net.now());
                 net.observe(
                     crate::classes::FIRST_HIT_LATENCY_S.id(),
                     (net.now() - record.issued_at).as_secs_f64(),
                 );
             }
-            record.hits.extend(hits.iter().cloned());
-            if !hits.is_empty() {
-                if let Some(t) = self.trace.lookup(guid.0) {
-                    let (me, at) = (net.self_node().index() as u64, net.now().as_micros());
-                    let total = record.hits.len() as u64;
-                    self.trace.emit(
-                        t,
-                        at,
-                        me,
-                        TraceKind::HitArrive,
-                        None,
-                        hits.len() as u64,
-                        total,
-                    );
+            // Copy the hits only when they are also owed to a leaf.
+            match record.origin {
+                QueryOrigin::Leaf { leaf, qid } => {
+                    record.hits.extend(hits.iter().cloned());
+                    net.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: false });
                 }
+                QueryOrigin::Driver => record.hits.extend(hits),
             }
-            if let QueryOrigin::Leaf { leaf, qid } = record.origin {
-                net.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: false });
+            if n > 0 {
+                let total = record.hits.len() as u64;
+                let (now, me) = (net.now(), net.self_node());
+                self.trace.emit_guid(guid.0, now, me, TraceKind::HitArrive, None, n, total);
             }
             return;
         }
-        match self.seen.get(&guid) {
-            Some(entry) if entry.from != net.self_node() => {
+        match self.seen_from(guid) {
+            Some(dst) if dst != net.self_node() => {
                 // Reverse-path forwarding.
-                let dst = entry.from;
-                for chunk in hits.chunks(self.cfg.max_hits_per_msg) {
-                    net.send(dst, GnutellaMsg::QueryHit { guid, hits: chunk.to_vec() });
-                }
-                if !hits.is_empty() {
-                    if let Some(t) = self.trace.lookup(guid.0) {
-                        let (me, at) = (net.self_node().index() as u64, net.now().as_micros());
-                        self.trace.emit(
-                            t,
-                            at,
-                            me,
-                            TraceKind::HitRelay,
-                            Some(dst.index() as u64),
-                            hits.len() as u64,
-                            0,
-                        );
-                    }
+                self.send_hits(net, dst, guid, hits);
+                if n > 0 {
+                    let (now, me) = (net.now(), net.self_node());
+                    self.trace.emit_guid(guid.0, now, me, TraceKind::HitRelay, Some(dst), n, 0);
                 }
             }
             _ => net.count(crate::classes::ORPHAN_HITS.id(), 1),
@@ -600,9 +653,10 @@ impl UltrapeerCore {
                 }
             }
         }
-        // Expire reverse-path entries.
-        let ttl = self.cfg.seen_ttl;
-        self.seen.retain(|_, e| e.at + ttl > now);
+        // Expire reverse-path entries: every entry with `at + seen_ttl ≤
+        // now` is dead from here on (see `seen_horizon`).
+        self.seen_horizon =
+            now.as_micros().checked_sub(self.cfg.seen_ttl.as_micros()).map(SimTime::from_micros);
     }
 
     fn finish(record: &mut QueryRecord, _guid: Guid, net: &mut dyn GnutellaNet) {
@@ -833,10 +887,10 @@ mod tests {
         let mut filter = QrpFilter::with_defaults();
         filter.insert("led");
         filter.insert("zeppelin");
-        core.on_message(&mut net, leaf_yes, GnutellaMsg::QrpUpdate { filter: Box::new(filter) });
+        core.on_message(&mut net, leaf_yes, GnutellaMsg::QrpUpdate { filter: Arc::new(filter) });
         let mut other = QrpFilter::with_defaults();
         other.insert("floyd");
-        core.on_message(&mut net, leaf_no, GnutellaMsg::QrpUpdate { filter: Box::new(other) });
+        core.on_message(&mut net, leaf_no, GnutellaMsg::QrpUpdate { filter: Arc::new(other) });
         net.drain();
 
         core.handle_query(&mut net, NodeId::new(1), Guid(2), 1, 0, "led zeppelin".into());

@@ -295,18 +295,10 @@ impl HybridUp {
                     let terms = s.terms.clone();
                     let g_hits = s.gnutella_hits as u64;
                     s.pier_issued_at = Some(now);
+                    let me = ctx.self_id();
+                    self.trace.emit_guid(guid.0, now, me, TraceKind::PierFallback, None, g_hits, 0);
                     let traced = self.trace.lookup(guid.0);
                     if let Some(t) = traced {
-                        let me = ctx.self_id().index() as u64;
-                        self.trace.emit(
-                            t,
-                            now.as_micros(),
-                            me,
-                            TraceKind::PierFallback,
-                            None,
-                            g_hits,
-                            0,
-                        );
                         // Attribute the fallback's DHT lookups to the query.
                         self.dht.trace_scope(t);
                     }
@@ -344,12 +336,8 @@ impl HybridUp {
             let leaf = q.leaf;
             if let Some(state) = self.engine.take_search(sid) {
                 self.traced_qids.remove(&state.qid);
-                if let Some(t) = self.trace.lookup(guid.0) {
-                    let me = ctx.self_id().index() as u64;
-                    let at = ctx.now().as_micros();
-                    let n = state.items.len() as u64;
-                    self.trace.emit(t, at, me, TraceKind::PierDone, None, n, 0);
-                }
+                let (at, me, n) = (ctx.now(), ctx.self_id(), state.items.len() as u64);
+                self.trace.emit_guid(guid.0, at, me, TraceKind::PierDone, None, n, 0);
                 let s = &mut self.stats[stats_idx];
                 s.pier_first = state.first_result_at;
                 s.pier_items = state.items.clone();

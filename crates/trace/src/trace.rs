@@ -9,6 +9,7 @@
 //! must therefore leave every pinned statistic bit-identical (see
 //! `tests/determinism.rs`).
 
+use pier_netsim::{NodeId, SimTime};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -289,6 +290,27 @@ impl TraceHandle {
     ) {
         if let Some(t) = &self.0 {
             t.emit(TraceEvent { trace, at_us, node, seq: 0, kind, from, n, m });
+        }
+    }
+
+    /// [`TraceHandle::emit`] for the query with wire GUID `guid`, if it is
+    /// sampled — the whole of an instrumentation point that needs the
+    /// trace id for nothing else. Takes the simulator's own types so call
+    /// sites pass `net.now()` / `net.self_node()` as they are.
+    #[allow(clippy::too_many_arguments)]
+    pub fn emit_guid(
+        &self,
+        guid: u64,
+        at: SimTime,
+        node: NodeId,
+        kind: TraceKind,
+        from: Option<NodeId>,
+        n: u64,
+        m: u64,
+    ) {
+        if let Some(trace) = self.lookup(guid) {
+            let from = from.map(|f| f.index() as u64);
+            self.emit(trace, at.as_micros(), node.index() as u64, kind, from, n, m);
         }
     }
 
