@@ -8,14 +8,61 @@
 //!   elements
 //! * structs and tuples: fields in order, no names, no length
 //! * `Option`: one tag byte; enums: varint variant index, then payload
+//!
+//! The rules are written once, against a [`Sink`]: a `Vec<u8>` keeps the
+//! bytes, a private counter only adds up their lengths. [`encoded_size`]
+//! and [`to_bytes`] are the same walk into the two sinks, so a size can
+//! never disagree with the bytes it describes.
 
 use crate::error::{Error, Result};
 use crate::varint;
 use serde::ser::{self, Serialize};
 
-/// Serializes values into an owned byte buffer.
-pub struct Serializer {
-    out: Vec<u8>,
+/// Where encoded bytes go. Implemented by `Vec<u8>` (keep them) and by the
+/// counter behind [`encoded_size`] (measure them); not implementable
+/// outside this crate.
+pub trait Sink {
+    fn push(&mut self, byte: u8);
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+    fn push_varint(&mut self, v: u64);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+    #[inline]
+    fn push_varint(&mut self, v: u64) {
+        varint::write_u64(self, v);
+    }
+}
+
+/// The sizing sink: the number of bytes a `Vec<u8>` sink would hold.
+struct Counter(usize);
+
+impl Sink for Counter {
+    #[inline]
+    fn push(&mut self, _byte: u8) {
+        self.0 += 1;
+    }
+    #[inline]
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    #[inline]
+    fn push_varint(&mut self, v: u64) {
+        self.0 += varint::encoded_len(v);
+    }
+}
+
+/// Serializes values into a [`Sink`] (by default an owned byte buffer).
+pub struct Serializer<S: Sink = Vec<u8>> {
+    out: S,
 }
 
 impl Serializer {
@@ -30,10 +77,6 @@ impl Serializer {
     pub fn into_bytes(self) -> Vec<u8> {
         self.out
     }
-
-    fn push_varint(&mut self, v: u64) {
-        varint::write_u64(&mut self.out, v);
-    }
 }
 
 impl Default for Serializer {
@@ -42,31 +85,35 @@ impl Default for Serializer {
     }
 }
 
-/// Encode a value to bytes.
+/// Encode a value to bytes: one sizing walk, one exact allocation, one
+/// writing walk (cheaper than growing the buffer by doubling from empty).
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
-    let mut ser = Serializer::new();
+    let mut ser = Serializer::with_capacity(encoded_size(value)?);
     value.serialize(&mut ser)?;
     Ok(ser.into_bytes())
 }
 
-/// The encoded size of a value, without keeping the bytes.
+/// The encoded size of a value, without keeping the bytes (nothing is
+/// allocated: the value is serialized into a counter).
 ///
 /// Used throughout the workspace for wire-size accounting: the cost of
 /// shipping a tuple is `encoded_size(tuple) + header`.
 pub fn encoded_size<T: Serialize + ?Sized>(value: &T) -> Result<usize> {
-    Ok(to_bytes(value)?.len())
+    let mut ser = Serializer { out: Counter(0) };
+    value.serialize(&mut ser)?;
+    Ok(ser.out.0)
 }
 
-impl<'a> ser::Serializer for &'a mut Serializer {
+impl<'a, S: Sink> ser::Serializer for &'a mut Serializer<S> {
     type Ok = ();
     type Error = Error;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
+    type SerializeSeq = Compound<'a, S>;
+    type SerializeTuple = Compound<'a, S>;
+    type SerializeTupleStruct = Compound<'a, S>;
+    type SerializeTupleVariant = Compound<'a, S>;
+    type SerializeMap = Compound<'a, S>;
+    type SerializeStruct = Compound<'a, S>;
+    type SerializeStructVariant = Compound<'a, S>;
 
     fn serialize_bool(self, v: bool) -> Result<()> {
         self.out.push(v as u8);
@@ -83,7 +130,7 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         self.serialize_i64(v as i64)
     }
     fn serialize_i64(self, v: i64) -> Result<()> {
-        self.push_varint(varint::zigzag_encode(v));
+        self.out.push_varint(varint::zigzag_encode(v));
         Ok(())
     }
 
@@ -97,7 +144,7 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         self.serialize_u64(v as u64)
     }
     fn serialize_u64(self, v: u64) -> Result<()> {
-        self.push_varint(v);
+        self.out.push_varint(v);
         Ok(())
     }
 
@@ -122,18 +169,18 @@ impl<'a> ser::Serializer for &'a mut Serializer {
     }
 
     fn serialize_char(self, v: char) -> Result<()> {
-        self.push_varint(v as u64);
+        self.out.push_varint(v as u64);
         Ok(())
     }
 
     fn serialize_str(self, v: &str) -> Result<()> {
-        self.push_varint(v.len() as u64);
+        self.out.push_varint(v.len() as u64);
         self.out.extend_from_slice(v.as_bytes());
         Ok(())
     }
 
     fn serialize_bytes(self, v: &[u8]) -> Result<()> {
-        self.push_varint(v.len() as u64);
+        self.out.push_varint(v.len() as u64);
         self.out.extend_from_slice(v);
         Ok(())
     }
@@ -162,7 +209,7 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         variant_index: u32,
         _variant: &'static str,
     ) -> Result<()> {
-        self.push_varint(variant_index as u64);
+        self.out.push_varint(variant_index as u64);
         Ok(())
     }
 
@@ -181,14 +228,14 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         _variant: &'static str,
         value: &T,
     ) -> Result<()> {
-        self.push_varint(variant_index as u64);
+        self.out.push_varint(variant_index as u64);
         value.serialize(self)
     }
 
     fn serialize_seq(self, len: Option<usize>) -> Result<Self::SerializeSeq> {
         let len =
             len.ok_or_else(|| Error::Custom("sequences must have a known length".to_string()))?;
-        self.push_varint(len as u64);
+        self.out.push_varint(len as u64);
         Ok(Compound { ser: self })
     }
 
@@ -211,13 +258,13 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self::SerializeTupleVariant> {
-        self.push_varint(variant_index as u64);
+        self.out.push_varint(variant_index as u64);
         Ok(Compound { ser: self })
     }
 
     fn serialize_map(self, len: Option<usize>) -> Result<Self::SerializeMap> {
         let len = len.ok_or_else(|| Error::Custom("maps must have a known length".to_string()))?;
-        self.push_varint(len as u64);
+        self.out.push_varint(len as u64);
         Ok(Compound { ser: self })
     }
 
@@ -232,7 +279,7 @@ impl<'a> ser::Serializer for &'a mut Serializer {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self::SerializeStructVariant> {
-        self.push_varint(variant_index as u64);
+        self.out.push_varint(variant_index as u64);
         Ok(Compound { ser: self })
     }
 
@@ -242,11 +289,11 @@ impl<'a> ser::Serializer for &'a mut Serializer {
 }
 
 /// Compound-value serializer shared by all container kinds.
-pub struct Compound<'a> {
-    ser: &'a mut Serializer,
+pub struct Compound<'a, S: Sink> {
+    ser: &'a mut Serializer<S>,
 }
 
-impl ser::SerializeSeq for Compound<'_> {
+impl<S: Sink> ser::SerializeSeq for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
@@ -257,7 +304,7 @@ impl ser::SerializeSeq for Compound<'_> {
     }
 }
 
-impl ser::SerializeTuple for Compound<'_> {
+impl<S: Sink> ser::SerializeTuple for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
@@ -268,7 +315,7 @@ impl ser::SerializeTuple for Compound<'_> {
     }
 }
 
-impl ser::SerializeTupleStruct for Compound<'_> {
+impl<S: Sink> ser::SerializeTupleStruct for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
@@ -279,7 +326,7 @@ impl ser::SerializeTupleStruct for Compound<'_> {
     }
 }
 
-impl ser::SerializeTupleVariant for Compound<'_> {
+impl<S: Sink> ser::SerializeTupleVariant for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
@@ -290,7 +337,7 @@ impl ser::SerializeTupleVariant for Compound<'_> {
     }
 }
 
-impl ser::SerializeMap for Compound<'_> {
+impl<S: Sink> ser::SerializeMap for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
@@ -304,7 +351,7 @@ impl ser::SerializeMap for Compound<'_> {
     }
 }
 
-impl ser::SerializeStruct for Compound<'_> {
+impl<S: Sink> ser::SerializeStruct for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_field<T: Serialize + ?Sized>(
@@ -319,7 +366,7 @@ impl ser::SerializeStruct for Compound<'_> {
     }
 }
 
-impl ser::SerializeStructVariant for Compound<'_> {
+impl<S: Sink> ser::SerializeStructVariant for Compound<'_, S> {
     type Ok = ();
     type Error = Error;
     fn serialize_field<T: Serialize + ?Sized>(

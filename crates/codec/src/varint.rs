@@ -10,6 +10,7 @@ use crate::error::{Error, Result};
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Append `value` to `out` as an unsigned LEB128 varint.
+#[inline]
 pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7F) as u8;
@@ -56,6 +57,7 @@ pub fn zigzag_decode(value: u64) -> i64 {
 }
 
 /// Number of bytes `value` occupies as a varint.
+#[inline]
 pub fn encoded_len(value: u64) -> usize {
     if value == 0 {
         return 1;

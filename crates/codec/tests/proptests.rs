@@ -1,6 +1,6 @@
 //! Property-based tests: any value the workspace can construct must survive
-//! an encode/decode roundtrip, and decoding must never panic on arbitrary
-//! bytes.
+//! an encode/decode roundtrip, decoding must never panic on arbitrary
+//! bytes, and sizing a value must agree with encoding it.
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -24,7 +24,94 @@ fn tree_strategy() -> impl Strategy<Value = Tree> {
     })
 }
 
+/// A byte string: goes through `serialize_bytes`, not as a sequence of `u8`.
+#[derive(Debug, Clone)]
+struct Blob(Vec<u8>);
+
+impl Serialize for Blob {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_bytes(&self.0)
+    }
+}
+
+/// One variant of each enum kind, holding one of each remaining layout rule.
+#[derive(Serialize, Debug, Clone)]
+enum Shape {
+    Unit,
+    Newtype(Option<Box<Shape>>),
+    Tuple(i64, f32, char),
+    Struct {
+        blob: Blob,
+        map: BTreeMap<String, Option<u32>>,
+        kids: Vec<Shape>,
+        flag: bool,
+        wide: u128,
+    },
+}
+
+fn shape_strategy() -> impl Strategy<Value = Shape> {
+    let leaf = prop_oneof![
+        Just(Shape::Unit),
+        Just(Shape::Newtype(None)),
+        (any::<i64>(), any::<f32>(), any::<char>()).prop_map(|(a, b, c)| Shape::Tuple(a, b, c)),
+    ];
+    leaf.prop_recursive(3, 32, 4, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(|s| Shape::Newtype(Some(Box::new(s)))),
+            (
+                prop::collection::vec(any::<u8>(), 0..200),
+                prop::collection::btree_map(any::<String>(), any::<Option<u32>>(), 0..6),
+                prop::collection::vec(inner, 0..4),
+                any::<bool>(),
+                any::<u128>(),
+            )
+                .prop_map(|(blob, map, kids, flag, wide)| Shape::Struct {
+                    blob: Blob(blob),
+                    map,
+                    kids,
+                    flag,
+                    wide,
+                }),
+        ]
+    })
+}
+
+/// Sizing agrees with encoding across the lengths where the varint length
+/// prefix grows a byte.
+#[test]
+fn encoded_size_at_length_prefix_boundaries() {
+    for len in [0usize, 1, 127, 128, 1 << 14] {
+        let prefix = pier_codec::varint::encoded_len(len as u64);
+        // Elements of every varint width.
+        let seq: Vec<u64> =
+            (0..len as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let body: usize = seq.iter().map(|&v| pier_codec::varint::encoded_len(v)).sum();
+        assert_eq!(pier_codec::encoded_size(&seq).unwrap(), prefix + body);
+        assert_eq!(pier_codec::to_bytes(&seq).unwrap().len(), prefix + body);
+
+        let blob = Blob(vec![0xAB; len]);
+        assert_eq!(pier_codec::encoded_size(&blob).unwrap(), prefix + len);
+        assert_eq!(pier_codec::to_bytes(&blob).unwrap().len(), prefix + len);
+
+        let text = "x".repeat(len);
+        assert_eq!(pier_codec::encoded_size(&text).unwrap(), prefix + len);
+        assert_eq!(pier_codec::to_bytes(&text).unwrap().len(), prefix + len);
+
+        let map: BTreeMap<u32, bool> = (0..len as u32).map(|i| (i, i % 2 == 0)).collect();
+        let bytes = pier_codec::to_bytes(&map).unwrap();
+        assert_eq!(pier_codec::encoded_size(&map).unwrap(), bytes.len());
+    }
+}
+
 proptest! {
+    /// Sizing is the encoder run into a counting sink: it must report the
+    /// length of the bytes the same walk writes into a `Vec`.
+    #[test]
+    fn encoded_size_is_the_length_of_the_bytes(shape in shape_strategy()) {
+        let bytes = pier_codec::to_bytes(&shape).unwrap();
+        prop_assert_eq!(pier_codec::encoded_size(&shape).unwrap(), bytes.len());
+    }
+
     #[test]
     fn roundtrip_u64(v in any::<u64>()) {
         let bytes = pier_codec::to_bytes(&v).unwrap();

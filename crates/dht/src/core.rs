@@ -65,6 +65,7 @@ impl pier_netsim::HeapSize for PendingRpc {
 
 struct PendingRpc {
     dst: Contact,
+    /// Send time + `cfg.rpc_timeout`, so non-decreasing in `RpcId`.
     deadline: SimTime,
     purpose: RpcPurpose,
 }
@@ -77,7 +78,6 @@ impl pier_netsim::HeapSize for PutProgress {
 
 struct PutProgress {
     key: Key,
-    want: usize,
     acks: usize,
     pending: usize,
 }
@@ -489,7 +489,6 @@ impl DhtCore {
         let target = lookup.target;
         let is_value = matches!(lookup.kind, LookupKind::Value);
         let batch = lookup.next_batch();
-        let deadline = net.now() + self.cfg.rpc_timeout;
         if !batch.is_empty() {
             if let Some(&t) = self.op_traces.get(&op) {
                 self.trace_emit(net, t, TraceKind::DhtHop, batch.len() as u64, op);
@@ -501,7 +500,7 @@ impl DhtCore {
             } else {
                 Request::FindNode { target }
             };
-            self.send_request(net, contact, body, RpcPurpose::Lookup(op), deadline);
+            self.send_request(net, contact, body, RpcPurpose::Lookup(op));
         }
         if self.lookups[&op].is_complete() {
             self.finish_lookup(net, op);
@@ -591,19 +590,13 @@ impl DhtCore {
             self.storage.insert(key, value.clone(), expires);
             acks += 1;
         }
-        let deadline = net.now() + self.cfg.rpc_timeout;
-        let pending_count = remote.len();
-        self.puts.insert(
-            op,
-            PutProgress { key, want: self.cfg.replication, acks, pending: pending_count },
-        );
+        self.puts.insert(op, PutProgress { key, acks, pending: remote.len() });
         for c in remote {
             self.send_request(
                 net,
                 c,
                 Request::Store { key, value: value.clone(), ttl_us },
                 RpcPurpose::Store(op),
-                deadline,
             );
         }
         self.maybe_finish_put(op);
@@ -613,7 +606,6 @@ impl DhtCore {
         let done = self.puts.get(&op).is_some_and(|p| p.pending == 0);
         if done {
             let put = self.puts.remove(&op).expect("checked above");
-            let _ = put.want;
             self.events.push_back(DhtEvent::PutDone { op, key: put.key, acks: put.acks });
         }
     }
@@ -651,11 +643,18 @@ impl DhtCore {
     // Maintenance
     // ------------------------------------------------------------------
 
+    /// Time out every RPC whose deadline has passed, oldest first. Deadlines
+    /// are non-decreasing in `RpcId` (see [`Self::send_request`]), so the
+    /// expired RPCs are a prefix of the id-ordered map and an idle tick
+    /// reads one entry. RPCs sent by the handlers below are not swept until
+    /// the next tick, whatever their deadline.
     fn sweep_timeouts(&mut self, net: &mut dyn DhtNet, now: SimTime) {
-        let expired: Vec<RpcId> =
-            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(id, _)| *id).collect();
-        for id in expired {
-            let p = self.pending.remove(&id).expect("listed above");
+        let sent_before_sweep = self.next_rpc;
+        while let Some(first) = self.pending.first_entry() {
+            if *first.key() >= sent_before_sweep || first.get().deadline > now {
+                break;
+            }
+            let p = first.remove();
             net.count(crate::classes::RPC_TIMEOUT.id(), 1);
             self.table.remove(&p.dst.key);
             match p.purpose {
@@ -714,9 +713,11 @@ impl DhtCore {
             now.as_micros().saturating_sub(self.cfg.bucket_refresh.as_micros()),
         );
         // At most two refreshes per tick to avoid synchronized bursts.
-        let targets: Vec<Key> =
-            self.table.stale_refresh_targets(cutoff).into_iter().take(2).collect();
-        for t in targets {
+        let targets = {
+            let mut stale = self.table.stale_refresh_targets(cutoff);
+            [stale.next(), stale.next()]
+        };
+        for t in targets.into_iter().flatten() {
             net.count(crate::classes::BUCKET_REFRESH.id(), 1);
             self.start_lookup(net, t, LookupKind::Node);
         }
@@ -726,16 +727,19 @@ impl DhtCore {
     // Plumbing
     // ------------------------------------------------------------------
 
+    /// Ids are issued in send order and every deadline is the send time
+    /// plus the one `cfg.rpc_timeout`, so deadlines never decrease with id —
+    /// what lets [`Self::sweep_timeouts`] stop at the first live entry.
     fn send_request(
         &mut self,
         net: &mut dyn DhtNet,
         dst: Contact,
         body: Request,
         purpose: RpcPurpose,
-        deadline: SimTime,
     ) {
         let id = self.next_rpc;
         self.next_rpc += 1;
+        let deadline = net.now() + self.cfg.rpc_timeout;
         self.pending.insert(id, PendingRpc { dst, deadline, purpose });
         let msg = DhtMsg::Request { id, from: self.local(), body };
         let wire = msg.encoded_len() + self.cfg.header_bytes;
@@ -747,13 +751,11 @@ impl DhtCore {
         match self.table.observe(contact, net.now()) {
             InsertOutcome::Full { evict_candidate } => {
                 if self.evict_in_flight.insert(evict_candidate.key) {
-                    let deadline = net.now() + self.cfg.rpc_timeout;
                     self.send_request(
                         net,
                         evict_candidate,
                         Request::Ping,
                         RpcPurpose::EvictPing { stale: evict_candidate.key },
-                        deadline,
                     );
                 }
             }

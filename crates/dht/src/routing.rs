@@ -188,15 +188,15 @@ impl RoutingTable {
         self.next_hop(target).is_none()
     }
 
-    /// Buckets that have not been touched since `cutoff`, as refresh targets
-    /// (a random-ish key inside each stale bucket's range).
-    pub fn stale_refresh_targets(&self, cutoff: SimTime) -> Vec<Key> {
-        self.buckets
+    /// Buckets that have not been touched since `cutoff`, shallowest first,
+    /// as refresh targets (a random-ish key inside each stale bucket's
+    /// range). Lazy, and bounded by `depth`: nothing past it holds a contact.
+    pub fn stale_refresh_targets(&self, cutoff: SimTime) -> impl Iterator<Item = Key> + '_ {
+        self.buckets[..self.depth]
             .iter()
             .enumerate()
-            .filter(|(_, b)| !b.entries.is_empty() && b.last_touched < cutoff)
+            .filter(move |(_, b)| !b.entries.is_empty() && b.last_touched < cutoff)
             .map(|(i, _)| self.local.key.with_flipped_bit(i))
-            .collect()
     }
 
     /// Snapshot of every contact (diagnostics, warm-start verification).
@@ -365,7 +365,7 @@ mod tests {
         for i in 1..=30 {
             t.observe(contact(i), SimTime::from_micros(5));
         }
-        let targets = t.stale_refresh_targets(SimTime::from_micros(100));
+        let targets: Vec<Key> = t.stale_refresh_targets(SimTime::from_micros(100)).collect();
         assert!(!targets.is_empty());
         // Each refresh target must land in the bucket it refreshes.
         let filled: Vec<usize> = t.bucket_sizes().iter().map(|(i, _)| *i).collect();
@@ -377,7 +377,7 @@ mod tests {
         for i in 1..=30 {
             t.observe(contact(i), SimTime::from_micros(200));
         }
-        assert!(t.stale_refresh_targets(SimTime::from_micros(100)).is_empty());
+        assert_eq!(t.stale_refresh_targets(SimTime::from_micros(100)).count(), 0);
     }
 
     #[test]

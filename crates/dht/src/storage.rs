@@ -22,6 +22,14 @@
 //! layout only reclaimed an expired entry when the same key was next
 //! written, which on quiet keys meant the bytes survived until the periodic
 //! expiry tick (or forever, for nodes whose tick was disabled).
+//!
+//! The periodic pass itself ([`Storage::expire`]) is free while nothing is
+//! due: the store keeps a *lower bound* on its earliest expiry and returns
+//! before touching a chain while `now` is below it. Every new slot lowers
+//! the bound, a full pass recomputes it from the survivors, and nothing
+//! ever raises it otherwise — extending or dropping the value that holds
+//! the minimum leaves the bound merely early, which costs one pass that
+//! finds nothing and re-tightens it.
 
 use crate::key::Key;
 use pier_netsim::{HeapSize, SimTime};
@@ -56,6 +64,9 @@ pub struct Storage {
     live_bytes: usize,
     /// Arena bytes owned by freed slots, reclaimed at the next compaction.
     dead_bytes: usize,
+    /// No slot expires before this instant (`None`: no slot at all), so
+    /// [`Storage::expire`] has nothing to do while `now` is below it.
+    earliest_expiry: Option<SimTime>,
 }
 
 impl Storage {
@@ -99,6 +110,7 @@ impl Storage {
         self.live_bytes += bytes.len();
         let len = u32::try_from(bytes.len()).expect("stored value exceeds u32 length");
         let slot = Slot { off, len, expires, next: NONE };
+        self.note_expiry(expires);
         let new = match self.free.pop() {
             Some(idx) => {
                 self.slots[idx as usize] = slot;
@@ -153,8 +165,16 @@ impl Storage {
         self.get(key, now).len()
     }
 
+    /// Lower the expiry bound to cover a slot that dies at `expires`.
+    fn note_expiry(&mut self, expires: SimTime) {
+        self.earliest_expiry = Some(self.earliest_expiry.map_or(expires, |e| e.min(expires)));
+    }
+
     /// Unlink every expired slot in chain `i`; removes the key from the
     /// index if the chain empties. Returns how many values were dropped.
+    /// Survivors are folded into the expiry bound, which is how
+    /// [`Storage::expire`] rebuilds it in the same pass (on the read path
+    /// the bound is already below them and does not move).
     fn sweep_chain(&mut self, i: usize, now: SimTime) -> usize {
         let mut removed = 0;
         let mut prev = NONE;
@@ -163,6 +183,7 @@ impl Storage {
             let Slot { len, expires, next, .. } = self.slots[s as usize];
             if expires > now {
                 prev = s;
+                self.note_expiry(expires);
             } else {
                 if prev == NONE {
                     self.heads[i] = next;
@@ -183,8 +204,16 @@ impl Storage {
         removed
     }
 
-    /// Drop expired values; returns how many were removed.
+    /// Drop expired values; returns how many were removed. Costs nothing
+    /// while `now` is below the expiry bound: no slot has `expires <= now`,
+    /// and compaction cannot be due either (dead bytes only appear in
+    /// sweeps, each of which already ends in `maybe_compact`, and the arena
+    /// only grows in between).
     pub fn expire(&mut self, now: SimTime) -> usize {
+        if self.earliest_expiry.is_none_or(|e| now < e) {
+            return 0;
+        }
+        self.earliest_expiry = None;
         let mut removed = 0;
         let mut i = 0;
         while i < self.keys.len() {

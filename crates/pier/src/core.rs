@@ -249,6 +249,10 @@ impl PierCore {
 
     /// Deadline sweeps; call from the node's maintenance tick.
     pub fn tick(&mut self, _dht: &mut DhtCore, net: &mut dyn DhtNet) {
+        // The idle engine: `retain` walks a table's capacity, not its length.
+        if self.clients.is_empty() && self.execs.is_empty() && self.orphans.is_empty() {
+            return;
+        }
         let now = net.now();
         // Client deadlines.
         let timed_out: Vec<QueryId> = self
