@@ -8,6 +8,7 @@
 //!    pre-2003 flat flood burns messages on popular queries; dynamic
 //!    querying saves them at the price of rare-item latency.
 
+use crate::experiments::Report;
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
@@ -15,6 +16,7 @@ use pier_dht::DhtConfig;
 use pier_gnutella::{spawn, FileMeta, QueryOrigin, Topology, TopologyConfig, UltrapeerNode};
 use pier_hybrid::{deploy, HybridConfig, HybridUp, RareScheme};
 use pier_netsim::{Sim, SimConfig, SimDuration, UniformLatency};
+use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
 
 /// Master seeds the single-run entry points use (sweeps pass per-trial
@@ -29,13 +31,6 @@ pub struct TimeoutPoint {
     pub avg_first_result_s: f64,
     pub pct_queries_to_dht: f64,
     pub found_pct: f64,
-}
-
-/// Sweep the hybrid Gnutella-timeout and measure, per setting: average
-/// time-to-first-result over rare queries, and the fraction of queries
-/// re-issued into the DHT (the extra load the timeout gates).
-pub fn timeout_sweep(scale: Scale, shards: usize) -> Table {
-    timeout_table(&timeout_points(scale, TIMEOUT_SEED, shards))
 }
 
 /// Render the timeout sweep as a table.
@@ -55,8 +50,11 @@ pub fn timeout_table(points: &[TimeoutPoint]) -> Table {
     t
 }
 
-/// The timeout sweep proper, seeded.
-pub fn timeout_points(scale: Scale, seed: u64, shards: usize) -> Vec<TimeoutPoint> {
+/// The timeout sweep proper, seeded: sweep the hybrid Gnutella-timeout and
+/// measure, per setting, average time-to-first-result over rare queries
+/// and the fraction of queries re-issued into the DHT (the extra load the
+/// timeout gates). `obs` only times the arms (`exp.ablations.timeout_<s>s`).
+pub fn timeout_points(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> Vec<TimeoutPoint> {
     let (ups, hybrid_ups, leaves, distinct, queries) = match scale {
         Scale::Quick | Scale::Sparse => (80usize, 16usize, 1_600usize, 3_200usize, 60usize),
         Scale::Full => (240, 48, 4_800, 9_600, 200),
@@ -65,6 +63,7 @@ pub fn timeout_points(scale: Scale, seed: u64, shards: usize) -> Vec<TimeoutPoin
     let timeouts_s = [5u64, 10, 20, 30, 45];
     let mut out = Vec::with_capacity(timeouts_s.len());
     for &timeout in &timeouts_s {
+        let _arm = obs.phase(&format!("exp.ablations.timeout_{timeout}s"));
         let cfg = SimConfig::with_seed(seed + timeout)
             .latency(UniformLatency::new(
                 SimDuration::from_millis(20),
@@ -169,12 +168,6 @@ pub struct StrategyPoint {
     pub first_result_s: Option<f64>,
 }
 
-/// Flat TTL-4 flooding vs. dynamic querying: message cost and recall for a
-/// popular and a rare query, from the same vantage.
-pub fn flood_vs_dynamic(scale: Scale, shards: usize) -> Table {
-    flood_table(&flood_points(scale, FLOOD_SEED, shards))
-}
-
 /// Render the flood-vs-dynamic ablation as a table.
 pub fn flood_table(points: &[StrategyPoint]) -> Table {
     let mut t = Table::new(
@@ -193,7 +186,9 @@ pub fn flood_table(points: &[StrategyPoint]) -> Table {
     t
 }
 
-/// The flood-vs-dynamic measurements, seeded.
+/// The flood-vs-dynamic measurements, seeded: flat TTL-4 flooding vs.
+/// dynamic querying — message cost and recall for a popular and a rare
+/// query, from the same vantage.
 pub fn flood_points(scale: Scale, seed: u64, shards: usize) -> Vec<StrategyPoint> {
     let (ups, leaves) = match scale {
         Scale::Quick | Scale::Sparse => (150usize, 3_000usize),
@@ -257,14 +252,19 @@ pub fn flood_points(scale: Scale, seed: u64, shards: usize) -> Vec<StrategyPoint
     out
 }
 
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    vec![timeout_sweep(scale, shards), flood_vs_dynamic(scale, shards)]
+pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Report {
+    let timeouts = timeout_points(scale, TIMEOUT_SEED, shards, obs);
+    let floods = {
+        let _flood = obs.phase("exp.ablations.flood");
+        flood_points(scale, FLOOD_SEED, shards)
+    };
+    Report { tables: vec![timeout_table(&timeouts), flood_table(&floods)], events: None }
 }
 
 /// One sweep trial: the timeout tradeoff endpoints and the flood/dynamic
 /// message ratio, from seeded topologies and workloads.
 pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let timeouts = timeout_points(scale, seed, shards);
+    let timeouts = timeout_points(scale, seed, shards, &Obs::default());
     let floods = flood_points(scale, pier_netsim::derive_seed(seed, 1), shards);
     let first = timeouts.first().expect("timeout sweep is non-empty");
     let last = timeouts.last().expect("timeout sweep is non-empty");
@@ -295,7 +295,7 @@ mod tests {
 
     #[test]
     fn timeout_tradeoff_shape() {
-        let t = timeout_sweep(Scale::Quick, 1);
+        let t = timeout_table(&timeout_points(Scale::Quick, TIMEOUT_SEED, 1, &Obs::default()));
         assert_eq!(t.rows.len(), 5);
         // Longer timeouts must not send MORE queries to the DHT (more time
         // for Gnutella to produce a first hit).
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn flood_burns_more_messages_on_popular_queries() {
-        let t = flood_vs_dynamic(Scale::Quick, 1);
+        let t = flood_table(&flood_points(Scale::Quick, FLOOD_SEED, 1));
         let get = |strategy: &str, query: &str, col: usize| -> f64 {
             t.rows.iter().find(|r| r[0] == strategy && r[1] == query).unwrap()[col].parse().unwrap()
         };

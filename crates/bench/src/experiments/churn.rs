@@ -24,7 +24,8 @@
 //! within 10% of the static baseline — at the cost of a multiplied
 //! per-node publish bandwidth.
 
-use crate::lab::Scale;
+use crate::experiments::Report;
+use crate::lab::{Scale, DEFAULT_SEED};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_churn::{ChurnDriver, ChurnPlan, LifetimeDist, SessionConfig};
@@ -35,6 +36,7 @@ use pier_netsim::{
     derive_seed, EventStats, MetricsSnapshot, NodeId, Sim, SimConfig, SimDuration, UniformLatency,
 };
 use pier_qp::Value;
+use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig};
 use piersearch::{item_table, IndexMode, PierSearchApp, PierSearchNode};
 use std::collections::HashSet;
@@ -342,13 +344,9 @@ impl ChurnData {
     }
 }
 
-pub fn collect(scale: Scale) -> ChurnData {
-    collect_seeded(scale, crate::lab::DEFAULT_SEED, 1)
-}
-
 /// All four arms with every random choice derived from `master`, each on a
 /// `shards`-way kernel. Results are bit-identical for any shard count.
-pub fn collect_seeded(scale: Scale, master: u64, shards: usize) -> ChurnData {
+pub fn collect(scale: Scale, master: u64, shards: usize) -> ChurnData {
     let cfg = ChurnConfig::at(scale);
     let arms = Arm::ALL.iter().map(|&a| (a, run_arm(&cfg, master, a, shards))).collect();
     ChurnData { cfg, arms }
@@ -359,10 +357,8 @@ pub fn is_monotone_decay(series: &[f64]) -> bool {
     series.windows(2).all(|w| w[1] <= w[0] + 1e-12)
 }
 
-pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
-    let t0 = std::time::Instant::now();
-    let data = collect_seeded(scale, crate::lab::DEFAULT_SEED, shards);
-    crate::report_kernel_rate("churn", data.events(), shards, t0.elapsed());
+pub fn run(scale: Scale, shards: usize, _obs: &Obs) -> Report {
+    let data = collect(scale, DEFAULT_SEED, shards);
     let mut curve = Table::new(
         "Churn: DHT recall over time (fraction of published files held by a live node)",
         &["t_s", "static", "no_refresh", "refresh_60s", "refresh_30s"],
@@ -393,7 +389,7 @@ pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
     }
     // The interned-term gauge is printed by `repro`'s footer (the table
     // stays numeric for CSV consumers).
-    vec![curve, cost]
+    Report { tables: vec![curve, cost], events: Some(data.events()) }
 }
 
 /// One sweep trial: end-of-run recall and bandwidth per arm, plus the §5
@@ -401,7 +397,7 @@ pub fn run(scale: Scale, shards: usize) -> Vec<Table> {
 /// deliberately *not* reported here, because the interning table is
 /// process-global and parallel sweep trials would race on it.
 pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let data = collect_seeded(scale, seed, shards);
+    let data = collect(scale, seed, shards);
     let end = |arm: Arm| *data.arm(arm).checkpoints.last().unwrap();
     let mut out = Summary::new();
     out.set("recall_static_end", end(Arm::Static));
@@ -438,7 +434,7 @@ mod tests {
     /// baseline; and refreshing costs strictly more publish bandwidth.
     #[test]
     fn quick_scale_shows_sec5_signature() {
-        let data = collect(Scale::Quick);
+        let data = collect(Scale::Quick, DEFAULT_SEED, 1);
         let st = data.arm(Arm::Static);
         let none = data.arm(Arm::NoRefresh);
         let fast = data.arm(Arm::RefreshFast);
@@ -479,7 +475,7 @@ mod tests {
     /// the bigger overlay, where the fabric-to-stable ratio is harsher.
     #[test]
     fn sparse_scale_shows_sec5_signature() {
-        let t = trial(Scale::Sparse, crate::lab::DEFAULT_SEED, 1);
+        let t = trial(Scale::Sparse, DEFAULT_SEED, 1);
         assert_eq!(t.get("norefresh_monotone"), Some(1.0));
         let static_end = t.get("recall_static_end").unwrap();
         let none_end = t.get("recall_norefresh_end").unwrap();

@@ -2,12 +2,14 @@
 //! compute the flooding-overhead curve — ultrapeers visited vs. query
 //! messages, with its diminishing returns.
 
+use crate::experiments::Report;
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_gnutella::floodstats::{average_flood_curve, marginal_cost};
 use pier_gnutella::{spawn, Crawler, FileMeta, Topology, TopologyConfig};
 use pier_netsim::{Sim, SimConfig, SimDuration, UniformLatency};
+use pier_trace::Obs;
 
 /// The master seed single runs use (sweeps pass per-trial seeds).
 const CRAWL_SEED: u64 = 0xC4A5;
@@ -26,11 +28,10 @@ pub struct CrawlOutcome {
     pub events: pier_netsim::EventStats,
 }
 
-pub fn run(scale: Scale, shards: usize) -> CrawlOutcome {
-    let t0 = std::time::Instant::now();
+/// The single run: the crawl at [`CRAWL_SEED`].
+pub fn run(scale: Scale, shards: usize, _obs: &Obs) -> Report {
     let out = run_seeded(scale, CRAWL_SEED, shards);
-    crate::report_kernel_rate("fig8", out.events, shards, t0.elapsed());
-    out
+    Report { tables: out.tables, events: Some(out.events) }
 }
 
 pub fn run_seeded(scale: Scale, seed: u64, shards: usize) -> CrawlOutcome {
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn quick_crawl_reproduces_diminishing_returns() {
-        let out = run(Scale::Quick, 1);
+        let out = run_seeded(Scale::Quick, CRAWL_SEED, 1);
         assert!(out.marginal_rising, "Figure 8's diminishing returns must appear");
         // Crawl found the whole ultrapeer tier.
         let crawled: usize = out.tables[0].rows[0][1].parse().unwrap();

@@ -3,10 +3,12 @@
 //! publishing budget, plus SAM's sample-size sensitivity.
 
 use crate::experiments::figs9to12::{trace_view, trace_view_seeded};
+use crate::experiments::Report;
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_model::{schemes, PublishedSet, SchemeInput, TraceView};
+use pier_trace::Obs;
 use pier_workload::Catalog;
 
 /// One scheme's sweep: (overhead, QR, QDR) points sorted by overhead.
@@ -117,7 +119,7 @@ fn threshold_ladder(sorted: &[u64]) -> Vec<u64> {
     out
 }
 
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(scale: Scale, _shards: usize, _obs: &Obs) -> Report {
     let (catalog, _trace, view) = trace_view(scale);
     let curves = compute_curves(&catalog, &view, 0.05);
 
@@ -157,7 +159,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    vec![t13, t14, t15]
+    Report { tables: vec![t13, t14, t15], events: None }
 }
 
 /// One sweep trial: each scheme's QR at the 50% publishing budget

@@ -2,6 +2,7 @@
 //! network — result sizes vs. replication, result-size CDFs (single vantage
 //! vs. Union-of-N), and first-result latency vs. result size.
 
+use crate::experiments::Report;
 use crate::lab::{union_results, Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
@@ -21,24 +22,13 @@ pub struct MeasurementData {
     pub events: pier_netsim::EventStats,
 }
 
-pub fn collect(scale: Scale) -> MeasurementData {
-    collect_seeded(scale, DEFAULT_SEED, 1)
-}
-
 /// One full replay with every random choice derived from `seed`, on a
-/// `shards`-way kernel. Results are bit-identical for any shard count.
-pub fn collect_seeded(scale: Scale, seed: u64, shards: usize) -> MeasurementData {
-    collect_seeded_obs(scale, seed, shards, &Obs::default())
-}
-
-/// [`collect_seeded`] under an observability config: profiled phases,
-/// progress heartbeat, and sampled query tracing. Measured statistics are
-/// bit-identical to the unobserved run.
-pub fn collect_seeded_obs(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> MeasurementData {
+/// `shards`-way kernel, under an observability config (profiled phases,
+/// progress heartbeat, sampled query tracing; `Obs::default()` is inert).
+/// Results are bit-identical for any shard count and any `obs`.
+pub fn collect(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> MeasurementData {
     let mut lab = Lab::build_with(LabConfig::at_sharded(scale, seed, shards), obs);
-    let rate =
-        if matches!(scale, Scale::Full | Scale::Metro | Scale::MetroLite) { 3.0 } else { 2.0 };
-    let per_query = lab.replay_with(rate, obs);
+    let per_query = lab.replay_with(scale.inject_rate_per_s(), obs);
     MeasurementData {
         per_query,
         vantage_count: lab.vantages.len(),
@@ -254,19 +244,18 @@ fn pct_at_most(values: &[usize], x: usize) -> f64 {
     100.0 * values.iter().filter(|v| **v <= x).count() as f64 / values.len() as f64
 }
 
-/// Run all four figures (one replay on a `shards`-way kernel, under `repro`'s
-/// observability config) and return the tables, reporting kernel
-/// throughput on stdout.
-pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
-    let t0 = std::time::Instant::now();
-    let data = collect_seeded_obs(scale, DEFAULT_SEED, shards, obs);
-    crate::report_kernel_rate("figs4to7", data.events, shards, t0.elapsed());
-    vec![fig4(&data), fig5(&data), fig6(&data), summary(&data), fig7(&data)]
+/// The single run: all four figures from one replay at the default seed.
+pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Report {
+    let data = collect(scale, DEFAULT_SEED, shards, obs);
+    Report {
+        tables: vec![fig4(&data), fig5(&data), fig6(&data), summary(&data), fig7(&data)],
+        events: Some(data.events),
+    }
 }
 
 /// One sweep trial: a seeded replay reduced to its headline statistics.
 pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let data = collect_seeded(scale, seed, shards);
+    let data = collect(scale, seed, shards, &Obs::default());
     let st = summary_stats(&data);
     let (small_rep, large_rep) = fig4_shape(&fig4_points(&data));
     let mut out = Summary::new();
@@ -288,7 +277,7 @@ mod tests {
 
     #[test]
     fn quick_run_has_expected_shapes() {
-        let data = collect(Scale::Quick);
+        let data = collect(Scale::Quick, DEFAULT_SEED, 1, &Obs::default());
         assert!(!data.per_query.is_empty());
 
         // Fig 4: big-result queries return clearly more-replicated content.

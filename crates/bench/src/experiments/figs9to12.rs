@@ -2,10 +2,12 @@
 //! trace — PF-threshold, publishing overhead, and QR/QDR versus the
 //! replica threshold, at search horizons of 5/15/30%.
 
+use crate::experiments::Report;
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_model::{pf_threshold_curve, threshold_sweep, TraceView};
+use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, Evaluator, QueryConfig, QueryTrace};
 
 /// Build the §6.2 trace view (catalog + query ground truth) with the
@@ -99,8 +101,8 @@ pub fn trial(scale: Scale, seed: u64, _shards: usize) -> Summary {
     s
 }
 
-pub fn run(scale: Scale) -> Vec<Table> {
-    let (catalog, _trace, view) = trace_view(scale);
+pub fn run(scale: Scale, _shards: usize, _obs: &Obs) -> Report {
+    let (_catalog, _trace, view) = trace_view(scale);
     let horizons = [0.05, 0.15, 0.30];
 
     // Figure 9.
@@ -155,8 +157,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    let _ = catalog;
-    vec![t9, t10, t11, t12]
+    Report { tables: vec![t9, t10, t11, t12], events: None }
 }
 
 #[cfg(test)]
@@ -165,7 +166,7 @@ mod tests {
 
     #[test]
     fn quick_model_figures_match_paper_anchors() {
-        let tables = run(Scale::Quick);
+        let tables = run(Scale::Quick, 1, &Obs::default()).tables;
         let (t9, t10, t11, t12) = (&tables[0], &tables[1], &tables[2], &tables[3]);
 
         // Fig 9: monotone rising, diminishing, horizon-ordered.

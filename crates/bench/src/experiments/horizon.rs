@@ -9,6 +9,7 @@
 //! network size, so `zero_single > zero_union` holds from new-style
 //! vantages too. This is the figs4–7 apparatus, sliced per vantage.
 
+use crate::experiments::Report;
 use crate::lab::{union_results, Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
@@ -31,33 +32,17 @@ pub struct HorizonData {
 /// LimeWire profile; old-style is 6).
 pub const NEW_STYLE_DEGREE: usize = 32;
 
-pub fn collect(scale: Scale) -> HorizonData {
-    collect_seeded(scale, DEFAULT_SEED, 1)
-}
-
 /// One full replay with every random choice derived from `seed`, on a
-/// `shards`-way kernel. Results are bit-identical for any shard count.
-pub fn collect_seeded(scale: Scale, seed: u64, shards: usize) -> HorizonData {
-    collect_seeded_obs(scale, seed, shards, &Obs::default())
-}
-
-/// [`collect_seeded`] under an observability config: profiled phases,
-/// progress heartbeat, and sampled query tracing. Measured statistics are
-/// bit-identical to the unobserved run.
-pub fn collect_seeded_obs(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> HorizonData {
-    let rate =
-        if matches!(scale, Scale::Full | Scale::Metro | Scale::MetroLite) { 3.0 } else { 2.0 };
-    collect_cfg_obs(LabConfig::at_sharded(scale, seed, shards), rate, obs)
+/// `shards`-way kernel, under an observability config (profiled phases,
+/// progress heartbeat, sampled query tracing; `Obs::default()` is inert).
+/// Results are bit-identical for any shard count and any `obs`.
+pub fn collect(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> HorizonData {
+    collect_cfg(LabConfig::at_sharded(scale, seed, shards), scale.inject_rate_per_s(), obs)
 }
 
 /// One full replay of an explicit lab config (tests drive metro-lite at
 /// a chosen shard count through this).
-pub fn collect_cfg(cfg: LabConfig, inject_rate_per_s: f64) -> HorizonData {
-    collect_cfg_obs(cfg, inject_rate_per_s, &Obs::default())
-}
-
-/// [`collect_cfg`] under an observability config.
-pub fn collect_cfg_obs(cfg: LabConfig, inject_rate_per_s: f64, obs: &Obs) -> HorizonData {
+pub fn collect_cfg(cfg: LabConfig, inject_rate_per_s: f64, obs: &Obs) -> HorizonData {
     let mut lab = Lab::build_with(cfg, obs);
     let vantage_degrees = lab.vantage_profiles();
     let per_query = lab.replay_with(inject_rate_per_s, obs);
@@ -122,14 +107,10 @@ pub fn mean_zero_single_rate(data: &HorizonData, wanted: impl Fn(usize) -> bool)
     rates.iter().sum::<f64>() / rates.len() as f64
 }
 
-/// Run the experiment (one replay on a `shards`-way kernel, under `repro`'s
-/// observability config) and return the table, reporting kernel
-/// throughput on stdout.
-pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
-    let t0 = std::time::Instant::now();
-    let data = collect_seeded_obs(scale, DEFAULT_SEED, shards, obs);
-    crate::report_kernel_rate("horizon", data.events, shards, t0.elapsed());
-    vec![table(&data)]
+/// The single run: one replay at the default seed.
+pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Report {
+    let data = collect(scale, DEFAULT_SEED, shards, obs);
+    Report { tables: vec![table(&data)], events: Some(data.events) }
 }
 
 /// One sweep trial: the zero-result gap (the paper's §4.4 claim) from a
@@ -137,7 +118,7 @@ pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Vec<Table> {
 /// splits show that the horizon effect survives even at the best-connected
 /// (new-style) vantages.
 pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    summarize(&collect_seeded(scale, seed, shards))
+    summarize(&collect(scale, seed, shards, &Obs::default()))
 }
 
 /// The trial summary of an already-collected replay (shared by [`trial`]
@@ -166,7 +147,7 @@ mod tests {
     /// shows through *new-style* vantages, not just old-style ones.
     #[test]
     fn sparse_scale_shows_horizon_from_new_style_vantages() {
-        let data = collect(Scale::Sparse);
+        let data = collect(Scale::Sparse, DEFAULT_SEED, 1, &Obs::default());
         assert!(!data.per_query.is_empty());
         assert!(
             data.vantage_degrees.iter().any(|&d| d >= NEW_STYLE_DEGREE),

@@ -6,16 +6,18 @@
 //! queries returning ≤ 10 results ship ~7× fewer posting entries than the
 //! average query.
 
+use crate::experiments::Report;
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
+use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, QueryTrace};
 use std::collections::HashMap;
 
 /// Posting entries shipped for one query by the ordered SHJ chain:
 /// |L(1)| + |L(1)∩L(2)| + … + |∩ all| — lists are instance-level (every
 /// replica publishes its own fileID), intersected smallest-first.
-pub fn shipped_entries(eval: &Evaluator<'_>, catalog: &Catalog, q: &Query) -> u64 {
+pub fn shipped_entries(catalog: &Catalog, q: &Query) -> u64 {
     if q.terms.is_empty() {
         return 0;
     }
@@ -48,7 +50,6 @@ pub fn shipped_entries(eval: &Evaluator<'_>, catalog: &Catalog, q: &Query) -> u6
             break;
         }
     }
-    let _ = eval;
     shipped
 }
 
@@ -60,8 +61,8 @@ pub struct PostingStats {
     pub avg_entries_small: f64,
 }
 
-pub fn run(scale: Scale) -> Vec<Table> {
-    vec![replay_with_seeds(scale, 0x5EC5, 0x55EC).0]
+pub fn run(scale: Scale, _shards: usize, obs: &Obs) -> Report {
+    Report { tables: vec![replay_with_seeds(scale, 0x5EC5, 0x55EC, obs).0], events: None }
 }
 
 /// One sweep trial: the §5 cost factor from a seeded catalog + trace.
@@ -73,6 +74,7 @@ pub fn trial(scale: Scale, seed: u64, _shards: usize) -> Summary {
         scale,
         pier_netsim::derive_seed(seed, 0x5EC5),
         pier_netsim::derive_seed(seed, 0x55EC),
+        &Obs::default(),
     );
     let mut s = Summary::new();
     s.set("factor_all_over_le10", st.factor);
@@ -81,7 +83,12 @@ pub fn trial(scale: Scale, seed: u64, _shards: usize) -> Summary {
     s
 }
 
-fn replay_with_seeds(scale: Scale, catalog_seed: u64, trace_seed: u64) -> (Table, PostingStats) {
+fn replay_with_seeds(
+    scale: Scale,
+    catalog_seed: u64,
+    trace_seed: u64,
+    obs: &Obs,
+) -> (Table, PostingStats) {
     let (files, queries) = match scale {
         Scale::Quick | Scale::Sparse => (40_000usize, 7_000usize),
         // The paper's 700k files / 70k queries.
@@ -90,6 +97,7 @@ fn replay_with_seeds(scale: Scale, catalog_seed: u64, trace_seed: u64) -> (Table
         // in memory comfortably.
         Scale::Metro | Scale::MetroLite => (1_400_000, 140_000),
     };
+    let stage = obs.phase("exp.sec5-posting.catalog");
     let catalog = Catalog::generate(CatalogConfig {
         hosts: files / 3,
         distinct_files: files / 4, // ×4 average replication ⇒ ~`files` instances
@@ -99,10 +107,14 @@ fn replay_with_seeds(scale: Scale, catalog_seed: u64, trace_seed: u64) -> (Table
         seed: catalog_seed,
         ..Default::default()
     });
+    drop(stage);
+    let stage = obs.phase("exp.sec5-posting.trace");
     let trace = QueryTrace::generate(
         &catalog,
         QueryConfig { queries, seed: trace_seed, ..Default::default() },
     );
+    drop(stage);
+    let _stage = obs.phase("exp.sec5-posting.replay");
     let eval = Evaluator::new(&catalog);
 
     let mut small_ship = 0u64;
@@ -112,7 +124,7 @@ fn replay_with_seeds(scale: Scale, catalog_seed: u64, trace_seed: u64) -> (Table
     let mut by_bucket: HashMap<&'static str, (u64, u64)> = HashMap::new();
     for q in &trace.queries {
         let results = eval.eval(q).instances;
-        let shipped = shipped_entries(&eval, &catalog, q);
+        let shipped = shipped_entries(&catalog, q);
         all_ship += shipped;
         all_n += 1;
         if results <= 10 {
@@ -160,7 +172,7 @@ mod tests {
 
     #[test]
     fn rare_queries_ship_far_fewer_entries() {
-        let tables = run(Scale::Quick);
+        let tables = run(Scale::Quick, 1, &Obs::default()).tables;
         let factor = factor_from(&tables[0]);
         assert!(
             factor > 2.0,
@@ -180,7 +192,6 @@ mod tests {
             seed: 1,
             ..Default::default()
         });
-        let eval = Evaluator::new(&catalog);
         // Single-term query: shipped = that term's instance-weighted list.
         let f0 = &catalog.files[0];
         let term = f0.tokens[0];
@@ -191,9 +202,9 @@ mod tests {
             .filter(|df| df.tokens.contains(&term))
             .map(|df| df.replicas() as u64)
             .sum();
-        assert_eq!(shipped_entries(&eval, &catalog, &q), manual);
+        assert_eq!(shipped_entries(&catalog, &q), manual);
         // Nonexistent term ships nothing.
         let qz = Query { terms: vec![pier_vocab::intern("zzznothing")] };
-        assert_eq!(shipped_entries(&eval, &catalog, &qz), 0);
+        assert_eq!(shipped_entries(&catalog, &qz), 0);
     }
 }

@@ -8,13 +8,15 @@
 //!    traffic, 30 s Gnutella timeout, PIERSearch fallback — first-result
 //!    latency and the reduction in zero-result queries.
 
+use crate::experiments::Report;
 use crate::lab::Scale;
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
-use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtNode};
+use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtMsg, DhtNode};
 use pier_gnutella::{FileMeta, Topology, TopologyConfig};
 use pier_hybrid::{deploy, HybridConfig, HybridUp, RareScheme};
 use pier_netsim::{EventStats, NodeId, Sim, SimConfig, SimDuration, UniformLatency};
+use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
 use piersearch::{IndexMode, PierSearchApp, PierSearchNode};
 
@@ -23,13 +25,8 @@ use piersearch::{IndexMode, PierSearchApp, PierSearchNode};
 /// historical numbers bit-for-bit.
 const DEPLOY_SEED: u64 = 0x7000;
 
-/// Publish `files` filenames into an isolated DHT and measure total DHT
-/// bytes per file.
-pub fn micro_publish_cost(mode: IndexMode, files: usize) -> f64 {
-    micro_publish_cost_seeded(mode, files, DEPLOY_SEED + 1)
-}
-
-pub fn micro_publish_cost_seeded(mode: IndexMode, files: usize, seed: u64) -> f64 {
+/// The isolated warm-started PIERSearch DHT both micro costs run on.
+fn micro_dht(mode: IndexMode, seed: u64) -> (Sim<DhtMsg>, Vec<NodeId>) {
     let cfg = SimConfig::with_seed(seed)
         .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)));
     let mut sim = Sim::new(cfg);
@@ -41,6 +38,13 @@ pub fn micro_publish_cost_seeded(mode: IndexMode, files: usize, seed: u64) -> f6
         bootstrap::fill_table(core.table_mut(), &contacts, 4);
         ids.push(sim.add_node(DhtNode::new(core, PierSearchApp::new(mode), None)));
     }
+    (sim, ids)
+}
+
+/// Publish `files` filenames into an isolated DHT and measure total DHT
+/// bytes per file.
+pub fn micro_publish_cost(mode: IndexMode, files: usize, seed: u64) -> f64 {
+    let (mut sim, ids) = micro_dht(mode, seed);
     sim.run_for(SimDuration::from_secs(2));
     // Publish-attributable traffic only: the recursive store path (the
     // maintenance chatter of a live DHT is excluded, as in the paper's
@@ -70,27 +74,8 @@ pub fn micro_publish_cost_seeded(mode: IndexMode, files: usize, seed: u64) -> f6
 }
 
 /// Publish a shared-keyword corpus and measure engine bytes per query.
-pub fn micro_query_cost(mode: IndexMode, corpus: usize, queries: usize) -> (f64, f64) {
-    micro_query_cost_seeded(mode, corpus, queries, DEPLOY_SEED + 2)
-}
-
-pub fn micro_query_cost_seeded(
-    mode: IndexMode,
-    corpus: usize,
-    queries: usize,
-    seed: u64,
-) -> (f64, f64) {
-    let cfg = SimConfig::with_seed(seed)
-        .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)));
-    let mut sim = Sim::new(cfg);
-    let n = 50u32;
-    let contacts: Vec<Contact> = (0..n).map(|i| Contact::for_node(NodeId::new(i))).collect();
-    let mut ids = Vec::new();
-    for c in &contacts {
-        let mut core = DhtCore::new(DhtConfig::test(), *c);
-        bootstrap::fill_table(core.table_mut(), &contacts, 4);
-        ids.push(sim.add_node(DhtNode::new(core, PierSearchApp::new(mode), None)));
-    }
+pub fn micro_query_cost(mode: IndexMode, corpus: usize, queries: usize, seed: u64) -> (f64, f64) {
+    let (mut sim, ids) = micro_dht(mode, seed);
     // A popular two-keyword corpus (the "Britney Spears" case: both posting
     // lists long).
     for i in 0..corpus {
@@ -120,7 +105,6 @@ pub fn micro_query_cost_seeded(
     // shipping), not the result stream common to both modes: that is the
     // recursively routed engine traffic.
     let engine_baseline = sim.metrics().snapshot();
-    let t_before = sim.now();
     let mut sids = Vec::new();
     for qi in 0..queries {
         let from = ids[(7 * qi + 3) % ids.len()];
@@ -137,7 +121,6 @@ pub fn micro_query_cost_seeded(
     sim.run_for(SimDuration::from_secs(60));
     let engine_delta = sim.metrics().snapshot().diff(&engine_baseline);
     let bytes_per_query = engine_delta.counter("dht.route").bytes as f64 / queries as f64;
-    let _ = t_before;
     // Average first-result latency of the searches.
     let mut lat = 0.0;
     let mut lat_n = 0;
@@ -170,27 +153,28 @@ pub struct DeployOutcome {
     pub events: EventStats,
 }
 
-pub fn run(scale: Scale, shards: usize) -> DeployOutcome {
-    let t0 = std::time::Instant::now();
-    let out = run_seeded(scale, DEPLOY_SEED, shards);
-    crate::report_kernel_rate("sec7_deploy", out.events, shards, t0.elapsed());
-    out
+/// The single run: all three parts at [`DEPLOY_SEED`].
+pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Report {
+    let out = run_seeded(scale, DEPLOY_SEED, shards, obs);
+    Report { tables: out.tables, events: Some(out.events) }
 }
 
 /// `shards` applies to the part-3 deployment replay (the only simulation
 /// here big enough to matter); the micro-cost sims stay single-shard.
-pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
+/// `obs` only times the stages (`exp.sec7-deploy.*`).
+pub fn run_seeded(scale: Scale, master: u64, shards: usize, obs: &Obs) -> DeployOutcome {
     // Parts 1 & 2: micro costs.
+    let stage = obs.phase("exp.sec7-deploy.micro_costs");
     let files = match scale {
         Scale::Quick | Scale::Sparse => 60,
         Scale::Full => 200,
         Scale::Metro | Scale::MetroLite => 300,
     };
-    let pub_plain = micro_publish_cost_seeded(IndexMode::Inverted, files, master + 1);
-    let pub_cache = micro_publish_cost_seeded(IndexMode::InvertedCache, files, master + 1);
-    let (q_cache, lat_cache) =
-        micro_query_cost_seeded(IndexMode::InvertedCache, 300, 25, master + 2);
-    let (q_plain, lat_plain) = micro_query_cost_seeded(IndexMode::Inverted, 300, 25, master + 2);
+    let pub_plain = micro_publish_cost(IndexMode::Inverted, files, master + 1);
+    let pub_cache = micro_publish_cost(IndexMode::InvertedCache, files, master + 1);
+    let (q_cache, lat_cache) = micro_query_cost(IndexMode::InvertedCache, 300, 25, master + 2);
+    let (q_plain, lat_plain) = micro_query_cost(IndexMode::Inverted, 300, 25, master + 2);
+    drop(stage);
 
     let mut t_cost = Table::new(
         "Section 7: PIERSearch costs (paper: publish 3.5/4.0 KB per file; query 20 KB SHJ vs 0.85 KB InvertedCache)",
@@ -254,6 +238,7 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
     sim.run_for(SimDuration::from_secs(5));
 
     // Round 1: seed QRS by replaying the trace from half the hybrid UPs.
+    let stage = obs.phase("exp.sec7-deploy.round1");
     let round1_vantages: Vec<NodeId> =
         deployment.hybrid_ups.iter().copied().take(hybrid_ups / 2).collect();
     for (i, q) in trace.queries.iter().enumerate() {
@@ -262,13 +247,17 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
         sim.with_actor_ctx::<HybridUp, _>(v, |up, ctx| up.start_hybrid_query(ctx, terms));
         sim.run_for(SimDuration::from_millis(700));
     }
+    drop(stage);
     // Drain round 1 + let QRS windows close and publishing proceed.
+    let stage = obs.phase("exp.sec7-deploy.publish_drain");
     sim.run_for(SimDuration::from_secs(300));
+    drop(stage);
 
     let published: u64 =
         deployment.hybrid_ups.iter().map(|&id| sim.actor::<HybridUp>(id).files_published).sum();
 
     // Round 2: measure from the *other* hybrid UPs.
+    let stage = obs.phase("exp.sec7-deploy.round2");
     let round2_vantages: Vec<NodeId> =
         deployment.hybrid_ups.iter().copied().skip(hybrid_ups / 2).collect();
     let mut tracked: Vec<(NodeId, usize)> = Vec::new();
@@ -280,6 +269,7 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
         sim.run_for(SimDuration::from_millis(700));
     }
     sim.run_for(SimDuration::from_secs(150));
+    drop(stage);
 
     let mut zero_gnutella = 0u64;
     let mut saved_by_pier = 0u64;
@@ -333,7 +323,7 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize) -> DeployOutcome {
 /// One sweep trial: the deployment headline numbers from seeded
 /// topologies, catalogs, and traces.
 pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
-    let out = run_seeded(scale, seed, shards);
+    let out = run_seeded(scale, seed, shards, &Obs::default());
     let mut s = Summary::new();
     s.set("zero_result_reduction_pct", out.zero_result_reduction_pct);
     s.set("avg_gnutella_first_s", out.avg_gnutella_first_s);
@@ -354,15 +344,15 @@ mod tests {
 
     #[test]
     fn micro_costs_have_paper_shape() {
-        let pub_plain = micro_publish_cost(IndexMode::Inverted, 25);
-        let pub_cache = micro_publish_cost(IndexMode::InvertedCache, 25);
+        let pub_plain = micro_publish_cost(IndexMode::Inverted, 25, DEPLOY_SEED + 1);
+        let pub_cache = micro_publish_cost(IndexMode::InvertedCache, 25, DEPLOY_SEED + 1);
         // Direction: InvertedCache publishing costs more (paper 4 vs 3.5 KB).
         assert!(pub_cache > pub_plain, "cache {pub_cache} vs plain {pub_plain}");
         // Magnitude: hundreds of bytes to a few KB per file.
         assert!(pub_plain > 200.0 && pub_plain < 20_000.0, "{pub_plain}");
 
-        let (q_cache, _) = micro_query_cost(IndexMode::InvertedCache, 150, 10);
-        let (q_plain, _) = micro_query_cost(IndexMode::Inverted, 150, 10);
+        let (q_cache, _) = micro_query_cost(IndexMode::InvertedCache, 150, 10, DEPLOY_SEED + 2);
+        let (q_plain, _) = micro_query_cost(IndexMode::Inverted, 150, 10, DEPLOY_SEED + 2);
         // Direction: the distributed join ships far more (paper 20 KB vs 850 B).
         assert!(
             q_plain > q_cache * 1.2,

@@ -9,7 +9,7 @@ use pier_gnutella::{
 };
 use pier_netsim::{NodeId, Sim, SimConfig, SimDuration, SimTime, UniformLatency};
 use pier_trace::Obs;
-use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, QueryTrace};
+use pier_workload::{Catalog, CatalogConfig, Query, QueryConfig, QueryTrace};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -57,6 +57,15 @@ impl Scale {
             Scale::Full => "full",
             Scale::Metro => "metro",
             Scale::MetroLite => "metro-lite",
+        }
+    }
+
+    /// Query injections per simulated second in a lab replay: the large
+    /// rungs carry more queries and inject them faster.
+    pub fn inject_rate_per_s(self) -> f64 {
+        match self {
+            Scale::Full | Scale::Metro | Scale::MetroLite => 3.0,
+            Scale::Quick | Scale::Sparse => 2.0,
         }
     }
 }
@@ -216,7 +225,6 @@ pub struct Lab {
     /// The one process-wide copy of every shared file's metadata and token
     /// set; every leaf's `FileStore` is a `Box<[FileId]>` view into it.
     pub share_catalog: Arc<ShareCatalog>,
-    cfg: LabConfig,
 }
 
 impl Lab {
@@ -326,7 +334,7 @@ impl Lab {
                 sim.actor_mut::<LeafNode>(id).core.set_trace(handle.clone());
             }
         }
-        Lab { sim, handles, catalog, trace, vantages, topo, share_catalog, cfg }
+        Lab { sim, handles, catalog, trace, vantages, topo, share_catalog }
     }
 
     /// The `up_neighbors` degree target of each vantage's profile (32 for
@@ -340,11 +348,6 @@ impl Lab {
                 self.topo.up_profiles[i].up_neighbors
             })
             .collect()
-    }
-
-    /// Ground-truth evaluator over the catalog.
-    pub fn evaluator(&self) -> Evaluator<'_> {
-        Evaluator::new(&self.catalog)
     }
 
     /// Replay the whole trace from every vantage, staggering injections so
@@ -435,10 +438,6 @@ impl Lab {
                     .collect()
             })
             .collect()
-    }
-
-    pub fn config(&self) -> &LabConfig {
-        &self.cfg
     }
 }
 

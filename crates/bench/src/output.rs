@@ -6,7 +6,6 @@
 
 use crate::sweep::SweepResult;
 use std::fmt::Display;
-use std::io::Write;
 use std::path::PathBuf;
 
 /// A simple result table: header + rows, printable and CSV-dumpable.
@@ -52,16 +51,13 @@ impl Table {
 
     /// Write as CSV into `results/<name>.csv` (relative to the workspace
     /// root when run via cargo, else the current directory).
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = results_dir();
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{name}.csv"));
-        let mut f = std::fs::File::create(&path)?;
-        writeln!(f, "{}", self.columns.join(","))?;
+    pub fn write_csv(&self, name: &str) -> Option<PathBuf> {
+        let mut csv = self.columns.join(",") + "\n";
         for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+            csv += &row.join(",");
+            csv.push('\n');
         }
-        Ok(path)
+        write_result(&format!("{name}.csv"), &csv)
     }
 }
 
@@ -70,11 +66,7 @@ impl Table {
 pub fn emit(tables: &[Table], csv_prefix: &str) {
     for (i, t) in tables.iter().enumerate() {
         t.print();
-        let name = format!("{csv_prefix}_{i}");
-        match t.write_csv(&name) {
-            Ok(path) => println!("  → {}", path.display()),
-            Err(e) => eprintln!("  (csv write failed: {e})"),
-        }
+        t.write_csv(&format!("{csv_prefix}_{i}"));
     }
 }
 
@@ -168,15 +160,8 @@ pub fn sweep_json(result: &SweepResult) -> String {
 }
 
 /// Write a sweep result as `results/sweep_<experiment>_<scale>.json`.
-pub fn write_sweep_json(result: &SweepResult) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let name =
-        format!("sweep_{}_{}.json", result.experiment.replace('-', "_"), result.scale.name());
-    let path = dir.join(name);
-    let mut file = std::fs::File::create(&path)?;
-    file.write_all(sweep_json(result).as_bytes())?;
-    Ok(path)
+pub fn write_sweep_json(result: &SweepResult) -> Option<PathBuf> {
+    write_result(&run_file("sweep", &result.experiment, result.scale, "json"), &sweep_json(result))
 }
 
 /// Serialize a phase-profile snapshot (plus any per-shard kernel window
@@ -244,33 +229,49 @@ pub fn print_profile(obs: &pier_trace::Obs) {
     }
 }
 
-/// Write the profile as `results/profile_<experiment>_<scale>.json`.
+/// Write the profile (when profiling is on) as
+/// `results/profile_<experiment>_<scale>.json`.
 pub fn write_profile_json(
     obs: &pier_trace::Obs,
     experiment: &str,
     scale: crate::Scale,
-) -> std::io::Result<Option<PathBuf>> {
-    let Some(json) = profile_json(obs) else { return Ok(None) };
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("profile_{}_{}.json", experiment.replace('-', "_"), scale.name()));
-    std::fs::write(&path, json)?;
-    Ok(Some(path))
+) -> Option<PathBuf> {
+    write_result(&run_file("profile", experiment, scale, "json"), &profile_json(obs)?)
 }
 
-/// Write the sampled query traces as
+/// Write the sampled query traces (when tracing is on) as
 /// `results/trace_<experiment>_<scale>.jsonl` (the `trace_report` input).
 pub fn write_trace_jsonl(
     obs: &pier_trace::Obs,
     experiment: &str,
     scale: crate::Scale,
-) -> std::io::Result<Option<PathBuf>> {
-    let Some(tracer) = obs.tracer.as_ref() else { return Ok(None) };
+) -> Option<PathBuf> {
+    let jsonl = obs.tracer.as_ref()?.to_jsonl();
+    write_result(&run_file("trace", experiment, scale, "jsonl"), &jsonl)
+}
+
+/// `<kind>_<experiment>_<scale>.<ext>`, the name of a per-run result file
+/// (`-` in experiment ids becomes `_`, as in the CSV stems).
+fn run_file(kind: &str, experiment: &str, scale: crate::Scale, ext: &str) -> String {
+    format!("{kind}_{}_{}.{ext}", experiment.replace('-', "_"), scale.name())
+}
+
+/// Write `results/<file>` and say where it landed — the one place a result
+/// file is created. A failed write is reported, not fatal: the tables are
+/// already on stdout.
+fn write_result(file: &str, contents: &str) -> Option<PathBuf> {
     let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("trace_{}_{}.jsonl", experiment.replace('-', "_"), scale.name()));
-    std::fs::write(&path, tracer.to_jsonl())?;
-    Ok(Some(path))
+    let path = dir.join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, contents)) {
+        Ok(()) => {
+            println!("  → {}", path.display());
+            Some(path)
+        }
+        Err(e) => {
+            eprintln!("  ({file} write failed: {e})");
+            None
+        }
+    }
 }
 
 /// `results/` next to the workspace root when available.

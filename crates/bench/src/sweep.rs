@@ -5,17 +5,15 @@
 //!
 //! The paper's claims are statistical, so a single run at a single seed
 //! can neither carry error bars nor distinguish a real effect from seed
-//! luck. Every experiment therefore exposes a `trial(scale, seed) ->
-//! Summary` entry point returning *structured* statistics (presentation
+//! luck. Every experiment therefore exposes a `trial(scale, seed, shards)
+//! -> Summary` entry point returning *structured* statistics (presentation
 //! lives in [`crate::output`]); this module fans trials out with
 //! `std::thread::scope` — each worker builds and runs its own `Lab`/`Sim`,
 //! so nothing inside a simulation needs to be `Send` — and reduces the
 //! per-trial summaries. Per-trial results depend only on `(scale, seed)`,
 //! never on `--jobs` or scheduling, which the determinism tests pin down.
 
-use crate::experiments::{
-    ablations, churn, fig8, figs13to15, figs4to7, figs9to12, horizon, sec5_posting, sec7_deploy,
-};
+use crate::experiments::Experiment;
 use crate::lab::Scale;
 use pier_netsim::derive_seed;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,90 +133,6 @@ pub fn aggregate(trials: &[Summary]) -> Vec<AggregateStat> {
         .collect()
 }
 
-/// The sweepable experiments (everything `repro` can run that has a
-/// nontrivial random component).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Experiment {
-    Figs4to7,
-    Horizon,
-    Fig8,
-    Figs9to12,
-    Figs13to15,
-    Sec5Posting,
-    Ablations,
-    Sec7Deploy,
-    Churn,
-}
-
-impl Experiment {
-    pub const ALL: [Experiment; 9] = [
-        Experiment::Figs4to7,
-        Experiment::Horizon,
-        Experiment::Fig8,
-        Experiment::Figs9to12,
-        Experiment::Figs13to15,
-        Experiment::Sec5Posting,
-        Experiment::Ablations,
-        Experiment::Sec7Deploy,
-        Experiment::Churn,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Experiment::Figs4to7 => "figs4to7",
-            Experiment::Horizon => "horizon",
-            Experiment::Fig8 => "fig8",
-            Experiment::Figs9to12 => "figs9to12",
-            Experiment::Figs13to15 => "figs13to15",
-            Experiment::Sec5Posting => "sec5-posting",
-            Experiment::Ablations => "ablations",
-            Experiment::Sec7Deploy => "sec7-deploy",
-            Experiment::Churn => "churn",
-        }
-    }
-
-    /// Parse an experiment id, accepting the same aliases `repro` accepts
-    /// for single runs.
-    pub fn parse(s: &str) -> Option<Experiment> {
-        match s {
-            "figs4to7" | "figs4-7" | "fig4" | "fig5" | "fig6" | "fig7" => {
-                Some(Experiment::Figs4to7)
-            }
-            "horizon" | "sparse" => Some(Experiment::Horizon),
-            "fig8" | "crawl" => Some(Experiment::Fig8),
-            "figs9to12" | "figs9-12" | "fig9" | "fig10" | "fig11" | "fig12" => {
-                Some(Experiment::Figs9to12)
-            }
-            "figs13to15" | "figs13-15" | "fig13" | "fig14" | "fig15" => {
-                Some(Experiment::Figs13to15)
-            }
-            "sec5-posting" => Some(Experiment::Sec5Posting),
-            "ablations" | "ablation-timeout" => Some(Experiment::Ablations),
-            "sec7-deploy" => Some(Experiment::Sec7Deploy),
-            "churn" => Some(Experiment::Churn),
-            _ => None,
-        }
-    }
-
-    /// Run one trial at `scale` with master seed `seed` and return its
-    /// structured statistics. Deterministic in `(scale, seed)` — `shards`
-    /// only changes how many kernel worker threads execute each simulation,
-    /// never any statistic (the analytic experiments ignore it).
-    pub fn trial(self, scale: Scale, seed: u64, shards: usize) -> Summary {
-        match self {
-            Experiment::Figs4to7 => figs4to7::trial(scale, seed, shards),
-            Experiment::Horizon => horizon::trial(scale, seed, shards),
-            Experiment::Fig8 => fig8::trial(scale, seed, shards),
-            Experiment::Figs9to12 => figs9to12::trial(scale, seed, shards),
-            Experiment::Figs13to15 => figs13to15::trial(scale, seed, shards),
-            Experiment::Sec5Posting => sec5_posting::trial(scale, seed, shards),
-            Experiment::Ablations => ablations::trial(scale, seed, shards),
-            Experiment::Sec7Deploy => sec7_deploy::trial(scale, seed, shards),
-            Experiment::Churn => churn::trial(scale, seed, shards),
-        }
-    }
-}
-
 /// Sweep parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepConfig {
@@ -290,11 +204,16 @@ pub struct SweepResult {
     pub aggregates: Vec<AggregateStat>,
 }
 
-/// Sweep an experiment: N trials across J threads (each trial's kernel on
-/// `cfg.shards` more), aggregated.
-pub fn run_sweep(experiment: Experiment, cfg: &SweepConfig) -> SweepResult {
+/// Sweep a row of the experiment table: N trials across J threads (each
+/// trial's kernel on `cfg.shards` more), aggregated.
+///
+/// # Panics
+/// Panics if the row has no `trial` (only `model-params`, which has no
+/// random component to sweep).
+pub fn run_sweep(experiment: &Experiment, cfg: &SweepConfig) -> SweepResult {
+    let trial = experiment.trial.expect("experiment has no seeded trial to sweep");
     let shards = cfg.shards.max(1);
-    run_sweep_with(experiment.name(), cfg, |scale, seed| experiment.trial(scale, seed, shards))
+    run_sweep_with(experiment.name, cfg, |scale, seed| trial(scale, seed, shards))
 }
 
 /// Generic sweep driver over any `(scale, seed) -> Summary` trial
@@ -522,15 +441,5 @@ mod tests {
         let bare = run_sweep_with("synthetic", &SweepConfig::new(Scale::Quick, 2, 1), synthetic);
         assert!(bare.timings.iter().all(|t| t.events_per_s.is_nan()));
         assert_eq!(bare.trials[0].summary, synthetic(Scale::Quick, bare.trials[0].seed));
-    }
-
-    #[test]
-    fn experiment_parse_round_trips() {
-        for e in Experiment::ALL {
-            assert_eq!(Experiment::parse(e.name()), Some(e));
-        }
-        assert_eq!(Experiment::parse("fig5"), Some(Experiment::Figs4to7));
-        assert_eq!(Experiment::parse("crawl"), Some(Experiment::Fig8));
-        assert_eq!(Experiment::parse("nonsense"), None);
     }
 }

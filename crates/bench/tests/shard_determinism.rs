@@ -10,10 +10,11 @@
 //! running whole trials); this one pins them against *kernel-level*
 //! parallelism (shard workers inside one simulation).
 
-use pier_bench::experiments::{churn, horizon};
+use pier_bench::experiments::{churn, horizon, Experiment};
 use pier_bench::lab::{LabConfig, DEFAULT_SEED};
-use pier_bench::sweep::{run_sweep, Experiment, SweepConfig};
+use pier_bench::sweep::{run_sweep, SweepConfig};
 use pier_bench::Scale;
+use pier_trace::Obs;
 
 /// The full Lab + replay path behind `horizon`: one-, two-, and four-shard
 /// kernels must reproduce identical summaries, bit for bit — every
@@ -45,7 +46,7 @@ fn metro_lite_horizon_is_bit_identical_across_shard_counts() {
     let summary = |shards: usize| {
         let mut cfg = LabConfig::metro_lite(DEFAULT_SEED);
         cfg.shards = shards;
-        horizon::summarize(&horizon::collect_cfg(cfg, 3.0))
+        horizon::summarize(&horizon::collect_cfg(cfg, 3.0, &Obs::default()))
     };
     let base = summary(1);
     for shards in [2usize, 4] {
@@ -80,8 +81,9 @@ fn churn_trials_are_bit_identical_across_shard_counts() {
 /// sequential sweep (jobs=1, shards=1) — trials, aggregates, and all.
 #[test]
 fn sharded_parallel_sweep_matches_sequential_unsharded_sweep() {
-    let sequential = run_sweep(Experiment::Horizon, &SweepConfig::new(Scale::Quick, 2, 1));
-    let composed = run_sweep(Experiment::Horizon, &SweepConfig::new(Scale::Quick, 2, 2).shards(2));
+    let horizon = Experiment::find("horizon").expect("registered");
+    let sequential = run_sweep(horizon, &SweepConfig::new(Scale::Quick, 2, 1));
+    let composed = run_sweep(horizon, &SweepConfig::new(Scale::Quick, 2, 2).shards(2));
     assert_eq!(
         sequential.trials, composed.trials,
         "jobs=2 × shards=2 must reproduce the jobs=1 × shards=1 sweep bit-for-bit"

@@ -56,9 +56,9 @@ fn assert_complete_flood_trees(checks: &[TraceCheck], expect: usize, what: &str)
 /// replay bit for bit — summary stats, fig4 shape, and raw traffic totals.
 #[test]
 fn quick_figs4to7_stats_are_bit_identical_with_observability_on() {
-    let base = figs4to7::collect_seeded(Scale::Quick, DEFAULT_SEED, 1);
+    let base = figs4to7::collect(Scale::Quick, DEFAULT_SEED, 1, &Obs::default());
     let obs = Obs::configure(true, 8, false);
-    let observed = figs4to7::collect_seeded_obs(Scale::Quick, DEFAULT_SEED, 1, &obs);
+    let observed = figs4to7::collect(Scale::Quick, DEFAULT_SEED, 1, &obs);
 
     let sb = figs4to7::summary_stats(&base);
     let so = figs4to7::summary_stats(&observed);
@@ -100,8 +100,7 @@ fn quick_figs4to7_stats_are_bit_identical_with_observability_on() {
 fn sparse_horizon_traces_are_complete_flood_trees() {
     let base = horizon::trial(Scale::Sparse, DEFAULT_SEED, 1);
     let obs = Obs::configure(false, 6, false);
-    let observed =
-        horizon::summarize(&horizon::collect_seeded_obs(Scale::Sparse, DEFAULT_SEED, 1, &obs));
+    let observed = horizon::summarize(&horizon::collect(Scale::Sparse, DEFAULT_SEED, 1, &obs));
     assert_eq!(base, observed, "sparse horizon summary moved under query tracing");
     assert_complete_flood_trees(&checks_of(&obs), 6, "sparse horizon");
 }
@@ -131,7 +130,7 @@ proptest! {
         // tree property has to survive overlapping floods and duplicate
         // drops, which dense tracing exercises hardest.
         let obs = Obs::configure(false, usize::MAX, false);
-        let _ = horizon::collect_cfg_obs(tiny_lab(seed), 2.0, &obs);
+        let _ = horizon::collect_cfg(tiny_lab(seed), 2.0, &obs);
         let checks = checks_of(&obs);
         // One trace per (query, vantage) injection.
         prop_assert_eq!(checks.len(), 10 * 3);

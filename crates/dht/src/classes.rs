@@ -21,7 +21,6 @@ pier_netsim::metric_classes! {
     pub ROUTE_HOP_LIMIT_DROP = "dht.route.hop_limit_drop";
     pub STALE_RESPONSE = "dht.stale_response";
     pub RPC_TIMEOUT = "dht.rpc_timeout";
-    pub REPUBLISH = "dht.republish";
     pub BUCKET_REFRESH = "dht.bucket_refresh";
     pub REVIVE_REJOIN = "dht.revive_rejoin";
 

@@ -82,21 +82,6 @@ struct PutProgress {
     pending: usize,
 }
 
-impl pier_netsim::HeapSize for RepublishRecord {
-    fn heap_bytes(&self) -> usize {
-        self.value.heap_bytes()
-    }
-}
-
-struct RepublishRecord {
-    key: Key,
-    value: Vec<u8>,
-    ttl_us: u64,
-    next_at: SimTime,
-    /// Republish via recursive routing (true) or iterative put (false).
-    routed: bool,
-}
-
 /// The DHT node state machine.
 pub struct DhtCore {
     cfg: DhtConfig,
@@ -107,7 +92,6 @@ pub struct DhtCore {
     pending: BTreeMap<RpcId, PendingRpc>,
     lookups: HashMap<OpId, Lookup>,
     puts: HashMap<OpId, PutProgress>,
-    republish: Vec<RepublishRecord>,
     evict_in_flight: HashSet<Key>,
     join_op: Option<OpId>,
     events: VecDeque<DhtEvent>,
@@ -131,7 +115,6 @@ impl DhtCore {
             pending: BTreeMap::new(),
             lookups: HashMap::new(),
             puts: HashMap::new(),
-            republish: Vec::new(),
             evict_in_flight: HashSet::new(),
             join_op: None,
             events: VecDeque::new(),
@@ -183,12 +166,6 @@ impl DhtCore {
         self.storage.get(key, now).into_iter().map(|v| v.to_vec()).collect()
     }
 
-    /// Store a value locally without touching the network (used by the
-    /// warm-start bootstrapper and by replica handoff).
-    pub fn store_local(&mut self, key: Key, value: Vec<u8>, now: SimTime) {
-        self.storage.insert(key, value, now + self.cfg.value_ttl);
-    }
-
     /// Direct access to the routing table (diagnostics, warm start).
     pub fn table(&self) -> &RoutingTable {
         &self.table
@@ -213,7 +190,6 @@ impl DhtCore {
         let ops = self.pending.heap_bytes()
             + self.lookups.heap_bytes()
             + self.puts.heap_bytes()
-            + self.republish.heap_bytes()
             + self.evict_in_flight.heap_bytes()
             + self.events.capacity() * size_of::<DhtEvent>();
         acc.add("dht.ops", ops);
@@ -236,36 +212,21 @@ impl DhtCore {
         self.start_lookup(net, target, LookupKind::Node)
     }
 
-    /// Store `value` under `key` on the replica set. With `republish`, the
-    /// core re-publishes at half the TTL until the record is dropped.
-    pub fn put(&mut self, net: &mut dyn DhtNet, key: Key, value: Vec<u8>, republish: bool) -> OpId {
+    /// Store `value` under `key` on the replica set. The copies are soft
+    /// state: they expire after `cfg.value_ttl` and leave with their
+    /// holders, so a publisher that wants durability `put`s again (as
+    /// PIERSearch's `Publisher::refresh_interval` loop does).
+    pub fn put(&mut self, net: &mut dyn DhtNet, key: Key, value: Vec<u8>) -> OpId {
         let ttl_us = self.cfg.value_ttl.as_micros();
-        if republish {
-            self.republish.push(RepublishRecord {
-                key,
-                value: value.clone(),
-                ttl_us,
-                next_at: net.now() + pier_netsim::SimDuration::from_micros(ttl_us / 2),
-                routed: false,
-            });
-        }
         self.start_lookup(net, key, LookupKind::Publish { value, ttl_us })
     }
 
     /// Store `value` under `key` via recursive greedy routing — the
     /// Bamboo-style publish PIER uses. One message path of O(log N) hops,
-    /// a single stored copy, no ack; durability comes from republishing.
-    pub fn put_routed(&mut self, net: &mut dyn DhtNet, key: Key, value: Vec<u8>, republish: bool) {
+    /// a single stored copy, no ack; durability is the publisher's job (the
+    /// ack-checked refresh of PIERSearch's soft-state loop).
+    pub fn put_routed(&mut self, net: &mut dyn DhtNet, key: Key, value: Vec<u8>) {
         let ttl_us = self.cfg.value_ttl.as_micros();
-        if republish {
-            self.republish.push(RepublishRecord {
-                key,
-                value: value.clone(),
-                ttl_us,
-                next_at: net.now() + pier_netsim::SimDuration::from_micros(ttl_us / 2),
-                routed: true,
-            });
-        }
         let origin = self.local();
         self.route_store_step(net, key, value, ttl_us, 0, origin);
     }
@@ -321,9 +282,9 @@ impl DhtCore {
     /// vanish with the process and every in-flight operation dies. The
     /// routing table survives — on rejoin most contacts are still valid
     /// and [`DhtCore::revive`]'s self-lookup plus the per-RPC failure
-    /// eviction weed out the stale ones. Republish records also survive:
-    /// they are the node's own soft state (the files it shares), and the
-    /// paper's §5 publishing model has a rejoining node re-push them.
+    /// eviction weed out the stale ones. What the node itself published
+    /// is not tracked here: re-pushing it is the application's soft-state
+    /// loop (the paper's §5 publishing model).
     pub fn end_session(&mut self) {
         self.storage.clear();
         self.pending.clear();
@@ -338,9 +299,7 @@ impl DhtCore {
 
     /// Revival repair: re-prime the routing table with a self-lookup (the
     /// join walk, but seeded from the surviving table instead of a
-    /// bootstrap contact). Overdue republish records need no special
-    /// handling — their deadlines elapsed during downtime, so the first
-    /// maintenance tick after revival re-pushes them.
+    /// bootstrap contact).
     pub fn revive(&mut self, net: &mut dyn DhtNet) {
         net.count(crate::classes::REVIVE_REJOIN.id(), 1);
         if !self.table.is_empty() {
@@ -349,13 +308,12 @@ impl DhtCore {
         }
     }
 
-    /// Periodic maintenance: RPC timeouts, value expiry, republishing,
-    /// bucket refresh. The embedding actor calls this on its tick timer.
+    /// Periodic maintenance: RPC timeouts, value expiry, bucket refresh.
+    /// The embedding actor calls this on its tick timer.
     pub fn tick(&mut self, net: &mut dyn DhtNet) {
         let now = net.now();
         self.sweep_timeouts(net, now);
         self.storage.expire(now);
-        self.run_republish(net, now);
         self.refresh_stale_buckets(net, now);
     }
 
@@ -677,30 +635,6 @@ impl DhtCore {
                     self.evict_in_flight.remove(&stale);
                     self.table.replace(&stale);
                 }
-            }
-        }
-    }
-
-    fn run_republish(&mut self, net: &mut dyn DhtNet, now: SimTime) {
-        let due: Vec<usize> = self
-            .republish
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.next_at <= now)
-            .map(|(i, _)| i)
-            .collect();
-        for i in due {
-            let (key, value, ttl_us, routed) = {
-                let r = &mut self.republish[i];
-                r.next_at = now + pier_netsim::SimDuration::from_micros(r.ttl_us / 2);
-                (r.key, r.value.clone(), r.ttl_us, r.routed)
-            };
-            net.count(crate::classes::REPUBLISH.id(), 1);
-            if routed {
-                let origin = self.local();
-                self.route_store_step(net, key, value, ttl_us, 0, origin);
-            } else {
-                self.start_lookup(net, key, LookupKind::Publish { value, ttl_us });
             }
         }
     }

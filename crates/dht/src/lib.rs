@@ -8,9 +8,10 @@
 //! * **content-based routing** — [`DhtCore::route`] delivers a payload to
 //!   the node currently responsible for a key in O(log N) hops (PIER sends
 //!   query plans this way);
-//! * **put/get** — [`DhtCore::put`] / [`DhtCore::get`] with replication,
-//!   TTLs and republishing (PIERSearch publishes `Item` and `Inverted`
-//!   tuples this way);
+//! * **put/get** — [`DhtCore::put`] / [`DhtCore::get`] with replication
+//!   and TTLs (PIERSearch publishes `Item` and `Inverted` tuples this way,
+//!   and keeps them alive by putting them again: stored values are soft
+//!   state, the core itself re-pushes nothing);
 //! * **churn handling** — k-bucket tables with liveness-checked eviction,
 //!   RPC timeouts, bucket refresh, and the join protocol.
 //!

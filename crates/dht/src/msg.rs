@@ -37,8 +37,8 @@ pub enum DhtMsg {
         origin: Contact,
     },
     /// Recursive (Bamboo-style) store: forwarded greedily to the owner,
-    /// which stores the value. Fire-and-forget — publishers rely on
-    /// periodic republishing for durability, as PIER's publisher does.
+    /// which stores the value. Fire-and-forget — durability is the
+    /// publisher's soft-state refresh loop (PIERSearch's `Publisher`).
     RouteStore {
         key: Key,
         value: Vec<u8>,

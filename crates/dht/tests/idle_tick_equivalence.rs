@@ -291,7 +291,7 @@ proptest! {
                 sim.with_actor_ctx::<Node, _>(src, |n, ctx| {
                     let mut net = pier_dht::CtxNet { ctx };
                     if is_put {
-                        n.core.put(&mut net, key, vec![k, j as u8], false);
+                        n.core.put(&mut net, key, vec![k, j as u8]);
                     } else {
                         n.core.get(&mut net, key);
                     }

@@ -58,8 +58,8 @@ fn put_then_get_from_any_node() {
     let key = Key::hash_str("led zeppelin iv");
     sim.with_actor_ctx::<Node, _>(ids[5], |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
-        node.core.put(&mut net, key, b"value-one".to_vec(), false);
-        node.core.put(&mut net, key, b"value-two".to_vec(), false);
+        node.core.put(&mut net, key, b"value-one".to_vec());
+        node.core.put(&mut net, key, b"value-two".to_vec());
     });
     sim.run_for(SimDuration::from_secs(20));
     {
@@ -131,7 +131,7 @@ fn survives_churn_with_replication() {
     let key = Key::hash_str("churn-resistant");
     sim.with_actor_ctx::<Node, _>(ids[1], |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
-        node.core.put(&mut net, key, b"precious".to_vec(), false);
+        node.core.put(&mut net, key, b"precious".to_vec());
     });
     sim.run_for(SimDuration::from_secs(20));
 
@@ -162,9 +162,10 @@ fn survives_churn_with_replication() {
 
 /// Session semantics under churn: a leaving holder takes its replica with
 /// it (storage cleared on `on_down`), so without republishing the value is
-/// simply gone — and a publisher-registered republish record restores it
-/// onto live nodes. The revived holder re-arms its maintenance tick and
-/// re-primes its table via a self-lookup.
+/// simply gone — and the publisher putting it again (what PIERSearch's
+/// soft-state refresh loop does each interval) restores it onto live
+/// nodes. The revived holder re-arms its maintenance tick and re-primes
+/// its table via a self-lookup.
 #[test]
 fn churned_holder_loses_replica_and_republish_restores_it() {
     let (mut sim, ids) = build_network(30, 21);
@@ -172,12 +173,13 @@ fn churned_holder_loses_replica_and_republish_restores_it() {
 
     let key = Key::hash_str("soft-state-posting");
     let publisher = ids[2];
-    // `put` with republish: the record re-publishes at half the value TTL
-    // (60 s under the test config's 120 s TTL).
-    sim.with_actor_ctx::<Node, _>(publisher, |node, ctx| {
-        let mut net = pier_dht::CtxNet { ctx };
-        node.core.put(&mut net, key, b"posting".to_vec(), true);
-    });
+    let put = |sim: &mut Sim<DhtMsg>| {
+        sim.with_actor_ctx::<Node, _>(publisher, |node, ctx| {
+            let mut net = pier_dht::CtxNet { ctx };
+            node.core.put(&mut net, key, b"posting".to_vec());
+        });
+    };
+    put(&mut sim);
     sim.run_for(SimDuration::from_secs(10));
 
     let holders = |sim: &Sim<DhtMsg>| -> Vec<NodeId> {
@@ -198,8 +200,8 @@ fn churned_holder_loses_replica_and_republish_restores_it() {
     let initial = holders(&sim);
     assert!(!initial.is_empty(), "the put must store somewhere");
 
-    // Every holder (except the publisher, whose republish record is the
-    // soft state under test) churns out: their replicas vanish.
+    // Every holder (except the publisher, whose refresh is the soft state
+    // under test) churns out: their replicas vanish.
     for &h in initial.iter().filter(|&&h| h != publisher) {
         sim.set_down(h);
         assert!(
@@ -207,9 +209,12 @@ fn churned_holder_loses_replica_and_republish_restores_it() {
             "a leaving node must drop its replicas"
         );
     }
-    // Within one republish interval the publisher re-stores onto live
-    // nodes; the revived ex-holders rejoin empty.
-    sim.run_for(SimDuration::from_secs(70));
+    // One refresh interval later (half the test config's 120 s TTL) the
+    // publisher puts again, onto live nodes; the revived ex-holders rejoin
+    // empty.
+    sim.run_for(SimDuration::from_secs(50));
+    put(&mut sim);
+    sim.run_for(SimDuration::from_secs(20));
     for &h in initial.iter().filter(|&&h| h != publisher) {
         sim.set_up(h);
     }
@@ -270,7 +275,7 @@ fn warm_start_matches_protocol_join_behaviour() {
     let key = Key::hash_str("warm");
     sim.with_actor_ctx::<Node, _>(ids[150], |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
-        node.core.put(&mut net, key, b"started".to_vec(), false);
+        node.core.put(&mut net, key, b"started".to_vec());
     });
     sim.run_for(SimDuration::from_secs(10));
     sim.with_actor_ctx::<Node, _>(ids[3], |node, ctx| {
@@ -330,7 +335,7 @@ fn scoped_lookup_emits_a_complete_dht_trace() {
     let key = Key::hash_str("traced value");
     sim.with_actor_ctx::<Node, _>(ids[4], |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
-        node.core.put(&mut net, key, b"v".to_vec(), false);
+        node.core.put(&mut net, key, b"v".to_vec());
     });
     sim.run_for(SimDuration::from_secs(20));
 

@@ -107,7 +107,7 @@ pub trait Actor<M> {
     ///
     /// Going down cancels every pending timer (epoch bump), so a revived
     /// node that does not re-arm its maintenance timers here silently loses
-    /// its republish/repair loops for the rest of the run. The default
+    /// its refresh/repair loops for the rest of the run. The default
     /// delegates to [`Actor::on_start`], which is the correct re-arm for
     /// actors whose startup is idempotent; override it when revival must
     /// differ from a cold start (e.g. re-joining an overlay through an

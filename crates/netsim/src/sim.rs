@@ -440,21 +440,11 @@ impl<M: Send + 'static> Sim<M> {
         }
     }
 
-    /// Number of kernel shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Install a kernel probe (see [`KernelProbe`]). Probes are strictly
     /// read-only observers: installing one cannot change any simulated
     /// outcome, only expose window/progress telemetry about it.
     pub fn set_probe(&mut self, probe: Arc<dyn KernelProbe>) {
         self.probe = Some(probe);
-    }
-
-    /// Remove the installed probe, restoring the hook-free hot paths.
-    pub fn clear_probe(&mut self) {
-        self.probe = None;
     }
 
     /// The shard a node would be (or was) assigned to: a fixed hash of the

@@ -151,14 +151,13 @@ impl PierCore {
         net: &mut dyn DhtNet,
         table: &str,
         tuple: &Tuple,
-        republish: bool,
     ) -> Result<usize, PublishError> {
         let def = self.catalog.get(table).ok_or(PublishError::NoSuchTable)?;
         def.schema.check(tuple).map_err(PublishError::Schema)?;
         let key = def.publish_key(tuple);
         let bytes = tuple.encode();
         let size = bytes.len();
-        dht.put_routed(net, key, bytes, republish);
+        dht.put_routed(net, key, bytes);
         net.count(crate::classes::PUBLISHED_TUPLES.id(), 1);
         net.count(crate::classes::PUBLISHED_BYTES.id(), size as u64);
         Ok(size)
@@ -182,7 +181,7 @@ impl PierCore {
         let key = def.publish_key(tuple);
         let bytes = tuple.encode();
         let size = bytes.len();
-        dht.put(net, key, bytes, false);
+        dht.put(net, key, bytes);
         net.count(crate::classes::PUBLISHED_TUPLES.id(), 1);
         net.count(crate::classes::PUBLISHED_BYTES.id(), size as u64);
         Ok(size)

@@ -48,9 +48,6 @@ struct SoftStateEntry {
 #[derive(Clone, Debug)]
 pub struct Publisher {
     pub mode: IndexMode,
-    /// Register each tuple with the DHT core's record-level republisher
-    /// (re-put at half the value TTL — the Bamboo-style default).
-    pub republish: bool,
     /// The §5 soft-state loop: when set, every published file is
     /// remembered and its full tuple set is re-published each interval
     /// (values carry the DHT's `value_ttl`; the interval must undercut
@@ -68,7 +65,6 @@ impl Publisher {
     pub fn new(mode: IndexMode) -> Self {
         Publisher {
             mode,
-            republish: false,
             refresh_interval: None,
             soft_state: Vec::new(),
             tracked: std::collections::HashSet::new(),
@@ -160,7 +156,7 @@ impl Publisher {
             if replicated {
                 pier.publish_replicated(dht, net, table, tuple).expect("tuple conforms");
             } else {
-                pier.publish(dht, net, table, tuple, self.republish).expect("tuple conforms");
+                pier.publish(dht, net, table, tuple).expect("tuple conforms");
             }
         };
         let item = record.to_tuple();
