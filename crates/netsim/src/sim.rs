@@ -1,7 +1,7 @@
 //! The simulation kernel: a sharded, deterministic discrete-event engine.
 //!
 //! Nodes partition across `S` shards by a fixed hash of their [`NodeId`].
-//! Each shard owns its own event heap, metrics, and struct-of-arrays node
+//! Each shard owns its own event queue, metrics, and struct-of-arrays node
 //! state (one packed liveness/epoch/sequence slot word plus an RNG stream
 //! per node). Shards advance in lockstep windows no wider than the minimum
 //! link latency ([`LatencyModel::min_latency`]): a message sent inside a
@@ -209,7 +209,7 @@ struct Router {
 }
 
 /// A cross-shard event in flight: pushed into the destination shard's
-/// mailbox during a window, drained into its heap at the next barrier. The
+/// mailbox during a window, drained into its queue at the next barrier. The
 /// intrinsic key travels with it, so no re-sequencing is needed on arrival.
 struct Mail<M> {
     key: EventKey,
@@ -233,7 +233,7 @@ struct Shard<M> {
     core: ShardCore<M>,
     actors: Vec<Box<dyn AnyActor<M>>>,
     /// Reused drain buffer for mailbox exchanges (keeps its capacity across
-    /// windows, like the event arena).
+    /// windows).
     scratch: Vec<Mail<M>>,
 }
 
@@ -303,16 +303,13 @@ impl<M: Send + 'static> Shard<M> {
 
     /// Process every queued event with `time < lim` (microseconds).
     fn run_window(&mut self, lim: u64, router: &Router, mailboxes: &[Mutex<Vec<Mail<M>>>]) {
-        while let Some(t) = self.core.queue.peek_time() {
-            if t.as_micros() >= lim {
-                break;
-            }
+        while self.core.queue.peek_key().is_some_and(|k| k.time.as_micros() < lim) {
             let (key, kind) = self.core.queue.pop().expect("peeked event vanished");
             self.dispatch(router, mailboxes, key, kind);
         }
     }
 
-    /// Move everything from this shard's mailbox into its heap.
+    /// Move everything from this shard's mailbox into its queue.
     fn drain_mailbox(&mut self, mailbox: &Mutex<Vec<Mail<M>>>) {
         {
             let mut inbox = mailbox.lock().expect("mailbox poisoned");
@@ -638,7 +635,7 @@ impl<M: Send + 'static> Sim<M> {
     /// the parallel path in tests.
     pub fn step(&mut self) -> bool {
         let mut best: Option<(usize, EventKey)> = None;
-        for (ix, shard) in self.shards.iter().enumerate() {
+        for (ix, shard) in self.shards.iter_mut().enumerate() {
             if let Some(k) = shard.core.queue.peek_key() {
                 if best.is_none_or(|(_, bk)| k < bk) {
                     best = Some((ix, k));
@@ -672,33 +669,7 @@ impl<M: Send + 'static> Sim<M> {
 
     /// Run until the event queue drains.
     pub fn run_until_quiescent(&mut self) {
-        if self.shards.len() == 1 {
-            let (router, mailboxes) = (&self.router, &self.mailboxes[..]);
-            let probe = self.probe.as_deref();
-            let shard = &mut self.shards[0];
-            match probe {
-                // The probe-free tight loop is the common hot path.
-                None => {
-                    while let Some((key, kind)) = shard.core.queue.pop() {
-                        shard.dispatch(router, mailboxes, key, kind);
-                    }
-                }
-                Some(p) => {
-                    let mut since = 0u64;
-                    while let Some((key, kind)) = shard.core.queue.pop() {
-                        shard.dispatch(router, mailboxes, key, kind);
-                        since += 1;
-                        if since >= PROGRESS_EVERY {
-                            since = 0;
-                            p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
-                        }
-                    }
-                    p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
-                }
-            }
-        } else {
-            self.run_windows(None);
-        }
+        self.run_loop(None);
         let end = self.shards.iter().map(|s| s.core.now).max().unwrap_or(self.clock);
         self.finish_run(end.max(self.clock));
     }
@@ -707,41 +678,7 @@ impl<M: Send + 'static> Sim<M> {
     /// are processed). The clock is advanced to `deadline` even if the queue
     /// drains earlier.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.shards.len() == 1 {
-            let (router, mailboxes) = (&self.router, &self.mailboxes[..]);
-            let probe = self.probe.as_deref();
-            let shard = &mut self.shards[0];
-            match probe {
-                // The probe-free tight loop is the common hot path.
-                None => {
-                    while let Some(t) = shard.core.queue.peek_time() {
-                        if t > deadline {
-                            break;
-                        }
-                        let (key, kind) = shard.core.queue.pop().expect("peeked event vanished");
-                        shard.dispatch(router, mailboxes, key, kind);
-                    }
-                }
-                Some(p) => {
-                    let mut since = 0u64;
-                    while let Some(t) = shard.core.queue.peek_time() {
-                        if t > deadline {
-                            break;
-                        }
-                        let (key, kind) = shard.core.queue.pop().expect("peeked event vanished");
-                        shard.dispatch(router, mailboxes, key, kind);
-                        since += 1;
-                        if since >= PROGRESS_EVERY {
-                            since = 0;
-                            p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
-                        }
-                    }
-                    p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
-                }
-            }
-        } else {
-            self.run_windows(Some(deadline));
-        }
+        self.run_loop(Some(deadline));
         self.finish_run(self.clock.max(deadline));
     }
 
@@ -757,7 +694,7 @@ impl<M: Send + 'static> Sim<M> {
     }
 
     /// Event-queue accounting summed across shards: pending events, peak
-    /// heap occupancy, and total events processed. `repro` divides
+    /// queue occupancy, and total events processed. `repro` divides
     /// `processed` by wall time to report events/sec per experiment.
     pub fn event_stats(&self) -> EventStats {
         let mut stats = EventStats::default();
@@ -790,10 +727,39 @@ impl<M: Send + 'static> Sim<M> {
             kernel += shard.scratch.capacity() * size_of::<Mail<M>>();
         }
         for mailbox in &self.mailboxes {
-            kernel += mailbox.lock().unwrap().capacity() * size_of::<Mail<M>>();
+            kernel += mailbox.lock().expect("mailbox poisoned").capacity() * size_of::<Mail<M>>();
         }
         kernel += self.router.locate.capacity() * size_of::<Loc>();
         crate::heap::MemStats { nodes, subsystems, kernel_bytes: kernel as u64 }
+    }
+
+    /// Dispatch every event up to `deadline` (all of them for `None`): in
+    /// lockstep windows with more than one shard, else on the caller's
+    /// thread with a probe heartbeat every [`PROGRESS_EVERY`] events and
+    /// once at the end.
+    fn run_loop(&mut self, deadline: Option<SimTime>) {
+        if self.shards.len() > 1 {
+            return self.run_windows(deadline);
+        }
+        let (router, mailboxes) = (&self.router, &self.mailboxes[..]);
+        let probe = self.probe.as_deref();
+        let shard = &mut self.shards[0];
+        let last = deadline.unwrap_or(SimTime::from_micros(u64::MAX));
+        let mut since = 0u64;
+        while shard.core.queue.peek_key().is_some_and(|k| k.time <= last) {
+            let (key, kind) = shard.core.queue.pop().expect("peeked event vanished");
+            shard.dispatch(router, mailboxes, key, kind);
+            since += 1;
+            if since == PROGRESS_EVERY {
+                since = 0;
+                if let Some(p) = probe {
+                    p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
+                }
+            }
+        }
+        if let Some(p) = probe {
+            p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
+        }
     }
 
     /// The conservative lockstep loop for `shards > 1`.
@@ -820,7 +786,7 @@ impl<M: Send + 'static> Sim<M> {
                 let (slots, barrier) = (&slots, &barrier);
                 scope.spawn(move || loop {
                     shard.drain_mailbox(&mailboxes[ix]);
-                    let next = shard.core.queue.peek_time().map_or(u64::MAX, SimTime::as_micros);
+                    let next = shard.core.queue.peek_key().map_or(u64::MAX, |k| k.time.as_micros());
                     slots[ix].store(next, Relaxed);
                     if let Some(p) = probe {
                         p.barrier_begin(shard.core.ix);
@@ -877,7 +843,7 @@ impl<M: Send + 'static> Sim<M> {
         self.refresh_merged();
     }
 
-    /// Move queued cross-shard sends into their destination heaps. Called
+    /// Move queued cross-shard sends into their destination queues. Called
     /// after sequential (driver-side) handler runs; the parallel loop
     /// drains per-worker instead.
     fn drain_all_mailboxes(&mut self) {
@@ -1266,6 +1232,158 @@ mod tests {
         assert_eq!(sim.metrics().total_messages, windowed.1);
     }
 
+    /// A relay node whose timers reach past the event queue's ≈ 1.05 s
+    /// ring: a 3 s tick that fires three times, a one-shot 45 s timer, and,
+    /// from the first 3 s tick on, eight 400 ms ticks that keep the ring
+    /// busy while the next 3 s tick moves in from beyond it. It counts
+    /// events dispatched to it out of time order, which a misfiled queue
+    /// entry would produce.
+    struct Sleeper {
+        n: u32,
+        received: u64,
+        ticks: u32,
+        chats: u32,
+        fired: u32,
+        last: SimTime,
+        backwards: u32,
+    }
+
+    impl Sleeper {
+        fn new(n: u32) -> Self {
+            Sleeper {
+                n,
+                received: 0,
+                ticks: 0,
+                chats: 0,
+                fired: 0,
+                last: SimTime::ZERO,
+                backwards: 0,
+            }
+        }
+
+        fn saw(&mut self, now: SimTime) {
+            self.backwards += u32::from(now < self.last);
+            self.last = now;
+        }
+    }
+
+    impl Actor<Hop> for Sleeper {
+        fn on_start(&mut self, ctx: &mut dyn Ctx<Hop>) {
+            self.saw(ctx.now());
+            let me = ctx.self_id().raw();
+            ctx.send(NodeId::new((me * 5 + 2) % self.n), Hop(3), 40, PING.id());
+            ctx.set_timer(SimDuration::from_secs(3), TimerToken(3));
+            ctx.set_timer(SimDuration::from_secs(45), TimerToken(45));
+        }
+        fn on_message(&mut self, ctx: &mut dyn Ctx<Hop>, _from: NodeId, Hop(ttl): Hop) {
+            self.saw(ctx.now());
+            self.received += 1;
+            if ttl > 0 {
+                use rand::Rng;
+                let next = ctx.rng().random_range(0..self.n);
+                ctx.send(NodeId::new(next), Hop(ttl - 1), 40, PONG.id());
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut dyn Ctx<Hop>, token: TimerToken) {
+            self.saw(ctx.now());
+            self.fired += 1;
+            let me = ctx.self_id().raw();
+            ctx.send(NodeId::new((me + 3) % self.n), Hop(2), 24, PING.id());
+            let chat = SimDuration::from_millis(400);
+            match token {
+                TimerToken(3) => {
+                    self.ticks += 1;
+                    if self.ticks == 1 {
+                        ctx.set_timer(chat, TimerToken(4));
+                    }
+                    if self.ticks < 3 {
+                        ctx.set_timer(SimDuration::from_secs(3), TimerToken(3));
+                    }
+                }
+                TimerToken(4) => {
+                    self.chats += 1;
+                    if self.chats < 8 {
+                        ctx.set_timer(chat, TimerToken(4));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The sleeper mesh: the opening flurry is over by ≈ 0.4 s, so the
+    /// `run_until` deadline at 1.5 s sits in an idle stretch whose far side
+    /// (the 3 s ticks) the deadline's peek has already carried every
+    /// shard's queue to; the injection from there lands behind that cursor.
+    /// The 6 s ticks join the ring while the 400 ms ticks keep it busy. A
+    /// node misses all of it while down and re-arms on revival, and the
+    /// 45 s timers end the run. Finishes by `step()` when `stepped`.
+    /// Returns the relay observables plus total timer fires and the
+    /// out-of-order dispatch count.
+    fn sleeper_run(shards: usize, stepped: bool) -> (RelayRun, u32, u32) {
+        const N: u32 = 19;
+        let cfg = SimConfig::with_seed(0xBEEF)
+            .latency(UniformLatency::new(
+                SimDuration::from_millis(20),
+                SimDuration::from_millis(80),
+            ))
+            .shards(shards);
+        let mut sim = Sim::new(cfg);
+        for _ in 0..N {
+            sim.add_node(Sleeper::new(N));
+        }
+        sim.run_until(SimTime::from_micros(1_500_000));
+        sim.with_actor_ctx::<Sleeper, _>(NodeId::new(2), |_, ctx| {
+            ctx.send(NodeId::new(11), Hop(6), 40, PING.id())
+        });
+        sim.set_down(NodeId::new(5));
+        sim.run_until(SimTime::from_micros(20_000_000));
+        sim.set_up(NodeId::new(5));
+        if stepped {
+            while sim.step() {}
+        } else {
+            sim.run_until_quiescent();
+        }
+        let mut counters: Vec<(&'static str, u64, u64)> =
+            sim.metrics().counters().map(|(c, v)| (c, v.count, v.bytes)).collect();
+        counters.sort_unstable();
+        let nodes: Vec<&Sleeper> = (0..N).map(|i| sim.actor::<Sleeper>(NodeId::new(i))).collect();
+        let received = nodes.iter().map(|s| s.received).sum();
+        let run = (
+            counters,
+            sim.metrics().total_messages,
+            sim.metrics().total_bytes,
+            sim.now(),
+            received,
+        );
+        (run, nodes.iter().map(|s| s.fired).sum(), nodes.iter().map(|s| s.backwards).sum())
+    }
+
+    /// Timers past the queue's horizon, a deadline inside an idle stretch
+    /// and an injection behind the queue's cursor: bit-identical at 1, 2
+    /// and 3 shards and under `step()`, every node fires all its timers
+    /// (node 5's re-armed on revival), and no node sees time run backwards.
+    ///
+    /// Planted bugs it catches: skipping the migration of heap events into
+    /// the ring, filing a push at or behind the cursor into the ring, an
+    /// occupancy bit left set on an opened bucket, and a heap top left
+    /// behind the run's front.
+    #[test]
+    fn timers_past_the_queue_horizon_are_shard_and_step_identical() {
+        let (base, fired, backwards) = sleeper_run(1, false);
+        assert!(base.1 > 200, "workload must generate real traffic");
+        assert_eq!(fired, 19 * 12, "per node: three 3 s, eight 400 ms and one 45 s timer");
+        assert_eq!(backwards, 0, "a node saw time run backwards");
+        assert!(base.3 > SimTime::from_micros(65_000_000), "node 5's revived 45 s timer ran");
+        for (shards, stepped) in [(2, false), (3, false), (1, true), (3, true)] {
+            assert_eq!(
+                sleeper_run(shards, stepped),
+                (base.clone(), fired, 0),
+                "shards={shards} stepped={stepped} diverged from shards=1"
+            );
+        }
+    }
+
     /// Cross-shard sends from a driver injection land and complete.
     #[test]
     fn with_actor_ctx_crosses_shards() {
@@ -1373,8 +1491,8 @@ mod tests {
         sim.run_until_quiescent();
         let grown = sim.mem_stats().kernel_bytes - before;
         // Vec growth doubles capacities, so the marginal cost per node is
-        // bounded by 2× the packed layout (plus slack for the event
-        // queue's retained arena, whose peak the first batch already set).
+        // bounded by 2× the packed layout (plus slack for the event queue's
+        // run buffer, whose size the first batch's starts already set).
         let bound = (2 * per_node * 1024 + 4096) as u64;
         assert!(grown <= bound, "kernel grew {grown} B for 1024 nodes (bound {bound})");
     }
