@@ -150,13 +150,14 @@ pub fn fig6(data: &MeasurementData) -> Table {
         "Figure 6: Result size CDF for queries ≤ 20 results (unions)",
         &["results_x", "u1_pct", "u_sixth_pct", "u_half_pct", "u_most_pct", "u_all_pct"],
     );
+    // Each vantage count's union sizes, computed once for all 21 rows.
+    let counts: Vec<Vec<usize>> = quarters
+        .iter()
+        .map(|&n| data.per_query.iter().map(|pv| union_results(pv, n.max(1)).len()).collect())
+        .collect();
     for x in 0..=20usize {
         let mut row = vec![s(x)];
-        for &n in &quarters {
-            let counts: Vec<usize> =
-                data.per_query.iter().map(|pv| union_results(pv, n.max(1)).len()).collect();
-            row.push(f(pct_at_most(&counts, x), 1));
-        }
+        row.extend(counts.iter().map(|c| f(pct_at_most(c, x), 1)));
         t.row(row);
     }
     t

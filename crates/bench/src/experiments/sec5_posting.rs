@@ -16,34 +16,31 @@ use std::collections::HashMap;
 
 /// Posting entries shipped for one query by the ordered SHJ chain:
 /// |L(1)| + |L(1)∩L(2)| + … + |∩ all| — lists are instance-level (every
-/// replica publishes its own fileID), intersected smallest-first.
-pub fn shipped_entries(catalog: &Catalog, q: &Query) -> u64 {
+/// replica publishes its own fileID), intersected smallest-first. The
+/// distinct-file lists are `eval`'s posting runs over `catalog`.
+pub fn shipped_entries(catalog: &Catalog, eval: &Evaluator, q: &Query) -> u64 {
     if q.terms.is_empty() {
         return 0;
-    }
-    // Distinct-file posting lists with instance weights.
-    let mut lists: Vec<Vec<u32>> = Vec::with_capacity(q.terms.len());
-    for t in &q.terms {
-        let mut l: Vec<u32> = (0..catalog.files.len() as u32)
-            .filter(|&i| catalog.files[i as usize].tokens.iter().any(|tok| tok == t))
-            .collect();
-        if l.is_empty() {
-            // The first stage scans an empty list: one empty stream.
-            return 0;
-        }
-        l.sort_unstable();
-        lists.push(std::mem::take(&mut l));
     }
     let weight = |files: &[u32]| -> u64 {
         files.iter().map(|&i| catalog.files[i as usize].replicas() as u64).sum()
     };
+    // Distinct-file posting lists with instance weights.
+    let mut lists: Vec<(u64, &[u32])> = Vec::with_capacity(q.terms.len());
+    for &t in &q.terms {
+        let Some(l) = eval.posting(t) else {
+            // The first stage scans an empty list: one empty stream.
+            return 0;
+        };
+        lists.push((weight(l), l));
+    }
     // Order by instance-weighted size, smallest first (the paper's
-    // optimization).
-    lists.sort_by_key(|l| weight(l));
-    let mut shipped = 0u64;
-    let mut current = lists[0].clone();
-    shipped += weight(&current);
-    for l in &lists[1..] {
+    // optimization); the sort is stable, so equal weights keep query order.
+    lists.sort_by_key(|&(w, _)| w);
+    let (first_weight, first) = lists[0];
+    let mut shipped = first_weight;
+    let mut current = first.to_vec();
+    for &(_, l) in &lists[1..] {
         current.retain(|x| l.binary_search(x).is_ok());
         shipped += weight(&current);
         if current.is_empty() {
@@ -93,8 +90,8 @@ fn replay_with_seeds(
         Scale::Quick | Scale::Sparse => (40_000usize, 7_000usize),
         // The paper's 700k files / 70k queries.
         Scale::Full => (700_000, 70_000),
-        // Twice the paper's corpus — the columnar posting store keeps this
-        // in memory comfortably.
+        // Twice the paper's corpus — the `Evaluator`'s CSR posting index
+        // keeps this in memory comfortably.
         Scale::Metro | Scale::MetroLite => (1_400_000, 140_000),
     };
     let stage = obs.phase("exp.sec5-posting.catalog");
@@ -124,7 +121,7 @@ fn replay_with_seeds(
     let mut by_bucket: HashMap<&'static str, (u64, u64)> = HashMap::new();
     for q in &trace.queries {
         let results = eval.eval(q).instances;
-        let shipped = shipped_entries(&catalog, q);
+        let shipped = shipped_entries(&catalog, &eval, q);
         all_ship += shipped;
         all_n += 1;
         if results <= 10 {
@@ -192,6 +189,7 @@ mod tests {
             seed: 1,
             ..Default::default()
         });
+        let eval = Evaluator::new(&catalog);
         // Single-term query: shipped = that term's instance-weighted list.
         let f0 = &catalog.files[0];
         let term = f0.tokens[0];
@@ -202,9 +200,9 @@ mod tests {
             .filter(|df| df.tokens.contains(&term))
             .map(|df| df.replicas() as u64)
             .sum();
-        assert_eq!(shipped_entries(&catalog, &q), manual);
+        assert_eq!(shipped_entries(&catalog, &eval, &q), manual);
         // Nonexistent term ships nothing.
         let qz = Query { terms: vec![pier_vocab::intern("zzznothing")] };
-        assert_eq!(shipped_entries(&catalog, &qz), 0);
+        assert_eq!(shipped_entries(&catalog, &eval, &qz), 0);
     }
 }

@@ -19,9 +19,9 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 /// Handle for correlating asynchronous DHT operations with their events.
 pub type OpId = u64;
 
-/// How the core reaches the network. Implemented by thin adapters over
-/// `pier_netsim::Ctx` (see [`crate::node::CtxNet`]) or over union message
-/// types in the hybrid crate.
+/// How the core reaches the network. Implemented over `pier_netsim::Ctx`
+/// by [`crate::node::CtxNet`], for `DhtMsg` itself or any union message
+/// type that wraps it (the hybrid network's).
 pub trait DhtNet {
     fn now(&self) -> SimTime;
     fn self_node(&self) -> NodeId;

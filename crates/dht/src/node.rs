@@ -34,12 +34,14 @@ impl DhtApp for NullApp {
     fn on_event(&mut self, _dht: &mut DhtCore, _net: &mut dyn DhtNet, _event: DhtEvent) {}
 }
 
-/// Adapter from a plain `Ctx<DhtMsg>` to [`DhtNet`].
-pub struct CtxNet<'a> {
-    pub ctx: &'a mut dyn Ctx<DhtMsg>,
+/// Adapter from a `Ctx<M>` to [`DhtNet`], for any message type `M` that can
+/// wrap a [`DhtMsg`]: a plain DHT simulation, or a union network where DHT
+/// traffic travels beside other protocols'.
+pub struct CtxNet<'a, M = DhtMsg> {
+    pub ctx: &'a mut dyn Ctx<M>,
 }
 
-impl DhtNet for CtxNet<'_> {
+impl<M: From<DhtMsg>> DhtNet for CtxNet<'_, M> {
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
@@ -50,7 +52,7 @@ impl DhtNet for CtxNet<'_> {
         self.ctx.rng()
     }
     fn send_dht(&mut self, dst: NodeId, msg: DhtMsg, wire_bytes: usize, class: MetricClass) {
-        self.ctx.send(dst, msg, wire_bytes, class);
+        self.ctx.send(dst, M::from(msg), wire_bytes, class);
     }
     fn count(&mut self, class: MetricClass, n: u64) {
         self.ctx.count(class, n);

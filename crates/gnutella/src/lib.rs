@@ -17,7 +17,8 @@
 //! Protocol logic lives in I/O-free cores ([`UltrapeerCore`], [`LeafCore`])
 //! driven through [`GnutellaNet`], so the hybrid crate can embed a Gnutella
 //! ultrapeer and a DHT/PIER stack in one node — the paper's hybrid
-//! ultrapeer (§7).
+//! ultrapeer (§7). The stock actors ([`UltrapeerNode`], [`LeafNode`]) are
+//! that network's installed base too (see [`GnutellaCarrier`]).
 
 mod bloom;
 pub mod classes;
@@ -39,7 +40,7 @@ pub use crawl::{CrawlGraph, Crawler};
 pub use files::{tokenize, FileId, FileMeta, FileStore, ShareCatalog};
 pub use leaf::{LeafCore, LeafSearch};
 pub use msg::{GnutellaMsg, Guid, Hit, HEADER_BYTES};
-pub use net::{CtxGnutellaNet, GnutellaNet};
+pub use net::{CtxGnutellaNet, GnutellaCarrier, GnutellaNet};
 pub use node::{LeafNode, UltrapeerNode, UP_TICK};
 pub use pier_vocab::{TermId, Terms};
 pub use topology::{spawn, spawn_stores, GnutellaHandles, Topology, TopologyConfig, UpLeaves};

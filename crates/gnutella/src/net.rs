@@ -1,5 +1,8 @@
 //! The network interface Gnutella cores are written against, mirroring
-//! `pier_dht::DhtNet` so both protocol stacks can share one actor.
+//! `pier_dht::DhtNet` so both protocol stacks can share one actor, and the
+//! one adapter from a simulator context to it. The adapter and the stock
+//! actors also run on a union message type (the hybrid network's) that
+//! implements [`GnutellaCarrier`].
 
 use crate::msg::GnutellaMsg;
 use pier_netsim::{Ctx, MetricClass, NodeId, SimRng, SimTime};
@@ -15,13 +18,29 @@ pub trait GnutellaNet {
     fn observe(&mut self, class: MetricClass, value: f64);
 }
 
-/// Adapter for actors whose simulation message type is exactly
-/// [`GnutellaMsg`].
-pub struct CtxGnutellaNet<'a> {
-    pub ctx: &'a mut dyn Ctx<GnutellaMsg>,
+/// A simulation message type that carries Gnutella traffic, possibly beside
+/// other protocols'. The stock [`crate::UltrapeerNode`] and
+/// [`crate::LeafNode`] run on any carrier.
+pub trait GnutellaCarrier: From<GnutellaMsg> {
+    /// The Gnutella message inside, or the metric class under which a
+    /// Gnutella-only node counts (and then drops) another protocol's
+    /// message.
+    fn into_gnutella(self) -> Result<GnutellaMsg, MetricClass>;
 }
 
-impl GnutellaNet for CtxGnutellaNet<'_> {
+impl GnutellaCarrier for GnutellaMsg {
+    fn into_gnutella(self) -> Result<GnutellaMsg, MetricClass> {
+        Ok(self)
+    }
+}
+
+/// Adapter from a `Ctx<M>` to [`GnutellaNet`], for any message type `M`
+/// that can wrap a [`GnutellaMsg`].
+pub struct CtxGnutellaNet<'a, M = GnutellaMsg> {
+    pub ctx: &'a mut dyn Ctx<M>,
+}
+
+impl<M: From<GnutellaMsg>> GnutellaNet for CtxGnutellaNet<'_, M> {
     fn now(&self) -> SimTime {
         self.ctx.now()
     }
@@ -34,7 +53,7 @@ impl GnutellaNet for CtxGnutellaNet<'_> {
     fn send(&mut self, dst: NodeId, msg: GnutellaMsg) {
         let size = msg.wire_size();
         let class = msg.class();
-        self.ctx.send(dst, msg, size, class);
+        self.ctx.send(dst, M::from(msg), size, class);
     }
     fn count(&mut self, class: MetricClass, n: u64) {
         self.ctx.count(class, n);

@@ -1,8 +1,9 @@
-//! Simulator actors wrapping the protocol cores.
+//! Simulator actors wrapping the protocol cores. Both run on any
+//! [`GnutellaCarrier`] message type: on a plain Gnutella simulation, and as
+//! the stock installed base of a network that also carries other protocols.
 
 use crate::leaf::LeafCore;
-use crate::msg::GnutellaMsg;
-use crate::net::CtxGnutellaNet;
+use crate::net::{CtxGnutellaNet, GnutellaCarrier};
 use crate::ultrapeer::UltrapeerCore;
 use pier_netsim::{Actor, Ctx, NodeId, TimerToken};
 
@@ -20,17 +21,19 @@ impl UltrapeerNode {
     }
 }
 
-impl Actor<GnutellaMsg> for UltrapeerNode {
-    fn on_start(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>) {
+impl<M: GnutellaCarrier> Actor<M> for UltrapeerNode {
+    fn on_start(&mut self, ctx: &mut dyn Ctx<M>) {
         ctx.set_timer(self.core.cfg.tick, UP_TICK);
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>, from: NodeId, msg: GnutellaMsg) {
-        let mut net = CtxGnutellaNet { ctx };
-        self.core.on_message(&mut net, from, msg);
+    fn on_message(&mut self, ctx: &mut dyn Ctx<M>, from: NodeId, msg: M) {
+        match msg.into_gnutella() {
+            Ok(msg) => self.core.on_message(&mut CtxGnutellaNet { ctx }, from, msg),
+            Err(class) => ctx.count(class, 1),
+        }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>, token: TimerToken) {
+    fn on_timer(&mut self, ctx: &mut dyn Ctx<M>, token: TimerToken) {
         if token == UP_TICK {
             ctx.set_timer(self.core.cfg.tick, UP_TICK);
             let mut net = CtxGnutellaNet { ctx };
@@ -38,7 +41,7 @@ impl Actor<GnutellaMsg> for UltrapeerNode {
         }
     }
 
-    fn on_down(&mut self, _ctx: &mut dyn Ctx<GnutellaMsg>) {
+    fn on_down(&mut self, _ctx: &mut dyn Ctx<M>) {
         self.core.end_session();
     }
 
@@ -58,18 +61,20 @@ impl LeafNode {
     }
 }
 
-impl Actor<GnutellaMsg> for LeafNode {
-    fn on_start(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>) {
+impl<M: GnutellaCarrier> Actor<M> for LeafNode {
+    fn on_start(&mut self, ctx: &mut dyn Ctx<M>) {
         let mut net = CtxGnutellaNet { ctx };
         self.core.publish_qrp(&mut net);
     }
 
-    fn on_message(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>, from: NodeId, msg: GnutellaMsg) {
-        let mut net = CtxGnutellaNet { ctx };
-        self.core.on_message(&mut net, from, msg);
+    fn on_message(&mut self, ctx: &mut dyn Ctx<M>, from: NodeId, msg: M) {
+        match msg.into_gnutella() {
+            Ok(msg) => self.core.on_message(&mut CtxGnutellaNet { ctx }, from, msg),
+            Err(class) => ctx.count(class, 1),
+        }
     }
 
-    fn on_timer(&mut self, _ctx: &mut dyn Ctx<GnutellaMsg>, _token: TimerToken) {}
+    fn on_timer(&mut self, _ctx: &mut dyn Ctx<M>, _token: TimerToken) {}
 
     fn mem_stats(&self, acc: &mut pier_netsim::MemAcc) {
         self.core.mem_stats(acc);

@@ -1,14 +1,16 @@
 //! Deployment builder: a Gnutella network in which the first `hybrid_ups`
 //! ultrapeers are upgraded to hybrid clients that additionally form a DHT
 //! overlay among themselves — the paper's fifty-node PlanetLab deployment
-//! (§7), backward-compatible with the plain installed base.
+//! (§7), backward-compatible with the plain installed base: every other
+//! node is a stock `UltrapeerNode` / `LeafNode`.
 
 use crate::msg::HybridMsg;
-use crate::plain::{PlainLeaf, PlainUp};
 use crate::rare::RareScheme;
 use crate::ultrapeer::{HybridConfig, HybridUp};
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore};
-use pier_gnutella::{FileMeta, FileStore, LeafConfig, LeafCore, Topology, UltrapeerCore};
+use pier_gnutella::{
+    FileMeta, FileStore, LeafConfig, LeafCore, LeafNode, Topology, UltrapeerCore, UltrapeerNode,
+};
 use pier_netsim::{NodeId, Sim};
 
 /// What to build.
@@ -68,7 +70,7 @@ pub fn spawn(
             debug_assert_eq!(id, up_id(i));
             hybrid_ups.push(id);
         } else {
-            let id = sim.add_node(PlainUp::new(core));
+            let id = sim.add_node(UltrapeerNode::new(core));
             debug_assert_eq!(id, up_id(i));
             plain_ups.push(id);
         }
@@ -78,7 +80,7 @@ pub fn spawn(
     for (j, files) in leaf_files.into_iter().enumerate() {
         let mut core = LeafCore::new(LeafConfig::default(), FileStore::new(files));
         core.set_ultrapeers(topo.leaf_homes[j].iter().map(|&u| up_id(u)).collect());
-        let id = sim.add_node(PlainLeaf::new(core));
+        let id = sim.add_node(LeafNode::new(core));
         debug_assert_eq!(id, leaf_id(j));
         leaves.push(id);
     }

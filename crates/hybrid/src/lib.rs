@@ -16,15 +16,17 @@
 //! * [`deploy::spawn`] assembles the §7 partial deployment: a handful of
 //!   hybrid ultrapeers inside a stock Gnutella network, with the hybrid
 //!   subset forming its own DHT overlay.
+//!
+//! [`HybridMsg`] wraps both protocols' messages, so [`HybridUp`] uses the
+//! stock adapters (`CtxGnutellaNet`, `CtxNet`) and the installed base is
+//! Gnutella's own `UltrapeerNode` / `LeafNode`.
 
 pub mod classes;
 pub mod deploy;
 mod msg;
-mod plain;
 pub mod rare;
 mod ultrapeer;
 
 pub use msg::HybridMsg;
-pub use plain::{PlainLeaf, PlainUp, PLAIN_TICK};
 pub use rare::{ObservedItem, RareScheme};
-pub use ultrapeer::{DNet, GNet, HybridConfig, HybridQueryStats, HybridUp, D_TICK, G_TICK, H_TICK};
+pub use ultrapeer::{HybridConfig, HybridQueryStats, HybridUp, D_TICK, G_TICK, H_TICK};

@@ -10,11 +10,12 @@
 
 use crate::msg::HybridMsg;
 use crate::rare::{ObservedItem, RareScheme};
-use pier_dht::{DhtCore, DhtMsg, DhtNet, Key};
+use pier_dht::{CtxNet, DhtCore, Key};
 use pier_gnutella::{
-    FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, SnoopEvent, UltrapeerCore,
+    CtxGnutellaNet, FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, SnoopEvent,
+    UltrapeerCore,
 };
-use pier_netsim::{Actor, Ctx, MetricClass, NodeId, SimDuration, SimRng, SimTime, TimerToken};
+use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
 use pier_qp::{PierConfig, PierCore, PierEvent, QueryId};
 use pier_trace::{TraceHandle, TraceId, TraceKind};
 use pier_vocab::Terms;
@@ -116,12 +117,11 @@ pub struct HybridUp {
 impl HybridUp {
     pub fn new(
         cfg: HybridConfig,
-        gnutella: UltrapeerCore,
+        mut gnutella: UltrapeerCore,
         dht: DhtCore,
         scheme: RareScheme,
     ) -> Self {
-        let mut g = gnutella;
-        g.snoop = true;
+        gnutella.snoop = true;
         let engine = SearchEngine::new(SearchConfig {
             mode: cfg.index_mode,
             timeout: SimDuration::from_secs(60),
@@ -132,7 +132,7 @@ impl HybridUp {
             pier: PierCore::new(PierConfig::default(), piersearch::catalog()),
             engine,
             cfg,
-            gnutella: g,
+            gnutella,
             dht,
             scheme,
             queries: Vec::new(),
@@ -163,7 +163,7 @@ impl HybridUp {
         terms: impl Into<Terms>,
     ) -> usize {
         let terms: Terms = terms.into();
-        let mut gnet = GNet { ctx };
+        let mut gnet = CtxGnutellaNet { ctx };
         let guid = self.gnutella.start_query(&mut gnet, terms.clone(), QueryOrigin::Driver);
         self.track(guid, terms, ctx.now(), None)
     }
@@ -260,7 +260,7 @@ impl HybridUp {
         // Rate-limited publishing.
         if now >= self.next_publish_at {
             if let Some(item) = self.publish_queue.pop_front() {
-                let mut dnet = DNet { ctx };
+                let mut dnet = CtxNet { ctx };
                 self.publisher.publish_file(
                     &mut self.pier,
                     &mut self.dht,
@@ -302,7 +302,7 @@ impl HybridUp {
                         // Attribute the fallback's DHT lookups to the query.
                         self.dht.trace_scope(t);
                     }
-                    let mut dnet = DNet { ctx };
+                    let mut dnet = CtxNet { ctx };
                     let sid =
                         self.engine.start_search(&mut self.pier, &mut self.dht, &mut dnet, terms);
                     if let Some(t) = traced {
@@ -349,7 +349,7 @@ impl HybridUp {
                         .iter()
                         .map(|i| Hit { file: FileMeta::new(&i.filename, i.filesize), host: i.host })
                         .collect();
-                    let mut gnet = GNet { ctx };
+                    let mut gnet = CtxGnutellaNet { ctx };
                     gnet.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: true });
                 }
             }
@@ -360,7 +360,7 @@ impl HybridUp {
     /// Forward PIER client events into the search engine. Result batches
     /// for a *traced* search trigger item fetches (`dht.get`); those
     /// lookups get the same trace attribution as the original search.
-    fn pump_pier_events(&mut self, dnet: &mut DNet) {
+    fn pump_pier_events(&mut self, dnet: &mut CtxNet<HybridMsg>) {
         for pe in self.pier.take_events() {
             let qid = match &pe {
                 PierEvent::Results { qid, .. } | PierEvent::Done { qid, .. } => *qid,
@@ -383,7 +383,7 @@ impl HybridUp {
                 break;
             }
             for ev in events {
-                let mut dnet = DNet { ctx };
+                let mut dnet = CtxNet { ctx };
                 let consumed = self.pier.on_dht_event(&mut self.dht, &mut dnet, &ev);
                 self.pump_pier_events(&mut dnet);
                 if !consumed {
@@ -392,60 +392,6 @@ impl HybridUp {
             }
         }
         self.drain_engine(ctx);
-    }
-}
-
-/// `GnutellaNet` over the union message type.
-pub struct GNet<'a> {
-    pub ctx: &'a mut dyn Ctx<HybridMsg>,
-}
-
-impl GnutellaNet for GNet<'_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-    fn self_node(&self) -> NodeId {
-        self.ctx.self_id()
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        self.ctx.rng()
-    }
-    fn send(&mut self, dst: NodeId, msg: GnutellaMsg) {
-        let size = msg.wire_size();
-        let class = msg.class();
-        self.ctx.send(dst, HybridMsg::G(msg), size, class);
-    }
-    fn count(&mut self, class: MetricClass, n: u64) {
-        self.ctx.count(class, n);
-    }
-    fn observe(&mut self, class: MetricClass, value: f64) {
-        self.ctx.observe(class, value);
-    }
-}
-
-/// `DhtNet` over the union message type.
-pub struct DNet<'a> {
-    pub ctx: &'a mut dyn Ctx<HybridMsg>,
-}
-
-impl DhtNet for DNet<'_> {
-    fn now(&self) -> SimTime {
-        self.ctx.now()
-    }
-    fn self_node(&self) -> NodeId {
-        self.ctx.self_id()
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        self.ctx.rng()
-    }
-    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg, wire_bytes: usize, class: MetricClass) {
-        self.ctx.send(dst, HybridMsg::D(msg), wire_bytes, class);
-    }
-    fn count(&mut self, class: MetricClass, n: u64) {
-        self.ctx.count(class, n);
-    }
-    fn observe(&mut self, class: MetricClass, value: f64) {
-        self.ctx.observe(class, value);
     }
 }
 
@@ -467,9 +413,8 @@ impl Actor<HybridMsg> for HybridUp {
         ctx.set_timer(self.dht.config().tick, D_TICK);
         ctx.set_timer(self.cfg.tick, H_TICK);
         if self.cfg.browse_leaves {
-            let leaves: Vec<NodeId> = self.gnutella.leaves().collect();
-            let mut gnet = GNet { ctx };
-            for leaf in leaves {
+            let mut gnet = CtxGnutellaNet { ctx };
+            for leaf in self.gnutella.leaves() {
                 gnet.send(leaf, GnutellaMsg::BrowseHost);
             }
         }
@@ -493,7 +438,7 @@ impl Actor<HybridMsg> for HybridUp {
             HybridMsg::G(GnutellaMsg::LeafQuery { qid, terms }) => {
                 // Start the Gnutella search *and* hybrid tracking.
                 let now = ctx.now();
-                let mut gnet = GNet { ctx };
+                let mut gnet = CtxGnutellaNet { ctx };
                 let guid = self.gnutella.start_query(
                     &mut gnet,
                     terms.clone(),
@@ -502,14 +447,11 @@ impl Actor<HybridMsg> for HybridUp {
                 self.track(guid, terms, now, Some((from, qid)));
             }
             HybridMsg::G(g) => {
-                let mut gnet = GNet { ctx };
-                self.gnutella.on_message(&mut gnet, from, g);
-                let now = ctx.now();
-                self.drain_snooped(now);
+                self.gnutella.on_message(&mut CtxGnutellaNet { ctx }, from, g);
+                self.drain_snooped(ctx.now());
             }
             HybridMsg::D(d) => {
-                let mut dnet = DNet { ctx };
-                self.dht.on_message(&mut dnet, d);
+                self.dht.on_message(&mut CtxNet { ctx }, d);
                 self.drain_dht_events(ctx);
             }
         }
@@ -519,19 +461,16 @@ impl Actor<HybridMsg> for HybridUp {
         match token {
             G_TICK => {
                 ctx.set_timer(self.gnutella.cfg.tick, G_TICK);
-                let mut gnet = GNet { ctx };
-                self.gnutella.tick(&mut gnet);
+                self.gnutella.tick(&mut CtxGnutellaNet { ctx });
             }
             D_TICK => {
                 ctx.set_timer(self.dht.config().tick, D_TICK);
-                {
-                    let mut dnet = DNet { ctx };
-                    self.dht.tick(&mut dnet);
-                    self.pier.tick(&mut self.dht, &mut dnet);
-                    self.publisher.tick(&mut self.pier, &mut self.dht, &mut dnet);
-                    self.pump_pier_events(&mut dnet);
-                    self.engine.tick(&mut dnet);
-                }
+                let mut dnet = CtxNet { ctx };
+                self.dht.tick(&mut dnet);
+                self.pier.tick(&mut self.dht, &mut dnet);
+                self.publisher.tick(&mut self.pier, &mut self.dht, &mut dnet);
+                self.pump_pier_events(&mut dnet);
+                self.engine.tick(&mut dnet);
                 self.drain_dht_events(ctx);
             }
             H_TICK => {
@@ -556,8 +495,7 @@ impl Actor<HybridMsg> for HybridUp {
     /// mirroring a reconnecting proxy re-pulling its leaves' shares.
     fn on_revive(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
         self.on_start(ctx);
-        let mut dnet = DNet { ctx };
-        self.dht.revive(&mut dnet);
+        self.dht.revive(&mut CtxNet { ctx });
         self.drain_dht_events(ctx);
     }
 }

@@ -84,7 +84,7 @@ fn rare_query_falls_through_to_piersearch() {
     if !indexed {
         let up0 = net.deployment.hybrid_ups[0];
         net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
-            let mut dnet = pier_hybrid::DNet { ctx };
+            let mut dnet = pier_dht::CtxNet { ctx };
             up.publisher.publish_file(
                 &mut up.pier,
                 &mut up.dht,
@@ -101,7 +101,7 @@ fn rare_query_falls_through_to_piersearch() {
         // leaves of hybrid UPs; leaf 799 might be attached to plain UPs).
         let up0 = net.deployment.hybrid_ups[0];
         net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
-            let mut dnet = pier_hybrid::DNet { ctx };
+            let mut dnet = pier_dht::CtxNet { ctx };
             up.publisher.publish_file(
                 &mut up.pier,
                 &mut up.dht,
@@ -172,11 +172,11 @@ fn leaf_queries_get_hybrid_treatment() {
         .leaves
         .iter()
         .find(|&&leaf| {
-            net.sim.actor::<pier_hybrid::PlainLeaf>(leaf).core.ultrapeers().first() == Some(&up0)
+            net.sim.actor::<pier_gnutella::LeafNode>(leaf).core.ultrapeers().first() == Some(&up0)
         })
         .expect("some leaf has the hybrid UP as its primary");
     net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
-        let mut dnet = pier_hybrid::DNet { ctx };
+        let mut dnet = pier_dht::CtxNet { ctx };
         up.publisher.publish_file(
             &mut up.pier,
             &mut up.dht,
@@ -189,13 +189,13 @@ fn leaf_queries_get_hybrid_treatment() {
     });
     net.sim.run_for(SimDuration::from_secs(10));
 
-    let qid = net.sim.with_actor_ctx::<pier_hybrid::PlainLeaf, _>(probe_leaf, |leaf, ctx| {
-        let mut gnet = pier_hybrid::GNet { ctx };
+    let qid = net.sim.with_actor_ctx::<pier_gnutella::LeafNode, _>(probe_leaf, |leaf, ctx| {
+        let mut gnet = pier_gnutella::CtxGnutellaNet { ctx };
         leaf.core.start_search(&mut gnet, "ghost release promo")
     });
     net.sim.run_for(SimDuration::from_secs(90));
 
-    let leaf = net.sim.actor::<pier_hybrid::PlainLeaf>(probe_leaf);
+    let leaf = net.sim.actor::<pier_gnutella::LeafNode>(probe_leaf);
     let search = leaf.core.search(qid).expect("registered");
     assert!(search.done, "leaf must hear completion");
     assert_eq!(search.hits.len(), 1, "the DHT-indexed item must reach the leaf");
@@ -215,7 +215,7 @@ fn traced_fallback_emits_pier_and_dht_events() {
     let up0 = net.deployment.hybrid_ups[0];
     let phantom_host = net.deployment.leaves[3];
     net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
-        let mut dnet = pier_hybrid::DNet { ctx };
+        let mut dnet = pier_dht::CtxNet { ctx };
         up.publisher.publish_file(
             &mut up.pier,
             &mut up.dht,
@@ -270,4 +270,69 @@ fn traced_fallback_emits_pier_and_dht_events() {
     let done_at = events.iter().find(|e| e.kind == TraceKind::PierDone).unwrap().at_us;
     let fb_at = events.iter().find(|e| e.kind == TraceKind::PierFallback).unwrap().at_us;
     assert!(fb_at < done_at, "fallback precedes completion");
+}
+
+/// The installed base is Gnutella's own actors. DHT traffic that reaches a
+/// stock ultrapeer or leaf is counted under `hybrid.dht_msg_to_plain_node`
+/// and dropped: no reply, no other counter. The same deployment's heap
+/// accounting covers every node, the stock ones included.
+#[test]
+fn stock_nodes_count_dht_traffic_and_report_their_heap() {
+    use pier_dht::{Contact, CtxNet, DhtMsg, DhtNet, Request};
+    use pier_gnutella::{LeafNode, UltrapeerNode};
+    use pier_netsim::{Actor, MemAcc, NodeId};
+
+    // One hybrid ultrapeer that neither browses its leaves nor queries:
+    // once the leaves' QRP tables are in, nothing else is sent.
+    let cfg = SimConfig::with_seed(86)
+        .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)));
+    let mut sim = Sim::new(cfg);
+    let topo = Topology::generate(&TopologyConfig {
+        ultrapeers: 6,
+        leaves: 30,
+        old_style_fraction: 0.25,
+        leaf_ups: 2,
+        seed: 86,
+    });
+    let leaf_files = (0..30).map(|j| vec![FileMeta::new(&format!("track_{j}.mp3"), 9)]).collect();
+    let dcfg = deploy::DeploymentConfig {
+        hybrid_ups: 1,
+        hybrid: HybridConfig { browse_leaves: false, ..Default::default() },
+        dht: DhtConfig::test(),
+    };
+    let deployment = deploy::spawn(&mut sim, &topo, leaf_files, &dcfg, |_| RareScheme::sam(3));
+    sim.run_for(SimDuration::from_secs(5));
+
+    let hybrid = deployment.hybrid_ups[0];
+    let ping = DhtMsg::Request { id: 1, from: Contact::for_node(hybrid), body: Request::Ping };
+    let send_ping = |sim: &mut Sim<HybridMsg>, dst: NodeId| {
+        let before = sim.metrics().snapshot();
+        sim.with_actor_ctx::<HybridUp, _>(hybrid, |_, ctx| {
+            CtxNet { ctx }.send_dht(dst, ping.clone(), 40, ping.class());
+        });
+        sim.run_for(SimDuration::from_millis(100));
+        sim.metrics().snapshot().diff(&before).counters().collect::<Vec<_>>()
+    };
+    for dst in [deployment.plain_ups[0], deployment.leaves[0]] {
+        let delta = send_ping(&mut sim, dst);
+        let names: Vec<(&str, u64)> = delta.iter().map(|(n, c)| (*n, c.count)).collect();
+        assert_eq!(
+            names,
+            [("dht.req.ping", 1), ("hybrid.dht_msg_to_plain_node", 1)],
+            "a DHT message to stock node {dst} is its one send and one drop count"
+        );
+    }
+
+    // `Sim::mem_stats` is the sum of every node's own accounting.
+    let mut want = MemAcc::new();
+    Actor::<HybridMsg>::mem_stats(sim.actor::<HybridUp>(hybrid), &mut want);
+    for &up in &deployment.plain_ups {
+        sim.actor::<UltrapeerNode>(up).core.mem_stats(&mut want);
+    }
+    for &leaf in &deployment.leaves {
+        sim.actor::<LeafNode>(leaf).core.mem_stats(&mut want);
+    }
+    let got = sim.mem_stats().subsystems;
+    assert!(want.get("leaf.share") > 0 && want.get("up.topology") > 0);
+    assert_eq!(got.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>());
 }

@@ -17,8 +17,8 @@
 //!
 //! The engine ([`PierCore`]) is I/O-free and composes with [`pier_dht`]'s
 //! `DhtCore` inside any actor; [`PierNode`] is the ready-made standalone
-//! actor. Local operators (selection, projection, hash joins, aggregation)
-//! live in [`ops`] and are reused by the offline trace-replay experiments.
+//! actor. Reference local operators (selection, projection, hash joins,
+//! aggregation) live in [`ops`]; the engine does not call them.
 
 mod catalog;
 pub mod classes;

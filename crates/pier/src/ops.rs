@@ -1,8 +1,10 @@
-//! Local (single-site) relational operators.
+//! Local (single-site) relational operators, as reference implementations.
 //!
-//! The distributed engine composes these inside each stage; the offline
-//! trace-replay harness (the §5 posting-list experiment) uses them directly.
-//! The centrepiece is [`SymmetricHashJoin`], the operator PIER uses for
+//! Neither the distributed engine nor the experiments call them: `PierCore`
+//! scans, joins and projects inline in each stage, and the §5 posting-list
+//! replay intersects the workload `Evaluator`'s posting runs. They are
+//! exercised by this module's tests and `tests/proptests.rs`. The
+//! centrepiece is [`SymmetricHashJoin`], the operator PIER uses for
 //! distributed keyword joins (§3.2).
 
 use crate::expr::Expr;
@@ -71,8 +73,8 @@ pub struct SymmetricHashJoin {
     right_col: usize,
     left_table: HashMap<Value, Vec<Tuple>>,
     right_table: HashMap<Value, Vec<Tuple>>,
-    /// Tuples inserted (both sides) — the "posting list entries processed"
-    /// statistic of the §5 experiment.
+    /// Tuples inserted (both sides): the posting-list entries this join
+    /// processed.
     pub inserted: u64,
 }
 

@@ -65,7 +65,7 @@ fn main() {
     // it (the paper's QRS path).
     let rare_leaf = deployment.leaves[2_399];
     sim.with_actor_ctx::<HybridUp, _>(deployment.hybrid_ups[0], |up, ctx| {
-        let mut dnet = pier_p2p::hybrid::DNet { ctx };
+        let mut dnet = pier_p2p::dht::CtxNet { ctx };
         up.publisher.publish_file(
             &mut up.pier,
             &mut up.dht,

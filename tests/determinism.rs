@@ -130,6 +130,38 @@ fn figs4to7_quick_summary_matches_golden_values() {
     }
 }
 
+/// Golden pins for the §7 deployment's quick-scale trial at the default
+/// seed: the whole hybrid stack (hybrid ultrapeers, stock Gnutella
+/// ultrapeers and leaves, DHT, PIER, PIERSearch) on one union network,
+/// plus the two micro-cost DHTs. Pure refactors of any of those layers
+/// must reproduce every statistic, and the kernel's event count, bit for
+/// bit. A legitimate behaviour change must update the pins and say why.
+#[test]
+fn sec7_deploy_quick_summary_matches_golden_values() {
+    use pier_bench::experiments::sec7_deploy;
+    use pier_bench::lab::DEFAULT_SEED;
+    use pier_bench::Scale;
+
+    let summary = sec7_deploy::trial(Scale::Quick, DEFAULT_SEED, 1);
+    let golden: [(&str, f64); 10] = [
+        ("zero_result_reduction_pct", 4.761904761904762),
+        ("avg_gnutella_first_s", 0.8689863535353539),
+        ("avg_pier_exec_s", 0.407182),
+        ("publish_bytes_plain", 1369.6833333333334),
+        ("publish_bytes_cache", 1636.5333333333333),
+        ("query_bytes_plain", 21449.04),
+        ("query_bytes_cache", 327.88),
+        ("files_published", 1406.0),
+        ("pier_beats_gnutella_latency", 1.0),
+        ("events_processed", 358_204.0),
+    ];
+    assert_eq!(summary.len(), golden.len(), "every trial statistic is pinned");
+    for (key, want) in golden {
+        let got = summary.get(key).unwrap_or_else(|| panic!("stat {key} missing"));
+        assert_eq!(got.to_bits(), want.to_bits(), "stat {key} drifted: {got} != {want}");
+    }
+}
+
 #[test]
 fn different_master_seed_diverges() {
     let a = run_and_snapshot(1);
