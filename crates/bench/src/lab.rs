@@ -92,8 +92,8 @@ pub struct LabConfig {
     pub mixed_profile_vantages: bool,
     pub seed: u64,
     /// Kernel shards for the lab simulation (see `SimConfig::shards`).
-    /// Results are bit-identical for any value; > 1 runs the kernel on
-    /// that many worker threads.
+    /// Results are bit-identical for any value; `n` runs the kernel on the
+    /// calling thread plus `n - 1` workers.
     pub shards: usize,
 }
 

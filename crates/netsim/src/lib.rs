@@ -27,7 +27,7 @@
 //!   two-cluster WAN model approximating the paper's "two continents"
 //!   PlanetLab deployment.
 //! * **Metrics.** Global and per-class counters for messages and bytes, and
-//!   bounded streaming histograms used to produce the CDFs in the paper's
+//!   bounded streaming histograms whose quantiles feed the paper's latency
 //!   figures. Classes are interned [`MetricClass`] ids resolved once per
 //!   call-site (declare them with [`metric_classes!`]), so the per-message
 //!   hot path never hashes or compares strings.
@@ -81,10 +81,8 @@ mod time;
 pub use actor::{Actor, Ctx, NodeId, TimerToken};
 pub use heap::{HeapSize, MemAcc, MemStats};
 pub use latency::{ClusteredWan, ConstantLatency, LatencyModel, UniformLatency};
-pub use metrics::{
-    Cdf, Counter, Histogram, LazyMetricClass, MetricClass, Metrics, MetricsSnapshot,
-};
-pub use probe::{KernelProbe, PROGRESS_EVERY};
+pub use metrics::{Counter, Histogram, LazyMetricClass, MetricClass, Metrics, MetricsSnapshot};
+pub use probe::KernelProbe;
 pub use rng::{derive_seed, split_mix64, stream_rng, SimRng};
 pub use sim::{EventStats, Sim, SimConfig, MAX_SHARDS};
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,6 @@
 //! Simulation metrics: counters keyed by interned message class, and
 //! bounded streaming histograms for latency/size distributions. These back
-//! the CDF plots and overhead tables in the paper's evaluation.
+//! the quantile and overhead tables in the paper's evaluation.
 //!
 //! # Interned metric classes
 //!
@@ -348,96 +348,6 @@ impl Histogram {
         self.max = 0.0;
         self.low = 0;
         self.bins.iter_mut().for_each(|b| *b = 0);
-    }
-
-    /// Freeze into a [`Cdf`] for plotting: one weighted step per non-empty
-    /// bin at its representative value (clamped into `[min, max]`), so the
-    /// result stays O(bins) regardless of how many samples were recorded.
-    pub fn cdf(&self) -> Cdf {
-        let mut weighted: Vec<(f64, u64)> = Vec::with_capacity(self.bins.len() + 1);
-        let push = |weighted: &mut Vec<(f64, u64)>, v: f64, c: u64| {
-            if c == 0 {
-                return;
-            }
-            match weighted.last_mut() {
-                // Clamping can map adjacent bins onto one value; merge.
-                Some((last, count)) if *last == v => *count += c,
-                _ => weighted.push((v, c)),
-            }
-        };
-        push(&mut weighted, self.min, self.low);
-        for (i, &c) in self.bins.iter().enumerate() {
-            push(&mut weighted, bin_mid(i).clamp(self.min, self.max), c);
-        }
-        Cdf::from_sorted_weighted(weighted)
-    }
-}
-
-/// An empirical CDF: `fraction_at_most(x)` is P(X ≤ x). Stored as a
-/// weighted staircase (one step per distinct value), so a CDF over
-/// millions of samples costs only its distinct values.
-#[derive(Clone, Debug)]
-pub struct Cdf {
-    /// `(value, cumulative count of samples ≤ value)`, strictly increasing
-    /// in both components.
-    steps: Vec<(f64, u64)>,
-    total: u64,
-}
-
-impl Cdf {
-    /// Build from raw samples.
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        let mut weighted: Vec<(f64, u64)> = Vec::new();
-        for v in samples {
-            match weighted.last_mut() {
-                Some((last, count)) if *last == v => *count += 1,
-                _ => weighted.push((v, 1)),
-            }
-        }
-        Cdf::from_sorted_weighted(weighted)
-    }
-
-    /// Build from `(value, count)` pairs sorted by value (duplicates
-    /// already merged).
-    fn from_sorted_weighted(weighted: Vec<(f64, u64)>) -> Self {
-        let mut total = 0;
-        let steps = weighted
-            .into_iter()
-            .map(|(v, c)| {
-                total += c;
-                (v, total)
-            })
-            .collect();
-        Cdf { steps, total }
-    }
-
-    /// Number of samples the CDF was built from.
-    pub fn len(&self) -> usize {
-        self.total as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// P(X ≤ x), in `[0, 1]`.
-    pub fn fraction_at_most(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let idx = self.steps.partition_point(|(v, _)| *v <= x);
-        if idx == 0 {
-            0.0
-        } else {
-            self.steps[idx - 1].1 as f64 / self.total as f64
-        }
-    }
-
-    /// The evaluation points `(x, P(X ≤ x))` for each distinct sample value —
-    /// the staircase the paper plots in Figures 5 and 6.
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        self.steps.iter().map(|&(v, c)| (v, c as f64 / self.total as f64)).collect()
     }
 }
 
@@ -831,40 +741,6 @@ mod tests {
         assert!(h.bins.len() <= MAX_BINS);
         assert_eq!(h.len(), 2_000);
         assert_eq!(h.quantile(1.0), h.max());
-    }
-
-    #[test]
-    fn cdf_staircase() {
-        let cdf = Cdf::from_samples(vec![1.0, 1.0, 2.0, 4.0]);
-        assert_eq!(cdf.fraction_at_most(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_most(1.0), 0.5);
-        assert_eq!(cdf.fraction_at_most(3.0), 0.75);
-        assert_eq!(cdf.fraction_at_most(4.0), 1.0);
-        assert_eq!(cdf.points(), vec![(1.0, 0.5), (2.0, 0.75), (4.0, 1.0)]);
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let cdf = Cdf::from_samples((0..100).map(|i| (i * 7 % 13) as f64).collect());
-        let mut prev = 0.0;
-        for x in 0..14 {
-            let v = cdf.fraction_at_most(x as f64);
-            assert!(v >= prev);
-            prev = v;
-        }
-        assert_eq!(prev, 1.0);
-    }
-
-    #[test]
-    fn histogram_cdf_preserves_mass_and_endpoints() {
-        let mut h = Histogram::new();
-        for v in [0.0, 1.0, 2.0, 4.0, 8.0, 100.0] {
-            h.record(v);
-        }
-        let cdf = h.cdf();
-        assert_eq!(cdf.len(), 6);
-        assert_eq!(cdf.fraction_at_most(h.max()), 1.0);
-        assert!(cdf.fraction_at_most(-1.0) == 0.0);
     }
 
     #[test]

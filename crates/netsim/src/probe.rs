@@ -12,8 +12,10 @@
 //! All methods have empty defaults; a probe implements only what it needs.
 
 /// Observer for kernel execution. Installed with `Sim::set_probe`; called
-/// from kernel worker threads, so implementations must be `Send + Sync` and
-/// should be cheap (one call per window / per ~64k events, never per event).
+/// by every shard at every shard count — shard 0 on the thread that called
+/// `run_*`, shards `1..n` on scoped workers — so implementations must be
+/// `Send + Sync` and should be cheap (a few calls per window, never per
+/// event).
 pub trait KernelProbe: Send + Sync {
     /// One shard finished draining one lockstep window. `now_us` is the
     /// shard's local clock after the window; `drained` / `cross_sends` are
@@ -28,19 +30,9 @@ pub trait KernelProbe: Send + Sync {
     }
 
     /// …and has been released from it. The wall-clock between the two calls
-    /// is time the shard spent waiting on its slowest peer.
+    /// is time the shard spent waiting on its slowest peer (zero at one
+    /// shard, which has no peer and skips the barrier).
     fn barrier_end(&self, shard: u32) {
         let _ = shard;
     }
-
-    /// Periodic heartbeat from the single-shard fast path (roughly every
-    /// [`PROGRESS_EVERY`] events): current sim time and total events
-    /// processed so far.
-    fn progress(&self, now_us: u64, processed: u64) {
-        let _ = (now_us, processed);
-    }
 }
-
-/// Event granularity of [`KernelProbe::progress`] callbacks on the
-/// single-shard fast path.
-pub const PROGRESS_EVERY: u64 = 1 << 16;

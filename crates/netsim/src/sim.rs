@@ -23,7 +23,7 @@ use crate::actor::{Actor, Ctx, NodeId, TimerToken};
 use crate::event::{EventKey, EventKind, EventQueue};
 use crate::latency::{ClusteredWan, LatencyModel};
 use crate::metrics::{MetricClass, Metrics};
-use crate::probe::{KernelProbe, PROGRESS_EVERY};
+use crate::probe::KernelProbe;
 use crate::rng::{split_mix64, stream_rng, SimRng};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
@@ -41,8 +41,9 @@ pub struct SimConfig {
     pub seed: u64,
     /// One-way message latency model.
     pub latency: Box<dyn LatencyModel>,
-    /// Number of kernel shards (worker threads during `run_*`). Any value
-    /// produces bit-identical results; `1` runs on the caller's thread.
+    /// Number of kernel shards. Any value produces bit-identical results.
+    /// During `run_*` shard 0 runs on the caller's thread and each further
+    /// shard on a scoped worker, so `n` shards spawn `n - 1` threads.
     pub shards: usize,
 }
 
@@ -406,8 +407,9 @@ pub struct EventStats {
 
 /// A deterministic discrete-event simulation over message type `M`.
 ///
-/// With `SimConfig::shards > 1` the run loops execute shards on scoped
-/// worker threads; results are bit-identical to a one-shard run.
+/// With `SimConfig::shards > 1` the run loop executes shards `1..n` on
+/// scoped worker threads beside the caller's; results are bit-identical to
+/// a one-shard run.
 pub struct Sim<M> {
     shards: Vec<Shard<M>>,
     mailboxes: Vec<Mutex<Vec<Mail<M>>>>,
@@ -439,7 +441,7 @@ impl<M: Send + 'static> Sim<M> {
 
     /// Install a kernel probe (see [`KernelProbe`]). Probes are strictly
     /// read-only observers: installing one cannot change any simulated
-    /// outcome, only expose window/progress telemetry about it.
+    /// outcome, only expose window telemetry about it.
     pub fn set_probe(&mut self, probe: Arc<dyn KernelProbe>) {
         self.probe = Some(probe);
     }
@@ -534,16 +536,25 @@ impl<M: Send + 'static> Sim<M> {
         id: NodeId,
         f: impl FnOnce(&mut T, &mut dyn Ctx<M>) -> R,
     ) -> R {
+        self.drive(id, |actor, ctx| {
+            assert!(
+                ctx.core.nodes.is_up(ctx.self_local),
+                "with_actor_ctx on down node {id:?}: handlers only run on live nodes"
+            );
+            f(actor.as_any_mut().downcast_mut::<T>().expect("actor type mismatch"), ctx)
+        })
+    }
+
+    /// Run `f` on node `id`'s actor and a context at the current virtual
+    /// time, outside the run loop; then deliver the cross-shard sends it
+    /// made and refresh the merged metrics view.
+    fn drive<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut dyn AnyActor<M>, &mut CtxImpl<'_, M>) -> R,
+    ) -> R {
         let loc = self.router.locate[id.index()];
         let shard = &mut self.shards[loc.shard() as usize];
-        assert!(
-            shard.core.nodes.is_up(loc.local()),
-            "with_actor_ctx on down node {id:?}: handlers only run on live nodes"
-        );
-        let actor = shard.actors[loc.local()]
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .expect("actor type mismatch");
         let mut ctx = CtxImpl {
             core: &mut shard.core,
             router: &self.router,
@@ -551,7 +562,7 @@ impl<M: Send + 'static> Sim<M> {
             self_id: id,
             self_local: loc.local(),
         };
-        let out = f(actor, &mut ctx);
+        let out = f(&mut *shard.actors[loc.local()], &mut ctx);
         self.drain_all_mailboxes();
         self.refresh_merged();
         out
@@ -584,24 +595,13 @@ impl<M: Send + 'static> Sim<M> {
     /// Take a node down: pending timers are cancelled, queued deliveries to
     /// it will be dropped, and `on_down` runs immediately.
     pub fn set_down(&mut self, id: NodeId) {
-        let loc = self.router.locate[id.index()];
-        let shard = &mut self.shards[loc.shard() as usize];
-        let local = loc.local();
-        if !shard.core.nodes.is_up(local) {
-            return;
+        if self.is_up(id) {
+            self.drive(id, |actor, ctx| {
+                ctx.core.nodes.set_up(ctx.self_local, false);
+                ctx.core.nodes.bump_epoch(ctx.self_local);
+                actor.on_down(ctx);
+            });
         }
-        shard.core.nodes.set_up(local, false);
-        shard.core.nodes.bump_epoch(local);
-        let mut ctx = CtxImpl {
-            core: &mut shard.core,
-            router: &self.router,
-            mailboxes: &self.mailboxes,
-            self_id: id,
-            self_local: local,
-        };
-        shard.actors[local].on_down(&mut ctx);
-        self.drain_all_mailboxes();
-        self.refresh_merged();
     }
 
     /// Bring a node back up; `on_revive` runs immediately (its default
@@ -609,30 +609,19 @@ impl<M: Send + 'static> Sim<M> {
     /// the new epoch, so the maintenance loops cancelled by [`Sim::set_down`]
     /// resume instead of being silently lost.
     pub fn set_up(&mut self, id: NodeId) {
-        let loc = self.router.locate[id.index()];
-        let shard = &mut self.shards[loc.shard() as usize];
-        let local = loc.local();
-        if shard.core.nodes.is_up(local) {
-            return;
+        if !self.is_up(id) {
+            self.drive(id, |actor, ctx| {
+                ctx.core.nodes.set_up(ctx.self_local, true);
+                ctx.core.nodes.bump_epoch(ctx.self_local);
+                actor.on_revive(ctx);
+            });
         }
-        shard.core.nodes.set_up(local, true);
-        shard.core.nodes.bump_epoch(local);
-        let mut ctx = CtxImpl {
-            core: &mut shard.core,
-            router: &self.router,
-            mailboxes: &self.mailboxes,
-            self_id: id,
-            self_local: local,
-        };
-        shard.actors[local].on_revive(&mut ctx);
-        self.drain_all_mailboxes();
-        self.refresh_merged();
     }
 
     /// Process the single globally-earliest event. Returns `false` when no
-    /// events remain. Works for any shard count (sequentially — the window
-    /// machinery is bypassed), which makes it a handy cross-check against
-    /// the parallel path in tests.
+    /// events remain. Works for any shard count, sequentially and without
+    /// windows: it is the independent global-order executor the tests hold
+    /// the windowed run loop against, which is why it stays beside it.
     pub fn step(&mut self) -> bool {
         let mut best: Option<(usize, EventKey)> = None;
         for (ix, shard) in self.shards.iter_mut().enumerate() {
@@ -733,102 +722,75 @@ impl<M: Send + 'static> Sim<M> {
         crate::heap::MemStats { nodes, subsystems, kernel_bytes: kernel as u64 }
     }
 
-    /// Dispatch every event up to `deadline` (all of them for `None`): in
-    /// lockstep windows with more than one shard, else on the caller's
-    /// thread with a probe heartbeat every [`PROGRESS_EVERY`] events and
-    /// once at the end.
-    fn run_loop(&mut self, deadline: Option<SimTime>) {
-        if self.shards.len() > 1 {
-            return self.run_windows(deadline);
-        }
-        let (router, mailboxes) = (&self.router, &self.mailboxes[..]);
-        let probe = self.probe.as_deref();
-        let shard = &mut self.shards[0];
-        let last = deadline.unwrap_or(SimTime::from_micros(u64::MAX));
-        let mut since = 0u64;
-        while shard.core.queue.peek_key().is_some_and(|k| k.time <= last) {
-            let (key, kind) = shard.core.queue.pop().expect("peeked event vanished");
-            shard.dispatch(router, mailboxes, key, kind);
-            since += 1;
-            if since == PROGRESS_EVERY {
-                since = 0;
-                if let Some(p) = probe {
-                    p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
-                }
-            }
-        }
-        if let Some(p) = probe {
-            p.progress(shard.core.now.as_micros(), shard.core.queue.processed());
-        }
-    }
-
-    /// The conservative lockstep loop for `shards > 1`.
+    /// Dispatch every event up to `deadline` (all of them for `None`) in
+    /// conservative lockstep windows, at every shard count.
     ///
-    /// Per iteration each worker: drains its mailbox, publishes its next
-    /// event time, hits a barrier, computes the global minimum `gmin`
+    /// Per iteration each shard: drains its mailbox, publishes its next
+    /// event time, meets its peers, computes the global minimum `gmin`
     /// (identically, so the break decision is consensus without
     /// communication), processes its events in `[gmin, gmin + window)`
-    /// (capped at `deadline + 1`), and hits the second barrier. Messages
+    /// (capped at `deadline + 1`), and meets its peers again. Messages
     /// sent inside a window are clamped to arrive at least one full window
     /// later, so mailbox drains at the loop top see everything that can
-    /// affect the coming window.
-    fn run_windows(&mut self, deadline: Option<SimTime>) {
+    /// affect the coming window. Shard 0 runs on the caller's thread and
+    /// shards `1..n` on scoped workers; one shard has no peer, so its
+    /// meetings return at once instead of paying for a barrier wake.
+    fn run_loop(&mut self, deadline: Option<SimTime>) {
         let n = self.shards.len();
         let window = self.router.window.as_micros();
         let dl = deadline.map(SimTime::as_micros);
         let slots: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
         let barrier = Barrier::new(n);
-        let router = &self.router;
-        let mailboxes = &self.mailboxes[..];
-        let probe = self.probe.as_deref();
-        std::thread::scope(|scope| {
-            for (ix, shard) in self.shards.iter_mut().enumerate() {
-                let (slots, barrier) = (&slots, &barrier);
-                scope.spawn(move || loop {
-                    shard.drain_mailbox(&mailboxes[ix]);
-                    let next = shard.core.queue.peek_key().map_or(u64::MAX, |k| k.time.as_micros());
-                    slots[ix].store(next, Relaxed);
-                    if let Some(p) = probe {
-                        p.barrier_begin(shard.core.ix);
-                    }
-                    barrier.wait();
-                    if let Some(p) = probe {
-                        p.barrier_end(shard.core.ix);
-                    }
-                    let gmin = slots.iter().map(|s| s.load(Relaxed)).min().expect("n >= 1");
-                    let stop = match dl {
-                        Some(d) => gmin > d,
-                        None => gmin == u64::MAX,
-                    };
-                    if stop {
-                        break;
-                    }
-                    let mut lim = gmin.saturating_add(window);
-                    if let Some(d) = dl {
-                        lim = lim.min(d.saturating_add(1));
-                    }
-                    let before =
-                        probe.map(|_| (shard.core.queue.processed(), shard.core.cross_sends));
-                    shard.run_window(lim, router, mailboxes);
-                    if let (Some(p), Some((drained0, cross0))) = (probe, before) {
-                        p.window_done(
-                            shard.core.ix,
-                            shard.core.now.as_micros(),
-                            shard.core.queue.processed() - drained0,
-                            shard.core.cross_sends - cross0,
-                        );
-                        p.barrier_begin(shard.core.ix);
-                    }
-                    barrier.wait();
-                    if let Some(p) = probe {
-                        p.barrier_end(shard.core.ix);
-                    }
-                });
+        let (router, mailboxes, probe) = (&self.router, &self.mailboxes[..], self.probe.as_deref());
+        let run_shard = |shard: &mut Shard<M>| {
+            let ix = shard.core.ix;
+            let meet = || {
+                if n == 1 {
+                    return;
+                }
+                if let Some(p) = probe {
+                    p.barrier_begin(ix);
+                }
+                barrier.wait();
+                if let Some(p) = probe {
+                    p.barrier_end(ix);
+                }
+            };
+            loop {
+                shard.drain_mailbox(&mailboxes[ix as usize]);
+                let next = shard.core.queue.peek_key().map_or(u64::MAX, |k| k.time.as_micros());
+                slots[ix as usize].store(next, Relaxed);
+                meet();
+                let gmin = slots.iter().map(|s| s.load(Relaxed)).min().expect("n >= 1");
+                if dl.map_or(gmin == u64::MAX, |d| gmin > d) {
+                    break;
+                }
+                let lim =
+                    gmin.saturating_add(window).min(dl.map_or(u64::MAX, |d| d.saturating_add(1)));
+                let before = probe.map(|_| (shard.core.queue.processed(), shard.core.cross_sends));
+                shard.run_window(lim, router, mailboxes);
+                if let (Some(p), Some((drained0, cross0))) = (probe, before) {
+                    p.window_done(
+                        ix,
+                        shard.core.now.as_micros(),
+                        shard.core.queue.processed() - drained0,
+                        shard.core.cross_sends - cross0,
+                    );
+                }
+                meet();
             }
+        };
+        let run_shard = &run_shard;
+        let (first, rest) = self.shards.split_first_mut().expect("n >= 1");
+        std::thread::scope(|scope| {
+            for shard in rest {
+                scope.spawn(move || run_shard(shard));
+            }
+            run_shard(first);
         });
     }
 
-    /// Epilogue for the run loops: align every shard clock (and the global
+    /// Epilogue for the run loop: align every shard clock (and the global
     /// one) to `end`, and refresh the merged metrics view. Keeping all
     /// shard clocks equal between public calls is what makes driver
     /// injections (`with_actor_ctx`, churn transitions) stamp identical
@@ -844,8 +806,8 @@ impl<M: Send + 'static> Sim<M> {
     }
 
     /// Move queued cross-shard sends into their destination queues. Called
-    /// after sequential (driver-side) handler runs; the parallel loop
-    /// drains per-worker instead.
+    /// after sequential (driver-side) handler runs; the run loop drains
+    /// per shard instead.
     fn drain_all_mailboxes(&mut self) {
         for (ix, shard) in self.shards.iter_mut().enumerate() {
             shard.drain_mailbox(&self.mailboxes[ix]);
@@ -1504,7 +1466,6 @@ mod tests {
         drained: AtomicU64,
         cross: AtomicU64,
         barriers: AtomicU64,
-        progress_calls: AtomicU64,
     }
 
     impl KernelProbe for CountingProbe {
@@ -1515,10 +1476,6 @@ mod tests {
         }
         fn barrier_begin(&self, _shard: u32) {
             self.barriers.fetch_add(1, Relaxed);
-        }
-        fn progress(&self, _now_us: u64, processed: u64) {
-            self.progress_calls.fetch_add(1, Relaxed);
-            self.drained.store(processed, Relaxed);
         }
     }
 
@@ -1556,22 +1513,77 @@ mod tests {
             (counters, sim.metrics().total_messages, sim.metrics().total_bytes, sim.now(), received)
         };
 
-        // Sharded: window telemetry fires and the drained census covers
-        // every processed event.
-        let probe = Arc::new(CountingProbe::default());
-        assert_eq!(run_probed(2, Arc::clone(&probe)), baseline, "probe must be stat-neutral");
-        assert!(probe.windows.load(Relaxed) > 0, "windows must be observed");
-        assert_eq!(
-            probe.drained.load(Relaxed),
-            baseline.1 + 2 * u64::from(N) + 1, // deliveries + starts/timers… == processed
-            "window drains must census exactly the processed events"
-        );
-        assert!(probe.barriers.load(Relaxed) > 0);
+        // At one and two shards alike, window telemetry fires and the
+        // drained census covers every processed event; only two shards
+        // have a peer to meet at a barrier.
+        for shards in [1, 2] {
+            let probe = Arc::new(CountingProbe::default());
+            assert_eq!(
+                run_probed(shards, Arc::clone(&probe)),
+                baseline,
+                "probe must be stat-neutral at shards={shards}"
+            );
+            assert!(probe.windows.load(Relaxed) > 0, "windows must be observed at shards={shards}");
+            assert_eq!(
+                probe.drained.load(Relaxed),
+                baseline.1 + 2 * u64::from(N) + 1, // deliveries + starts/timers… == processed
+                "window drains must census exactly the processed events at shards={shards}"
+            );
+            assert_eq!(probe.barriers.load(Relaxed) > 0, shards > 1);
+        }
+    }
 
-        // Single shard: same outcome; progress heartbeat path exercised.
-        let probe1 = Arc::new(CountingProbe::default());
-        assert_eq!(run_probed(1, Arc::clone(&probe1)), baseline);
-        assert!(probe1.progress_calls.load(Relaxed) > 0, "final progress always fires");
+    /// Records the thread every handler of its node ran on.
+    struct ThreadTap {
+        inner: Relay,
+        threads: Vec<std::thread::ThreadId>,
+    }
+
+    impl Actor<Hop> for ThreadTap {
+        fn on_start(&mut self, ctx: &mut dyn Ctx<Hop>) {
+            self.threads.push(std::thread::current().id());
+            self.inner.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut dyn Ctx<Hop>, from: NodeId, msg: Hop) {
+            self.threads.push(std::thread::current().id());
+            self.inner.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut dyn Ctx<Hop>, token: TimerToken) {
+            self.threads.push(std::thread::current().id());
+            self.inner.on_timer(ctx, token);
+        }
+    }
+
+    /// Shard 0 runs on the caller's thread at every shard count: one shard
+    /// spawns no worker, and two shards spawn one, for shard 1.
+    #[test]
+    fn shard_zero_runs_on_the_callers_thread() {
+        const N: u32 = 23;
+        let me = std::thread::current().id();
+        for shards in [1, 2] {
+            let cfg = SimConfig::with_seed(0xFEED)
+                .latency(ConstantLatency(SimDuration::from_millis(20)))
+                .shards(shards);
+            let mut sim = Sim::new(cfg);
+            for _ in 0..N {
+                let inner = Relay { n: N, forwards: 0, received: 0 };
+                sim.add_node(ThreadTap { inner, threads: Vec::new() });
+            }
+            sim.run_until_quiescent();
+            for i in 0..N {
+                let id = NodeId::new(i);
+                let tap = sim.actor::<ThreadTap>(id);
+                assert!(!tap.threads.is_empty(), "node {i} never ran");
+                if sim.shard_of(id) == 0 {
+                    assert!(
+                        tap.threads.iter().all(|&t| t == me),
+                        "shards={shards}: node {i} of shard 0 ran off the caller's thread"
+                    );
+                } else {
+                    assert!(tap.threads.iter().all(|&t| t != me), "node {i} ran on shard 0");
+                }
+            }
+        }
     }
 
     /// Nodes spread across shards under the fixed hash (no shard starves).

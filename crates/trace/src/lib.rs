@@ -10,7 +10,8 @@
 //!   `trace_report` bin via [`report`].
 //! * **Kernel telemetry + progress heartbeat** ([`KernelTelemetry`]):
 //!   implements `pier_netsim::KernelProbe` to collect per-shard window
-//!   counters and print `--progress` heartbeats.
+//!   counters and print `--progress` heartbeats from them, at every shard
+//!   count (one shard reports as shard 0).
 //!
 //! Determinism: the tracer and reporter are clock-free; all wall-clock reads
 //! live in [`profile`], the one module pier-lint's DET-CLOCK rule exempts.

@@ -39,7 +39,7 @@ struct ProfInner {
 /// self-time is inclusive time minus time spent in nested phases.
 ///
 /// The frame stack assumes LIFO open/close **on one thread** (the lab
-/// driver); kernel worker threads report through [`KernelTelemetry`]
+/// driver); kernel shards report through [`KernelTelemetry`]
 /// instead, which keeps independent per-shard accumulators.
 pub struct Profiler {
     t0: Instant,
@@ -120,8 +120,7 @@ struct ProgressState {
     target_us: u64,
     started: Instant,
     last_print: Instant,
-    last_events: u64,
-    /// Running totals fed by `window_done` (sharded) or `progress` (single).
+    /// Running totals fed by `window_done`, at every shard count.
     events: u64,
     sim_now_us: u64,
 }
@@ -151,7 +150,6 @@ impl KernelTelemetry {
                 target_us: 0,
                 started: now,
                 last_print: now,
-                last_events: 0,
                 events: 0,
                 sim_now_us: 0,
             });
@@ -197,7 +195,6 @@ impl KernelTelemetry {
             eta
         );
         p.last_print = Instant::now();
-        p.last_events = p.events;
     }
 }
 
@@ -234,13 +231,6 @@ impl KernelProbe for KernelTelemetry {
             if let Some(since) = slot.barrier_since.take() {
                 slot.stats.barrier_wait_s += since.elapsed().as_secs_f64();
             }
-        }
-    }
-
-    fn progress(&self, now_us: u64, processed: u64) {
-        let mut g = self.inner.lock().expect("telemetry poisoned");
-        if let Some(p) = &mut g.progress {
-            Self::heartbeat(p, now_us, processed);
         }
     }
 }
