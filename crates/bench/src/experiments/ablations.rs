@@ -110,7 +110,6 @@ pub fn timeout_points(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> Vec<
                     timeout: SimDuration::from_secs(timeout),
                     publish_interval: SimDuration::from_millis(500),
                     browse_leaves: true,
-                    ..Default::default()
                 },
                 dht: DhtConfig::test(),
             },

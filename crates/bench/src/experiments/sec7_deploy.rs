@@ -229,7 +229,6 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize, obs: &Obs) -> Deploy
             timeout: SimDuration::from_secs(30),
             publish_interval: SimDuration::from_millis(2_500),
             browse_leaves: false, // QRS-only, as deployed in the paper
-            ..Default::default()
         },
         dht: DhtConfig::test(),
     };

@@ -98,7 +98,8 @@ pub struct DhtCore {
     /// Causal query tracing (inert unless the driver sampled queries).
     trace: TraceHandle,
     /// While set, lookups started by API calls are attributed to this
-    /// trace (the hybrid ultrapeer brackets `engine.start_search` with it).
+    /// trace (the hybrid ultrapeer brackets `start_search` with it; the
+    /// search engine re-opens it around that search's item fetches).
     trace_scope: Option<TraceId>,
     /// Lookup ops carrying a trace tag (only sampled queries appear here).
     op_traces: BTreeMap<OpId, TraceId>,
@@ -130,7 +131,9 @@ impl DhtCore {
     }
 
     /// Attribute lookups started until [`DhtCore::clear_trace_scope`] to
-    /// `t`. The embedding actor brackets the API call that issues them.
+    /// `t`. The caller brackets the API call that issues them: the driver
+    /// or embedding actor around a search, the search engine around the
+    /// later fetches that search issues.
     pub fn trace_scope(&mut self, t: TraceId) {
         if self.trace.is_active() {
             self.trace_scope = Some(t);
@@ -139,6 +142,11 @@ impl DhtCore {
 
     pub fn clear_trace_scope(&mut self) {
         self.trace_scope = None;
+    }
+
+    /// The trace scope open now, if any.
+    pub fn current_trace_scope(&self) -> Option<TraceId> {
+        self.trace_scope
     }
 
     fn trace_emit(&self, net: &mut dyn DhtNet, t: TraceId, kind: TraceKind, n: u64, m: u64) {

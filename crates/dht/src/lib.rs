@@ -25,7 +25,7 @@
 //!
 //! [`DhtCore`] is an I/O-free state machine driven through the [`DhtNet`]
 //! trait and drained of [`DhtEvent`]s; [`DhtNode`] packages it as a
-//! simulator actor. Applications (PIER, and transitively PIERSearch and the
+//! simulator actor, or as a part another actor hosts. Applications (PIER, and transitively PIERSearch and the
 //! hybrid ultrapeer) implement [`DhtApp`].
 
 pub mod bootstrap;

@@ -75,6 +75,28 @@ impl<A: DhtApp> DhtNode<A> {
         DhtNode { core, app, bootstrap }
     }
 
+    /// Handle one incoming DHT message, then run the events it raised
+    /// through the app.
+    pub fn deliver(&mut self, net: &mut dyn DhtNet, msg: DhtMsg) {
+        self.core.on_message(net, msg);
+        self.drain_events(net);
+    }
+
+    /// One maintenance tick: core maintenance, then the app's tick, then
+    /// the events both raised. The host re-arms the timer.
+    pub fn tick(&mut self, net: &mut dyn DhtNet) {
+        self.core.tick(net);
+        self.app.on_tick(&mut self.core, net);
+        self.drain_events(net);
+    }
+
+    /// Re-prime the routing table after a revival (see
+    /// [`DhtCore::revive`]). The host re-arms the timer.
+    pub fn revive(&mut self, net: &mut dyn DhtNet) {
+        self.core.revive(net);
+        self.drain_events(net);
+    }
+
     fn drain_events(&mut self, net: &mut dyn DhtNet) {
         // Events may cascade: an app handler can trigger operations that
         // complete synchronously (e.g. lookups on empty tables).
@@ -90,6 +112,9 @@ impl<A: DhtApp> DhtNode<A> {
     }
 }
 
+/// The stand-alone actor. Another actor can host a `DhtNode` instead (the
+/// hybrid ultrapeer does): it arms [`TICK_TOKEN`] itself and calls
+/// [`DhtNode::deliver`], [`DhtNode::tick`] and [`DhtNode::revive`].
 impl<A: DhtApp + 'static> Actor<DhtMsg> for DhtNode<A> {
     fn on_start(&mut self, ctx: &mut dyn Ctx<DhtMsg>) {
         let tick = self.core.config().tick;
@@ -103,9 +128,7 @@ impl<A: DhtApp + 'static> Actor<DhtMsg> for DhtNode<A> {
     }
 
     fn on_message(&mut self, ctx: &mut dyn Ctx<DhtMsg>, _from: NodeId, msg: DhtMsg) {
-        let mut net = CtxNet { ctx };
-        self.core.on_message(&mut net, msg);
-        self.drain_events(&mut net);
+        self.deliver(&mut CtxNet { ctx }, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx<DhtMsg>, token: TimerToken) {
@@ -114,14 +137,12 @@ impl<A: DhtApp + 'static> Actor<DhtMsg> for DhtNode<A> {
         }
         let tick = self.core.config().tick;
         ctx.set_timer(tick, TICK_TOKEN);
-        let mut net = CtxNet { ctx };
-        self.core.tick(&mut net);
-        self.app.on_tick(&mut self.core, &mut net);
-        self.drain_events(&mut net);
+        self.tick(&mut CtxNet { ctx });
     }
 
     /// Leaving the overlay drops this node's replicas and in-flight
-    /// operations; only republishing can restore the lost values elsewhere.
+    /// operations; only the app's soft-state refresh (PIERSearch's
+    /// `Publisher`) can restore the lost values elsewhere.
     fn on_down(&mut self, _ctx: &mut dyn Ctx<DhtMsg>) {
         self.core.end_session();
     }
@@ -137,8 +158,6 @@ impl<A: DhtApp + 'static> Actor<DhtMsg> for DhtNode<A> {
     fn on_revive(&mut self, ctx: &mut dyn Ctx<DhtMsg>) {
         let tick = self.core.config().tick;
         ctx.set_timer(tick, TICK_TOKEN);
-        let mut net = CtxNet { ctx };
-        self.core.revive(&mut net);
-        self.drain_events(&mut net);
+        self.revive(&mut CtxNet { ctx });
     }
 }

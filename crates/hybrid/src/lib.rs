@@ -4,9 +4,9 @@
 //! The paper's proposal (§5, §7): keep Gnutella flooding for popular
 //! content and use PIERSearch as a partial index over **rare items only**.
 //!
-//! * [`HybridUp`] is the hybrid ultrapeer of Fig. 17 — one actor embedding
-//!   a LimeWire ultrapeer core, a DHT node, the PIER engine, and the
-//!   PIERSearch publisher/search engine. Leaf queries run through normal
+//! * [`HybridUp`] is the hybrid ultrapeer of Fig. 17 — one actor hosting
+//!   a LimeWire ultrapeer core and a stock `PierSearchNode` (DHT, PIER
+//!   engine, publisher, search engine). Leaf queries run through normal
 //!   dynamic querying; those that return nothing within the timeout
 //!   (30 s in the deployment) are re-issued via PIERSearch.
 //! * [`RareScheme`] provides the §5 rare-item identification schemes in
@@ -17,9 +17,10 @@
 //!   hybrid ultrapeers inside a stock Gnutella network, with the hybrid
 //!   subset forming its own DHT overlay.
 //!
-//! [`HybridMsg`] wraps both protocols' messages, so [`HybridUp`] uses the
-//! stock adapters (`CtxGnutellaNet`, `CtxNet`) and the installed base is
-//! Gnutella's own `UltrapeerNode` / `LeafNode`.
+//! [`HybridMsg`] wraps both protocols' messages, so [`HybridUp`] drives
+//! both stacks through the stock adapters (`CtxGnutellaNet`, `CtxNet`) and
+//! timer tokens, and the installed base is Gnutella's own
+//! `UltrapeerNode` / `LeafNode`.
 
 pub mod classes;
 pub mod deploy;
@@ -29,4 +30,4 @@ mod ultrapeer;
 
 pub use msg::HybridMsg;
 pub use rare::{ObservedItem, RareScheme};
-pub use ultrapeer::{HybridConfig, HybridQueryStats, HybridUp, D_TICK, G_TICK, H_TICK};
+pub use ultrapeer::{HybridConfig, HybridQueryStats, HybridUp};

@@ -1,5 +1,5 @@
 //! The hybrid ultrapeer (Fig. 17 of the paper): one process running a
-//! LimeWire ultrapeer, the Gnutella proxy, and the PIERSearch client over
+//! LimeWire ultrapeer, the Gnutella proxy, and a stock PIERSearch node over
 //! the DHT overlay.
 //!
 //! Query flow (§7): leaf queries run through normal Gnutella dynamic
@@ -10,22 +10,25 @@
 
 use crate::msg::HybridMsg;
 use crate::rare::{ObservedItem, RareScheme};
-use pier_dht::{CtxNet, DhtCore, Key};
+use pier_dht::{CtxNet, DhtCore, DhtNode, Key, TICK_TOKEN};
 use pier_gnutella::{
     CtxGnutellaNet, FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, SnoopEvent,
-    UltrapeerCore,
+    UltrapeerCore, UP_TICK,
 };
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
-use pier_qp::{PierConfig, PierCore, PierEvent, QueryId};
-use pier_trace::{TraceHandle, TraceId, TraceKind};
+use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
-use piersearch::{file_id, IndexMode, ItemRecord, Publisher, SearchConfig, SearchEngine};
+use piersearch::{file_id, IndexMode, ItemRecord, PierSearchApp, PierSearchNode};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// Timer tokens of the three subsystems sharing this actor.
-pub const G_TICK: TimerToken = TimerToken(0x11);
-pub const D_TICK: TimerToken = TimerToken(0x22);
-pub const H_TICK: TimerToken = TimerToken(0x33);
+/// The hybrid bookkeeping tick and its timer token. The Gnutella and DHT
+/// halves arm their stock tokens, [`UP_TICK`] and [`TICK_TOKEN`].
+const TICK: SimDuration = SimDuration::from_millis(500);
+const H_TICK: TimerToken = TimerToken(0x33);
+
+/// How long the QRS window waits before judging a snooped query's result
+/// count final.
+const QRS_WINDOW: SimDuration = SimDuration::from_secs(15);
 
 /// Hybrid-specific behaviour knobs.
 #[derive(Clone, Debug)]
@@ -37,13 +40,6 @@ pub struct HybridConfig {
     pub publish_interval: SimDuration,
     /// Pull leaf file lists via BrowseHost on startup.
     pub browse_leaves: bool,
-    /// Index layout to publish and query.
-    pub index_mode: IndexMode,
-    /// How long the QRS window waits before judging a snooped query's
-    /// result count final.
-    pub qrs_window: SimDuration,
-    /// Hybrid bookkeeping tick.
-    pub tick: SimDuration,
 }
 
 impl Default for HybridConfig {
@@ -52,9 +48,6 @@ impl Default for HybridConfig {
             timeout: SimDuration::from_secs(30),
             publish_interval: SimDuration::from_millis(2500),
             browse_leaves: true,
-            index_mode: IndexMode::InvertedCache,
-            qrs_window: SimDuration::from_secs(15),
-            tick: SimDuration::from_millis(500),
         }
     }
 }
@@ -92,10 +85,10 @@ struct QrsWindow {
 pub struct HybridUp {
     pub cfg: HybridConfig,
     pub gnutella: UltrapeerCore,
-    pub dht: DhtCore,
-    pub pier: PierCore,
-    pub engine: SearchEngine,
-    pub publisher: Publisher,
+    /// The stock PIERSearch stack (DHT, PIER, Publisher, Search Engine),
+    /// hosted rather than spawned: this actor forwards its DHT traffic and
+    /// tick.
+    pub search: PierSearchNode,
     pub scheme: RareScheme,
     queries: Vec<HybridQuery>,
     /// Index into `stats` by search id, for completion routing.
@@ -108,10 +101,6 @@ pub struct HybridUp {
     pub files_published: u64,
     /// Causal query tracing (inert unless the driver sampled queries).
     trace: TraceHandle,
-    /// PIER query ids of in-flight *traced* fallback searches: their
-    /// result-driven item fetches (`dht.get`) get the same attribution as
-    /// the lookup that `start_search` issued.
-    traced_qids: BTreeMap<QueryId, TraceId>,
 }
 
 impl HybridUp {
@@ -122,18 +111,10 @@ impl HybridUp {
         scheme: RareScheme,
     ) -> Self {
         gnutella.snoop = true;
-        let engine = SearchEngine::new(SearchConfig {
-            mode: cfg.index_mode,
-            timeout: SimDuration::from_secs(60),
-            limit: None,
-        });
         HybridUp {
-            publisher: Publisher::new(cfg.index_mode),
-            pier: PierCore::new(PierConfig::default(), piersearch::catalog()),
-            engine,
             cfg,
             gnutella,
-            dht,
+            search: DhtNode::new(dht, PierSearchApp::new(IndexMode::InvertedCache), None),
             scheme,
             queries: Vec::new(),
             stats: Vec::new(),
@@ -143,7 +124,6 @@ impl HybridUp {
             qrs_windows: BTreeMap::new(),
             files_published: 0,
             trace: TraceHandle::default(),
-            traced_qids: BTreeMap::new(),
         }
     }
 
@@ -151,7 +131,7 @@ impl HybridUp {
     /// (driver API; the default handle is inert).
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.gnutella.set_trace(trace.clone());
-        self.dht.set_trace(trace.clone());
+        self.search.core.set_trace(trace.clone());
         self.trace = trace;
     }
 
@@ -239,37 +219,29 @@ impl HybridUp {
         let now = ctx.now();
         self.drain_snooped(now);
 
-        // QRS window decisions.
+        // QRS window decisions: due windows close in ascending GUID order;
+        // those with few results publish their items.
         if let Some(threshold) = self.scheme.qrs_threshold() {
-            let due: Vec<Guid> = self
-                .qrs_windows
-                .iter()
-                .filter(|(_, w)| w.first_seen + self.cfg.qrs_window <= now)
-                .map(|(g, _)| *g)
-                .collect();
-            for g in due {
-                let w = self.qrs_windows.remove(&g).expect("listed");
-                if w.items.len() < threshold {
-                    for item in w.items {
-                        self.enqueue_publish(item);
-                    }
+            let mut rare = Vec::new();
+            self.qrs_windows.retain(|_, w| {
+                let open = now < w.first_seen + QRS_WINDOW;
+                if !open && w.items.len() < threshold {
+                    rare.append(&mut w.items);
                 }
+                open
+            });
+            for item in rare {
+                self.enqueue_publish(item);
             }
         }
 
         // Rate-limited publishing.
         if now >= self.next_publish_at {
             if let Some(item) = self.publish_queue.pop_front() {
-                let mut dnet = CtxNet { ctx };
-                self.publisher.publish_file(
-                    &mut self.pier,
-                    &mut self.dht,
-                    &mut dnet,
-                    &item.name,
-                    item.size,
-                    item.host,
-                    6346,
-                );
+                let PierSearchNode { core, app, .. } = &mut self.search;
+                let dnet = &mut CtxNet { ctx };
+                let (name, size, host) = (&item.name, item.size, item.host);
+                app.publisher.publish_file(&mut app.pier, core, dnet, name, size, host, 6346);
                 self.files_published += 1;
                 self.next_publish_at = now + self.cfg.publish_interval;
             }
@@ -297,20 +269,16 @@ impl HybridUp {
                     s.pier_issued_at = Some(now);
                     let me = ctx.self_id();
                     self.trace.emit_guid(guid.0, now, me, TraceKind::PierFallback, None, g_hits, 0);
+                    // A traced search attributes its DHT lookups, the later
+                    // item fetches included, to the query.
                     let traced = self.trace.lookup(guid.0);
+                    let PierSearchNode { core, app, .. } = &mut self.search;
                     if let Some(t) = traced {
-                        // Attribute the fallback's DHT lookups to the query.
-                        self.dht.trace_scope(t);
+                        core.trace_scope(t);
                     }
-                    let mut dnet = CtxNet { ctx };
                     let sid =
-                        self.engine.start_search(&mut self.pier, &mut self.dht, &mut dnet, terms);
-                    if let Some(t) = traced {
-                        self.dht.clear_trace_scope();
-                        if let Some(state) = sid.and_then(|s| self.engine.search(s)) {
-                            self.traced_qids.insert(state.qid, t);
-                        }
-                    }
+                        app.engine.start_search(&mut app.pier, core, &mut CtxNet { ctx }, terms);
+                    core.clear_trace_scope();
                     self.queries[qi].search_id = sid;
                     if sid.is_none() {
                         self.stats[stats_idx].done = true;
@@ -324,18 +292,15 @@ impl HybridUp {
         self.queries.retain(|q| !stats[q.stats].done);
     }
 
+    /// Route finished PIERSearch searches back to their hybrid queries.
     fn drain_engine(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
-        for ev in self.engine.take_events() {
+        for ev in self.search.app.take_events() {
             let piersearch::SearchEvent::Done(sid) = ev;
             let Some(pos) = self.queries.iter().position(|q| q.search_id == Some(sid)) else {
                 continue;
             };
-            let q = &self.queries[pos];
-            let guid = q.guid;
-            let stats_idx = q.stats;
-            let leaf = q.leaf;
-            if let Some(state) = self.engine.take_search(sid) {
-                self.traced_qids.remove(&state.qid);
+            let HybridQuery { guid, stats: stats_idx, leaf, .. } = self.queries.remove(pos);
+            if let Some(state) = self.search.app.engine.take_search(sid) {
                 let (at, me, n) = (ctx.now(), ctx.self_id(), state.items.len() as u64);
                 self.trace.emit_guid(guid.0, at, me, TraceKind::PierDone, None, n, 0);
                 let s = &mut self.stats[stats_idx];
@@ -353,45 +318,7 @@ impl HybridUp {
                     gnet.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: true });
                 }
             }
-            self.queries.remove(pos);
         }
-    }
-
-    /// Forward PIER client events into the search engine. Result batches
-    /// for a *traced* search trigger item fetches (`dht.get`); those
-    /// lookups get the same trace attribution as the original search.
-    fn pump_pier_events(&mut self, dnet: &mut CtxNet<HybridMsg>) {
-        for pe in self.pier.take_events() {
-            let qid = match &pe {
-                PierEvent::Results { qid, .. } | PierEvent::Done { qid, .. } => *qid,
-            };
-            let scoped = self.traced_qids.get(&qid).copied();
-            if let Some(t) = scoped {
-                self.dht.trace_scope(t);
-            }
-            self.engine.on_pier_event(&mut self.dht, dnet, &pe);
-            if scoped.is_some() {
-                self.dht.clear_trace_scope();
-            }
-        }
-    }
-
-    fn drain_dht_events(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
-        loop {
-            let events = self.dht.take_events();
-            if events.is_empty() {
-                break;
-            }
-            for ev in events {
-                let mut dnet = CtxNet { ctx };
-                let consumed = self.pier.on_dht_event(&mut self.dht, &mut dnet, &ev);
-                self.pump_pier_events(&mut dnet);
-                if !consumed {
-                    self.engine.on_dht_event(&mut self.dht, &mut dnet, &ev);
-                }
-            }
-        }
-        self.drain_engine(ctx);
     }
 }
 
@@ -399,9 +326,8 @@ impl Actor<HybridMsg> for HybridUp {
     fn mem_stats(&self, acc: &mut pier_netsim::MemAcc) {
         use pier_netsim::HeapSize;
         self.gnutella.mem_stats(acc);
-        self.dht.mem_stats(acc);
+        self.search.mem_stats(acc);
         acc.add("hybrid.scheme", self.scheme.heap_bytes());
-        acc.add("pier.term_stats", self.engine.term_stats.heap_bytes());
         acc.add(
             "hybrid.proxy",
             self.publish_queue.capacity() * size_of::<ObservedItem>() + self.published.heap_bytes(),
@@ -409,9 +335,9 @@ impl Actor<HybridMsg> for HybridUp {
     }
 
     fn on_start(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
-        ctx.set_timer(self.gnutella.cfg.tick, G_TICK);
-        ctx.set_timer(self.dht.config().tick, D_TICK);
-        ctx.set_timer(self.cfg.tick, H_TICK);
+        ctx.set_timer(self.gnutella.cfg.tick, UP_TICK);
+        ctx.set_timer(self.search.core.config().tick, TICK_TOKEN);
+        ctx.set_timer(TICK, H_TICK);
         if self.cfg.browse_leaves {
             let mut gnet = CtxGnutellaNet { ctx };
             for leaf in self.gnutella.leaves() {
@@ -451,30 +377,25 @@ impl Actor<HybridMsg> for HybridUp {
                 self.drain_snooped(ctx.now());
             }
             HybridMsg::D(d) => {
-                self.dht.on_message(&mut CtxNet { ctx }, d);
-                self.drain_dht_events(ctx);
+                self.search.deliver(&mut CtxNet { ctx }, d);
+                self.drain_engine(ctx);
             }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx<HybridMsg>, token: TimerToken) {
         match token {
-            G_TICK => {
-                ctx.set_timer(self.gnutella.cfg.tick, G_TICK);
+            UP_TICK => {
+                ctx.set_timer(self.gnutella.cfg.tick, UP_TICK);
                 self.gnutella.tick(&mut CtxGnutellaNet { ctx });
             }
-            D_TICK => {
-                ctx.set_timer(self.dht.config().tick, D_TICK);
-                let mut dnet = CtxNet { ctx };
-                self.dht.tick(&mut dnet);
-                self.pier.tick(&mut self.dht, &mut dnet);
-                self.publisher.tick(&mut self.pier, &mut self.dht, &mut dnet);
-                self.pump_pier_events(&mut dnet);
-                self.engine.tick(&mut dnet);
-                self.drain_dht_events(ctx);
+            TICK_TOKEN => {
+                ctx.set_timer(self.search.core.config().tick, TICK_TOKEN);
+                self.search.tick(&mut CtxNet { ctx });
+                self.drain_engine(ctx);
             }
             H_TICK => {
-                ctx.set_timer(self.cfg.tick, H_TICK);
+                ctx.set_timer(TICK, H_TICK);
                 self.hybrid_tick(ctx);
             }
             _ => {}
@@ -487,7 +408,7 @@ impl Actor<HybridMsg> for HybridUp {
     /// as an operator's restarted proxy would reload them.
     fn on_down(&mut self, _ctx: &mut dyn Ctx<HybridMsg>) {
         self.gnutella.end_session();
-        self.dht.end_session();
+        self.search.core.end_session();
     }
 
     /// Revival re-arms all three maintenance timers and re-primes the DHT
@@ -495,7 +416,7 @@ impl Actor<HybridMsg> for HybridUp {
     /// mirroring a reconnecting proxy re-pulling its leaves' shares.
     fn on_revive(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
         self.on_start(ctx);
-        self.dht.revive(&mut CtxNet { ctx });
-        self.drain_dht_events(ctx);
+        self.search.revive(&mut CtxNet { ctx });
+        self.drain_engine(ctx);
     }
 }

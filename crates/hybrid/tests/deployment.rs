@@ -85,9 +85,10 @@ fn rare_query_falls_through_to_piersearch() {
         let up0 = net.deployment.hybrid_ups[0];
         net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
             let mut dnet = pier_dht::CtxNet { ctx };
-            up.publisher.publish_file(
-                &mut up.pier,
-                &mut up.dht,
+            let node = &mut up.search;
+            node.app.publisher.publish_file(
+                &mut node.app.pier,
+                &mut node.core,
                 &mut dnet,
                 rare_name,
                 1987,
@@ -102,9 +103,10 @@ fn rare_query_falls_through_to_piersearch() {
         let up0 = net.deployment.hybrid_ups[0];
         net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
             let mut dnet = pier_dht::CtxNet { ctx };
-            up.publisher.publish_file(
-                &mut up.pier,
-                &mut up.dht,
+            let node = &mut up.search;
+            node.app.publisher.publish_file(
+                &mut node.app.pier,
+                &mut node.core,
                 &mut dnet,
                 rare_name,
                 1987,
@@ -177,9 +179,10 @@ fn leaf_queries_get_hybrid_treatment() {
         .expect("some leaf has the hybrid UP as its primary");
     net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
         let mut dnet = pier_dht::CtxNet { ctx };
-        up.publisher.publish_file(
-            &mut up.pier,
-            &mut up.dht,
+        let node = &mut up.search;
+        node.app.publisher.publish_file(
+            &mut node.app.pier,
+            &mut node.core,
             &mut dnet,
             "ghost_release_promo.mp3",
             42,
@@ -216,9 +219,10 @@ fn traced_fallback_emits_pier_and_dht_events() {
     let phantom_host = net.deployment.leaves[3];
     net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
         let mut dnet = pier_dht::CtxNet { ctx };
-        up.publisher.publish_file(
-            &mut up.pier,
-            &mut up.dht,
+        let node = &mut up.search;
+        node.app.publisher.publish_file(
+            &mut node.app.pier,
+            &mut node.core,
             &mut dnet,
             "phantom_track.mp3",
             7,
@@ -230,18 +234,18 @@ fn traced_fallback_emits_pier_and_dht_events() {
 
     let tracer = Arc::new(Tracer::default());
     let vantage = net.deployment.hybrid_ups[7];
-    let qidx = net.sim.with_actor_ctx::<HybridUp, _>(vantage, |up, ctx| {
+    let (qidx, t) = net.sim.with_actor_ctx::<HybridUp, _>(vantage, |up, ctx| {
         up.set_trace(TraceHandle::new(Arc::clone(&tracer)));
         let idx = up.start_hybrid_query(ctx, "phantom track");
         let (guid, rec) = up.gnutella.queries().next().expect("query registered");
-        tracer.register(
+        let t = tracer.register(
             guid.0,
             ctx.self_id().index() as u64,
             ctx.now().as_micros(),
             u64::from(up.gnutella.cfg.probe_ttl),
             &rec.terms.text(),
         );
-        idx
+        (idx, t)
     });
     net.sim.run_for(SimDuration::from_secs(90));
 
@@ -265,6 +269,16 @@ fn traced_fallback_emits_pier_and_dht_events() {
             TraceKind::DhtLookupStart | TraceKind::DhtHop | TraceKind::DhtLookupDone
         ))
         .all(|e| e.node == me));
+    // The lookups attributed to the query are the fallback's item fetches:
+    // value-kind, and each one completes.
+    let of_t = |k: TraceKind| events.iter().filter(move |e| e.trace == t && e.kind == k);
+    let done: Vec<u64> = of_t(TraceKind::DhtLookupDone).map(|e| e.m).collect();
+    let starts: Vec<_> = of_t(TraceKind::DhtLookupStart).collect();
+    assert!(!starts.is_empty(), "item fetches attributed to the query");
+    for s in starts {
+        assert_eq!(s.m, 0, "value-kind lookup");
+        assert!(done.contains(&s.n), "op {} completes", s.n);
+    }
     // (Flood-relay legs appear only on nodes carrying a handle — the lab
     // attaches one everywhere; here only the vantage is instrumented.)
     let done_at = events.iter().find(|e| e.kind == TraceKind::PierDone).unwrap().at_us;

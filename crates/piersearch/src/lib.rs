@@ -16,8 +16,8 @@
 //!   mode — then fetches the matching `Item` tuples from the DHT.
 //!
 //! [`PierSearchNode`] assembles DHT + PIER + Publisher + Search Engine into
-//! one simulator actor (Fig. 1). The hybrid crate embeds the same cores
-//! next to a Gnutella ultrapeer.
+//! one simulator actor (Fig. 1). The hybrid ultrapeer hosts a stock
+//! `PierSearchNode` next to its Gnutella ultrapeer core.
 
 pub mod classes;
 mod node;

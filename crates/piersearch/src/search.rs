@@ -44,6 +44,47 @@ pub struct SearchState {
     file_ids_seen: HashSet<Key>,
     pending_fetches: HashMap<OpId, Key>,
     pier_done: bool,
+    /// The `DhtCore` trace scope (a `pier_trace::TraceId`) open when the
+    /// search started; its item fetches are attributed to it as well.
+    trace: Option<u32>,
+}
+
+impl SearchState {
+    /// Fetch the Item tuples of newly matched fileIDs ("the query node...
+    /// fetches the Item tuples from the DHT based on the incoming
+    /// fileIDs").
+    fn fetch_items(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, tuples: &[Tuple]) {
+        if let Some(scope) = self.trace {
+            dht.trace_scope(scope);
+        }
+        let item = item_table();
+        for t in tuples {
+            let Some(file_id) = t.get(0).and_then(|v| v.as_key()) else {
+                net.count(crate::classes::MALFORMED_MATCH.id(), 1);
+                continue;
+            };
+            if !self.file_ids_seen.insert(file_id) {
+                continue; // duplicate match (replica or rehash overlap)
+            }
+            let key = item.publish_key_for(&Value::Key(file_id));
+            let op = dht.get(net, key);
+            self.pending_fetches.insert(op, file_id);
+        }
+        if self.trace.is_some() {
+            dht.clear_trace_scope();
+        }
+    }
+
+    /// Mark the search done once PIER has finished and every fetch has
+    /// returned; true on that transition.
+    fn finish(&mut self, net: &mut dyn DhtNet) -> bool {
+        if self.done || !self.pier_done || !self.pending_fetches.is_empty() {
+            return false;
+        }
+        self.done = true;
+        net.observe(crate::classes::RESULTS_PER_SEARCH.id(), self.items.len() as f64);
+        true
+    }
 }
 
 /// Search lifecycle notifications.
@@ -190,6 +231,7 @@ impl SearchEngine {
                 file_ids_seen: HashSet::new(),
                 pending_fetches: HashMap::new(),
                 pier_done: false,
+                trace: dht.current_trace_scope(),
             },
         );
         self.by_qid.insert(qid, id);
@@ -198,48 +240,21 @@ impl SearchEngine {
 
     /// Feed PIER client events (result stream + completion).
     pub fn on_pier_event(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, event: &PierEvent) {
+        let (PierEvent::Results { qid, .. } | PierEvent::Done { qid, .. }) = event;
+        let Some((id, s)) =
+            self.by_qid.get(qid).and_then(|&id| Some((id, self.searches.get_mut(&id)?)))
+        else {
+            return;
+        };
         match event {
-            PierEvent::Results { qid, tuples } => {
-                let Some(&id) = self.by_qid.get(qid) else {
-                    return;
-                };
-                self.on_match_tuples(dht, net, id, tuples);
-            }
-            PierEvent::Done { qid, outcome, .. } => {
-                let Some(&id) = self.by_qid.get(qid) else {
-                    return;
-                };
-                let s = self.searches.get_mut(&id).expect("indexed");
+            PierEvent::Results { tuples, .. } => s.fetch_items(dht, net, tuples),
+            PierEvent::Done { outcome, .. } => {
                 s.pier_done = true;
                 s.outcome = Some(*outcome);
-                self.maybe_finish(net, id);
+                if s.finish(net) {
+                    self.events.push_back(SearchEvent::Done(id));
+                }
             }
-        }
-    }
-
-    /// Matching fileIDs arrived: fetch their Item tuples from the DHT
-    /// ("the query node... fetches the Item tuples from the DHT based on
-    /// the incoming fileIDs").
-    fn on_match_tuples(
-        &mut self,
-        dht: &mut DhtCore,
-        net: &mut dyn DhtNet,
-        id: u32,
-        tuples: &[Tuple],
-    ) {
-        let item = item_table();
-        let s = self.searches.get_mut(&id).expect("caller checked");
-        for t in tuples {
-            let Some(file_id) = t.get(0).and_then(|v| v.as_key()) else {
-                net.count(crate::classes::MALFORMED_MATCH.id(), 1);
-                continue;
-            };
-            if !s.file_ids_seen.insert(file_id) {
-                continue; // duplicate match (replica or rehash overlap)
-            }
-            let key = item.publish_key_for(&Value::Key(file_id));
-            let op = dht.get(net, key);
-            s.pending_fetches.insert(op, file_id);
         }
     }
 
@@ -253,13 +268,13 @@ impl SearchEngine {
         let DhtEvent::GetDone { op, values, .. } = event else {
             return false;
         };
-        // Find which search issued this fetch.
-        let Some((&id, _)) = self.searches.iter().find(|(_, s)| s.pending_fetches.contains_key(op))
-        else {
+        // Find which search issued this fetch, and retire the fetch.
+        let Some((id, s, want)) = self.searches.iter_mut().find_map(|(&id, s)| {
+            let want = s.pending_fetches.remove(op)?;
+            Some((id, s, want))
+        }) else {
             return false;
         };
-        let s = self.searches.get_mut(&id).expect("found above");
-        let want = s.pending_fetches.remove(op).expect("contains_key checked");
         for bytes in values {
             let Ok(t) = Tuple::decode(bytes) else {
                 net.count(crate::classes::MALFORMED_ITEM.id(), 1);
@@ -280,33 +295,19 @@ impl SearchEngine {
                 s.items.push(rec);
             }
         }
-        self.maybe_finish(net, id);
+        if s.finish(net) {
+            self.events.push_back(SearchEvent::Done(id));
+        }
         true
     }
 
     /// Deadline sweep; call from the node tick.
     pub fn tick(&mut self, net: &mut dyn DhtNet) {
         let now = net.now();
-        let overdue: Vec<u32> = self
-            .searches
-            .iter()
-            .filter(|(_, s)| !s.done && s.deadline <= now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in overdue {
-            let s = self.searches.get_mut(&id).expect("listed");
+        for (&id, s) in self.searches.iter_mut().filter(|(_, s)| !s.done && s.deadline <= now) {
             s.done = true;
             s.outcome.get_or_insert(QueryOutcome::TimedOut);
             net.count(crate::classes::SEARCH_TIMEOUT.id(), 1);
-            self.events.push_back(SearchEvent::Done(id));
-        }
-    }
-
-    fn maybe_finish(&mut self, net: &mut dyn DhtNet, id: u32) {
-        let s = self.searches.get_mut(&id).expect("caller checked");
-        if !s.done && s.pier_done && s.pending_fetches.is_empty() {
-            s.done = true;
-            net.observe(crate::classes::RESULTS_PER_SEARCH.id(), s.items.len() as f64);
             self.events.push_back(SearchEvent::Done(id));
         }
     }

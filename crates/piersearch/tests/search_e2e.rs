@@ -164,6 +164,50 @@ fn inverted_cache_ships_fewer_bytes_per_query() {
     assert!(cache < shj, "InvertedCache must ship fewer engine bytes: cache={cache} shj={shj}");
 }
 
+/// A search started inside a DHT trace scope keeps that attribution: the
+/// item fetches it issues once matches stream back, long after the caller
+/// closed the scope, are value-kind lookups charged to the same trace.
+#[test]
+fn traced_search_attributes_its_item_fetches() {
+    use pier_trace::{TraceHandle, TraceKind, Tracer};
+    use std::sync::Arc;
+
+    let (mut sim, ids) = build(30, 64, IndexMode::InvertedCache);
+    publish(&mut sim, ids[2], "Traced_Rarity_Live.mp3", 4242);
+    sim.run_for(SimDuration::from_secs(20));
+
+    let searcher = ids[17];
+    let tracer = Arc::new(Tracer::default());
+    let t = tracer.register(0xFE7C, searcher.index() as u64, 0, 0, "traced rarity");
+    let sid = sim.with_actor_ctx::<PierSearchNode, _>(searcher, |node, ctx| {
+        node.core.set_trace(TraceHandle::new(Arc::clone(&tracer)));
+        let mut net = pier_dht::CtxNet { ctx };
+        node.core.trace_scope(t);
+        let sid = node.app.engine.start_search(
+            &mut node.app.pier,
+            &mut node.core,
+            &mut net,
+            "traced rarity",
+        );
+        node.core.clear_trace_scope();
+        sid.expect("searchable query")
+    });
+    sim.run_for(SimDuration::from_secs(30));
+    let s = sim.actor::<PierSearchNode>(searcher).app.engine.search(sid).unwrap();
+    assert_eq!(s.items.len(), 1, "the search finds the file");
+
+    let me = searcher.index() as u64;
+    let events: Vec<_> = tracer.sorted_events().into_iter().filter(|e| e.node == me).collect();
+    let of_t = |k: TraceKind| events.iter().filter(move |e| e.trace == t && e.kind == k);
+    let done: Vec<u64> = of_t(TraceKind::DhtLookupDone).map(|e| e.m).collect();
+    let starts: Vec<_> = of_t(TraceKind::DhtLookupStart).collect();
+    assert!(!starts.is_empty(), "item fetches attributed to the search's trace");
+    for s in starts {
+        assert_eq!(s.m, 0, "value-kind lookup");
+        assert!(done.contains(&s.n), "op {} completes", s.n);
+    }
+}
+
 /// The §5 soft-state loop: with a `refresh_interval`, the Publisher
 /// re-ships every published file's tuple set from the node's maintenance
 /// tick — counted by `piersearch.soft_refresh_files` — and the refreshed

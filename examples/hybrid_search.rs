@@ -66,9 +66,10 @@ fn main() {
     let rare_leaf = deployment.leaves[2_399];
     sim.with_actor_ctx::<HybridUp, _>(deployment.hybrid_ups[0], |up, ctx| {
         let mut dnet = pier_p2p::dht::CtxNet { ctx };
-        up.publisher.publish_file(
-            &mut up.pier,
-            &mut up.dht,
+        let node = &mut up.search;
+        node.app.publisher.publish_file(
+            &mut node.app.pier,
+            &mut node.core,
             &mut dnet,
             "unicorn_demo_recording_1987.mp3",
             1987,
