@@ -85,12 +85,8 @@ pub fn timeout_points(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> Vec<
             vocab: (distinct / 3).max(400),
             phrases: (distinct / 8).max(120),
             seed: seed ^ 1,
-            ..Default::default()
         });
-        let trace = QueryTrace::generate(
-            &catalog,
-            QueryConfig { queries, seed: seed ^ 6, ..Default::default() },
-        );
+        let trace = QueryTrace::generate(&catalog, QueryConfig { queries, seed: seed ^ 6 });
         let leaf_files: Vec<Vec<FileMeta>> = catalog
             .host_files
             .iter()

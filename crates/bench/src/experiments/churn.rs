@@ -173,7 +173,6 @@ fn run_arm(cfg: &ChurnConfig, master: u64, arm: Arm, shards: usize) -> ArmResult
         value_ttl: cfg.value_ttl,
         tick: SimDuration::from_millis(250),
         bucket_refresh: SimDuration::from_secs(30),
-        ..DhtConfig::default()
     };
 
     // Warm-start overlay: N PIERSearch nodes + the probe.
@@ -203,7 +202,6 @@ fn run_arm(cfg: &ChurnConfig, master: u64, arm: Arm, shards: usize) -> ArmResult
         vocab: (cfg.files / 2).max(120),
         phrases: (cfg.files / 4).max(40),
         seed: derive_seed(master, 0xCA7),
-        ..Default::default()
     });
     let mut item_keys = Vec::with_capacity(cfg.files);
     let item = item_table();

@@ -39,7 +39,6 @@ fn trace_view_with_seeds(
             vocab: 6_000,
             phrases: 2_000,
             seed: catalog_seed,
-            ..Default::default()
         },
         // The paper's §6.2 trace: 315,546 instances at 75,129 hosts.
         Scale::Full => CatalogConfig {
@@ -49,7 +48,6 @@ fn trace_view_with_seeds(
             vocab: 38_900,
             phrases: 12_000,
             seed: catalog_seed,
-            ..Default::default()
         },
         // Double the §6.2 trace magnitude.
         Scale::Metro | Scale::MetroLite => CatalogConfig {
@@ -59,7 +57,6 @@ fn trace_view_with_seeds(
             vocab: 77_800,
             phrases: 24_000,
             seed: catalog_seed,
-            ..Default::default()
         },
     };
     let catalog = Catalog::generate(cfg);
@@ -68,10 +65,7 @@ fn trace_view_with_seeds(
         Scale::Full => 350,
         Scale::Metro | Scale::MetroLite => 500,
     };
-    let trace = QueryTrace::generate(
-        &catalog,
-        QueryConfig { queries, seed: trace_seed, ..Default::default() },
-    );
+    let trace = QueryTrace::generate(&catalog, QueryConfig { queries, seed: trace_seed });
     let eval = Evaluator::new(&catalog);
     let view = TraceView {
         replicas: catalog.replica_counts(),

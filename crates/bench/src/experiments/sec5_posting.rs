@@ -102,14 +102,10 @@ fn replay_with_seeds(
         vocab: (files / 12).max(2_000),
         phrases: (files / 40).max(500),
         seed: catalog_seed,
-        ..Default::default()
     });
     drop(stage);
     let stage = obs.phase("exp.sec5-posting.trace");
-    let trace = QueryTrace::generate(
-        &catalog,
-        QueryConfig { queries, seed: trace_seed, ..Default::default() },
-    );
+    let trace = QueryTrace::generate(&catalog, QueryConfig { queries, seed: trace_seed });
     drop(stage);
     let _stage = obs.phase("exp.sec5-posting.replay");
     let eval = Evaluator::new(&catalog);
@@ -187,7 +183,6 @@ mod tests {
             vocab: 60,
             phrases: 15,
             seed: 1,
-            ..Default::default()
         });
         let eval = Evaluator::new(&catalog);
         // Single-term query: shipped = that term's instance-weighted list.

@@ -208,12 +208,8 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize, obs: &Obs) -> Deploy
         vocab: (distinct / 3).max(500),
         phrases: (distinct / 8).max(200),
         seed: master + 4,
-        ..Default::default()
     });
-    let trace = QueryTrace::generate(
-        &catalog,
-        QueryConfig { queries, seed: master + 5, ..Default::default() },
-    );
+    let trace = QueryTrace::generate(&catalog, QueryConfig { queries, seed: master + 5 });
     let leaf_files: Vec<Vec<FileMeta>> = catalog
         .host_files
         .iter()

@@ -18,7 +18,7 @@
 //! the payload.
 
 use pier_gnutella::{
-    FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, LeafConfig, LeafCore, QrpFilter, Terms,
+    FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, LeafCore, QrpFilter, Terms,
     UltrapeerConfig, UltrapeerCore,
 };
 use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
@@ -58,12 +58,9 @@ pub fn sparse_workload() -> FloodWorkload {
         vocab: distinct_files / 3,
         phrases: distinct_files / 8,
         seed: 0xF10D ^ 0xCAFE,
-        ..Default::default()
     });
-    let trace = QueryTrace::generate(
-        &catalog,
-        QueryConfig { queries: QUERIES, seed: 0xF10D ^ 0xBEEF, ..Default::default() },
-    );
+    let trace =
+        QueryTrace::generate(&catalog, QueryConfig { queries: QUERIES, seed: 0xF10D ^ 0xBEEF });
     let leaf_shares: Vec<Vec<FileMeta>> = (0..LEAVES)
         .map(|h| {
             catalog.host_files[h]
@@ -153,7 +150,7 @@ fn build_interned(w: &FloodWorkload) -> InternedFixture {
     for (i, share) in w.leaf_shares.iter().enumerate() {
         let leaf_id = NodeId::new(LEAF_BASE + i as u32);
         up.add_leaf(leaf_id);
-        let leaf = LeafCore::new(LeafConfig::default(), FileStore::new(share.clone()));
+        let leaf = LeafCore::new(FileStore::new(share.clone()));
         let mut filter = QrpFilter::with_defaults();
         filter.insert_ids(leaf.store().all_tokens());
         up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { filter: Arc::new(filter) });

@@ -5,7 +5,7 @@
 use pier_gnutella::LeafNode;
 use pier_gnutella::{
     spawn_stores, FileMeta, FileStore, GnutellaHandles, GnutellaMsg, Guid, QueryOrigin,
-    ShareCatalog, Terms, Topology, TopologyConfig, UltrapeerNode,
+    ShareCatalog, Terms, Topology, TopologyConfig, UltrapeerNode, PROBE_TTL,
 };
 use pier_netsim::{NodeId, Sim, SimConfig, SimDuration, SimTime, UniformLatency};
 use pier_trace::Obs;
@@ -180,25 +180,21 @@ impl LabConfig {
                 seed,
                 shards: 1,
             },
-            Scale::MetroLite => LabConfig::metro_lite(seed),
-        }
-    }
-
-    /// The CI-sized metro variant (`Scale::MetroLite`): same code path —
-    /// shared catalogs, mixed profiles, metro experiment arms — at a size
-    /// a release test can build in seconds.
-    pub fn metro_lite(seed: u64) -> LabConfig {
-        LabConfig {
-            ultrapeers: 300,
-            leaves: 3_000,
-            old_style_fraction: 0.6,
-            leaf_ups: 2,
-            distinct_files: 6_000,
-            queries: 40,
-            vantages: 6,
-            mixed_profile_vantages: true,
-            seed,
-            shards: 1,
+            // The CI-sized metro variant: same code path — shared
+            // catalogs, mixed profiles, metro experiment arms — at a size
+            // a release test can build in seconds.
+            Scale::MetroLite => LabConfig {
+                ultrapeers: 300,
+                leaves: 3_000,
+                old_style_fraction: 0.6,
+                leaf_ups: 2,
+                distinct_files: 6_000,
+                queries: 40,
+                vantages: 6,
+                mixed_profile_vantages: true,
+                seed,
+                shards: 1,
+            },
         }
     }
 }
@@ -254,14 +250,13 @@ impl Lab {
                 vocab: (cfg.distinct_files / 3).max(500),
                 phrases: (cfg.distinct_files / 8).max(200),
                 seed: cfg.seed ^ 0xCAFE,
-                ..Default::default()
             })
         };
         let trace = {
             let _p = obs.phase("lab.build.query_trace");
             QueryTrace::generate(
                 &catalog,
-                QueryConfig { queries: cfg.queries, seed: cfg.seed ^ 0xBEEF, ..Default::default() },
+                QueryConfig { queries: cfg.queries, seed: cfg.seed ^ 0xBEEF },
             )
         };
         // One columnar copy of every distinct file (names scanned once);
@@ -363,7 +358,7 @@ impl Lab {
         let queries: Vec<Query> = self.trace.queries.clone();
         let vantages = self.vantages.clone();
         let gap = SimDuration::from_secs_f64(1.0 / inject_rate_per_s);
-        // Drain: longest dynamic query ≈ neighbors × probe_interval + grace.
+        // Drain: longest dynamic query ≈ neighbors × `PROBE_INTERVAL` + grace.
         let drain = SimDuration::from_secs(120);
         if let Some(kernel) = &obs.kernel {
             let run_us = gap.as_micros() * queries.len() as u64 + drain.as_micros();
@@ -384,10 +379,9 @@ impl Lab {
             let mut per_vantage = Vec::with_capacity(vantages.len());
             for &v in &vantages {
                 let issued = self.sim.now();
-                let (guid, ttl) = self.sim.with_actor_ctx::<UltrapeerNode, _>(v, |up, ctx| {
+                let guid = self.sim.with_actor_ctx::<UltrapeerNode, _>(v, |up, ctx| {
                     let mut net = pier_gnutella::CtxGnutellaNet { ctx };
-                    let guid = up.core.start_query(&mut net, terms.clone(), QueryOrigin::Driver);
-                    (guid, up.core.cfg.probe_ttl)
+                    up.core.start_query(&mut net, terms.clone(), QueryOrigin::Driver)
                 });
                 if let Some(tracer) = &obs.tracer {
                     if next_sample.peek() == Some(&inject_ix) {
@@ -396,7 +390,7 @@ impl Lab {
                             guid.0,
                             v.index() as u64,
                             issued.as_micros(),
-                            u64::from(ttl),
+                            u64::from(PROBE_TTL),
                             &terms.text(),
                         );
                     }
@@ -510,7 +504,6 @@ mod tests {
         assert!(lite.ultrapeers < full.ultrapeers);
         assert!(lite.leaves < full.leaves);
         assert!(lite.mixed_profile_vantages, "metro-lite keeps the metro vantage shape");
-        assert_eq!(lite.ultrapeers, LabConfig::metro_lite(DEFAULT_SEED).ultrapeers);
     }
 
     #[test]

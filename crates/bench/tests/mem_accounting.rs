@@ -2,12 +2,12 @@
 //! `netsim.heap_bytes_per_node` row is wired through a built lab, and
 //! multihomed leaves share one interned QRP filter.
 
-use pier_bench::lab::{Lab, LabConfig, DEFAULT_SEED};
+use pier_bench::lab::{Lab, LabConfig, Scale, DEFAULT_SEED};
 use pier_gnutella::UltrapeerNode;
 
 #[test]
 fn built_lab_accounts_every_node_and_interns_leaf_filters() {
-    let cfg = LabConfig::metro_lite(DEFAULT_SEED);
+    let cfg = LabConfig::at_seeded(Scale::MetroLite, DEFAULT_SEED);
     let (ultrapeers, leaves) = (cfg.ultrapeers, cfg.leaves);
     let lab = Lab::build_with(cfg, &Default::default());
 

@@ -44,8 +44,7 @@ fn metro_lite_horizon_is_bit_identical_across_shard_counts() {
         return;
     }
     let summary = |shards: usize| {
-        let mut cfg = LabConfig::metro_lite(DEFAULT_SEED);
-        cfg.shards = shards;
+        let cfg = LabConfig::at_sharded(Scale::MetroLite, DEFAULT_SEED, shards);
         horizon::summarize(&horizon::collect_cfg(cfg, 3.0, &Obs::default()))
     };
     let base = summary(1);

@@ -1,4 +1,6 @@
-//! DHT tuning parameters.
+//! DHT tuning parameters. The routed-message hop limit and the per-message
+//! header bytes are fixed `const`s in `core.rs`, beside the code that
+//! reads them.
 
 use pier_netsim::SimDuration;
 
@@ -14,20 +16,15 @@ pub struct DhtConfig {
     pub replication: usize,
     /// Round-trip timeout for one RPC before it counts as failed.
     pub rpc_timeout: SimDuration,
-    /// Default lifetime of stored values. Publishers re-publish at half
-    /// this interval while the value should stay alive.
+    /// Default lifetime of stored values. The core never re-pushes a
+    /// value: keeping one alive is the publisher's job (PIERSearch's
+    /// `Publisher::refresh_interval`, which only the churn experiment sets).
     pub value_ttl: SimDuration,
     /// Interval of the periodic maintenance tick (RPC timeout sweep,
     /// bucket refresh, value expiry).
     pub tick: SimDuration,
     /// Refresh a bucket if it has not seen traffic for this long.
     pub bucket_refresh: SimDuration,
-    /// Maximum hops for recursively routed messages (loop guard; log2 of
-    /// any realistic network size leaves wide margin).
-    pub max_route_hops: u32,
-    /// Fixed per-message overhead accounted on top of the encoded payload
-    /// (transport headers), in bytes.
-    pub header_bytes: usize,
 }
 
 impl Default for DhtConfig {
@@ -40,8 +37,6 @@ impl Default for DhtConfig {
             value_ttl: SimDuration::from_secs(3600),
             tick: SimDuration::from_millis(500),
             bucket_refresh: SimDuration::from_secs(600),
-            max_route_hops: 64,
-            header_bytes: 28,
         }
     }
 }
@@ -58,7 +53,6 @@ impl DhtConfig {
             value_ttl: SimDuration::from_secs(120),
             tick: SimDuration::from_millis(200),
             bucket_refresh: SimDuration::from_secs(30),
-            ..Default::default()
         }
     }
 }

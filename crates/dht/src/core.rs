@@ -16,6 +16,14 @@ use pier_netsim::{MetricClass, NodeId, SimRng, SimTime};
 use pier_trace::{TraceHandle, TraceId, TraceKind};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
+/// Maximum hops for recursively routed messages (loop guard; log2 of any
+/// realistic network size leaves wide margin).
+const MAX_ROUTE_HOPS: u32 = 64;
+
+/// Fixed per-message overhead accounted on top of the encoded payload
+/// (transport headers), in bytes.
+const HEADER_BYTES: usize = 28;
+
 /// Handle for correlating asynchronous DHT operations with their events.
 pub type OpId = u64;
 
@@ -248,7 +256,7 @@ impl DhtCore {
         hops: u32,
         origin: Contact,
     ) {
-        if hops >= self.cfg.max_route_hops {
+        if hops >= MAX_ROUTE_HOPS {
             net.count(crate::classes::ROUTE_HOP_LIMIT_DROP.id(), 1);
             return;
         }
@@ -260,7 +268,7 @@ impl DhtCore {
             }
             Some(hop) => {
                 let msg = DhtMsg::RouteStore { key, value, ttl_us, hops: hops + 1, origin };
-                let wire = msg.encoded_len() + self.cfg.header_bytes;
+                let wire = msg.encoded_len() + HEADER_BYTES;
                 net.send_dht(hop.node, msg, wire, crate::classes::ROUTE_STORE.id());
             }
         }
@@ -282,7 +290,7 @@ impl DhtCore {
     /// answers, which the paper exempts from DHT routing).
     pub fn send_direct(&mut self, net: &mut dyn DhtNet, dst: NodeId, payload: Vec<u8>) {
         let msg = DhtMsg::AppDirect { payload, origin: self.local() };
-        let wire = msg.encoded_len() + self.cfg.header_bytes;
+        let wire = msg.encoded_len() + HEADER_BYTES;
         net.send_dht(dst, msg, wire, crate::classes::APP_DIRECT.id());
     }
 
@@ -332,7 +340,7 @@ impl DhtCore {
                 self.observe_contact(net, from);
                 let resp = self.handle_request(net, body);
                 let reply = DhtMsg::Response { id, from: self.local(), body: resp };
-                let wire = reply.encoded_len() + self.cfg.header_bytes;
+                let wire = reply.encoded_len() + HEADER_BYTES;
                 let class = reply.class();
                 net.send_dht(from.node, reply, wire, class);
             }
@@ -588,7 +596,7 @@ impl DhtCore {
         hops: u32,
         origin: Contact,
     ) {
-        if hops >= self.cfg.max_route_hops {
+        if hops >= MAX_ROUTE_HOPS {
             net.count(crate::classes::ROUTE_HOP_LIMIT_DROP.id(), 1);
             return;
         }
@@ -599,7 +607,7 @@ impl DhtCore {
             }
             Some(hop) => {
                 let msg = DhtMsg::Route { key, payload, hops: hops + 1, origin };
-                let wire = msg.encoded_len() + self.cfg.header_bytes;
+                let wire = msg.encoded_len() + HEADER_BYTES;
                 net.send_dht(hop.node, msg, wire, crate::classes::ROUTE.id());
             }
         }
@@ -684,7 +692,7 @@ impl DhtCore {
         let deadline = net.now() + self.cfg.rpc_timeout;
         self.pending.insert(id, PendingRpc { dst, deadline, purpose });
         let msg = DhtMsg::Request { id, from: self.local(), body };
-        let wire = msg.encoded_len() + self.cfg.header_bytes;
+        let wire = msg.encoded_len() + HEADER_BYTES;
         let class = msg.class();
         net.send_dht(dst.node, msg, wire, class);
     }

@@ -1,4 +1,9 @@
-//! Gnutella protocol parameters.
+//! Per-ultrapeer parameters: the degree profile that tells the crawl's two
+//! LimeWire generations apart, and the few limits the tests turn down to
+//! reach hit chunking, early finish and lazy expiry at small sizes.
+//! LimeWire's fixed dynamic-querying constants (probe and deep TTLs, probe
+//! pacing, the maintenance tick) are `const`s beside the code that reads
+//! them, in `ultrapeer.rs` and `node.rs`.
 
 use pier_netsim::SimDuration;
 
@@ -11,29 +16,15 @@ pub struct UltrapeerConfig {
     pub max_leaves: usize,
     /// Target ultrapeer degree.
     pub up_neighbors: usize,
-    /// TTL for classic (non-dynamic) flooded queries.
-    pub flood_ttl: u8,
-    /// TTL used for the cheap first probe of a dynamic query.
-    pub probe_ttl: u8,
     /// How many neighbors receive the initial probe. The rest are reached
     /// one at a time by deeper probes; a probed neighbor has already seen
     /// the GUID and never relays, so probing everyone up front would
     /// blind the deep phase.
     pub probe_neighbors: usize,
-    /// TTL used for per-neighbor dynamic-query iterations.
-    pub dyn_ttl: u8,
-    /// Pause between dynamic-query probes to successive neighbors. This
-    /// pacing is what makes rare-item queries slow on Gnutella (the 73 s
-    /// first-result latency of Fig. 7).
-    pub probe_interval: SimDuration,
     /// Stop a dynamic query once this many results arrived.
     pub target_results: usize,
-    /// Per-message forwarding delay at an ultrapeer (processing/queueing).
-    pub forward_delay: SimDuration,
     /// Seen-GUID table entries expire after this long.
     pub seen_ttl: SimDuration,
-    /// Maintenance tick.
-    pub tick: SimDuration,
     /// Cap on hits per QueryHit message (the protocol's 255 limit, lowered
     /// keeps messages realistic).
     pub max_hits_per_msg: usize,
@@ -44,15 +35,9 @@ impl Default for UltrapeerConfig {
         UltrapeerConfig {
             max_leaves: 30,
             up_neighbors: 32,
-            flood_ttl: 4,
-            probe_ttl: 1,
             probe_neighbors: 10,
-            dyn_ttl: 2,
-            probe_interval: SimDuration::from_millis(2400),
             target_results: 150,
-            forward_delay: SimDuration::from_millis(40),
             seen_ttl: SimDuration::from_secs(120),
-            tick: SimDuration::from_millis(400),
             max_hits_per_msg: 64,
         }
     }
@@ -66,24 +51,10 @@ impl UltrapeerConfig {
     }
 }
 
-/// Leaf parameters.
-#[derive(Clone, Debug)]
-pub struct LeafConfig {
-    /// How many ultrapeers a leaf connects to.
-    pub ultrapeers: usize,
-    /// Give up on a query after this long with no results.
-    pub query_patience: SimDuration,
-}
-
-impl Default for LeafConfig {
-    fn default() -> Self {
-        LeafConfig { ultrapeers: 3, query_patience: SimDuration::from_secs(90) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ultrapeer::PROBE_INTERVAL;
 
     #[test]
     fn defaults_match_crawl_findings() {
@@ -100,7 +71,7 @@ mod tests {
         // 32 neighbors at 2.4 s pacing ≈ 77 s worst case — the order of the
         // paper's 73 s single-result latency.
         let c = UltrapeerConfig::default();
-        let worst = c.probe_interval.as_secs_f64() * c.up_neighbors as f64;
+        let worst = PROBE_INTERVAL.as_secs_f64() * c.up_neighbors as f64;
         assert!((60.0..100.0).contains(&worst));
     }
 }

@@ -32,10 +32,6 @@ use pier_vocab::{scan, TermId};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
-/// Lowercase alphanumeric tokens of a filename ("Led_Zeppelin-IV.mp3" →
-/// ["led", "zeppelin", "iv", "mp3"]) — the shared scanner, in string form.
-pub use pier_vocab::scan_text as tokenize;
-
 /// One shared file. The name is `Arc`-shared: a `Hit` travelling the
 /// reverse path is cloned once per hop and per message chunk, and with a
 /// pointer-sized name clone those hops stop allocating — the last string
@@ -240,16 +236,17 @@ impl HeapSize for FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pier_vocab::scan_text;
 
     #[test]
     fn tokenize_splits_and_lowercases() {
         assert_eq!(
-            tokenize("Led_Zeppelin-Stairway (live).MP3"),
+            scan_text("Led_Zeppelin-Stairway (live).MP3"),
             vec!["led", "zeppelin", "stairway", "live", "mp3"]
         );
-        assert_eq!(tokenize(""), Vec::<String>::new());
-        assert_eq!(tokenize("___"), Vec::<String>::new());
-        assert_eq!(tokenize("abc123"), vec!["abc123"]);
+        assert_eq!(scan_text(""), Vec::<String>::new());
+        assert_eq!(scan_text("___"), Vec::<String>::new());
+        assert_eq!(scan_text("abc123"), vec!["abc123"]);
     }
 
     #[test]
@@ -295,11 +292,11 @@ mod tests {
         let store = FileStore::new(names.iter().map(|n| FileMeta::new(n, 1)).collect());
         for q in ["some song", "track 07", "näme", "missing term", ""] {
             let fast: Vec<&str> = store.matching_query(q).iter().map(|f| &*f.name).collect();
-            let terms = tokenize(q);
+            let terms = scan_text(q);
             let slow: Vec<&str> = names
                 .iter()
                 .filter(|n| {
-                    let set: std::collections::HashSet<String> = tokenize(n).into_iter().collect();
+                    let set: std::collections::HashSet<String> = scan_text(n).into_iter().collect();
                     !terms.is_empty() && terms.iter().all(|t| set.contains(t))
                 })
                 .copied()

@@ -3,7 +3,6 @@
 //! an ultrapeer.
 
 use crate::bloom::QrpFilter;
-use crate::config::LeafConfig;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Hit};
 use crate::net::GnutellaNet;
@@ -35,7 +34,6 @@ impl pier_netsim::HeapSize for LeafSearch {
 /// churn repair, so the slimmer no-spare-capacity representation wins at
 /// hundreds of thousands of leaves.
 pub struct LeafCore {
-    pub cfg: LeafConfig,
     ultrapeers: Box<[NodeId]>,
     store: FileStore,
     /// The share's QRP filter, built lazily on first publish and interned
@@ -52,9 +50,8 @@ pub struct LeafCore {
 }
 
 impl LeafCore {
-    pub fn new(cfg: LeafConfig, store: FileStore) -> Self {
+    pub fn new(store: FileStore) -> Self {
         LeafCore {
-            cfg,
             ultrapeers: Box::default(),
             store,
             qrp: None,
@@ -254,7 +251,7 @@ mod tests {
             FileMeta::new("led_zeppelin_iv.mp3", 1),
             FileMeta::new("cat_video.avi", 2),
         ]);
-        let mut core = LeafCore::new(LeafConfig::default(), store);
+        let mut core = LeafCore::new(store);
         core.set_ultrapeers(vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
         (core, FakeNet::new(100))
     }

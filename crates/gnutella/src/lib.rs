@@ -35,13 +35,15 @@ pub mod topology;
 mod ultrapeer;
 
 pub use bloom::{QrpFilter, QrpProbe};
-pub use config::{LeafConfig, UltrapeerConfig};
+pub use config::UltrapeerConfig;
 pub use crawl::{CrawlGraph, Crawler};
-pub use files::{tokenize, FileId, FileMeta, FileStore, ShareCatalog};
+pub use files::{FileId, FileMeta, FileStore, ShareCatalog};
 pub use leaf::{LeafCore, LeafSearch};
 pub use msg::{GnutellaMsg, Guid, Hit, HEADER_BYTES};
 pub use net::{CtxGnutellaNet, GnutellaCarrier, GnutellaNet};
-pub use node::{LeafNode, UltrapeerNode, UP_TICK};
+pub use node::{LeafNode, UltrapeerNode, UP_TICK, UP_TICK_INTERVAL};
 pub use pier_vocab::{TermId, Terms};
 pub use topology::{spawn, spawn_stores, GnutellaHandles, Topology, TopologyConfig, UpLeaves};
-pub use ultrapeer::{QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore};
+pub use ultrapeer::{
+    QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore, DYN_TTL, PROBE_INTERVAL, PROBE_TTL,
+};

@@ -5,10 +5,13 @@
 use crate::leaf::LeafCore;
 use crate::net::{CtxGnutellaNet, GnutellaCarrier};
 use crate::ultrapeer::UltrapeerCore;
-use pier_netsim::{Actor, Ctx, NodeId, TimerToken};
+use pier_netsim::{Actor, Ctx, NodeId, SimDuration, TimerToken};
 
 /// Timer token for the ultrapeer maintenance tick.
 pub const UP_TICK: TimerToken = TimerToken(0x6E55);
+
+/// Period of the ultrapeer maintenance tick.
+pub const UP_TICK_INTERVAL: SimDuration = SimDuration::from_millis(400);
 
 /// An ultrapeer actor.
 pub struct UltrapeerNode {
@@ -23,7 +26,7 @@ impl UltrapeerNode {
 
 impl<M: GnutellaCarrier> Actor<M> for UltrapeerNode {
     fn on_start(&mut self, ctx: &mut dyn Ctx<M>) {
-        ctx.set_timer(self.core.cfg.tick, UP_TICK);
+        ctx.set_timer(UP_TICK_INTERVAL, UP_TICK);
     }
 
     fn on_message(&mut self, ctx: &mut dyn Ctx<M>, from: NodeId, msg: M) {
@@ -35,7 +38,7 @@ impl<M: GnutellaCarrier> Actor<M> for UltrapeerNode {
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx<M>, token: TimerToken) {
         if token == UP_TICK {
-            ctx.set_timer(self.core.cfg.tick, UP_TICK);
+            ctx.set_timer(UP_TICK_INTERVAL, UP_TICK);
             let mut net = CtxGnutellaNet { ctx };
             self.core.tick(&mut net);
         }

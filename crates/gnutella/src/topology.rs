@@ -1,7 +1,7 @@
 //! Two-tier topology generation (ultrapeers + leaves) and spawning a whole
 //! Gnutella network into a simulation.
 
-use crate::config::{LeafConfig, UltrapeerConfig};
+use crate::config::UltrapeerConfig;
 use crate::files::{FileMeta, FileStore};
 use crate::leaf::LeafCore;
 use crate::msg::GnutellaMsg;
@@ -247,7 +247,7 @@ pub fn spawn_stores(
     }
     let mut leaves = Vec::with_capacity(topo.leaf_count());
     for (j, store) in leaf_stores.into_iter().enumerate() {
-        let mut core = LeafCore::new(LeafConfig::default(), store);
+        let mut core = LeafCore::new(store);
         core.set_ultrapeers(topo.leaf_homes[j].iter().map(|&u| up_id(u)).collect());
         let id = sim.add_node(LeafNode::new(core));
         debug_assert_eq!(id, leaf_id(j));

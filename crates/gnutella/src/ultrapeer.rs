@@ -7,7 +7,7 @@ use crate::config::UltrapeerConfig;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Guid, Hit};
 use crate::net::GnutellaNet;
-use pier_netsim::{split_mix64, NodeId, SimTime};
+use pier_netsim::{split_mix64, NodeId, SimDuration, SimTime};
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
 use rand::seq::SliceRandom;
@@ -15,6 +15,17 @@ use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// TTL for classic (non-dynamic) flooded queries.
+const FLOOD_TTL: u8 = 4;
+/// TTL used for the cheap first probe of a dynamic query.
+pub const PROBE_TTL: u8 = 1;
+/// TTL used for per-neighbor dynamic-query iterations.
+pub const DYN_TTL: u8 = 2;
+/// Pause between dynamic-query probes to successive neighbors. This
+/// pacing is what makes rare-item queries slow on Gnutella (the 73 s
+/// first-result latency of Fig. 7).
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(2400);
 
 /// Who asked for a query this ultrapeer originated.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -311,7 +322,7 @@ impl UltrapeerCore {
     // ------------------------------------------------------------------
 
     /// Originate a search. A cheap TTL-1 probe goes to every neighbor now;
-    /// deeper per-neighbor probes follow at `probe_interval` pacing until
+    /// deeper per-neighbor probes follow at [`PROBE_INTERVAL`] pacing until
     /// `target_results` accumulate or neighbors are exhausted.
     pub fn start_query(
         &mut self,
@@ -357,18 +368,13 @@ impl UltrapeerCore {
         let probe_count = order.len().min(self.cfg.probe_neighbors);
         let unprobed: Vec<NodeId> = order.split_off(probe_count);
         for &n in &order {
-            net.send(
-                n,
-                GnutellaMsg::Query { guid, ttl: self.cfg.probe_ttl, hops: 0, terms: terms.clone() },
-            );
+            net.send(n, GnutellaMsg::Query { guid, ttl: PROBE_TTL, hops: 0, terms: terms.clone() });
         }
         record.probes_sent = probe_count as u32;
         net.count(crate::classes::QUERIES_STARTED.id(), 1);
 
-        self.dyn_state.insert(
-            guid,
-            DynState { unprobed, next_probe_at: net.now() + self.cfg.probe_interval },
-        );
+        self.dyn_state
+            .insert(guid, DynState { unprobed, next_probe_at: net.now() + PROBE_INTERVAL });
         self.queries.insert(guid, record);
         guid
     }
@@ -395,10 +401,7 @@ impl UltrapeerCore {
             finished: false,
         };
         for &n in &self.neighbors {
-            net.send(
-                n,
-                GnutellaMsg::Query { guid, ttl: self.cfg.flood_ttl, hops: 0, terms: terms.clone() },
-            );
+            net.send(n, GnutellaMsg::Query { guid, ttl: FLOOD_TTL, hops: 0, terms: terms.clone() });
         }
         // No dynamic state: the flood completes on its own; the record keeps
         // accumulating whatever returns.
@@ -636,17 +639,17 @@ impl UltrapeerCore {
                         neighbor,
                         GnutellaMsg::Query {
                             guid,
-                            ttl: self.cfg.dyn_ttl,
+                            ttl: DYN_TTL,
                             hops: 0,
                             terms: record.terms.clone(),
                         },
                     );
                     record.probes_sent += 1;
-                    st.next_probe_at = now + self.cfg.probe_interval;
+                    st.next_probe_at = now + PROBE_INTERVAL;
                 }
                 None => {
                     // Horizon exhausted; leave a grace period for stragglers.
-                    if now >= st.next_probe_at + self.cfg.probe_interval {
+                    if now >= st.next_probe_at + PROBE_INTERVAL {
                         Self::finish(record, guid, net);
                         self.dyn_state.remove(&guid);
                     }

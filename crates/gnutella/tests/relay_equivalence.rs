@@ -13,7 +13,8 @@
 
 use pier_gnutella::{
     classes, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, QrpFilter, QueryOrigin,
-    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore,
+    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, DYN_TTL, PROBE_INTERVAL, PROBE_TTL,
+    UP_TICK_INTERVAL,
 };
 use pier_netsim::{stream_rng, MemAcc, MetricClass, NodeId, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -109,12 +110,12 @@ impl EagerCore {
         let probe_count = order.len().min(self.cfg.probe_neighbors);
         let unprobed = order.split_off(probe_count);
         for &n in &order {
-            let (ttl, terms) = (self.cfg.probe_ttl, terms.clone());
+            let (ttl, terms) = (PROBE_TTL, terms.clone());
             net.send(n, GnutellaMsg::Query { guid, ttl, hops: 0, terms });
         }
         record.probes_sent = probe_count as u32;
         net.count(classes::QUERIES_STARTED.id(), 1);
-        self.dyn_state.insert(guid, (unprobed, net.now + self.cfg.probe_interval));
+        self.dyn_state.insert(guid, (unprobed, net.now + PROBE_INTERVAL));
         self.queries.insert(guid, record);
     }
 
@@ -175,7 +176,7 @@ impl EagerCore {
         for guid in guids {
             let record = self.queries.get_mut(&guid).expect("dyn state implies record");
             let (unprobed, next_probe_at) = self.dyn_state.get_mut(&guid).expect("live key");
-            let exhausted = unprobed.is_empty() && now >= *next_probe_at + self.cfg.probe_interval;
+            let exhausted = unprobed.is_empty() && now >= *next_probe_at + PROBE_INTERVAL;
             if record.hits.len() >= self.cfg.target_results || exhausted {
                 record.finished = true;
                 net.count(classes::QUERIES_FINISHED.id(), 1);
@@ -186,10 +187,10 @@ impl EagerCore {
                 self.dyn_state.remove(&guid);
             } else if now >= *next_probe_at {
                 if let Some(neighbor) = unprobed.pop() {
-                    let (ttl, terms) = (self.cfg.dyn_ttl, record.terms.clone());
+                    let (ttl, terms) = (DYN_TTL, record.terms.clone());
                     net.send(neighbor, GnutellaMsg::Query { guid, ttl, hops: 0, terms });
                     record.probes_sent += 1;
-                    *next_probe_at = now + self.cfg.probe_interval;
+                    *next_probe_at = now + PROBE_INTERVAL;
                 }
             }
         }
@@ -542,7 +543,7 @@ fn seen_table_capacity_is_bounded_at_steady_state() {
     const PER_TICK: u64 = 100;
     const SLOT_BYTES: u64 = 32;
     let cfg = UltrapeerConfig { seen_ttl: SimDuration::from_secs(10), ..Default::default() };
-    let live = PER_TICK * cfg.seen_ttl.as_micros() / cfg.tick.as_micros();
+    let live = PER_TICK * cfg.seen_ttl.as_micros() / UP_TICK_INTERVAL.as_micros();
     let mut core = UltrapeerCore::new(cfg.clone(), FileStore::default());
     let mut net = FakeNet::new();
     let mut peak = 0;
@@ -550,7 +551,7 @@ fn seen_table_capacity_is_bounded_at_steady_state() {
         let msg = GnutellaMsg::Query { guid: Guid(guid), ttl: 1, hops: 0, terms: terms(1) };
         core.on_message(&mut net, neighbor(0), msg);
         if guid % PER_TICK == PER_TICK - 1 {
-            net.now += cfg.tick;
+            net.now += UP_TICK_INTERVAL;
             core.tick(&mut net);
             net.log.clear();
             let mut acc = MemAcc::new();

@@ -9,7 +9,7 @@ use crate::rare::RareScheme;
 use crate::ultrapeer::{HybridConfig, HybridUp};
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore};
 use pier_gnutella::{
-    FileMeta, FileStore, LeafConfig, LeafCore, LeafNode, Topology, UltrapeerCore, UltrapeerNode,
+    FileMeta, FileStore, LeafCore, LeafNode, Topology, UltrapeerCore, UltrapeerNode,
 };
 use pier_netsim::{NodeId, Sim};
 
@@ -78,7 +78,7 @@ pub fn spawn(
 
     let mut leaves = Vec::with_capacity(topo.leaf_count());
     for (j, files) in leaf_files.into_iter().enumerate() {
-        let mut core = LeafCore::new(LeafConfig::default(), FileStore::new(files));
+        let mut core = LeafCore::new(FileStore::new(files));
         core.set_ultrapeers(topo.leaf_homes[j].iter().map(|&u| up_id(u)).collect());
         let id = sim.add_node(LeafNode::new(core));
         debug_assert_eq!(id, leaf_id(j));

@@ -13,7 +13,7 @@ use crate::rare::{ObservedItem, RareScheme};
 use pier_dht::{CtxNet, DhtCore, DhtNode, Key, TICK_TOKEN};
 use pier_gnutella::{
     CtxGnutellaNet, FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, SnoopEvent,
-    UltrapeerCore, UP_TICK,
+    UltrapeerCore, UP_TICK, UP_TICK_INTERVAL,
 };
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
 use pier_trace::{TraceHandle, TraceKind};
@@ -335,7 +335,7 @@ impl Actor<HybridMsg> for HybridUp {
     }
 
     fn on_start(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
-        ctx.set_timer(self.gnutella.cfg.tick, UP_TICK);
+        ctx.set_timer(UP_TICK_INTERVAL, UP_TICK);
         ctx.set_timer(self.search.core.config().tick, TICK_TOKEN);
         ctx.set_timer(TICK, H_TICK);
         if self.cfg.browse_leaves {
@@ -386,7 +386,7 @@ impl Actor<HybridMsg> for HybridUp {
     fn on_timer(&mut self, ctx: &mut dyn Ctx<HybridMsg>, token: TimerToken) {
         match token {
             UP_TICK => {
-                ctx.set_timer(self.gnutella.cfg.tick, UP_TICK);
+                ctx.set_timer(UP_TICK_INTERVAL, UP_TICK);
                 self.gnutella.tick(&mut CtxGnutellaNet { ctx });
             }
             TICK_TOKEN => {

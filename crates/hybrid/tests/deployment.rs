@@ -242,7 +242,7 @@ fn traced_fallback_emits_pier_and_dht_events() {
             guid.0,
             ctx.self_id().index() as u64,
             ctx.now().as_micros(),
-            u64::from(up.gnutella.cfg.probe_ttl),
+            u64::from(pier_gnutella::PROBE_TTL),
             &rec.terms.text(),
         );
         (idx, t)

@@ -20,28 +20,14 @@ use pier_dht::{DhtCore, DhtEvent, DhtNet};
 use pier_netsim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-/// Engine tuning knobs.
-#[derive(Clone, Debug)]
-pub struct PierConfig {
-    /// Tuples per inter-stage / result batch.
-    pub batch_size: usize,
-    /// Client-side deadline: a query with no EOF by then is reported as
-    /// timed out.
-    pub query_timeout: SimDuration,
-    /// Stage-executor state (and orphan buffers) are garbage collected this
-    /// long after last activity.
-    pub exec_ttl: SimDuration,
-}
-
-impl Default for PierConfig {
-    fn default() -> Self {
-        PierConfig {
-            batch_size: 64,
-            query_timeout: SimDuration::from_secs(30),
-            exec_ttl: SimDuration::from_secs(120),
-        }
-    }
-}
+/// Tuples per inter-stage / result batch.
+const BATCH_SIZE: usize = 64;
+/// Client-side deadline: a query with no EOF by then is reported as timed
+/// out.
+const QUERY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Stage-executor state (and orphan buffers) are garbage collected this
+/// long after last activity.
+const EXEC_TTL: SimDuration = SimDuration::from_secs(120);
 
 /// Why a query finished.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,7 +87,6 @@ struct Orphans {
 /// The per-node engine.
 pub struct PierCore {
     pub catalog: Catalog,
-    cfg: PierConfig,
     next_seq: u32,
     clients: BTreeMap<QueryId, ClientQuery>,
     execs: HashMap<(QueryId, u32), StageExec>,
@@ -110,20 +95,15 @@ pub struct PierCore {
 }
 
 impl PierCore {
-    pub fn new(cfg: PierConfig, catalog: Catalog) -> Self {
+    pub fn new(catalog: Catalog) -> Self {
         PierCore {
             catalog,
-            cfg,
             next_seq: 1,
             clients: BTreeMap::new(),
             execs: HashMap::new(),
             orphans: HashMap::new(),
             events: VecDeque::new(),
         }
-    }
-
-    pub fn config(&self) -> &PierConfig {
-        &self.cfg
     }
 
     pub fn take_events(&mut self) -> Vec<PierEvent> {
@@ -198,7 +178,7 @@ impl PierCore {
         self.clients.insert(
             plan.id,
             ClientQuery {
-                deadline: net.now() + self.cfg.query_timeout,
+                deadline: net.now() + QUERY_TIMEOUT,
                 limit: plan.limit,
                 batches_seen: 0,
                 total_batches: None,
@@ -269,9 +249,8 @@ impl PierCore {
         }
         self.clients.retain(|_, c| !(c.done && c.deadline <= now));
         // Executor / orphan GC.
-        let ttl = self.cfg.exec_ttl;
-        self.execs.retain(|_, e| e.last_activity + ttl > now);
-        self.orphans.retain(|_, o| o.since + ttl > now);
+        self.execs.retain(|_, e| e.last_activity + EXEC_TTL > now);
+        self.orphans.retain(|_, o| o.since + EXEC_TTL > now);
     }
 
     fn on_engine_msg(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, msg: PierMsg) {
@@ -339,11 +318,11 @@ impl PierCore {
                 for t in scanned {
                     let out = t.project(&project);
                     exec.out_buf.push(out);
-                    if exec.out_buf.len() >= self.cfg.batch_size {
-                        Self::flush(&mut exec, dht, net, false, self.cfg.batch_size);
+                    if exec.out_buf.len() >= BATCH_SIZE {
+                        Self::flush(&mut exec, dht, net, false);
                     }
                 }
-                Self::flush(&mut exec, dht, net, true, self.cfg.batch_size);
+                Self::flush(&mut exec, dht, net, true);
                 exec.finished = true;
             }
             Some(jc) => {
@@ -403,7 +382,7 @@ impl PierCore {
             }
         }
         // Flush full batches downstream.
-        Self::flush(exec, dht, net, false, self.cfg.batch_size);
+        Self::flush(exec, dht, net, false);
         self.check_stage_complete(dht, net, key);
     }
 
@@ -441,7 +420,7 @@ impl PierCore {
             return;
         }
         if exec.in_total == Some(exec.in_batches) {
-            Self::flush(exec, dht, net, true, self.cfg.batch_size);
+            Self::flush(exec, dht, net, true);
             exec.finished = true;
             net.observe(crate::classes::STAGE_PROBED.id(), exec.probed as f64);
         }
@@ -449,18 +428,12 @@ impl PierCore {
 
     /// Ship buffered output downstream (or to the collector for the last
     /// stage); `eof` additionally sends the end-of-stream marker.
-    fn flush(
-        exec: &mut StageExec,
-        dht: &mut DhtCore,
-        net: &mut dyn DhtNet,
-        eof: bool,
-        batch_size: usize,
-    ) {
+    fn flush(exec: &mut StageExec, dht: &mut DhtCore, net: &mut dyn DhtNet, eof: bool) {
         let stage_idx = exec.stage as usize;
         let is_last = stage_idx + 1 == exec.plan.stages.len();
         // Without EOF only ship full batches; with EOF drain everything.
-        while exec.out_buf.len() >= batch_size || (eof && !exec.out_buf.is_empty()) {
-            let take = exec.out_buf.len().min(batch_size);
+        while exec.out_buf.len() >= BATCH_SIZE || (eof && !exec.out_buf.is_empty()) {
+            let take = exec.out_buf.len().min(BATCH_SIZE);
             let tuples: Vec<Tuple> = exec.out_buf.drain(..take).collect();
             let emit_count = tuples.len() as u64;
             let seq = exec.out_seq;

@@ -17,8 +17,11 @@
 //!
 //! The engine ([`PierCore`]) is I/O-free and composes with [`pier_dht`]'s
 //! `DhtCore` inside any actor; [`PierNode`] is the ready-made standalone
-//! actor. Reference local operators (selection, projection, hash joins,
-//! aggregation) live in [`ops`]; the engine does not call them.
+//! actor. Its batch size (64 tuples), client deadline (30 s) and executor
+//! garbage-collection delay (120 s) are fixed constants in `core.rs`, so
+//! [`PierCore::new`] takes only the catalog. Reference local operators
+//! (selection, projection, hash joins, aggregation) live in [`ops`]; the
+//! engine does not call them.
 
 mod catalog;
 pub mod classes;
@@ -32,7 +35,7 @@ mod schema;
 mod value;
 
 pub use catalog::Catalog;
-pub use core::{PierConfig, PierCore, PierEvent, PublishError, QueryOutcome};
+pub use core::{PierCore, PierEvent, PublishError, QueryOutcome};
 pub use expr::{CmpOp, Expr, ExprError};
 pub use msg::PierMsg;
 pub use node::{PierApp, PierNode};

@@ -3,8 +3,8 @@
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtMsg, Key};
 use pier_netsim::{ConstantLatency, NodeId, Sim, SimConfig, SimDuration};
 use pier_qp::{
-    Catalog, Expr, Field, FieldType, JoinChainBuilder, JoinCols, PierApp, PierConfig, PierCore,
-    PierEvent, PierNode, QueryOutcome, Schema, TableDef, Tuple, Value,
+    Catalog, Expr, Field, FieldType, JoinChainBuilder, JoinCols, PierApp, PierCore, PierEvent,
+    PierNode, QueryOutcome, Schema, TableDef, Tuple, Value,
 };
 
 fn inverted_table() -> TableDef {
@@ -46,7 +46,7 @@ fn build(n: u32, seed: u64) -> (Sim<DhtMsg>, Vec<NodeId>) {
     for c in &contacts {
         let mut core = DhtCore::new(DhtConfig::test(), *c);
         bootstrap::fill_table(core.table_mut(), &contacts, 4);
-        let pier = PierCore::new(PierConfig::default(), catalog());
+        let pier = PierCore::new(catalog());
         ids.push(sim.add_node(pier_dht::DhtNode::new(core, PierApp::new(pier), None)));
     }
     (sim, ids)
@@ -199,7 +199,7 @@ fn single_stage_scan_with_filter() {
         bootstrap::fill_table(core.table_mut(), &contacts, 4);
         let mut cat = Catalog::new();
         cat.register(cache.clone());
-        let pier = PierCore::new(PierConfig::default(), cat);
+        let pier = PierCore::new(cat);
         ids.push(sim.add_node(pier_dht::DhtNode::new(core, PierApp::new(pier), None)));
     }
     let f1 = Key::hash(b"f1");

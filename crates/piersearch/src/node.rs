@@ -2,9 +2,9 @@
 //! actor (Figure 1 of the paper).
 
 use crate::publisher::{IndexMode, Publisher};
-use crate::search::{SearchConfig, SearchEngine, SearchEvent};
+use crate::search::{SearchEngine, SearchEvent};
 use pier_dht::{DhtApp, DhtCore, DhtEvent, DhtNet, DhtNode};
-use pier_qp::{PierConfig, PierCore};
+use pier_qp::PierCore;
 use std::collections::VecDeque;
 
 /// The application stack above the DHT on a PIERSearch node.
@@ -18,8 +18,8 @@ pub struct PierSearchApp {
 impl PierSearchApp {
     pub fn new(mode: IndexMode) -> Self {
         PierSearchApp {
-            pier: PierCore::new(PierConfig::default(), crate::schema::catalog()),
-            engine: SearchEngine::new(SearchConfig { mode, ..Default::default() }),
+            pier: PierCore::new(crate::schema::catalog()),
+            engine: SearchEngine::new(mode),
             publisher: Publisher::new(mode),
             events: VecDeque::new(),
         }

@@ -11,23 +11,8 @@ use pier_qp::{
 use pier_vocab::{policy, text, IdCounter, TermId, Terms};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-/// Search-engine configuration.
-#[derive(Clone, Debug)]
-pub struct SearchConfig {
-    /// Which index the node's publishers populate, and hence which plan
-    /// shape to use (Fig. 2 join chain vs. Fig. 3 single-site filter).
-    pub mode: IndexMode,
-    /// Hard deadline for a search (covers plan execution + item fetches).
-    pub timeout: SimDuration,
-    /// Result-set cap pushed into the plan.
-    pub limit: Option<u32>,
-}
-
-impl Default for SearchConfig {
-    fn default() -> Self {
-        SearchConfig { mode: IndexMode::Inverted, timeout: SimDuration::from_secs(60), limit: None }
-    }
-}
+/// Hard deadline for a search (covers plan execution + item fetches).
+const SEARCH_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
 /// State of one search.
 #[derive(Debug)]
@@ -96,7 +81,9 @@ pub enum SearchEvent {
 
 /// The per-node search engine.
 pub struct SearchEngine {
-    pub cfg: SearchConfig,
+    /// Which index the node's publishers populate, and hence which plan
+    /// shape to use (Fig. 2 join chain vs. Fig. 3 single-site filter).
+    mode: IndexMode,
     /// Optional keyword document frequencies for join ordering ("optimized
     /// to compute smaller posting lists first", §5). Nodes learn these from
     /// observed traffic — the same statistics the TF scheme gathers.
@@ -110,9 +97,9 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    pub fn new(cfg: SearchConfig) -> Self {
+    pub fn new(mode: IndexMode) -> Self {
         SearchEngine {
-            cfg,
+            mode,
             term_stats: IdCounter::new(),
             searches: BTreeMap::new(),
             by_qid: HashMap::new(),
@@ -165,7 +152,7 @@ impl SearchEngine {
         }
         let qid = pier.next_query_id(dht);
         let collector = dht.local();
-        let plan = match self.cfg.mode {
+        let plan = match self.mode {
             IndexMode::Inverted => {
                 let inv = inverted_table();
                 let mut b = JoinChainBuilder::new(qid, collector).scan(
@@ -183,9 +170,6 @@ impl SearchEngine {
                         vec![0],
                     );
                 }
-                if let Some(l) = self.cfg.limit {
-                    b = b.limit(l);
-                }
                 b.build()
             }
             IndexMode::InvertedCache => {
@@ -200,16 +184,9 @@ impl SearchEngine {
                 };
                 // Matching fileIDs are fully resolved at the single site;
                 // only they stream back (the cached fulltext stays put).
-                let mut b = JoinChainBuilder::new(qid, collector).scan(
-                    &cache,
-                    &Value::Str(text(terms[0]).to_string()),
-                    filter,
-                    vec![1],
-                );
-                if let Some(l) = self.cfg.limit {
-                    b = b.limit(l);
-                }
-                b.build()
+                JoinChainBuilder::new(qid, collector)
+                    .scan(&cache, &Value::Str(text(terms[0]).to_string()), filter, vec![1])
+                    .build()
             }
         };
         net.count(crate::classes::SEARCHES.id(), 1);
@@ -227,7 +204,7 @@ impl SearchEngine {
                 items: Vec::new(),
                 done: false,
                 outcome: None,
-                deadline: net.now() + self.cfg.timeout,
+                deadline: net.now() + SEARCH_TIMEOUT,
                 file_ids_seen: HashSet::new(),
                 pending_fetches: HashMap::new(),
                 pier_done: false,

@@ -21,11 +21,6 @@ pub fn keywords(name: &str) -> Vec<TermId> {
     pier_vocab::policy::keywords(name)
 }
 
-/// Tokenize a user query the same way (queries and the index must agree).
-pub fn query_terms(query: &str) -> Vec<TermId> {
-    keywords(query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +62,7 @@ mod tests {
 
     #[test]
     fn query_terms_match_keywords() {
-        assert_eq!(query_terms("The Zeppelin"), keywords("the_zeppelin.avi"));
+        assert_eq!(pier_vocab::policy::keywords("The Zeppelin"), keywords("the_zeppelin.avi"));
     }
 
     #[test]

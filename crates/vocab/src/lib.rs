@@ -18,8 +18,8 @@
 //!   clones a pointer, not N strings, and every relay hop re-uses the
 //!   cached hashes for last-hop QRP checks.
 //! * [`scan`] — the one shared tokenizer (lowercase alphanumeric runs,
-//!   order kept, duplicates kept): exactly the semantics both
-//!   `gnutella::files::tokenize` and `workload::words::tokenize` had.
+//!   order kept, duplicates kept), with [`scan_text`] as its string form;
+//!   Gnutella matching and workload generation both call it directly.
 //! * [`policy`] — PIERSearch's §3.1 indexing policy *layered on top* of
 //!   the shared scanner: stop-words out, single characters out,
 //!   first-occurrence dedup. Plain Gnutella deliberately skips this layer
@@ -30,8 +30,9 @@
 //! (parallel sweep trials intern concurrently). Nothing observable may
 //! therefore depend on id *values*: matching compares ids for equality,
 //! wire sizes come from retained byte lengths, Bloom bits from hashes of
-//! the term bytes, and persistence ([`ser_ids`]/[`IdsFromStrings`])
-//! round-trips through the term *strings*.
+//! the term bytes, and the serde form of [`Terms`] (the keyword payload of
+//! the serde-derived Gnutella messages) goes through the term *strings*
+//! ([`ser_ids`]/[`IdsFromStrings`]).
 //!
 //! [term table]: intern
 
@@ -107,7 +108,7 @@ fn qrp_hash_pair(term: &str) -> (u64, u64) {
 ///
 /// The table is append-only and never evicts: anything interned stays
 /// resident. Workload generation bounds its junk contribution to
-/// O(`miss_rate` × queries) throwaway miss-query terms per generated
+/// O(miss rate × queries) throwaway miss-query terms per generated
 /// trace — dozens to a few thousand entries per trial, shared across
 /// trials when the random suffixes collide. An eviction/scoping story
 /// only becomes worth it if traces start interning unbounded unique
@@ -408,12 +409,12 @@ impl From<&[TermId]> for Terms {
 }
 
 // ---------------------------------------------------------------------------
-// Serde: ids persist as their strings (ids are process-local)
+// Serde: ids serialize as their strings (ids are process-local)
 // ---------------------------------------------------------------------------
 
 /// Serialize a slice of ids as the sequence of term strings — the portable
-/// on-disk form (id values are assigned per process and must never be
-/// persisted raw).
+/// form (id values are assigned per process and must never be serialized
+/// raw).
 pub fn ser_ids<S: serde::Serializer>(ids: &[TermId], s: S) -> Result<S::Ok, S::Error> {
     use serde::ser::SerializeSeq;
     let t = table().read().expect("term table poisoned");

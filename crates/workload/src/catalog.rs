@@ -8,11 +8,16 @@ use pier_netsim::stream_rng;
 use pier_vocab::{scan, TermId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// Target fraction of file *instances* that are singletons (the paper's
+/// Fig. 10 anchor: 23% of items published at replica threshold 1).
+const SINGLETON_INSTANCE_MASS: f64 = 0.23;
+/// Zipf skew of term popularity.
+const ZIPF_S: f64 = 1.0;
+
 /// Catalog generation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CatalogConfig {
     /// Hosts that can hold replicas (the paper's leaves).
     pub hosts: usize,
@@ -20,13 +25,8 @@ pub struct CatalogConfig {
     pub distinct_files: usize,
     /// Truncation of the replica distribution.
     pub max_replicas: usize,
-    /// Target fraction of file *instances* that are singletons (the paper's
-    /// Fig. 10 anchor: 23% of items published at replica threshold 1).
-    pub singleton_instance_mass: f64,
     /// Term dictionary size (paper: 38,900 distinct terms observed).
     pub vocab: usize,
-    /// Zipf skew of term popularity.
-    pub zipf_s: f64,
     /// Phrase dictionary size (recurring artist/album word pairs; paper:
     /// 193,104 distinct adjacent pairs — far fewer than random pairing
     /// would give, because pairs repeat across files).
@@ -40,9 +40,7 @@ impl Default for CatalogConfig {
             hosts: 10_000,
             distinct_files: 20_000,
             max_replicas: 1_000,
-            singleton_instance_mass: 0.23,
             vocab: 8_000,
-            zipf_s: 1.0,
             phrases: 3_000,
             seed: 0xF11E,
         }
@@ -79,54 +77,8 @@ impl DistinctFile {
     }
 }
 
-// Term ids are process-local, so persistence goes through the term
-// *strings*: the wire layout (name, tokens-as-strings, hosts) is identical
-// to what the old `Vec<String>` derive produced.
-impl Serialize for DistinctFile {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        struct Tokens<'a>(&'a [TermId]);
-        impl Serialize for Tokens<'_> {
-            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                pier_vocab::ser_ids(self.0, s)
-            }
-        }
-        let mut st = s.serialize_struct("DistinctFile", 3)?;
-        st.serialize_field("name", &self.name)?;
-        st.serialize_field("tokens", &Tokens(&self.tokens))?;
-        st.serialize_field("hosts", &self.hosts)?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for DistinctFile {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = DistinctFile;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "DistinctFile")
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<DistinctFile, A::Error> {
-                use serde::de::Error;
-                let name: String =
-                    seq.next_element()?.ok_or_else(|| A::Error::missing_field("name"))?;
-                let tokens: pier_vocab::IdsFromStrings =
-                    seq.next_element()?.ok_or_else(|| A::Error::missing_field("tokens"))?;
-                let hosts: Vec<u32> =
-                    seq.next_element()?.ok_or_else(|| A::Error::missing_field("hosts"))?;
-                Ok(DistinctFile { name, tokens: tokens.0, hosts })
-            }
-        }
-        d.deserialize_struct("DistinctFile", &["name", "tokens", "hosts"], V)
-    }
-}
-
 /// The generated catalog.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Catalog {
     pub config: CatalogConfig,
     pub files: Vec<DistinctFile>,
@@ -141,10 +93,10 @@ impl Catalog {
     pub fn generate(config: CatalogConfig) -> Catalog {
         assert!(config.hosts >= config.max_replicas, "more replicas than hosts");
         let mut rng = stream_rng(config.seed, 1);
-        let beta = calibrate_beta(config.max_replicas, config.singleton_instance_mass);
+        let beta = calibrate_beta(config.max_replicas, SINGLETON_INSTANCE_MASS);
         let replica_dist = PowerLaw::new(config.max_replicas, beta);
-        let term_zipf = Zipf::new(config.vocab, config.zipf_s);
-        let phrase_zipf = Zipf::new(config.phrases, config.zipf_s);
+        let term_zipf = Zipf::new(config.vocab, ZIPF_S);
+        let phrase_zipf = Zipf::new(config.phrases, ZIPF_S);
 
         // Phrase dictionary: recurring adjacent word pairs (artist names).
         let phrase_terms: Vec<(usize, usize)> = (0..config.phrases)
@@ -270,7 +222,6 @@ mod tests {
             vocab: 2_000,
             phrases: 600,
             seed: 99,
-            ..Default::default()
         })
     }
 

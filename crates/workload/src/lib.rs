@@ -16,17 +16,21 @@
 //!   producing the long-tailed result-size distribution of Fig. 5/6
 //!   (≈41% of queries with ≤10 results, ≈18% with none at one vantage).
 //!
+//! The calibration itself — the 23% singleton mass, the Zipf skew, the
+//! popular/tail query mix, the miss rate and the 1–3-term query window —
+//! is fixed by the trace, so it lives in `const`s beside the generators;
+//! [`CatalogConfig`] and [`QueryConfig`] set only sizes and seeds.
+//!
 //! [`Evaluator`] computes exact ground truth (which files match a query)
 //! with the same token-matching semantics as the simulated Gnutella
-//! clients, so recall metrics (QR / QDR) are well defined.
+//! clients, so recall metrics (QR / QDR) are well defined. Catalogs and
+//! traces are regenerated from their seeds; nothing saves them.
 
 mod catalog;
 mod queries;
-mod trace;
 pub mod words;
 pub mod zipf;
 
 pub use catalog::{Catalog, CatalogConfig, DistinctFile};
 pub use queries::{vantage_hosts, Evaluator, GroundTruth, Query, QueryConfig, QueryTrace};
-pub use trace::{TraceBundle, TraceError};
 pub use zipf::{calibrate_beta, PowerLaw, Zipf};

@@ -10,34 +10,27 @@ use pier_netsim::stream_rng;
 use pier_vocab::{intern, join_text, lookup, matches, TermId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+
+/// Probability a query targets a file drawn by *instance mass*
+/// (popularity-biased, like download-driven queries); otherwise the target
+/// is a uniformly random distinct file (tail-biased).
+const POPULAR_BIAS: f64 = 0.35;
+/// Probability of a typo/garbage query matching nothing.
+const MISS_RATE: f64 = 0.06;
+/// Window of tokens taken from the target filename: min..=max.
+const TERMS_MIN: usize = 1;
+const TERMS_MAX: usize = 3;
 
 /// Query-trace generation parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QueryConfig {
     pub queries: usize,
-    /// Probability a query targets a file drawn by *instance mass*
-    /// (popularity-biased, like download-driven queries); otherwise the
-    /// target is a uniformly random distinct file (tail-biased).
-    pub popular_bias: f64,
-    /// Probability of a typo/garbage query matching nothing.
-    pub miss_rate: f64,
-    /// Window of tokens taken from the target filename: min..=max.
-    pub terms_min: usize,
-    pub terms_max: usize,
     pub seed: u64,
 }
 
 impl Default for QueryConfig {
     fn default() -> Self {
-        QueryConfig {
-            queries: 700,
-            popular_bias: 0.35,
-            miss_rate: 0.06,
-            terms_min: 1,
-            terms_max: 3,
-            seed: 0x9E3,
-        }
+        QueryConfig { queries: 700, seed: 0x9E3 }
     }
 }
 
@@ -54,47 +47,8 @@ impl Query {
     }
 }
 
-// Persist queries as their term strings (ids are process-local); the wire
-// layout matches the old `Vec<String>` derive.
-impl Serialize for Query {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        struct TermsField<'a>(&'a [TermId]);
-        impl Serialize for TermsField<'_> {
-            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                pier_vocab::ser_ids(self.0, s)
-            }
-        }
-        let mut st = s.serialize_struct("Query", 1)?;
-        st.serialize_field("terms", &TermsField(&self.terms))?;
-        st.end()
-    }
-}
-
-impl<'de> Deserialize<'de> for Query {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> serde::de::Visitor<'de> for V {
-            type Value = Query;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "Query")
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> Result<Query, A::Error> {
-                use serde::de::Error;
-                let terms: pier_vocab::IdsFromStrings =
-                    seq.next_element()?.ok_or_else(|| A::Error::missing_field("terms"))?;
-                Ok(Query { terms: terms.0 })
-            }
-        }
-        d.deserialize_struct("Query", &["terms"], V)
-    }
-}
-
 /// A generated query trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QueryTrace {
     pub config: QueryConfig,
     pub queries: Vec<Query>,
@@ -102,7 +56,6 @@ pub struct QueryTrace {
 
 impl QueryTrace {
     pub fn generate(catalog: &Catalog, config: QueryConfig) -> QueryTrace {
-        assert!(config.terms_min >= 1 && config.terms_min <= config.terms_max);
         let mut rng = stream_rng(config.seed, 2);
         // Instance-mass-weighted sampling: repeat each file index by a
         // coarse weight. (Exact weighting is unnecessary; the head is what
@@ -116,7 +69,7 @@ impl QueryTrace {
 
         let mut queries = Vec::with_capacity(config.queries);
         while queries.len() < config.queries {
-            if rng.random_bool(config.miss_rate) {
+            if rng.random_bool(MISS_RATE) {
                 // A query nothing matches (typos, unshared content).
                 queries.push(Query {
                     terms: vec![intern(&format!(
@@ -126,7 +79,7 @@ impl QueryTrace {
                 });
                 continue;
             }
-            let target = if rng.random_bool(config.popular_bias) {
+            let target = if rng.random_bool(POPULAR_BIAS) {
                 let u = rng.random_range(0..acc);
                 cum.partition_point(|c| *c <= u)
             } else {
@@ -136,7 +89,7 @@ impl QueryTrace {
             // Skip the extension token (last) when windowing; users do not
             // type ".mp3".
             let usable = tokens.len().saturating_sub(1).max(1);
-            let want = rng.random_range(config.terms_min..=config.terms_max).min(usable);
+            let want = rng.random_range(TERMS_MIN..=TERMS_MAX).min(usable);
             let start = rng.random_range(0..=usable - want);
             let terms: Vec<TermId> = tokens[start..start + want].to_vec();
             if terms.is_empty() {
@@ -305,7 +258,6 @@ mod tests {
             vocab: 1_500,
             phrases: 500,
             seed: 7,
-            ..Default::default()
         });
         let trace =
             QueryTrace::generate(&catalog, QueryConfig { queries: 500, ..Default::default() });
@@ -326,7 +278,7 @@ mod tests {
         let eval = Evaluator::new(&catalog);
         let matched = trace.queries.iter().filter(|q| !eval.eval(q).files.is_empty()).count();
         let frac = matched as f64 / trace.len() as f64;
-        // miss_rate 6%: ~94% of queries must match something.
+        // MISS_RATE 6%: ~94% of queries must match something.
         assert!((0.90..=0.97).contains(&frac), "matching fraction {frac} out of calibration");
     }
 

@@ -1,14 +1,8 @@
 //! A deterministic pseudo-word dictionary: pronounceable, distinct terms
 //! for synthetic filenames ("banero", "kiluda", …). Tokenization and
-//! matching live in `pier-vocab` (the shared scanner); thin re-exports
-//! keep the historical `words::tokenize` spelling working.
+//! matching live in `pier-vocab` (the shared scanner).
 
 use pier_netsim::split_mix64;
-
-/// The shared scanner in string form (lowercase alphanumeric runs —
-/// identical semantics to the Gnutella client's matcher, so ground truth
-/// and protocol agree).
-pub use pier_vocab::scan_text as tokenize;
 
 const ONSETS: &[&str] =
     &["b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z", "ch", "st"];
@@ -41,7 +35,7 @@ pub fn word(idx: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_vocab::{matches, scan};
+    use pier_vocab::{matches, scan, scan_text};
     use std::collections::HashSet;
 
     #[test]
@@ -63,7 +57,7 @@ mod tests {
 
     #[test]
     fn tokenizer_matches_expectations() {
-        assert_eq!(tokenize("Banero_Kiluda-03.mp3"), vec!["banero", "kiluda", "03", "mp3"]);
+        assert_eq!(scan_text("Banero_Kiluda-03.mp3"), vec!["banero", "kiluda", "03", "mp3"]);
     }
 
     #[test]

@@ -21,12 +21,8 @@ fn generate(seed: u64) -> (Catalog, QueryTrace) {
         vocab: 400,
         phrases: 120,
         seed,
-        ..Default::default()
     });
-    let trace = QueryTrace::generate(
-        &catalog,
-        QueryConfig { queries: 2_000, seed: seed ^ 0xBEEF, ..Default::default() },
-    );
+    let trace = QueryTrace::generate(&catalog, QueryConfig { queries: 2_000, seed: seed ^ 0xBEEF });
     (catalog, trace)
 }
 

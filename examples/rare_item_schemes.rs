@@ -17,7 +17,6 @@ fn main() {
         vocab: 8_000,
         phrases: 2_500,
         seed: 2024,
-        ..Default::default()
     });
     println!(
         "catalog: {} distinct files, {} instances on {} hosts (β = {:.2}, singleton mass {:.1}%)",

@@ -162,6 +162,69 @@ fn sec7_deploy_quick_summary_matches_golden_values() {
     }
 }
 
+/// Golden pins for the ablations' quick-scale trial at the default seed:
+/// the Gnutella-timeout sweep of hybrid deployments (BrowseHost indexing,
+/// rate-limited publishing, PIER fallback) and the flat TTL flood against
+/// dynamic querying. Every statistic must reproduce bit for bit.
+#[test]
+fn ablations_quick_summary_matches_golden_values() {
+    use pier_bench::experiments::ablations;
+    use pier_bench::lab::DEFAULT_SEED;
+    use pier_bench::Scale;
+
+    let summary = ablations::trial(Scale::Quick, DEFAULT_SEED, 1);
+    let golden: [(&str, f64); 8] = [
+        ("dht_pct_at_min_timeout", 11.666666666666666),
+        ("dht_pct_at_max_timeout", 11.666666666666666),
+        ("first_result_s_at_min_timeout", 0.39086477358490557),
+        ("first_result_s_at_max_timeout", 2.211599654545454),
+        ("found_pct_min", 88.33333333333333),
+        ("flood_popular_msgs", 3089.0),
+        ("dynamic_popular_msgs", 16.0),
+        ("flood_over_dynamic_popular", 193.0625),
+    ];
+    assert_eq!(summary.len(), golden.len(), "every trial statistic is pinned");
+    for (key, want) in golden {
+        let got = summary.get(key).unwrap_or_else(|| panic!("stat {key} missing"));
+        assert_eq!(got.to_bits(), want.to_bits(), "stat {key} drifted: {got} != {want}");
+    }
+}
+
+/// Golden pins for the churn experiment's quick-scale trial at the default
+/// seed: catalog generation, PIERSearch publishing and soft-state refresh,
+/// PIER query timeouts and DHT wire accounting, all under node churn.
+/// Every statistic, and the kernel's event count, must reproduce bit for
+/// bit.
+#[test]
+fn churn_quick_summary_matches_golden_values() {
+    use pier_bench::experiments::churn;
+    use pier_bench::lab::DEFAULT_SEED;
+    use pier_bench::Scale;
+
+    let summary = churn::trial(Scale::Quick, DEFAULT_SEED, 1);
+    let golden: [(&str, f64); 14] = [
+        ("recall_static_end", 1.0),
+        ("recall_norefresh_end", 0.19),
+        ("recall_refresh_slow_end", 1.0),
+        ("recall_refresh_fast_end", 1.0),
+        ("norefresh_monotone", 1.0),
+        ("refresh_fast_over_static", 1.0),
+        ("fetch_recall_norefresh", 0.19),
+        ("fetch_recall_refresh_fast", 1.0),
+        ("publish_kib_node_min_norefresh", 0.0),
+        ("publish_kib_node_min_refresh_slow", 4.3724295479910715),
+        ("publish_kib_node_min_refresh_fast", 8.748517717633929),
+        ("total_messages", 377_605.0),
+        ("total_bytes", 49_427_921.0),
+        ("events_processed", 646_560.0),
+    ];
+    assert_eq!(summary.len(), golden.len(), "every trial statistic is pinned");
+    for (key, want) in golden {
+        let got = summary.get(key).unwrap_or_else(|| panic!("stat {key} missing"));
+        assert_eq!(got.to_bits(), want.to_bits(), "stat {key} drifted: {got} != {want}");
+    }
+}
+
 #[test]
 fn different_master_seed_diverges() {
     let a = run_and_snapshot(1);
