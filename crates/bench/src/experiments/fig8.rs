@@ -28,7 +28,7 @@ pub struct CrawlOutcome {
     pub events: pier_netsim::EventStats,
 }
 
-/// The single run: the crawl at [`CRAWL_SEED`].
+/// The single run: the crawl at `CRAWL_SEED`.
 pub fn run(scale: Scale, shards: usize, _obs: &Obs) -> Report {
     let out = run_seeded(scale, CRAWL_SEED, shards);
     Report { tables: out.tables, events: Some(out.events) }

@@ -1,51 +1,25 @@
 //! Figures 4–7: the Gnutella measurement study (§4.2) on the simulated
 //! network — result sizes vs. replication, result-size CDFs (single vantage
-//! vs. Union-of-N), and first-result latency vs. result size.
+//! vs. Union-of-N), and first-result latency vs. result size. The figures
+//! read the same replay record as the horizon experiment, [`HorizonData`].
 
+use crate::experiments::horizon::{collect, HorizonData};
 use crate::experiments::Report;
-use crate::lab::{union_results, Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
+use crate::lab::{union_results, Scale, DEFAULT_SEED};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
-use pier_netsim::MetricsSnapshot;
 use pier_trace::Obs;
 use std::collections::HashMap;
-
-/// Everything Figures 4–7 need from one replay of the trace.
-pub struct MeasurementData {
-    /// `per_query[q][v]`.
-    pub per_query: Vec<Vec<VantageResult>>,
-    pub vantage_count: usize,
-    /// Traffic accounting of the replay (merged across sweep trials by
-    /// the sweep runner).
-    pub metrics: MetricsSnapshot,
-    /// Kernel event-queue accounting of the replay.
-    pub events: pier_netsim::EventStats,
-}
-
-/// One full replay with every random choice derived from `seed`, on a
-/// `shards`-way kernel, under an observability config (profiled phases,
-/// progress heartbeat, sampled query tracing; `Obs::default()` is inert).
-/// Results are bit-identical for any shard count and any `obs`.
-pub fn collect(scale: Scale, seed: u64, shards: usize, obs: &Obs) -> MeasurementData {
-    let mut lab = Lab::build_with(LabConfig::at_sharded(scale, seed, shards), obs);
-    let per_query = lab.replay_with(scale.inject_rate_per_s(), obs);
-    MeasurementData {
-        per_query,
-        vantage_count: lab.vantages.len(),
-        metrics: lab.sim.metrics().snapshot(),
-        events: lab.sim.event_stats(),
-    }
-}
 
 /// The Figure 4 scatter reduced to buckets: one
 /// `(single-vantage result size, average replication factor,
 /// observations)` triple per distinct size, sorted by size.
-pub fn fig4_points(data: &MeasurementData) -> Vec<(usize, f64, usize)> {
+pub fn fig4_points(data: &HorizonData) -> Vec<(usize, f64, usize)> {
     // Group queries by single-vantage result size; average the replication
     // factors measured from the Union-of-all results.
     let mut by_size: HashMap<usize, Vec<f64>> = HashMap::new();
     for per_vantage in &data.per_query {
-        let union = union_results(per_vantage, data.vantage_count);
+        let union = union_results(per_vantage, data.vantage_count());
         // Replication factor per distinct filename = #hosts in the union.
         let mut hosts_per_name: HashMap<&str, usize> = HashMap::new();
         for (name, _) in &union {
@@ -78,7 +52,7 @@ pub fn fig4_points(data: &MeasurementData) -> Vec<(usize, f64, usize)> {
 }
 
 /// Figure 4: query result-set size vs. average replication factor.
-pub fn fig4(data: &MeasurementData) -> Table {
+pub fn fig4(data: &HorizonData) -> Table {
     let mut t = Table::new(
         "Figure 4: Query results size vs average replication factor",
         &["results_size", "avg_replication_factor", "observations"],
@@ -116,15 +90,15 @@ pub fn fig4_shape(points: &[(usize, f64, usize)]) -> (f64, f64) {
 /// make the whole table hostage to that vantage's profile (an old-style
 /// 6-neighbor ultrapeer sees a sliver of the network; a new-style one at
 /// quick scale sees essentially all of it).
-fn pooled_singles(data: &MeasurementData) -> Vec<usize> {
+fn pooled_singles(data: &HorizonData) -> Vec<usize> {
     data.per_query.iter().flat_map(|pv| pv.iter().map(|v| v.results.len())).collect()
 }
 
 /// Figure 5: result-size CDF, single vantage vs. Union-of-all.
-pub fn fig5(data: &MeasurementData) -> Table {
+pub fn fig5(data: &HorizonData) -> Table {
     let singles: Vec<usize> = pooled_singles(data);
     let unions: Vec<usize> =
-        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count).len()).collect();
+        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count()).len()).collect();
     let mut t = Table::new(
         "Figure 5: Result size CDF (single node: % of query×vantage observations ≤ x; \
          union: % of queries ≤ x)",
@@ -138,13 +112,13 @@ pub fn fig5(data: &MeasurementData) -> Table {
 
 /// Figure 6: result-size CDF restricted to ≤ 20 results, for unions of
 /// several vantage counts.
-pub fn fig6(data: &MeasurementData) -> Table {
+pub fn fig6(data: &HorizonData) -> Table {
     let quarters = [
         1,
-        data.vantage_count / 6,
-        data.vantage_count / 2,
-        data.vantage_count * 5 / 6,
-        data.vantage_count,
+        data.vantage_count() / 6,
+        data.vantage_count() / 2,
+        data.vantage_count() * 5 / 6,
+        data.vantage_count(),
     ];
     let mut t = Table::new(
         "Figure 6: Result size CDF for queries ≤ 20 results (unions)",
@@ -175,10 +149,10 @@ pub struct SummaryStats {
     pub reduction_pct: f64,
 }
 
-pub fn summary_stats(data: &MeasurementData) -> SummaryStats {
+pub fn summary_stats(data: &HorizonData) -> SummaryStats {
     let singles: Vec<usize> = pooled_singles(data);
     let unions: Vec<usize> =
-        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count).len()).collect();
+        data.per_query.iter().map(|pv| union_results(pv, data.vantage_count()).len()).collect();
     let zero_single = pct_at_most(&singles, 0);
     let zero_union = pct_at_most(&unions, 0);
     let reduction =
@@ -192,7 +166,7 @@ pub fn summary_stats(data: &MeasurementData) -> SummaryStats {
 }
 
 /// §4.4 summary statistics extracted from the same replay.
-pub fn summary(data: &MeasurementData) -> Table {
+pub fn summary(data: &HorizonData) -> Table {
     let st = summary_stats(data);
     // "1 node" rows are rates over query×vantage observations — the expected
     // fraction seen at a random single vantage, the comparable to the
@@ -209,7 +183,7 @@ pub fn summary(data: &MeasurementData) -> Table {
 }
 
 /// Figure 7: result-set size vs. average first-result latency.
-pub fn fig7(data: &MeasurementData) -> Table {
+pub fn fig7(data: &HorizonData) -> Table {
     // Buckets of single-vantage result sizes (log-ish edges like the plot).
     let edges = [1usize, 2, 5, 10, 25, 50, 100, 150, 100_000];
     let mut sums = vec![(0.0f64, 0usize); edges.len()];

@@ -28,6 +28,13 @@ pub struct HorizonData {
     pub events: pier_netsim::EventStats,
 }
 
+impl HorizonData {
+    /// Number of vantages the trace was replayed from.
+    pub fn vantage_count(&self) -> usize {
+        self.vantage_degrees.len()
+    }
+}
+
 /// A vantage with ≥ this degree target is "new-style" (the 32-neighbor
 /// LimeWire profile; old-style is 6).
 pub const NEW_STYLE_DEGREE: usize = 32;
@@ -62,7 +69,7 @@ pub fn zero_single_rate(data: &HorizonData, v: usize) -> f64 {
 
 /// Percentage of queries returning zero results in the Union-of-all.
 pub fn zero_union_rate(data: &HorizonData) -> f64 {
-    let n = data.vantage_degrees.len();
+    let n = data.vantage_count();
     let zero = data.per_query.iter().filter(|pv| union_results(pv, n).is_empty()).count();
     100.0 * zero as f64 / data.per_query.len().max(1) as f64
 }

@@ -153,7 +153,7 @@ pub struct DeployOutcome {
     pub events: EventStats,
 }
 
-/// The single run: all three parts at [`DEPLOY_SEED`].
+/// The single run: all three parts at `DEPLOY_SEED`.
 pub fn run(scale: Scale, shards: usize, obs: &Obs) -> Report {
     let out = run_seeded(scale, DEPLOY_SEED, shards, obs);
     Report { tables: out.tables, events: Some(out.events) }

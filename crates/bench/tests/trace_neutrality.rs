@@ -56,9 +56,9 @@ fn assert_complete_flood_trees(checks: &[TraceCheck], expect: usize, what: &str)
 /// replay bit for bit — summary stats, fig4 shape, and raw traffic totals.
 #[test]
 fn quick_figs4to7_stats_are_bit_identical_with_observability_on() {
-    let base = figs4to7::collect(Scale::Quick, DEFAULT_SEED, 1, &Obs::default());
+    let base = horizon::collect(Scale::Quick, DEFAULT_SEED, 1, &Obs::default());
     let obs = Obs::configure(true, 8, false);
-    let observed = figs4to7::collect(Scale::Quick, DEFAULT_SEED, 1, &obs);
+    let observed = horizon::collect(Scale::Quick, DEFAULT_SEED, 1, &obs);
 
     let sb = figs4to7::summary_stats(&base);
     let so = figs4to7::summary_stats(&observed);

@@ -17,7 +17,7 @@
 //!   / [`set_up`](pier_netsim::Sim::set_up) (which cancel and re-arm
 //!   timers through the netsim revival hook) and then run the caller's
 //!   [`ChurnHooks`] for membership-aware repair.
-//! * [`gnutella`] — ready-made [`GnutellaRepair`](gnutella::GnutellaRepair)
+//! * [`gnutella`] — ready-made [`GnutellaRepair`]
 //!   hooks for two-tier Gnutella networks: orphaned leaves reattach to
 //!   live ultrapeers (with a QRP re-push), ultrapeers refill neighbor
 //!   slots lost to peer death, and revived nodes re-wire themselves. The

@@ -60,7 +60,7 @@ impl Sink for Counter {
     }
 }
 
-/// Serializes values into a [`Sink`] (by default an owned byte buffer).
+/// Serializes values into a `Sink` (by default an owned byte buffer).
 pub struct Serializer<S: Sink = Vec<u8>> {
     out: S,
 }

@@ -20,10 +20,6 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 /// realistic network size leaves wide margin).
 const MAX_ROUTE_HOPS: u32 = 64;
 
-/// Fixed per-message overhead accounted on top of the encoded payload
-/// (transport headers), in bytes.
-const HEADER_BYTES: usize = 28;
-
 /// Handle for correlating asynchronous DHT operations with their events.
 pub type OpId = u64;
 
@@ -34,7 +30,9 @@ pub trait DhtNet {
     fn now(&self) -> SimTime;
     fn self_node(&self) -> NodeId;
     fn rng(&mut self) -> &mut SimRng;
-    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg, wire_bytes: usize, class: MetricClass);
+    /// Send a protocol message; implementations account `msg.wire_size()`
+    /// under `msg.class()`.
+    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg);
     fn count(&mut self, class: MetricClass, n: u64);
     fn observe(&mut self, class: MetricClass, value: f64);
 }
@@ -268,8 +266,7 @@ impl DhtCore {
             }
             Some(hop) => {
                 let msg = DhtMsg::RouteStore { key, value, ttl_us, hops: hops + 1, origin };
-                let wire = msg.encoded_len() + HEADER_BYTES;
-                net.send_dht(hop.node, msg, wire, crate::classes::ROUTE_STORE.id());
+                net.send_dht(hop.node, msg);
             }
         }
     }
@@ -290,8 +287,7 @@ impl DhtCore {
     /// answers, which the paper exempts from DHT routing).
     pub fn send_direct(&mut self, net: &mut dyn DhtNet, dst: NodeId, payload: Vec<u8>) {
         let msg = DhtMsg::AppDirect { payload, origin: self.local() };
-        let wire = msg.encoded_len() + HEADER_BYTES;
-        net.send_dht(dst, msg, wire, crate::classes::APP_DIRECT.id());
+        net.send_dht(dst, msg);
     }
 
     /// Session teardown (the node left the overlay): stored replicas
@@ -340,9 +336,7 @@ impl DhtCore {
                 self.observe_contact(net, from);
                 let resp = self.handle_request(net, body);
                 let reply = DhtMsg::Response { id, from: self.local(), body: resp };
-                let wire = reply.encoded_len() + HEADER_BYTES;
-                let class = reply.class();
-                net.send_dht(from.node, reply, wire, class);
+                net.send_dht(from.node, reply);
             }
             DhtMsg::Response { id, from, body } => {
                 self.observe_contact(net, from);
@@ -607,8 +601,7 @@ impl DhtCore {
             }
             Some(hop) => {
                 let msg = DhtMsg::Route { key, payload, hops: hops + 1, origin };
-                let wire = msg.encoded_len() + HEADER_BYTES;
-                net.send_dht(hop.node, msg, wire, crate::classes::ROUTE.id());
+                net.send_dht(hop.node, msg);
             }
         }
     }
@@ -692,9 +685,7 @@ impl DhtCore {
         let deadline = net.now() + self.cfg.rpc_timeout;
         self.pending.insert(id, PendingRpc { dst, deadline, purpose });
         let msg = DhtMsg::Request { id, from: self.local(), body };
-        let wire = msg.encoded_len() + HEADER_BYTES;
-        let class = msg.class();
-        net.send_dht(dst.node, msg, wire, class);
+        net.send_dht(dst.node, msg);
     }
 
     fn observe_contact(&mut self, net: &mut dyn DhtNet, contact: Contact) {

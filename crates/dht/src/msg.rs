@@ -12,6 +12,10 @@ use crate::key::Key;
 use pier_netsim::MetricClass;
 use serde::{Deserialize, Serialize};
 
+/// Fixed per-message overhead accounted on top of the encoded payload
+/// (transport headers), in bytes.
+const HEADER_BYTES: usize = 28;
+
 /// Correlates a response with its request (unique per sender).
 pub type RpcId = u64;
 
@@ -90,10 +94,15 @@ pub enum Response {
 }
 
 impl DhtMsg {
-    /// Encoded size of this message on the wire (payload only; the caller
-    /// adds the configured fixed header).
+    /// Encoded size of this message's payload, without the header.
     pub fn encoded_len(&self) -> usize {
         pier_codec::encoded_size(self).expect("DHT messages always serialize")
+    }
+
+    /// Bytes this message costs on the wire: the encoded payload plus the
+    /// fixed `HEADER_BYTES`.
+    pub fn wire_size(&self) -> usize {
+        self.encoded_len() + HEADER_BYTES
     }
 
     /// Interned metrics class for this message.

@@ -51,8 +51,10 @@ impl<M: From<DhtMsg>> DhtNet for CtxNet<'_, M> {
     fn rng(&mut self) -> &mut SimRng {
         self.ctx.rng()
     }
-    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg, wire_bytes: usize, class: MetricClass) {
-        self.ctx.send(dst, M::from(msg), wire_bytes, class);
+    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg) {
+        let size = msg.wire_size();
+        let class = msg.class();
+        self.ctx.send(dst, M::from(msg), size, class);
     }
     fn count(&mut self, class: MetricClass, n: u64) {
         self.ctx.count(class, n);
@@ -159,5 +161,56 @@ impl<A: DhtApp + 'static> Actor<DhtMsg> for DhtNode<A> {
         let tick = self.core.config().tick;
         ctx.set_timer(tick, TICK_TOKEN);
         self.revive(&mut CtxNet { ctx });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::DhtConfig;
+    use crate::key::Key;
+    use crate::msg::{Request, Response};
+    use pier_netsim::{Sim, SimConfig};
+
+    /// `CtxNet` charges every message its `wire_size()` — the codec bytes
+    /// plus the 28-byte header — under its own class.
+    #[test]
+    fn ctx_net_accounts_each_variant_at_its_wire_size() {
+        let mut sim: Sim<DhtMsg> = Sim::new(SimConfig::with_seed(1));
+        let node = |i: u32| {
+            let core = DhtCore::new(DhtConfig::test(), Contact::for_node(NodeId::new(i)));
+            DhtNode::new(core, NullApp, None)
+        };
+        let a = sim.add_node(node(0));
+        let b = sim.add_node(node(1));
+        let from = Contact::for_node(a);
+        let key = Key::hash(b"k");
+        let request = |body| DhtMsg::Request { id: 1, from, body };
+        let response = |body| DhtMsg::Response { id: 1, from, body };
+        let every_variant = [
+            request(Request::Ping),
+            request(Request::FindNode { target: key }),
+            request(Request::Store { key, value: vec![1, 2], ttl_us: 99 }),
+            request(Request::FindValue { key }),
+            response(Response::Pong),
+            response(Response::Nodes { contacts: vec![from] }),
+            response(Response::StoreAck),
+            response(Response::Values { values: vec![vec![9]], closer: vec![from] }),
+            DhtMsg::Route { key, payload: vec![7; 30], hops: 3, origin: from },
+            DhtMsg::RouteStore { key, value: vec![5; 48], ttl_us: 7, hops: 2, origin: from },
+            DhtMsg::AppDirect { payload: vec![1], origin: from },
+        ];
+        for msg in every_variant {
+            let size = pier_codec::to_bytes(&msg).unwrap().len() + 28;
+            assert_eq!(msg.wire_size(), size, "{msg:?}");
+            let class = msg.class().name();
+            let before = sim.metrics().counter(class);
+            sim.with_actor_ctx::<DhtNode<NullApp>, _>(a, |_, ctx| {
+                CtxNet { ctx }.send_dht(b, msg);
+            });
+            let after = sim.metrics().counter(class);
+            assert_eq!(after.count - before.count, 1, "{class}");
+            assert_eq!(after.bytes - before.bytes, size as u64, "{class}");
+        }
     }
 }

@@ -353,7 +353,7 @@ impl DhtNet for SilentNet {
     fn rng(&mut self) -> &mut SimRng {
         &mut self.rng
     }
-    fn send_dht(&mut self, _dst: NodeId, msg: DhtMsg, _wire_bytes: usize, _class: MetricClass) {
+    fn send_dht(&mut self, _dst: NodeId, msg: DhtMsg) {
         self.requests += u64::from(matches!(msg, DhtMsg::Request { .. }));
     }
     fn count(&mut self, class: MetricClass, n: u64) {

@@ -19,8 +19,8 @@
 //! bit table once the position count crosses [`QrpFilter::sparse_limit`]
 //! (the break-even point where 4-byte positions would cost more than the
 //! `m/8`-byte table). The two representations are semantically identical:
-//! same positions set, same membership answers, same wire size. Equality,
-//! hashing, and the codec all speak the canonical position set, never the
+//! same positions set, same membership answers, same wire size. Equality
+//! and the content hash both speak the canonical position set, never the
 //! representation, so promotion can never perturb a determinism pin.
 //!
 //! Every probe goes through an inline 4096-block summary bitmap first
@@ -32,7 +32,6 @@
 //! cannot match any of them, so the loop is not entered at all.
 
 use pier_vocab::{intern, TermId, Terms};
-use serde::{Deserialize, Serialize};
 
 /// Words in a filter's inline block-summary bitmap. 64 words cover 4,096
 /// blocks of 16 bits each over the default 65,536-bit table: at leaf-share
@@ -81,7 +80,7 @@ pub struct QrpFilter {
     /// position-slice access. At leaf-share densities (hundreds of set
     /// bits in 65,536) the summary is ~96% clear, so the miss-dominated
     /// last-hop path almost never leaves these 512 bytes. Derived state:
-    /// maintained on every insert, never serialized or compared.
+    /// maintained on every insert, never hashed or compared.
     summary: [u64; SUMMARY_WORDS],
     repr: Repr,
     /// Number of bits (power of two not required).
@@ -303,20 +302,6 @@ impl QrpFilter {
         }
     }
 
-    /// Fraction of set bits (diagnostics / false-positive estimation).
-    pub fn fill_ratio(&self) -> f64 {
-        self.count_ones() as f64 / self.m as f64
-    }
-
-    /// Ascending set-bit positions — the canonical content, independent of
-    /// representation.
-    fn positions_vec(&self) -> Vec<u32> {
-        match &self.repr {
-            Repr::Sparse(pos) => pos.to_vec(),
-            Repr::Dense(bits) => dense_positions(bits).collect(),
-        }
-    }
-
     /// Content hash over `(m, k, set positions)` — what the process-wide
     /// filter catalog interns on. Representation-independent, like `Eq`.
     pub fn content_hash(&self) -> u64 {
@@ -442,40 +427,6 @@ impl PartialEq for QrpFilter {
 
 impl Eq for QrpFilter {}
 
-/// Canonical codec form: `(m, k, ascending set-bit positions)`. One wire
-/// shape for both representations, so codec bytes never depend on whether
-/// a filter crossed the promotion threshold.
-#[derive(Serialize, Deserialize)]
-struct WireFilter {
-    m: u32,
-    k: u32,
-    positions: Vec<u32>,
-}
-
-impl Serialize for QrpFilter {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        WireFilter { m: self.m, k: self.k, positions: self.positions_vec() }.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for QrpFilter {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let w = WireFilter::deserialize(deserializer)?;
-        if w.m < 64 || w.k == 0 {
-            return Err(serde::de::Error::custom("invalid QRP filter dimensions"));
-        }
-        if w.positions.iter().any(|&p| p >= w.m) {
-            return Err(serde::de::Error::custom("QRP position out of range"));
-        }
-        let mut positions = w.positions;
-        positions.sort_unstable();
-        positions.dedup();
-        let mut f = QrpFilter::new(w.m, w.k);
-        f.set_positions(positions);
-        Ok(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,46 +491,6 @@ mod tests {
         let f = QrpFilter::with_defaults();
         assert_eq!(f.wire_size(), 8192);
         assert_eq!(QrpFilter::new(100, 2).wire_size(), 13);
-    }
-
-    #[test]
-    fn fill_ratio_grows() {
-        let mut f = QrpFilter::new(1024, 2);
-        assert_eq!(f.fill_ratio(), 0.0);
-        for i in 0..100 {
-            f.insert(&format!("t{i}"));
-        }
-        let r = f.fill_ratio();
-        assert!(r > 0.05 && r < 0.5, "ratio {r}");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut f = QrpFilter::new(256, 3);
-        f.insert("x");
-        let bytes = pier_codec::to_bytes(&f).unwrap();
-        let back: QrpFilter = pier_codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, f);
-        assert!(back.contains("x"));
-    }
-
-    #[test]
-    fn serde_roundtrip_is_representation_independent() {
-        let mut sparse = QrpFilter::new(256, 3);
-        sparse.insert("x");
-        sparse.insert("y");
-        let mut dense = sparse.clone();
-        dense.promote_to_dense();
-        assert!(sparse.is_sparse());
-        assert!(!dense.is_sparse());
-        // Identical codec bytes whichever side of the threshold a filter
-        // is on — the wire form is the canonical position set.
-        let a = pier_codec::to_bytes(&sparse).unwrap();
-        let b = pier_codec::to_bytes(&dense).unwrap();
-        assert_eq!(a, b, "codec bytes must not leak the representation");
-        let back: QrpFilter = pier_codec::from_bytes(&a).unwrap();
-        assert_eq!(back, sparse);
-        assert_eq!(back, dense);
     }
 
     #[test]

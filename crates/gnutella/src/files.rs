@@ -29,7 +29,6 @@
 
 use pier_netsim::HeapSize;
 use pier_vocab::{scan, TermId};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// One shared file. The name is `Arc`-shared: a `Hit` travelling the
@@ -37,7 +36,7 @@ use std::sync::{Arc, OnceLock};
 /// pointer-sized name clone those hops stop allocating — the last string
 /// hot spot on the result path (wire-size accounting is unchanged: the
 /// retained text and its byte length are identical).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileMeta {
     pub name: Arc<str>,
     pub size: u64,

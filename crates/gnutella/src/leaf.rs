@@ -117,7 +117,7 @@ impl LeafCore {
     }
 
     /// Publish the QRP filter of our share to every ultrapeer (done on
-    /// connect; the paper's leaves "publish [their] file list to those
+    /// connect; the paper's leaves "publish \[their\] file list to those
     /// ultrapeers").
     pub fn publish_qrp(&mut self, net: &mut dyn GnutellaNet) {
         let shared = Arc::clone(self.qrp_filter());

@@ -43,7 +43,9 @@ pub use msg::{GnutellaMsg, Guid, Hit, HEADER_BYTES};
 pub use net::{CtxGnutellaNet, GnutellaCarrier, GnutellaNet};
 pub use node::{LeafNode, UltrapeerNode, UP_TICK, UP_TICK_INTERVAL};
 pub use pier_vocab::{TermId, Terms};
-pub use topology::{spawn, spawn_stores, GnutellaHandles, Topology, TopologyConfig, UpLeaves};
+pub use topology::{
+    spawn, spawn_stores, wire, GnutellaHandles, Topology, TopologyConfig, UpLeaves,
+};
 pub use ultrapeer::{
     QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore, DYN_TTL, PROBE_INTERVAL, PROBE_TTL,
 };

@@ -11,7 +11,6 @@ use crate::bloom::QrpFilter;
 use crate::files::FileMeta;
 use pier_netsim::{MetricClass, NodeId};
 use pier_vocab::Terms;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Gnutella descriptor header: 16-byte GUID + type + TTL + hops + 4-byte
@@ -20,11 +19,11 @@ pub const HEADER_BYTES: usize = 23;
 
 /// Message GUID. 16 bytes on the wire; 64 bits of entropy suffice in
 /// simulation (collisions are astronomically unlikely at our scales).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Guid(pub u64);
 
 /// One search hit inside a QueryHit.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hit {
     pub file: FileMeta,
     /// The node sharing the file (hits are grouped per responding host on
@@ -47,7 +46,7 @@ impl pier_netsim::HeapSize for Hit {
 }
 
 /// All Gnutella messages.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum GnutellaMsg {
     /// Flooded keyword query.
     Query {

@@ -11,7 +11,7 @@
 //!
 //! Determinism: `intern` is a pure function of filter *content* — two
 //! calls with equal filters return `Arc`s to equal content, and nothing
-//! behavioral (matching, wire size, codec bytes) can observe which
+//! behavioral (matching, wire size) can observe which
 //! allocation was returned. Bucket bookkeeping (which `Weak` is still
 //! live) varies with drop timing across labs, but only affects memory
 //! accounting snapshots taken at quiescent points, never simulation

@@ -5,6 +5,7 @@ use crate::config::UltrapeerConfig;
 use crate::files::{FileMeta, FileStore};
 use crate::leaf::LeafCore;
 use crate::msg::GnutellaMsg;
+use crate::net::GnutellaCarrier;
 use crate::node::{LeafNode, UltrapeerNode};
 use crate::ultrapeer::UltrapeerCore;
 use pier_netsim::{stream_rng, NodeId, Sim};
@@ -226,6 +227,23 @@ pub fn spawn_stores(
     up_stores: Vec<FileStore>,
     leaf_stores: Vec<FileStore>,
 ) -> GnutellaHandles {
+    wire(sim, topo, up_stores.into_iter(), leaf_stores.into_iter(), |sim, _, core| {
+        sim.add_node(UltrapeerNode::new(core))
+    })
+}
+
+/// Wire the topology into `sim`, ultrapeers first and then leaves, with
+/// ids numbered on from `sim.len()`. Ultrapeer `i`'s core, its neighbours
+/// and leaves already set, goes to `host_up(sim, i, core)`, which adds the
+/// actor hosting it and returns the new id; every leaf is a stock
+/// [`LeafNode`]. Stores are taken one node at a time, in id order.
+pub fn wire<M: GnutellaCarrier + Send + 'static>(
+    sim: &mut Sim<M>,
+    topo: &Topology,
+    up_stores: impl ExactSizeIterator<Item = FileStore>,
+    leaf_stores: impl ExactSizeIterator<Item = FileStore>,
+    mut host_up: impl FnMut(&mut Sim<M>, usize, UltrapeerCore) -> NodeId,
+) -> GnutellaHandles {
     assert_eq!(up_stores.len(), topo.ultrapeer_count());
     assert_eq!(leaf_stores.len(), topo.leaf_count());
     let base = sim.len() as u32;
@@ -235,18 +253,18 @@ pub fn spawn_stores(
     let adj = topo.up_adjacency();
     let up_leaves = topo.up_leaves();
     let mut ups = Vec::with_capacity(topo.ultrapeer_count());
-    for (i, store) in up_stores.into_iter().enumerate() {
+    for (i, store) in up_stores.enumerate() {
         let mut core = UltrapeerCore::new(topo.up_profiles[i].clone(), store);
         core.set_neighbors(adj[i].iter().map(|&n| up_id(n)).collect());
         for &j in up_leaves.of(i) {
             core.add_leaf(leaf_id(j as usize));
         }
-        let id = sim.add_node(UltrapeerNode::new(core));
+        let id = host_up(sim, i, core);
         debug_assert_eq!(id, up_id(i));
         ups.push(id);
     }
     let mut leaves = Vec::with_capacity(topo.leaf_count());
-    for (j, store) in leaf_stores.into_iter().enumerate() {
+    for (j, store) in leaf_stores.enumerate() {
         let mut core = LeafCore::new(store);
         core.set_ultrapeers(topo.leaf_homes[j].iter().map(|&u| up_id(u)).collect());
         let id = sim.add_node(LeafNode::new(core));

@@ -8,9 +8,7 @@ use crate::msg::HybridMsg;
 use crate::rare::RareScheme;
 use crate::ultrapeer::{HybridConfig, HybridUp};
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore};
-use pier_gnutella::{
-    FileMeta, FileStore, LeafCore, LeafNode, Topology, UltrapeerCore, UltrapeerNode,
-};
+use pier_gnutella::{wire, FileMeta, FileStore, Topology, UltrapeerNode};
 use pier_netsim::{NodeId, Sim};
 
 /// What to build.
@@ -42,48 +40,25 @@ pub fn spawn(
     mut scheme_for: impl FnMut(usize) -> RareScheme,
 ) -> Deployment {
     assert!(cfg.hybrid_ups <= topo.ultrapeer_count());
-    assert_eq!(leaf_files.len(), topo.leaf_count());
     let base = sim.len() as u32;
-    let up_id = |i: usize| NodeId::new(base + i as u32);
-    let leaf_id = |j: usize| NodeId::new(base + topo.ultrapeer_count() as u32 + j as u32);
+    let contact = |i: usize| Contact::for_node(NodeId::new(base + i as u32));
 
     // The hybrid subset forms its own DHT overlay (warm tables: the Bamboo
     // ring on PlanetLab was long-running).
-    let dht_contacts: Vec<Contact> =
-        (0..cfg.hybrid_ups).map(|i| Contact::for_node(up_id(i))).collect();
+    let dht_contacts: Vec<Contact> = (0..cfg.hybrid_ups).map(contact).collect();
 
-    let adj = topo.up_adjacency();
-    let up_leaves = topo.up_leaves();
-    let mut hybrid_ups = Vec::with_capacity(cfg.hybrid_ups);
-    let mut plain_ups = Vec::new();
-    for (i, profile) in topo.up_profiles.iter().enumerate() {
-        let mut core = UltrapeerCore::new(profile.clone(), FileStore::default());
-        core.set_neighbors(adj[i].iter().map(|&n| up_id(n)).collect());
-        for &j in up_leaves.of(i) {
-            core.add_leaf(leaf_id(j as usize));
-        }
+    let up_stores = (0..topo.ultrapeer_count()).map(|_| FileStore::default());
+    let leaf_stores = leaf_files.into_iter().map(FileStore::new);
+    let handles = wire(sim, topo, up_stores, leaf_stores, |sim, i, core| {
         if i < cfg.hybrid_ups {
-            let mut dht = DhtCore::new(cfg.dht.clone(), Contact::for_node(up_id(i)));
+            let mut dht = DhtCore::new(cfg.dht.clone(), contact(i));
             bootstrap::fill_table(dht.table_mut(), &dht_contacts, 4);
-            let node = HybridUp::new(cfg.hybrid.clone(), core, dht, scheme_for(i));
-            let id = sim.add_node(node);
-            debug_assert_eq!(id, up_id(i));
-            hybrid_ups.push(id);
+            sim.add_node(HybridUp::new(cfg.hybrid.clone(), core, dht, scheme_for(i)))
         } else {
-            let id = sim.add_node(UltrapeerNode::new(core));
-            debug_assert_eq!(id, up_id(i));
-            plain_ups.push(id);
+            sim.add_node(UltrapeerNode::new(core))
         }
-    }
-
-    let mut leaves = Vec::with_capacity(topo.leaf_count());
-    for (j, files) in leaf_files.into_iter().enumerate() {
-        let mut core = LeafCore::new(FileStore::new(files));
-        core.set_ultrapeers(topo.leaf_homes[j].iter().map(|&u| up_id(u)).collect());
-        let id = sim.add_node(LeafNode::new(core));
-        debug_assert_eq!(id, leaf_id(j));
-        leaves.push(id);
-    }
-
-    Deployment { hybrid_ups, plain_ups, leaves }
+    });
+    let mut ups = handles.ups;
+    let plain_ups = ups.split_off(cfg.hybrid_ups);
+    Deployment { hybrid_ups: ups, plain_ups, leaves: handles.leaves }
 }

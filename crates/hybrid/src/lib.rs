@@ -10,7 +10,7 @@
 //!   dynamic querying; those that return nothing within the timeout
 //!   (30 s in the deployment) are re-issued via PIERSearch.
 //! * [`RareScheme`] provides the §5 rare-item identification schemes in
-//!   online form (QRS, TF, TPF, SAM, Random), fed by snooped result
+//!   online form (QRS, TF, TPF, SAM), fed by snooped result
 //!   traffic and leaf BrowseHost listings; publishing is rate-limited as
 //!   the paper observed (~one file per 2–3 s).
 //! * [`deploy::spawn`] assembles the §7 partial deployment: a handful of

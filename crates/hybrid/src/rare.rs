@@ -1,6 +1,7 @@
 //! Online rare-item identification (§5): the localized schemes a hybrid
 //! ultrapeer runs over its observed traffic to decide what to publish into
-//! the DHT. The trace-driven counterparts used for Figures 13–15 live in
+//! the DHT. The trace-driven counterparts used for Figures 13–15, and the
+//! Random baseline those figures compare against, live in
 //! `pier_model::schemes`; these are the deployable versions.
 
 use pier_gnutella::Hit;
@@ -34,7 +35,6 @@ impl ObservedItem {
 /// * `Sam` — maintain per-filename replica estimates from observed traffic
 ///   (the paper's low-bandwidth alternative to active sampling); rare if
 ///   the estimate is at or below the threshold.
-/// * `Random` — publish a coin-flip fraction (the evaluation baseline).
 ///
 /// Counter tables are [`IdCounter`]s keyed by dense term indices: a term
 /// for TF, a packed adjacent pair for TPF, and the *interned lowercased
@@ -45,7 +45,6 @@ pub enum RareScheme {
     Tf { threshold: u64, counts: IdCounter },
     Tpf { threshold: u64, counts: IdCounter },
     Sam { threshold: u32, counts: IdCounter },
-    Random { fraction: f64, state: u64 },
 }
 
 impl RareScheme {
@@ -65,24 +64,19 @@ impl RareScheme {
         RareScheme::Sam { threshold, counts: IdCounter::new() }
     }
 
-    pub fn random(fraction: f64, seed: u64) -> Self {
-        RareScheme::Random { fraction, state: seed | 1 }
-    }
-
     pub fn name(&self) -> &'static str {
         match self {
             RareScheme::Qrs { .. } => "QRS",
             RareScheme::Tf { .. } => "TF",
             RareScheme::Tpf { .. } => "TPF",
             RareScheme::Sam { .. } => "SAM",
-            RareScheme::Random { .. } => "Random",
         }
     }
 
     /// Update statistics with one observed file instance.
     pub fn observe(&mut self, name: &str) {
         match self {
-            RareScheme::Qrs { .. } | RareScheme::Random { .. } => {}
+            RareScheme::Qrs { .. } => {}
             RareScheme::Tf { counts, .. } => {
                 for t in scan(name) {
                     counts.add(t.index() as u64, 1);
@@ -102,7 +96,7 @@ impl RareScheme {
 
     /// Does the scheme currently judge this file rare? `None` means the
     /// scheme does not make pull-based decisions (QRS).
-    pub fn is_rare(&mut self, name: &str) -> Option<bool> {
+    pub fn is_rare(&self, name: &str) -> Option<bool> {
         match self {
             RareScheme::Qrs { .. } => None,
             RareScheme::Tf { threshold, counts } => {
@@ -133,10 +127,6 @@ impl RareScheme {
                     .max(1);
                 Some(est <= u64::from(*threshold))
             }
-            RareScheme::Random { fraction, state } => {
-                let x = pier_netsim::split_mix64(state);
-                Some((x as f64 / u64::MAX as f64) < *fraction)
-            }
         }
     }
 
@@ -144,7 +134,7 @@ impl RareScheme {
     pub fn heap_bytes(&self) -> usize {
         use pier_netsim::HeapSize;
         match self {
-            RareScheme::Qrs { .. } | RareScheme::Random { .. } => 0,
+            RareScheme::Qrs { .. } => 0,
             RareScheme::Tf { counts, .. }
             | RareScheme::Tpf { counts, .. }
             | RareScheme::Sam { counts, .. } => counts.heap_bytes(),
@@ -202,19 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn random_fraction_approximate() {
-        let mut s = RareScheme::random(0.3, 42);
-        let n = 10_000;
-        let rare = (0..n).filter(|i| s.is_rare(&format!("f{i}")).unwrap()).count();
-        let frac = rare as f64 / n as f64;
-        assert!((frac - 0.3).abs() < 0.02, "{frac}");
-        let mut none = RareScheme::random(0.0, 42);
-        assert_eq!(none.is_rare("x"), Some(false));
-    }
-
-    #[test]
     fn qrs_is_window_driven() {
-        let mut s = RareScheme::qrs(20);
+        let s = RareScheme::qrs(20);
         assert_eq!(s.is_rare("anything"), None);
         assert_eq!(s.qrs_threshold(), Some(20));
         assert_eq!(RareScheme::tf(1).qrs_threshold(), None);

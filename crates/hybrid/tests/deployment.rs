@@ -322,7 +322,7 @@ fn stock_nodes_count_dht_traffic_and_report_their_heap() {
     let send_ping = |sim: &mut Sim<HybridMsg>, dst: NodeId| {
         let before = sim.metrics().snapshot();
         sim.with_actor_ctx::<HybridUp, _>(hybrid, |_, ctx| {
-            CtxNet { ctx }.send_dht(dst, ping.clone(), 40, ping.class());
+            CtxNet { ctx }.send_dht(dst, ping.clone());
         });
         sim.run_for(SimDuration::from_millis(100));
         sim.metrics().snapshot().diff(&before).counters().collect::<Vec<_>>()

@@ -9,7 +9,7 @@
 //! dense [`MetricClass`] id (process-wide registry, assigned in first-come
 //! order) and counters live in a `Vec<Counter>` indexed by that id.
 //! Call-sites resolve their names a single time through
-//! [`LazyMetricClass`] statics (see the [`metric_classes!`] macro); the
+//! [`LazyMetricClass`] statics (see the [`metric_classes!`](crate::metric_classes) macro); the
 //! steady-state cost of [`Metrics::record_send`] is two array writes.
 //!
 //! The *read* side stays name-keyed ([`Metrics::counter`],
@@ -110,7 +110,8 @@ fn named_snapshot() -> Vec<(&'static str, u32)> {
 
 /// A call-site cache for a [`MetricClass`]: `const`-constructible, resolves
 /// the name through the registry on first use, then answers from a relaxed
-/// atomic load. Declare them once per crate with [`metric_classes!`].
+/// atomic load. Declare them once per crate with
+/// [`metric_classes!`](crate::metric_classes).
 pub struct LazyMetricClass {
     name: &'static str,
     id: AtomicU32,
@@ -195,7 +196,7 @@ fn bin_growth() -> f64 {
 /// A bounded streaming histogram over non-negative `f64` samples.
 ///
 /// Unlike its exact-sample predecessor it never stores samples: memory is
-/// bounded by [`MAX_BINS`] regardless of run length, `record` is O(1) with
+/// bounded by `MAX_BINS` regardless of run length, `record` is O(1) with
 /// no re-sorting, and `quantile` walks the (lazily grown) bin table.
 /// `min`, `max`, `mean`, and `len` are exact; quantiles are accurate to
 /// one log-spaced bin width.

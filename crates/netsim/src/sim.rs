@@ -98,7 +98,7 @@ impl<M, T: Actor<M> + Any + Send> AnyActor<M> for T {
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Loc(u32);
 
-/// Upper bound on the kernel shard count ([`Loc`] packs the shard into
+/// Upper bound on the kernel shard count (`Loc` packs the shard into
 /// 8 bits). `SimConfig::shards` is clamped here — far above any useful
 /// worker-thread count, and results are bit-identical for every value.
 pub const MAX_SHARDS: usize = 256;

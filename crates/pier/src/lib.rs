@@ -19,9 +19,9 @@
 //! `DhtCore` inside any actor; [`PierNode`] is the ready-made standalone
 //! actor. Its batch size (64 tuples), client deadline (30 s) and executor
 //! garbage-collection delay (120 s) are fixed constants in `core.rs`, so
-//! [`PierCore::new`] takes only the catalog. Reference local operators
-//! (selection, projection, hash joins, aggregation) live in [`ops`]; the
-//! engine does not call them.
+//! [`PierCore::new`] takes only the catalog. [`ops`] holds the symmetric
+//! hash join as a stand-alone operator; the engine joins inline and does
+//! not call it.
 
 mod catalog;
 pub mod classes;

@@ -1,8 +1,7 @@
-//! Property-based tests for the relational operators and plan machinery.
+//! Property-based tests for the symmetric hash join, expressions and the
+//! tuple codec.
 
-use pier_qp::ops::{
-    distinct, group_aggregate, hash_join, nested_loop_join, select, AggFunc, SymmetricHashJoin,
-};
+use pier_qp::ops::{nested_loop_join, SymmetricHashJoin};
 use pier_qp::{CmpOp, Expr, Tuple, Value};
 use proptest::prelude::*;
 
@@ -52,61 +51,6 @@ proptest! {
         for t in ri { out.extend(shj.push_right(t.clone())); }
         let reference = nested_loop_join(&left, &right, 0, 0);
         prop_assert_eq!(sorted(out), sorted(reference));
-    }
-
-    /// One-shot hash join agrees with nested loop too.
-    #[test]
-    fn hash_join_equals_nested_loop(left in relation(24, 2), right in relation(24, 2)) {
-        let a = hash_join(left.clone().into_iter(), right.clone().into_iter(), 0, 0);
-        let b = nested_loop_join(&left, &right, 0, 0);
-        prop_assert_eq!(sorted(a), sorted(b));
-    }
-
-    /// Selection never invents tuples and is idempotent.
-    #[test]
-    fn selection_is_a_filter(rel in relation(32, 2), lit in -50i64..50) {
-        let pred = Expr::cmp(CmpOp::Le, 0, lit);
-        let once: Vec<Tuple> = select(rel.clone().into_iter(), &pred).collect();
-        for t in &once {
-            prop_assert!(rel.contains(t));
-            prop_assert!(pred.eval_bool(t).unwrap_or(false));
-        }
-        let twice: Vec<Tuple> = select(once.clone().into_iter(), &pred).collect();
-        prop_assert_eq!(once, twice);
-    }
-
-    /// Distinct removes exactly the duplicates.
-    #[test]
-    fn distinct_is_set_semantics(rel in relation(32, 1)) {
-        let d = distinct(rel.clone().into_iter());
-        let set: std::collections::HashSet<&Tuple> = rel.iter().collect();
-        prop_assert_eq!(d.len(), set.len());
-        // Running again changes nothing.
-        let d2 = distinct(d.clone().into_iter());
-        prop_assert_eq!(d, d2);
-    }
-
-    /// COUNT groups partition the input.
-    #[test]
-    fn count_partitions_input(rel in relation(48, 2)) {
-        let groups = group_aggregate(rel.clone().into_iter(), 0, 1, AggFunc::Count);
-        let total: i64 = groups.iter().map(|g| g.get(1).unwrap().as_int().unwrap()).sum();
-        prop_assert_eq!(total as usize, rel.len());
-        // Group keys are distinct.
-        let keys: std::collections::HashSet<_> =
-            groups.iter().map(|g| g.get(0).unwrap().clone()).collect();
-        prop_assert_eq!(keys.len(), groups.len());
-    }
-
-    /// MIN ≤ MAX for every group; SUM consistent with manual accumulation.
-    #[test]
-    fn agg_invariants(rel in relation(48, 2)) {
-        let mins = group_aggregate(rel.clone().into_iter(), 0, 1, AggFunc::Min);
-        let maxs = group_aggregate(rel.clone().into_iter(), 0, 1, AggFunc::Max);
-        for (lo, hi) in mins.iter().zip(&maxs) {
-            prop_assert_eq!(lo.get(0), hi.get(0));
-            prop_assert!(lo.get(1).unwrap().as_int() <= hi.get(1).unwrap().as_int());
-        }
     }
 
     /// Expressions never panic: any expression over any tuple returns

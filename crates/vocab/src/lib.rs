@@ -29,10 +29,9 @@
 //! Ids are assigned in first-intern order, which may differ between runs
 //! (parallel sweep trials intern concurrently). Nothing observable may
 //! therefore depend on id *values*: matching compares ids for equality,
-//! wire sizes come from retained byte lengths, Bloom bits from hashes of
-//! the term bytes, and the serde form of [`Terms`] (the keyword payload of
-//! the serde-derived Gnutella messages) goes through the term *strings*
-//! ([`ser_ids`]/[`IdsFromStrings`]).
+//! wire sizes come from retained byte lengths and Bloom bits from hashes of
+//! the term bytes. Ids are never put on a wire: a message's size counts
+//! the term text, never an id.
 //!
 //! [term table]: intern
 
@@ -408,47 +407,6 @@ impl From<&[TermId]> for Terms {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serde: ids serialize as their strings (ids are process-local)
-// ---------------------------------------------------------------------------
-
-/// Serialize a slice of ids as the sequence of term strings — the portable
-/// form (id values are assigned per process and must never be serialized
-/// raw).
-pub fn ser_ids<S: serde::Serializer>(ids: &[TermId], s: S) -> Result<S::Ok, S::Error> {
-    use serde::ser::SerializeSeq;
-    let t = table().read().expect("term table poisoned");
-    let mut seq = s.serialize_seq(Some(ids.len()))?;
-    for id in ids {
-        seq.serialize_element(&*t.terms[id.index()].text)?;
-    }
-    seq.end()
-}
-
-/// Deserialization adapter: a sequence of term strings, interned back into
-/// ids on load.
-pub struct IdsFromStrings(pub Vec<TermId>);
-
-impl<'de> serde::Deserialize<'de> for IdsFromStrings {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let strings: Vec<String> = serde::Deserialize::deserialize(d)?;
-        Ok(IdsFromStrings(strings.iter().map(|s| intern(s)).collect()))
-    }
-}
-
-impl serde::Serialize for Terms {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        ser_ids(self.ids(), s)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Terms {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let IdsFromStrings(ids) = serde::Deserialize::deserialize(d)?;
-        Ok(Terms::from_ids(ids))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,25 +486,5 @@ mod tests {
         assert!(matches(&scan("banero kiluda"), &toks));
         assert!(!matches(&scan("banero zzz"), &toks));
         assert!(!matches(&[], &toks), "empty query matches nothing");
-    }
-
-    #[test]
-    fn ids_round_trip_through_strings() {
-        let original = scan("portable_serde_check.mp3");
-        struct Wrap(Vec<TermId>);
-        impl serde::Serialize for Wrap {
-            fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                ser_ids(&self.0, s)
-            }
-        }
-        let bytes = pier_codec::to_bytes(&Wrap(original.clone())).unwrap();
-        let IdsFromStrings(back) = pier_codec::from_bytes(&bytes).unwrap();
-        assert_eq!(back, original);
-        // Terms round-trips the same way (ids resolve back through text).
-        let t = Terms::from_ids(original);
-        let bytes = pier_codec::to_bytes(&t).unwrap();
-        let t2: Terms = pier_codec::from_bytes(&bytes).unwrap();
-        assert_eq!(t2, t);
-        assert_eq!(t2.wire_len(), t.wire_len());
     }
 }

@@ -47,19 +47,6 @@ impl Default for CatalogConfig {
     }
 }
 
-impl CatalogConfig {
-    /// The §6.2 trace at full scale: 75,129 hosts, ≈315k instances.
-    pub fn paper_scale() -> Self {
-        CatalogConfig {
-            hosts: 75_129,
-            distinct_files: 150_000,
-            vocab: 38_900,
-            phrases: 24_000,
-            ..Default::default()
-        }
-    }
-}
-
 /// One distinct file.
 #[derive(Clone, Debug)]
 pub struct DistinctFile {
@@ -281,12 +268,5 @@ mod tests {
         assert!(ones > tf.len() / 20, "tail terms must exist");
         let pf = c.pair_instance_freq();
         assert!(pf.len() > tf.len() / 2, "pairs outnumber... at least comparable");
-    }
-
-    #[test]
-    fn paper_scale_config_matches_published_stats() {
-        let cfg = CatalogConfig::paper_scale();
-        assert_eq!(cfg.hosts, 75_129);
-        assert_eq!(cfg.vocab, 38_900);
     }
 }

@@ -102,7 +102,7 @@ impl PowerLaw {
         }
     }
 
-    /// E[R].
+    /// E\[R\].
     pub fn mean(&self) -> f64 {
         (1..=self.cdf.len()).map(|r| r as f64 * self.pmf(r)).sum()
     }
