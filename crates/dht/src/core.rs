@@ -14,7 +14,7 @@ use crate::routing::{InsertOutcome, RoutingTable};
 use crate::storage::Storage;
 use pier_netsim::{MetricClass, NodeId, SimRng, SimTime};
 use pier_trace::{TraceHandle, TraceId, TraceKind};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Maximum hops for recursively routed messages (loop guard; log2 of any
 /// realistic network size leaves wide margin).
@@ -457,6 +457,9 @@ impl DhtCore {
         let target = lookup.target;
         let is_value = matches!(lookup.kind, LookupKind::Value);
         let batch = lookup.next_batch();
+        // Sending requests never touches the lookup, so it is complete now
+        // exactly when it would be after the sends.
+        let finished = lookup.is_complete().then(|| self.lookups.remove(&op)).flatten();
         if !batch.is_empty() {
             if let Some(&t) = self.op_traces.get(&op) {
                 self.trace_emit(net, t, TraceKind::DhtHop, batch.len() as u64, op);
@@ -470,13 +473,12 @@ impl DhtCore {
             };
             self.send_request(net, contact, body, RpcPurpose::Lookup(op));
         }
-        if self.lookups[&op].is_complete() {
-            self.finish_lookup(net, op);
+        if let Some(lookup) = finished {
+            self.finish_lookup(net, op, lookup);
         }
     }
 
-    fn finish_lookup(&mut self, net: &mut dyn DhtNet, op: OpId) {
-        let lookup = self.lookups.remove(&op).expect("finish only called for live lookups");
+    fn finish_lookup(&mut self, net: &mut dyn DhtNet, op: OpId, lookup: Lookup) {
         net.observe(crate::classes::LOOKUP_QUERIES.id(), lookup.queries_sent as f64);
         if let Some(t) = self.op_traces.remove(&op) {
             self.trace_emit(net, t, TraceKind::DhtLookupDone, lookup.queries_sent as u64, op);
@@ -571,10 +573,11 @@ impl DhtCore {
     }
 
     fn maybe_finish_put(&mut self, op: OpId) {
-        let done = self.puts.get(&op).is_some_and(|p| p.pending == 0);
-        if done {
-            let put = self.puts.remove(&op).expect("checked above");
-            self.events.push_back(DhtEvent::PutDone { op, key: put.key, acks: put.acks });
+        if let hash_map::Entry::Occupied(put) = self.puts.entry(op) {
+            if put.get().pending == 0 {
+                let put = put.remove();
+                self.events.push_back(DhtEvent::PutDone { op, key: put.key, acks: put.acks });
+            }
         }
     }
 

@@ -21,6 +21,7 @@ pier_netsim::metric_classes! {
     pub RESULT_TUPLES = "pier.result_tuples";
     pub SHIPPED_TUPLES = "pier.shipped_tuples";
     pub ORPHAN_RESULTS = "pier.orphan_results";
+    pub PROTOCOL_VIOLATION = "pier.protocol_violation";
 
     // Histograms.
     pub STAGE_PROBED = "pier.stage.probed";

@@ -10,24 +10,27 @@
 //!    incoming tuple stream against it, shipping outputs downstream.
 //! 3. **Publisher** — [`PierCore::publish`] validates tuples against the
 //!    catalog and puts them into the DHT under their index key.
+//!
+//! Each request lives in one table per role (`clients` by query, `stages`
+//! by query and stage) and ends by the crate doc's one stream rule.
 
 use crate::catalog::Catalog;
 use crate::msg::PierMsg;
 
-use crate::plan::{QueryId, QueryPlan};
-use crate::value::Tuple;
-use pier_dht::{DhtCore, DhtEvent, DhtNet};
-use pier_netsim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use crate::plan::{JoinCols, QueryId, QueryPlan};
+use crate::value::{Tuple, Value};
+use pier_dht::{DhtCore, DhtEvent, DhtNet, Key};
+use pier_netsim::{NodeId, SimDuration, SimTime};
+use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Tuples per inter-stage / result batch.
 const BATCH_SIZE: usize = 64;
 /// Client-side deadline: a query with no EOF by then is reported as timed
 /// out.
-const QUERY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
-/// Stage-executor state (and orphan buffers) are garbage collected this
-/// long after last activity.
-const EXEC_TTL: SimDuration = SimDuration::from_secs(120);
+pub const QUERY_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Stage state (running or still waiting for its `Install`) is garbage
+/// collected this long after its last message.
+pub const EXEC_TTL: SimDuration = SimDuration::from_secs(120);
 
 /// Why a query finished.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,39 +52,67 @@ pub enum PierEvent {
     Done { qid: QueryId, outcome: QueryOutcome, total: usize },
 }
 
+/// One stream of numbered batches. The sender numbers them `0..total` and
+/// then sends the EOF with `total`; the stream is complete when it holds
+/// `total` distinct `seq`s, so a repeated batch is never counted twice.
+#[derive(Default)]
+struct Stream {
+    seen: BTreeSet<u32>,
+    total: Option<u32>,
+}
+
+impl Stream {
+    /// Record batch `seq`; `false` if it already arrived.
+    fn accept(&mut self, seq: u32) -> bool {
+        self.seen.insert(seq)
+    }
+
+    fn is_complete(&self) -> bool {
+        self.total.is_some_and(|t| t as usize == self.seen.len())
+    }
+}
+
 struct ClientQuery {
     deadline: SimTime,
     limit: Option<u32>,
-    batches_seen: u32,
-    total_batches: Option<u32>,
     results: usize,
-    done: bool,
+    stream: Stream,
+}
+
+/// A stage at its site, from its first message until garbage collection.
+struct StageSlot {
+    input: Stream,
+    last_activity: SimTime,
+    state: StageState,
+}
+
+enum StageState {
+    /// Accepted batches that arrived before the `Install` (DHT routing can
+    /// reorder).
+    Waiting(Vec<Vec<Tuple>>),
+    Running(StageExec),
 }
 
 /// Stage executor state at a site.
 struct StageExec {
-    plan: QueryPlan,
+    qid: QueryId,
     stage: u32,
+    /// `None` for the source stage, which has no input stream.
+    join: Option<JoinCols>,
+    project: Vec<usize>,
+    /// Where output goes: the next stage's site, or the collector after
+    /// the last stage.
+    next_site: Option<Key>,
+    collector: NodeId,
     /// Build side: scanned (and filtered) local tuples hashed on the join
-    /// column. Stage 0 never builds.
-    build: HashMap<crate::value::Value, Vec<Tuple>>,
+    /// column. The source stage never builds.
+    build: HashMap<Value, Vec<Tuple>>,
     /// Output batching.
     out_buf: Vec<Tuple>,
     out_seq: u32,
-    /// Upstream stream accounting.
-    in_batches: u32,
-    in_total: Option<u32>,
     finished: bool,
-    last_activity: SimTime,
-    /// Tuples that arrived and produced joins (stats).
+    /// Tuples that arrived and were probed (stats).
     probed: u64,
-}
-
-/// Batches that arrived before their `Install` (DHT routing can reorder).
-struct Orphans {
-    batches: Vec<(u32, Vec<Tuple>)>,
-    total: Option<u32>,
-    since: SimTime,
 }
 
 /// The per-node engine.
@@ -89,8 +120,7 @@ pub struct PierCore {
     pub catalog: Catalog,
     next_seq: u32,
     clients: BTreeMap<QueryId, ClientQuery>,
-    execs: HashMap<(QueryId, u32), StageExec>,
-    orphans: HashMap<(QueryId, u32), Orphans>,
+    stages: HashMap<(QueryId, u32), StageSlot>,
     events: VecDeque<PierEvent>,
 }
 
@@ -100,14 +130,18 @@ impl PierCore {
             catalog,
             next_seq: 1,
             clients: BTreeMap::new(),
-            execs: HashMap::new(),
-            orphans: HashMap::new(),
+            stages: HashMap::new(),
             events: VecDeque::new(),
         }
     }
 
     pub fn take_events(&mut self) -> Vec<PierEvent> {
         self.events.drain(..).collect()
+    }
+
+    /// No open query and no stage state at this node.
+    pub fn is_idle(&self) -> bool {
+        self.clients.is_empty() && self.stages.is_empty()
     }
 
     /// Allocate a fresh query id for this node.
@@ -122,46 +156,34 @@ impl PierCore {
     // ------------------------------------------------------------------
 
     /// Validate `tuple` against the catalog and publish it into the DHT
-    /// under its index key, via Bamboo-style recursive routing (one
-    /// O(log N)-hop message path — how PIER publishes). Returns the encoded
-    /// value size (the §7 publishing-cost statistic).
+    /// under its index key. Returns the encoded value size (the §7
+    /// publishing-cost statistic).
+    ///
+    /// By default the tuple goes by Bamboo-style recursive routing: one
+    /// O(log N)-hop message path, how PIER publishes. `replicated` sends it
+    /// through the ack-checked iterative put (lookup + replicated STORE
+    /// RPCs) instead. That costs more per tuple, but every hop is confirmed
+    /// and every timed-out RPC evicts a dead contact: the durability tier
+    /// soft-state refresh uses under churn, where a fire-and-forget
+    /// RouteStore would silently die on any stale next-hop.
     pub fn publish(
         &mut self,
         dht: &mut DhtCore,
         net: &mut dyn DhtNet,
         table: &str,
         tuple: &Tuple,
+        replicated: bool,
     ) -> Result<usize, PublishError> {
         let def = self.catalog.get(table).ok_or(PublishError::NoSuchTable)?;
         def.schema.check(tuple).map_err(PublishError::Schema)?;
         let key = def.publish_key(tuple);
         let bytes = tuple.encode();
         let size = bytes.len();
-        dht.put_routed(net, key, bytes);
-        net.count(crate::classes::PUBLISHED_TUPLES.id(), 1);
-        net.count(crate::classes::PUBLISHED_BYTES.id(), size as u64);
-        Ok(size)
-    }
-
-    /// Like [`PierCore::publish`], but through the ack-checked iterative
-    /// put (lookup + replicated STORE RPCs) instead of the one-way
-    /// recursive route. Costlier per tuple, but every hop is confirmed and
-    /// every timed-out RPC evicts a dead contact — the durability tier
-    /// soft-state *refresh* uses under churn, where a fire-and-forget
-    /// RouteStore would silently die on any stale next-hop.
-    pub fn publish_replicated(
-        &mut self,
-        dht: &mut DhtCore,
-        net: &mut dyn DhtNet,
-        table: &str,
-        tuple: &Tuple,
-    ) -> Result<usize, PublishError> {
-        let def = self.catalog.get(table).ok_or(PublishError::NoSuchTable)?;
-        def.schema.check(tuple).map_err(PublishError::Schema)?;
-        let key = def.publish_key(tuple);
-        let bytes = tuple.encode();
-        let size = bytes.len();
-        dht.put(net, key, bytes);
+        if replicated {
+            dht.put(net, key, bytes);
+        } else {
+            dht.put_routed(net, key, bytes);
+        }
         net.count(crate::classes::PUBLISHED_TUPLES.id(), 1);
         net.count(crate::classes::PUBLISHED_BYTES.id(), size as u64);
         Ok(size)
@@ -180,10 +202,8 @@ impl PierCore {
             ClientQuery {
                 deadline: net.now() + QUERY_TIMEOUT,
                 limit: plan.limit,
-                batches_seen: 0,
-                total_batches: None,
                 results: 0,
-                done: false,
+                stream: Stream::default(),
             },
         );
         net.count(crate::classes::QUERIES_ISSUED.id(), 1);
@@ -207,69 +227,88 @@ impl PierCore {
         net: &mut dyn DhtNet,
         event: &DhtEvent,
     ) -> bool {
-        match event {
-            DhtEvent::RouteDelivered { payload, .. } => match PierMsg::decode(payload) {
-                Ok(msg) => {
-                    self.on_engine_msg(dht, net, msg);
-                    true
-                }
-                Err(_) => false,
-            },
-            DhtEvent::AppMessage { payload, .. } => match PierMsg::decode(payload) {
-                Ok(msg) => {
-                    self.on_engine_msg(dht, net, msg);
-                    true
-                }
-                Err(_) => false,
-            },
-            _ => false,
-        }
+        let (DhtEvent::RouteDelivered { payload, .. } | DhtEvent::AppMessage { payload, .. }) =
+            event
+        else {
+            return false;
+        };
+        let Ok(msg) = PierMsg::decode(payload) else {
+            return false;
+        };
+        self.on_engine_msg(dht, net, msg);
+        true
     }
 
     /// Deadline sweeps; call from the node's maintenance tick.
     pub fn tick(&mut self, _dht: &mut DhtCore, net: &mut dyn DhtNet) {
         // The idle engine: `retain` walks a table's capacity, not its length.
-        if self.clients.is_empty() && self.execs.is_empty() && self.orphans.is_empty() {
+        if self.is_idle() {
             return;
         }
         let now = net.now();
-        // Client deadlines.
-        let timed_out: Vec<QueryId> = self
-            .clients
-            .iter()
-            .filter(|(_, c)| !c.done && c.deadline <= now)
-            .map(|(q, _)| *q)
-            .collect();
-        for qid in timed_out {
-            let c = self.clients.get_mut(&qid).expect("listed above");
-            c.done = true;
+        let events = &mut self.events;
+        self.clients.retain(|&qid, c| {
+            if c.deadline > now {
+                return true;
+            }
             let total = c.results;
-            self.events.push_back(PierEvent::Done { qid, outcome: QueryOutcome::TimedOut, total });
+            events.push_back(PierEvent::Done { qid, outcome: QueryOutcome::TimedOut, total });
             net.count(crate::classes::QUERY_TIMEOUT.id(), 1);
-        }
-        self.clients.retain(|_, c| !(c.done && c.deadline <= now));
-        // Executor / orphan GC.
-        self.execs.retain(|_, e| e.last_activity + EXEC_TTL > now);
-        self.orphans.retain(|_, o| o.since + EXEC_TTL > now);
+            false
+        });
+        self.stages.retain(|_, s| s.last_activity + EXEC_TTL > now);
     }
 
     fn on_engine_msg(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, msg: PierMsg) {
         match msg {
             PierMsg::Install { plan, stage } => self.install_stage(dht, net, plan, stage),
             PierMsg::Batch { qid, stage, seq, tuples } => {
-                self.on_batch(dht, net, qid, stage, seq, tuples)
+                let slot = self.slot(net.now(), (qid, stage));
+                if !slot.input.accept(seq) {
+                    return; // a repeat: probed (or buffered) once already
+                }
+                match &mut slot.state {
+                    StageState::Waiting(buffered) => buffered.push(tuples),
+                    StageState::Running(exec) => {
+                        exec.probe(dht, net, tuples);
+                        exec.finish_if_complete(dht, net, &slot.input);
+                    }
+                }
             }
             PierMsg::BatchEof { qid, stage, total } => {
-                self.on_batch_eof(dht, net, qid, stage, total)
+                let slot = self.slot(net.now(), (qid, stage));
+                slot.input.total = Some(total);
+                if let StageState::Running(exec) = &mut slot.state {
+                    exec.finish_if_complete(dht, net, &slot.input);
+                }
             }
-            PierMsg::Results { qid, tuples, .. } => self.on_results(net, qid, tuples),
-            PierMsg::ResultsEof { qid, total } => self.on_results_eof(net, qid, total),
+            PierMsg::Results { qid, seq, tuples } => self.on_results(net, qid, seq, tuples),
+            PierMsg::ResultsEof { qid, total } => {
+                let Some(c) = self.clients.get_mut(&qid) else {
+                    net.count(crate::classes::ORPHAN_RESULTS.id(), 1);
+                    return;
+                };
+                c.stream.total = Some(total);
+                self.maybe_done(qid);
+            }
         }
     }
 
     // ------------------------------------------------------------------
     // Stage execution
     // ------------------------------------------------------------------
+
+    /// The slot for `key`, waiting for its `Install` if this is the first
+    /// message about it.
+    fn slot(&mut self, now: SimTime, key: (QueryId, u32)) -> &mut StageSlot {
+        let slot = self.stages.entry(key).or_insert_with(|| StageSlot {
+            input: Stream::default(),
+            last_activity: now,
+            state: StageState::Waiting(Vec::new()),
+        });
+        slot.last_activity = now;
+        slot
+    }
 
     fn install_stage(
         &mut self,
@@ -278,14 +317,28 @@ impl PierCore {
         plan: QueryPlan,
         stage_idx: u32,
     ) {
-        let key = (plan.id, stage_idx);
-        if self.execs.contains_key(&key) {
+        // The plan must check out against this node's catalog before any
+        // of its column numbers index a tuple.
+        let widths: Option<Vec<usize>> = plan
+            .stages
+            .iter()
+            .map(|s| Some(self.catalog.get(&s.scan.table)?.schema.arity()))
+            .collect();
+        let valid = widths.is_some_and(|w| plan.validate(&w).is_ok());
+        let Some(stage) = plan.stages.get(stage_idx as usize).filter(|_| valid) else {
+            net.count(crate::classes::PROTOCOL_VIOLATION.id(), 1);
+            return;
+        };
+        let now = net.now();
+        let slot = self.slot(now, (plan.id, stage_idx));
+        let StageState::Waiting(buffered) = &mut slot.state else {
             return; // duplicate install
-        }
-        let stage = &plan.stages[stage_idx as usize];
+        };
+        let buffered = std::mem::take(buffered);
+
         // Scan the local fragment: every tuple of `table` published under
         // the scan key lives in this node's DHT storage.
-        let raw = dht.local_values(&stage.scan.key, net.now());
+        let raw = dht.local_values(&stage.scan.key, now);
         let mut scanned: Vec<Tuple> = Vec::with_capacity(raw.len());
         for bytes in raw {
             match Tuple::decode(&bytes) {
@@ -299,223 +352,157 @@ impl PierCore {
         }
 
         let mut exec = StageExec {
+            qid: plan.id,
             stage: stage_idx,
+            join: stage.join,
+            project: stage.project.clone(),
+            next_site: plan.stages.get(stage_idx as usize + 1).map(|s| s.site),
+            collector: plan.collector.node,
             build: HashMap::new(),
             out_buf: Vec::new(),
             out_seq: 0,
-            in_batches: 0,
-            in_total: None,
             finished: false,
-            last_activity: net.now(),
             probed: 0,
-            plan,
         };
-
-        match exec.plan.stages[stage_idx as usize].join {
+        match stage.join {
             None => {
                 // Source stage: emit the scanned relation immediately.
-                let project = exec.plan.stages[stage_idx as usize].project.clone();
                 for t in scanned {
-                    let out = t.project(&project);
-                    exec.out_buf.push(out);
-                    if exec.out_buf.len() >= BATCH_SIZE {
-                        Self::flush(&mut exec, dht, net, false);
-                    }
+                    exec.out_buf.push(t.project(&exec.project));
+                    exec.flush(dht, net, false);
                 }
-                Self::flush(&mut exec, dht, net, true);
+                exec.flush(dht, net, true);
                 exec.finished = true;
             }
             Some(jc) => {
                 for t in scanned {
-                    let k = t.0[jc.scanned].clone();
-                    if k != crate::value::Value::Null {
+                    let Some(k) = t.get(jc.scanned).cloned() else { continue };
+                    if k != Value::Null {
                         exec.build.entry(k).or_default().push(t);
                     }
                 }
             }
         }
-        self.execs.insert(key, exec);
-        // Replay any batches that arrived before the install.
-        if let Some(orphans) = self.orphans.remove(&key) {
-            for (seq, tuples) in orphans.batches {
-                self.on_batch(dht, net, key.0, key.1, seq, tuples);
-            }
-            if let Some(total) = orphans.total {
-                self.on_batch_eof(dht, net, key.0, key.1, total);
-            }
+        // Replay the batches that arrived before the install.
+        for tuples in buffered {
+            exec.probe(dht, net, tuples);
         }
-    }
-
-    fn on_batch(
-        &mut self,
-        dht: &mut DhtCore,
-        net: &mut dyn DhtNet,
-        qid: QueryId,
-        stage: u32,
-        seq: u32,
-        tuples: Vec<Tuple>,
-    ) {
-        let key = (qid, stage);
-        let Some(exec) = self.execs.get_mut(&key) else {
-            self.orphans
-                .entry(key)
-                .or_insert_with(|| Orphans { batches: Vec::new(), total: None, since: net.now() })
-                .batches
-                .push((seq, tuples));
-            return;
-        };
-        exec.last_activity = net.now();
-        exec.in_batches += 1;
-        let jc = exec.plan.stages[stage as usize]
-            .join
-            .expect("joined stages are the only batch receivers");
-        let project = exec.plan.stages[stage as usize].project.clone();
-        net.count(crate::classes::PROBE_TUPLES.id(), tuples.len() as u64);
-        for incoming in tuples {
-            exec.probed += 1;
-            let Some(matches) = exec.build.get(&incoming.0[jc.incoming]) else {
-                continue;
-            };
-            for m in matches {
-                let joined = incoming.concat(m);
-                exec.out_buf.push(joined.project(&project));
-            }
-        }
-        // Flush full batches downstream.
-        Self::flush(exec, dht, net, false);
-        self.check_stage_complete(dht, net, key);
-    }
-
-    fn on_batch_eof(
-        &mut self,
-        dht: &mut DhtCore,
-        net: &mut dyn DhtNet,
-        qid: QueryId,
-        stage: u32,
-        total: u32,
-    ) {
-        let key = (qid, stage);
-        let Some(exec) = self.execs.get_mut(&key) else {
-            self.orphans
-                .entry(key)
-                .or_insert_with(|| Orphans { batches: Vec::new(), total: None, since: net.now() })
-                .total = Some(total);
-            return;
-        };
-        exec.last_activity = net.now();
-        exec.in_total = Some(total);
-        self.check_stage_complete(dht, net, key);
-    }
-
-    fn check_stage_complete(
-        &mut self,
-        dht: &mut DhtCore,
-        net: &mut dyn DhtNet,
-        key: (QueryId, u32),
-    ) {
-        let Some(exec) = self.execs.get_mut(&key) else {
-            return;
-        };
-        if exec.finished {
-            return;
-        }
-        if exec.in_total == Some(exec.in_batches) {
-            Self::flush(exec, dht, net, true);
-            exec.finished = true;
-            net.observe(crate::classes::STAGE_PROBED.id(), exec.probed as f64);
-        }
-    }
-
-    /// Ship buffered output downstream (or to the collector for the last
-    /// stage); `eof` additionally sends the end-of-stream marker.
-    fn flush(exec: &mut StageExec, dht: &mut DhtCore, net: &mut dyn DhtNet, eof: bool) {
-        let stage_idx = exec.stage as usize;
-        let is_last = stage_idx + 1 == exec.plan.stages.len();
-        // Without EOF only ship full batches; with EOF drain everything.
-        while exec.out_buf.len() >= BATCH_SIZE || (eof && !exec.out_buf.is_empty()) {
-            let take = exec.out_buf.len().min(BATCH_SIZE);
-            let tuples: Vec<Tuple> = exec.out_buf.drain(..take).collect();
-            let emit_count = tuples.len() as u64;
-            let seq = exec.out_seq;
-            exec.out_seq += 1;
-            if is_last {
-                let msg = PierMsg::Results { qid: exec.plan.id, seq, tuples };
-                net.count(crate::classes::RESULT_TUPLES.id(), emit_count);
-                dht.send_direct(net, exec.plan.collector.node, msg.encode());
-            } else {
-                let next = &exec.plan.stages[stage_idx + 1];
-                let msg = PierMsg::Batch { qid: exec.plan.id, stage: exec.stage + 1, seq, tuples };
-                net.count(crate::classes::SHIPPED_TUPLES.id(), emit_count);
-                dht.route(net, next.site, msg.encode());
-            }
-        }
-        if eof {
-            let total = exec.out_seq;
-            if is_last {
-                let msg = PierMsg::ResultsEof { qid: exec.plan.id, total };
-                dht.send_direct(net, exec.plan.collector.node, msg.encode());
-            } else {
-                let next = &exec.plan.stages[stage_idx + 1];
-                let msg = PierMsg::BatchEof { qid: exec.plan.id, stage: exec.stage + 1, total };
-                dht.route(net, next.site, msg.encode());
-            }
-        }
+        exec.finish_if_complete(dht, net, &slot.input);
+        slot.state = StageState::Running(exec);
     }
 
     // ------------------------------------------------------------------
     // Collector side
     // ------------------------------------------------------------------
 
-    fn on_results(&mut self, net: &mut dyn DhtNet, qid: QueryId, tuples: Vec<Tuple>) {
+    fn on_results(&mut self, net: &mut dyn DhtNet, qid: QueryId, seq: u32, mut tuples: Vec<Tuple>) {
         let Some(c) = self.clients.get_mut(&qid) else {
             net.count(crate::classes::ORPHAN_RESULTS.id(), 1);
             return;
         };
-        if c.done {
-            return;
+        if !c.stream.accept(seq) {
+            return; // a repeat: delivered once already
         }
-        c.batches_seen += 1;
-        let mut tuples = tuples;
         if let Some(limit) = c.limit {
             let room = (limit as usize).saturating_sub(c.results);
             tuples.truncate(room);
         }
         c.results += tuples.len();
-        let reached_limit = c.limit.is_some_and(|l| c.results >= l as usize);
-        let total = c.results;
         if !tuples.is_empty() {
             self.events.push_back(PierEvent::Results { qid, tuples });
         }
-        if reached_limit {
-            let c = self.clients.get_mut(&qid).expect("present");
-            c.done = true;
-            self.events.push_back(PierEvent::Done {
-                qid,
-                outcome: QueryOutcome::LimitReached,
-                total,
-            });
+        self.maybe_done(qid);
+    }
+
+    /// Report `qid` done once it reached its limit or holds its whole
+    /// result stream, and forget it: whatever arrives for it later is an
+    /// orphan.
+    fn maybe_done(&mut self, qid: QueryId) {
+        let btree_map::Entry::Occupied(entry) = self.clients.entry(qid) else {
+            return;
+        };
+        let c = entry.get();
+        let outcome = if c.limit.is_some_and(|l| c.results >= l as usize) {
+            QueryOutcome::LimitReached
+        } else if c.stream.is_complete() {
+            QueryOutcome::Complete
         } else {
-            self.maybe_complete(qid);
+            return;
+        };
+        let total = entry.remove().results;
+        self.events.push_back(PierEvent::Done { qid, outcome, total });
+    }
+}
+
+impl StageExec {
+    /// Join one input batch against the build side and ship full output
+    /// batches downstream.
+    fn probe(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, tuples: Vec<Tuple>) {
+        let Some(jc) = self.join else {
+            // The source stage has no upstream.
+            net.count(crate::classes::PROTOCOL_VIOLATION.id(), 1);
+            return;
+        };
+        net.count(crate::classes::PROBE_TUPLES.id(), tuples.len() as u64);
+        for incoming in tuples {
+            self.probed += 1;
+            let Some(matches) = incoming.get(jc.incoming).and_then(|k| self.build.get(k)) else {
+                continue;
+            };
+            for m in matches {
+                self.out_buf.push(incoming.concat(m).project(&self.project));
+            }
+        }
+        self.flush(dht, net, false);
+    }
+
+    /// Close the stage once its input stream is complete: ship what is
+    /// left, then the end-of-stream marker.
+    fn finish_if_complete(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, input: &Stream) {
+        if !self.finished && input.is_complete() {
+            self.flush(dht, net, true);
+            self.finished = true;
+            net.observe(crate::classes::STAGE_PROBED.id(), self.probed as f64);
         }
     }
 
-    fn on_results_eof(&mut self, net: &mut dyn DhtNet, qid: QueryId, total: u32) {
-        let Some(c) = self.clients.get_mut(&qid) else {
-            net.count(crate::classes::ORPHAN_RESULTS.id(), 1);
-            return;
-        };
-        c.total_batches = Some(total);
-        self.maybe_complete(qid);
+    /// Ship buffered output downstream (or to the collector for the last
+    /// stage); `eof` additionally sends the end-of-stream marker.
+    fn flush(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, eof: bool) {
+        let (qid, stage) = (self.qid, self.stage + 1);
+        // Without EOF only ship full batches; with EOF drain everything.
+        while self.out_buf.len() >= BATCH_SIZE || (eof && !self.out_buf.is_empty()) {
+            let take = self.out_buf.len().min(BATCH_SIZE);
+            let tuples: Vec<Tuple> = self.out_buf.drain(..take).collect();
+            let emit_count = tuples.len() as u64;
+            let seq = self.out_seq;
+            self.out_seq += 1;
+            let msg = if self.next_site.is_some() {
+                net.count(crate::classes::SHIPPED_TUPLES.id(), emit_count);
+                PierMsg::Batch { qid, stage, seq, tuples }
+            } else {
+                net.count(crate::classes::RESULT_TUPLES.id(), emit_count);
+                PierMsg::Results { qid, seq, tuples }
+            };
+            self.send(dht, net, msg);
+        }
+        if eof {
+            let total = self.out_seq;
+            let msg = if self.next_site.is_some() {
+                PierMsg::BatchEof { qid, stage, total }
+            } else {
+                PierMsg::ResultsEof { qid, total }
+            };
+            self.send(dht, net, msg);
+        }
     }
 
-    fn maybe_complete(&mut self, qid: QueryId) {
-        let Some(c) = self.clients.get_mut(&qid) else {
-            return;
-        };
-        if !c.done && c.total_batches == Some(c.batches_seen) {
-            c.done = true;
-            let total = c.results;
-            self.events.push_back(PierEvent::Done { qid, outcome: QueryOutcome::Complete, total });
+    /// Inter-stage traffic is routed by site key; results go straight to
+    /// the collector.
+    fn send(&self, dht: &mut DhtCore, net: &mut dyn DhtNet, msg: PierMsg) {
+        match self.next_site {
+            Some(site) => dht.route(net, site, msg.encode()),
+            None => dht.send_direct(net, self.collector, msg.encode()),
         }
     }
 }

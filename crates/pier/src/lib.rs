@@ -15,10 +15,19 @@
 //! * final results stream **directly** back to the query node — the one
 //!   exception the paper makes to DHT routing.
 //!
+//! Routing may repeat or reorder messages, so every stream ends one way:
+//! it is complete when it holds every distinct batch `seq` below its EOF's
+//! `total`, and a repeated batch is ignored. Results that arrive after their
+//! query reported `Done` count as `pier.orphan_results`; a plan that fails
+//! [`QueryPlan::validate`] against the local catalog, a stage index past
+//! its plan and a batch sent to a source stage are dropped and counted as
+//! `pier.protocol_violation`.
+//!
 //! The engine ([`PierCore`]) is I/O-free and composes with [`pier_dht`]'s
 //! `DhtCore` inside any actor; [`PierNode`] is the ready-made standalone
-//! actor. Its batch size (64 tuples), client deadline (30 s) and executor
-//! garbage-collection delay (120 s) are fixed constants in `core.rs`, so
+//! actor. Its batch size (64 tuples), client deadline ([`QUERY_TIMEOUT`],
+//! 30 s) and stage garbage-collection delay ([`EXEC_TTL`], 120 s) are
+//! fixed constants in `core.rs`, so
 //! [`PierCore::new`] takes only the catalog. [`ops`] holds the symmetric
 //! hash join as a stand-alone operator; the engine joins inline and does
 //! not call it.
@@ -35,7 +44,7 @@ mod schema;
 mod value;
 
 pub use catalog::Catalog;
-pub use core::{PierCore, PierEvent, PublishError, QueryOutcome};
+pub use core::{PierCore, PierEvent, PublishError, QueryOutcome, EXEC_TTL, QUERY_TIMEOUT};
 pub use expr::{CmpOp, Expr, ExprError};
 pub use msg::PierMsg;
 pub use node::{PierApp, PierNode};

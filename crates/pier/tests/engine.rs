@@ -57,7 +57,7 @@ fn publish_inverted(sim: &mut Sim<DhtMsg>, from: NodeId, keyword: &str, file: Ke
     sim.with_actor_ctx::<PierNode, _>(from, |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
         let t = Tuple::new(vec![Value::Str(keyword.into()), Value::Key(file)]);
-        node.app.pier.publish(&mut node.core, &mut net, "inverted", &t).expect("publish");
+        node.app.pier.publish(&mut node.core, &mut net, "inverted", &t, false).expect("publish");
     });
 }
 
@@ -65,7 +65,7 @@ fn publish_item(sim: &mut Sim<DhtMsg>, from: NodeId, file: Key, name: &str, size
     sim.with_actor_ctx::<PierNode, _>(from, |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
         let t = Tuple::new(vec![Value::Key(file), Value::Str(name.into()), Value::Int(size)]);
-        node.app.pier.publish(&mut node.core, &mut net, "item", &t).expect("publish");
+        node.app.pier.publish(&mut node.core, &mut net, "item", &t, false).expect("publish");
     });
 }
 
@@ -209,7 +209,7 @@ fn single_stage_scan_with_filter() {
             let mut net = pier_dht::CtxNet { ctx };
             let t =
                 Tuple::new(vec![Value::Str("led".into()), Value::Key(f), Value::Str(name.into())]);
-            node.app.pier.publish(&mut node.core, &mut net, "invcache", &t).unwrap();
+            node.app.pier.publish(&mut node.core, &mut net, "invcache", &t, false).unwrap();
         });
     }
     sim.run_for(SimDuration::from_secs(10));

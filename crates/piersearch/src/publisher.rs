@@ -152,17 +152,10 @@ impl Publisher {
         let record = ItemRecord::new(filename, filesize, host, port);
         let mut stats = PublishStats::default();
 
-        let mut ship_one = |pier: &mut PierCore, table: &str, tuple: &pier_qp::Tuple| {
-            if replicated {
-                pier.publish_replicated(dht, net, table, tuple).expect("tuple conforms");
-            } else {
-                pier.publish(dht, net, table, tuple).expect("tuple conforms");
-            }
-        };
         let item = record.to_tuple();
         stats.value_bytes += item.encoded_size();
         stats.tuples += 1;
-        ship_one(pier, ITEM, &item);
+        pier.publish(dht, net, ITEM, &item, replicated).expect("tuple conforms");
 
         let words = pier_vocab::texts_of(&terms);
         for word in &words {
@@ -174,7 +167,7 @@ impl Publisher {
             };
             stats.value_bytes += tuple.encoded_size();
             stats.tuples += 1;
-            ship_one(pier, table, &tuple);
+            pier.publish(dht, net, table, &tuple, replicated).expect("tuple conforms");
         }
         stats.keywords = terms.len();
         net.count(crate::classes::FILES_PUBLISHED.id(), 1);

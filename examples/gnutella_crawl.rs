@@ -45,7 +45,11 @@ fn main() {
         println!("  degree {d:>3}: {n:>4} ultrapeers  {}", "#".repeat(n / 5));
     }
 
-    let starts: Vec<_> = c.graph.adj.keys().copied().take(10).collect();
+    // `adj` is a HashMap: sort its ids so the start nodes, and the curve,
+    // are the same on every run.
+    let mut starts: Vec<_> = c.graph.adj.keys().copied().collect();
+    starts.sort_unstable();
+    starts.truncate(10);
     let curve = average_flood_curve(&c.graph, &starts, 7);
     let mc = marginal_cost(&curve);
     println!("\nflooding overhead (Figure 8): messages vs ultrapeers visited");
