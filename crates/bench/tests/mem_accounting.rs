@@ -1,6 +1,7 @@
 //! The per-subsystem `HeapSize` accounting behind the benchmark's
-//! `netsim.heap_bytes_per_node` row is wired through a built lab, and
-//! multihomed leaves share one interned QRP filter.
+//! `netsim.heap_bytes_per_node` row is wired through a built lab,
+//! multihomed leaves share one interned QRP filter, and an interned filter
+//! costs what its positions cost plus a small fixed header.
 
 use pier_bench::lab::{Lab, LabConfig, Scale, DEFAULT_SEED};
 use pier_gnutella::UltrapeerNode;
@@ -19,7 +20,19 @@ fn built_lab_accounts_every_node_and_interns_leaf_filters() {
     // metro-lite leaves are 2-homed: both ultrapeers hold the same `Arc`.
     let qrp_refs: usize =
         lab.handles.ups.iter().map(|&id| lab.sim.actor::<UltrapeerNode>(id).core.qrp_refs()).sum();
-    let unique = pier_gnutella::qrp_catalog::stats().unique;
+    let catalog = pier_gnutella::qrp_catalog::stats();
+    let unique = catalog.unique;
     assert!(unique > 0, "QRP propagation ran during the build");
     assert!(qrp_refs > unique, "{qrp_refs} ultrapeer entries over {unique} distinct filters");
+
+    // Measured 270.7 B per filter here (default seed): a 32-byte
+    // `QrpFilter`, the `Arc`'s two counts, and ~55 four-byte positions.
+    // The ceiling leaves ~18% headroom for share-view drift, and sits far
+    // below the 783 B a 512-byte inline field per filter would cost.
+    const BYTES_PER_FILTER_MAX: usize = 320;
+    let per_filter = catalog.bytes / unique;
+    assert!(
+        per_filter <= BYTES_PER_FILTER_MAX,
+        "{per_filter} B per interned filter (ceiling {BYTES_PER_FILTER_MAX} B)"
+    );
 }

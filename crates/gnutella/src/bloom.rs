@@ -23,27 +23,24 @@
 //! and the content hash both speak the canonical position set, never the
 //! representation, so promotion can never perturb a determinism pin.
 //!
-//! Every probe goes through an inline 4096-block summary bitmap first
-//! (`QrpFilter::summary`): one 512-byte-resident load rejects probes to
-//! clear blocks before any repr dispatch, table access, or binary search —
-//! the O(1) fast path of the miss-dominated last-hop loop. An ultrapeer
-//! goes one step further and ORs its leaves' summaries into one
-//! [`QrpUnion`]: a query with any position in a block no leaf has set
-//! cannot match any of them, so the loop is not entered at all.
+//! A probe goes straight to the representation: one word load on a dense
+//! table, a binary search on a sparse list — a filter is the 32-byte
+//! header plus its positions, nothing more. An ultrapeer screens in
+//! front of all of its leaves at once: it folds every leaf's positions
+//! into one 4096-block [`QrpUnion`], and a query with any position in a
+//! block no leaf has set cannot match any of them, so the per-leaf loop
+//! is not entered at all.
 
 use pier_vocab::{intern, TermId, Terms};
 
-/// Words in a filter's inline block-summary bitmap. 64 words cover 4,096
-/// blocks of 16 bits each over the default 65,536-bit table: at leaf-share
-/// densities (hundreds of set bits) ~96% of the blocks are clear, so the
-/// summary settles almost every miss probe with a single 512-byte-resident
-/// load.
-const SUMMARY_WORDS: usize = 64;
-/// Blocks the summary covers: bit `b` is set iff some position lands in
+/// Words in a [`QrpUnion`]'s block bitmap. 64 words cover 4,096 blocks
+/// of 16 bits each over the default 65,536-bit table.
+const UNION_WORDS: usize = 64;
+/// Blocks the union covers: bit `b` is set iff some position lands in
 /// block `b` (blocks alias mod 4096 for tables above 65,536 bits).
-const SUMMARY_BLOCKS: u32 = (SUMMARY_WORDS * 64) as u32;
-/// log2 of the bit positions per summary block (16-bit blocks).
-const SUMMARY_SHIFT: u32 = 4;
+const UNION_BLOCKS: u32 = (UNION_WORDS * 64) as u32;
+/// log2 of the bit positions per union block (16-bit blocks).
+const BLOCK_SHIFT: u32 = 4;
 
 /// Set-bit storage. `Sparse` holds the ascending, duplicate-free bit
 /// positions; `Dense` is the flat bit table. Promotion is monotone:
@@ -54,34 +51,16 @@ enum Repr {
     Dense(Vec<u64>),
 }
 
-/// Word index and bit mask of position `p`'s block in a summary bitmap.
+/// Word index and bit mask of position `p`'s block in a union bitmap.
 #[inline]
-fn summary_slot(p: u32) -> (usize, u64) {
-    let b = (p >> SUMMARY_SHIFT) % SUMMARY_BLOCKS;
+fn block_slot(p: u32) -> (usize, u64) {
+    let b = (p >> BLOCK_SHIFT) % UNION_BLOCKS;
     ((b >> 6) as usize, 1 << (b & 63))
-}
-
-/// The summary bitmap of a sorted position set.
-fn summary_of(positions: &[u32]) -> [u64; SUMMARY_WORDS] {
-    let mut s = [0u64; SUMMARY_WORDS];
-    for &p in positions {
-        let (w, bit) = summary_slot(p);
-        s[w] |= bit;
-    }
-    s
 }
 
 /// A fixed-size Bloom filter over lowercase terms.
 #[derive(Clone, Debug)]
 pub struct QrpFilter {
-    /// First-level block summary: bit `b` is set iff some position lands
-    /// in 16-bit block `b mod 4096`. A probe whose block bit is clear is
-    /// rejected with this one load — no repr dispatch, no table or
-    /// position-slice access. At leaf-share densities (hundreds of set
-    /// bits in 65,536) the summary is ~96% clear, so the miss-dominated
-    /// last-hop path almost never leaves these 512 bytes. Derived state:
-    /// maintained on every insert, never hashed or compared.
-    summary: [u64; SUMMARY_WORDS],
     repr: Repr,
     /// Number of bits (power of two not required).
     m: u32,
@@ -121,7 +100,7 @@ impl QrpFilter {
     pub fn new(m: u32, k: u32) -> Self {
         assert!(m >= 64, "filter too small");
         assert!(k >= 1);
-        QrpFilter { summary: [0; SUMMARY_WORDS], repr: Repr::Sparse(Box::default()), m, k }
+        QrpFilter { repr: Repr::Sparse(Box::default()), m, k }
     }
 
     pub fn with_defaults() -> Self {
@@ -160,7 +139,6 @@ impl QrpFilter {
             positions.windows(2).all(|w| w[0] < w[1]),
             "positions must be sorted+deduped"
         );
-        self.summary = summary_of(&positions);
         if positions.len() > Self::sparse_limit(self.m) {
             let mut bits = vec![0u64; self.m.div_ceil(64) as usize];
             for p in positions {
@@ -174,8 +152,6 @@ impl QrpFilter {
 
     #[inline]
     fn set_bit(&mut self, p: u32) {
-        let (w, bit) = summary_slot(p);
-        self.summary[w] |= bit;
         match &mut self.repr {
             Repr::Dense(bits) => bits[(p / 64) as usize] |= 1 << (p % 64),
             Repr::Sparse(pos) => {
@@ -192,12 +168,6 @@ impl QrpFilter {
 
     #[inline]
     fn test_bit(&self, p: u32) -> bool {
-        // Summary first: one load settles ~96% of probes at leaf-share
-        // densities, for either representation.
-        let (w, bit) = summary_slot(p);
-        if self.summary[w] & bit == 0 {
-            return false;
-        }
         match &self.repr {
             Repr::Dense(bits) => bits[(p / 64) as usize] & (1 << (p % 64)) != 0,
             Repr::Sparse(pos) => pos.binary_search(&p).is_ok(),
@@ -356,8 +326,8 @@ impl QrpProbe {
 
     /// Could any filter folded into `union` match this probe? `false` is
     /// exact — a filter matches only if every probe position is set, hence
-    /// every position's block is set in its summary and so in the union —
-    /// and costs at most one load per position in 512 resident bytes.
+    /// every position's block was set when the filter was folded in — and
+    /// costs at most one load per position in 512 resident bytes.
     /// `true` means "ask the filters": every position's block is some
     /// leaf's, or the union cannot speak for this probe's geometry.
     pub(crate) fn may_match_any(&self, union: &QrpUnion) -> bool {
@@ -366,13 +336,13 @@ impl QrpProbe {
         }
         !self.positions.is_empty()
             && self.positions.iter().all(|&p| {
-                let (w, bit) = summary_slot(p);
+                let (w, bit) = block_slot(p);
                 union.blocks[w] & bit != 0
             })
     }
 }
 
-/// The union of many filters' block summaries: one screen in front of an
+/// The block bitmap of many filters' positions: one screen in front of an
 /// ultrapeer's whole last-hop loop. Block `b` is set iff some folded
 /// filter of the standard table geometry has a position in block `b`; a
 /// filter of any other geometry sets `foreign`, which turns the screen off
@@ -381,7 +351,7 @@ impl QrpProbe {
 /// from the rest.
 #[derive(Clone, Debug)]
 pub(crate) struct QrpUnion {
-    blocks: [u64; SUMMARY_WORDS],
+    blocks: [u64; UNION_WORDS],
     foreign: bool,
 }
 
@@ -392,17 +362,32 @@ impl QrpUnion {
 
     /// The union of no filters.
     pub(crate) fn new() -> Self {
-        QrpUnion { blocks: [0; SUMMARY_WORDS], foreign: false }
+        QrpUnion { blocks: [0; UNION_WORDS], foreign: false }
     }
 
-    /// Fold one more filter in.
+    /// Fold one more filter's positions in. A dense word holds four
+    /// 16-bit blocks, so it is folded a block at a time, not a bit.
     pub(crate) fn add(&mut self, filter: &QrpFilter) {
-        if (filter.m, filter.k) == Self::GEOMETRY {
-            for (u, s) in self.blocks.iter_mut().zip(&filter.summary) {
-                *u |= s;
-            }
-        } else {
+        if (filter.m, filter.k) != Self::GEOMETRY {
             self.foreign = true;
+            return;
+        }
+        let mut set = |p: u32| {
+            let (w, bit) = block_slot(p);
+            self.blocks[w] |= bit;
+        };
+        match &filter.repr {
+            Repr::Sparse(pos) => pos.iter().copied().for_each(set),
+            Repr::Dense(bits) => {
+                const BLOCK: u32 = 1 << BLOCK_SHIFT;
+                for (w, &word) in bits.iter().enumerate() {
+                    for j in (0..64).step_by(BLOCK as usize) {
+                        if word >> j & ((1 << BLOCK) - 1) != 0 {
+                            set(w as u32 * 64 + j);
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -564,6 +549,39 @@ mod tests {
                 "mismatched geometry must fall back, not misroute: {text:?}"
             );
         }
+    }
+
+    #[test]
+    fn filter_header_stays_32_bytes() {
+        // 72k interned leaf filters on a flood lab: any inline field here
+        // is paid once per filter, on top of its positions.
+        assert!(size_of::<QrpFilter>() <= 32, "QrpFilter is {} B", size_of::<QrpFilter>());
+    }
+
+    #[test]
+    fn union_folds_sparse_and_dense_positions_alike() {
+        let mut sparse = QrpFilter::with_defaults();
+        for i in 0..300 {
+            sparse.insert(&format!("fold{i}"));
+        }
+        let mut dense = sparse.clone();
+        dense.promote_to_dense();
+        let (mut a, mut b) = (QrpUnion::new(), QrpUnion::new());
+        a.add(&sparse);
+        b.add(&dense);
+        assert_eq!(a.blocks, b.blocks);
+        let mut expected = [0u64; UNION_WORDS];
+        for p in dense_positions(match &dense.repr {
+            Repr::Dense(bits) => bits,
+            Repr::Sparse(_) => unreachable!("promoted"),
+        }) {
+            let (w, bit) = block_slot(p);
+            expected[w] |= bit;
+        }
+        assert_eq!(a.blocks, expected, "one block bit per set position's block");
+        assert!(!a.foreign);
+        a.add(&QrpFilter::new(1024, 3));
+        assert!(a.foreign, "another geometry turns the screen off");
     }
 
     #[test]

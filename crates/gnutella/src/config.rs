@@ -23,7 +23,8 @@ pub struct UltrapeerConfig {
     pub probe_neighbors: usize,
     /// Stop a dynamic query once this many results arrived.
     pub target_results: usize,
-    /// Seen-GUID table entries expire after this long.
+    /// Seen-GUID table entries expire after this long. Expiry is exact
+    /// below 2³² µs (≈ 71.6 min), the span of the table's `u32` stamps.
     pub seen_ttl: SimDuration,
     /// Cap on hits per QueryHit message (the protocol's 255 limit, lowered
     /// keeps messages realistic).

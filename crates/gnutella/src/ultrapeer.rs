@@ -53,9 +53,20 @@ struct DynState {
     next_probe_at: SimTime,
 }
 
+/// A seen-table value: the GUID's previous hop and when it was seen, as
+/// microseconds after the owning core's `seen_base` — 8 bytes, so a
+/// `(Guid, SeenEntry)` slot is 16 where a full `SimTime` made it 24.
 struct SeenEntry {
     from: NodeId,
-    at: SimTime,
+    off: u32,
+}
+
+impl SeenEntry {
+    /// When the entry was seen (or its clamped stand-in; see
+    /// `UltrapeerCore::rebase_seen`).
+    fn at(&self, base: SimTime) -> SimTime {
+        base + SimDuration::from_micros(self.off as u64)
+    }
 }
 
 impl pier_netsim::HeapSize for DynState {
@@ -132,23 +143,29 @@ pub struct UltrapeerCore {
     /// leaves with identical share-views cost one filter copy between all
     /// their ultrapeers — each entry here is one `Arc` pointer.
     leaves: BTreeMap<NodeId, Option<Arc<QrpFilter>>>,
-    /// Block-summary union of every filter in `leaves`: the one-probe
+    /// Block union of every filter's positions in `leaves`: the one-probe
     /// screen in front of the last-hop loop ([`QrpProbe::may_match_any`]).
     /// Kept equal to the fold of `leaves` wherever `leaves` changes.
     leaf_union: QrpUnion,
     store: FileStore,
     /// GUID → where the query came from (reverse-path routing table).
+    /// An entry seen at `at` stores `off = at − seen_base` in a `u32`.
     /// Read only through [`UltrapeerCore::seen_from`] and written only
     /// through [`UltrapeerCore::mark_seen`], which between them make an
     /// entry at or before `seen_horizon` indistinguishable from a removed
     /// one.
     seen: SeenMap,
+    /// Origin of every `seen` offset; moved forward only by
+    /// [`UltrapeerCore::rebase_seen`], once `now − seen_base` outgrows a
+    /// `u32` (≈ 71.6 simulated minutes).
+    seen_base: SimTime,
     /// Expiry horizon, moved by every tick to `now − seen_ttl` (`None`
-    /// while `now < seen_ttl`): a `seen` entry with `at ≤ horizon` is
-    /// expired. It may still sit in the table — it is swept when an insert
-    /// would otherwise grow the table — but no read can see it, so an
-    /// entry dies at the first tick with `at + seen_ttl ≤ now` exactly as
-    /// if the tick had walked the table, and an idle tick costs one store.
+    /// while `now < seen_ttl`): a `seen` entry with `seen_base + off ≤
+    /// horizon` is expired. It may still sit in the table — it is swept
+    /// when an insert would otherwise grow the table — but no read can see
+    /// it, so an entry dies at the first tick with `at + seen_ttl ≤ now`
+    /// exactly as if the tick had walked the table, and an idle tick costs
+    /// one store.
     seen_horizon: Option<SimTime>,
     /// Queries this node originated.
     queries: BTreeMap<Guid, QueryRecord>,
@@ -172,6 +189,7 @@ impl UltrapeerCore {
             leaf_union: QrpUnion::new(),
             store,
             seen: SeenMap::default(),
+            seen_base: SimTime::ZERO,
             seen_horizon: None,
             queries: BTreeMap::new(),
             dyn_state: BTreeMap::new(),
@@ -446,7 +464,8 @@ impl UltrapeerCore {
     /// Where the live `seen` entry for `guid` came from, if there is one.
     fn seen_from(&self, guid: Guid) -> Option<NodeId> {
         let entry = self.seen.get(&guid)?;
-        self.seen_horizon.is_none_or(|h| entry.at > h).then_some(entry.from)
+        let at = entry.at(self.seen_base);
+        self.seen_horizon.is_none_or(|h| at > h).then_some(entry.from)
     }
 
     /// Record `guid` as seen from `from` at `now`, overwriting an expired
@@ -457,12 +476,35 @@ impl UltrapeerCore {
     /// the next one — so sweeping costs amortized O(1) per insert and
     /// capacity stays within 4× the live set (lazy expiry cannot leak).
     fn mark_seen(&mut self, guid: Guid, from: NodeId, now: SimTime) {
-        if self.seen.len() == self.seen.capacity() {
+        if now.as_micros() - self.seen_base.as_micros() > u32::MAX as u64 {
+            // The rebase walk sweeps as well.
+            self.rebase_seen(now);
+        } else if self.seen.len() == self.seen.capacity() {
             if let Some(h) = self.seen_horizon {
-                self.seen.retain(|_, e| e.at > h);
+                let base = self.seen_base;
+                self.seen.retain(|_, e| e.at(base) > h);
             }
         }
-        self.seen.insert(guid, SeenEntry { from, at: now });
+        let off = (now.as_micros() - self.seen_base.as_micros()) as u32;
+        self.seen.insert(guid, SeenEntry { from, off });
+    }
+
+    /// Move `seen_base` forward to `now − seen_ttl` in one walk that drops
+    /// expired entries and shifts the live ones. A live entry older than
+    /// the new base (a core that went a whole `seen_ttl` without a tick) is
+    /// clamped to it: live until the next tick, whose horizon kills it as
+    /// it would the true stamp, so the clamp is unobservable. Exact while
+    /// `seen_ttl < 2³² µs` (DESIGN.md, "The idle ultrapeer").
+    fn rebase_seen(&mut self, now: SimTime) {
+        let span = self.cfg.seen_ttl.as_micros().min(u32::MAX as u64);
+        let base = SimTime::from_micros(now.as_micros() - span);
+        let (old, horizon) = (self.seen_base, self.seen_horizon);
+        self.seen.retain(|_, e| {
+            let at = e.at(old);
+            e.off = at.as_micros().saturating_sub(base.as_micros()) as u32;
+            horizon.is_none_or(|h| at > h)
+        });
+        self.seen_base = base;
     }
 
     /// Last-hop leaf forwarding via QRP (cached hashes: no re-hashing; one
@@ -998,6 +1040,79 @@ mod tests {
         let kinds: Vec<TraceKind> = tracer.sorted_events().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&TraceKind::HitRelay));
         assert!(kinds.contains(&TraceKind::HitArrive));
+    }
+
+    /// `t − d` (the clock has no such operator).
+    fn before(t: SimTime, d: SimDuration) -> SimTime {
+        SimTime::from_micros(t.as_micros() - d.as_micros())
+    }
+
+    #[test]
+    fn seen_slot_is_16_bytes() {
+        // Every relayed GUID holds one slot for `seen_ttl`: a `SimTime`
+        // stamp here would make it 24.
+        assert_eq!(size_of::<(Guid, SeenEntry)>(), 16);
+    }
+
+    #[test]
+    fn guid_seen_just_before_a_rebase_routes_hits_and_expires_on_time() {
+        let (mut core, mut net) = up_with_neighbors(3);
+        let ttl = core.cfg.seen_ttl;
+        let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
+        let route = |core: &mut UltrapeerCore, net: &mut FakeNet| {
+            core.handle_hits(net, Guid(1), vec![hit.clone()]);
+            net.drain().into_iter().map(|(dst, _)| dst).collect::<Vec<_>>()
+        };
+        // The last offset that fits a `u32` from the initial base, after
+        // a tick has set a horizon.
+        let at = SimTime::from_micros(u32::MAX as u64);
+        net.now = at;
+        core.tick(&mut net);
+        core.handle_query(&mut net, NodeId::new(2), Guid(1), 1, 0, "a".into());
+        assert_eq!(core.seen_base, SimTime::ZERO);
+        // One microsecond later the next GUID does not fit: rebase.
+        net.advance(SimDuration::from_micros(1));
+        core.handle_query(&mut net, NodeId::new(3), Guid(2), 1, 0, "a".into());
+        assert_eq!(core.seen_base, before(net.now, ttl), "the base moved to now − seen_ttl");
+        net.drain();
+        assert_eq!(route(&mut core, &mut net), vec![NodeId::new(2)], "routes after the rebase");
+        // Alive at the last tick with `at + seen_ttl > now`...
+        net.now = before(at + ttl, SimDuration::from_micros(1));
+        core.tick(&mut net);
+        assert_eq!(route(&mut core, &mut net), vec![NodeId::new(2)]);
+        // ...and dead at the first with `at + seen_ttl ≤ now`.
+        net.now = at + ttl;
+        core.tick(&mut net);
+        assert!(route(&mut core, &mut net).is_empty(), "expired: the hit is an orphan");
+    }
+
+    /// A core that never ticks never expires anything, so a GUID seen
+    /// several offset ranges ago must still be a duplicate and still route
+    /// hits: rebasing clamps its stamp to the new base rather than drop it
+    /// or panic. The first tick then expires it, as it would the true
+    /// stamp.
+    #[test]
+    fn core_that_never_ticks_keeps_every_guid_across_rebases() {
+        let (mut core, mut net) = up_with_neighbors(3);
+        core.handle_query(&mut net, NodeId::new(2), Guid(1), 1, 0, "a".into());
+        for guid in 2..5 {
+            net.advance(SimDuration::from_micros(1 << 32));
+            core.handle_query(&mut net, NodeId::new(3), Guid(guid), 1, 0, "a".into());
+            assert_eq!(core.seen_base, before(net.now, core.cfg.seen_ttl), "rebased");
+        }
+        net.drain();
+        core.handle_query(&mut net, NodeId::new(3), Guid(1), 1, 0, "a".into());
+        assert!(net.drain().is_empty(), "still a duplicate");
+        let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
+        core.handle_hits(&mut net, Guid(1), vec![hit.clone()]);
+        assert_eq!(net.drain()[0].0, NodeId::new(2), "still routes hits");
+
+        net.advance(SimDuration::from_micros(1));
+        core.tick(&mut net);
+        core.handle_hits(&mut net, Guid(1), vec![hit.clone()]);
+        assert!(net.drain().is_empty(), "the first tick expires the clamped entry");
+        core.handle_hits(&mut net, Guid(4), vec![hit]);
+        assert_eq!(net.drain()[0].0, NodeId::new(3), "and keeps the one inside seen_ttl");
     }
 
     #[test]

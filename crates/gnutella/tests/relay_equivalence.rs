@@ -2,9 +2,10 @@
 //! the plain code they replaced.
 //!
 //! [`UltrapeerCore`] expires seen-GUID entries by moving a horizon at each
-//! tick (sweeping the table only when an insert would grow it), and tests a
-//! query against the union of its leaves' QRP block summaries before
-//! touching any leaf filter. [`EagerCore`] below is the reference: the same
+//! tick (sweeping the table only when an insert would grow it), stamps
+//! them as `u32` offsets from a base it moves forward every 2³² µs or so,
+//! and tests a query against the block union of its leaves' QRP positions
+//! before touching any leaf filter. [`EagerCore`] below is the reference: the same
 //! protocol with `seen.retain(..)` on every tick and a brute-force
 //! `matches_all` loop over every leaf. Driven by the same operations
 //! through two identically seeded [`FakeNet`]s, the two must agree on every
@@ -289,9 +290,21 @@ fn relay_op() -> impl Strategy<Value = Op> {
         Just(Op::Tick),
         Just(Op::Tick),
         // The expiry boundary to the microsecond, a tick period, and
-        // anything in between.
-        prop_oneof![Just(ttl_us), Just(ttl_us - 1), Just(1u64), Just(400_000u64), 0u64..3_000_000]
-            .prop_map(Op::Advance),
+        // anything in between; then the seen table's `u32` offset range.
+        // After a rebase at `t` (base `t − seen_ttl`) the first lands on
+        // the last offset that fits, from base 0 the second does, and
+        // 2³² µs is past it from either.
+        prop_oneof![
+            Just(ttl_us),
+            Just(ttl_us - 1),
+            Just(1u64),
+            Just(400_000u64),
+            0u64..3_000_000,
+            Just(u32::MAX as u64 - ttl_us),
+            Just(u32::MAX as u64),
+            Just(1u64 << 32)
+        ]
+        .prop_map(Op::Advance),
         Just(Op::EndSession),
     ]
 }
@@ -536,12 +549,12 @@ fn guid_rearriving_on_its_expiry_tick() {
 /// (c) Lazy expiry must not leak: at a steady arrival rate the table stops
 /// growing once it holds a `seen_ttl`'s worth of GUIDs, because expired
 /// entries are swept before the table would double. `up.relay` charges
-/// `seen` by capacity (unswept buckets included) at no more than 32 bytes
-/// per slot — a 24-byte entry and its control byte at 7/8 load.
+/// `seen` by capacity (unswept buckets included) at no more than 20 bytes
+/// per slot — a 16-byte entry and its control byte at 7/8 load.
 #[test]
 fn seen_table_capacity_is_bounded_at_steady_state() {
     const PER_TICK: u64 = 100;
-    const SLOT_BYTES: u64 = 32;
+    const SLOT_BYTES: u64 = 20;
     let cfg = UltrapeerConfig { seen_ttl: SimDuration::from_secs(10), ..Default::default() };
     let live = PER_TICK * cfg.seen_ttl.as_micros() / UP_TICK_INTERVAL.as_micros();
     let mut core = UltrapeerCore::new(cfg.clone(), FileStore::default());

@@ -61,7 +61,13 @@ impl CrateRules {
     }
 }
 
-/// The workspace lint map, keyed by `crates/<dir>` directory name.
+/// Workspace-root directories walked beside `crates/*/src`: the examples
+/// and the root integration tests. Their files are keyed in
+/// [`workspace_rules`] by the directory name itself.
+pub const ROOT_DIRS: [&str; 2] = ["examples", "tests"];
+
+/// The workspace lint map, keyed by `crates/<dir>` directory name or by a
+/// [`ROOT_DIRS`] name.
 pub fn workspace_rules() -> BTreeMap<&'static str, CrateRules> {
     let mut m = BTreeMap::new();
 
@@ -118,6 +124,14 @@ pub fn workspace_rules() -> BTreeMap<&'static str, CrateRules> {
         "trace",
         CrateRules { det_clock_allow_paths: &["src/profile.rs"], ..CrateRules::support() },
     );
+
+    // What a reader runs and what the golden pins compare: same seed,
+    // same bytes, so DET-ITER covers these — test code included, since a
+    // root `tests/` file is nothing but test code. The other passes stay
+    // off: examples and tests time themselves and build their own statics.
+    for dir in ROOT_DIRS {
+        m.insert(dir, CrateRules { det_iter: true, ..Default::default() });
+    }
 
     m
 }

@@ -10,7 +10,8 @@
 //! it mechanically at CI time.
 //!
 //! The analyzer is a source-level, token-stream pass over every
-//! `crates/*/src` file, built on its own small comment/string/raw-string
+//! `crates/*/src` file (and, for DET-ITER, every `examples/` and root
+//! `tests/` file), built on its own small comment/string/raw-string
 //! aware lexer ([`lexer`]) — the build environment is offline (no `syn`),
 //! matching how `vendor/serde_derive` hand-rolls its parsing. The lint
 //! catalog and the per-crate sets live in [`config`]; suppressions are
@@ -39,9 +40,11 @@ use report::{Finding, Report, Rule};
 /// feed fixtures without touching disk).
 #[derive(Clone, Debug)]
 pub struct SourceFile {
-    /// Crate directory name under `crates/` (e.g. `gnutella`).
+    /// Crate directory name under `crates/` (e.g. `gnutella`), or a
+    /// [`config::ROOT_DIRS`] name for a file under the workspace root.
     pub crate_dir: String,
-    /// Crate-relative path (e.g. `src/ultrapeer.rs`).
+    /// Crate-relative path (e.g. `src/ultrapeer.rs`); for a root
+    /// directory's file, workspace-relative (`examples/gnutella_crawl.rs`).
     pub rel_path: String,
     pub src: String,
 }
@@ -55,8 +58,17 @@ impl SourceFile {
         }
     }
 
+    /// Is this file under a workspace-root directory, not a crate?
+    fn in_root_dir(&self) -> bool {
+        config::ROOT_DIRS.contains(&self.crate_dir.as_str())
+    }
+
     fn workspace_path(&self) -> String {
-        format!("crates/{}/{}", self.crate_dir, self.rel_path)
+        if self.in_root_dir() {
+            self.rel_path.clone()
+        } else {
+            format!("crates/{}/{}", self.crate_dir, self.rel_path)
+        }
     }
 
     /// Crate root files must carry `#![forbid(unsafe_code)]` when the
@@ -95,7 +107,13 @@ pub fn analyze_files(
     for f in files {
         let rules = rules_map.get(f.crate_dir.as_str()).unwrap_or(&strictest);
         let lexed = lexer::lex(&f.src);
-        let mask = lexer::test_mask(&lexed.toks);
+        // A root `tests/` file is all test code, and checking it is the
+        // point: nothing there is masked.
+        let mask = if f.in_root_dir() {
+            vec![false; lexed.toks.len()]
+        } else {
+            lexer::test_mask(&lexed.toks)
+        };
         let mut ann = annotations::parse(&lexed.comments);
         ann.resolve_targets(&lexed.toks);
 
@@ -176,9 +194,10 @@ pub fn analyze_source(crate_dir: &str, rel_path: &str, src: &str) -> Report {
     analyze_files(&[SourceFile::new(crate_dir, rel_path, src)], &config::workspace_rules())
 }
 
-/// Walk `<root>/crates/*/src/**/*.rs` and analyze everything under the
-/// workspace rules. `root` is the workspace root (the directory holding
-/// `crates/`). File order is sorted, so reports are byte-stable.
+/// Walk `<root>/crates/*/src/**/*.rs` and `<root>/{examples,tests}/**/*.rs`
+/// and analyze everything under the workspace rules. `root` is the
+/// workspace root (the directory holding `crates/`). File order is sorted,
+/// so reports are byte-stable.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
@@ -189,29 +208,38 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
         .collect();
     crate_dirs.sort();
     for crate_dir in &crate_dirs {
-        let src_dir = crates_dir.join(crate_dir).join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut paths = Vec::new();
-        collect_rs(&src_dir, &mut paths)?;
-        paths.sort();
-        for p in paths {
-            let rel = format!(
-                "src/{}",
-                p.strip_prefix(&src_dir)
-                    .expect("collected under src_dir")
-                    .to_string_lossy()
-                    .replace('\\', "/")
-            );
-            files.push(SourceFile {
-                crate_dir: crate_dir.clone(),
-                rel_path: rel,
-                src: std::fs::read_to_string(&p)?,
-            });
-        }
+        collect_files(&crates_dir.join(crate_dir), "src", crate_dir, &mut files)?;
+    }
+    for dir in config::ROOT_DIRS {
+        collect_files(root, dir, dir, &mut files)?;
     }
     Ok(analyze_files(&files, &config::workspace_rules()))
+}
+
+/// Read every `.rs` file under `<base>/<sub>` (if it exists) as
+/// `crate_dir`'s, with `rel_path` relative to `base`, in sorted order.
+fn collect_files(
+    base: &Path,
+    sub: &str,
+    crate_dir: &str,
+    files: &mut Vec<SourceFile>,
+) -> io::Result<()> {
+    let dir = base.join(sub);
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    let mut paths = Vec::new();
+    collect_rs(&dir, &mut paths)?;
+    paths.sort();
+    for p in paths {
+        let rel = p.strip_prefix(base).expect("collected under base");
+        files.push(SourceFile {
+            crate_dir: crate_dir.to_string(),
+            rel_path: rel.to_string_lossy().replace('\\', "/"),
+            src: std::fs::read_to_string(&p)?,
+        });
+    }
+    Ok(())
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {

@@ -25,9 +25,11 @@
 //! unless the surrounding statement *sanitizes* the order: sorts it,
 //! reduces it order-insensitively (`sum`, `count`, `min`, `max`, `all`,
 //! `any`, ...), collects it back into an unordered/ordered container, or
-//! the next statement immediately sorts the collected binding. Anything
-//! else needs a `// pier-lint: allow(det-iter): <reason>` annotation
-//! stating the order-insensitivity argument.
+//! the next statement immediately sorts the collected binding — and does
+//! not first cut the stream short (`take`, `nth`, `find`, ...: which
+//! items survive is itself the iteration order, and no later sort can
+//! undo that). Anything else needs a `// pier-lint: allow(det-iter):
+//! <reason>` annotation stating the order-insensitivity argument.
 
 use std::collections::BTreeMap;
 
@@ -80,6 +82,26 @@ const SANITIZERS: [&str; 22] = [
     "HashMap",
     "BTreeMap",
     "BTreeSet",
+];
+
+/// Adapters that keep part of the stream, chosen by position: after one
+/// of these on an unordered iteration, *which* items remain depends on the
+/// order, so a sort or commutative sink later in the statement does not
+/// sanitize it (`m.keys().take(10).collect()` then `.sort()` still picked
+/// ten arbitrary keys).
+const SELECTORS: [&str; 12] = [
+    "take",
+    "skip",
+    "step_by",
+    "nth",
+    "next",
+    "last",
+    "find",
+    "find_map",
+    "position",
+    "take_while",
+    "skip_while",
+    "map_while",
 ];
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -353,10 +375,18 @@ fn stmt_span(toks: &[Tok], at: usize) -> (usize, usize) {
 
 /// Does the statement around `at` sort the stream, reduce it
 /// order-insensitively, or collect it into an order-owning container —
-/// or does the *next* statement immediately sort the binding?
+/// or does the *next* statement immediately sort the binding? Never, if
+/// the stream is cut short by position after `at` ([`SELECTORS`]).
 fn statement_is_sanitized(toks: &[Tok], at: usize) -> bool {
     let (start, end) = stmt_span(toks, at);
-    for t in &toks[start..end.min(toks.len())] {
+    let end = end.min(toks.len());
+    let selects = toks[at..end]
+        .windows(2)
+        .any(|w| w[0].is_punct(".") && SELECTORS.contains(&w[1].text.as_str()));
+    if selects {
+        return false;
+    }
+    for t in &toks[start..end] {
         if t.kind == TokKind::Ident && SANITIZERS.contains(&t.text.as_str()) {
             return true;
         }

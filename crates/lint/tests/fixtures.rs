@@ -117,6 +117,52 @@ fn det_iter_ignores_test_code() {
     assert_clean(&analyze_source("gnutella", "src/fx.rs", &src));
 }
 
+#[test]
+fn det_iter_covers_examples_and_root_tests() {
+    // The shape `examples/gnutella_crawl.rs:48` had before its start ids
+    // were sorted: ten start nodes in `HashMap` key order.
+    let crawl = r#"
+fn main() {
+    let c = crawl();
+    let starts: Vec<_> = c.graph.adj.keys().copied().take(10).collect();
+    report(&starts);
+}
+"#;
+    let rep = analyze_source("examples", "examples/gnutella_crawl.rs", crawl);
+    assert_fires(&rep, "det-iter");
+    assert_eq!(rep.findings[0].path, "examples/gnutella_crawl.rs");
+    let sorted = crawl.replace(
+        "let starts: Vec<_> = c.graph.adj.keys().copied().take(10).collect();",
+        "let mut ids: Vec<_> = c.graph.adj.keys().copied().collect();\n    ids.sort_unstable();\n    \
+         let starts: Vec<_> = ids.into_iter().take(10).collect();",
+    );
+    assert_clean(&analyze_source("examples", "examples/gnutella_crawl.rs", &sorted));
+    // A root test file is all test code: `#[test]` bodies are linted.
+    let test = format!("#[test]\nfn pins() {{\n{}\n}}\n", DET_ITER_POS);
+    assert_fires(&analyze_source("tests", "tests/determinism.rs", &test), "det-iter");
+}
+
+#[test]
+fn det_iter_sort_after_a_positional_cut_does_not_sanitize() {
+    let src = r#"
+use std::collections::HashMap;
+pub struct S { pub m: HashMap<u32, u32> }
+impl S {
+    pub fn some_keys(&self) -> Vec<u32> {
+        let mut ks: Vec<u32> = self.m.keys().copied().take(3).collect();
+        ks.sort();
+        ks
+    }
+}
+"#;
+    assert_fires(&analyze_source("gnutella", "src/fx.rs", src), "det-iter");
+    let all = src.replace(".take(3)", "");
+    assert_clean(&analyze_source("gnutella", "src/fx.rs", &all));
+    let counted = "use std::collections::HashMap;\npub fn n(m: &HashMap<u32, u32>) -> usize \
+                   { m.values().take(3).count() }\n";
+    assert_fires(&analyze_source("gnutella", "src/fx.rs", counted), "det-iter");
+}
+
 // ---------------------------------------------------------------------------
 // DET-CLOCK
 // ---------------------------------------------------------------------------
