@@ -309,6 +309,15 @@ impl DhtCore {
         self.op_traces.clear();
     }
 
+    /// No RPC awaiting its reply and no lookup, store or eviction ping in
+    /// progress (a test observer, like `PierCore::is_idle`).
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_empty()
+            && self.lookups.is_empty()
+            && self.puts.is_empty()
+            && self.evict_in_flight.is_empty()
+    }
+
     /// Revival repair: re-prime the routing table with a self-lookup (the
     /// join walk, but seeded from the surviving table instead of a
     /// bootstrap contact).

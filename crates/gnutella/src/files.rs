@@ -77,6 +77,7 @@ impl ShareCatalog {
             t.sort_unstable();
             t.dedup();
             token_arena.extend_from_slice(&t);
+            // Holds: a few tokens per distinct file, and catalogs hold millions of files.
             let end = u32::try_from(token_arena.len()).expect("token arena exceeds u32 offsets");
             token_off.push(end);
         }
@@ -156,6 +157,7 @@ impl FileStore {
     /// workload catalog share one [`ShareCatalog`] via [`FileStore::shared`]
     /// instead.
     pub fn new(files: Vec<FileMeta>) -> Self {
+        // Holds: one node's share, thousands of files at most, far below 2³².
         let n = u32::try_from(files.len()).expect("share catalog exceeds u32 file ids");
         let catalog = Arc::new(ShareCatalog::build(files));
         FileStore::shared(catalog, (0..n).collect())

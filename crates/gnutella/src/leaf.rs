@@ -108,12 +108,11 @@ impl LeafCore {
     /// so the two paths can never advertise different filters), resolved
     /// through the process-wide catalog and cached.
     fn qrp_filter(&mut self) -> &Arc<QrpFilter> {
-        if self.qrp.is_none() {
+        self.qrp.get_or_insert_with(|| {
             let mut filter = QrpFilter::with_defaults();
             filter.insert_ids(self.store.all_tokens());
-            self.qrp = Some(crate::qrp_catalog::intern(filter));
-        }
-        self.qrp.as_ref().expect("just built")
+            crate::qrp_catalog::intern(filter)
+        })
     }
 
     /// Publish the QRP filter of our share to every ultrapeer (done on
@@ -189,15 +188,17 @@ impl LeafCore {
                     net.send(from, GnutellaMsg::LeafHits { guid, hits });
                 }
             }
-            GnutellaMsg::LeafResults { qid, hits, done } => {
-                if let Some(s) = self.searches.get_mut(&qid) {
+            // Results for a search this leaf never issued are unexpected.
+            GnutellaMsg::LeafResults { qid, hits, done } => match self.searches.get_mut(&qid) {
+                Some(s) => {
                     if s.first_hit_at.is_none() && !hits.is_empty() {
                         s.first_hit_at = Some(net.now());
                     }
                     s.hits.extend(hits);
                     s.done |= done;
                 }
-            }
+                None => net.count(crate::classes::UNEXPECTED_MSG.id(), 1),
+            },
             GnutellaMsg::BrowseHost => {
                 net.send(from, GnutellaMsg::BrowseHostReply { files: self.store.metas() });
             }
@@ -218,11 +219,13 @@ mod tests {
         me: NodeId,
         rng: SimRng,
         sent: Vec<(NodeId, GnutellaMsg)>,
+        unexpected: u64,
     }
 
     impl FakeNet {
         fn new(me: u32) -> Self {
-            FakeNet { now: SimTime::ZERO, me: NodeId::new(me), rng: stream_rng(2, 0), sent: vec![] }
+            let (now, me, rng) = (SimTime::ZERO, NodeId::new(me), stream_rng(2, 0));
+            FakeNet { now, me, rng, sent: vec![], unexpected: 0 }
         }
         fn drain(&mut self) -> Vec<(NodeId, GnutellaMsg)> {
             std::mem::take(&mut self.sent)
@@ -242,7 +245,11 @@ mod tests {
         fn send(&mut self, dst: NodeId, msg: GnutellaMsg) {
             self.sent.push((dst, msg));
         }
-        fn count(&mut self, _class: pier_netsim::MetricClass, _n: u64) {}
+        fn count(&mut self, class: pier_netsim::MetricClass, n: u64) {
+            if class == crate::classes::UNEXPECTED_MSG.id() {
+                self.unexpected += n;
+            }
+        }
         fn observe(&mut self, _class: pier_netsim::MetricClass, _value: f64) {}
     }
 
@@ -334,5 +341,15 @@ mod tests {
             GnutellaMsg::BrowseHostReply { files } => assert_eq!(files.len(), 2),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn results_for_a_search_never_issued_are_counted() {
+        let (mut core, mut net) = leaf_with_files();
+        let hit = Hit { file: FileMeta::new("some_song.mp3", 1), host: NodeId::new(7) };
+        let stray = GnutellaMsg::LeafResults { qid: 9, hits: vec![hit], done: true };
+        core.on_message(&mut net, NodeId::new(1), stray);
+        assert_eq!(net.unexpected, 1);
+        assert_eq!(core.searches().count(), 0);
     }
 }

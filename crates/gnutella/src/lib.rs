@@ -47,5 +47,6 @@ pub use topology::{
     spawn, spawn_stores, wire, GnutellaHandles, Topology, TopologyConfig, UpLeaves,
 };
 pub use ultrapeer::{
-    QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore, DYN_TTL, PROBE_INTERVAL, PROBE_TTL,
+    QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore, DYN_TTL, HIT_TTL, PROBE_INTERVAL,
+    PROBE_TTL,
 };

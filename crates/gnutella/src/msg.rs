@@ -55,9 +55,12 @@ pub enum GnutellaMsg {
         hops: u8,
         terms: Terms,
     },
-    /// Search results, routed back along the query's reverse path.
+    /// Search results, routed back along the query's reverse path. `ttl`
+    /// is the header's: every relay spends one, so a hit cannot circle a
+    /// loop of reverse-path entries that stale repeats of its query laid.
     QueryHit {
         guid: Guid,
+        ttl: u8,
         hits: Vec<Hit>,
     },
     /// Topology crawl request (the paper's crawler API call).
@@ -110,29 +113,18 @@ impl GnutellaMsg {
     /// interned lengths (Σ term bytes + separators — the joined text).
     pub fn wire_size(&self) -> usize {
         match self {
-            GnutellaMsg::Query { terms, .. } => HEADER_BYTES + 2 + terms.wire_len() + 1,
-            GnutellaMsg::QueryHit { hits, .. } => {
-                HEADER_BYTES
-                    + 11
-                    + hits.iter().map(|h| 8 + h.file.name.len() + 2).sum::<usize>()
-                    + 16
+            GnutellaMsg::Query { terms, .. }
+            | GnutellaMsg::LeafQuery { terms, .. }
+            | GnutellaMsg::LeafForward { terms, .. } => HEADER_BYTES + 2 + terms.wire_len() + 1,
+            GnutellaMsg::QueryHit { hits, .. } | GnutellaMsg::LeafResults { hits, .. } => {
+                HEADER_BYTES + 11 + hit_bytes(hits) + 16
             }
+            GnutellaMsg::LeafHits { hits, .. } => HEADER_BYTES + 11 + hit_bytes(hits),
             GnutellaMsg::CrawlPing => HEADER_BYTES,
             GnutellaMsg::CrawlPong { neighbors, leaves } => {
                 HEADER_BYTES + 6 * (neighbors.len() + leaves.len())
             }
             GnutellaMsg::QrpUpdate { filter } => HEADER_BYTES + filter.wire_size(),
-            GnutellaMsg::LeafQuery { terms, .. } => HEADER_BYTES + 2 + terms.wire_len() + 1,
-            GnutellaMsg::LeafResults { hits, .. } => {
-                HEADER_BYTES
-                    + 11
-                    + hits.iter().map(|h| 8 + h.file.name.len() + 2).sum::<usize>()
-                    + 16
-            }
-            GnutellaMsg::LeafForward { terms, .. } => HEADER_BYTES + 2 + terms.wire_len() + 1,
-            GnutellaMsg::LeafHits { hits, .. } => {
-                HEADER_BYTES + 11 + hits.iter().map(|h| 8 + h.file.name.len() + 2).sum::<usize>()
-            }
             GnutellaMsg::BrowseHost => HEADER_BYTES,
             GnutellaMsg::BrowseHostReply { files } => {
                 HEADER_BYTES + files.iter().map(|f| 10 + f.name.len()).sum::<usize>()
@@ -159,6 +151,11 @@ impl GnutellaMsg {
     }
 }
 
+/// Per-hit bytes of a result message: 8 (index + size) + name + 2 NULs.
+fn hit_bytes(hits: &[Hit]) -> usize {
+    hits.iter().map(|h| 8 + h.file.name.len() + 2).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,8 +169,8 @@ mod tests {
     #[test]
     fn query_hit_size_tracks_hits() {
         let hit = Hit { file: FileMeta::new("abcd.mp3", 9), host: NodeId::new(1) };
-        let one = GnutellaMsg::QueryHit { guid: Guid(1), hits: vec![hit.clone()] };
-        let two = GnutellaMsg::QueryHit { guid: Guid(1), hits: vec![hit.clone(), hit] };
+        let one = GnutellaMsg::QueryHit { guid: Guid(1), ttl: 7, hits: vec![hit.clone()] };
+        let two = GnutellaMsg::QueryHit { guid: Guid(1), ttl: 7, hits: vec![hit.clone(), hit] };
         assert_eq!(two.wire_size() - one.wire_size(), 8 + 8 + 2);
     }
 

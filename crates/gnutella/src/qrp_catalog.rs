@@ -39,6 +39,7 @@ static CATALOG: Mutex<Buckets> = Mutex::new(BTreeMap::new());
 /// way through.
 pub fn intern(filter: QrpFilter) -> Arc<QrpFilter> {
     let hash = filter.content_hash();
+    // Poisoned only if another thread panicked holding the lock: the run has failed.
     let mut buckets = CATALOG.lock().expect("qrp catalog poisoned");
     let bucket = buckets.entry(hash).or_default();
     let mut found = None;
@@ -73,6 +74,7 @@ pub struct QrpCatalogStats {
 /// interned filter exactly once, here — holders charge only their
 /// pointer-sized entries.
 pub fn stats() -> QrpCatalogStats {
+    // Poisoned only if another thread panicked holding the lock: the run has failed.
     let buckets = CATALOG.lock().expect("qrp catalog poisoned");
     let mut s = QrpCatalogStats::default();
     // pier-lint: allow(det-iter): commutative sum over a BTreeMap (the

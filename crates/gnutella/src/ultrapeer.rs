@@ -22,6 +22,9 @@ const FLOOD_TTL: u8 = 4;
 pub const PROBE_TTL: u8 = 1;
 /// TTL used for per-neighbor dynamic-query iterations.
 pub const DYN_TTL: u8 = 2;
+/// TTL a hit leaves its responder with: Gnutella's seven-hop maximum, more
+/// relays than any reverse path a `FLOOD_TTL` query lays.
+pub const HIT_TTL: u8 = 7;
 /// Pause between dynamic-query probes to successive neighbors. This
 /// pacing is what makes rare-item queries slow on Gnutella (the 73 s
 /// first-result latency of Fig. 7).
@@ -48,7 +51,17 @@ pub struct QueryRecord {
     pub finished: bool,
 }
 
-struct DynState {
+/// One originated query: its public record and, while a dynamic query is
+/// still probing, its pacing. [`Originated::pace`] drops the pacing in the
+/// step that sets `record.finished`, so a query is paced while it runs.
+struct Originated {
+    record: QueryRecord,
+    pacing: Option<Pacing>,
+}
+
+/// Dynamic-query pacing: the neighbors left for the deep phase and when
+/// the next one is probed.
+struct Pacing {
     unprobed: Vec<NodeId>,
     next_probe_at: SimTime,
 }
@@ -69,21 +82,15 @@ impl SeenEntry {
     }
 }
 
-impl pier_netsim::HeapSize for DynState {
-    fn heap_bytes(&self) -> usize {
-        self.unprobed.heap_bytes()
-    }
-}
-
 impl pier_netsim::HeapSize for SeenEntry {
     fn heap_bytes(&self) -> usize {
         0
     }
 }
 
-impl pier_netsim::HeapSize for QueryRecord {
+impl pier_netsim::HeapSize for Originated {
     fn heap_bytes(&self) -> usize {
-        self.hits.heap_bytes()
+        self.record.hits.heap_bytes() + self.pacing.as_ref().map_or(0, |p| p.unprobed.heap_bytes())
     }
 }
 
@@ -167,9 +174,9 @@ pub struct UltrapeerCore {
     /// exactly as if the tick had walked the table, and an idle tick costs
     /// one store.
     seen_horizon: Option<SimTime>,
-    /// Queries this node originated.
-    queries: BTreeMap<Guid, QueryRecord>,
-    dyn_state: BTreeMap<Guid, DynState>,
+    /// Queries this node originated, one entry each, held as long as
+    /// [`UltrapeerCore::queries`] says.
+    queries: BTreeMap<Guid, Originated>,
     /// When true, relayed queries and hits are logged for the embedding
     /// actor to drain (hybrid proxy mode).
     pub snoop: bool,
@@ -192,7 +199,6 @@ impl UltrapeerCore {
             seen_base: SimTime::ZERO,
             seen_horizon: None,
             queries: BTreeMap::new(),
-            dyn_state: BTreeMap::new(),
             snoop: false,
             snoop_log: Vec::new(),
             trace: TraceHandle::default(),
@@ -267,16 +273,29 @@ impl UltrapeerCore {
     }
 
     /// Session teardown (the node left the network): transient relay state
-    /// — the reverse-path GUID table, dynamic-query pacing, snoop backlog —
-    /// dies with the process. Completed query records stay readable by the
-    /// experiment driver, and topology links stay until repair rewires
-    /// them, exactly as a crashed host's peers only learn of its death
-    /// through their own failure detection.
+    /// — the reverse-path GUID table, every query's dynamic-query pacing,
+    /// the queries its leaves asked for, the snoop backlog — dies with the
+    /// process. `Driver` query records stay readable by the experiment
+    /// driver (a query cut off mid-probe stays unfinished), and topology
+    /// links stay until repair rewires them, exactly as a crashed host's
+    /// peers only learn of its death through their own failure detection.
     pub fn end_session(&mut self) {
         self.seen.clear();
         self.seen_horizon = None;
-        self.dyn_state.clear();
+        self.queries.retain(|_, q| {
+            q.pacing = None;
+            q.record.origin == QueryOrigin::Driver
+        });
         self.snoop_log.clear();
+    }
+
+    /// No originated query held, no live reverse-path entry and no snoop
+    /// backlog: what a quiet network leaves behind once `Driver` records
+    /// are taken and a `seen_ttl` has passed (a test observer).
+    pub fn is_idle(&self) -> bool {
+        self.queries.is_empty()
+            && self.snoop_log.is_empty()
+            && self.seen.values().all(|e| !self.is_live(e))
     }
 
     /// Leaves in ascending `NodeId` order — `leaves` is a `BTreeMap`, so
@@ -308,7 +327,7 @@ impl UltrapeerCore {
         // `seen` is charged by capacity, so expired-but-unswept entries
         // stay on the bill until their buckets are reused.
         acc.add("up.relay", self.seen.heap_bytes() + self.snoop_log.heap_bytes());
-        acc.add("up.queries", self.queries.heap_bytes() + self.dyn_state.heap_bytes());
+        acc.add("up.queries", self.queries.heap_bytes());
     }
 
     /// Number of leaves that have published a QRP filter here (each is one
@@ -321,18 +340,48 @@ impl UltrapeerCore {
 
     /// Inspect an originated query (driver API).
     pub fn query_record(&self, guid: Guid) -> Option<&QueryRecord> {
-        self.queries.get(&guid)
+        self.queries.get(&guid).map(|q| &q.record)
     }
 
-    /// Remove and return a finished (or abandoned) query record.
+    /// Remove and return a finished (or abandoned) query record; an
+    /// unfinished dynamic query stops probing.
     pub fn take_query(&mut self, guid: Guid) -> Option<QueryRecord> {
-        self.dyn_state.remove(&guid);
-        self.queries.remove(&guid)
+        self.queries.remove(&guid).map(|q| q.record)
     }
 
-    /// All originated queries (driver convenience).
+    /// Every originated query still held, in ascending GUID order: a
+    /// `Driver` record until taken, a `Leaf` record until the first tick at
+    /// which it is finished and its own `seen` claim has expired.
     pub fn queries(&self) -> impl Iterator<Item = (Guid, &QueryRecord)> {
-        self.queries.iter().map(|(g, r)| (*g, r))
+        self.queries.iter().map(|(g, q)| (*g, &q.record))
+    }
+
+    /// Draw a fresh GUID, claim it in `seen` so our own flood cannot route
+    /// its hits elsewhere, and build its empty record.
+    fn originate(
+        &mut self,
+        net: &mut dyn GnutellaNet,
+        terms: &Terms,
+        origin: QueryOrigin,
+    ) -> (Guid, QueryRecord) {
+        let guid = Guid(net.rng().random());
+        let (me, now) = (net.self_node(), net.now());
+        self.mark_seen(guid, me, now);
+        let record = QueryRecord {
+            terms: terms.clone(),
+            origin,
+            issued_at: now,
+            first_hit_at: None,
+            hits: Vec::new(),
+            probes_sent: 0,
+            finished: false,
+        };
+        (guid, record)
+    }
+
+    /// This node's own share's matches for `terms`, as hits.
+    fn own_hits(&self, terms: &Terms, me: NodeId) -> Vec<Hit> {
+        self.store.matching(terms).into_iter().map(|f| Hit { file: f.clone(), host: me }).collect()
     }
 
     // ------------------------------------------------------------------
@@ -349,31 +398,12 @@ impl UltrapeerCore {
         origin: QueryOrigin,
     ) -> Guid {
         let terms: Terms = terms.into();
-        let guid = Guid(net.rng().random());
-        // Claim the GUID so our own flood cannot route hits elsewhere.
-        let me = net.self_node();
-        self.mark_seen(guid, me, net.now());
-
-        let mut record = QueryRecord {
-            terms: terms.clone(),
-            origin,
-            issued_at: net.now(),
-            first_hit_at: None,
-            hits: Vec::new(),
-            probes_sent: 0,
-            finished: false,
-        };
+        let (guid, mut record) = self.originate(net, &terms, origin);
 
         // Local content answers instantly: own share...
-        let own_hits: Vec<Hit> = self
-            .store
-            .matching(&terms)
-            .into_iter()
-            .map(|f| Hit { file: f.clone(), host: me })
-            .collect();
-        if !own_hits.is_empty() {
-            record.first_hit_at = Some(net.now());
-            record.hits.extend(own_hits);
+        record.hits = self.own_hits(&terms, net.self_node());
+        if !record.hits.is_empty() {
+            record.first_hit_at = Some(record.issued_at);
         }
         // ...and matching leaves.
         self.forward_to_leaves(net, guid, &terms);
@@ -391,9 +421,8 @@ impl UltrapeerCore {
         record.probes_sent = probe_count as u32;
         net.count(crate::classes::QUERIES_STARTED.id(), 1);
 
-        self.dyn_state
-            .insert(guid, DynState { unprobed, next_probe_at: net.now() + PROBE_INTERVAL });
-        self.queries.insert(guid, record);
+        let pacing = Some(Pacing { unprobed, next_probe_at: net.now() + PROBE_INTERVAL });
+        self.queries.insert(guid, Originated { record, pacing });
         guid
     }
 
@@ -406,24 +435,14 @@ impl UltrapeerCore {
         terms: impl Into<Terms>,
     ) -> Guid {
         let terms: Terms = terms.into();
-        let guid = Guid(net.rng().random());
-        let me = net.self_node();
-        self.mark_seen(guid, me, net.now());
-        let record = QueryRecord {
-            terms: terms.clone(),
-            origin: QueryOrigin::Driver,
-            issued_at: net.now(),
-            first_hit_at: None,
-            hits: Vec::new(),
-            probes_sent: self.neighbors.len() as u32,
-            finished: false,
-        };
+        let (guid, mut record) = self.originate(net, &terms, QueryOrigin::Driver);
+        record.probes_sent = self.neighbors.len() as u32;
         for &n in &self.neighbors {
             net.send(n, GnutellaMsg::Query { guid, ttl: FLOOD_TTL, hops: 0, terms: terms.clone() });
         }
-        // No dynamic state: the flood completes on its own; the record keeps
+        // No pacing: the flood completes on its own; the record keeps
         // accumulating whatever returns.
-        self.queries.insert(guid, record);
+        self.queries.insert(guid, Originated { record, pacing: None });
         guid
     }
 
@@ -436,15 +455,18 @@ impl UltrapeerCore {
             GnutellaMsg::Query { guid, ttl, hops, terms } => {
                 self.handle_query(net, from, guid, ttl, hops, terms)
             }
-            GnutellaMsg::QueryHit { guid, hits } | GnutellaMsg::LeafHits { guid, hits } => {
-                self.handle_hits(net, guid, hits)
-            }
+            GnutellaMsg::QueryHit { guid, ttl, hits } => self.handle_hits(net, guid, ttl, hits),
+            GnutellaMsg::LeafHits { guid, hits } => self.handle_hits(net, guid, HIT_TTL, hits),
             GnutellaMsg::LeafQuery { qid, terms } => {
                 self.start_query(net, &terms, QueryOrigin::Leaf { leaf: from, qid });
             }
             // The leaf's own catalog-interned copy: leaves with identical
-            // shares hand every ultrapeer the same `Arc`.
-            GnutellaMsg::QrpUpdate { filter } => self.set_leaf_filter(from, filter),
+            // shares hand every ultrapeer the same `Arc`. Only a connected
+            // leaf's filter is adopted; an update from anyone else (a
+            // leaf churn repair already removed, say) is unexpected.
+            GnutellaMsg::QrpUpdate { filter } if self.leaves.contains_key(&from) => {
+                self.set_leaf_filter(from, filter)
+            }
             GnutellaMsg::CrawlPing => {
                 let reply = GnutellaMsg::CrawlPong {
                     neighbors: self.neighbors.to_vec(),
@@ -456,16 +478,20 @@ impl UltrapeerCore {
                 let reply = GnutellaMsg::BrowseHostReply { files: self.store.metas() };
                 net.send(from, reply);
             }
-            // Leaf-only or reply messages; an ultrapeer ignores them.
+            // Leaf-only or reply messages, or a stranger's filter; an
+            // ultrapeer ignores them.
             _ => net.count(crate::classes::UNEXPECTED_MSG.id(), 1),
         }
     }
 
+    /// Whether `entry` is newer than the expiry horizon.
+    fn is_live(&self, entry: &SeenEntry) -> bool {
+        self.seen_horizon.is_none_or(|h| entry.at(self.seen_base) > h)
+    }
+
     /// Where the live `seen` entry for `guid` came from, if there is one.
     fn seen_from(&self, guid: Guid) -> Option<NodeId> {
-        let entry = self.seen.get(&guid)?;
-        let at = entry.at(self.seen_base);
-        self.seen_horizon.is_none_or(|h| at > h).then_some(entry.from)
+        self.seen.get(&guid).filter(|e| self.is_live(e)).map(|e| e.from)
     }
 
     /// Record `guid` as seen from `from` at `now`, overwriting an expired
@@ -528,13 +554,20 @@ impl UltrapeerCore {
 
     /// Send `hits` to `dst` in `QueryHit`s of at most `max_hits_per_msg`;
     /// a batch that fits one message is moved into it, not copied.
-    fn send_hits(&self, net: &mut dyn GnutellaNet, dst: NodeId, guid: Guid, hits: Vec<Hit>) {
+    fn send_hits(
+        &self,
+        net: &mut dyn GnutellaNet,
+        dst: NodeId,
+        guid: Guid,
+        ttl: u8,
+        hits: Vec<Hit>,
+    ) {
         if hits.len() > self.cfg.max_hits_per_msg {
             for chunk in hits.chunks(self.cfg.max_hits_per_msg) {
-                net.send(dst, GnutellaMsg::QueryHit { guid, hits: chunk.to_vec() });
+                net.send(dst, GnutellaMsg::QueryHit { guid, ttl, hits: chunk.to_vec() });
             }
         } else if !hits.is_empty() {
-            net.send(dst, GnutellaMsg::QueryHit { guid, hits });
+            net.send(dst, GnutellaMsg::QueryHit { guid, ttl, hits });
         }
     }
 
@@ -548,78 +581,46 @@ impl UltrapeerCore {
         terms: Terms,
     ) {
         let (me, now) = (net.self_node(), net.now());
+        let (t, h) = (ttl as u64, hops as u64);
         if self.seen_from(guid).is_some() {
             net.count(crate::classes::DUPLICATE_QUERY.id(), 1);
-            self.trace.emit_guid(
-                guid.0,
-                now,
-                me,
-                TraceKind::DupDrop,
-                Some(from),
-                ttl as u64,
-                hops as u64,
-            );
+            self.trace.emit_guid(guid.0, now, me, TraceKind::DupDrop, Some(from), t, h);
             return;
         }
         self.mark_seen(guid, from, now);
-        self.trace.emit_guid(
-            guid.0,
-            now,
-            me,
-            TraceKind::RelayRecv,
-            Some(from),
-            ttl as u64,
-            hops as u64,
-        );
+        self.trace.emit_guid(guid.0, now, me, TraceKind::RelayRecv, Some(from), t, h);
         if self.snoop {
             self.snoop_log.push(SnoopEvent::Query { guid, terms: terms.clone() });
         }
 
         // Local matches return along the path we got the query from.
-        let own_hits: Vec<Hit> = self
-            .store
-            .matching(&terms)
-            .into_iter()
-            .map(|f| Hit { file: f.clone(), host: me })
-            .collect();
-        self.send_hits(net, from, guid, own_hits);
+        self.send_hits(net, from, guid, HIT_TTL, self.own_hits(&terms, me));
 
         let forwards = self.forward_to_leaves(net, guid, &terms);
         net.count(crate::classes::LEAF_FORWARDS.id(), forwards);
         let screened = self.leaves.len() as u64 - forwards;
         self.trace.emit_guid(guid.0, now, me, TraceKind::QrpScreen, None, forwards, screened);
 
-        // Relay deeper.
+        // Relay deeper. `hops` is the sender's word: it saturates.
         if ttl > 1 {
-            for &n in &self.neighbors {
-                if n != from {
-                    net.send(
-                        n,
-                        GnutellaMsg::Query {
-                            guid,
-                            ttl: ttl - 1,
-                            hops: hops + 1,
-                            terms: terms.clone(),
-                        },
-                    );
-                }
+            for &n in self.neighbors.iter().filter(|&&n| n != from) {
+                let (ttl, hops, terms) = (ttl - 1, hops.saturating_add(1), terms.clone());
+                net.send(n, GnutellaMsg::Query { guid, ttl, hops, terms });
             }
         }
     }
 
-    fn handle_hits(&mut self, net: &mut dyn GnutellaNet, guid: Guid, hits: Vec<Hit>) {
+    fn handle_hits(&mut self, net: &mut dyn GnutellaNet, guid: Guid, ttl: u8, hits: Vec<Hit>) {
         if self.snoop && !hits.is_empty() {
             self.snoop_log.push(SnoopEvent::Hits { guid, hits: hits.clone() });
         }
         let n = hits.len() as u64;
-        if let Some(record) = self.queries.get_mut(&guid) {
+        if let Some(Originated { record, .. }) = self.queries.get_mut(&guid) {
             // Ours: record and stream onward to the asking leaf.
             if record.first_hit_at.is_none() && n > 0 {
                 record.first_hit_at = Some(net.now());
-                net.observe(
-                    crate::classes::FIRST_HIT_LATENCY_S.id(),
-                    (net.now() - record.issued_at).as_secs_f64(),
-                );
+                let waited = (net.now() - record.issued_at).as_secs_f64();
+                net.observe(crate::classes::FIRST_HIT_LATENCY_S.id(), waited);
             }
             // Copy the hits only when they are also owed to a leaf.
             match record.origin {
@@ -637,14 +638,15 @@ impl UltrapeerCore {
             return;
         }
         match self.seen_from(guid) {
-            Some(dst) if dst != net.self_node() => {
+            Some(dst) if dst != net.self_node() && ttl > 1 => {
                 // Reverse-path forwarding.
-                self.send_hits(net, dst, guid, hits);
+                self.send_hits(net, dst, guid, ttl - 1, hits);
                 if n > 0 {
                     let (now, me) = (net.now(), net.self_node());
                     self.trace.emit_guid(guid.0, now, me, TraceKind::HitRelay, Some(dst), n, 0);
                 }
             }
+            // No live reverse path, or no hop left to take it.
             _ => net.count(crate::classes::ORPHAN_HITS.id(), 1),
         }
     }
@@ -655,56 +657,47 @@ impl UltrapeerCore {
 
     pub fn tick(&mut self, net: &mut dyn GnutellaNet) {
         let now = net.now();
-        // Advance dynamic queries. `dyn_state` is a `BTreeMap`, so this
-        // snapshot is in ascending GUID order: probe scheduling (and the
-        // sends it triggers) is independent of insertion history, which
-        // the golden determinism pins rely on.
-        let guids: Vec<Guid> = self.dyn_state.keys().copied().collect();
-        for guid in guids {
-            let record = self.queries.get_mut(&guid).expect("dyn state implies record");
-            if record.finished {
-                self.dyn_state.remove(&guid);
-                continue;
-            }
-            if record.hits.len() >= self.cfg.target_results {
-                Self::finish(record, guid, net);
-                self.dyn_state.remove(&guid);
-                continue;
-            }
-            let st = self.dyn_state.get_mut(&guid).expect("iterating live keys");
-            if now < st.next_probe_at {
-                continue;
-            }
-            match st.unprobed.pop() {
-                Some(neighbor) => {
-                    net.send(
-                        neighbor,
-                        GnutellaMsg::Query {
-                            guid,
-                            ttl: DYN_TTL,
-                            hops: 0,
-                            terms: record.terms.clone(),
-                        },
-                    );
-                    record.probes_sent += 1;
-                    st.next_probe_at = now + PROBE_INTERVAL;
-                }
-                None => {
-                    // Horizon exhausted; leave a grace period for stragglers.
-                    if now >= st.next_probe_at + PROBE_INTERVAL {
-                        Self::finish(record, guid, net);
-                        self.dyn_state.remove(&guid);
-                    }
-                }
-            }
-        }
+        let (target, seen_ttl) = (self.cfg.target_results, self.cfg.seen_ttl);
+        // One walk in ascending GUID order (so the probes it sends do not
+        // depend on insertion history; the golden pins rely on it): pace
+        // each query, and let a leaf's go once it is finished and its own
+        // `seen` claim has expired — a later hit is an orphan.
+        self.queries.retain(|&guid, q| {
+            q.pace(guid, now, target, net);
+            let leaf = matches!(q.record.origin, QueryOrigin::Leaf { .. });
+            !(leaf && q.record.finished && q.record.issued_at + seen_ttl <= now)
+        });
         // Expire reverse-path entries: every entry with `at + seen_ttl ≤
         // now` is dead from here on (see `seen_horizon`).
         self.seen_horizon =
-            now.as_micros().checked_sub(self.cfg.seen_ttl.as_micros()).map(SimTime::from_micros);
+            now.as_micros().checked_sub(seen_ttl.as_micros()).map(SimTime::from_micros);
     }
+}
 
-    fn finish(record: &mut QueryRecord, _guid: Guid, net: &mut dyn GnutellaNet) {
+impl Originated {
+    /// One tick of dynamic querying: a deep probe to the next unprobed
+    /// neighbor every [`PROBE_INTERVAL`], until `target` results arrive or,
+    /// one more interval after the horizon is exhausted (a grace period
+    /// for stragglers), the query finishes.
+    fn pace(&mut self, guid: Guid, now: SimTime, target: usize, net: &mut dyn GnutellaNet) {
+        let Some(p) = &mut self.pacing else { return };
+        let record = &mut self.record;
+        if record.hits.len() < target {
+            if now < p.next_probe_at {
+                return;
+            }
+            if let Some(neighbor) = p.unprobed.pop() {
+                let terms = record.terms.clone();
+                net.send(neighbor, GnutellaMsg::Query { guid, ttl: DYN_TTL, hops: 0, terms });
+                record.probes_sent += 1;
+                p.next_probe_at = now + PROBE_INTERVAL;
+                return;
+            }
+            if now < p.next_probe_at + PROBE_INTERVAL {
+                return;
+            }
+        }
+        self.pacing = None;
         record.finished = true;
         net.count(crate::classes::QUERIES_FINISHED.id(), 1);
         net.observe(crate::classes::RESULTS_PER_QUERY.id(), record.hits.len() as f64);
@@ -718,14 +711,16 @@ impl UltrapeerCore {
 mod tests {
     use super::*;
     use crate::files::FileMeta;
-    use pier_netsim::{stream_rng, SimDuration, SimRng};
+    use pier_netsim::{stream_rng, MetricClass, SimDuration, SimRng};
 
-    /// A fake network capturing sends for unit-level protocol tests.
+    /// A fake network capturing sends and counters for unit-level protocol
+    /// tests.
     struct FakeNet {
         now: SimTime,
         me: NodeId,
         rng: SimRng,
         sent: Vec<(NodeId, GnutellaMsg)>,
+        counts: BTreeMap<MetricClass, u64>,
     }
 
     impl FakeNet {
@@ -735,6 +730,7 @@ mod tests {
                 me: NodeId::new(me),
                 rng: stream_rng(1, me as u64),
                 sent: Vec::new(),
+                counts: BTreeMap::new(),
             }
         }
         fn advance(&mut self, d: SimDuration) {
@@ -742,6 +738,9 @@ mod tests {
         }
         fn drain(&mut self) -> Vec<(NodeId, GnutellaMsg)> {
             std::mem::take(&mut self.sent)
+        }
+        fn counted(&self, class: MetricClass) -> u64 {
+            self.counts.get(&class).copied().unwrap_or(0)
         }
     }
 
@@ -758,8 +757,10 @@ mod tests {
         fn send(&mut self, dst: NodeId, msg: GnutellaMsg) {
             self.sent.push((dst, msg));
         }
-        fn count(&mut self, _class: pier_netsim::MetricClass, _n: u64) {}
-        fn observe(&mut self, _class: pier_netsim::MetricClass, _value: f64) {}
+        fn count(&mut self, class: MetricClass, n: u64) {
+            *self.counts.entry(class).or_default() += n;
+        }
+        fn observe(&mut self, _class: MetricClass, _value: f64) {}
     }
 
     fn up_with_neighbors(n: usize) -> (UltrapeerCore, FakeNet) {
@@ -868,7 +869,7 @@ mod tests {
         let hits: Vec<Hit> = (0..core.cfg.target_results + 5)
             .map(|i| Hit { file: FileMeta::new(&format!("pop{i}.mp3"), 1), host: NodeId::new(99) })
             .collect();
-        core.handle_hits(&mut net, guid, hits);
+        core.handle_hits(&mut net, guid, HIT_TTL, hits);
         net.advance(SimDuration::from_secs(10));
         core.tick(&mut net);
         assert!(core.query_record(guid).unwrap().finished);
@@ -901,7 +902,7 @@ mod tests {
         core.handle_query(&mut net, NodeId::new(2), guid, 2, 0, "a".into());
         net.drain();
         let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
-        core.handle_hits(&mut net, guid, vec![hit]);
+        core.handle_hits(&mut net, guid, HIT_TTL, vec![hit]);
         let sent = net.drain();
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].0, NodeId::new(2), "hit must go back where the query came from");
@@ -1030,12 +1031,12 @@ mod tests {
         tracer.register(relayed.0, 99, 0, 3, "a");
         core.handle_query(&mut net, NodeId::new(2), relayed, 2, 0, "a".into());
         let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
-        core.handle_hits(&mut net, relayed, vec![hit.clone()]);
+        core.handle_hits(&mut net, relayed, HIT_TTL, vec![hit.clone()]);
 
         // Origin leg: our own query records an arrival.
         let own = core.start_query(&mut net, "a", QueryOrigin::Driver);
         tracer.register(own.0, 0, 0, 3, "a");
-        core.handle_hits(&mut net, own, vec![hit]);
+        core.handle_hits(&mut net, own, HIT_TTL, vec![hit]);
 
         let kinds: Vec<TraceKind> = tracer.sorted_events().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&TraceKind::HitRelay));
@@ -1060,7 +1061,7 @@ mod tests {
         let ttl = core.cfg.seen_ttl;
         let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
         let route = |core: &mut UltrapeerCore, net: &mut FakeNet| {
-            core.handle_hits(net, Guid(1), vec![hit.clone()]);
+            core.handle_hits(net, Guid(1), HIT_TTL, vec![hit.clone()]);
             net.drain().into_iter().map(|(dst, _)| dst).collect::<Vec<_>>()
         };
         // The last offset that fits a `u32` from the initial base, after
@@ -1104,14 +1105,14 @@ mod tests {
         core.handle_query(&mut net, NodeId::new(3), Guid(1), 1, 0, "a".into());
         assert!(net.drain().is_empty(), "still a duplicate");
         let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
-        core.handle_hits(&mut net, Guid(1), vec![hit.clone()]);
+        core.handle_hits(&mut net, Guid(1), HIT_TTL, vec![hit.clone()]);
         assert_eq!(net.drain()[0].0, NodeId::new(2), "still routes hits");
 
         net.advance(SimDuration::from_micros(1));
         core.tick(&mut net);
-        core.handle_hits(&mut net, Guid(1), vec![hit.clone()]);
+        core.handle_hits(&mut net, Guid(1), HIT_TTL, vec![hit.clone()]);
         assert!(net.drain().is_empty(), "the first tick expires the clamped entry");
-        core.handle_hits(&mut net, Guid(4), vec![hit]);
+        core.handle_hits(&mut net, Guid(4), HIT_TTL, vec![hit]);
         assert_eq!(net.drain()[0].0, NodeId::new(3), "and keeps the one inside seen_ttl");
     }
 
@@ -1123,7 +1124,149 @@ mod tests {
         net.advance(SimDuration::from_secs(200));
         core.tick(&mut net);
         // After expiry the hit can no longer be routed.
-        core.handle_hits(&mut net, Guid(5), vec![]);
+        core.handle_hits(&mut net, Guid(5), HIT_TTL, vec![]);
         assert!(net.drain().is_empty());
+    }
+
+    #[test]
+    fn leaf_query_record_leaves_after_its_seen_claim_expires() {
+        let (mut core, mut net) = up_with_neighbors(1);
+        let leaf = NodeId::new(10);
+        core.add_leaf(leaf);
+        core.on_message(&mut net, leaf, GnutellaMsg::LeafQuery { qid: 3, terms: "a".into() });
+        let guid = core.queries().next().expect("registered").0;
+        net.drain();
+        let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
+        let hits = GnutellaMsg::QueryHit { guid, ttl: HIT_TTL, hits: vec![hit] };
+        // The last tick before the claim expires finishes the query (its one
+        // neighbor was probed at once) but keeps the record: a hit still
+        // streams to the leaf.
+        let expiry = SimTime::ZERO + core.cfg.seen_ttl;
+        net.now = before(expiry, SimDuration::from_micros(1));
+        core.tick(&mut net);
+        assert!(core.query_record(guid).expect("kept while claimed").finished);
+        core.on_message(&mut net, NodeId::new(1), hits.clone());
+        let sent: Vec<(NodeId, bool)> = net
+            .drain()
+            .into_iter()
+            .map(|(dst, m)| match m {
+                GnutellaMsg::LeafResults { done, .. } => (dst, done),
+                other => panic!("expected LeafResults, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(sent, vec![(leaf, true), (leaf, false)]);
+        assert!(!core.is_idle());
+        // The first tick with `issued_at + seen_ttl ≤ now` lets it go.
+        net.now = expiry;
+        core.tick(&mut net);
+        assert!(core.query_record(guid).is_none());
+        core.on_message(&mut net, NodeId::new(1), hits);
+        assert!(net.drain().is_empty(), "a late hit is an orphan");
+        assert_eq!(net.counted(crate::classes::ORPHAN_HITS.id()), 1);
+        assert!(core.is_idle());
+    }
+
+    #[test]
+    fn end_session_leaves_no_pacing_and_no_leaf_records() {
+        let (mut core, mut net) = up_with_neighbors(14);
+        let leaf = NodeId::new(20);
+        core.add_leaf(leaf);
+        let driver = core.start_query(&mut net, "x", QueryOrigin::Driver);
+        core.on_message(&mut net, leaf, GnutellaMsg::LeafQuery { qid: 1, terms: "y".into() });
+        assert_eq!(core.queries().count(), 2);
+        net.drain();
+        core.end_session();
+        let held: Vec<Guid> = core.queries().map(|(g, _)| g).collect();
+        assert_eq!(held, vec![driver], "only the driver's record survives");
+        // No pacing survives either: ticks probe nothing and finish nothing.
+        for _ in 0..20 {
+            net.advance(PROBE_INTERVAL);
+            core.tick(&mut net);
+        }
+        assert!(net.drain().is_empty());
+        assert!(!core.query_record(driver).expect("kept").finished);
+        core.take_query(driver);
+        assert!(core.is_idle());
+    }
+
+    #[test]
+    fn hostile_hops_do_not_panic() {
+        let (mut core, mut net) = up_with_neighbors(3);
+        core.handle_query(&mut net, NodeId::new(1), Guid(3), 2, u8::MAX, "a".into());
+        let hops: Vec<u8> = net
+            .drain()
+            .into_iter()
+            .filter_map(|(_, m)| match m {
+                GnutellaMsg::Query { hops, .. } => Some(hops),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(hops, vec![u8::MAX; 2], "the hop count saturates");
+    }
+
+    #[test]
+    fn qrp_update_from_an_unconnected_node_is_counted_not_adopted() {
+        let (mut core, mut net) = up_with_neighbors(1);
+        let (leaf, stranger) = (NodeId::new(10), NodeId::new(11));
+        core.add_leaf(leaf);
+        let mut filter = QrpFilter::with_defaults();
+        filter.insert("led");
+        let update = GnutellaMsg::QrpUpdate { filter: Arc::new(filter) };
+        let unexpected = crate::classes::UNEXPECTED_MSG.id();
+        core.on_message(&mut net, stranger, update.clone());
+        assert_eq!(net.counted(unexpected), 1);
+        assert_eq!(core.leaves().collect::<Vec<_>>(), vec![leaf]);
+        assert_eq!(core.qrp_refs(), 0);
+        core.on_message(&mut net, leaf, update.clone());
+        assert_eq!(core.qrp_refs(), 1);
+        // A removed leaf's late update does not bring it back.
+        core.remove_leaf(leaf);
+        core.on_message(&mut net, leaf, update);
+        assert_eq!(net.counted(unexpected), 2);
+        assert_eq!(core.leaves().count(), 0);
+        core.handle_query(&mut net, NodeId::new(1), Guid(2), 1, 0, "led".into());
+        assert!(net.drain().iter().all(|(_, m)| !matches!(m, GnutellaMsg::LeafForward { .. })));
+    }
+
+    #[test]
+    fn hits_are_relayed_only_while_they_have_ttl() {
+        let (mut core, mut net) = up_with_neighbors(3);
+        core.handle_query(&mut net, NodeId::new(2), Guid(9), 2, 0, "a".into());
+        net.drain();
+        let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
+        let relay = |core: &mut UltrapeerCore, net: &mut FakeNet, ttl| {
+            core.on_message(
+                net,
+                NodeId::new(3),
+                GnutellaMsg::QueryHit { guid: Guid(9), ttl, hits: vec![hit.clone()] },
+            );
+            net.drain()
+                .into_iter()
+                .map(|(dst, m)| match m {
+                    GnutellaMsg::QueryHit { ttl, .. } => (dst, ttl),
+                    other => panic!("expected QueryHit, got {other:?}"),
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(relay(&mut core, &mut net, 2), vec![(NodeId::new(2), 1)], "one hop spent");
+        assert!(relay(&mut core, &mut net, 1).is_empty(), "no hop left");
+        assert_eq!(net.counted(crate::classes::ORPHAN_HITS.id()), 1);
+        // A leaf's hits start a fresh budget, and the origin keeps a hit
+        // whatever its TTL.
+        core.on_message(
+            &mut net,
+            NodeId::new(10),
+            GnutellaMsg::LeafHits { guid: Guid(9), hits: vec![hit.clone()] },
+        );
+        assert!(
+            matches!(net.drain()[..], [(_, GnutellaMsg::QueryHit { ttl, .. })] if ttl == HIT_TTL - 1)
+        );
+        let own = core.start_query(&mut net, "a", QueryOrigin::Driver);
+        core.on_message(
+            &mut net,
+            NodeId::new(3),
+            GnutellaMsg::QueryHit { guid: own, ttl: 0, hits: vec![hit] },
+        );
+        assert_eq!(core.query_record(own).expect("ours").hits.len(), 1);
     }
 }

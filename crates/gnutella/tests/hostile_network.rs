@@ -1,0 +1,496 @@
+//! `UltrapeerCore` under a hostile network. Every message a search sends
+//! may be dropped, repeated, reordered, held until its GUID's `seen`
+//! entries have expired, or delivered with a hop count of 255.
+//!
+//! Eight ultrapeers and sixteen leaves are driven directly rather than
+//! through the simulator: a test net records every send, and a fate
+//! function decides when, and how many times, each one arrives. Leaves
+//! publish their QRP filters fault-free, so every run screens queries
+//! against the same filters. Each run then issues two dynamic queries, one
+//! flat flood and one leaf search, and ticks every ultrapeer each
+//! `UP_TICK_INTERVAL`.
+//!
+//! The invariants:
+//! 1. nothing panics;
+//! 2. a relayed `Query` carries `ttl − 1 ≥ 1`, never goes back to its
+//!    sender, and a node relays a GUID at most once per `seen_ttl`; a
+//!    repeat that arrives while the GUID is surely still seen is counted
+//!    in `gnutella.duplicate_query`, one that arrives surely after it
+//!    expired is not;
+//! 3. a relayed hit goes only to the node its GUID's live entry came from;
+//! 4. every hit in a query record or leaf search is a real `(file, host)`
+//!    whose file matches the terms;
+//! 5. `queries_started == queries_finished`, and each dynamic query
+//!    finishes within `(neighbors − probe_neighbors + 2) × PROBE_INTERVAL`
+//!    plus one tick of its start, whatever was lost;
+//! 6. a `seen_ttl` and a tick after the last send or delivery, with the
+//!    driver's records taken, every ultrapeer is idle;
+//! 7. a run sends at most `MAX_SENDS` messages: no loop feeds itself.
+
+use pier_gnutella::{
+    classes, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, LeafCore, QueryOrigin,
+    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, HIT_TTL, PROBE_INTERVAL, UP_TICK_INTERVAL,
+};
+use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const UPS: u32 = 8;
+const LEAVES: u32 = 16;
+/// Every ultrapeer's neighbors: the two on either side of it on a ring.
+const DEGREE: u64 = 4;
+const PROBE_NEIGHBORS: u64 = 2;
+/// Shorter than a dynamic query runs, so a query outlives its own claim.
+const SEEN_TTL: SimDuration = SimDuration::from_secs(5);
+/// Far above any run's traffic (under a thousand sends), far below what
+/// would exhaust memory: a run past it has a loop and is stopped.
+const MAX_SENDS: u64 = 50_000;
+/// When the searches start (the QRP exchange is long over).
+const ISSUE_AT: SimTime = SimTime::from_micros(1_000_000);
+const WORDS: [&str; 6] = ["led", "zeppelin", "pink", "floyd", "live", "remix"];
+/// Two dynamic queries (one popular enough to reach `target_results`),
+/// the flat flood's terms, and the leaf search's.
+const TERMS: [&str; 4] = ["led", "pink live", "zeppelin", "floyd"];
+
+fn config() -> UltrapeerConfig {
+    UltrapeerConfig {
+        probe_neighbors: PROBE_NEIGHBORS as usize,
+        target_results: 6,
+        seen_ttl: SEEN_TTL,
+        max_hits_per_msg: 1,
+        ..UltrapeerConfig::default()
+    }
+}
+
+/// The latest a dynamic query may finish after its start: its first deep
+/// probe waits for a tick, the rest follow one `PROBE_INTERVAL` apart, and
+/// the exhausted horizon waits one more interval for stragglers.
+fn finish_bound() -> SimDuration {
+    let intervals = DEGREE - PROBE_NEIGHBORS + 2;
+    SimDuration::from_micros(intervals * PROBE_INTERVAL.as_micros()) + UP_TICK_INTERVAL
+}
+
+/// Node `n`'s share: two files whose names mix the vocabulary.
+fn share(n: u32) -> Vec<FileMeta> {
+    let n = n as usize;
+    let (a, b, c) = (WORDS[n % 3], WORDS[3 + n / 3 % 3], WORDS[n % 6]);
+    vec![FileMeta::new(&format!("{a}_{b}_{n}.mp3"), 1), FileMeta::new(&format!("{c}_{n}.flac"), 2)]
+}
+
+fn up_id(i: u32) -> NodeId {
+    NodeId::new(i % UPS)
+}
+
+fn leaf_id(j: u32) -> NodeId {
+    NodeId::new(UPS + j)
+}
+
+/// A leaf's two home ultrapeers; the first is its query path.
+fn homes(j: u32) -> Vec<NodeId> {
+    vec![up_id(j), up_id(j + 3)]
+}
+
+/// When a sent message arrives: once per entry, after that delay, with its
+/// hop count forced to 255 where the flag is set. An empty list drops it.
+type Fate = Box<dyn FnMut() -> Vec<(SimDuration, bool)>>;
+
+fn soon(x: u16) -> SimDuration {
+    SimDuration::from_millis(10 + u64::from(x) % 81)
+}
+
+fn polite() -> Fate {
+    let mut sent = 0u16;
+    Box::new(move || {
+        sent = sent.wrapping_add(7);
+        vec![(soon(sent), false)]
+    })
+}
+
+/// Fates cycle through `schedule` in send order. Kinds 0–3 deliver once
+/// after 10–90 ms, 4 delivers twice, 5 drops, 6 holds the message until
+/// the `seen` entries it would meet have expired, 7 delivers a `Query` as
+/// if it had travelled 255 hops.
+fn scheduled(schedule: Vec<(u8, u16, u16)>) -> Fate {
+    let mut sent = 0;
+    Box::new(move || {
+        let (kind, a, b) = schedule[sent % schedule.len()];
+        sent += 1;
+        match kind {
+            0..=3 => vec![(soon(a), false)],
+            4 => vec![(soon(a), false), (soon(b), false)],
+            5 => vec![],
+            6 => vec![(SEEN_TTL + UP_TICK_INTERVAL + soon(a), false)],
+            _ => vec![(soon(a), true)],
+        }
+    })
+}
+
+/// What a node sees of the network: the clock, an outbox, and the
+/// counters the invariants read.
+struct TestNet {
+    now: SimTime,
+    node: NodeId,
+    rng: SimRng,
+    outbox: Vec<(NodeId, GnutellaMsg)>,
+    counts: BTreeMap<MetricClass, u64>,
+}
+
+impl GnutellaNet for TestNet {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn self_node(&self) -> NodeId {
+        self.node
+    }
+    fn rng(&mut self) -> &mut SimRng {
+        &mut self.rng
+    }
+    fn send(&mut self, dst: NodeId, msg: GnutellaMsg) {
+        self.outbox.push((dst, msg));
+    }
+    fn count(&mut self, class: MetricClass, n: u64) {
+        *self.counts.entry(class).or_default() += n;
+    }
+    fn observe(&mut self, _class: MetricClass, _value: f64) {}
+}
+
+type Sent = Vec<(NodeId, GnutellaMsg)>;
+
+struct World {
+    ups: Vec<UltrapeerCore>,
+    leaves: Vec<LeafCore>,
+    net: TestNet,
+    /// In flight, by (arrival, scheduling order): ties arrive in send
+    /// order. Each entry is `(from, to, message)`.
+    queue: BTreeMap<(SimTime, u64), (NodeId, NodeId, GnutellaMsg)>,
+    scheduled: u64,
+    fate: Fate,
+    last_activity: SimTime,
+    /// The test's own reverse-path table: where each ultrapeer last
+    /// first-saw each GUID (itself, for a GUID it originated), and when.
+    seen: BTreeMap<(NodeId, Guid), (NodeId, SimTime)>,
+    /// When each ultrapeer last relayed each GUID.
+    relayed: BTreeMap<(NodeId, Guid), SimTime>,
+    /// The flat flood's GUID: the one query with no pacing to bound.
+    flood: Option<Guid>,
+    /// The driver's records, taken at the end of the run.
+    taken: Vec<QueryRecord>,
+    /// Every invariant that broke, in the order it broke.
+    broken: Vec<String>,
+}
+
+impl World {
+    /// The network with every leaf connected and its filter published.
+    fn connected() -> World {
+        let mut ups: Vec<UltrapeerCore> =
+            (0..UPS).map(|i| UltrapeerCore::new(config(), FileStore::new(share(i)))).collect();
+        for (i, up) in (0..UPS).zip(&mut ups) {
+            up.set_neighbors([1, UPS - 1, 2, UPS - 2].map(|d| up_id(i + d)).to_vec());
+        }
+        let mut leaves = Vec::new();
+        for j in 0..LEAVES {
+            let mut leaf = LeafCore::new(FileStore::new(share(UPS + j)));
+            leaf.set_ultrapeers(homes(j));
+            for up in homes(j) {
+                ups[up.index()].add_leaf(leaf_id(j));
+            }
+            leaves.push(leaf);
+        }
+        let net = TestNet {
+            now: SimTime::ZERO,
+            node: NodeId::new(0),
+            rng: stream_rng(7, 0),
+            outbox: Vec::new(),
+            counts: BTreeMap::new(),
+        };
+        let mut w = World {
+            ups,
+            leaves,
+            net,
+            queue: BTreeMap::new(),
+            scheduled: 0,
+            fate: polite(),
+            last_activity: SimTime::ZERO,
+            seen: BTreeMap::new(),
+            relayed: BTreeMap::new(),
+            flood: None,
+            taken: Vec::new(),
+            broken: Vec::new(),
+        };
+        for j in 0..LEAVES {
+            w.at_leaf(j, |leaf, net| leaf.publish_qrp(net));
+        }
+        while let Some(((at, _), (from, to, msg))) = w.queue.pop_first() {
+            w.net.now = at;
+            w.deliver(from, to, msg);
+        }
+        w
+    }
+
+    /// Run `f` at ultrapeer `i`, send what it sent, and return both. A
+    /// query `f` originated claims its GUID in the test's table.
+    fn at_up<R>(
+        &mut self,
+        i: usize,
+        f: impl FnOnce(&mut UltrapeerCore, &mut TestNet) -> R,
+    ) -> (R, Sent) {
+        let me = NodeId::new(i as u32);
+        self.net.node = me;
+        let r = f(&mut self.ups[i], &mut self.net);
+        for (guid, record) in self.ups[i].queries() {
+            self.seen.entry((me, guid)).or_insert((me, record.issued_at));
+        }
+        (r, self.flush())
+    }
+
+    fn at_leaf<R>(&mut self, j: u32, f: impl FnOnce(&mut LeafCore, &mut TestNet) -> R) -> R {
+        self.net.node = leaf_id(j);
+        let r = f(&mut self.leaves[j as usize], &mut self.net);
+        self.flush();
+        r
+    }
+
+    /// Hand the outbox to the fate, and return what was in it.
+    fn flush(&mut self) -> Sent {
+        let sent = std::mem::take(&mut self.net.outbox);
+        let (from, now) = (self.net.node, self.net.now);
+        if !sent.is_empty() {
+            self.last_activity = now;
+        }
+        for (to, msg) in &sent {
+            for (delay, far) in (self.fate)() {
+                let mut msg = msg.clone();
+                if let (GnutellaMsg::Query { hops, .. }, true) = (&mut msg, far) {
+                    *hops = u8::MAX;
+                }
+                self.queue.insert((now + delay, self.scheduled), (from, *to, msg));
+                self.scheduled += 1;
+            }
+        }
+        sent
+    }
+
+    fn count(&self, class: MetricClass) -> u64 {
+        self.net.counts.get(&class).copied().unwrap_or(0)
+    }
+
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: GnutellaMsg) {
+        let now = self.net.now;
+        self.last_activity = now;
+        if to.index() >= UPS as usize {
+            let j = (to.index() - UPS as usize) as u32;
+            return self.at_leaf(j, |leaf, net| leaf.on_message(net, from, msg));
+        }
+        let dups = self.count(classes::DUPLICATE_QUERY.id());
+        let (query, hits_for) = match &msg {
+            GnutellaMsg::Query { guid, ttl, .. } => (Some((*guid, *ttl)), None),
+            GnutellaMsg::QueryHit { guid, ttl, .. } => (None, Some((*guid, *ttl))),
+            GnutellaMsg::LeafHits { guid, .. } => (None, Some((*guid, HIT_TTL))),
+            _ => (None, None),
+        };
+        let ((), sent) = self.at_up(to.index(), |up, net| up.on_message(net, from, msg));
+        if let Some((guid, ttl)) = query {
+            let dup = self.count(classes::DUPLICATE_QUERY.id()) > dups;
+            self.check_seen(to, guid, dup);
+            let relays = sent.iter().filter(|(_, m)| matches!(m, GnutellaMsg::Query { .. }));
+            if relays.clone().next().is_some() {
+                if let Some(&last) = self.relayed.get(&(to, guid)) {
+                    if now < last + SEEN_TTL {
+                        self.broken.push(format!("{to:?} relayed {guid:?} twice within seen_ttl"));
+                    }
+                }
+                self.relayed.insert((to, guid), now);
+            }
+            for (dst, m) in relays {
+                let GnutellaMsg::Query { ttl: out, .. } = m else { unreachable!() };
+                if dup || Some(*out) != ttl.checked_sub(1) || *out < 1 || *dst == from {
+                    let what = format!("ttl {ttl} from {from:?}: ttl {out} to {dst:?}");
+                    self.broken.push(format!("{to:?} relayed {guid:?} ({what}, dup {dup})"));
+                }
+            }
+            if !dup {
+                self.seen.insert((to, guid), (from, now));
+            }
+            // The node's own matches go back the way the query came.
+            self.check_hits(to, &sent, Some(from), HIT_TTL);
+        }
+        if let Some((guid, ttl)) = hits_for {
+            let back = self.seen.get(&(to, guid)).map(|&(prev, _)| prev).filter(|&p| p != to);
+            self.check_hits(to, &sent, back, ttl.saturating_sub(1));
+        }
+    }
+
+    /// A `Query` for `guid` reached `node`, which counted it a duplicate or
+    /// not: surely wrong if the test's table says otherwise outside the
+    /// one tick in which the entry may or may not have expired yet.
+    fn check_seen(&mut self, node: NodeId, guid: Guid, dup: bool) {
+        let now = self.net.now;
+        let live = match self.seen.get(&(node, guid)) {
+            None => Some(false),
+            Some(&(_, at)) if now < at + SEEN_TTL => Some(true),
+            Some(&(_, at)) if now >= at + SEEN_TTL + UP_TICK_INTERVAL => Some(false),
+            Some(_) => None,
+        };
+        if live.is_some_and(|live| live != dup) {
+            self.broken
+                .push(format!("{node:?} saw {guid:?} again: duplicate {dup}, live {live:?}"));
+        }
+    }
+
+    /// Every `QueryHit` in `sent` goes to `back` with `ttl ≥ 1` to spend.
+    fn check_hits(&mut self, node: NodeId, sent: &Sent, back: Option<NodeId>, ttl: u8) {
+        for (dst, m) in sent {
+            match m {
+                GnutellaMsg::QueryHit { ttl: out, .. } if Some(*dst) != back || *out != ttl => {
+                    let want = format!("to {back:?} at ttl {ttl}");
+                    self.broken.push(format!("{node:?} sent hits to {dst:?} at ttl {out}, {want}"))
+                }
+                GnutellaMsg::QueryHit { ttl: 0, .. } => {
+                    self.broken.push(format!("{node:?} sent hits to {dst:?} with no ttl"))
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Tick every ultrapeer, holding each dynamic query that was running
+    /// to its finish bound.
+    fn tick(&mut self) {
+        let now = self.net.now;
+        for i in 0..UPS as usize {
+            let running: Vec<(Guid, SimTime)> = self.ups[i]
+                .queries()
+                .filter(|&(g, r)| !r.finished && Some(g) != self.flood)
+                .map(|(g, r)| (g, r.issued_at))
+                .collect();
+            self.at_up(i, |up, net| up.tick(net));
+            for (guid, issued_at) in running {
+                let done = self.ups[i].query_record(guid).is_none_or(|r| r.finished);
+                if now >= issued_at + finish_bound() && !done {
+                    self.broken.push(format!("up {i}: {guid:?} unfinished at {now:?}"));
+                }
+            }
+        }
+    }
+
+    /// Deliver and tick until nothing is in flight and a tick has run a
+    /// `seen_ttl` after the last activity and the driver's queries' bound.
+    fn run(&mut self) {
+        let quiet_after = ISSUE_AT + finish_bound();
+        let tick_us = UP_TICK_INTERVAL.as_micros();
+        let mut next_tick =
+            SimTime::from_micros((self.net.now.as_micros() / tick_us + 1) * tick_us);
+        loop {
+            if self.scheduled > MAX_SENDS {
+                return self.broken.push(format!("{} sends: a message storm", self.scheduled));
+            }
+            if let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= next_tick) {
+                let ((at, _), (from, to, msg)) = due.remove_entry();
+                self.net.now = at;
+                self.deliver(from, to, msg);
+                continue;
+            }
+            self.net.now = next_tick;
+            self.tick();
+            next_tick += UP_TICK_INTERVAL;
+            let quiet = self.last_activity.max(quiet_after) + SEEN_TTL + UP_TICK_INTERVAL;
+            if self.queue.is_empty() && self.net.now >= quiet {
+                return;
+            }
+        }
+    }
+
+    /// Whether `hit` names a file its host shares, and the file matches.
+    fn is_real(&self, hit: &Hit, terms: &Terms) -> bool {
+        let host = hit.host.index();
+        let store = match host.checked_sub(UPS as usize) {
+            None => self.ups[host].store(),
+            Some(j) if j < LEAVES as usize => self.leaves[j].store(),
+            Some(_) => return false,
+        };
+        store.matching(terms).contains(&&hit.file)
+    }
+}
+
+/// Where a run issues its searches from: the two dynamic queries' and the
+/// flood's ultrapeers, and the searching leaf.
+type Origins = (u32, u32, u32, u32);
+
+/// Issue the four searches under `fate`, run to quiet, take the driver's
+/// records, and check what is left. A panic is reported as an `Err`.
+fn searches(origins: Origins, fate: Fate) -> Result<World, String> {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut w = World::connected();
+        w.fate = fate;
+        w.net.now = ISSUE_AT;
+        let mut driver = Vec::new();
+        for (up, terms) in [(origins.0, TERMS[0]), (origins.1, TERMS[1])] {
+            let (guid, _) =
+                w.at_up(up as usize, |up, net| up.start_query(net, terms, QueryOrigin::Driver));
+            driver.push((up_id(up), guid));
+        }
+        let (flood, _) = w.at_up(origins.2 as usize, |up, net| up.start_flood_query(net, TERMS[2]));
+        driver.push((up_id(origins.2), flood));
+        w.flood = Some(flood);
+        w.at_leaf(origins.3, |leaf, net| leaf.start_search(net, TERMS[3]));
+        w.run();
+        (w, driver)
+    }));
+    let (mut w, driver) = run.map_err(|panic| {
+        let why = panic.downcast_ref::<String>().cloned();
+        format!(
+            "panicked: {:?}",
+            why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        )
+    })?;
+    let started = w.count(classes::QUERIES_STARTED.id());
+    let finished = w.count(classes::QUERIES_FINISHED.id());
+    if started != finished {
+        w.broken.push(format!("{started} queries started, {finished} finished"));
+    }
+    for (up, guid) in driver {
+        let record = w.ups[up.index()].take_query(guid).expect("driver records wait to be taken");
+        if let Some(hit) = record.hits.iter().find(|h| !w.is_real(h, &record.terms)) {
+            w.broken.push(format!("{guid:?} holds a hit no host shares: {hit:?}"));
+        }
+        w.taken.push(record);
+    }
+    for (j, leaf) in w.leaves.iter().enumerate() {
+        for (qid, s) in leaf.searches() {
+            if let Some(hit) = s.hits.iter().find(|h| !w.is_real(h, &s.terms)) {
+                w.broken.push(format!("leaf {j} search {qid} holds a hit no host shares: {hit:?}"));
+            }
+        }
+    }
+    for (i, up) in w.ups.iter().enumerate() {
+        if !up.is_idle() {
+            let held: Vec<Guid> = up.queries().map(|(g, _)| g).collect();
+            w.broken
+                .push(format!("up {i} is not idle a seen_ttl after the last activity: {held:?}"));
+        }
+    }
+    Ok(w)
+}
+
+proptest! {
+    #[test]
+    fn searches_end_and_route_correctly_under_any_schedule(
+        origins in (0..UPS, 0..UPS, 0..UPS, 0..LEAVES),
+        schedule in prop::collection::vec((0u8..8, any::<u16>(), any::<u16>()), 1..48),
+    ) {
+        let broken = searches(origins, scheduled(schedule)).map(|w| w.broken);
+        prop_assert!(broken.as_ref().is_ok_and(|b| b.is_empty()), "{:?}", broken);
+    }
+}
+
+/// Delivered once each, in 10–90 ms, every search completes: each driver
+/// query and the leaf's search found hits, and the leaf heard `done`.
+#[test]
+fn a_polite_network_completes_every_search() {
+    let w = searches((0, 5, 3, 9), polite()).expect("no panic");
+    assert_eq!(w.broken, Vec::<String>::new());
+    assert!(w.taken.iter().all(|r| !r.hits.is_empty()), "{:?}", w.taken);
+    let search = w.leaves[9].search(1).expect("issued");
+    assert!(search.done && !search.hits.is_empty(), "{search:?}");
+}

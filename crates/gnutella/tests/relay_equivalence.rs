@@ -10,12 +10,16 @@
 //! `matches_all` loop over every leaf. Driven by the same operations
 //! through two identically seeded [`FakeNet`]s, the two must agree on every
 //! send, every counter and every query record — neither mechanism may be
-//! observable.
+//! observable. The reference keeps a query's record and its pacing in two
+//! tables, and states the protocol's rules plainly: a leaf's finished query
+//! is dropped once its own `seen` claim has expired, only a connected
+//! leaf's `QrpUpdate` is adopted, and a hit is relayed only while it has
+//! TTL to spend.
 
 use pier_gnutella::{
     classes, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, QrpFilter, QueryOrigin,
-    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, DYN_TTL, PROBE_INTERVAL, PROBE_TTL,
-    UP_TICK_INTERVAL,
+    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, DYN_TTL, HIT_TTL, PROBE_INTERVAL,
+    PROBE_TTL, UP_TICK_INTERVAL,
 };
 use pier_netsim::{stream_rng, MemAcc, MetricClass, NodeId, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -128,7 +132,8 @@ impl EagerCore {
                 }
                 self.seen.insert(guid, (from, net.now));
                 for chunk in self.own_hits(&terms).chunks(self.cfg.max_hits_per_msg) {
-                    net.send(from, GnutellaMsg::QueryHit { guid, hits: chunk.to_vec() });
+                    let (ttl, hits) = (HIT_TTL, chunk.to_vec());
+                    net.send(from, GnutellaMsg::QueryHit { guid, ttl, hits });
                 }
                 let forwards = self.forward_to_leaves(net, guid, &terms);
                 net.count(classes::LEAF_FORWARDS.id(), forwards);
@@ -139,35 +144,40 @@ impl EagerCore {
                     }
                 }
             }
-            GnutellaMsg::QueryHit { guid, hits } | GnutellaMsg::LeafHits { guid, hits } => {
-                if let Some(record) = self.queries.get_mut(&guid) {
-                    if record.first_hit_at.is_none() && !hits.is_empty() {
-                        record.first_hit_at = Some(net.now);
-                        let waited = (net.now - record.issued_at).as_secs_f64();
-                        net.observe(classes::FIRST_HIT_LATENCY_S.id(), waited);
-                    }
-                    record.hits.extend(hits.iter().cloned());
-                    if let QueryOrigin::Leaf { leaf, qid } = record.origin {
-                        net.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: false });
-                    }
-                    return;
-                }
-                match self.seen.get(&guid) {
-                    Some(&(dst, _)) if dst != ME => {
-                        for chunk in hits.chunks(self.cfg.max_hits_per_msg) {
-                            net.send(dst, GnutellaMsg::QueryHit { guid, hits: chunk.to_vec() });
-                        }
-                    }
-                    _ => net.count(classes::ORPHAN_HITS.id(), 1),
-                }
-            }
+            GnutellaMsg::QueryHit { guid, ttl, hits } => self.on_hits(net, guid, ttl, hits),
+            GnutellaMsg::LeafHits { guid, hits } => self.on_hits(net, guid, HIT_TTL, hits),
             GnutellaMsg::LeafQuery { qid, terms } => {
                 self.start_query(net, terms, QueryOrigin::Leaf { leaf: from, qid });
             }
-            GnutellaMsg::QrpUpdate { filter } => {
-                self.leaves.insert(from, Some(filter));
-            }
+            GnutellaMsg::QrpUpdate { filter } => match self.leaves.get_mut(&from) {
+                Some(slot) => *slot = Some(filter),
+                None => net.count(classes::UNEXPECTED_MSG.id(), 1),
+            },
             other => panic!("the op generator never sends {other:?}"),
+        }
+    }
+
+    fn on_hits(&mut self, net: &mut FakeNet, guid: Guid, ttl: u8, hits: Vec<Hit>) {
+        if let Some(record) = self.queries.get_mut(&guid) {
+            if record.first_hit_at.is_none() && !hits.is_empty() {
+                record.first_hit_at = Some(net.now);
+                let waited = (net.now - record.issued_at).as_secs_f64();
+                net.observe(classes::FIRST_HIT_LATENCY_S.id(), waited);
+            }
+            record.hits.extend(hits.iter().cloned());
+            if let QueryOrigin::Leaf { leaf, qid } = record.origin {
+                net.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: false });
+            }
+            return;
+        }
+        match self.seen.get(&guid) {
+            Some(&(dst, _)) if dst != ME && ttl > 1 => {
+                for chunk in hits.chunks(self.cfg.max_hits_per_msg) {
+                    let (ttl, hits) = (ttl - 1, chunk.to_vec());
+                    net.send(dst, GnutellaMsg::QueryHit { guid, ttl, hits });
+                }
+            }
+            _ => net.count(classes::ORPHAN_HITS.id(), 1),
         }
     }
 
@@ -196,12 +206,17 @@ impl EagerCore {
             }
         }
         let ttl = self.cfg.seen_ttl;
+        self.queries.retain(|_, r| {
+            let leaf = matches!(r.origin, QueryOrigin::Leaf { .. });
+            !(leaf && r.finished && r.issued_at + ttl <= now)
+        });
         self.seen.retain(|_, &mut (_, at)| at + ttl > now);
     }
 
     fn end_session(&mut self) {
         self.seen.clear();
         self.dyn_state.clear();
+        self.queries.retain(|_, r| r.origin == QueryOrigin::Driver);
     }
 }
 
@@ -378,9 +393,10 @@ fn check_against_reference(ops: &[Op]) -> Result<(), TestCaseError> {
         queries: BTreeMap::new(),
         dyn_state: BTreeMap::new(),
     };
-    // Two of the leaves are connected from the start but never publish
-    // until a `QrpUpdate` names them: leaves with no filter yet.
-    for l in 0..2 {
+    // Every leaf is connected from the start, with no filter until a
+    // `QrpUpdate` names it. A `RemoveLeaf` disconnects it for good: its
+    // later updates are counted, not adopted.
+    for l in 0..LEAVES as u8 {
         core.add_leaf(leaf(l));
         reference.leaves.insert(leaf(l), None);
     }
@@ -398,8 +414,9 @@ fn check_against_reference(ops: &[Op]) -> Result<(), TestCaseError> {
             }
             Op::Hits { target, n } => guids.get(*target as usize % guids.len().max(1)).map(|&g| {
                 // Hits reach an ultrapeer from a neighbor or from a leaf.
+                // A `QueryHit`'s TTL runs 0..=4: some have no relay left.
                 let msg = match n % 2 {
-                    0 => GnutellaMsg::QueryHit { guid: g, hits: hits(*n) },
+                    0 => GnutellaMsg::QueryHit { guid: g, ttl: n / 2, hits: hits(*n) },
                     _ => GnutellaMsg::LeafHits { guid: g, hits: hits(*n) },
                 };
                 (neighbor(*target), msg)
@@ -474,8 +491,9 @@ proptest! {
 
     /// (b) The union screen is not observable: over random leaf sets —
     /// leaves with no filter yet, dense-promoted filters, a filter of
-    /// another geometry, replaced filters, removed leaves, the empty query
-    /// — a query is forwarded to exactly the leaves whose filters match it.
+    /// another geometry, replaced filters, removed leaves (whose later
+    /// updates are not adopted), the empty query — a query is forwarded to
+    /// exactly the leaves whose filters match it.
     #[test]
     fn union_screen_equals_brute_force(
         setup in proptest::collection::vec(leaf_op(), 0..12),
@@ -483,7 +501,7 @@ proptest! {
     ) {
         let mut core = UltrapeerCore::new(config(), FileStore::default());
         let mut filters: BTreeMap<NodeId, Option<Arc<QrpFilter>>> = BTreeMap::new();
-        for l in 0..2 {
+        for l in 0..LEAVES as u8 {
             core.add_leaf(leaf(l));
             filters.insert(leaf(l), None);
         }
@@ -493,7 +511,9 @@ proptest! {
                 match op {
                     Op::QrpUpdate { leaf: l, words, shape } => {
                         let filter = filter_of(*words, shape);
-                        filters.insert(leaf(*l), Some(Arc::clone(&filter)));
+                        if let Some(slot) = filters.get_mut(&leaf(*l)) {
+                            *slot = Some(Arc::clone(&filter));
+                        }
                         core.on_message(&mut net, leaf(*l), GnutellaMsg::QrpUpdate { filter });
                     }
                     Op::RemoveLeaf { leaf: l } => {

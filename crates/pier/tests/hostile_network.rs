@@ -17,7 +17,8 @@
 //!    ends every query `Complete`;
 //! 5. every other query ends `TimedOut` and is counted in
 //!    `pier.query_timeout`;
-//! 6. every node is idle `EXEC_TTL` after the last delivery.
+//! 6. every node, its DHT included, is idle `EXEC_TTL` after the last
+//!    delivery.
 
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, Key};
 use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
@@ -319,6 +320,9 @@ fn broken(
     for (i, n) in h.nodes.iter().enumerate() {
         if !n.pier.is_idle() {
             broken.push(format!("node {i} holds state EXEC_TTL after the last delivery"));
+        }
+        if !n.dht.is_idle() {
+            broken.push(format!("node {i}'s DHT holds a request EXEC_TTL after the last delivery"));
         }
     }
     broken
