@@ -349,7 +349,7 @@ impl DhtCore {
             }
             DhtMsg::Response { id, from, body } => {
                 self.observe_contact(net, from);
-                self.handle_response(net, id, from, body);
+                self.handle_response(net, id, body);
             }
             DhtMsg::Route { key, payload, hops, origin } => {
                 self.observe_contact(net, origin);
@@ -396,7 +396,7 @@ impl DhtCore {
     // Response handling (client side)
     // ------------------------------------------------------------------
 
-    fn handle_response(&mut self, net: &mut dyn DhtNet, id: RpcId, from: Contact, body: Response) {
+    fn handle_response(&mut self, net: &mut dyn DhtNet, id: RpcId, body: Response) {
         let Some(pending) = self.pending.remove(&id) else {
             net.count(crate::classes::STALE_RESPONSE.id(), 1);
             return;
@@ -407,16 +407,20 @@ impl DhtCore {
                 let Some(lookup) = self.lookups.get_mut(&op) else {
                     return;
                 };
+                // The reply answers the contact the RPC went to, whatever
+                // the responder calls itself: that entry is the one in
+                // flight.
+                let to = &pending.dst.key;
                 match body {
                     Response::Nodes { contacts } => {
                         lookup.add_candidates(&contacts, self_key);
-                        lookup.on_response(&from.key);
+                        lookup.on_response(to);
                     }
                     Response::Values { values, closer } => {
                         lookup.add_candidates(&closer, self_key);
-                        lookup.on_values(&from.key, values);
+                        lookup.on_values(to, values);
                     }
-                    _ => lookup.on_response(&from.key),
+                    _ => lookup.on_response(to),
                 }
                 self.drive_lookup(net, op);
             }
@@ -714,5 +718,67 @@ impl DhtCore {
             }
             InsertOutcome::Stored | InsertOutcome::SelfEntry => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pier_netsim::{stream_rng, SimDuration};
+
+    /// A net that records what the core sends.
+    struct Outbox {
+        now: SimTime,
+        rng: SimRng,
+        sent: Vec<(NodeId, DhtMsg)>,
+    }
+
+    impl DhtNet for Outbox {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn self_node(&self) -> NodeId {
+            NodeId::new(0)
+        }
+        fn rng(&mut self) -> &mut SimRng {
+            &mut self.rng
+        }
+        fn send_dht(&mut self, dst: NodeId, msg: DhtMsg) {
+            self.sent.push((dst, msg));
+        }
+        fn count(&mut self, _class: MetricClass, _n: u64) {}
+        fn observe(&mut self, _class: MetricClass, _value: f64) {}
+    }
+
+    /// A lookup reply is credited to the contact the RPC went to. Here the
+    /// only contact answers a `get` under another node's name; the `get`
+    /// still ends with its value, and once the RPC's timeout has passed
+    /// nothing is left in flight.
+    #[test]
+    fn a_reply_is_credited_to_the_peer_it_was_sent_to() {
+        let contact = |i: u32| Contact::for_node(NodeId::new(i));
+        let mut core = DhtCore::new(DhtConfig::test(), contact(0));
+        core.table_mut().observe(contact(1), SimTime::ZERO);
+        let mut net = Outbox { now: SimTime::ZERO, rng: stream_rng(0, 0), sent: Vec::new() };
+        let key = Key::hash(b"item");
+        let op = core.get(&mut net, key);
+        let Some((dst, DhtMsg::Request { id, .. })) = net.sent.pop() else {
+            panic!("the get sends one FindValue: {:?}", net.sent);
+        };
+        assert_eq!(dst, NodeId::new(1));
+        let body = Response::Values { values: vec![b"v".to_vec()], closer: Vec::new() };
+        core.on_message(&mut net, DhtMsg::Response { id, from: contact(9), body });
+        net.now += core.config().rpc_timeout + SimDuration::from_secs(1);
+        core.tick(&mut net);
+        let done: Vec<_> = core
+            .take_events()
+            .into_iter()
+            .filter_map(|e| match e {
+                DhtEvent::GetDone { op, values, .. } => Some((op, values)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(done, vec![(op, vec![b"v".to_vec()])]);
+        assert!(core.is_idle());
     }
 }

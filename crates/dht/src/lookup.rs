@@ -184,12 +184,6 @@ impl Lookup {
             .map(|e| e.contact)
             .collect()
     }
-
-    /// Whether `key` is one of this lookup's candidates (for response
-    /// attribution).
-    pub fn knows(&self, key: &Key) -> bool {
-        self.position(key.distance(&self.target)).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -283,9 +277,8 @@ mod tests {
             &[contact(1), Contact::new(self_key, NodeId::new(0)), contact(2)],
             self_key,
         );
-        assert_eq!(l.entries.len(), 2);
-        assert!(!l.knows(&self_key));
-        assert!(l.knows(&contact(2).key));
+        let entries: Vec<Contact> = l.entries.iter().map(|e| e.contact).collect();
+        assert_eq!(entries, by_distance(&target, vec![contact(1), contact(2)]));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use pier_gnutella::{
     UltrapeerCore, UP_TICK, UP_TICK_INTERVAL,
 };
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
+use pier_qp::QueryId;
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
 use piersearch::{file_id, IndexMode, ItemRecord, PierSearchApp, PierSearchNode};
@@ -71,7 +72,7 @@ pub struct HybridQueryStats {
 struct HybridQuery {
     guid: Guid,
     deadline: SimTime,
-    search_id: Option<u32>,
+    search_id: Option<QueryId>,
     stats: usize,
     leaf: Option<(NodeId, u32)>,
 }
@@ -294,7 +295,7 @@ impl HybridUp {
 
     /// Route finished PIERSearch searches back to their hybrid queries.
     fn drain_engine(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
-        for ev in self.search.app.take_events() {
+        for ev in self.search.app.engine.take_events() {
             let piersearch::SearchEvent::Done(sid) = ev;
             let Some(pos) = self.queries.iter().position(|q| q.search_id == Some(sid)) else {
                 continue;

@@ -7,6 +7,7 @@ pier_netsim::metric_classes! {
     pub MALFORMED_MATCH = "piersearch.malformed_match";
     pub MALFORMED_ITEM = "piersearch.malformed_item";
     pub SEARCH_TIMEOUT = "piersearch.search_timeout";
+    pub UNRESOLVED_MATCH = "piersearch.unresolved_match";
     pub UNINDEXABLE_FILE = "piersearch.unindexable_file";
     pub FILES_PUBLISHED = "piersearch.files_published";
     pub PUBLISH_VALUE_BYTES = "piersearch.publish_value_bytes";

@@ -155,6 +155,7 @@ impl Publisher {
         let item = record.to_tuple();
         stats.value_bytes += item.encoded_size();
         stats.tuples += 1;
+        // Holds: `to_tuple` builds the Item row of `catalog()`'s own schema.
         pier.publish(dht, net, ITEM, &item, replicated).expect("tuple conforms");
 
         let words = pier_vocab::texts_of(&terms);
@@ -167,6 +168,7 @@ impl Publisher {
             };
             stats.value_bytes += tuple.encoded_size();
             stats.tuples += 1;
+            // Holds: each table's posting comes from its schema's constructor.
             pier.publish(dht, net, table, &tuple, replicated).expect("tuple conforms");
         }
         stats.keywords = terms.len();

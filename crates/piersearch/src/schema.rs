@@ -153,6 +153,7 @@ mod tests {
     fn item_record_roundtrip() {
         let rec = ItemRecord::new("led_zeppelin.mp3", 4_000_000, NodeId::new(9), 6346);
         let t = rec.to_tuple();
+        // Holds: `to_tuple` emits the five Item fields in schema order.
         item_table().schema.check(&t).expect("schema-valid");
         assert_eq!(ItemRecord::from_tuple(&t), Some(rec));
     }

@@ -3,6 +3,7 @@
 
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtMsg, DhtNode};
 use pier_netsim::{ConstantLatency, NodeId, Sim, SimConfig, SimDuration};
+use pier_qp::QueryId;
 use piersearch::{IndexMode, ItemRecord, PierSearchApp, PierSearchNode};
 
 fn build(n: u32, seed: u64, mode: IndexMode) -> (Sim<DhtMsg>, Vec<NodeId>) {
@@ -29,7 +30,7 @@ fn publish(sim: &mut Sim<DhtMsg>, from: NodeId, name: &str, size: u64) {
     });
 }
 
-fn search(sim: &mut Sim<DhtMsg>, from: NodeId, query: &str) -> u32 {
+fn search(sim: &mut Sim<DhtMsg>, from: NodeId, query: &str) -> QueryId {
     sim.with_actor_ctx::<PierSearchNode, _>(from, |node, ctx| {
         let mut net = pier_dht::CtxNet { ctx };
         node.app
@@ -64,7 +65,7 @@ fn run_mode(mode: IndexMode, seed: u64) {
     let sid3 = search(&mut sim, ids[46], "nonexistent keyword");
     sim.run_for(SimDuration::from_secs(30));
 
-    let names = |sim: &Sim<DhtMsg>, node: NodeId, sid: u32| -> Vec<String> {
+    let names = |sim: &Sim<DhtMsg>, node: NodeId, sid: QueryId| -> Vec<String> {
         let s = sim.actor::<PierSearchNode>(node).app.engine.search(sid).unwrap();
         assert!(s.done, "search must finish");
         let mut v: Vec<String> = s.items.iter().map(|i| i.filename.clone()).collect();
