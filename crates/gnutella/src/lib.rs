@@ -47,6 +47,5 @@ pub use topology::{
     spawn, spawn_stores, wire, GnutellaHandles, Topology, TopologyConfig, UpLeaves,
 };
 pub use ultrapeer::{
-    QueryOrigin, QueryRecord, SnoopEvent, UltrapeerCore, DYN_TTL, HIT_TTL, PROBE_INTERVAL,
-    PROBE_TTL,
+    QueryOrigin, QueryRecord, UltrapeerCore, DYN_TTL, HIT_TTL, PROBE_INTERVAL, PROBE_TTL,
 };

@@ -94,15 +94,6 @@ impl pier_netsim::HeapSize for Originated {
     }
 }
 
-impl pier_netsim::HeapSize for SnoopEvent {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            SnoopEvent::Query { .. } => 0,
-            SnoopEvent::Hits { hits, .. } => hits.heap_bytes(),
-        }
-    }
-}
-
 /// Hasher for the seen-GUID table: GUIDs are uniform 64-bit randoms, so
 /// one SplitMix64 round replaces SipHash on the per-relay duplicate check
 /// — the hottest lookup on the flood path. (Only `get`/`insert`/`retain`/
@@ -127,17 +118,6 @@ impl Hasher for GuidHasher {
 }
 
 type SeenMap = HashMap<Guid, SeenEntry, BuildHasherDefault<GuidHasher>>;
-
-/// Traffic the hybrid proxy snoops off a relaying ultrapeer (§7: "The
-/// queries are also snooped from the Gnutella traffic", and result traffic
-/// feeds the rare-item schemes).
-#[derive(Clone, Debug)]
-pub enum SnoopEvent {
-    /// A query relayed (or received) by this ultrapeer.
-    Query { guid: Guid, terms: Terms },
-    /// Hits that passed through this ultrapeer on their reverse path.
-    Hits { guid: Guid, hits: Vec<Hit> },
-}
 
 /// The ultrapeer protocol state machine. The neighbor list is a
 /// `Box<[NodeId]>`: set once at spawn, rebuilt only by (rare) churn
@@ -177,10 +157,11 @@ pub struct UltrapeerCore {
     /// Queries this node originated, one entry each, held as long as
     /// [`UltrapeerCore::queries`] says.
     queries: BTreeMap<Guid, Originated>,
-    /// When true, relayed queries and hits are logged for the embedding
-    /// actor to drain (hybrid proxy mode).
+    /// When true, every hit batch that reaches this ultrapeer is logged for
+    /// the embedding actor to drain (hybrid proxy mode: result traffic
+    /// feeds the rare-item schemes).
     pub snoop: bool,
-    snoop_log: Vec<SnoopEvent>,
+    snoop_log: Vec<(Guid, Vec<Hit>)>,
     /// Causal query tracing (inert unless the driver sampled queries for
     /// this run). Consulted only per-GUID: an untraced query costs one
     /// `Option` check on the relay path.
@@ -210,8 +191,9 @@ impl UltrapeerCore {
         self.trace = trace;
     }
 
-    /// Drain snooped traffic (empty unless `snoop` is set).
-    pub fn take_snooped(&mut self) -> Vec<SnoopEvent> {
+    /// Drain the snooped hit batches, each with its GUID (empty unless
+    /// `snoop` is set).
+    pub fn take_snooped(&mut self) -> Vec<(Guid, Vec<Hit>)> {
         std::mem::take(&mut self.snoop_log)
     }
 
@@ -400,10 +382,15 @@ impl UltrapeerCore {
         let terms: Terms = terms.into();
         let (guid, mut record) = self.originate(net, &terms, origin);
 
-        // Local content answers instantly: own share...
+        // Local content answers instantly: own share (streamed at once to
+        // an asking leaf)...
         record.hits = self.own_hits(&terms, net.self_node());
         if !record.hits.is_empty() {
             record.first_hit_at = Some(record.issued_at);
+            if let QueryOrigin::Leaf { leaf, qid } = origin {
+                let hits = record.hits.clone();
+                net.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: false });
+            }
         }
         // ...and matching leaves.
         self.forward_to_leaves(net, guid, &terms);
@@ -589,9 +576,6 @@ impl UltrapeerCore {
         }
         self.mark_seen(guid, from, now);
         self.trace.emit_guid(guid.0, now, me, TraceKind::RelayRecv, Some(from), t, h);
-        if self.snoop {
-            self.snoop_log.push(SnoopEvent::Query { guid, terms: terms.clone() });
-        }
 
         // Local matches return along the path we got the query from.
         self.send_hits(net, from, guid, HIT_TTL, self.own_hits(&terms, me));
@@ -612,7 +596,7 @@ impl UltrapeerCore {
 
     fn handle_hits(&mut self, net: &mut dyn GnutellaNet, guid: Guid, ttl: u8, hits: Vec<Hit>) {
         if self.snoop && !hits.is_empty() {
-            self.snoop_log.push(SnoopEvent::Hits { guid, hits: hits.clone() });
+            self.snoop_log.push((guid, hits.clone()));
         }
         let n = hits.len() as u64;
         if let Some(Originated { record, .. }) = self.queries.get_mut(&guid) {
@@ -1164,6 +1148,27 @@ mod tests {
         assert!(net.drain().is_empty(), "a late hit is an orphan");
         assert_eq!(net.counted(crate::classes::ORPHAN_HITS.id()), 1);
         assert!(core.is_idle());
+    }
+
+    #[test]
+    fn a_leaf_query_streams_the_ultrapeers_own_share_hits_at_once() {
+        let store = FileStore::new(vec![FileMeta::new("led_zeppelin_iv.mp3", 1)]);
+        let mut core = UltrapeerCore::new(UltrapeerConfig::default(), store);
+        core.set_neighbors(vec![NodeId::new(1)]);
+        let leaf = NodeId::new(10);
+        core.add_leaf(leaf);
+        let mut net = FakeNet::new(0);
+        let ask = GnutellaMsg::LeafQuery { qid: 4, terms: "led zeppelin".into() };
+        core.on_message(&mut net, leaf, ask);
+        let results: Vec<(NodeId, u32, usize, bool)> = net
+            .drain()
+            .into_iter()
+            .filter_map(|(dst, m)| match m {
+                GnutellaMsg::LeafResults { qid, hits, done } => Some((dst, qid, hits.len(), done)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(results, vec![(leaf, 4, 1, false)], "the own-share hit, before any probe");
     }
 
     #[test]

@@ -108,6 +108,10 @@ impl EagerCore {
         };
         if !record.hits.is_empty() {
             record.first_hit_at = Some(net.now);
+            if let QueryOrigin::Leaf { leaf, qid } = origin {
+                let hits = record.hits.clone();
+                net.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: false });
+            }
         }
         self.forward_to_leaves(net, guid, &terms);
         let mut order = self.neighbors.clone();

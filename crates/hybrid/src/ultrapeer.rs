@@ -2,24 +2,24 @@
 //! LimeWire ultrapeer, the Gnutella proxy, and a stock PIERSearch node over
 //! the DHT overlay.
 //!
-//! Query flow (§7): leaf queries run through normal Gnutella dynamic
-//! querying; if nothing returns within the timeout, the query is re-issued
-//! through PIERSearch. File info is gathered from leaf BrowseHosts and
-//! snooped result traffic; the configured rare-item scheme decides what the
-//! Publisher pushes into the DHT (rate-limited, as deployed).
+//! Query flow (§7): driver and leaf queries run through normal Gnutella
+//! dynamic querying; if nothing returns within the timeout, the query is
+//! re-issued through PIERSearch. File info is gathered from leaf BrowseHosts
+//! and snooped result traffic; the configured rare-item scheme decides what
+//! the Publisher pushes into the DHT (rate-limited, as deployed).
 
 use crate::msg::HybridMsg;
 use crate::rare::{ObservedItem, RareScheme};
 use pier_dht::{CtxNet, DhtCore, DhtNode, Key, TICK_TOKEN};
 use pier_gnutella::{
-    CtxGnutellaNet, FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, SnoopEvent,
-    UltrapeerCore, UP_TICK, UP_TICK_INTERVAL,
+    CtxGnutellaNet, FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, UltrapeerCore,
+    UP_TICK, UP_TICK_INTERVAL,
 };
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
 use pier_qp::QueryId;
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
-use piersearch::{file_id, IndexMode, ItemRecord, PierSearchApp, PierSearchNode};
+use piersearch::{file_id, IndexMode, ItemRecord, PierSearchApp, PierSearchNode, SearchEvent};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// The hybrid bookkeeping tick and its timer token. The Gnutella and DHT
@@ -53,7 +53,7 @@ impl Default for HybridConfig {
     }
 }
 
-/// Outcome record of one hybrid-tracked query (driver-visible).
+/// Outcome record of one driver query.
 #[derive(Clone, Debug)]
 pub struct HybridQueryStats {
     pub terms: Terms,
@@ -69,12 +69,22 @@ pub struct HybridQueryStats {
     pub done: bool,
 }
 
-struct HybridQuery {
+/// Who asked: the driver (its row in [`HybridUp::stats`]) or a leaf.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Asker {
+    Driver(usize),
+    Leaf { leaf: NodeId, qid: u32 },
+}
+
+/// A query in flight. It ends once, at the first hybrid tick at which it
+/// waits for neither Gnutella nor PIER and its Gnutella record is finished.
+struct Live {
     guid: Guid,
-    deadline: SimTime,
-    search_id: Option<QueryId>,
-    stats: usize,
-    leaf: Option<(NodeId, u32)>,
+    asker: Asker,
+    /// When Gnutella's time is up; `None` once the hybrid has looked.
+    deadline: Option<SimTime>,
+    /// The PIERSearch search re-issuing the query, until its `Done`.
+    search: Option<QueryId>,
 }
 
 struct QrsWindow {
@@ -91,8 +101,9 @@ pub struct HybridUp {
     /// tick.
     pub search: PierSearchNode,
     pub scheme: RareScheme,
-    queries: Vec<HybridQuery>,
-    /// Index into `stats` by search id, for completion routing.
+    /// Every query in flight, driver and leaf alike, in issue order.
+    live: Vec<Live>,
+    /// One row per driver query, at the index `start_hybrid_query` returned.
     pub stats: Vec<HybridQueryStats>,
     publish_queue: VecDeque<ObservedItem>,
     published: HashSet<Key>,
@@ -117,7 +128,7 @@ impl HybridUp {
             gnutella,
             search: DhtNode::new(dht, PierSearchApp::new(IndexMode::InvertedCache), None),
             scheme,
-            queries: Vec::new(),
+            live: Vec::new(),
             stats: Vec::new(),
             publish_queue: VecDeque::new(),
             published: HashSet::new(),
@@ -144,22 +155,11 @@ impl HybridUp {
         terms: impl Into<Terms>,
     ) -> usize {
         let terms: Terms = terms.into();
-        let mut gnet = CtxGnutellaNet { ctx };
-        let guid = self.gnutella.start_query(&mut gnet, terms.clone(), QueryOrigin::Driver);
-        self.track(guid, terms, ctx.now(), None)
-    }
-
-    fn track(
-        &mut self,
-        guid: Guid,
-        terms: Terms,
-        now: SimTime,
-        leaf: Option<(NodeId, u32)>,
-    ) -> usize {
-        let idx = self.stats.len();
+        let row = self.stats.len();
+        self.start(ctx, terms.clone(), Asker::Driver(row));
         self.stats.push(HybridQueryStats {
             terms,
-            issued_at: now,
+            issued_at: ctx.now(),
             gnutella_first: None,
             gnutella_hits: 0,
             pier_issued_at: None,
@@ -167,14 +167,22 @@ impl HybridUp {
             pier_items: Vec::new(),
             done: false,
         });
-        self.queries.push(HybridQuery {
-            guid,
-            deadline: now + self.cfg.timeout,
-            search_id: None,
-            stats: idx,
-            leaf,
-        });
-        idx
+        row
+    }
+
+    /// Start `asker`'s query as a core `Driver` query: this actor owns it.
+    fn start(&mut self, ctx: &mut dyn Ctx<HybridMsg>, terms: Terms, asker: Asker) -> Guid {
+        let mut gnet = CtxGnutellaNet { ctx };
+        let guid = self.gnutella.start_query(&mut gnet, terms, QueryOrigin::Driver);
+        let deadline = Some(ctx.now() + self.cfg.timeout);
+        self.live.push(Live { guid, asker, deadline, search: None });
+        guid
+    }
+
+    /// No query in flight, no QRS window open and no publish queued (a
+    /// test observer).
+    pub fn is_idle(&self) -> bool {
+        self.live.is_empty() && self.qrs_windows.is_empty() && self.publish_queue.is_empty()
     }
 
     /// Queue an observed item for (rate-limited) publishing if it has not
@@ -186,29 +194,32 @@ impl HybridUp {
         }
     }
 
-    fn drain_snooped(&mut self, now: SimTime) {
-        for ev in self.gnutella.take_snooped() {
-            match ev {
-                SnoopEvent::Query { .. } => {}
-                SnoopEvent::Hits { guid, hits } => {
+    /// Feed snooped hit batches to the rare-item scheme, and relay each
+    /// batch for a leaf's query in flight to that leaf.
+    fn drain_snooped(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
+        let now = ctx.now();
+        for (guid, hits) in self.gnutella.take_snooped() {
+            let asker = self.live.iter().find(|q| q.guid == guid).map(|q| q.asker);
+            if let Some(Asker::Leaf { leaf, qid }) = asker {
+                let msg = GnutellaMsg::LeafResults { qid, hits: hits.clone(), done: false };
+                CtxGnutellaNet { ctx }.send(leaf, msg);
+            }
+            for h in &hits {
+                self.scheme.observe(&h.file.name);
+            }
+            match self.scheme.qrs_threshold() {
+                Some(_) => {
+                    // QRS: accumulate per-query windows; decide later.
+                    let w = self
+                        .qrs_windows
+                        .entry(guid)
+                        .or_insert_with(|| QrsWindow { first_seen: now, items: vec![] });
+                    w.items.extend(hits.iter().map(ObservedItem::from_hit));
+                }
+                None => {
                     for h in &hits {
-                        self.scheme.observe(&h.file.name);
-                    }
-                    match self.scheme.qrs_threshold() {
-                        Some(_) => {
-                            // QRS: accumulate per-query windows; decide later.
-                            let w = self
-                                .qrs_windows
-                                .entry(guid)
-                                .or_insert_with(|| QrsWindow { first_seen: now, items: vec![] });
-                            w.items.extend(hits.iter().map(ObservedItem::from_hit));
-                        }
-                        None => {
-                            for h in &hits {
-                                if self.scheme.is_rare(&h.file.name) == Some(true) {
-                                    self.enqueue_publish(ObservedItem::from_hit(h));
-                                }
-                            }
+                        if self.scheme.is_rare(&h.file.name) == Some(true) {
+                            self.enqueue_publish(ObservedItem::from_hit(h));
                         }
                     }
                 }
@@ -218,7 +229,6 @@ impl HybridUp {
 
     fn hybrid_tick(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
         let now = ctx.now();
-        self.drain_snooped(now);
 
         // QRS window decisions: due windows close in ascending GUID order;
         // those with few results publish their items.
@@ -248,78 +258,87 @@ impl HybridUp {
             }
         }
 
-        // Gnutella-timeout fallback to PIERSearch.
-        for qi in 0..self.queries.len() {
-            let (guid, deadline, search_id, stats_idx) = {
-                let q = &self.queries[qi];
-                (q.guid, q.deadline, q.search_id, q.stats)
-            };
-            // Mirror Gnutella progress into the stats record.
-            if let Some(rec) = self.gnutella.query_record(guid) {
-                let s = &mut self.stats[stats_idx];
-                s.gnutella_hits = rec.hits.len();
-                s.gnutella_first = rec.first_hit_at;
-            }
-            if search_id.is_none() && now >= deadline {
-                let s = &mut self.stats[stats_idx];
-                if s.gnutella_hits == 0 {
-                    // "Leaf queries that return no results within 30 seconds
-                    // via Gnutella ... are re-queried by PIERSearch."
-                    let terms = s.terms.clone();
-                    let g_hits = s.gnutella_hits as u64;
-                    s.pier_issued_at = Some(now);
-                    let me = ctx.self_id();
-                    self.trace.emit_guid(guid.0, now, me, TraceKind::PierFallback, None, g_hits, 0);
-                    // A traced search attributes its DHT lookups, the later
-                    // item fetches included, to the query.
-                    let traced = self.trace.lookup(guid.0);
-                    let PierSearchNode { core, app, .. } = &mut self.search;
-                    if let Some(t) = traced {
-                        core.trace_scope(t);
-                    }
-                    let sid =
-                        app.engine.start_search(&mut app.pier, core, &mut CtxNet { ctx }, terms);
-                    core.clear_trace_scope();
-                    self.queries[qi].search_id = sid;
-                    if sid.is_none() {
-                        self.stats[stats_idx].done = true;
-                    }
-                } else {
-                    self.stats[stats_idx].done = true;
-                }
-            }
+        let mut live = std::mem::take(&mut self.live);
+        live.retain_mut(|q| !self.step(ctx, q));
+        self.live = live;
+        // Each query took its own done search above; one that `on_down`
+        // abandoned is dropped here. (No search reports `Done` inside
+        // `start_search`, so none started in this walk is dropped.)
+        for SearchEvent::Done(sid) in self.search.app.engine.take_events() {
+            self.search.app.engine.take_search(sid);
         }
-        let stats = &self.stats;
-        self.queries.retain(|q| !stats[q.stats].done);
     }
 
-    /// Route finished PIERSearch searches back to their hybrid queries.
-    fn drain_engine(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
-        for ev in self.search.app.engine.take_events() {
-            let piersearch::SearchEvent::Done(sid) = ev;
-            let Some(pos) = self.queries.iter().position(|q| q.search_id == Some(sid)) else {
-                continue;
-            };
-            let HybridQuery { guid, stats: stats_idx, leaf, .. } = self.queries.remove(pos);
-            if let Some(state) = self.search.app.engine.take_search(sid) {
-                let (at, me, n) = (ctx.now(), ctx.self_id(), state.items.len() as u64);
-                self.trace.emit_guid(guid.0, at, me, TraceKind::PierDone, None, n, 0);
-                let s = &mut self.stats[stats_idx];
-                s.pier_first = state.first_result_at;
-                s.pier_items = state.items.clone();
-                s.done = true;
-                // Stream the late results back to the asking leaf.
-                if let Some((leaf, qid)) = leaf {
-                    let hits: Vec<Hit> = state
-                        .items
-                        .iter()
+    /// One hybrid tick of a query in flight: collect its done PIER search,
+    /// mirror Gnutella progress into a driver row until the row is done,
+    /// fall back at the deadline, and end it once its outcome is final and
+    /// its Gnutella record finished. Returns whether it ended.
+    fn step(&mut self, ctx: &mut dyn Ctx<HybridMsg>, q: &mut Live) -> bool {
+        let (now, me) = (ctx.now(), ctx.self_id());
+        let mut leaf_hits = Vec::new();
+        let engine = &mut self.search.app.engine;
+        let done = q.search.filter(|&sid| engine.search(sid).is_some_and(|s| s.done));
+        if let Some(state) = done.and_then(|sid| engine.take_search(sid)) {
+            q.search = None;
+            let n = state.items.len() as u64;
+            self.trace.emit_guid(q.guid.0, now, me, TraceKind::PierDone, None, n, 0);
+            match q.asker {
+                Asker::Driver(row) => {
+                    let s = &mut self.stats[row];
+                    (s.pier_first, s.pier_items, s.done) =
+                        (state.first_result_at, state.items, true);
+                }
+                Asker::Leaf { .. } => {
+                    leaf_hits = (state.items.iter())
                         .map(|i| Hit { file: FileMeta::new(&i.filename, i.filesize), host: i.host })
                         .collect();
-                    let mut gnet = CtxGnutellaNet { ctx };
-                    gnet.send(leaf, GnutellaMsg::LeafResults { qid, hits, done: true });
                 }
             }
         }
+
+        let record = self.gnutella.query_record(q.guid);
+        let finished = record.is_none_or(|r| r.finished);
+        if let (Asker::Driver(row), Some(rec)) = (q.asker, record) {
+            let s = &mut self.stats[row];
+            if !s.done {
+                (s.gnutella_hits, s.gnutella_first) = (rec.hits.len(), rec.first_hit_at);
+            }
+        }
+        if q.deadline.is_some_and(|d| now >= d) {
+            q.deadline = None;
+            // "Leaf queries that return no results within 30 seconds via
+            // Gnutella ... are re-queried by PIERSearch."
+            if let Some(terms) = record.filter(|r| r.hits.is_empty()).map(|r| r.terms.clone()) {
+                if let Asker::Driver(row) = q.asker {
+                    self.stats[row].pier_issued_at = Some(now);
+                }
+                self.trace.emit_guid(q.guid.0, now, me, TraceKind::PierFallback, None, 0, 0);
+                // A traced search attributes its DHT lookups, the later item
+                // fetches included, to the query.
+                let traced = self.trace.lookup(q.guid.0);
+                let PierSearchNode { core, app, .. } = &mut self.search;
+                if let Some(t) = traced {
+                    core.trace_scope(t);
+                }
+                q.search = app.engine.start_search(&mut app.pier, core, &mut CtxNet { ctx }, terms);
+                core.clear_trace_scope();
+            }
+            if let (None, Asker::Driver(row)) = (q.search, q.asker) {
+                self.stats[row].done = true;
+            }
+        }
+
+        let ended = q.deadline.is_none() && q.search.is_none() && finished;
+        if ended {
+            self.gnutella.take_query(q.guid);
+        }
+        if let Asker::Leaf { leaf, qid } = q.asker {
+            if ended || !leaf_hits.is_empty() {
+                let msg = GnutellaMsg::LeafResults { qid, hits: leaf_hits, done: ended };
+                CtxGnutellaNet { ctx }.send(leaf, msg);
+            }
+        }
+        ended
     }
 }
 
@@ -363,24 +382,24 @@ impl Actor<HybridMsg> for HybridUp {
                 }
             }
             HybridMsg::G(GnutellaMsg::LeafQuery { qid, terms }) => {
-                // Start the Gnutella search *and* hybrid tracking.
-                let now = ctx.now();
-                let mut gnet = CtxGnutellaNet { ctx };
-                let guid = self.gnutella.start_query(
-                    &mut gnet,
-                    terms.clone(),
-                    QueryOrigin::Leaf { leaf: from, qid },
-                );
-                self.track(guid, terms, now, Some((from, qid)));
+                let asker = Asker::Leaf { leaf: from, qid };
+                if self.live.iter().any(|q| q.asker == asker) {
+                    // A repeat of an ask in flight.
+                    return ctx.count(pier_gnutella::classes::UNEXPECTED_MSG.id(), 1);
+                }
+                // This node's own-share matches answer at once.
+                let guid = self.start(ctx, terms, asker);
+                let own = self.gnutella.query_record(guid).map(|r| r.hits.clone());
+                if let Some(hits) = own.filter(|h| !h.is_empty()) {
+                    let msg = GnutellaMsg::LeafResults { qid, hits, done: false };
+                    CtxGnutellaNet { ctx }.send(from, msg);
+                }
             }
             HybridMsg::G(g) => {
                 self.gnutella.on_message(&mut CtxGnutellaNet { ctx }, from, g);
-                self.drain_snooped(ctx.now());
+                self.drain_snooped(ctx);
             }
-            HybridMsg::D(d) => {
-                self.search.deliver(&mut CtxNet { ctx }, d);
-                self.drain_engine(ctx);
-            }
+            HybridMsg::D(d) => self.search.deliver(&mut CtxNet { ctx }, d),
         }
     }
 
@@ -393,7 +412,6 @@ impl Actor<HybridMsg> for HybridUp {
             TICK_TOKEN => {
                 ctx.set_timer(self.search.core.config().tick, TICK_TOKEN);
                 self.search.tick(&mut CtxNet { ctx });
-                self.drain_engine(ctx);
             }
             H_TICK => {
                 ctx.set_timer(TICK, H_TICK);
@@ -403,11 +421,18 @@ impl Actor<HybridMsg> for HybridUp {
         }
     }
 
-    /// Churn teardown: both protocol halves lose their session state (the
+    /// Churn teardown: every query in flight is abandoned (a driver row
+    /// stays not `done`), counted, and its record taken, since
+    /// `end_session` drops the pacing it needs to finish. Both protocol
+    /// halves lose their session state (the
     /// Gnutella relay tables and the DHT replicas/in-flight ops die with
     /// the process); the rare-scheme statistics and publish dedup survive,
     /// as an operator's restarted proxy would reload them.
-    fn on_down(&mut self, _ctx: &mut dyn Ctx<HybridMsg>) {
+    fn on_down(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
+        for q in std::mem::take(&mut self.live) {
+            ctx.count(crate::classes::QUERY_ABANDONED.id(), 1);
+            self.gnutella.take_query(q.guid);
+        }
         self.gnutella.end_session();
         self.search.core.end_session();
     }
@@ -418,6 +443,5 @@ impl Actor<HybridMsg> for HybridUp {
     fn on_revive(&mut self, ctx: &mut dyn Ctx<HybridMsg>) {
         self.on_start(ctx);
         self.search.revive(&mut CtxNet { ctx });
-        self.drain_engine(ctx);
     }
 }

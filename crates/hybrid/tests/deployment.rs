@@ -350,3 +350,101 @@ fn stock_nodes_count_dht_traffic_and_report_their_heap() {
     assert!(want.get("leaf.share") > 0 && want.get("up.topology") > 0);
     assert_eq!(got.iter().collect::<Vec<_>>(), want.iter().collect::<Vec<_>>());
 }
+
+/// The first leaf whose primary ultrapeer is the hybrid `up`, if any.
+fn leaf_of(net: &TestNet, up: pier_netsim::NodeId) -> Option<pier_netsim::NodeId> {
+    use pier_gnutella::LeafNode;
+    let primary = |leaf| net.sim.actor::<LeafNode>(leaf).core.ultrapeers().first().copied();
+    net.deployment.leaves.iter().copied().find(|&leaf| primary(leaf) == Some(up))
+}
+
+/// Publish a file no leaf shares through hybrid ultrapeer `up`.
+fn publish_phantom(
+    net: &mut TestNet,
+    up: pier_netsim::NodeId,
+    name: &str,
+    host: pier_netsim::NodeId,
+) {
+    net.sim.with_actor_ctx::<HybridUp, _>(up, |up, ctx| {
+        let node = &mut up.search;
+        let dnet = &mut pier_dht::CtxNet { ctx };
+        node.app.publisher.publish_file(
+            &mut node.app.pier,
+            &mut node.core,
+            dnet,
+            name,
+            42,
+            host,
+            6346,
+        );
+    });
+}
+
+/// Under an old-style hybrid ultrapeer (six neighbours, so its dynamic
+/// query finishes well inside the fallback timeout), a leaf sampled every
+/// 100 ms never reads `done` before the rescued PIER item: the hybrid, not
+/// its Gnutella core, says when the ask ends.
+#[test]
+fn an_old_style_hybrids_leaf_reads_done_only_with_the_rescued_item() {
+    use pier_gnutella::{CtxGnutellaNet, LeafNode};
+    let mut net = build(84, 30);
+    net.sim.run_for(SimDuration::from_secs(60));
+    let (up, probe_leaf) = (net.deployment.hybrid_ups.iter().copied())
+        .filter(|&up| net.sim.actor::<HybridUp>(up).gnutella.cfg.up_neighbors == 6)
+        .find_map(|up| leaf_of(&net, up).map(|leaf| (up, leaf)))
+        .expect("an old-style hybrid ultrapeer is some leaf's primary");
+    publish_phantom(&mut net, up, "ghost_release_promo.mp3", probe_leaf);
+    net.sim.run_for(SimDuration::from_secs(10));
+
+    let qid = net.sim.with_actor_ctx::<LeafNode, _>(probe_leaf, |leaf, ctx| {
+        leaf.core.start_search(&mut CtxGnutellaNet { ctx }, "ghost release promo")
+    });
+    let (mut done_at, mut item_at) = (None, None);
+    for tenth in 1..=600 {
+        net.sim.run_for(SimDuration::from_millis(100));
+        let search = net.sim.actor::<LeafNode>(probe_leaf).core.search(qid).expect("registered");
+        if item_at.is_none()
+            && search.hits.iter().any(|h| &*h.file.name == "ghost_release_promo.mp3")
+        {
+            item_at = Some(tenth);
+        }
+        if done_at.is_none() && search.done {
+            done_at = Some(tenth);
+        }
+    }
+    let item = item_at.expect("the DHT-indexed item reaches the leaf");
+    let done = done_at.expect("the leaf hears done");
+    assert!(done >= item, "done read at {done}00 ms, the item at {item}00 ms");
+}
+
+/// Taking a hybrid ultrapeer down abandons every query it has in flight:
+/// each is counted once in `hybrid.query_abandoned` and its Gnutella record
+/// is taken, and a driver row stays not `done`. A `seen_ttl` after its
+/// revival the node is idle.
+#[test]
+fn a_downed_hybrid_abandons_its_queries_and_ends_idle() {
+    use pier_gnutella::{CtxGnutellaNet, LeafNode};
+    let mut net = build(84, 10);
+    net.sim.run_for(SimDuration::from_secs(60));
+    let up0 = net.deployment.hybrid_ups[0];
+    let probe_leaf = leaf_of(&net, up0).expect("some leaf has the hybrid UP as its primary");
+    let row = net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
+        up.start_hybrid_query(ctx, "unicorn bootleg")
+    });
+    net.sim.with_actor_ctx::<LeafNode, _>(probe_leaf, |leaf, ctx| {
+        leaf.core.start_search(&mut CtxGnutellaNet { ctx }, "ghost release promo")
+    });
+    net.sim.run_for(SimDuration::from_secs(1));
+    assert!(!net.sim.actor::<HybridUp>(up0).is_idle(), "two queries in flight");
+
+    net.sim.set_down(up0);
+    net.sim.run_for(SimDuration::from_secs(5));
+    net.sim.set_up(up0);
+    let seen_ttl = net.sim.actor::<HybridUp>(up0).gnutella.cfg.seen_ttl;
+    net.sim.run_for(seen_ttl + SimDuration::from_secs(1));
+
+    let up = net.sim.actor::<HybridUp>(up0);
+    assert!(up.is_idle() && up.gnutella.is_idle());
+    assert_eq!(net.sim.metrics().counter("hybrid.query_abandoned").count, 2);
+    assert!(!up.stats[row].done, "an abandoned driver row is not done");
+}

@@ -1,0 +1,659 @@
+//! `HybridUp` under a hostile network. Every message a query sends, on
+//! Gnutella or the DHT, may be dropped, repeated, reordered, or held past
+//! the hybrid's fallback timeout (Gnutella) or the DHT's `rpc_timeout`.
+//!
+//! Four fully meshed hybrid ultrapeers with two leaves each are driven
+//! directly rather than through the simulator: a test `Ctx<HybridMsg>`
+//! records every send and every timer, and a fate function decides when,
+//! and how many times, each message arrives. Timers fire on time. The
+//! set-up runs fault-free: the QRP exchange, then one file that no leaf
+//! shares published through a hybrid's `Publisher`. Each run then starts
+//! two driver queries and two leaf searches, each from its own ultrapeer:
+//! the DHT-only query on both paths, one with no answer anywhere, and one
+//! Gnutella answers. Every ultrapeer's DHT table is full and `rpc_timeout`
+//! outlasts a search's routed traffic, so no polite run evicts a contact.
+//!
+//! The invariants:
+//! 1. nothing panics;
+//! 2. every driver row is `done` within `done_bound` of its issue, and
+//!    nothing in it changes afterwards;
+//! 3. every leaf search whose `LeafQuery` reached its ultrapeer is sent a
+//!    `done: true`; no `LeafResults` follows it unless a repeated
+//!    `LeafQuery` arrived after it; and no `done` is sent while the
+//!    ultrapeer's PIER search runs or its Gnutella query still probes;
+//! 4. every reported hit is real: a Gnutella hit names a host that shares
+//!    a matching file, and a PIER item is the published record;
+//! 5. on a polite schedule the DHT-only query is rescued on both paths,
+//!    the unanswered one ends empty, and the Gnutella-answered leaf search
+//!    hears the hits relayed from other leaves and never falls back;
+//! 6. `EXEC_TTL` (which outlasts `seen_ttl`) plus one tick of each timer
+//!    after the last delivery, every ultrapeer is idle — `HybridUp`, its
+//!    `UltrapeerCore`, `DhtCore`, `PierCore` and `SearchEngine` — and
+//!    holds one stats row per driver query it started;
+//! 7. a run sends at most `MAX_SENDS` messages.
+
+use pier_dht::{bootstrap, Contact, CtxNet, DhtConfig, DhtCore};
+use pier_gnutella::{
+    CtxGnutellaNet, FileMeta, FileStore, GnutellaMsg, Hit, LeafCore, LeafNode, Terms,
+    UltrapeerConfig, UltrapeerCore,
+};
+use pier_hybrid::{classes, HybridConfig, HybridMsg, HybridQueryStats, HybridUp, RareScheme};
+use pier_netsim::{
+    stream_rng, Actor, Ctx, LazyMetricClass, MetricClass, NodeId, SimDuration, SimRng, SimTime,
+    TimerToken,
+};
+use pier_qp::EXEC_TTL;
+use piersearch::ItemRecord;
+use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const UPS: u32 = 4;
+const LEAVES: u32 = 2 * UPS;
+/// Shorter than a query runs, so a query outlives its own `seen` claim.
+const SEEN_TTL: SimDuration = SimDuration::from_secs(4);
+/// The hybrid's Gnutella-to-PIERSearch fallback timeout: shorter than a
+/// dynamic query over three neighbours probes, so a rescued query's PIER
+/// search can end before its Gnutella record finishes.
+const TIMEOUT: SimDuration = SimDuration::from_secs(5);
+const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// The search engine's deadline for one PIERSearch search.
+const SEARCH_DEADLINE: SimDuration = SimDuration::from_secs(60);
+/// The polite network's one-way latency.
+const LATENCY: SimDuration = SimDuration::from_millis(10);
+/// When the record is published, the QRP exchange long over.
+const PUBLISH_AT: SimTime = SimTime::from_micros(1_000_000);
+/// When the queries start, the publish long stored.
+const ISSUE_AT: SimTime = SimTime::from_micros(5_000_000);
+/// Far above any run's traffic, far below what would exhaust memory: a
+/// run past it has a loop and is stopped.
+const MAX_SENDS: u64 = 50_000;
+
+/// Every leaf and ultrapeer shares a match; nothing else matches the other
+/// two but the published record, and nothing matches the last.
+const ANSWERED: &str = "popular anthem";
+const DHT_ONLY: &str = "ghost release promo";
+const UNANSWERED: &str = "quartz zephyr";
+
+fn up_id(i: usize) -> NodeId {
+    NodeId::new(i as u32)
+}
+
+fn leaf_id(j: usize) -> NodeId {
+    NodeId::new(UPS + j as u32)
+}
+
+/// Leaf `j`'s one ultrapeer: each has two leaves.
+fn home(j: usize) -> usize {
+    j / 2
+}
+
+/// The one file in the DHT, with a host that does not share it.
+fn published() -> ItemRecord {
+    ItemRecord::new("ghost_release_promo.mp3", 42, leaf_id(0), 6346)
+}
+
+/// The published record as a leaf hears it.
+fn published_hit() -> Hit {
+    let r = published();
+    Hit { file: FileMeta::new(&r.filename, r.filesize), host: r.host }
+}
+
+fn dht_config() -> DhtConfig {
+    DhtConfig {
+        rpc_timeout: RPC_TIMEOUT,
+        value_ttl: SimDuration::from_secs(3600),
+        // No DHT traffic of its own: lookups come from the engine.
+        bucket_refresh: SimDuration::ZERO,
+        ..DhtConfig::test()
+    }
+}
+
+/// When a sent message arrives: once per entry, after that delay. An empty
+/// list drops it.
+type Fate = Box<dyn FnMut(&HybridMsg) -> Vec<SimDuration>>;
+
+fn polite() -> Fate {
+    Box::new(|_| vec![LATENCY])
+}
+
+fn soon(x: u16) -> SimDuration {
+    SimDuration::from_millis(10 + u64::from(x) % 81)
+}
+
+/// Fates cycle through `schedule` in send order. Kinds 0–3 deliver once
+/// after 10–90 ms, 4 delivers twice, 5 drops, 6 holds a Gnutella message
+/// past `TIMEOUT` (and so past `SEEN_TTL`) and a DHT message past
+/// `RPC_TIMEOUT`. A polite schedule turns drops and holds into repeats.
+fn scheduled(schedule: Vec<(u8, u16, u16)>, polite: bool) -> Fate {
+    let mut sent = 0;
+    Box::new(move |msg| {
+        let (kind, a, b) = schedule[sent % schedule.len()];
+        sent += 1;
+        let late = SimDuration::from_millis(1 + u64::from(a) % 3000);
+        let held = match msg {
+            HybridMsg::G(_) => TIMEOUT + late,
+            HybridMsg::D(_) => RPC_TIMEOUT + late,
+        };
+        match (kind, polite) {
+            (0..=3, _) => vec![soon(a)],
+            (4, _) | (5 | 6, true) => vec![soon(a), soon(b)],
+            (5, false) => vec![],
+            _ => vec![held],
+        }
+    })
+}
+
+/// What a node sees of the network: the clock, an outbox, the timers it
+/// armed, and the counters the invariants read, per node.
+struct Net {
+    now: SimTime,
+    node: NodeId,
+    rngs: Vec<SimRng>,
+    sent: Vec<(NodeId, HybridMsg)>,
+    timers: Vec<(SimDuration, TimerToken)>,
+    counts: BTreeMap<(NodeId, MetricClass), u64>,
+}
+
+impl Ctx<HybridMsg> for Net {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn self_id(&self) -> NodeId {
+        self.node
+    }
+    fn send(&mut self, dst: NodeId, msg: HybridMsg, _bytes: usize, _class: MetricClass) {
+        self.sent.push((dst, msg));
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
+        self.timers.push((delay, token));
+    }
+    fn rng(&mut self) -> &mut SimRng {
+        &mut self.rngs[self.node.index()]
+    }
+    fn count(&mut self, class: MetricClass, n: u64) {
+        *self.counts.entry((self.node, class)).or_default() += n;
+    }
+    fn observe(&mut self, _class: MetricClass, _value: f64) {}
+}
+
+enum Event {
+    Msg(NodeId, HybridMsg),
+    Timer(TimerToken),
+}
+
+/// What a leaf's ultrapeer heard from it, or said to it.
+#[derive(Debug)]
+enum Said {
+    Asked,
+    Results { done: bool },
+}
+
+/// What of a driver row may not change once it is `done`.
+type Row = (Option<SimTime>, usize, Option<SimTime>, Option<SimTime>, Vec<ItemRecord>, bool);
+
+fn row(s: &HybridQueryStats) -> Row {
+    (
+        s.gnutella_first,
+        s.gnutella_hits,
+        s.pier_issued_at,
+        s.pier_first,
+        s.pier_items.clone(),
+        s.done,
+    )
+}
+
+struct World {
+    ups: Vec<HybridUp>,
+    leaves: Vec<LeafNode>,
+    net: Net,
+    /// By (arrival, scheduling order): ties arrive in send order. Each
+    /// entry is `(to, event)`.
+    queue: BTreeMap<(SimTime, u64), (NodeId, Event)>,
+    scheduled: u64,
+    sends: u64,
+    in_flight: usize,
+    fate: Fate,
+    last_delivery: SimTime,
+    /// One tick of each of a hybrid ultrapeer's timers, summed.
+    ticks: SimDuration,
+    /// Every `LeafQuery` that reached an ultrapeer and every `LeafResults`
+    /// one sent, by `(leaf, qid)`, in order.
+    leaf_log: Vec<((NodeId, u32), Said)>,
+    /// Each driver row as it stood when first seen `done`.
+    rows_done: BTreeMap<(usize, usize), Row>,
+    /// Driver queries started, per ultrapeer.
+    drivers: [usize; UPS as usize],
+    broken: Vec<String>,
+}
+
+impl World {
+    /// The network with every leaf's filter at its ultrapeer and the
+    /// record stored in the DHT, at `ISSUE_AT`.
+    fn deployed() -> World {
+        let contacts: Vec<Contact> =
+            (0..UPS as usize).map(|i| Contact::for_node(up_id(i))).collect();
+        let ups = (0..UPS as usize)
+            .map(|i| {
+                let cfg = UltrapeerConfig {
+                    probe_neighbors: 1,
+                    seen_ttl: SEEN_TTL,
+                    ..UltrapeerConfig::default()
+                };
+                let share = vec![FileMeta::new(&format!("popular_anthem_up{i}.mp3"), 7)];
+                let mut core = UltrapeerCore::new(cfg, FileStore::new(share));
+                core.set_neighbors((0..UPS as usize).filter(|&n| n != i).map(up_id).collect());
+                for j in (0..LEAVES as usize).filter(|&j| home(j) == i) {
+                    core.add_leaf(leaf_id(j));
+                }
+                let mut dht = DhtCore::new(dht_config(), contacts[i]);
+                bootstrap::fill_table(dht.table_mut(), &contacts, UPS as usize);
+                assert_eq!(dht.table().len(), UPS as usize - 1, "a full table");
+                let cfg =
+                    HybridConfig { timeout: TIMEOUT, browse_leaves: false, ..Default::default() };
+                // TF with a zero threshold calls nothing rare: the published
+                // record is the DHT's only file.
+                HybridUp::new(cfg, core, dht, RareScheme::tf(0))
+            })
+            .collect();
+        let leaves = (0..LEAVES as usize)
+            .map(|j| {
+                let share = vec![
+                    FileMeta::new(&format!("popular_anthem_{j}.mp3"), 1),
+                    FileMeta::new(&format!("filler_{j}.bin"), 2),
+                ];
+                let mut core = LeafCore::new(FileStore::new(share));
+                core.set_ultrapeers(vec![up_id(home(j))]);
+                LeafNode::new(core)
+            })
+            .collect();
+        let net = Net {
+            now: SimTime::ZERO,
+            node: up_id(0),
+            rngs: (0..(UPS + LEAVES) as u64).map(|n| stream_rng(35, n)).collect(),
+            sent: Vec::new(),
+            timers: Vec::new(),
+            counts: BTreeMap::new(),
+        };
+        let mut w = World {
+            ups,
+            leaves,
+            net,
+            queue: BTreeMap::new(),
+            scheduled: 0,
+            sends: 0,
+            in_flight: 0,
+            fate: polite(),
+            last_delivery: SimTime::ZERO,
+            ticks: SimDuration::ZERO,
+            leaf_log: Vec::new(),
+            rows_done: BTreeMap::new(),
+            drivers: [0; UPS as usize],
+            broken: Vec::new(),
+        };
+        for i in 0..UPS as usize {
+            w.at_up(i, |up, net| up.on_start(net));
+        }
+        // Every timer was armed at time zero: its arrival is its period.
+        let armed = w.queue.iter().filter(|(_, (to, _))| *to == up_id(0));
+        w.ticks = armed.fold(SimDuration::ZERO, |sum, ((at, _), _)| sum + (*at - SimTime::ZERO));
+        for j in 0..LEAVES as usize {
+            w.at_leaf(j, |leaf, net| leaf.on_start(net));
+        }
+        w.run_until(PUBLISH_AT);
+        w.at_up(0, |up, net| {
+            let node = &mut up.search;
+            let r = published();
+            let shipped = node.app.publisher.publish_file(
+                &mut node.app.pier,
+                &mut node.core,
+                &mut CtxNet { ctx: net },
+                &r.filename,
+                r.filesize,
+                r.host,
+                r.port,
+            );
+            assert!(shipped.is_some(), "indexable");
+        });
+        w.run_until(ISSUE_AT);
+        w
+    }
+
+    /// Run `f` at ultrapeer `i`, schedule what it sent and armed, and check
+    /// what invariants 2–4 read there.
+    fn at_up<R>(&mut self, i: usize, f: impl FnOnce(&mut HybridUp, &mut Net) -> R) -> R {
+        self.net.node = up_id(i);
+        let up = &self.ups[i];
+        // One query per ultrapeer at a time: whatever probes or searches
+        // here is the ask's own.
+        let busy =
+            up.gnutella.queries().any(|(_, r)| !r.finished) || !up.search.app.engine.is_idle();
+        let r = f(&mut self.ups[i], &mut self.net);
+        for (dst, msg) in self.flush() {
+            let HybridMsg::G(GnutellaMsg::LeafResults { qid, hits, done }) = msg else {
+                continue;
+            };
+            let now = self.net.now;
+            if done && busy {
+                self.broken
+                    .push(format!("up {i} sent {dst:?} done for {qid} while busy at {now:?}"));
+            }
+            let j = dst.index() - UPS as usize;
+            let terms = self.leaves[j].core.search(qid).map(|s| s.terms.clone());
+            let unreal: Vec<&Hit> = hits
+                .iter()
+                .filter(|h| !terms.as_ref().is_some_and(|t| self.is_real(h, t)))
+                .collect();
+            for hit in unreal {
+                self.broken
+                    .push(format!("up {i} sent {dst:?} for {qid} a hit no host shares: {hit:?}"));
+            }
+            self.leaf_log.push(((dst, qid), Said::Results { done }));
+        }
+        self.check_rows(i);
+        r
+    }
+
+    fn at_leaf<R>(&mut self, j: usize, f: impl FnOnce(&mut LeafNode, &mut Net) -> R) -> R {
+        self.net.node = leaf_id(j);
+        let r = f(&mut self.leaves[j], &mut self.net);
+        self.flush();
+        r
+    }
+
+    /// Hand the outbox to the fate and the armed timers to the queue, and
+    /// return what was sent.
+    fn flush(&mut self) -> Vec<(NodeId, HybridMsg)> {
+        let (node, now) = (self.net.node, self.net.now);
+        for (delay, token) in std::mem::take(&mut self.net.timers) {
+            self.queue.insert((now + delay, self.scheduled), (node, Event::Timer(token)));
+            self.scheduled += 1;
+        }
+        let sent = std::mem::take(&mut self.net.sent);
+        for (to, msg) in &sent {
+            for delay in (self.fate)(msg) {
+                let ev = Event::Msg(node, msg.clone());
+                self.queue.insert((now + delay, self.scheduled), (*to, ev));
+                self.scheduled += 1;
+                self.sends += 1;
+                self.in_flight += 1;
+            }
+        }
+        sent
+    }
+
+    /// Invariants 2 and 4 on ultrapeer `i`'s driver rows and held records.
+    fn check_rows(&mut self, i: usize) {
+        let (now, bound) = (self.net.now, done_bound(self.ticks));
+        let up = &self.ups[i];
+        let mut broken = Vec::new();
+        for (r, s) in up.stats.iter().enumerate() {
+            let now_row = row(s);
+            match self.rows_done.get(&(i, r)) {
+                Some(was) if *was != now_row => {
+                    broken.push(format!("up {i} row {r} changed after done: {was:?} → {now_row:?}"))
+                }
+                Some(_) => {}
+                None if s.done => {
+                    if now > s.issued_at + bound {
+                        broken.push(format!("up {i} row {r} done at {now:?}, past its bound"));
+                    }
+                    self.rows_done.insert((i, r), now_row);
+                }
+                None if now > s.issued_at + bound => {
+                    broken.push(format!("up {i} row {r} not done at {now:?}"));
+                    self.rows_done.insert((i, r), now_row);
+                }
+                None => {}
+            }
+            if s.pier_items.iter().any(|item| *item != published()) {
+                broken.push(format!("up {i} row {r} holds an item never published: {s:?}"));
+            }
+        }
+        for (guid, rec) in up.gnutella.queries() {
+            if let Some(hit) = rec.hits.iter().find(|h| !self.is_real(h, &rec.terms)) {
+                broken.push(format!("up {i} {guid:?} holds a hit no host shares: {hit:?}"));
+            }
+        }
+        self.broken.append(&mut broken);
+    }
+
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: HybridMsg) {
+        let Some(j) = to.index().checked_sub(UPS as usize) else {
+            if let HybridMsg::G(GnutellaMsg::LeafQuery { qid, .. }) = &msg {
+                self.leaf_log.push(((from, *qid), Said::Asked));
+            }
+            return self.at_up(to.index(), |up, net| up.on_message(net, from, msg));
+        };
+        self.at_leaf(j, |leaf, net| leaf.on_message(net, from, msg))
+    }
+
+    /// Deliver and fire timers until `end`.
+    fn run_until(&mut self, end: SimTime) {
+        while let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= end) {
+            let ((at, _), (to, ev)) = due.remove_entry();
+            self.step(at, to, ev);
+        }
+        self.net.now = end;
+    }
+
+    fn step(&mut self, at: SimTime, to: NodeId, ev: Event) {
+        self.net.now = at;
+        match ev {
+            Event::Msg(from, msg) => {
+                self.in_flight -= 1;
+                self.last_delivery = at;
+                self.deliver(from, to, msg);
+            }
+            Event::Timer(token) => match to.index().checked_sub(UPS as usize) {
+                None => self.at_up(to.index(), |up, net| up.on_timer(net, token)),
+                Some(j) => self.at_leaf(j, |leaf, net| leaf.on_timer(net, token)),
+            },
+        }
+    }
+
+    /// Run until nothing is in flight and `EXEC_TTL` plus a tick of each
+    /// timer has passed since the last delivery and since `quiet_after`.
+    fn run(&mut self, quiet_after: SimTime) {
+        loop {
+            if self.sends > MAX_SENDS {
+                return self.broken.push(format!("{} sends: a message storm", self.sends));
+            }
+            let quiet = self.last_delivery.max(quiet_after) + EXEC_TTL + self.ticks;
+            if self.in_flight == 0 && self.net.now >= quiet {
+                return;
+            }
+            let Some(((at, _), (to, ev))) = self.queue.pop_first() else { return };
+            self.step(at, to, ev);
+        }
+    }
+
+    fn count(&self, node: NodeId, class: &LazyMetricClass) -> u64 {
+        self.net.counts.get(&(node, class.id())).copied().unwrap_or(0)
+    }
+
+    /// Whether `hit` names a file its host shares and the file matches, or
+    /// is the published record.
+    fn is_real(&self, hit: &Hit, terms: &Terms) -> bool {
+        let host = hit.host.index();
+        let store = match host.checked_sub(UPS as usize) {
+            None => self.ups[host].gnutella.store(),
+            Some(j) if j < LEAVES as usize => self.leaves[j].core.store(),
+            Some(_) => return false,
+        };
+        store.matching(terms).contains(&&hit.file) || *hit == published_hit()
+    }
+}
+
+/// The latest a driver row may turn `done` after its issue: the fallback
+/// starts at the first hybrid tick past `TIMEOUT`, the engine ends its
+/// search by `SEARCH_DEADLINE` at a DHT tick, and the next hybrid tick
+/// collects it.
+fn done_bound(ticks: SimDuration) -> SimDuration {
+    TIMEOUT + SEARCH_DEADLINE + ticks + ticks
+}
+
+/// The `n`th of the 24 orders of the four ultrapeers.
+fn permutation(mut n: usize) -> [usize; 4] {
+    let mut pool = vec![0, 1, 2, 3];
+    [4, 3, 2, 1].map(|k| {
+        let i = n % k;
+        n /= k;
+        pool.remove(i)
+    })
+}
+
+/// The two searching leaves of a run whose searches start at
+/// `origins[2]` and `origins[3]`, in that order.
+fn searchers(origins: [usize; 4]) -> [usize; 2] {
+    [2 * origins[2], 2 * origins[3] + 1]
+}
+
+/// Start the four queries under `fate`, run to quiet, and check what is
+/// left. A panic is reported as an `Err`.
+fn scenario(origins: [usize; 4], fate: Fate) -> Result<World, String> {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut w = World::deployed();
+        w.fate = fate;
+        for (up, terms) in [(origins[0], DHT_ONLY), (origins[1], UNANSWERED)] {
+            w.at_up(up, |up, net| up.start_hybrid_query(net, terms));
+            w.drivers[up] += 1;
+        }
+        for (j, terms) in searchers(origins).into_iter().zip([DHT_ONLY, ANSWERED]) {
+            w.at_leaf(j, |leaf, net| {
+                leaf.core.start_search(&mut CtxGnutellaNet { ctx: net }, terms)
+            });
+        }
+        w.run(ISSUE_AT + done_bound(w.ticks));
+        w
+    }));
+    let mut w = run.map_err(|panic| {
+        let why = panic.downcast_ref::<String>().cloned();
+        format!(
+            "panicked: {:?}",
+            why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        )
+    })?;
+    let mut open: BTreeMap<(NodeId, u32), bool> = BTreeMap::new();
+    for (key, said) in &w.leaf_log {
+        let is_open = open.entry(*key).or_default();
+        match said {
+            Said::Asked => *is_open = true,
+            Said::Results { done } if *is_open => *is_open = !done,
+            Said::Results { done } => {
+                w.broken.push(format!("{key:?} sent results (done {done}) with no ask open"))
+            }
+        }
+    }
+    for (key, _) in open.into_iter().filter(|&(_, is_open)| is_open) {
+        w.broken.push(format!("{key:?} reached its ultrapeer and was never sent done"));
+    }
+    for (i, up) in w.ups.iter().enumerate() {
+        for (r, s) in up.stats.iter().enumerate().filter(|(_, s)| !s.done) {
+            w.broken.push(format!("up {i} row {r} never done: {s:?}"));
+        }
+        let idle = [
+            up.is_idle(),
+            up.gnutella.is_idle(),
+            up.search.core.is_idle(),
+            up.search.app.pier.is_idle(),
+            up.search.app.engine.is_idle(),
+        ];
+        if idle != [true; 5] {
+            w.broken.push(format!("up {i}: hybrid, Gnutella, DHT, PIER, engine idle = {idle:?}"));
+        }
+        if up.stats.len() != w.drivers[i] {
+            let (rows, started) = (up.stats.len(), w.drivers[i]);
+            w.broken.push(format!("up {i} holds {rows} rows for {started} driver queries"));
+        }
+    }
+    Ok(w)
+}
+
+/// Invariant 5: what a polite run of `origins` must have found.
+fn unrescued(w: &World, origins: [usize; 4]) -> Vec<String> {
+    let mut broken = Vec::new();
+    let rescued = &w.ups[origins[0]].stats[0];
+    let mut items = rescued.pier_items.clone();
+    items.dedup();
+    if rescued.gnutella_hits != 0 || rescued.pier_issued_at.is_none() || items != [published()] {
+        broken.push(format!("the DHT-only driver query was not rescued: {rescued:?}"));
+    }
+    let empty = &w.ups[origins[1]].stats[0];
+    if empty.gnutella_hits != 0 || !empty.pier_items.is_empty() {
+        broken.push(format!("the unanswered driver query found something: {empty:?}"));
+    }
+    let [asker, answered] = searchers(origins).map(|j| w.leaves[j].core.search(1).expect("issued"));
+    let mut hits = asker.hits.clone();
+    hits.dedup();
+    if !asker.done || hits != [published_hit()] {
+        broken.push(format!("the DHT-only leaf search was not rescued: {asker:?}"));
+    }
+    let searches = w.count(up_id(origins[3]), &piersearch::classes::SEARCHES);
+    let relayed = answered.hits.iter().any(|h| h.host.index() >= UPS as usize);
+    if !answered.done || !relayed || searches != 0 {
+        let why = format!("{searches} fallbacks, hits relayed {relayed}");
+        broken.push(format!("the answered leaf search ({why}): {answered:?}"));
+    }
+    broken
+}
+
+proptest! {
+    /// The four ultrapeers' roles are one of their 24 orders; fates cycle
+    /// through `schedule` in send order (see `scheduled`).
+    #[test]
+    fn every_query_ends_once_and_visibly_under_any_schedule(
+        order in 0..24usize,
+        polite in any::<bool>(),
+        schedule in prop::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..48),
+    ) {
+        let origins = permutation(order);
+        let broken = scenario(origins, scheduled(schedule, polite)).map(|w| {
+            let mut broken = w.broken.clone();
+            if polite {
+                broken.extend(unrescued(&w, origins));
+            }
+            broken
+        });
+        prop_assert!(broken.as_ref().is_ok_and(|b| b.is_empty()), "{:?}", broken);
+    }
+}
+
+/// Delivered once each after 10 ms, every query ends as the reference
+/// says, each leaf hears exactly one `done`, and nothing is abandoned.
+#[test]
+fn a_polite_network_rescues_the_dht_only_query_on_both_paths() {
+    let origins = [0, 1, 2, 3];
+    let w = scenario(origins, polite()).expect("no panic");
+    assert_eq!(w.broken, Vec::<String>::new());
+    assert_eq!(unrescued(&w, origins), Vec::<String>::new());
+    let dones =
+        w.leaf_log.iter().filter(|(_, s)| matches!(s, Said::Results { done: true })).count();
+    assert_eq!(dones, 2, "{:?}", w.leaf_log);
+    let abandoned: u64 =
+        (0..UPS as usize).map(|i| w.count(up_id(i), &classes::QUERY_ABANDONED)).sum();
+    assert_eq!(abandoned, 0);
+}
+
+/// A repeated `LeafQuery` for a search in flight is counted, not tracked
+/// twice: the leaf still hears one `done`.
+#[test]
+fn a_repeated_leaf_query_is_counted_not_tracked_twice() {
+    let origins = [0, 1, 2, 3];
+    let fate: Fate = Box::new(|msg| match msg {
+        HybridMsg::G(GnutellaMsg::LeafQuery { .. }) => vec![LATENCY, LATENCY + LATENCY],
+        _ => vec![LATENCY],
+    });
+    let w = scenario(origins, fate).expect("no panic");
+    assert_eq!(w.broken, Vec::<String>::new());
+    let unexpected = &pier_gnutella::classes::UNEXPECTED_MSG;
+    for j in searchers(origins) {
+        assert_eq!(w.count(up_id(home(j)), unexpected), 1, "leaf {j}'s repeat");
+        let dones = w
+            .leaf_log
+            .iter()
+            .filter(|(k, s)| k.0 == leaf_id(j) && matches!(s, Said::Results { done: true }))
+            .count();
+        assert_eq!(dones, 1, "leaf {j}");
+    }
+}

@@ -594,15 +594,6 @@ impl MetricsSnapshot {
             total_bytes: self.total_bytes.saturating_sub(baseline.total_bytes),
         }
     }
-
-    /// Sum a set of snapshots (e.g. one per sweep trial) into one.
-    pub fn merged<'a>(snapshots: impl IntoIterator<Item = &'a MetricsSnapshot>) -> MetricsSnapshot {
-        let mut total = MetricsSnapshot::default();
-        for s in snapshots {
-            total.merge(s);
-        }
-        total
-    }
 }
 
 impl fmt::Display for Metrics {
@@ -769,8 +760,11 @@ mod tests {
             merged.counters().map(|(n, _)| n).filter(|n| n.starts_with("snap.")).collect();
         assert_eq!(names, vec!["snap.a", "snap.b", "snap.c"]);
 
-        // Summing the parts equals merging pairwise.
-        let all = MetricsSnapshot::merged([&s1, &m2.snapshot()]);
+        // Folding the parts into an empty snapshot equals merging pairwise.
+        let mut all = MetricsSnapshot::default();
+        for part in [&s1, &m2.snapshot()] {
+            all.merge(part);
+        }
         assert_eq!(all, merged);
         // Merging with an empty snapshot is the identity.
         let mut id = merged.clone();
