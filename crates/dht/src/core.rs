@@ -59,8 +59,9 @@ enum RpcPurpose {
     Lookup(OpId),
     /// A STORE for the put operation with this op id.
     Store(OpId),
-    /// Liveness probe deciding whether to evict `stale`.
-    EvictPing { stale: Key },
+    /// Liveness probe of a full bucket's least-recently-seen contact, the
+    /// RPC's own `dst`: its timeout evicts it like any other silent contact.
+    EvictPing,
 }
 
 impl pier_netsim::HeapSize for PendingRpc {
@@ -433,9 +434,9 @@ impl DhtCore {
                     self.maybe_finish_put(op);
                 }
             }
-            RpcPurpose::EvictPing { stale } => {
+            RpcPurpose::EvictPing => {
                 // The candidate answered: it stays; drop the pending entry.
-                self.evict_in_flight.remove(&stale);
+                self.evict_in_flight.remove(&pending.dst.key);
             }
         }
     }
@@ -656,9 +657,8 @@ impl DhtCore {
                         self.maybe_finish_put(op);
                     }
                 }
-                RpcPurpose::EvictPing { stale } => {
-                    self.evict_in_flight.remove(&stale);
-                    self.table.replace(&stale);
+                RpcPurpose::EvictPing => {
+                    self.evict_in_flight.remove(&p.dst.key);
                 }
             }
         }
@@ -708,12 +708,7 @@ impl DhtCore {
         match self.table.observe(contact, net.now()) {
             InsertOutcome::Full { evict_candidate } => {
                 if self.evict_in_flight.insert(evict_candidate.key) {
-                    self.send_request(
-                        net,
-                        evict_candidate,
-                        Request::Ping,
-                        RpcPurpose::EvictPing { stale: evict_candidate.key },
-                    );
+                    self.send_request(net, evict_candidate, Request::Ping, RpcPurpose::EvictPing);
                 }
             }
             InsertOutcome::Stored | InsertOutcome::SelfEntry => {}

@@ -17,7 +17,7 @@ pub enum InsertOutcome {
     /// Contact stored (or refreshed).
     Stored,
     /// Bucket full; `evict_candidate` is the least-recently-seen contact.
-    /// The owner should ping it and call [`RoutingTable::replace`] if it is
+    /// The owner should ping it and call [`RoutingTable::remove`] if it is
     /// dead. The offered contact is remembered as a replacement candidate.
     Full { evict_candidate: Contact },
     /// The contact is the local node itself; never stored.
@@ -115,12 +115,6 @@ impl RoutingTable {
                 bucket.entries.push(p);
             }
         }
-    }
-
-    /// Replace `stale` with the pending candidate of its bucket (eviction
-    /// after a failed liveness ping).
-    pub fn replace(&mut self, stale: &Key) {
-        self.remove(stale);
     }
 
     /// The non-empty buckets whose contacts are all strictly closer to the
@@ -335,7 +329,7 @@ mod tests {
             other => panic!("expected Full, got {other:?}"),
         }
         // Evict the stale entry: the pending contact takes its place.
-        t.replace(&found[0].key);
+        t.remove(&found[0].key);
         assert!(t.contains(found[1].node));
         assert!(!t.contains(found[0].node));
     }

@@ -24,6 +24,7 @@ pier_netsim::metric_classes! {
     pub LEAF_FORWARDS = "gnutella.leaf_forwards";
     pub LEAF_MATCHES = "gnutella.leaf_matches";
     pub ORPHAN_HITS = "gnutella.orphan_hits";
+    pub LEAF_SEARCH_TIMEOUT = "gnutella.leaf_search_timeout";
     pub UNEXPECTED_MSG = "gnutella.unexpected_msg";
 
     // Histograms.

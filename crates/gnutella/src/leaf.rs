@@ -6,11 +6,18 @@ use crate::bloom::QrpFilter;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Hit};
 use crate::net::GnutellaNet;
-use pier_netsim::{NodeId, SimTime};
+use pier_netsim::{NodeId, SimDuration, SimTime};
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// How long a leaf waits for its ultrapeer's `done` before it ends a search
+/// itself: longer than the stock dynamic query at the default degree,
+/// (32 − 10 + 2) × `PROBE_INTERVAL` + a 0.4 s tick ≈ 58 s, and the hybrid's
+/// fallback, its 30 s `timeout` + the engine's 60 s + ticks ≈ 92 s (unit
+/// tests in both crates pin the margin).
+pub const LEAF_SEARCH_DEADLINE: SimDuration = SimDuration::from_secs(120);
 
 /// Results of one leaf-issued search.
 #[derive(Clone, Debug)]
@@ -19,7 +26,11 @@ pub struct LeafSearch {
     pub issued_at: SimTime,
     pub first_hit_at: Option<SimTime>,
     pub hits: Vec<Hit>,
+    /// Whether the ultrapeer's `done` ended the search.
     pub done: bool,
+    /// When the search ended, by `done` or by its deadline: set once, and
+    /// nothing is merged after it.
+    pub ended_at: Option<SimTime>,
 }
 
 impl pier_netsim::HeapSize for LeafSearch {
@@ -138,12 +149,30 @@ impl LeafCore {
                 first_hit_at: None,
                 hits: Vec::new(),
                 done: false,
+                ended_at: None,
             },
         );
         if let Some(&up) = self.ultrapeers.first() {
             net.send(up, GnutellaMsg::LeafQuery { qid, terms });
         }
         qid
+    }
+
+    /// End every open search whose [`LEAF_SEARCH_DEADLINE`] has passed — or
+    /// every open one, when the leaf goes `down` and its deadline timers
+    /// with it — each counted once; a leaf with none writes no metric.
+    pub fn expire(&mut self, net: &mut dyn GnutellaNet, down: bool) {
+        let now = net.now();
+        let mut ended = 0;
+        for s in self.searches.values_mut().filter(|s| s.ended_at.is_none()) {
+            if down || s.issued_at + LEAF_SEARCH_DEADLINE <= now {
+                s.ended_at = Some(now);
+                ended += 1;
+            }
+        }
+        if ended > 0 {
+            net.count(crate::classes::LEAF_SEARCH_TIMEOUT.id(), ended);
+        }
     }
 
     pub fn search(&self, qid: u32) -> Option<&LeafSearch> {
@@ -188,16 +217,16 @@ impl LeafCore {
                     net.send(from, GnutellaMsg::LeafHits { guid, hits });
                 }
             }
-            // Results for a search this leaf never issued are unexpected.
+            // Results for a search never issued, or ended, are unexpected.
             GnutellaMsg::LeafResults { qid, hits, done } => match self.searches.get_mut(&qid) {
-                Some(s) => {
+                Some(s) if s.ended_at.is_none() => {
                     if s.first_hit_at.is_none() && !hits.is_empty() {
                         s.first_hit_at = Some(net.now());
                     }
                     s.hits.extend(hits);
-                    s.done |= done;
+                    (s.done, s.ended_at) = (done, done.then(|| net.now()));
                 }
-                None => net.count(crate::classes::UNEXPECTED_MSG.id(), 1),
+                _ => net.count(crate::classes::UNEXPECTED_MSG.id(), 1),
             },
             GnutellaMsg::BrowseHost => {
                 net.send(from, GnutellaMsg::BrowseHostReply { files: self.store.metas() });
@@ -220,12 +249,13 @@ mod tests {
         rng: SimRng,
         sent: Vec<(NodeId, GnutellaMsg)>,
         unexpected: u64,
+        timeouts: u64,
     }
 
     impl FakeNet {
         fn new(me: u32) -> Self {
             let (now, me, rng) = (SimTime::ZERO, NodeId::new(me), stream_rng(2, 0));
-            FakeNet { now, me, rng, sent: vec![], unexpected: 0 }
+            FakeNet { now, me, rng, sent: vec![], unexpected: 0, timeouts: 0 }
         }
         fn drain(&mut self) -> Vec<(NodeId, GnutellaMsg)> {
             std::mem::take(&mut self.sent)
@@ -248,6 +278,8 @@ mod tests {
         fn count(&mut self, class: pier_netsim::MetricClass, n: u64) {
             if class == crate::classes::UNEXPECTED_MSG.id() {
                 self.unexpected += n;
+            } else if class == crate::classes::LEAF_SEARCH_TIMEOUT.id() {
+                self.timeouts += n;
             }
         }
         fn observe(&mut self, _class: pier_netsim::MetricClass, _value: f64) {}
@@ -330,7 +362,89 @@ mod tests {
         let s = core.search(qid).unwrap();
         assert_eq!(s.hits.len(), 1);
         assert!(s.done);
+        assert_eq!(s.ended_at, Some(SimTime::ZERO));
         assert!(s.first_hit_at.is_some());
+        // Its deadline passes it by.
+        net.now = SimTime::ZERO + LEAF_SEARCH_DEADLINE;
+        core.expire(&mut net, false);
+        assert_eq!(core.search(qid).unwrap().ended_at, Some(SimTime::ZERO));
+        assert_eq!(net.timeouts, 0);
+    }
+
+    fn results(qid: u32, done: bool) -> GnutellaMsg {
+        let hit = Hit { file: FileMeta::new("some_song.mp3", 1), host: NodeId::new(7) };
+        GnutellaMsg::LeafResults { qid, hits: vec![hit], done }
+    }
+
+    #[test]
+    fn an_unanswered_search_ends_once_at_its_deadline() {
+        let (mut core, mut net) = leaf_with_files();
+        net.now = SimTime::from_micros(5);
+        let qid = core.start_search(&mut net, "some song");
+        let deadline = net.now + LEAF_SEARCH_DEADLINE;
+        net.now = SimTime::from_micros(deadline.as_micros() - 1);
+        core.expire(&mut net, false);
+        assert_eq!(core.search(qid).unwrap().ended_at, None, "open until its deadline");
+        net.now = deadline;
+        core.expire(&mut net, false);
+        let s = core.search(qid).unwrap();
+        assert_eq!((s.done, s.ended_at), (false, Some(deadline)));
+        net.now = deadline + LEAF_SEARCH_DEADLINE;
+        core.expire(&mut net, false);
+        core.expire(&mut net, true);
+        assert_eq!(core.search(qid).unwrap().ended_at, Some(deadline));
+        assert_eq!(net.timeouts, 1, "counted once");
+    }
+
+    #[test]
+    fn results_for_an_ended_search_are_counted_not_merged() {
+        let (mut core, mut net) = leaf_with_files();
+        let answered = core.start_search(&mut net, "some song");
+        let unanswered = core.start_search(&mut net, "some song");
+        core.on_message(&mut net, NodeId::new(1), results(answered, true));
+        net.now = SimTime::ZERO + LEAF_SEARCH_DEADLINE;
+        core.expire(&mut net, false);
+        for qid in [answered, unanswered] {
+            core.on_message(&mut net, NodeId::new(1), results(qid, false));
+            core.on_message(&mut net, NodeId::new(1), results(qid, true));
+        }
+        assert_eq!(net.unexpected, 4);
+        let ends: Vec<_> =
+            core.searches().map(|(_, s)| (s.hits.len(), s.done, s.ended_at)).collect();
+        let deadline = Some(net.now);
+        assert_eq!(ends, vec![(1, true, Some(SimTime::ZERO)), (0, false, deadline)]);
+        assert_eq!(net.timeouts, 1);
+    }
+
+    #[test]
+    fn going_down_ends_every_open_search() {
+        let (mut core, mut net) = leaf_with_files();
+        core.expire(&mut net, true);
+        assert_eq!(net.timeouts, 0, "a leaf that never searched counts nothing");
+        let answered = core.start_search(&mut net, "some song");
+        core.on_message(&mut net, NodeId::new(1), results(answered, true));
+        core.start_search(&mut net, "other song");
+        core.start_search(&mut net, "third song");
+        net.now = SimTime::from_micros(7);
+        core.expire(&mut net, true);
+        let ends: Vec<_> = core.searches().map(|(_, s)| (s.done, s.ended_at)).collect();
+        let down = (false, Some(net.now));
+        assert_eq!(ends, vec![(true, Some(SimTime::ZERO)), down, down]);
+        assert_eq!(net.timeouts, 2);
+    }
+
+    /// The stock ultrapeer's dynamic query at the default degree finishes
+    /// inside the leaf's deadline: its unprobed neighbours one
+    /// `PROBE_INTERVAL` apart, two intervals of grace, and the tick that
+    /// sees it.
+    #[test]
+    fn the_deadline_outlasts_the_stock_conversation() {
+        let c = crate::UltrapeerConfig::default();
+        let intervals = (c.up_neighbors - c.probe_neighbors + 2) as u64;
+        let conversation = SimDuration::from_micros(
+            intervals * crate::PROBE_INTERVAL.as_micros() + crate::UP_TICK_INTERVAL.as_micros(),
+        );
+        assert!(conversation < LEAF_SEARCH_DEADLINE, "{conversation:?}");
     }
 
     #[test]

@@ -38,10 +38,10 @@ pub use bloom::{QrpFilter, QrpProbe};
 pub use config::UltrapeerConfig;
 pub use crawl::{CrawlGraph, Crawler};
 pub use files::{FileId, FileMeta, FileStore, ShareCatalog};
-pub use leaf::{LeafCore, LeafSearch};
+pub use leaf::{LeafCore, LeafSearch, LEAF_SEARCH_DEADLINE};
 pub use msg::{GnutellaMsg, Guid, Hit, HEADER_BYTES};
 pub use net::{CtxGnutellaNet, GnutellaCarrier, GnutellaNet};
-pub use node::{LeafNode, UltrapeerNode, UP_TICK, UP_TICK_INTERVAL};
+pub use node::{LeafNode, UltrapeerNode, LEAF_DEADLINE, UP_TICK, UP_TICK_INTERVAL};
 pub use pier_vocab::{TermId, Terms};
 pub use topology::{
     spawn, spawn_stores, wire, GnutellaHandles, Topology, TopologyConfig, UpLeaves,

@@ -2,7 +2,7 @@
 //! [`GnutellaCarrier`] message type: on a plain Gnutella simulation, and as
 //! the stock installed base of a network that also carries other protocols.
 
-use crate::leaf::LeafCore;
+use crate::leaf::{LeafCore, LEAF_SEARCH_DEADLINE};
 use crate::net::{CtxGnutellaNet, GnutellaCarrier};
 use crate::ultrapeer::UltrapeerCore;
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, TimerToken};
@@ -12,6 +12,9 @@ pub const UP_TICK: TimerToken = TimerToken(0x6E55);
 
 /// Period of the ultrapeer maintenance tick.
 pub const UP_TICK_INTERVAL: SimDuration = SimDuration::from_millis(400);
+
+/// Timer token for a leaf search's one-shot deadline.
+pub const LEAF_DEADLINE: TimerToken = TimerToken(0x1EAF);
 
 /// An ultrapeer actor.
 pub struct UltrapeerNode {
@@ -53,7 +56,7 @@ impl<M: GnutellaCarrier> Actor<M> for UltrapeerNode {
     }
 }
 
-/// A leaf actor. Publishes its QRP filter on startup.
+/// A leaf actor. Publishes its QRP filter on startup; arms a timer per search.
 pub struct LeafNode {
     pub core: LeafCore,
 }
@@ -61,6 +64,16 @@ pub struct LeafNode {
 impl LeafNode {
     pub fn new(core: LeafCore) -> Self {
         LeafNode { core }
+    }
+
+    /// [`LeafCore::start_search`], arming the search's one deadline timer.
+    pub fn start_search<M: GnutellaCarrier>(
+        &mut self,
+        ctx: &mut dyn Ctx<M>,
+        terms: impl Into<crate::Terms>,
+    ) -> u32 {
+        ctx.set_timer(LEAF_SEARCH_DEADLINE, LEAF_DEADLINE);
+        self.core.start_search(&mut CtxGnutellaNet { ctx }, terms)
     }
 }
 
@@ -77,7 +90,15 @@ impl<M: GnutellaCarrier> Actor<M> for LeafNode {
         }
     }
 
-    fn on_timer(&mut self, _ctx: &mut dyn Ctx<M>, _token: TimerToken) {}
+    fn on_timer(&mut self, ctx: &mut dyn Ctx<M>, token: TimerToken) {
+        if token == LEAF_DEADLINE {
+            self.core.expire(&mut CtxGnutellaNet { ctx }, false);
+        }
+    }
+
+    fn on_down(&mut self, ctx: &mut dyn Ctx<M>) {
+        self.core.expire(&mut CtxGnutellaNet { ctx }, true);
+    }
 
     fn mem_stats(&self, acc: &mut pier_netsim::MemAcc) {
         self.core.mem_stats(acc);

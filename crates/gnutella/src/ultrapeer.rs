@@ -332,8 +332,8 @@ impl UltrapeerCore {
     }
 
     /// Every originated query still held, in ascending GUID order: a
-    /// `Driver` record until taken, a `Leaf` record until the first tick at
-    /// which it is finished and its own `seen` claim has expired.
+    /// `Driver` record until taken, a `Leaf` record until the tick that
+    /// finishes it and sends the leaf its `done`.
     pub fn queries(&self) -> impl Iterator<Item = (Guid, &QueryRecord)> {
         self.queries.iter().map(|(g, q)| (*g, &q.record))
     }
@@ -644,12 +644,11 @@ impl UltrapeerCore {
         let (target, seen_ttl) = (self.cfg.target_results, self.cfg.seen_ttl);
         // One walk in ascending GUID order (so the probes it sends do not
         // depend on insertion history; the golden pins rely on it): pace
-        // each query, and let a leaf's go once it is finished and its own
-        // `seen` claim has expired — a later hit is an orphan.
+        // each query, and let a leaf's go in the step that sends its `done`
+        // — nothing follows it, and a later hit is an orphan.
         self.queries.retain(|&guid, q| {
             q.pace(guid, now, target, net);
-            let leaf = matches!(q.record.origin, QueryOrigin::Leaf { .. });
-            !(leaf && q.record.finished && q.record.issued_at + seen_ttl <= now)
+            !(q.record.finished && matches!(q.record.origin, QueryOrigin::Leaf { .. }))
         });
         // Expire reverse-path entries: every entry with `at + seen_ttl ≤
         // now` is dead from here on (see `seen_horizon`).
@@ -1113,40 +1112,37 @@ mod tests {
     }
 
     #[test]
-    fn leaf_query_record_leaves_after_its_seen_claim_expires() {
+    fn leaf_query_record_leaves_with_its_done() {
         let (mut core, mut net) = up_with_neighbors(1);
         let leaf = NodeId::new(10);
         core.add_leaf(leaf);
         core.on_message(&mut net, leaf, GnutellaMsg::LeafQuery { qid: 3, terms: "a".into() });
         let guid = core.queries().next().expect("registered").0;
         net.drain();
-        let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
-        let hits = GnutellaMsg::QueryHit { guid, ttl: HIT_TTL, hits: vec![hit] };
-        // The last tick before the claim expires finishes the query (its one
-        // neighbor was probed at once) but keeps the record: a hit still
-        // streams to the leaf.
-        let expiry = SimTime::ZERO + core.cfg.seen_ttl;
-        net.now = before(expiry, SimDuration::from_micros(1));
+        // Its one neighbour was probed at once: the first tick after the
+        // grace interval finishes it, sends the leaf its `done` and lets
+        // the record go, while its own `seen` claim still stands.
+        net.now = SimTime::ZERO + PROBE_INTERVAL + PROBE_INTERVAL;
+        assert!(net.now < SimTime::ZERO + core.cfg.seen_ttl);
         core.tick(&mut net);
-        assert!(core.query_record(guid).expect("kept while claimed").finished);
-        core.on_message(&mut net, NodeId::new(1), hits.clone());
-        let sent: Vec<(NodeId, bool)> = net
-            .drain()
-            .into_iter()
-            .map(|(dst, m)| match m {
-                GnutellaMsg::LeafResults { done, .. } => (dst, done),
-                other => panic!("expected LeafResults, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(sent, vec![(leaf, true), (leaf, false)]);
-        assert!(!core.is_idle());
-        // The first tick with `issued_at + seen_ttl ≤ now` lets it go.
-        net.now = expiry;
-        core.tick(&mut net);
+        let sent: Vec<(NodeId, GnutellaMsg)> = net.drain();
+        assert!(
+            matches!(sent[..], [(to, GnutellaMsg::LeafResults { qid: 3, done: true, .. })] if to == leaf),
+            "{sent:?}"
+        );
         assert!(core.query_record(guid).is_none());
-        core.on_message(&mut net, NodeId::new(1), hits);
+        assert!(!core.is_idle(), "the claim is still live");
+        // A late hit is an orphan: nothing follows the `done`.
+        let hit = Hit { file: FileMeta::new("a.mp3", 1), host: NodeId::new(50) };
+        core.on_message(
+            &mut net,
+            NodeId::new(1),
+            GnutellaMsg::QueryHit { guid, ttl: HIT_TTL, hits: vec![hit] },
+        );
         assert!(net.drain().is_empty(), "a late hit is an orphan");
         assert_eq!(net.counted(crate::classes::ORPHAN_HITS.id()), 1);
+        net.now = SimTime::ZERO + core.cfg.seen_ttl;
+        core.tick(&mut net);
         assert!(core.is_idle());
     }
 

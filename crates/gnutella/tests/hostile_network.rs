@@ -7,8 +7,9 @@
 //! function decides when, and how many times, each one arrives. Leaves
 //! publish their QRP filters fault-free, so every run screens queries
 //! against the same filters. Each run then issues two dynamic queries, one
-//! flat flood and one leaf search, and ticks every ultrapeer each
-//! `UP_TICK_INTERVAL`.
+//! flat flood and one leaf search, ticks every ultrapeer and expires every
+//! leaf's searches each `UP_TICK_INTERVAL`, and runs past the leaf's
+//! `LEAF_SEARCH_DEADLINE`.
 //!
 //! The invariants:
 //! 1. nothing panics;
@@ -25,11 +26,16 @@
 //!    plus one tick of its start, whatever was lost;
 //! 6. a `seen_ttl` and a tick after the last send or delivery, with the
 //!    driver's records taken, every ultrapeer is idle;
-//! 7. a run sends at most `MAX_SENDS` messages: no loop feeds itself.
+//! 7. a run sends at most `MAX_SENDS` messages: no loop feeds itself;
+//! 8. every leaf search ends exactly once, by its ultrapeer's `done` or by
+//!    `issued_at + LEAF_SEARCH_DEADLINE` at the latest, takes no hit after
+//!    it ends, and `gnutella.leaf_search_timeout` counts the searches that
+//!    ended by deadline; on a polite schedule every one ends by `done`.
 
 use pier_gnutella::{
     classes, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, LeafCore, QueryOrigin,
-    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, HIT_TTL, PROBE_INTERVAL, UP_TICK_INTERVAL,
+    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, HIT_TTL, LEAF_SEARCH_DEADLINE,
+    PROBE_INTERVAL, UP_TICK_INTERVAL,
 };
 use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -46,8 +52,9 @@ const SEEN_TTL: SimDuration = SimDuration::from_secs(5);
 /// Far above any run's traffic (under a thousand sends), far below what
 /// would exhaust memory: a run past it has a loop and is stopped.
 const MAX_SENDS: u64 = 50_000;
-/// When the searches start (the QRP exchange is long over).
-const ISSUE_AT: SimTime = SimTime::from_micros(1_000_000);
+/// When the searches start (the QRP exchange is long over). On the tick
+/// clock, so the leaf's deadline falls on a tick.
+const ISSUE_AT: SimTime = SimTime::from_micros(1_200_000);
 const WORDS: [&str; 6] = ["led", "zeppelin", "pink", "floyd", "live", "remix"];
 /// Two dynamic queries (one popular enough to reach `target_results`),
 /// the flat flood's terms, and the leaf search's.
@@ -176,6 +183,9 @@ struct World {
     flood: Option<Guid>,
     /// The driver's records, taken at the end of the run.
     taken: Vec<QueryRecord>,
+    /// Each ended leaf search, by `(leaf, qid)`: whether `done` ended it,
+    /// when, and its hit count, as first seen ended.
+    ended: BTreeMap<(u32, u32), (bool, SimTime, usize)>,
     /// Every invariant that broke, in the order it broke.
     broken: Vec<String>,
 }
@@ -216,6 +226,7 @@ impl World {
             relayed: BTreeMap::new(),
             flood: None,
             taken: Vec::new(),
+            ended: BTreeMap::new(),
             broken: Vec::new(),
         };
         for j in 0..LEAVES {
@@ -248,7 +259,36 @@ impl World {
         self.net.node = leaf_id(j);
         let r = f(&mut self.leaves[j as usize], &mut self.net);
         self.flush();
+        self.check_searches(j);
         r
+    }
+
+    /// Invariant 8 at leaf `j`: a search ends once, by its deadline at the
+    /// latest, and takes no hit after.
+    fn check_searches(&mut self, j: u32) {
+        let now = self.net.now;
+        let mut broken = Vec::new();
+        for (qid, s) in self.leaves[j as usize].searches() {
+            let deadline = s.issued_at + LEAF_SEARCH_DEADLINE;
+            let is = s.ended_at.map(|at| (s.done, at, s.hits.len()));
+            match (self.ended.get(&(j, qid)), is) {
+                (Some(was), _) if Some(*was) != is => broken
+                    .push(format!("leaf {j} search {qid} changed after its end {was:?}: {s:?}")),
+                (Some(_), _) => {}
+                (None, Some(is)) => {
+                    if is.1 > deadline {
+                        broken
+                            .push(format!("leaf {j} search {qid} ended past its deadline: {s:?}"));
+                    }
+                    self.ended.insert((j, qid), is);
+                }
+                (None, None) if now > deadline => {
+                    broken.push(format!("leaf {j} search {qid} open at {now:?}"))
+                }
+                (None, None) => {}
+            }
+        }
+        self.broken.append(&mut broken);
     }
 
     /// Hand the outbox to the fate, and return what was in it.
@@ -355,7 +395,7 @@ impl World {
     }
 
     /// Tick every ultrapeer, holding each dynamic query that was running
-    /// to its finish bound.
+    /// to its finish bound, then expire every leaf's searches.
     fn tick(&mut self) {
         let now = self.net.now;
         for i in 0..UPS as usize {
@@ -372,12 +412,17 @@ impl World {
                 }
             }
         }
+        for j in 0..LEAVES {
+            self.at_leaf(j, |leaf, net| leaf.expire(net, false));
+        }
     }
 
     /// Deliver and tick until nothing is in flight and a tick has run a
-    /// `seen_ttl` after the last activity and the driver's queries' bound.
+    /// `seen_ttl` after the last activity and the leaf's deadline, which
+    /// outlasts the driver's queries' bound.
     fn run(&mut self) {
-        let quiet_after = ISSUE_AT + finish_bound();
+        assert!(finish_bound() < LEAF_SEARCH_DEADLINE);
+        let quiet_after = ISSUE_AT + LEAF_SEARCH_DEADLINE;
         let tick_us = UP_TICK_INTERVAL.as_micros();
         let mut next_tick =
             SimTime::from_micros((self.net.now.as_micros() / tick_us + 1) * tick_us);
@@ -456,12 +501,22 @@ fn searches(origins: Origins, fate: Fate) -> Result<World, String> {
         }
         w.taken.push(record);
     }
+    let mut timed_out = 0;
     for (j, leaf) in w.leaves.iter().enumerate() {
         for (qid, s) in leaf.searches() {
             if let Some(hit) = s.hits.iter().find(|h| !w.is_real(h, &s.terms)) {
                 w.broken.push(format!("leaf {j} search {qid} holds a hit no host shares: {hit:?}"));
             }
+            match (s.done, s.ended_at) {
+                (_, None) => w.broken.push(format!("leaf {j} search {qid} never ended: {s:?}")),
+                (false, Some(_)) => timed_out += 1,
+                (true, Some(_)) => {}
+            }
         }
+    }
+    let counted = w.count(classes::LEAF_SEARCH_TIMEOUT.id());
+    if counted != timed_out {
+        w.broken.push(format!("{timed_out} leaf searches timed out, {counted} counted"));
     }
     for (i, up) in w.ups.iter().enumerate() {
         if !up.is_idle() {
@@ -485,7 +540,8 @@ proptest! {
 }
 
 /// Delivered once each, in 10–90 ms, every search completes: each driver
-/// query and the leaf's search found hits, and the leaf heard `done`.
+/// query and the leaf's search found hits, and the leaf's search ended by
+/// `done`, none by its deadline.
 #[test]
 fn a_polite_network_completes_every_search() {
     let w = searches((0, 5, 3, 9), polite()).expect("no panic");
@@ -493,4 +549,18 @@ fn a_polite_network_completes_every_search() {
     assert!(w.taken.iter().all(|r| !r.hits.is_empty()), "{:?}", w.taken);
     let search = w.leaves[9].search(1).expect("issued");
     assert!(search.done && !search.hits.is_empty(), "{search:?}");
+    assert_eq!(w.count(classes::LEAF_SEARCH_TIMEOUT.id()), 0);
+}
+
+/// With every message dropped, the leaf's `LeafQuery` never reaches its
+/// ultrapeer: the search ends once, exactly at its deadline, and is
+/// counted once.
+#[test]
+fn a_silent_network_ends_the_leaf_search_at_its_deadline() {
+    let w = searches((0, 5, 3, 9), scheduled(vec![(5, 0, 0)])).expect("no panic");
+    assert_eq!(w.broken, Vec::<String>::new());
+    let search = w.leaves[9].search(1).expect("issued");
+    assert_eq!((search.done, search.ended_at), (false, Some(ISSUE_AT + LEAF_SEARCH_DEADLINE)));
+    assert!(search.hits.is_empty());
+    assert_eq!(w.count(classes::LEAF_SEARCH_TIMEOUT.id()), 1);
 }

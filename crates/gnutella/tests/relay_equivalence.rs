@@ -11,10 +11,10 @@
 //! through two identically seeded [`FakeNet`]s, the two must agree on every
 //! send, every counter and every query record — neither mechanism may be
 //! observable. The reference keeps a query's record and its pacing in two
-//! tables, and states the protocol's rules plainly: a leaf's finished query
-//! is dropped once its own `seen` claim has expired, only a connected
-//! leaf's `QrpUpdate` is adopted, and a hit is relayed only while it has
-//! TTL to spend.
+//! tables, and states the protocol's rules plainly: a leaf's query is
+//! dropped in the tick that finishes it and sends its `done`, only a
+//! connected leaf's `QrpUpdate` is adopted, and a hit is relayed only while
+//! it has TTL to spend.
 
 use pier_gnutella::{
     classes, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, QrpFilter, QueryOrigin,
@@ -210,10 +210,7 @@ impl EagerCore {
             }
         }
         let ttl = self.cfg.seen_ttl;
-        self.queries.retain(|_, r| {
-            let leaf = matches!(r.origin, QueryOrigin::Leaf { .. });
-            !(leaf && r.finished && r.issued_at + ttl <= now)
-        });
+        self.queries.retain(|_, r| !(r.finished && matches!(r.origin, QueryOrigin::Leaf { .. })));
         self.seen.retain(|_, &mut (_, at)| at + ttl > now);
     }
 

@@ -2,9 +2,10 @@
 //! popular-fast / rare-slow asymmetry that motivates the whole paper.
 
 use pier_gnutella::{
-    spawn, FileMeta, GnutellaMsg, LeafNode, QueryOrigin, Topology, TopologyConfig, UltrapeerNode,
+    spawn, FileMeta, FileStore, GnutellaMsg, LeafCore, LeafNode, QueryOrigin, Topology,
+    TopologyConfig, UltrapeerConfig, UltrapeerCore, UltrapeerNode, LEAF_SEARCH_DEADLINE,
 };
-use pier_netsim::{NodeId, Sim, SimConfig, SimDuration, UniformLatency};
+use pier_netsim::{Actor, Ctx, NodeId, Sim, SimConfig, SimDuration, TimerToken, UniformLatency};
 
 /// A network where `popular.mp3` has one replica per 3 leaves and
 /// `rare_gem.mp3` exactly one replica placed far from the querier.
@@ -121,16 +122,87 @@ fn leaf_issued_search_streams_results() {
 
     let leaf = handles.leaves[5];
     let qid = sim.with_actor_ctx::<LeafNode, _>(leaf, |node, ctx| {
-        let mut net = pier_gnutella::CtxGnutellaNet { ctx };
-        node.core.start_search(&mut net, "popular hit song")
+        node.start_search(ctx, "popular hit song")
     });
+    // Past the search's deadline: the leaf's timer fires on an ended search.
     sim.run_for(SimDuration::from_secs(150));
 
     let node = sim.actor::<LeafNode>(leaf);
     let s = node.core.search(qid).unwrap();
     assert!(s.done, "ultrapeer must report completion to the leaf");
+    assert!(s.ended_at.is_some_and(|at| at < s.issued_at + LEAF_SEARCH_DEADLINE), "{s:?}");
     assert!(!s.hits.is_empty(), "popular content must be found");
     assert!(s.first_hit_at.is_some());
+    assert_eq!(sim.metrics().counter("gnutella.leaf_search_timeout").count, 0);
+}
+
+/// A leaf without the deadline's code paths: no timer handler and no
+/// teardown.
+struct PlainLeaf(LeafCore);
+
+impl Actor<GnutellaMsg> for PlainLeaf {
+    fn on_start(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>) {
+        self.0.publish_qrp(&mut pier_gnutella::CtxGnutellaNet { ctx });
+    }
+    fn on_message(&mut self, ctx: &mut dyn Ctx<GnutellaMsg>, from: NodeId, msg: GnutellaMsg) {
+        self.0.on_message(&mut pier_gnutella::CtxGnutellaNet { ctx }, from, msg);
+    }
+    fn on_timer(&mut self, _ctx: &mut dyn Ctx<GnutellaMsg>, _token: TimerToken) {}
+}
+
+/// Two ultrapeers with three leaves each; one driver query that reaches
+/// the leaves, and every leaf taken down and revived mid-run. The leaves
+/// never search, so they arm no timer and write no metric of their own:
+/// the run's metrics and event counts are those of leaves without the
+/// deadline's code paths.
+#[test]
+fn a_leaf_that_never_searches_arms_no_timer_and_moves_no_metric() {
+    fn run<L: Actor<GnutellaMsg> + Send + 'static>(
+        leaf: impl Fn(LeafCore) -> L,
+    ) -> (pier_netsim::MetricsSnapshot, pier_netsim::EventStats) {
+        let cfg = SimConfig::with_seed(36).latency(UniformLatency::new(
+            SimDuration::from_millis(20),
+            SimDuration::from_millis(80),
+        ));
+        let mut sim = Sim::new(cfg);
+        let (ups, leaves): (Vec<NodeId>, Vec<NodeId>) =
+            ((0..2).map(NodeId::new).collect(), (2..8).map(NodeId::new).collect());
+        for (i, &up) in ups.iter().enumerate() {
+            let mut core = UltrapeerCore::new(UltrapeerConfig::default(), FileStore::default());
+            core.set_neighbors(vec![ups[1 - i]]);
+            for &l in leaves.iter().filter(|l| l.index() % 2 == i) {
+                core.add_leaf(l);
+            }
+            assert_eq!(sim.add_node(UltrapeerNode::new(core)), up);
+        }
+        for &l in &leaves {
+            let share = FileStore::new(vec![FileMeta::new(&format!("shared_song_{l:?}.mp3"), 3)]);
+            let mut core = LeafCore::new(share);
+            core.set_ultrapeers(vec![ups[l.index() % 2]]);
+            assert_eq!(sim.add_node(leaf(core)), l);
+        }
+        sim.run_for(SimDuration::from_secs(2));
+        sim.with_actor_ctx::<UltrapeerNode, _>(ups[0], |up, ctx| {
+            let mut net = pier_gnutella::CtxGnutellaNet { ctx };
+            up.core.start_query(&mut net, "shared song", QueryOrigin::Driver)
+        });
+        sim.run_for(SimDuration::from_secs(10));
+        for &l in &leaves {
+            sim.set_down(l);
+        }
+        sim.run_for(SimDuration::from_secs(5));
+        for &l in &leaves {
+            sim.set_up(l);
+        }
+        sim.run_for(LEAF_SEARCH_DEADLINE + LEAF_SEARCH_DEADLINE);
+        (sim.metrics().snapshot(), sim.event_stats())
+    }
+    let (stock, stock_events) = run(LeafNode::new);
+    let (plain, plain_events) = run(PlainLeaf);
+    assert!(stock.counter("gnutella.leaf_matches").count > 0, "the query reached the leaves");
+    assert_eq!(stock, plain);
+    assert_eq!(stock_events, plain_events);
+    assert_eq!(stock.counter("gnutella.leaf_search_timeout").count, 0);
 }
 
 #[test]

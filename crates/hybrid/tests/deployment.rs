@@ -420,10 +420,11 @@ fn an_old_style_hybrids_leaf_reads_done_only_with_the_rescued_item() {
 /// Taking a hybrid ultrapeer down abandons every query it has in flight:
 /// each is counted once in `hybrid.query_abandoned` and its Gnutella record
 /// is taken, and a driver row stays not `done`. A `seen_ttl` after its
-/// revival the node is idle.
+/// revival the node is idle. The abandoned leaf hears nothing, so its own
+/// timer ends the search once, exactly at its deadline.
 #[test]
 fn a_downed_hybrid_abandons_its_queries_and_ends_idle() {
-    use pier_gnutella::{CtxGnutellaNet, LeafNode};
+    use pier_gnutella::{LeafNode, LEAF_SEARCH_DEADLINE};
     let mut net = build(84, 10);
     net.sim.run_for(SimDuration::from_secs(60));
     let up0 = net.deployment.hybrid_ups[0];
@@ -431,8 +432,8 @@ fn a_downed_hybrid_abandons_its_queries_and_ends_idle() {
     let row = net.sim.with_actor_ctx::<HybridUp, _>(up0, |up, ctx| {
         up.start_hybrid_query(ctx, "unicorn bootleg")
     });
-    net.sim.with_actor_ctx::<LeafNode, _>(probe_leaf, |leaf, ctx| {
-        leaf.core.start_search(&mut CtxGnutellaNet { ctx }, "ghost release promo")
+    let qid = net.sim.with_actor_ctx::<LeafNode, _>(probe_leaf, |leaf, ctx| {
+        leaf.start_search(ctx, "ghost release promo")
     });
     net.sim.run_for(SimDuration::from_secs(1));
     assert!(!net.sim.actor::<HybridUp>(up0).is_idle(), "two queries in flight");
@@ -447,4 +448,13 @@ fn a_downed_hybrid_abandons_its_queries_and_ends_idle() {
     assert!(up.is_idle() && up.gnutella.is_idle());
     assert_eq!(net.sim.metrics().counter("hybrid.query_abandoned").count, 2);
     assert!(!up.stats[row].done, "an abandoned driver row is not done");
+
+    let search = net.sim.actor::<LeafNode>(probe_leaf).core.search(qid).expect("registered");
+    let deadline = search.issued_at + LEAF_SEARCH_DEADLINE;
+    assert!(net.sim.now() > deadline, "the run outlasts the leaf's deadline");
+    assert_eq!((search.done, search.ended_at), (false, Some(deadline)));
+    net.sim.run_for(LEAF_SEARCH_DEADLINE);
+    let search = net.sim.actor::<LeafNode>(probe_leaf).core.search(qid).expect("registered");
+    assert_eq!(search.ended_at, Some(deadline), "it ends once");
+    assert_eq!(net.sim.metrics().counter("gnutella.leaf_search_timeout").count, 1);
 }

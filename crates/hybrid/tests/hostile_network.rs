@@ -8,7 +8,8 @@
 //! and how many times, each message arrives. Timers fire on time. The
 //! set-up runs fault-free: the QRP exchange, then one file that no leaf
 //! shares published through a hybrid's `Publisher`. Each run then starts
-//! two driver queries and two leaf searches, each from its own ultrapeer:
+//! two driver queries and two leaf searches (through `LeafNode`, so each
+//! arms its deadline timer), each from its own ultrapeer:
 //! the DHT-only query on both paths, one with no answer anywhere, and one
 //! Gnutella answers. Every ultrapeer's DHT table is full and `rpc_timeout`
 //! outlasts a search's routed traffic, so no polite run evicts a contact.
@@ -30,12 +31,17 @@
 //!    after the last delivery, every ultrapeer is idle — `HybridUp`, its
 //!    `UltrapeerCore`, `DhtCore`, `PierCore` and `SearchEngine` — and
 //!    holds one stats row per driver query it started;
-//! 7. a run sends at most `MAX_SENDS` messages.
+//! 7. a run sends at most `MAX_SENDS` messages;
+//! 8. every leaf search ends exactly once, by its ultrapeer's `done` or by
+//!    `issued_at + LEAF_SEARCH_DEADLINE` at the latest (the leaf's own
+//!    timer), takes no hit after it ends, and each leaf's
+//!    `gnutella.leaf_search_timeout` counts its searches that ended by
+//!    deadline; on a polite schedule every one ends by `done`.
 
 use pier_dht::{bootstrap, Contact, CtxNet, DhtConfig, DhtCore};
 use pier_gnutella::{
-    CtxGnutellaNet, FileMeta, FileStore, GnutellaMsg, Hit, LeafCore, LeafNode, Terms,
-    UltrapeerConfig, UltrapeerCore,
+    FileMeta, FileStore, GnutellaMsg, Hit, LeafCore, LeafNode, Terms, UltrapeerConfig,
+    UltrapeerCore, LEAF_SEARCH_DEADLINE,
 };
 use pier_hybrid::{classes, HybridConfig, HybridMsg, HybridQueryStats, HybridUp, RareScheme};
 use pier_netsim::{
@@ -57,8 +63,6 @@ const SEEN_TTL: SimDuration = SimDuration::from_secs(4);
 /// search can end before its Gnutella record finishes.
 const TIMEOUT: SimDuration = SimDuration::from_secs(5);
 const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-/// The search engine's deadline for one PIERSearch search.
-const SEARCH_DEADLINE: SimDuration = SimDuration::from_secs(60);
 /// The polite network's one-way latency.
 const LATENCY: SimDuration = SimDuration::from_millis(10);
 /// When the record is published, the QRP exchange long over.
@@ -222,6 +226,9 @@ struct World {
     leaf_log: Vec<((NodeId, u32), Said)>,
     /// Each driver row as it stood when first seen `done`.
     rows_done: BTreeMap<(usize, usize), Row>,
+    /// Each ended leaf search, by `(leaf, qid)`: whether `done` ended it,
+    /// when, and its hit count, as first seen ended.
+    ended: BTreeMap<(usize, u32), (bool, SimTime, usize)>,
     /// Driver queries started, per ultrapeer.
     drivers: [usize; UPS as usize],
     broken: Vec<String>,
@@ -288,6 +295,7 @@ impl World {
             ticks: SimDuration::ZERO,
             leaf_log: Vec::new(),
             rows_done: BTreeMap::new(),
+            ended: BTreeMap::new(),
             drivers: [0; UPS as usize],
             broken: Vec::new(),
         };
@@ -358,7 +366,36 @@ impl World {
         self.net.node = leaf_id(j);
         let r = f(&mut self.leaves[j], &mut self.net);
         self.flush();
+        self.check_searches(j);
         r
+    }
+
+    /// Invariant 8 at leaf `j`: a search ends once, by its deadline at the
+    /// latest, and takes no hit after.
+    fn check_searches(&mut self, j: usize) {
+        let now = self.net.now;
+        let mut broken = Vec::new();
+        for (qid, s) in self.leaves[j].core.searches() {
+            let deadline = s.issued_at + LEAF_SEARCH_DEADLINE;
+            let is = s.ended_at.map(|at| (s.done, at, s.hits.len()));
+            match (self.ended.get(&(j, qid)), is) {
+                (Some(was), _) if Some(*was) != is => broken
+                    .push(format!("leaf {j} search {qid} changed after its end {was:?}: {s:?}")),
+                (Some(_), _) => {}
+                (None, Some(is)) => {
+                    if is.1 > deadline {
+                        broken
+                            .push(format!("leaf {j} search {qid} ended past its deadline: {s:?}"));
+                    }
+                    self.ended.insert((j, qid), is);
+                }
+                (None, None) if now > deadline => {
+                    broken.push(format!("leaf {j} search {qid} open at {now:?}"))
+                }
+                (None, None) => {}
+            }
+        }
+        self.broken.append(&mut broken);
     }
 
     /// Hand the outbox to the fate and the armed timers to the queue, and
@@ -487,10 +524,10 @@ impl World {
 
 /// The latest a driver row may turn `done` after its issue: the fallback
 /// starts at the first hybrid tick past `TIMEOUT`, the engine ends its
-/// search by `SEARCH_DEADLINE` at a DHT tick, and the next hybrid tick
+/// search by `SEARCH_TIMEOUT` at a DHT tick, and the next hybrid tick
 /// collects it.
 fn done_bound(ticks: SimDuration) -> SimDuration {
-    TIMEOUT + SEARCH_DEADLINE + ticks + ticks
+    TIMEOUT + piersearch::SEARCH_TIMEOUT + ticks + ticks
 }
 
 /// The `n`th of the 24 orders of the four ultrapeers.
@@ -520,11 +557,9 @@ fn scenario(origins: [usize; 4], fate: Fate) -> Result<World, String> {
             w.drivers[up] += 1;
         }
         for (j, terms) in searchers(origins).into_iter().zip([DHT_ONLY, ANSWERED]) {
-            w.at_leaf(j, |leaf, net| {
-                leaf.core.start_search(&mut CtxGnutellaNet { ctx: net }, terms)
-            });
+            w.at_leaf(j, |leaf, net| leaf.start_search(net, terms));
         }
-        w.run(ISSUE_AT + done_bound(w.ticks));
+        w.run(ISSUE_AT + done_bound(w.ticks).max(LEAF_SEARCH_DEADLINE));
         w
     }));
     let mut w = run.map_err(|panic| {
@@ -547,6 +582,20 @@ fn scenario(origins: [usize; 4], fate: Fate) -> Result<World, String> {
     }
     for (key, _) in open.into_iter().filter(|&(_, is_open)| is_open) {
         w.broken.push(format!("{key:?} reached its ultrapeer and was never sent done"));
+    }
+    for (j, leaf) in w.leaves.iter().enumerate() {
+        let mut timed_out = 0;
+        for (qid, s) in leaf.core.searches() {
+            match (s.done, s.ended_at) {
+                (_, None) => w.broken.push(format!("leaf {j} search {qid} never ended: {s:?}")),
+                (false, Some(_)) => timed_out += 1,
+                (true, Some(_)) => {}
+            }
+        }
+        let counted = w.count(leaf_id(j), &pier_gnutella::classes::LEAF_SEARCH_TIMEOUT);
+        if counted != timed_out {
+            w.broken.push(format!("leaf {j}: {timed_out} searches timed out, {counted} counted"));
+        }
     }
     for (i, up) in w.ups.iter().enumerate() {
         for (r, s) in up.stats.iter().enumerate().filter(|(_, s)| !s.done) {
@@ -633,6 +682,9 @@ fn a_polite_network_rescues_the_dht_only_query_on_both_paths() {
     let abandoned: u64 =
         (0..UPS as usize).map(|i| w.count(up_id(i), &classes::QUERY_ABANDONED)).sum();
     assert_eq!(abandoned, 0);
+    let timeout = &pier_gnutella::classes::LEAF_SEARCH_TIMEOUT;
+    let timed_out: u64 = (0..LEAVES as usize).map(|j| w.count(leaf_id(j), timeout)).sum();
+    assert_eq!(timed_out, 0);
 }
 
 /// A repeated `LeafQuery` for a search in flight is counted, not tracked
@@ -656,4 +708,47 @@ fn a_repeated_leaf_query_is_counted_not_tracked_twice() {
             .count();
         assert_eq!(dones, 1, "leaf {j}");
     }
+}
+
+/// A dropped `LeafQuery` never reaches its ultrapeer: the leaf's own timer
+/// ends the search once, exactly at its deadline, and counts it once.
+#[test]
+fn a_dropped_leaf_query_ends_at_the_leafs_deadline() {
+    let origins = [0, 1, 2, 3];
+    let fate: Fate = Box::new(|msg| match msg {
+        HybridMsg::G(GnutellaMsg::LeafQuery { .. }) => vec![],
+        _ => vec![LATENCY],
+    });
+    let w = scenario(origins, fate).expect("no panic");
+    assert_eq!(w.broken, Vec::<String>::new());
+    let timeout = &pier_gnutella::classes::LEAF_SEARCH_TIMEOUT;
+    for j in searchers(origins) {
+        let search = w.leaves[j].core.search(1).expect("issued");
+        assert_eq!((search.done, search.ended_at), (false, Some(ISSUE_AT + LEAF_SEARCH_DEADLINE)));
+        assert_eq!(w.count(leaf_id(j), timeout), 1, "leaf {j}");
+    }
+}
+
+/// At the defaults, a leaf's fallback ends inside the leaf's deadline: the
+/// Gnutella `timeout`, the engine's `SEARCH_TIMEOUT`, and a tick of each
+/// of the hybrid's timers twice (as in `done_bound`), read from the timers
+/// `on_start` arms.
+#[test]
+fn the_leaf_deadline_outlasts_the_default_fallback() {
+    let core = UltrapeerCore::new(UltrapeerConfig::default(), FileStore::default());
+    let dht = DhtCore::new(DhtConfig::default(), Contact::for_node(up_id(0)));
+    let mut up = HybridUp::new(HybridConfig::default(), core, dht, RareScheme::tf(0));
+    let mut net = Net {
+        now: SimTime::ZERO,
+        node: up_id(0),
+        rngs: vec![stream_rng(36, 0)],
+        sent: Vec::new(),
+        timers: Vec::new(),
+        counts: BTreeMap::new(),
+    };
+    up.on_start(&mut net);
+    assert_eq!(net.timers.len(), 3, "{:?}", net.timers);
+    let ticks = net.timers.iter().fold(SimDuration::ZERO, |sum, &(delay, _)| sum + delay);
+    let fallback = HybridConfig::default().timeout + piersearch::SEARCH_TIMEOUT + ticks + ticks;
+    assert!(fallback < LEAF_SEARCH_DEADLINE, "{fallback:?}");
 }

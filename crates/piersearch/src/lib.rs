@@ -32,4 +32,4 @@ pub use schema::{
     catalog, file_id, inverted_cache_table, inverted_cache_tuple, inverted_table, inverted_tuple,
     item_table, ItemRecord, INVERTED, INVERTED_CACHE, ITEM,
 };
-pub use search::{SearchEngine, SearchEvent, SearchState};
+pub use search::{SearchEngine, SearchEvent, SearchState, SEARCH_TIMEOUT};

@@ -16,7 +16,7 @@ use pier_vocab::{policy, text, IdCounter, TermId, Terms};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// Hard deadline for a search (covers plan execution + item fetches).
-const SEARCH_TIMEOUT: SimDuration = SimDuration::from_secs(60);
+pub const SEARCH_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
 /// State of one search.
 #[derive(Debug)]
