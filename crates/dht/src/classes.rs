@@ -23,6 +23,7 @@ pier_netsim::metric_classes! {
     pub RPC_TIMEOUT = "dht.rpc_timeout";
     pub BUCKET_REFRESH = "dht.bucket_refresh";
     pub REVIVE_REJOIN = "dht.revive_rejoin";
+    pub REVIVE_ISOLATED = "dht.revive_isolated";
 
     // Histograms.
     pub ROUTE_HOPS = "dht.route.hops";

@@ -239,7 +239,7 @@ impl DhtCore {
     /// Store `value` under `key` via recursive greedy routing — the
     /// Bamboo-style publish PIER uses. One message path of O(log N) hops,
     /// a single stored copy, no ack; durability is the publisher's job (the
-    /// ack-checked refresh of PIERSearch's soft-state loop).
+    /// replicated `put` of PIERSearch's soft-state refresh loop).
     pub fn put_routed(&mut self, net: &mut dyn DhtNet, key: Key, value: Vec<u8>) {
         let ttl_us = self.cfg.value_ttl.as_micros();
         let origin = self.local();
@@ -321,13 +321,15 @@ impl DhtCore {
 
     /// Revival repair: re-prime the routing table with a self-lookup (the
     /// join walk, but seeded from the surviving table instead of a
-    /// bootstrap contact).
+    /// bootstrap contact). A node whose table emptied has no one to ask:
+    /// it stays isolated, counted in `dht.revive_isolated`.
     pub fn revive(&mut self, net: &mut dyn DhtNet) {
-        net.count(crate::classes::REVIVE_REJOIN.id(), 1);
-        if !self.table.is_empty() {
-            let op = self.start_lookup(net, self.local().key, LookupKind::Node);
-            self.join_op = Some(op);
+        if self.table.is_empty() {
+            return net.count(crate::classes::REVIVE_ISOLATED.id(), 1);
         }
+        net.count(crate::classes::REVIVE_REJOIN.id(), 1);
+        let op = self.start_lookup(net, self.local().key, LookupKind::Node);
+        self.join_op = Some(op);
     }
 
     /// Periodic maintenance: RPC timeouts, value expiry, bucket refresh.
@@ -721,11 +723,12 @@ mod tests {
     use super::*;
     use pier_netsim::{stream_rng, SimDuration};
 
-    /// A net that records what the core sends.
+    /// A net that records what the core sends and counts.
     struct Outbox {
         now: SimTime,
         rng: SimRng,
         sent: Vec<(NodeId, DhtMsg)>,
+        counted: Vec<MetricClass>,
     }
 
     impl DhtNet for Outbox {
@@ -741,8 +744,14 @@ mod tests {
         fn send_dht(&mut self, dst: NodeId, msg: DhtMsg) {
             self.sent.push((dst, msg));
         }
-        fn count(&mut self, _class: MetricClass, _n: u64) {}
+        fn count(&mut self, class: MetricClass, n: u64) {
+            self.counted.extend(std::iter::repeat_n(class, n as usize));
+        }
         fn observe(&mut self, _class: MetricClass, _value: f64) {}
+    }
+
+    fn outbox() -> Outbox {
+        Outbox { now: SimTime::ZERO, rng: stream_rng(0, 0), sent: Vec::new(), counted: Vec::new() }
     }
 
     /// A lookup reply is credited to the contact the RPC went to. Here the
@@ -754,7 +763,7 @@ mod tests {
         let contact = |i: u32| Contact::for_node(NodeId::new(i));
         let mut core = DhtCore::new(DhtConfig::test(), contact(0));
         core.table_mut().observe(contact(1), SimTime::ZERO);
-        let mut net = Outbox { now: SimTime::ZERO, rng: stream_rng(0, 0), sent: Vec::new() };
+        let mut net = outbox();
         let key = Key::hash(b"item");
         let op = core.get(&mut net, key);
         let Some((dst, DhtMsg::Request { id, .. })) = net.sent.pop() else {
@@ -775,5 +784,25 @@ mod tests {
             .collect();
         assert_eq!(done, vec![(op, vec![b"v".to_vec()])]);
         assert!(core.is_idle());
+    }
+
+    /// A node whose only contact timed out and was evicted has no one to
+    /// rejoin through: its revival sends nothing and is counted as
+    /// isolated, not as a rejoin.
+    #[test]
+    fn a_revival_with_an_empty_table_is_counted_isolated() {
+        let mut core = DhtCore::new(DhtConfig::test(), Contact::for_node(NodeId::new(0)));
+        core.table_mut().observe(Contact::for_node(NodeId::new(1)), SimTime::ZERO);
+        let mut net = outbox();
+        core.get(&mut net, Key::hash(b"item"));
+        net.now += core.config().rpc_timeout + SimDuration::from_secs(1);
+        core.tick(&mut net);
+        assert!(core.table().is_empty(), "the silent contact is evicted");
+        core.end_session();
+        net.sent.clear();
+        net.counted.clear();
+        core.revive(&mut net);
+        assert!(net.sent.is_empty(), "{:?}", net.sent);
+        assert_eq!(net.counted, [crate::classes::REVIVE_ISOLATED.id()]);
     }
 }

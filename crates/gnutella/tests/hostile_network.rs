@@ -3,8 +3,8 @@
 //! entries have expired, or delivered with a hop count of 255.
 //!
 //! Eight ultrapeers and sixteen leaves are driven directly rather than
-//! through the simulator: a test net records every send, and a fate
-//! function decides when, and how many times, each one arrives. Leaves
+//! through the simulator: the shared test bed's net records every send,
+//! and its fate table decides when, and how many times, each one arrives. Leaves
 //! publish their QRP filters fault-free, so every run screens queries
 //! against the same filters. Each run then issues two dynamic queries, one
 //! flat flood and one leaf search, ticks every ultrapeer and expires every
@@ -26,21 +26,27 @@
 //!    plus one tick of its start, whatever was lost;
 //! 6. a `seen_ttl` and a tick after the last send or delivery, with the
 //!    driver's records taken, every ultrapeer is idle;
-//! 7. a run sends at most `MAX_SENDS` messages: no loop feeds itself;
+//! 7. a run sends at most the shared bed's `MAX_SENDS` messages: no loop
+//!    feeds itself;
 //! 8. every leaf search ends exactly once, by its ultrapeer's `done` or by
 //!    `issued_at + LEAF_SEARCH_DEADLINE` at the latest, takes no hit after
 //!    it ends, and `gnutella.leaf_search_timeout` counts the searches that
 //!    ended by deadline; on a polite schedule every one ends by `done`.
 
 use pier_gnutella::{
-    classes, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, LeafCore, QueryOrigin,
-    QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, HIT_TTL, LEAF_SEARCH_DEADLINE,
+    classes, CtxGnutellaNet, FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, Hit, LeafCore,
+    QueryOrigin, QueryRecord, Terms, UltrapeerConfig, UltrapeerCore, HIT_TTL, LEAF_SEARCH_DEADLINE,
     PROBE_INTERVAL, UP_TICK_INTERVAL,
 };
-use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
+use pier_netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+
+// Each harness uses part of the shared test bed.
+#[allow(dead_code)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
+use hostile::{within, Ends, Entry, Fate, Net, Table, Wire, SOON};
 
 const UPS: u32 = 8;
 const LEAVES: u32 = 16;
@@ -49,9 +55,6 @@ const DEGREE: u64 = 4;
 const PROBE_NEIGHBORS: u64 = 2;
 /// Shorter than a dynamic query runs, so a query outlives its own claim.
 const SEEN_TTL: SimDuration = SimDuration::from_secs(5);
-/// Far above any run's traffic (under a thousand sends), far below what
-/// would exhaust memory: a run past it has a loop and is stopped.
-const MAX_SENDS: u64 = 50_000;
 /// When the searches start (the QRP exchange is long over). On the tick
 /// clock, so the leaf's deadline falls on a tick.
 const ISSUE_AT: SimTime = SimTime::from_micros(1_200_000);
@@ -98,68 +101,23 @@ fn homes(j: u32) -> Vec<NodeId> {
     vec![up_id(j), up_id(j + 3)]
 }
 
-/// When a sent message arrives: once per entry, after that delay, with its
-/// hop count forced to 255 where the flag is set. An empty list drops it.
-type Fate = Box<dyn FnMut() -> Vec<(SimDuration, bool)>>;
-
-fn soon(x: u16) -> SimDuration {
-    SimDuration::from_millis(10 + u64::from(x) % 81)
-}
-
-fn polite() -> Fate {
-    let mut sent = 0u16;
-    Box::new(move || {
-        sent = sent.wrapping_add(7);
-        vec![(soon(sent), false)]
-    })
-}
-
-/// Fates cycle through `schedule` in send order. Kinds 0–3 deliver once
-/// after 10–90 ms, 4 delivers twice, 5 drops, 6 holds the message until
-/// the `seen` entries it would meet have expired, 7 delivers a `Query` as
-/// if it had travelled 255 hops.
-fn scheduled(schedule: Vec<(u8, u16, u16)>) -> Fate {
-    let mut sent = 0;
-    Box::new(move || {
-        let (kind, a, b) = schedule[sent % schedule.len()];
-        sent += 1;
-        match kind {
-            0..=3 => vec![(soon(a), false)],
-            4 => vec![(soon(a), false), (soon(b), false)],
-            5 => vec![],
-            6 => vec![(SEEN_TTL + UP_TICK_INTERVAL + soon(a), false)],
-            _ => vec![(soon(a), true)],
+/// Fates follow the shared table, with delays of 10–90 ms. Kind 6 holds
+/// the message until the `seen` entries it would meet have expired, 7
+/// delivers a `Query` as if it had travelled 255 hops.
+fn scheduled(schedule: Vec<Entry>) -> Fate<GnutellaMsg> {
+    let mut table = Table::new(schedule, false, SOON);
+    Box::new(move |msg| {
+        let (kind, delays) = table.next(|a| SEEN_TTL + UP_TICK_INTERVAL + within(SOON, a));
+        if let (7, GnutellaMsg::Query { hops, .. }) = (kind, msg) {
+            *hops = u8::MAX;
         }
+        delays
     })
 }
 
-/// What a node sees of the network: the clock, an outbox, and the
-/// counters the invariants read.
-struct TestNet {
-    now: SimTime,
-    node: NodeId,
-    rng: SimRng,
-    outbox: Vec<(NodeId, GnutellaMsg)>,
-    counts: BTreeMap<MetricClass, u64>,
-}
-
-impl GnutellaNet for TestNet {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn self_node(&self) -> NodeId {
-        self.node
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-    fn send(&mut self, dst: NodeId, msg: GnutellaMsg) {
-        self.outbox.push((dst, msg));
-    }
-    fn count(&mut self, class: MetricClass, n: u64) {
-        *self.counts.entry(class).or_default() += n;
-    }
-    fn observe(&mut self, _class: MetricClass, _value: f64) {}
+/// Every message once, after a delay that cycles through 10–90 ms.
+fn polite() -> Fate<GnutellaMsg> {
+    scheduled((1..=81).map(|k| (0, 7 * k, 0)).collect())
 }
 
 type Sent = Vec<(NodeId, GnutellaMsg)>;
@@ -167,13 +125,8 @@ type Sent = Vec<(NodeId, GnutellaMsg)>;
 struct World {
     ups: Vec<UltrapeerCore>,
     leaves: Vec<LeafCore>,
-    net: TestNet,
-    /// In flight, by (arrival, scheduling order): ties arrive in send
-    /// order. Each entry is `(from, to, message)`.
-    queue: BTreeMap<(SimTime, u64), (NodeId, NodeId, GnutellaMsg)>,
-    scheduled: u64,
-    fate: Fate,
-    last_activity: SimTime,
+    net: Net<GnutellaMsg>,
+    wire: Wire<GnutellaMsg>,
     /// The test's own reverse-path table: where each ultrapeer last
     /// first-saw each GUID (itself, for a GUID it originated), and when.
     seen: BTreeMap<(NodeId, Guid), (NodeId, SimTime)>,
@@ -185,7 +138,7 @@ struct World {
     taken: Vec<QueryRecord>,
     /// Each ended leaf search, by `(leaf, qid)`: whether `done` ended it,
     /// when, and its hit count, as first seen ended.
-    ended: BTreeMap<(u32, u32), (bool, SimTime, usize)>,
+    ended: Ends<(u32, u32), (bool, SimTime, usize)>,
     /// Every invariant that broke, in the order it broke.
     broken: Vec<String>,
 }
@@ -207,35 +160,22 @@ impl World {
             }
             leaves.push(leaf);
         }
-        let net = TestNet {
-            now: SimTime::ZERO,
-            node: NodeId::new(0),
-            rng: stream_rng(7, 0),
-            outbox: Vec::new(),
-            counts: BTreeMap::new(),
-        };
         let mut w = World {
             ups,
             leaves,
-            net,
-            queue: BTreeMap::new(),
-            scheduled: 0,
-            fate: polite(),
-            last_activity: SimTime::ZERO,
+            net: Net::new(7, UPS + LEAVES),
+            wire: Wire::new(polite()),
             seen: BTreeMap::new(),
             relayed: BTreeMap::new(),
             flood: None,
             taken: Vec::new(),
-            ended: BTreeMap::new(),
+            ended: Ends(BTreeMap::new()),
             broken: Vec::new(),
         };
         for j in 0..LEAVES {
             w.at_leaf(j, |leaf, net| leaf.publish_qrp(net));
         }
-        while let Some(((at, _), (from, to, msg))) = w.queue.pop_first() {
-            w.net.now = at;
-            w.deliver(from, to, msg);
-        }
+        hostile::run(&mut w, None);
         w
     }
 
@@ -244,21 +184,25 @@ impl World {
     fn at_up<R>(
         &mut self,
         i: usize,
-        f: impl FnOnce(&mut UltrapeerCore, &mut TestNet) -> R,
+        f: impl FnOnce(&mut UltrapeerCore, &mut dyn GnutellaNet) -> R,
     ) -> (R, Sent) {
         let me = NodeId::new(i as u32);
         self.net.node = me;
-        let r = f(&mut self.ups[i], &mut self.net);
+        let r = f(&mut self.ups[i], &mut CtxGnutellaNet { ctx: &mut self.net });
         for (guid, record) in self.ups[i].queries() {
             self.seen.entry((me, guid)).or_insert((me, record.issued_at));
         }
-        (r, self.flush())
+        (r, self.wire.flush(&mut self.net))
     }
 
-    fn at_leaf<R>(&mut self, j: u32, f: impl FnOnce(&mut LeafCore, &mut TestNet) -> R) -> R {
+    fn at_leaf<R>(
+        &mut self,
+        j: u32,
+        f: impl FnOnce(&mut LeafCore, &mut dyn GnutellaNet) -> R,
+    ) -> R {
         self.net.node = leaf_id(j);
-        let r = f(&mut self.leaves[j as usize], &mut self.net);
-        self.flush();
+        let r = f(&mut self.leaves[j as usize], &mut CtxGnutellaNet { ctx: &mut self.net });
+        self.wire.flush(&mut self.net);
         self.check_searches(j);
         r
     }
@@ -266,98 +210,12 @@ impl World {
     /// Invariant 8 at leaf `j`: a search ends once, by its deadline at the
     /// latest, and takes no hit after.
     fn check_searches(&mut self, j: u32) {
-        let now = self.net.now;
-        let mut broken = Vec::new();
         for (qid, s) in self.leaves[j as usize].searches() {
+            let end = s.ended_at.map(|at| (at, (s.done, at, s.hits.len())));
             let deadline = s.issued_at + LEAF_SEARCH_DEADLINE;
-            let is = s.ended_at.map(|at| (s.done, at, s.hits.len()));
-            match (self.ended.get(&(j, qid)), is) {
-                (Some(was), _) if Some(*was) != is => broken
-                    .push(format!("leaf {j} search {qid} changed after its end {was:?}: {s:?}")),
-                (Some(_), _) => {}
-                (None, Some(is)) => {
-                    if is.1 > deadline {
-                        broken
-                            .push(format!("leaf {j} search {qid} ended past its deadline: {s:?}"));
-                    }
-                    self.ended.insert((j, qid), is);
-                }
-                (None, None) if now > deadline => {
-                    broken.push(format!("leaf {j} search {qid} open at {now:?}"))
-                }
-                (None, None) => {}
+            if let Some(why) = self.ended.check((j, qid), self.net.now, deadline, end) {
+                self.broken.push(format!("leaf {j} search {qid} {why}: {s:?}"));
             }
-        }
-        self.broken.append(&mut broken);
-    }
-
-    /// Hand the outbox to the fate, and return what was in it.
-    fn flush(&mut self) -> Sent {
-        let sent = std::mem::take(&mut self.net.outbox);
-        let (from, now) = (self.net.node, self.net.now);
-        if !sent.is_empty() {
-            self.last_activity = now;
-        }
-        for (to, msg) in &sent {
-            for (delay, far) in (self.fate)() {
-                let mut msg = msg.clone();
-                if let (GnutellaMsg::Query { hops, .. }, true) = (&mut msg, far) {
-                    *hops = u8::MAX;
-                }
-                self.queue.insert((now + delay, self.scheduled), (from, *to, msg));
-                self.scheduled += 1;
-            }
-        }
-        sent
-    }
-
-    fn count(&self, class: MetricClass) -> u64 {
-        self.net.counts.get(&class).copied().unwrap_or(0)
-    }
-
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: GnutellaMsg) {
-        let now = self.net.now;
-        self.last_activity = now;
-        if to.index() >= UPS as usize {
-            let j = (to.index() - UPS as usize) as u32;
-            return self.at_leaf(j, |leaf, net| leaf.on_message(net, from, msg));
-        }
-        let dups = self.count(classes::DUPLICATE_QUERY.id());
-        let (query, hits_for) = match &msg {
-            GnutellaMsg::Query { guid, ttl, .. } => (Some((*guid, *ttl)), None),
-            GnutellaMsg::QueryHit { guid, ttl, .. } => (None, Some((*guid, *ttl))),
-            GnutellaMsg::LeafHits { guid, .. } => (None, Some((*guid, HIT_TTL))),
-            _ => (None, None),
-        };
-        let ((), sent) = self.at_up(to.index(), |up, net| up.on_message(net, from, msg));
-        if let Some((guid, ttl)) = query {
-            let dup = self.count(classes::DUPLICATE_QUERY.id()) > dups;
-            self.check_seen(to, guid, dup);
-            let relays = sent.iter().filter(|(_, m)| matches!(m, GnutellaMsg::Query { .. }));
-            if relays.clone().next().is_some() {
-                if let Some(&last) = self.relayed.get(&(to, guid)) {
-                    if now < last + SEEN_TTL {
-                        self.broken.push(format!("{to:?} relayed {guid:?} twice within seen_ttl"));
-                    }
-                }
-                self.relayed.insert((to, guid), now);
-            }
-            for (dst, m) in relays {
-                let GnutellaMsg::Query { ttl: out, .. } = m else { unreachable!() };
-                if dup || Some(*out) != ttl.checked_sub(1) || *out < 1 || *dst == from {
-                    let what = format!("ttl {ttl} from {from:?}: ttl {out} to {dst:?}");
-                    self.broken.push(format!("{to:?} relayed {guid:?} ({what}, dup {dup})"));
-                }
-            }
-            if !dup {
-                self.seen.insert((to, guid), (from, now));
-            }
-            // The node's own matches go back the way the query came.
-            self.check_hits(to, &sent, Some(from), HIT_TTL);
-        }
-        if let Some((guid, ttl)) = hits_for {
-            let back = self.seen.get(&(to, guid)).map(|&(prev, _)| prev).filter(|&p| p != to);
-            self.check_hits(to, &sent, back, ttl.saturating_sub(1));
         }
     }
 
@@ -394,6 +252,71 @@ impl World {
         }
     }
 
+    /// Whether `hit` names a file its host shares, and the file matches.
+    fn is_real(&self, hit: &Hit, terms: &Terms) -> bool {
+        let host = hit.host.index();
+        let store = match host.checked_sub(UPS as usize) {
+            None => self.ups[host].store(),
+            Some(j) if j < LEAVES as usize => self.leaves[j].store(),
+            Some(_) => return false,
+        };
+        store.matching(terms).contains(&&hit.file)
+    }
+}
+
+/// Every `UP_TICK_INTERVAL` on the tick clock, the ultrapeers' ticks and
+/// the leaves' expiry; the run ends a tick a `seen_ttl` after the last
+/// send or delivery and the leaf's deadline, which outlasts the driver's
+/// queries' bound.
+impl hostile::World<GnutellaMsg> for World {
+    fn bed(&mut self) -> (&mut Net<GnutellaMsg>, &mut Wire<GnutellaMsg>) {
+        (&mut self.net, &mut self.wire)
+    }
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: GnutellaMsg) {
+        let now = self.net.now;
+        if to.index() >= UPS as usize {
+            let j = (to.index() - UPS as usize) as u32;
+            return self.at_leaf(j, |leaf, net| leaf.on_message(net, from, msg));
+        }
+        let dups = self.net.at(to, &classes::DUPLICATE_QUERY);
+        let (query, hits_for) = match &msg {
+            GnutellaMsg::Query { guid, ttl, .. } => (Some((*guid, *ttl)), None),
+            GnutellaMsg::QueryHit { guid, ttl, .. } => (None, Some((*guid, *ttl))),
+            GnutellaMsg::LeafHits { guid, .. } => (None, Some((*guid, HIT_TTL))),
+            _ => (None, None),
+        };
+        let ((), sent) = self.at_up(to.index(), |up, net| up.on_message(net, from, msg));
+        if let Some((guid, ttl)) = query {
+            let dup = self.net.at(to, &classes::DUPLICATE_QUERY) > dups;
+            self.check_seen(to, guid, dup);
+            let relays = sent.iter().filter(|(_, m)| matches!(m, GnutellaMsg::Query { .. }));
+            if relays.clone().next().is_some() {
+                if let Some(&last) = self.relayed.get(&(to, guid)) {
+                    if now < last + SEEN_TTL {
+                        self.broken.push(format!("{to:?} relayed {guid:?} twice within seen_ttl"));
+                    }
+                }
+                self.relayed.insert((to, guid), now);
+            }
+            for (dst, m) in relays {
+                let GnutellaMsg::Query { ttl: out, .. } = m else { unreachable!() };
+                if dup || Some(*out) != ttl.checked_sub(1) || *out < 1 || *dst == from {
+                    let what = format!("ttl {ttl} from {from:?}: ttl {out} to {dst:?}");
+                    self.broken.push(format!("{to:?} relayed {guid:?} ({what}, dup {dup})"));
+                }
+            }
+            if !dup {
+                self.seen.insert((to, guid), (from, now));
+            }
+            // The node's own matches go back the way the query came.
+            self.check_hits(to, &sent, Some(from), HIT_TTL);
+        }
+        if let Some((guid, ttl)) = hits_for {
+            let back = self.seen.get(&(to, guid)).map(|&(prev, _)| prev).filter(|&p| p != to);
+            self.check_hits(to, &sent, back, ttl.saturating_sub(1));
+        }
+    }
+
     /// Tick every ultrapeer, holding each dynamic query that was running
     /// to its finish bound, then expire every leaf's searches.
     fn tick(&mut self) {
@@ -417,44 +340,9 @@ impl World {
         }
     }
 
-    /// Deliver and tick until nothing is in flight and a tick has run a
-    /// `seen_ttl` after the last activity and the leaf's deadline, which
-    /// outlasts the driver's queries' bound.
-    fn run(&mut self) {
-        assert!(finish_bound() < LEAF_SEARCH_DEADLINE);
-        let quiet_after = ISSUE_AT + LEAF_SEARCH_DEADLINE;
-        let tick_us = UP_TICK_INTERVAL.as_micros();
-        let mut next_tick =
-            SimTime::from_micros((self.net.now.as_micros() / tick_us + 1) * tick_us);
-        loop {
-            if self.scheduled > MAX_SENDS {
-                return self.broken.push(format!("{} sends: a message storm", self.scheduled));
-            }
-            if let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= next_tick) {
-                let ((at, _), (from, to, msg)) = due.remove_entry();
-                self.net.now = at;
-                self.deliver(from, to, msg);
-                continue;
-            }
-            self.net.now = next_tick;
-            self.tick();
-            next_tick += UP_TICK_INTERVAL;
-            let quiet = self.last_activity.max(quiet_after) + SEEN_TTL + UP_TICK_INTERVAL;
-            if self.queue.is_empty() && self.net.now >= quiet {
-                return;
-            }
-        }
-    }
-
-    /// Whether `hit` names a file its host shares, and the file matches.
-    fn is_real(&self, hit: &Hit, terms: &Terms) -> bool {
-        let host = hit.host.index();
-        let store = match host.checked_sub(UPS as usize) {
-            None => self.ups[host].store(),
-            Some(j) if j < LEAVES as usize => self.leaves[j].store(),
-            Some(_) => return false,
-        };
-        store.matching(terms).contains(&&hit.file)
+    fn quiet(&self) -> SimTime {
+        let last = self.wire.last_send.max(self.wire.last_delivery);
+        last.max(ISSUE_AT + LEAF_SEARCH_DEADLINE) + SEEN_TTL + UP_TICK_INTERVAL
     }
 }
 
@@ -464,10 +352,10 @@ type Origins = (u32, u32, u32, u32);
 
 /// Issue the four searches under `fate`, run to quiet, take the driver's
 /// records, and check what is left. A panic is reported as an `Err`.
-fn searches(origins: Origins, fate: Fate) -> Result<World, String> {
-    let run = catch_unwind(AssertUnwindSafe(|| {
+fn searches(origins: Origins, fate: Fate<GnutellaMsg>) -> Result<World, String> {
+    let (mut w, driver) = hostile::caught(|| {
         let mut w = World::connected();
-        w.fate = fate;
+        w.wire.fate = fate;
         w.net.now = ISSUE_AT;
         let mut driver = Vec::new();
         for (up, terms) in [(origins.0, TERMS[0]), (origins.1, TERMS[1])] {
@@ -479,18 +367,13 @@ fn searches(origins: Origins, fate: Fate) -> Result<World, String> {
         driver.push((up_id(origins.2), flood));
         w.flood = Some(flood);
         w.at_leaf(origins.3, |leaf, net| leaf.start_search(net, TERMS[3]));
-        w.run();
+        assert!(finish_bound() < LEAF_SEARCH_DEADLINE);
+        let first = ISSUE_AT + UP_TICK_INTERVAL;
+        hostile::run(&mut w, Some((first, UP_TICK_INTERVAL)));
         (w, driver)
-    }));
-    let (mut w, driver) = run.map_err(|panic| {
-        let why = panic.downcast_ref::<String>().cloned();
-        format!(
-            "panicked: {:?}",
-            why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-        )
     })?;
-    let started = w.count(classes::QUERIES_STARTED.id());
-    let finished = w.count(classes::QUERIES_FINISHED.id());
+    let started = w.net.total(&classes::QUERIES_STARTED);
+    let finished = w.net.total(&classes::QUERIES_FINISHED);
     if started != finished {
         w.broken.push(format!("{started} queries started, {finished} finished"));
     }
@@ -501,20 +384,16 @@ fn searches(origins: Origins, fate: Fate) -> Result<World, String> {
         }
         w.taken.push(record);
     }
-    let mut timed_out = 0;
     for (j, leaf) in w.leaves.iter().enumerate() {
         for (qid, s) in leaf.searches() {
             if let Some(hit) = s.hits.iter().find(|h| !w.is_real(h, &s.terms)) {
                 w.broken.push(format!("leaf {j} search {qid} holds a hit no host shares: {hit:?}"));
             }
-            match (s.done, s.ended_at) {
-                (_, None) => w.broken.push(format!("leaf {j} search {qid} never ended: {s:?}")),
-                (false, Some(_)) => timed_out += 1,
-                (true, Some(_)) => {}
-            }
         }
     }
-    let counted = w.count(classes::LEAF_SEARCH_TIMEOUT.id());
+    // The run outlasts every deadline, so the ledger holds every search.
+    let timed_out = w.ended.0.values().filter(|(done, ..)| !done).count() as u64;
+    let counted = w.net.total(&classes::LEAF_SEARCH_TIMEOUT);
     if counted != timed_out {
         w.broken.push(format!("{timed_out} leaf searches timed out, {counted} counted"));
     }
@@ -532,7 +411,7 @@ proptest! {
     #[test]
     fn searches_end_and_route_correctly_under_any_schedule(
         origins in (0..UPS, 0..UPS, 0..UPS, 0..LEAVES),
-        schedule in prop::collection::vec((0u8..8, any::<u16>(), any::<u16>()), 1..48),
+        schedule in hostile::schedule(8),
     ) {
         let broken = searches(origins, scheduled(schedule)).map(|w| w.broken);
         prop_assert!(broken.as_ref().is_ok_and(|b| b.is_empty()), "{:?}", broken);
@@ -549,7 +428,7 @@ fn a_polite_network_completes_every_search() {
     assert!(w.taken.iter().all(|r| !r.hits.is_empty()), "{:?}", w.taken);
     let search = w.leaves[9].search(1).expect("issued");
     assert!(search.done && !search.hits.is_empty(), "{search:?}");
-    assert_eq!(w.count(classes::LEAF_SEARCH_TIMEOUT.id()), 0);
+    assert_eq!(w.net.total(&classes::LEAF_SEARCH_TIMEOUT), 0);
 }
 
 /// With every message dropped, the leaf's `LeafQuery` never reaches its
@@ -562,5 +441,5 @@ fn a_silent_network_ends_the_leaf_search_at_its_deadline() {
     let search = w.leaves[9].search(1).expect("issued");
     assert_eq!((search.done, search.ended_at), (false, Some(ISSUE_AT + LEAF_SEARCH_DEADLINE)));
     assert!(search.hits.is_empty());
-    assert_eq!(w.count(classes::LEAF_SEARCH_TIMEOUT.id()), 1);
+    assert_eq!(w.net.total(&classes::LEAF_SEARCH_TIMEOUT), 1);
 }

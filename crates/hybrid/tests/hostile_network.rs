@@ -3,9 +3,10 @@
 //! the hybrid's fallback timeout (Gnutella) or the DHT's `rpc_timeout`.
 //!
 //! Four fully meshed hybrid ultrapeers with two leaves each are driven
-//! directly rather than through the simulator: a test `Ctx<HybridMsg>`
-//! records every send and every timer, and a fate function decides when,
-//! and how many times, each message arrives. Timers fire on time. The
+//! directly rather than through the simulator: the shared test bed's net,
+//! a `Ctx<HybridMsg>`, records every send and every timer, and its fate
+//! table decides when, and how many times, each message arrives. Timers
+//! fire on time. The
 //! set-up runs fault-free: the QRP exchange, then one file that no leaf
 //! shares published through a hybrid's `Publisher`. Each run then starts
 //! two driver queries and two leaf searches (through `LeafNode`, so each
@@ -31,28 +32,30 @@
 //!    after the last delivery, every ultrapeer is idle — `HybridUp`, its
 //!    `UltrapeerCore`, `DhtCore`, `PierCore` and `SearchEngine` — and
 //!    holds one stats row per driver query it started;
-//! 7. a run sends at most `MAX_SENDS` messages;
+//! 7. a run sends at most the shared bed's `MAX_SENDS` messages;
 //! 8. every leaf search ends exactly once, by its ultrapeer's `done` or by
 //!    `issued_at + LEAF_SEARCH_DEADLINE` at the latest (the leaf's own
 //!    timer), takes no hit after it ends, and each leaf's
 //!    `gnutella.leaf_search_timeout` counts its searches that ended by
 //!    deadline; on a polite schedule every one ends by `done`.
 
-use pier_dht::{bootstrap, Contact, CtxNet, DhtConfig, DhtCore};
+use pier_dht::{Contact, CtxNet, DhtConfig, DhtCore};
 use pier_gnutella::{
     FileMeta, FileStore, GnutellaMsg, Hit, LeafCore, LeafNode, Terms, UltrapeerConfig,
     UltrapeerCore, LEAF_SEARCH_DEADLINE,
 };
 use pier_hybrid::{classes, HybridConfig, HybridMsg, HybridQueryStats, HybridUp, RareScheme};
-use pier_netsim::{
-    stream_rng, Actor, Ctx, LazyMetricClass, MetricClass, NodeId, SimDuration, SimRng, SimTime,
-    TimerToken,
-};
+use pier_netsim::{Actor, NodeId, SimDuration, SimTime, TimerToken};
 use pier_qp::EXEC_TTL;
 use piersearch::ItemRecord;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+
+// Each harness uses part of the shared test bed.
+#[allow(dead_code)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
+use hostile::{Ends, Entry, Fate, Net, Table, Wire, LATENCY};
 
 const UPS: u32 = 4;
 const LEAVES: u32 = 2 * UPS;
@@ -63,15 +66,10 @@ const SEEN_TTL: SimDuration = SimDuration::from_secs(4);
 /// search can end before its Gnutella record finishes.
 const TIMEOUT: SimDuration = SimDuration::from_secs(5);
 const RPC_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-/// The polite network's one-way latency.
-const LATENCY: SimDuration = SimDuration::from_millis(10);
 /// When the record is published, the QRP exchange long over.
 const PUBLISH_AT: SimTime = SimTime::from_micros(1_000_000);
 /// When the queries start, the publish long stored.
 const ISSUE_AT: SimTime = SimTime::from_micros(5_000_000);
-/// Far above any run's traffic, far below what would exhaust memory: a
-/// run past it has a loop and is stopped.
-const MAX_SENDS: u64 = 50_000;
 
 /// Every leaf and ultrapeer shares a match; nothing else matches the other
 /// two but the published record, and nothing matches the last.
@@ -113,77 +111,17 @@ fn dht_config() -> DhtConfig {
     }
 }
 
-/// When a sent message arrives: once per entry, after that delay. An empty
-/// list drops it.
-type Fate = Box<dyn FnMut(&HybridMsg) -> Vec<SimDuration>>;
-
-fn polite() -> Fate {
-    Box::new(|_| vec![LATENCY])
-}
-
-fn soon(x: u16) -> SimDuration {
-    SimDuration::from_millis(10 + u64::from(x) % 81)
-}
-
-/// Fates cycle through `schedule` in send order. Kinds 0–3 deliver once
-/// after 10–90 ms, 4 delivers twice, 5 drops, 6 holds a Gnutella message
-/// past `TIMEOUT` (and so past `SEEN_TTL`) and a DHT message past
-/// `RPC_TIMEOUT`. A polite schedule turns drops and holds into repeats.
-fn scheduled(schedule: Vec<(u8, u16, u16)>, polite: bool) -> Fate {
-    let mut sent = 0;
-    Box::new(move |msg| {
-        let (kind, a, b) = schedule[sent % schedule.len()];
-        sent += 1;
-        let late = SimDuration::from_millis(1 + u64::from(a) % 3000);
-        let held = match msg {
+/// Fates follow the shared table, with delays of 10–90 ms; a held Gnutella
+/// message arrives up to 3 s past `TIMEOUT` (and so past `SEEN_TTL`), a
+/// held DHT message as long past `RPC_TIMEOUT`.
+fn scheduled(schedule: Vec<Entry>, polite: bool) -> Fate<HybridMsg> {
+    Table::new(schedule, polite, hostile::SOON).fate(|msg, a| {
+        let late = hostile::within(1..=3000, a);
+        match msg {
             HybridMsg::G(_) => TIMEOUT + late,
             HybridMsg::D(_) => RPC_TIMEOUT + late,
-        };
-        match (kind, polite) {
-            (0..=3, _) => vec![soon(a)],
-            (4, _) | (5 | 6, true) => vec![soon(a), soon(b)],
-            (5, false) => vec![],
-            _ => vec![held],
         }
     })
-}
-
-/// What a node sees of the network: the clock, an outbox, the timers it
-/// armed, and the counters the invariants read, per node.
-struct Net {
-    now: SimTime,
-    node: NodeId,
-    rngs: Vec<SimRng>,
-    sent: Vec<(NodeId, HybridMsg)>,
-    timers: Vec<(SimDuration, TimerToken)>,
-    counts: BTreeMap<(NodeId, MetricClass), u64>,
-}
-
-impl Ctx<HybridMsg> for Net {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn self_id(&self) -> NodeId {
-        self.node
-    }
-    fn send(&mut self, dst: NodeId, msg: HybridMsg, _bytes: usize, _class: MetricClass) {
-        self.sent.push((dst, msg));
-    }
-    fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        self.timers.push((delay, token));
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rngs[self.node.index()]
-    }
-    fn count(&mut self, class: MetricClass, n: u64) {
-        *self.counts.entry((self.node, class)).or_default() += n;
-    }
-    fn observe(&mut self, _class: MetricClass, _value: f64) {}
-}
-
-enum Event {
-    Msg(NodeId, HybridMsg),
-    Timer(TimerToken),
 }
 
 /// What a leaf's ultrapeer heard from it, or said to it.
@@ -210,25 +148,18 @@ fn row(s: &HybridQueryStats) -> Row {
 struct World {
     ups: Vec<HybridUp>,
     leaves: Vec<LeafNode>,
-    net: Net,
-    /// By (arrival, scheduling order): ties arrive in send order. Each
-    /// entry is `(to, event)`.
-    queue: BTreeMap<(SimTime, u64), (NodeId, Event)>,
-    scheduled: u64,
-    sends: u64,
-    in_flight: usize,
-    fate: Fate,
-    last_delivery: SimTime,
+    net: Net<HybridMsg>,
+    wire: Wire<HybridMsg>,
     /// One tick of each of a hybrid ultrapeer's timers, summed.
     ticks: SimDuration,
     /// Every `LeafQuery` that reached an ultrapeer and every `LeafResults`
     /// one sent, by `(leaf, qid)`, in order.
     leaf_log: Vec<((NodeId, u32), Said)>,
     /// Each driver row as it stood when first seen `done`.
-    rows_done: BTreeMap<(usize, usize), Row>,
+    rows_done: Ends<(usize, usize), Row>,
     /// Each ended leaf search, by `(leaf, qid)`: whether `done` ended it,
     /// when, and its hit count, as first seen ended.
-    ended: BTreeMap<(usize, u32), (bool, SimTime, usize)>,
+    ended: Ends<(usize, u32), (bool, SimTime, usize)>,
     /// Driver queries started, per ultrapeer.
     drivers: [usize; UPS as usize],
     broken: Vec<String>,
@@ -238,10 +169,10 @@ impl World {
     /// The network with every leaf's filter at its ultrapeer and the
     /// record stored in the DHT, at `ISSUE_AT`.
     fn deployed() -> World {
-        let contacts: Vec<Contact> =
-            (0..UPS as usize).map(|i| Contact::for_node(up_id(i))).collect();
-        let ups = (0..UPS as usize)
-            .map(|i| {
+        let ups = hostile::meshed(&dht_config(), UPS)
+            .into_iter()
+            .enumerate()
+            .map(|(i, dht)| {
                 let cfg = UltrapeerConfig {
                     probe_neighbors: 1,
                     seen_ttl: SEEN_TTL,
@@ -253,9 +184,6 @@ impl World {
                 for j in (0..LEAVES as usize).filter(|&j| home(j) == i) {
                     core.add_leaf(leaf_id(j));
                 }
-                let mut dht = DhtCore::new(dht_config(), contacts[i]);
-                bootstrap::fill_table(dht.table_mut(), &contacts, UPS as usize);
-                assert_eq!(dht.table().len(), UPS as usize - 1, "a full table");
                 let cfg =
                     HybridConfig { timeout: TIMEOUT, browse_leaves: false, ..Default::default() };
                 // TF with a zero threshold calls nothing rare: the published
@@ -274,37 +202,24 @@ impl World {
                 LeafNode::new(core)
             })
             .collect();
-        let net = Net {
-            now: SimTime::ZERO,
-            node: up_id(0),
-            rngs: (0..(UPS + LEAVES) as u64).map(|n| stream_rng(35, n)).collect(),
-            sent: Vec::new(),
-            timers: Vec::new(),
-            counts: BTreeMap::new(),
-        };
         let mut w = World {
             ups,
             leaves,
-            net,
-            queue: BTreeMap::new(),
-            scheduled: 0,
-            sends: 0,
-            in_flight: 0,
-            fate: polite(),
-            last_delivery: SimTime::ZERO,
+            net: Net::new(35, UPS + LEAVES),
+            wire: Wire::new(hostile::polite()),
             ticks: SimDuration::ZERO,
             leaf_log: Vec::new(),
-            rows_done: BTreeMap::new(),
-            ended: BTreeMap::new(),
+            rows_done: Ends(BTreeMap::new()),
+            ended: Ends(BTreeMap::new()),
             drivers: [0; UPS as usize],
             broken: Vec::new(),
         };
         for i in 0..UPS as usize {
-            w.at_up(i, |up, net| up.on_start(net));
+            w.ticks = w.at_up(i, |up, net| {
+                up.on_start(net);
+                ticks(net)
+            });
         }
-        // Every timer was armed at time zero: its arrival is its period.
-        let armed = w.queue.iter().filter(|(_, (to, _))| *to == up_id(0));
-        w.ticks = armed.fold(SimDuration::ZERO, |sum, ((at, _), _)| sum + (*at - SimTime::ZERO));
         for j in 0..LEAVES as usize {
             w.at_leaf(j, |leaf, net| leaf.on_start(net));
         }
@@ -329,7 +244,7 @@ impl World {
 
     /// Run `f` at ultrapeer `i`, schedule what it sent and armed, and check
     /// what invariants 2–4 read there.
-    fn at_up<R>(&mut self, i: usize, f: impl FnOnce(&mut HybridUp, &mut Net) -> R) -> R {
+    fn at_up<R>(&mut self, i: usize, f: impl FnOnce(&mut HybridUp, &mut Net<HybridMsg>) -> R) -> R {
         self.net.node = up_id(i);
         let up = &self.ups[i];
         // One query per ultrapeer at a time: whatever probes or searches
@@ -337,7 +252,7 @@ impl World {
         let busy =
             up.gnutella.queries().any(|(_, r)| !r.finished) || !up.search.app.engine.is_idle();
         let r = f(&mut self.ups[i], &mut self.net);
-        for (dst, msg) in self.flush() {
+        for (dst, msg) in self.wire.flush(&mut self.net) {
             let HybridMsg::G(GnutellaMsg::LeafResults { qid, hits, done }) = msg else {
                 continue;
             };
@@ -362,10 +277,14 @@ impl World {
         r
     }
 
-    fn at_leaf<R>(&mut self, j: usize, f: impl FnOnce(&mut LeafNode, &mut Net) -> R) -> R {
+    fn at_leaf<R>(
+        &mut self,
+        j: usize,
+        f: impl FnOnce(&mut LeafNode, &mut Net<HybridMsg>) -> R,
+    ) -> R {
         self.net.node = leaf_id(j);
         let r = f(&mut self.leaves[j], &mut self.net);
-        self.flush();
+        self.wire.flush(&mut self.net);
         self.check_searches(j);
         r
     }
@@ -373,50 +292,13 @@ impl World {
     /// Invariant 8 at leaf `j`: a search ends once, by its deadline at the
     /// latest, and takes no hit after.
     fn check_searches(&mut self, j: usize) {
-        let now = self.net.now;
-        let mut broken = Vec::new();
         for (qid, s) in self.leaves[j].core.searches() {
+            let end = s.ended_at.map(|at| (at, (s.done, at, s.hits.len())));
             let deadline = s.issued_at + LEAF_SEARCH_DEADLINE;
-            let is = s.ended_at.map(|at| (s.done, at, s.hits.len()));
-            match (self.ended.get(&(j, qid)), is) {
-                (Some(was), _) if Some(*was) != is => broken
-                    .push(format!("leaf {j} search {qid} changed after its end {was:?}: {s:?}")),
-                (Some(_), _) => {}
-                (None, Some(is)) => {
-                    if is.1 > deadline {
-                        broken
-                            .push(format!("leaf {j} search {qid} ended past its deadline: {s:?}"));
-                    }
-                    self.ended.insert((j, qid), is);
-                }
-                (None, None) if now > deadline => {
-                    broken.push(format!("leaf {j} search {qid} open at {now:?}"))
-                }
-                (None, None) => {}
+            if let Some(why) = self.ended.check((j, qid), self.net.now, deadline, end) {
+                self.broken.push(format!("leaf {j} search {qid} {why}: {s:?}"));
             }
         }
-        self.broken.append(&mut broken);
-    }
-
-    /// Hand the outbox to the fate and the armed timers to the queue, and
-    /// return what was sent.
-    fn flush(&mut self) -> Vec<(NodeId, HybridMsg)> {
-        let (node, now) = (self.net.node, self.net.now);
-        for (delay, token) in std::mem::take(&mut self.net.timers) {
-            self.queue.insert((now + delay, self.scheduled), (node, Event::Timer(token)));
-            self.scheduled += 1;
-        }
-        let sent = std::mem::take(&mut self.net.sent);
-        for (to, msg) in &sent {
-            for delay in (self.fate)(msg) {
-                let ev = Event::Msg(node, msg.clone());
-                self.queue.insert((now + delay, self.scheduled), (*to, ev));
-                self.scheduled += 1;
-                self.sends += 1;
-                self.in_flight += 1;
-            }
-        }
-        sent
     }
 
     /// Invariants 2 and 4 on ultrapeer `i`'s driver rows and held records.
@@ -425,23 +307,9 @@ impl World {
         let up = &self.ups[i];
         let mut broken = Vec::new();
         for (r, s) in up.stats.iter().enumerate() {
-            let now_row = row(s);
-            match self.rows_done.get(&(i, r)) {
-                Some(was) if *was != now_row => {
-                    broken.push(format!("up {i} row {r} changed after done: {was:?} → {now_row:?}"))
-                }
-                Some(_) => {}
-                None if s.done => {
-                    if now > s.issued_at + bound {
-                        broken.push(format!("up {i} row {r} done at {now:?}, past its bound"));
-                    }
-                    self.rows_done.insert((i, r), now_row);
-                }
-                None if now > s.issued_at + bound => {
-                    broken.push(format!("up {i} row {r} not done at {now:?}"));
-                    self.rows_done.insert((i, r), now_row);
-                }
-                None => {}
+            let end = s.done.then(|| (now, row(s)));
+            if let Some(why) = self.rows_done.check((i, r), now, s.issued_at + bound, end) {
+                broken.push(format!("up {i} row {r} {why}"));
             }
             if s.pier_items.iter().any(|item| *item != published()) {
                 broken.push(format!("up {i} row {r} holds an item never published: {s:?}"));
@@ -455,58 +323,10 @@ impl World {
         self.broken.append(&mut broken);
     }
 
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: HybridMsg) {
-        let Some(j) = to.index().checked_sub(UPS as usize) else {
-            if let HybridMsg::G(GnutellaMsg::LeafQuery { qid, .. }) = &msg {
-                self.leaf_log.push(((from, *qid), Said::Asked));
-            }
-            return self.at_up(to.index(), |up, net| up.on_message(net, from, msg));
-        };
-        self.at_leaf(j, |leaf, net| leaf.on_message(net, from, msg))
-    }
-
     /// Deliver and fire timers until `end`.
     fn run_until(&mut self, end: SimTime) {
-        while let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= end) {
-            let ((at, _), (to, ev)) = due.remove_entry();
-            self.step(at, to, ev);
-        }
+        while hostile::step(self, end) {}
         self.net.now = end;
-    }
-
-    fn step(&mut self, at: SimTime, to: NodeId, ev: Event) {
-        self.net.now = at;
-        match ev {
-            Event::Msg(from, msg) => {
-                self.in_flight -= 1;
-                self.last_delivery = at;
-                self.deliver(from, to, msg);
-            }
-            Event::Timer(token) => match to.index().checked_sub(UPS as usize) {
-                None => self.at_up(to.index(), |up, net| up.on_timer(net, token)),
-                Some(j) => self.at_leaf(j, |leaf, net| leaf.on_timer(net, token)),
-            },
-        }
-    }
-
-    /// Run until nothing is in flight and `EXEC_TTL` plus a tick of each
-    /// timer has passed since the last delivery and since `quiet_after`.
-    fn run(&mut self, quiet_after: SimTime) {
-        loop {
-            if self.sends > MAX_SENDS {
-                return self.broken.push(format!("{} sends: a message storm", self.sends));
-            }
-            let quiet = self.last_delivery.max(quiet_after) + EXEC_TTL + self.ticks;
-            if self.in_flight == 0 && self.net.now >= quiet {
-                return;
-            }
-            let Some(((at, _), (to, ev))) = self.queue.pop_first() else { return };
-            self.step(at, to, ev);
-        }
-    }
-
-    fn count(&self, node: NodeId, class: &LazyMetricClass) -> u64 {
-        self.net.counts.get(&(node, class.id())).copied().unwrap_or(0)
     }
 
     /// Whether `hit` names a file its host shares and the file matches, or
@@ -520,6 +340,40 @@ impl World {
         };
         store.matching(terms).contains(&&hit.file) || *hit == published_hit()
     }
+}
+
+/// Timers fire on time; the run ends once nothing is in flight and
+/// `EXEC_TTL` plus a tick of each timer has passed since the last delivery
+/// and since every query's bound and the leaf's deadline.
+impl hostile::World<HybridMsg> for World {
+    fn bed(&mut self) -> (&mut Net<HybridMsg>, &mut Wire<HybridMsg>) {
+        (&mut self.net, &mut self.wire)
+    }
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: HybridMsg) {
+        let Some(j) = to.index().checked_sub(UPS as usize) else {
+            if let HybridMsg::G(GnutellaMsg::LeafQuery { qid, .. }) = &msg {
+                self.leaf_log.push(((from, *qid), Said::Asked));
+            }
+            return self.at_up(to.index(), |up, net| up.on_message(net, from, msg));
+        };
+        self.at_leaf(j, |leaf, net| leaf.on_message(net, from, msg))
+    }
+    fn fire(&mut self, node: NodeId, token: TimerToken) {
+        match node.index().checked_sub(UPS as usize) {
+            None => self.at_up(node.index(), |up, net| up.on_timer(net, token)),
+            Some(j) => self.at_leaf(j, |leaf, net| leaf.on_timer(net, token)),
+        }
+    }
+    fn quiet(&self) -> SimTime {
+        let quiet_after = ISSUE_AT + done_bound(self.ticks).max(LEAF_SEARCH_DEADLINE);
+        self.wire.last_delivery.max(quiet_after) + EXEC_TTL + self.ticks
+    }
+}
+
+/// One tick of each timer a hybrid ultrapeer's `on_start` set on `net`,
+/// summed.
+fn ticks(net: &Net<HybridMsg>) -> SimDuration {
+    net.timers.iter().fold(SimDuration::ZERO, |sum, &(delay, _)| sum + delay)
 }
 
 /// The latest a driver row may turn `done` after its issue: the fallback
@@ -548,10 +402,10 @@ fn searchers(origins: [usize; 4]) -> [usize; 2] {
 
 /// Start the four queries under `fate`, run to quiet, and check what is
 /// left. A panic is reported as an `Err`.
-fn scenario(origins: [usize; 4], fate: Fate) -> Result<World, String> {
-    let run = catch_unwind(AssertUnwindSafe(|| {
+fn scenario(origins: [usize; 4], fate: Fate<HybridMsg>) -> Result<World, String> {
+    let mut w = hostile::caught(|| {
         let mut w = World::deployed();
-        w.fate = fate;
+        w.wire.fate = fate;
         for (up, terms) in [(origins[0], DHT_ONLY), (origins[1], UNANSWERED)] {
             w.at_up(up, |up, net| up.start_hybrid_query(net, terms));
             w.drivers[up] += 1;
@@ -559,15 +413,8 @@ fn scenario(origins: [usize; 4], fate: Fate) -> Result<World, String> {
         for (j, terms) in searchers(origins).into_iter().zip([DHT_ONLY, ANSWERED]) {
             w.at_leaf(j, |leaf, net| leaf.start_search(net, terms));
         }
-        w.run(ISSUE_AT + done_bound(w.ticks).max(LEAF_SEARCH_DEADLINE));
+        hostile::run(&mut w, None);
         w
-    }));
-    let mut w = run.map_err(|panic| {
-        let why = panic.downcast_ref::<String>().cloned();
-        format!(
-            "panicked: {:?}",
-            why.or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
-        )
     })?;
     let mut open: BTreeMap<(NodeId, u32), bool> = BTreeMap::new();
     for (key, said) in &w.leaf_log {
@@ -592,7 +439,7 @@ fn scenario(origins: [usize; 4], fate: Fate) -> Result<World, String> {
                 (true, Some(_)) => {}
             }
         }
-        let counted = w.count(leaf_id(j), &pier_gnutella::classes::LEAF_SEARCH_TIMEOUT);
+        let counted = w.net.at(leaf_id(j), &pier_gnutella::classes::LEAF_SEARCH_TIMEOUT);
         if counted != timed_out {
             w.broken.push(format!("leaf {j}: {timed_out} searches timed out, {counted} counted"));
         }
@@ -638,7 +485,7 @@ fn unrescued(w: &World, origins: [usize; 4]) -> Vec<String> {
     if !asker.done || hits != [published_hit()] {
         broken.push(format!("the DHT-only leaf search was not rescued: {asker:?}"));
     }
-    let searches = w.count(up_id(origins[3]), &piersearch::classes::SEARCHES);
+    let searches = w.net.at(up_id(origins[3]), &piersearch::classes::SEARCHES);
     let relayed = answered.hits.iter().any(|h| h.host.index() >= UPS as usize);
     if !answered.done || !relayed || searches != 0 {
         let why = format!("{searches} fallbacks, hits relayed {relayed}");
@@ -654,7 +501,7 @@ proptest! {
     fn every_query_ends_once_and_visibly_under_any_schedule(
         order in 0..24usize,
         polite in any::<bool>(),
-        schedule in prop::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..48),
+        schedule in hostile::schedule(7),
     ) {
         let origins = permutation(order);
         let broken = scenario(origins, scheduled(schedule, polite)).map(|w| {
@@ -673,17 +520,17 @@ proptest! {
 #[test]
 fn a_polite_network_rescues_the_dht_only_query_on_both_paths() {
     let origins = [0, 1, 2, 3];
-    let w = scenario(origins, polite()).expect("no panic");
+    let w = scenario(origins, hostile::polite()).expect("no panic");
     assert_eq!(w.broken, Vec::<String>::new());
     assert_eq!(unrescued(&w, origins), Vec::<String>::new());
     let dones =
         w.leaf_log.iter().filter(|(_, s)| matches!(s, Said::Results { done: true })).count();
     assert_eq!(dones, 2, "{:?}", w.leaf_log);
     let abandoned: u64 =
-        (0..UPS as usize).map(|i| w.count(up_id(i), &classes::QUERY_ABANDONED)).sum();
+        (0..UPS as usize).map(|i| w.net.at(up_id(i), &classes::QUERY_ABANDONED)).sum();
     assert_eq!(abandoned, 0);
     let timeout = &pier_gnutella::classes::LEAF_SEARCH_TIMEOUT;
-    let timed_out: u64 = (0..LEAVES as usize).map(|j| w.count(leaf_id(j), timeout)).sum();
+    let timed_out: u64 = (0..LEAVES as usize).map(|j| w.net.at(leaf_id(j), timeout)).sum();
     assert_eq!(timed_out, 0);
 }
 
@@ -692,15 +539,15 @@ fn a_polite_network_rescues_the_dht_only_query_on_both_paths() {
 #[test]
 fn a_repeated_leaf_query_is_counted_not_tracked_twice() {
     let origins = [0, 1, 2, 3];
-    let fate: Fate = Box::new(|msg| match msg {
-        HybridMsg::G(GnutellaMsg::LeafQuery { .. }) => vec![LATENCY, LATENCY + LATENCY],
-        _ => vec![LATENCY],
+    let fate = hostile::scripted(|m| {
+        matches!(m, HybridMsg::G(GnutellaMsg::LeafQuery { .. }))
+            .then(|| vec![LATENCY, LATENCY + LATENCY])
     });
     let w = scenario(origins, fate).expect("no panic");
     assert_eq!(w.broken, Vec::<String>::new());
     let unexpected = &pier_gnutella::classes::UNEXPECTED_MSG;
     for j in searchers(origins) {
-        assert_eq!(w.count(up_id(home(j)), unexpected), 1, "leaf {j}'s repeat");
+        assert_eq!(w.net.at(up_id(home(j)), unexpected), 1, "leaf {j}'s repeat");
         let dones = w
             .leaf_log
             .iter()
@@ -715,9 +562,8 @@ fn a_repeated_leaf_query_is_counted_not_tracked_twice() {
 #[test]
 fn a_dropped_leaf_query_ends_at_the_leafs_deadline() {
     let origins = [0, 1, 2, 3];
-    let fate: Fate = Box::new(|msg| match msg {
-        HybridMsg::G(GnutellaMsg::LeafQuery { .. }) => vec![],
-        _ => vec![LATENCY],
+    let fate = hostile::scripted(|m| {
+        matches!(m, HybridMsg::G(GnutellaMsg::LeafQuery { .. })).then(Vec::new)
     });
     let w = scenario(origins, fate).expect("no panic");
     assert_eq!(w.broken, Vec::<String>::new());
@@ -725,7 +571,7 @@ fn a_dropped_leaf_query_ends_at_the_leafs_deadline() {
     for j in searchers(origins) {
         let search = w.leaves[j].core.search(1).expect("issued");
         assert_eq!((search.done, search.ended_at), (false, Some(ISSUE_AT + LEAF_SEARCH_DEADLINE)));
-        assert_eq!(w.count(leaf_id(j), timeout), 1, "leaf {j}");
+        assert_eq!(w.net.at(leaf_id(j), timeout), 1, "leaf {j}");
     }
 }
 
@@ -738,17 +584,10 @@ fn the_leaf_deadline_outlasts_the_default_fallback() {
     let core = UltrapeerCore::new(UltrapeerConfig::default(), FileStore::default());
     let dht = DhtCore::new(DhtConfig::default(), Contact::for_node(up_id(0)));
     let mut up = HybridUp::new(HybridConfig::default(), core, dht, RareScheme::tf(0));
-    let mut net = Net {
-        now: SimTime::ZERO,
-        node: up_id(0),
-        rngs: vec![stream_rng(36, 0)],
-        sent: Vec::new(),
-        timers: Vec::new(),
-        counts: BTreeMap::new(),
-    };
+    let mut net = Net::new(36, 1);
     up.on_start(&mut net);
     assert_eq!(net.timers.len(), 3, "{:?}", net.timers);
-    let ticks = net.timers.iter().fold(SimDuration::ZERO, |sum, &(delay, _)| sum + delay);
+    let ticks = ticks(&net);
     let fallback = HybridConfig::default().timeout + piersearch::SEARCH_TIMEOUT + ticks + ticks;
     assert!(fallback < LEAF_SEARCH_DEADLINE, "{fallback:?}");
 }

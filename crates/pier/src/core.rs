@@ -161,10 +161,10 @@ impl PierCore {
     ///
     /// By default the tuple goes by Bamboo-style recursive routing: one
     /// O(log N)-hop message path, how PIER publishes. `replicated` sends it
-    /// through the ack-checked iterative put (lookup + replicated STORE
-    /// RPCs) instead. That costs more per tuple, but every hop is confirmed
-    /// and every timed-out RPC evicts a dead contact: the durability tier
-    /// soft-state refresh uses under churn, where a fire-and-forget
+    /// through the iterative put (a lookup finds the placement, then STORE
+    /// RPCs to every replica) instead. That costs more per tuple, but every
+    /// timed-out RPC evicts a dead contact; no caller reads the acks. It is
+    /// the tier soft-state refresh uses under churn, where a fire-and-forget
     /// RouteStore would silently die on any stale next-hop.
     pub fn publish(
         &mut self,

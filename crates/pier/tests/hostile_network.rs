@@ -4,10 +4,10 @@
 //! send order.
 //!
 //! The nodes are `(DhtCore, PierCore)` pairs on full routing tables, driven
-//! directly rather than through the simulator: a test net records every
-//! outbound `DhtMsg`, and a fate function decides when, and how many times,
-//! each one arrives. Publishing always runs fault-free, so every run scans
-//! the same stored relation.
+//! directly rather than through the simulator: the shared test bed's net
+//! records every outbound `DhtMsg`, and its fate table decides when, and
+//! how many times, each one arrives. Publishing always runs fault-free, so
+//! every run scans the same stored relation.
 //!
 //! The invariants:
 //! 1. nothing panics;
@@ -20,21 +20,24 @@
 //! 6. every node, its DHT included, is idle `EXEC_TTL` after the last
 //!    delivery.
 
-use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, Key};
-use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
+use pier_dht::{Contact, CtxNet, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, Key};
+use pier_netsim::{NodeId, SimDuration, SimTime};
 use pier_qp::{
     classes, Catalog, Field, FieldType, JoinChainBuilder, JoinCols, PierCore, PierEvent, PierMsg,
     QueryId, QueryOutcome, QueryPlan, Schema, TableDef, Tuple, Value, EXEC_TTL, QUERY_TIMEOUT,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+
+// Each harness uses part of the shared test bed.
+#[allow(dead_code)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
+use hostile::{Fate, Net, Table, Wire, LATENCY};
 
 const NODES: u32 = 12;
 /// Files in the published relation: 150 posting lists' worth of `a`, so
 /// the larger streams span several 64-tuple batches.
 const FILES: usize = 150;
-/// The polite network's one-way latency.
-const LATENCY: SimDuration = SimDuration::from_millis(10);
 /// Every node's maintenance tick.
 const TICK: SimDuration = SimDuration::from_secs(1);
 /// The four keyword queries every run issues: one stage, two and three
@@ -68,14 +71,6 @@ fn keyword_plan(qid: QueryId, collector: Contact, terms: &[&str]) -> QueryPlan {
     b.build()
 }
 
-/// When a sent message arrives: once per entry, after that delay. An empty
-/// list drops it.
-type Fate = Box<dyn FnMut(&DhtMsg) -> Vec<SimDuration>>;
-
-fn polite() -> Fate {
-    Box::new(|_| vec![LATENCY])
-}
-
 /// The PIER message a DHT message carries, if any.
 fn pier_msg(msg: &DhtMsg) -> Option<PierMsg> {
     match msg {
@@ -86,35 +81,6 @@ fn pier_msg(msg: &DhtMsg) -> Option<PierMsg> {
     }
 }
 
-/// What a node sees of the network: the clock, an outbox, and the
-/// counters the invariants read.
-struct TestNet {
-    now: SimTime,
-    node: NodeId,
-    rng: SimRng,
-    outbox: Vec<(NodeId, DhtMsg)>,
-    counts: BTreeMap<MetricClass, u64>,
-}
-
-impl DhtNet for TestNet {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn self_node(&self) -> NodeId {
-        self.node
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg) {
-        self.outbox.push((dst, msg));
-    }
-    fn count(&mut self, class: MetricClass, n: u64) {
-        *self.counts.entry(class).or_default() += n;
-    }
-    fn observe(&mut self, _class: MetricClass, _value: f64) {}
-}
-
 struct Node {
     dht: DhtCore,
     pier: PierCore,
@@ -122,14 +88,10 @@ struct Node {
 
 struct World {
     nodes: Vec<Node>,
-    net: TestNet,
-    /// In flight, by (arrival, scheduling order): ties arrive in send order.
-    queue: BTreeMap<(SimTime, u64), (NodeId, DhtMsg)>,
-    scheduled: u64,
-    fate: Fate,
+    net: Net<DhtMsg>,
+    wire: Wire<DhtMsg>,
     /// Every client event of every node, in emission order.
     events: Vec<PierEvent>,
-    last_delivery: SimTime,
 }
 
 impl World {
@@ -143,34 +105,14 @@ impl World {
             bucket_refresh: SimDuration::ZERO,
             ..DhtConfig::test()
         };
-        let contacts: Vec<Contact> =
-            (0..NODES).map(|i| Contact::for_node(NodeId::new(i))).collect();
         let mut catalog = Catalog::new();
         catalog.register(inverted());
-        let nodes = contacts
-            .iter()
-            .map(|c| {
-                let mut dht = DhtCore::new(cfg.clone(), *c);
-                bootstrap::fill_table(dht.table_mut(), &contacts, NODES as usize);
-                Node { dht, pier: PierCore::new(catalog.clone()) }
-            })
+        let nodes = hostile::meshed(&cfg, NODES)
+            .into_iter()
+            .map(|dht| Node { dht, pier: PierCore::new(catalog.clone()) })
             .collect();
-        let net = TestNet {
-            now: SimTime::ZERO,
-            node: NodeId::new(0),
-            rng: stream_rng(0, 0),
-            outbox: Vec::new(),
-            counts: BTreeMap::new(),
-        };
-        let mut w = World {
-            nodes,
-            net,
-            queue: BTreeMap::new(),
-            scheduled: 0,
-            fate: polite(),
-            events: Vec::new(),
-            last_delivery: SimTime::ZERO,
-        };
+        let (net, wire) = (Net::new(0, NODES), Wire::new(hostile::polite()));
+        let mut w = World { nodes, net, wire, events: Vec::new() };
         for file in 0..FILES {
             let id = Key::hash(format!("file{file}").as_bytes());
             for kw in keywords(file) {
@@ -180,18 +122,15 @@ impl World {
                 });
             }
         }
-        while let Some(((at, _), (dst, msg))) = w.queue.pop_first() {
-            w.net.now = at;
-            w.at(dst.index(), |dht, _, net| dht.on_message(net, msg));
-        }
+        hostile::run(&mut w, None);
         w
     }
 
     /// Run `f` at node `i`, hand the DHT's deliveries to its engine, and
     /// send what it sent.
-    fn at(&mut self, i: usize, f: impl FnOnce(&mut DhtCore, &mut PierCore, &mut TestNet)) {
-        let net = &mut self.net;
-        net.node = NodeId::new(i as u32);
+    fn at(&mut self, i: usize, f: impl FnOnce(&mut DhtCore, &mut PierCore, &mut dyn DhtNet)) {
+        self.net.node = NodeId::new(i as u32);
+        let net = &mut CtxNet { ctx: &mut self.net };
         let Node { dht, pier } = &mut self.nodes[i];
         f(dht, pier, net);
         loop {
@@ -204,12 +143,7 @@ impl World {
             }
         }
         self.events.extend(pier.take_events());
-        for (dst, msg) in std::mem::take(&mut self.net.outbox) {
-            for delay in (self.fate)(&msg) {
-                self.queue.insert((self.net.now + delay, self.scheduled), (dst, msg.clone()));
-                self.scheduled += 1;
-            }
-        }
+        self.wire.flush(&mut self.net);
     }
 
     /// Issue the four keyword queries, query `q` from node `origins[q]`.
@@ -223,36 +157,6 @@ impl World {
             });
         }
         qids
-    }
-
-    /// Deliver and tick until nothing is in flight and a tick has run
-    /// `EXEC_TTL` after the last delivery.
-    fn run(&mut self) {
-        let mut next_tick = self.net.now + TICK;
-        loop {
-            if let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= next_tick) {
-                let ((at, _), (dst, msg)) = due.remove_entry();
-                self.net.now = at;
-                self.last_delivery = at;
-                self.at(dst.index(), |dht, _, net| dht.on_message(net, msg));
-                continue;
-            }
-            self.net.now = next_tick;
-            for i in 0..NODES as usize {
-                self.at(i, |dht, pier, net| {
-                    dht.tick(net);
-                    pier.tick(dht, net);
-                });
-            }
-            next_tick += TICK;
-            if self.queue.is_empty() && self.net.now >= self.last_delivery + EXEC_TTL {
-                return;
-            }
-        }
-    }
-
-    fn count(&self, class: MetricClass) -> u64 {
-        self.net.counts.get(&class).copied().unwrap_or(0)
     }
 
     /// Query `qid`'s results, sorted, and every `Done` it reported.
@@ -275,12 +179,35 @@ impl World {
     }
 }
 
+/// Every tick, each node's DHT, then its engine; the run ends a tick
+/// `EXEC_TTL` after the last delivery.
+impl hostile::World<DhtMsg> for World {
+    fn bed(&mut self) -> (&mut Net<DhtMsg>, &mut Wire<DhtMsg>) {
+        (&mut self.net, &mut self.wire)
+    }
+    fn deliver(&mut self, _from: NodeId, to: NodeId, msg: DhtMsg) {
+        self.at(to.index(), |dht, _, net| dht.on_message(net, msg));
+    }
+    fn tick(&mut self) {
+        for i in 0..NODES as usize {
+            self.at(i, |dht, pier, net| {
+                dht.tick(net);
+                pier.tick(dht, net);
+            });
+        }
+    }
+    fn quiet(&self) -> SimTime {
+        self.wire.last_delivery + EXEC_TTL
+    }
+}
+
 /// Publish, then issue the four queries under `fate` and run to the end.
-fn scenario(origins: [usize; 4], fate: Fate) -> (World, Vec<QueryId>) {
+fn scenario(origins: [usize; 4], fate: Fate<DhtMsg>) -> (World, Vec<QueryId>) {
     let mut w = World::published();
-    w.fate = fate;
+    w.wire.fate = fate;
     let qids = w.issue(origins);
-    w.run();
+    let first = w.net.now + TICK;
+    hostile::run(&mut w, Some((first, TICK)));
     (w, qids)
 }
 
@@ -311,10 +238,10 @@ fn broken(
             ));
         }
     }
-    if h.count(classes::QUERY_TIMEOUT.id()) != timed_out {
+    if h.net.total(&classes::QUERY_TIMEOUT) != timed_out {
         broken.push(format!(
             "{timed_out} queries timed out, pier.query_timeout counted {}",
-            h.count(classes::QUERY_TIMEOUT.id())
+            h.net.total(&classes::QUERY_TIMEOUT)
         ));
     }
     for (i, n) in h.nodes.iter().enumerate() {
@@ -330,7 +257,7 @@ fn broken(
 
 /// The reference run for `origins`; every query in it completes.
 fn reference(origins: [usize; 4]) -> (World, Vec<QueryId>) {
-    let r = scenario(origins, polite());
+    let r = scenario(origins, hostile::polite());
     let broken = broken(&r, &r, true);
     assert!(broken.is_empty(), "the reference run itself: {broken:?}");
     r
@@ -338,44 +265,33 @@ fn reference(origins: [usize; 4]) -> (World, Vec<QueryId>) {
 
 /// A fate that delivers every message once, except those `pick` chooses,
 /// which arrive after each of the given delays.
-fn scripted(pick: impl Fn(&PierMsg) -> Option<Vec<SimDuration>> + 'static) -> Fate {
-    Box::new(move |msg| pier_msg(msg).and_then(|m| pick(&m)).unwrap_or_else(|| vec![LATENCY]))
+fn scripted(pick: impl Fn(&PierMsg) -> Option<Vec<SimDuration>> + 'static) -> Fate<DhtMsg> {
+    hostile::scripted(move |msg| pier_msg(msg).and_then(|m| pick(&m)))
 }
 
 /// Where the scripted tests issue their queries from.
 const ORIGINS: [usize; 4] = [0, 5, 7, 11];
 
 proptest! {
-    /// Fates cycle through the schedule in send order. Kinds 0–3 deliver
-    /// once after up to `rpc_timeout`, 4 delivers twice, 5 drops, 6 holds
-    /// the message past `QUERY_TIMEOUT`. A polite schedule turns drops and
-    /// holds into repeats, so it must end every query `Complete`.
+    /// Fates follow the shared table, with delays of 1 ms to `rpc_timeout`
+    /// and holds up to 30 s past `QUERY_TIMEOUT`. A polite schedule turns
+    /// drops and holds into repeats, so it must end every query `Complete`.
     #[test]
     fn queries_end_once_and_correctly_under_any_schedule(
         origins in (0..NODES as usize, 0..NODES as usize, 0..NODES as usize, 0..NODES as usize),
         polite in any::<bool>(),
-        schedule in prop::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..48),
+        schedule in hostile::schedule(7),
     ) {
         let origins = [origins.0, origins.1, origins.2, origins.3];
         let rpc_ms = DhtConfig::test().rpc_timeout.as_micros() / 1000;
-        let mut sent = 0;
-        let fate: Fate = Box::new(move |_| {
-            let (kind, a, b) = schedule[sent % schedule.len()];
-            sent += 1;
-            let soon = |x: u16| SimDuration::from_millis(1 + u64::from(x) % rpc_ms);
-            match (kind, polite) {
-                (0..=3, _) => vec![soon(a)],
-                (4, _) | (5 | 6, true) => vec![soon(a), soon(b)],
-                (5, false) => vec![],
-                _ => vec![QUERY_TIMEOUT + SimDuration::from_millis(u64::from(a) % 30_000)],
-            }
-        });
+        let fate = Table::new(schedule, polite, 1..=rpc_ms)
+            .fate(|_, a| QUERY_TIMEOUT + hostile::within(0..=29_999, a));
         let broken = broken(&scenario(origins, fate), &reference(origins), polite);
         prop_assert!(broken.is_empty(), "{:?}", broken);
     }
 }
 
-fn assert_all_complete(fate: Fate) -> World {
+fn assert_all_complete(fate: Fate<DhtMsg>) -> World {
     let hostile = scenario(ORIGINS, fate);
     let broken = broken(&hostile, &reference(ORIGINS), true);
     assert!(broken.is_empty(), "{broken:?}");
@@ -421,7 +337,7 @@ fn results_after_done_count_as_orphans() {
     let w = assert_all_complete(scripted(|m| {
         matches!(m, PierMsg::ResultsEof { .. }).then(|| vec![LATENCY, SimDuration::from_secs(5)])
     }));
-    assert_eq!(w.count(classes::ORPHAN_RESULTS.id()), QUERIES.len() as u64);
+    assert_eq!(w.net.total(&classes::ORPHAN_RESULTS), QUERIES.len() as u64);
 }
 
 /// Messages no valid plan sends are dropped and counted, never panicked on:
@@ -455,7 +371,7 @@ fn protocol_violations_are_counted_not_panicked_on() {
         };
         w.at(owner, |dht, pier, net| assert!(pier.on_dht_event(dht, net, &ev)));
     }
-    assert_eq!(w.count(classes::PROTOCOL_VIOLATION.id()), 4);
+    assert_eq!(w.net.total(&classes::PROTOCOL_VIOLATION), 4);
     // The valid install still ran and shipped every `a` posting.
-    assert_eq!(w.count(classes::RESULT_TUPLES.id()), FILES as u64);
+    assert_eq!(w.net.total(&classes::RESULT_TUPLES), FILES as u64);
 }

@@ -129,9 +129,9 @@ impl Publisher {
     /// Generate and ship one file's tuple set (the shared path of first
     /// publish and soft-state refresh). First publish rides the cheap
     /// Bamboo-style recursive store (the §7 cost numbers); refreshes set
-    /// `replicated` and go through the ack-checked replicated put, whose
-    /// RPC timeouts double as routing-table repair — under churn a
-    /// fire-and-forget RouteStore dies silently on any stale hop.
+    /// `replicated` and go through the replicated put (placement by lookup,
+    /// acks unread), whose STORE RPC timeouts double as routing-table
+    /// repair — under churn a fire-and-forget RouteStore dies silently.
     #[allow(clippy::too_many_arguments)]
     fn ship(
         &self,

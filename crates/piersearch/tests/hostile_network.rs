@@ -5,19 +5,20 @@
 //!
 //! The nodes are `(DhtCore, PierSearchApp)` pairs on full routing tables
 //! with bucket refresh off, driven directly rather than through the
-//! simulator: a test net records every outbound `DhtMsg`, and a fate
-//! function decides when, and how many times, each one arrives. The first
-//! publish runs fault-free with `refresh_interval` set, so every run starts
-//! from the same stored corpus. Then four searches start from distinct
-//! nodes, and the first refresh round fires one tick later; both run under
-//! the fates.
+//! simulator: the shared test bed's net records every outbound `DhtMsg`,
+//! and its fate table decides when, and how many times, each one arrives.
+//! The first publish runs fault-free with `refresh_interval` set, so every
+//! run starts from the same stored corpus. Then four searches start from
+//! distinct nodes, and the first refresh round fires one tick later; both
+//! run under the fates.
 //!
 //! A DHT RPC is held past `rpc_timeout`, a PIER message past the query
 //! deadline. `rpc_timeout` (2 s) outlasts a search's routed PIER traffic,
 //! so no timed-out RPC evicts a contact before a live plan has reached its
-//! sites. (A plan routed over a thinned table can reach the wrong site and
-//! end short with nothing counted; that is routing repair's problem, not
-//! this harness's.)
+//! sites. A plan routed over a table that a timeout thinned can reach the
+//! wrong site and end short with nothing counted: ROADMAP F5's route gap,
+//! which this harness reproduces when `scenario` runs the refresh round to
+//! quiet before the searches start.
 //!
 //! The invariants:
 //! 1. nothing panics;
@@ -35,21 +36,23 @@
 //! 7. at the end, every node's `DhtCore`, `PierCore` and `SearchEngine` is
 //!    idle.
 
-use pier_dht::{
-    bootstrap, Contact, DhtApp, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, OpId, Response,
-};
-use pier_netsim::{stream_rng, LazyMetricClass, MetricClass, NodeId, SimDuration, SimRng, SimTime};
+use pier_dht::{CtxNet, DhtApp, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, OpId, Response};
+use pier_netsim::{LazyMetricClass, NodeId, SimDuration, SimTime};
 use pier_qp::{QueryId, EXEC_TTL, QUERY_TIMEOUT};
 use piersearch::tokenize::keywords;
 use piersearch::{classes, IndexMode, ItemRecord, PierSearchApp, SearchEvent};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+// Each harness uses part of the shared test bed.
+#[allow(dead_code)]
+#[path = "../../../tests/support/hostile.rs"]
+mod hostile;
+use hostile::{Fate, Net, Table, Wire};
+
 const NODES: u32 = 12;
 /// Files in the corpus, two per node.
 const FILES: usize = 24;
-/// The polite network's one-way latency.
-const LATENCY: SimDuration = SimDuration::from_millis(10);
 /// Every node's maintenance tick.
 const TICK: SimDuration = SimDuration::from_secs(1);
 /// The soft-state interval. The hostile phase starts here, so the first
@@ -97,43 +100,6 @@ fn reference(query: &str) -> Vec<ItemRecord> {
     want
 }
 
-/// When a sent message arrives: once per entry, after that delay. An empty
-/// list drops it.
-type Fate = Box<dyn FnMut(&DhtMsg) -> Vec<SimDuration>>;
-
-fn polite() -> Fate {
-    Box::new(|_| vec![LATENCY])
-}
-
-/// What a node sees of the network: the clock, an outbox, and the
-/// counters the invariants read, per node.
-struct TestNet {
-    now: SimTime,
-    node: NodeId,
-    rng: SimRng,
-    outbox: Vec<(NodeId, DhtMsg)>,
-    counts: BTreeMap<(NodeId, MetricClass), u64>,
-}
-
-impl DhtNet for TestNet {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn self_node(&self) -> NodeId {
-        self.node
-    }
-    fn rng(&mut self) -> &mut SimRng {
-        &mut self.rng
-    }
-    fn send_dht(&mut self, dst: NodeId, msg: DhtMsg) {
-        self.outbox.push((dst, msg));
-    }
-    fn count(&mut self, class: MetricClass, n: u64) {
-        *self.counts.entry((self.node, class)).or_default() += n;
-    }
-    fn observe(&mut self, _class: MetricClass, _value: f64) {}
-}
-
 struct Node {
     dht: DhtCore,
     app: PierSearchApp,
@@ -148,53 +114,32 @@ struct Finished {
 
 struct World {
     nodes: Vec<Node>,
-    net: TestNet,
-    /// In flight, by (arrival, scheduling order): ties arrive in send order.
-    queue: BTreeMap<(SimTime, u64), (NodeId, DhtMsg)>,
-    scheduled: u64,
-    fate: Fate,
+    net: Net<DhtMsg>,
+    wire: Wire<DhtMsg>,
     /// Every `GetDone` (`None`) and `PutDone` (`Some(acks)`) reported, by
     /// node and op.
     ops: Vec<((usize, OpId), Option<usize>)>,
     /// Every search `Done`, with the search as it stood then.
     dones: Vec<((usize, QueryId), Finished)>,
-    last_delivery: SimTime,
+    /// When the searches started.
+    started: SimTime,
 }
 
 impl World {
     /// `NODES` nodes that each know every other, with the corpus published
     /// politely under a soft-state interval.
     fn published() -> World {
-        let contacts: Vec<Contact> =
-            (0..NODES).map(|i| Contact::for_node(NodeId::new(i))).collect();
-        let nodes = contacts
-            .iter()
-            .map(|c| {
-                let mut dht = DhtCore::new(config(), *c);
-                bootstrap::fill_table(dht.table_mut(), &contacts, NODES as usize);
-                assert_eq!(dht.table().len(), NODES as usize - 1, "a full table");
+        let nodes = hostile::meshed(&config(), NODES)
+            .into_iter()
+            .map(|dht| {
                 let mut app = PierSearchApp::new(IndexMode::Inverted);
                 app.publisher.refresh_interval = Some(REFRESH);
                 Node { dht, app }
             })
             .collect();
-        let net = TestNet {
-            now: SimTime::ZERO,
-            node: NodeId::new(0),
-            rng: stream_rng(0, 0),
-            outbox: Vec::new(),
-            counts: BTreeMap::new(),
-        };
-        let mut w = World {
-            nodes,
-            net,
-            queue: BTreeMap::new(),
-            scheduled: 0,
-            fate: polite(),
-            ops: Vec::new(),
-            dones: Vec::new(),
-            last_delivery: SimTime::ZERO,
-        };
+        let (net, wire) = (Net::new(0, NODES), Wire::new(hostile::polite()));
+        let mut w =
+            World { nodes, net, wire, ops: Vec::new(), dones: Vec::new(), started: SimTime::ZERO };
         for i in 0..FILES {
             let r = record(i);
             w.at(r.host.index(), |dht, app, net| {
@@ -210,10 +155,7 @@ impl World {
                 assert!(shipped.is_some(), "indexable");
             });
         }
-        while let Some(((at, _), (dst, msg))) = w.queue.pop_first() {
-            w.net.now = at;
-            w.at(dst.index(), |dht, _, net| dht.on_message(net, msg));
-        }
+        hostile::run(&mut w, None);
         w.net.counts.clear();
         w.net.now = SimTime::ZERO + REFRESH;
         w
@@ -221,9 +163,10 @@ impl World {
 
     /// Run `f` at node `i`, hand the DHT's events to the app, record what
     /// the invariants read, and send what it sent.
-    fn at(&mut self, i: usize, f: impl FnOnce(&mut DhtCore, &mut PierSearchApp, &mut TestNet)) {
+    fn at(&mut self, i: usize, f: impl FnOnce(&mut DhtCore, &mut PierSearchApp, &mut dyn DhtNet)) {
         let World { nodes, net, ops, dones, .. } = self;
         net.node = NodeId::new(i as u32);
+        let net = &mut CtxNet { ctx: net };
         let Node { dht, app } = &mut nodes[i];
         f(dht, app, net);
         loop {
@@ -245,16 +188,12 @@ impl World {
             let finished = Finished { items: s.items.clone(), first_result_at: s.first_result_at };
             dones.push(((i, qid), finished));
         }
-        for (dst, msg) in std::mem::take(&mut self.net.outbox) {
-            for delay in (self.fate)(&msg) {
-                self.queue.insert((self.net.now + delay, self.scheduled), (dst, msg.clone()));
-                self.scheduled += 1;
-            }
-        }
+        self.wire.flush(&mut self.net);
     }
 
     /// Start the four searches, search `q` at node `origins[q]`.
     fn search(&mut self, origins: [usize; 4]) -> Vec<(usize, QueryId)> {
+        self.started = self.net.now;
         let mut searches = Vec::new();
         for (query, origin) in QUERIES.into_iter().zip(origins) {
             self.at(origin, |dht, app, net| {
@@ -262,55 +201,46 @@ impl World {
                 searches.push((origin, qid.expect("searchable")));
             });
         }
-        self.last_delivery = self.net.now;
         searches
     }
 
-    /// Deliver and tick until nothing is in flight and a tick has run
-    /// `EXEC_TTL` after the last delivery. The refresh loop stops after its
-    /// first round.
-    fn run(&mut self) {
-        let mut next_tick = self.net.now + TICK;
-        loop {
-            if let Some(due) = self.queue.first_entry().filter(|e| e.key().0 <= next_tick) {
-                let ((at, _), (dst, msg)) = due.remove_entry();
-                self.net.now = at;
-                self.last_delivery = at;
-                self.at(dst.index(), |dht, _, net| dht.on_message(net, msg));
-                continue;
-            }
-            self.net.now = next_tick;
-            for i in 0..NODES as usize {
-                self.at(i, |dht, app, net| {
-                    dht.tick(net);
-                    app.on_tick(dht, net);
-                });
-                self.nodes[i].app.publisher.refresh_interval = None;
-            }
-            next_tick += TICK;
-            if self.queue.is_empty() && self.net.now >= self.last_delivery + EXEC_TTL {
-                return;
-            }
+    fn count(&self, node: usize, class: &LazyMetricClass) -> u64 {
+        self.net.at(NodeId::new(node as u32), class)
+    }
+}
+
+/// Every tick, each node's DHT, then its app; the refresh loop stops after
+/// its first round. The run ends a tick `EXEC_TTL` after the last delivery
+/// and the searches' start.
+impl hostile::World<DhtMsg> for World {
+    fn bed(&mut self) -> (&mut Net<DhtMsg>, &mut Wire<DhtMsg>) {
+        (&mut self.net, &mut self.wire)
+    }
+    fn deliver(&mut self, _from: NodeId, to: NodeId, msg: DhtMsg) {
+        self.at(to.index(), |dht, _, net| dht.on_message(net, msg));
+    }
+    fn tick(&mut self) {
+        for i in 0..NODES as usize {
+            self.at(i, |dht, app, net| {
+                dht.tick(net);
+                app.on_tick(dht, net);
+            });
+            self.nodes[i].app.publisher.refresh_interval = None;
         }
     }
-
-    fn count(&self, node: usize, class: &LazyMetricClass) -> u64 {
-        self.net.counts.get(&(NodeId::new(node as u32), class.id())).copied().unwrap_or(0)
-    }
-
-    /// What every node counted in `class`.
-    fn total(&self, class: &LazyMetricClass) -> u64 {
-        (0..NODES as usize).map(|i| self.count(i, class)).sum()
+    fn quiet(&self) -> SimTime {
+        self.wire.last_delivery.max(self.started) + EXEC_TTL
     }
 }
 
 /// Publish, then search from `origins` and refresh under `fate`, and run to
 /// the end.
-fn scenario(origins: [usize; 4], fate: Fate) -> (World, Vec<(usize, QueryId)>) {
+fn scenario(origins: [usize; 4], fate: Fate<DhtMsg>) -> (World, Vec<(usize, QueryId)>) {
     let mut w = World::published();
-    w.fate = fate;
+    w.wire.fate = fate;
     let searches = w.search(origins);
-    w.run();
+    let first = w.net.now + TICK;
+    hostile::run(&mut w, Some((first, TICK)));
     (w, searches)
 }
 
@@ -368,7 +298,7 @@ fn broken((w, searches): &(World, Vec<(usize, QueryId)>), polite: bool) -> Vec<S
             ));
         }
     }
-    let counted = SHORTFALL.map(|c| w.total(c));
+    let counted = SHORTFALL.map(|c| w.net.total(c));
     if polite && counted != [0, 0, 0] {
         broken.push(format!("polite run counted {counted:?} timeouts and misses"));
     }
@@ -381,45 +311,29 @@ fn broken((w, searches): &(World, Vec<(usize, QueryId)>), polite: bool) -> Vec<S
     broken
 }
 
-/// A fate that delivers every message once, except those `pick` chooses,
-/// which arrive after each of the given delays.
-fn scripted(pick: impl Fn(&DhtMsg) -> Option<Vec<SimDuration>> + 'static) -> Fate {
-    Box::new(move |msg| pick(msg).unwrap_or_else(|| vec![LATENCY]))
-}
-
 /// Where the scripted tests search from.
 const ORIGINS: [usize; 4] = [0, 5, 7, 11];
 
 proptest! {
-    /// Fates cycle through the schedule in send order. Kinds 0–3 deliver
-    /// once after 10–90 ms, 4 delivers twice, 5 drops, 6 holds a DHT RPC
-    /// past `rpc_timeout` and a PIER message past the query deadline. A
-    /// polite schedule turns drops and holds into repeats, so it must find
-    /// every reference item with nothing counted.
+    /// Fates follow the shared table, with delays of 10–90 ms; a held
+    /// DHT RPC arrives up to 3 s past `rpc_timeout`, a held PIER message
+    /// as long past the query deadline. A polite schedule turns drops and
+    /// holds into repeats, so it must find every reference item with
+    /// nothing counted.
     #[test]
     fn searches_and_refreshes_end_once_and_visibly_under_any_schedule(
         first in 0..NODES as usize,
         stride in 1..4usize,
         polite in any::<bool>(),
-        schedule in prop::collection::vec((0u8..7, any::<u16>(), any::<u16>()), 1..48),
+        schedule in hostile::schedule(7),
     ) {
         let origins = [0, 1, 2, 3].map(|k| (first + k * stride) % NODES as usize);
         let rpc_timeout = config().rpc_timeout;
-        let mut sent = 0;
-        let fate: Fate = Box::new(move |msg| {
-            let (kind, a, b) = schedule[sent % schedule.len()];
-            sent += 1;
-            let soon = |x: u16| SimDuration::from_millis(10 + u64::from(x) % 81);
-            let late = SimDuration::from_millis(1 + u64::from(a) % 3000);
-            let held = match msg {
+        let fate = Table::new(schedule, polite, hostile::SOON).fate(move |msg, a| {
+            let late = hostile::within(1..=3000, a);
+            match msg {
                 DhtMsg::Request { .. } | DhtMsg::Response { .. } => rpc_timeout + late,
                 _ => QUERY_TIMEOUT + late,
-            };
-            match (kind, polite) {
-                (0..=3, _) => vec![soon(a)],
-                (4, _) | (5 | 6, true) => vec![soon(a), soon(b)],
-                (5, false) => vec![],
-                _ => vec![held],
             }
         });
         let broken = broken(&scenario(origins, fate), polite);
@@ -428,14 +342,15 @@ proptest! {
 }
 
 /// The polite run finds every reference item, and the refresh round ships
-/// every file through the ack-checked put.
+/// every file through the replicated put (whose `PutDone`s only this
+/// harness reads).
 #[test]
 fn the_polite_run_finds_the_reference() {
-    let run = scenario(ORIGINS, polite());
+    let run = scenario(ORIGINS, hostile::polite());
     let broken = broken(&run, true);
     assert!(broken.is_empty(), "{broken:?}");
     let w = &run.0;
-    assert_eq!(w.total(&classes::SOFT_REFRESH_FILES), FILES as u64);
+    assert_eq!(w.net.total(&classes::SOFT_REFRESH_FILES), FILES as u64);
     let puts = w.ops.iter().filter(|(_, acks)| acks.is_some()).count();
     assert!(puts >= FILES * 3, "one put per refreshed tuple, saw {puts}");
 }
@@ -448,12 +363,12 @@ fn the_polite_run_finds_the_reference() {
 fn a_lost_find_value_reply_is_a_counted_miss() {
     let run = scenario(
         ORIGINS,
-        scripted(|m| {
+        hostile::scripted(|m| {
             matches!(m, DhtMsg::Response { body: Response::Values { .. }, .. }).then(Vec::new)
         }),
     );
     let broken = broken(&run, false);
     assert!(broken.is_empty(), "{broken:?}");
-    assert_eq!(run.0.total(&pier_qp::classes::QUERY_TIMEOUT), 0, "every plan completes");
-    assert!(run.0.total(&classes::UNRESOLVED_MATCH) > 0, "some item lives off its searcher");
+    assert_eq!(run.0.net.total(&pier_qp::classes::QUERY_TIMEOUT), 0, "every plan completes");
+    assert!(run.0.net.total(&classes::UNRESOLVED_MATCH) > 0, "some item lives off its searcher");
 }
