@@ -14,7 +14,7 @@ use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_dht::{bootstrap, Contact, DhtConfig, DhtCore, DhtMsg, DhtNode};
 use pier_gnutella::{FileMeta, Topology, TopologyConfig};
-use pier_hybrid::{deploy, HybridConfig, HybridUp, RareScheme};
+use pier_hybrid::{deploy, HybridConfig, HybridQueryStats, HybridUp, RareScheme};
 use pier_netsim::{EventStats, NodeId, Sim, SimConfig, SimDuration, UniformLatency};
 use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
@@ -266,12 +266,44 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize, obs: &Obs) -> Deploy
     sim.run_for(SimDuration::from_secs(150));
     drop(stage);
 
-    let mut zero_gnutella = 0u64;
-    let mut saved_by_pier = 0u64;
-    let mut gnutella_first: Vec<f64> = Vec::new();
-    let mut pier_exec: Vec<f64> = Vec::new();
-    for (v, idx) in tracked {
-        let st = sim.actor::<HybridUp>(v).stats[idx].clone();
+    let stats = tracked.iter().map(|&(v, idx)| &sim.actor::<HybridUp>(v).stats[idx]);
+    let (zero_gnutella, saved_by_pier, gnutella_first, pier_exec) = round2(stats);
+    let reduction = 100.0 * saved_by_pier as f64 / zero_gnutella.max(1) as f64;
+    let cell = |v: f64| if v.is_finite() { f(v, 1) } else { s("-") };
+
+    let mut t_dep = Table::new(
+        "Section 7: partial deployment (paper: 18% zero-result reduction; PIER answers in 10-12s)",
+        &["metric", "measured", "paper"],
+    );
+    t_dep.row(vec![s("hybrid ultrapeers"), s(hybrid_ups), s(50)]);
+    t_dep.row(vec![s("files published via QRS"), s(published), s("~1 per 2-3s/node")]);
+    t_dep.row(vec![s("round-2 zero-result queries (gnutella)"), s(zero_gnutella), s("-")]);
+    t_dep.row(vec![s("...rescued by PIERSearch (%)"), f(reduction, 1), s(18)]);
+    t_dep.row(vec![s("avg gnutella first result (s)"), cell(mean(&gnutella_first)), s(65)]);
+    t_dep.row(vec![s("avg PIER exec after timeout (s)"), cell(mean(&pier_exec)), s("10-12")]);
+
+    let pier_ok = pier_exec.is_empty() || mean(&pier_exec) < mean(&gnutella_first).max(20.0) + 40.0;
+    DeployOutcome {
+        tables: vec![t_cost, t_dep],
+        events: sim.event_stats(),
+        zero_result_reduction_pct: reduction,
+        pier_beats_gnutella_latency: pier_ok,
+        publish_bytes_plain: pub_plain,
+        publish_bytes_cache: pub_cache,
+        query_bytes_plain: q_plain,
+        query_bytes_cache: q_cache,
+        avg_gnutella_first_s: mean(&gnutella_first),
+        avg_pier_exec_s: mean(&pier_exec),
+        files_published: published,
+    }
+}
+
+/// Round 2's zero-result and rescued counts, and its latency samples (s):
+/// Gnutella first results, PIER execution of the rescued queries.
+fn round2<'a>(stats: impl Iterator<Item = &'a HybridQueryStats>) -> (u64, u64, Vec<f64>, Vec<f64>) {
+    let (mut zero_gnutella, mut saved_by_pier) = (0u64, 0u64);
+    let (mut gnutella_first, mut pier_exec) = (Vec::new(), Vec::new());
+    for st in stats {
         if let Some(t) = st.gnutella_first {
             gnutella_first.push((t - st.issued_at).as_secs_f64());
         }
@@ -285,34 +317,13 @@ pub fn run_seeded(scale: Scale, master: u64, shards: usize, obs: &Obs) -> Deploy
             }
         }
     }
-    let reduction = 100.0 * saved_by_pier as f64 / zero_gnutella.max(1) as f64;
-    let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    (zero_gnutella, saved_by_pier, gnutella_first, pier_exec)
+}
 
-    let mut t_dep = Table::new(
-        "Section 7: partial deployment (paper: 18% zero-result reduction; PIER answers in 10-12s)",
-        &["metric", "measured", "paper"],
-    );
-    t_dep.row(vec![s("hybrid ultrapeers"), s(hybrid_ups), s(50)]);
-    t_dep.row(vec![s("files published via QRS"), s(published), s("~1 per 2-3s/node")]);
-    t_dep.row(vec![s("round-2 zero-result queries (gnutella)"), s(zero_gnutella), s("-")]);
-    t_dep.row(vec![s("...rescued by PIERSearch (%)"), f(reduction, 1), s(18)]);
-    t_dep.row(vec![s("avg gnutella first result (s)"), f(avg(&gnutella_first), 1), s(65)]);
-    t_dep.row(vec![s("avg PIER exec after timeout (s)"), f(avg(&pier_exec), 1), s("10-12")]);
-
-    let pier_ok = pier_exec.is_empty() || avg(&pier_exec) < avg(&gnutella_first).max(20.0) + 40.0;
-    DeployOutcome {
-        tables: vec![t_cost, t_dep],
-        events: sim.event_stats(),
-        zero_result_reduction_pct: reduction,
-        pier_beats_gnutella_latency: pier_ok,
-        publish_bytes_plain: pub_plain,
-        publish_bytes_cache: pub_cache,
-        query_bytes_plain: q_plain,
-        query_bytes_cache: q_cache,
-        avg_gnutella_first_s: avg(&gnutella_first),
-        avg_pier_exec_s: avg(&pier_exec),
-        files_published: published,
-    }
+/// A sample's mean; NaN (0/0) for an empty sample, which sweeps skip and
+/// the table prints as `-`.
+fn mean(v: &[f64]) -> f64 {
+    v.iter().sum::<f64>() / v.len() as f64
 }
 
 /// One sweep trial: the deployment headline numbers from seeded
@@ -336,6 +347,7 @@ pub fn trial(scale: Scale, seed: u64, shards: usize) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pier_netsim::SimTime;
 
     #[test]
     fn micro_costs_have_paper_shape() {
@@ -353,5 +365,25 @@ mod tests {
             q_plain > q_cache * 1.2,
             "SHJ must cost more for popular keywords: {q_plain} vs {q_cache}"
         );
+    }
+
+    #[test]
+    fn a_round_that_rescues_nothing_reports_nan_not_zero() {
+        let query = |hits: usize| HybridQueryStats {
+            terms: pier_gnutella::Terms::from_text("rare item"),
+            issued_at: SimTime::ZERO,
+            gnutella_first: (hits > 0).then(|| SimTime::ZERO + SimDuration::from_secs(2)),
+            gnutella_hits: hits,
+            pier_issued_at: (hits == 0).then(|| SimTime::ZERO + SimDuration::from_secs(30)),
+            pier_first: None,
+            pier_items: Vec::new(),
+            done: true,
+        };
+        let stats = [query(3), query(0)];
+        let (zero, rescued, gnutella_first, pier_exec) = round2(stats.iter());
+        assert_eq!((zero, rescued), (1, 0));
+        assert_eq!(mean(&gnutella_first), 2.0);
+        assert!(mean(&pier_exec).is_nan(), "no rescued query: no PIER latency, not 0 s");
+        assert_eq!(mean(&[1.0, 2.0]), 1.5);
     }
 }

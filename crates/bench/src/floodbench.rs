@@ -152,7 +152,7 @@ fn build_interned(w: &FloodWorkload) -> InternedFixture {
         up.add_leaf(leaf_id);
         let leaf = LeafCore::new(FileStore::new(share.clone()));
         let mut filter = QrpFilter::with_defaults();
-        filter.insert_ids(leaf.store().all_tokens());
+        filter.insert_ids(&leaf.store().token_union());
         up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { filter: Arc::new(filter) });
         leaves.push((leaf_id, leaf, SinkNet::new(LEAF_BASE + i as u32)));
     }

@@ -71,7 +71,8 @@ pub fn emit(tables: &[Table], csv_prefix: &str) {
 }
 
 /// Render a sweep as two tables: per-trial statistics (one column per
-/// trial) and the cross-trial aggregate (mean ± stderr, min, max).
+/// trial) and the cross-trial aggregate (mean ± stderr, min, max, and the
+/// number of trials with a finite value).
 pub fn sweep_tables(result: &SweepResult) -> Vec<Table> {
     let mut cols: Vec<String> = vec!["stat".to_string()];
     cols.extend(result.trials.iter().map(|t| format!("t{}", t.trial)));
@@ -98,10 +99,10 @@ pub fn sweep_tables(result: &SweepResult) -> Vec<Table> {
 
     let mut agg = Table::new(
         &format!("Sweep '{}': cross-trial aggregate", result.experiment),
-        &["stat", "mean", "stderr", "min", "max"],
+        &["stat", "mean", "stderr", "min", "max", "n"],
     );
     for a in &result.aggregates {
-        agg.row(vec![s(&a.key), f(a.mean, 3), f(a.stderr, 3), f(a.min, 3), f(a.max, 3)]);
+        agg.row(vec![s(&a.key), f(a.mean, 3), f(a.stderr, 3), f(a.min, 3), f(a.max, 3), s(a.n)]);
     }
     vec![per_trial, agg]
 }
@@ -146,12 +147,13 @@ pub fn sweep_json(result: &SweepResult) -> String {
     out.push_str("  \"aggregate\": {\n");
     for (i, a) in result.aggregates.iter().enumerate() {
         out.push_str(&format!(
-            "    \"{}\": {{\"mean\": {}, \"stderr\": {}, \"min\": {}, \"max\": {}}}{}\n",
+            "    \"{}\": {{\"mean\": {}, \"stderr\": {}, \"min\": {}, \"max\": {}, \"n\": {}}}{}\n",
             a.key,
             json_num(a.mean),
             json_num(a.stderr),
             json_num(a.min),
             json_num(a.max),
+            a.n,
             if i + 1 == result.aggregates.len() { "" } else { "," }
         ));
     }
@@ -338,14 +340,14 @@ mod tests {
         assert!(json.contains("\"scale\": \"quick\""));
         assert!(json.contains("\"trials\": 3"));
         assert!(json.contains("\"per_trial\": ["));
-        // Aggregates carry all four moments for every stat.
+        // Aggregates carry all four moments and the sample size for every stat.
         assert!(json.contains("\"value\": {\"mean\": "));
         assert!(json.contains("\"stderr\": "));
         assert!(json.contains("\"min\": "));
         assert!(json.contains("\"max\": "));
         // A constant stat aggregates to stderr 0.
         assert!(json.contains(
-            "\"constant\": {\"mean\": 1.5, \"stderr\": 0.0, \"min\": 1.5, \"max\": 1.5}"
+            "\"constant\": {\"mean\": 1.5, \"stderr\": 0.0, \"min\": 1.5, \"max\": 1.5, \"n\": 3}"
         ));
         // Balanced braces (cheap well-formedness check).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -370,7 +372,7 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].columns.len(), 1 + 3, "stat column + one per trial");
         assert_eq!(tables[0].rows.len(), 2, "one row per stat");
-        assert_eq!(tables[1].columns, vec!["stat", "mean", "stderr", "min", "max"]);
+        assert_eq!(tables[1].columns, vec!["stat", "mean", "stderr", "min", "max", "n"]);
         tables[0].print();
         tables[1].print();
     }

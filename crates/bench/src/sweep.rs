@@ -86,6 +86,8 @@ pub struct AggregateStat {
     pub stderr: f64,
     pub min: f64,
     pub max: f64,
+    /// Trials with a finite value: the sample behind the other four.
+    pub n: usize,
 }
 
 /// Aggregate per-key statistics across trials. Key order follows the
@@ -116,6 +118,7 @@ pub fn aggregate(trials: &[Summary]) -> Vec<AggregateStat> {
                     stderr: nan,
                     min: nan,
                     max: nan,
+                    n: 0,
                 };
             }
             let n = values.len() as f64;
@@ -128,7 +131,7 @@ pub fn aggregate(trials: &[Summary]) -> Vec<AggregateStat> {
             };
             let min = values.iter().copied().fold(f64::INFINITY, f64::min);
             let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            AggregateStat { key: key.to_string(), mean, stderr, min, max }
+            AggregateStat { key: key.to_string(), mean, stderr, min, max, n: values.len() }
         })
         .collect()
 }
@@ -343,6 +346,20 @@ mod tests {
         let all_nan = aggregate(&[mk(f64::NAN), mk(f64::NAN)]);
         assert!(all_nan[0].mean.is_nan());
         assert!(all_nan[0].min.is_nan());
+        assert_eq!(all_nan[0].n, 0);
+    }
+
+    #[test]
+    fn aggregate_counts_only_finite_samples() {
+        let mk = |v: f64| {
+            let mut s = Summary::new();
+            s.set("avg_pier_exec_s", v);
+            s
+        };
+        // A trial that rescued nothing has no PIER latency: it is not a 0.
+        let agg = aggregate(&[mk(f64::NAN), mk(2.0)]);
+        assert_eq!((agg[0].mean, agg[0].n), (2.0, 1));
+        assert_eq!(aggregate(&[mk(1.0), mk(3.0)])[0].n, 2);
     }
 
     #[test]

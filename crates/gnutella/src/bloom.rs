@@ -17,11 +17,13 @@
 //! [`Repr::Sparse`] — a sorted slice of set bit positions, binary-searched
 //! on probe — and promotes itself to the classic [`Repr::Dense`]
 //! bit table once the position count crosses [`QrpFilter::sparse_limit`]
-//! (the break-even point where 4-byte positions would cost more than the
-//! `m/8`-byte table). The two representations are semantically identical:
-//! same positions set, same membership answers, same wire size. Equality
-//! and the content hash both speak the canonical position set, never the
-//! representation, so promotion can never perturb a determinism pin.
+//! (the break-even point where 2-byte positions would cost more than the
+//! `m/8`-byte table; a table above 65,536 bits, whose positions need more
+//! than 16 bits, starts dense). The two representations are semantically
+//! identical: same positions set, same membership answers, same wire size.
+//! Equality and the content hash both speak the canonical position set,
+//! never the representation, so promotion can never perturb a determinism
+//! pin.
 //!
 //! A probe goes straight to the representation: one word load on a dense
 //! table, a binary search on a sparse list — a filter is the 32-byte
@@ -41,13 +43,16 @@ const UNION_WORDS: usize = 64;
 const UNION_BLOCKS: u32 = (UNION_WORDS * 64) as u32;
 /// log2 of the bit positions per union block (16-bit blocks).
 const BLOCK_SHIFT: u32 = 4;
+/// The largest table whose positions fit a sparse list's `u16`s.
+const SPARSE_MAX_BITS: u32 = 1 << 16;
 
 /// Set-bit storage. `Sparse` holds the ascending, duplicate-free bit
-/// positions; `Dense` is the flat bit table. Promotion is monotone:
-/// inserts may turn `Sparse` into `Dense`, never the reverse.
+/// positions (only for tables of at most [`SPARSE_MAX_BITS`]); `Dense` is
+/// the flat bit table. Promotion is monotone: inserts may turn `Sparse`
+/// into `Dense`, never the reverse.
 #[derive(Clone, Debug)]
 enum Repr {
-    Sparse(Box<[u32]>),
+    Sparse(Box<[u16]>),
     Dense(Vec<u64>),
 }
 
@@ -71,7 +76,7 @@ pub struct QrpFilter {
 impl pier_netsim::HeapSize for QrpFilter {
     fn heap_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Sparse(pos) => pos.len() * size_of::<u32>(),
+            Repr::Sparse(pos) => pos.len() * size_of::<u16>(),
             Repr::Dense(bits) => bits.capacity() * size_of::<u64>(),
         }
     }
@@ -100,7 +105,11 @@ impl QrpFilter {
     pub fn new(m: u32, k: u32) -> Self {
         assert!(m >= 64, "filter too small");
         assert!(k >= 1);
-        QrpFilter { repr: Repr::Sparse(Box::default()), m, k }
+        let mut filter = QrpFilter { repr: Repr::Sparse(Box::default()), m, k };
+        if m > SPARSE_MAX_BITS {
+            filter.promote_to_dense();
+        }
+        filter
     }
 
     pub fn with_defaults() -> Self {
@@ -108,10 +117,11 @@ impl QrpFilter {
     }
 
     /// Positions a sparse table may hold before promoting to dense: at
-    /// 4 bytes per position, `m/32` positions cost exactly the dense
-    /// table's `m/8` bytes, so sparse storage never exceeds dense.
+    /// 2 bytes per position, `m/16` positions cost exactly the dense
+    /// table's `m/8` bytes, so sparse storage never exceeds dense. (Tables
+    /// above 65,536 bits start dense and never consult it.)
     pub const fn sparse_limit(m: u32) -> usize {
-        (m / 32) as usize
+        (m / 16) as usize
     }
 
     /// Is the filter still in the sparse position-list representation?
@@ -126,7 +136,7 @@ impl QrpFilter {
         if let Repr::Sparse(pos) = &self.repr {
             let mut bits = vec![0u64; self.m.div_ceil(64) as usize];
             for &p in pos.iter() {
-                bits[(p / 64) as usize] |= 1 << (p % 64);
+                bits[usize::from(p / 64)] |= 1 << (p % 64);
             }
             self.repr = Repr::Dense(bits);
         }
@@ -134,19 +144,15 @@ impl QrpFilter {
 
     /// Install a sorted duplicate-free position set, promoting when it
     /// crosses the sparse limit.
-    fn set_positions(&mut self, positions: Vec<u32>) {
+    fn set_positions(&mut self, positions: Vec<u16>) {
         debug_assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
             "positions must be sorted+deduped"
         );
-        if positions.len() > Self::sparse_limit(self.m) {
-            let mut bits = vec![0u64; self.m.div_ceil(64) as usize];
-            for p in positions {
-                bits[(p / 64) as usize] |= 1 << (p % 64);
-            }
-            self.repr = Repr::Dense(bits);
-        } else {
-            self.repr = Repr::Sparse(positions.into_boxed_slice());
+        let promote = positions.len() > Self::sparse_limit(self.m);
+        self.repr = Repr::Sparse(positions.into_boxed_slice());
+        if promote {
+            self.promote_to_dense();
         }
     }
 
@@ -155,6 +161,8 @@ impl QrpFilter {
         match &mut self.repr {
             Repr::Dense(bits) => bits[(p / 64) as usize] |= 1 << (p % 64),
             Repr::Sparse(pos) => {
+                // A sparse table has at most 2¹⁶ bits, so `p` fits.
+                let p = p as u16;
                 if let Err(at) = pos.binary_search(&p) {
                     let mut v = Vec::with_capacity(pos.len() + 1);
                     v.extend_from_slice(&pos[..at]);
@@ -170,7 +178,7 @@ impl QrpFilter {
     fn test_bit(&self, p: u32) -> bool {
         match &self.repr {
             Repr::Dense(bits) => bits[(p / 64) as usize] & (1 << (p % 64)) != 0,
-            Repr::Sparse(pos) => pos.binary_search(&p).is_ok(),
+            Repr::Sparse(pos) => pos.binary_search(&(p as u16)).is_ok(),
         }
     }
 
@@ -191,7 +199,8 @@ impl QrpFilter {
                 v.extend_from_slice(existing);
                 for &h in &hashes {
                     for i in 0..self.k {
-                        v.push(bit_position(self.m, h, i));
+                        // Sparse ⇒ at most 2¹⁶ bits: every position fits.
+                        v.push(bit_position(self.m, h, i) as u16);
                     }
                 }
                 v.sort_unstable();
@@ -282,7 +291,7 @@ impl QrpFilter {
             acc = pier_netsim::split_mix64(&mut state);
         };
         match &self.repr {
-            Repr::Sparse(pos) => pos.iter().copied().for_each(&mut fold),
+            Repr::Sparse(pos) => pos.iter().map(|&p| u32::from(p)).for_each(&mut fold),
             Repr::Dense(bits) => dense_positions(bits).for_each(&mut fold),
         }
         acc
@@ -377,7 +386,7 @@ impl QrpUnion {
             self.blocks[w] |= bit;
         };
         match &filter.repr {
-            Repr::Sparse(pos) => pos.iter().copied().for_each(set),
+            Repr::Sparse(pos) => pos.iter().map(|&p| u32::from(p)).for_each(set),
             Repr::Dense(bits) => {
                 const BLOCK: u32 = 1 << BLOCK_SHIFT;
                 for (w, &word) in bits.iter().enumerate() {
@@ -404,7 +413,7 @@ impl PartialEq for QrpFilter {
             (Repr::Dense(a), Repr::Dense(b)) => a == b,
             (Repr::Sparse(s), Repr::Dense(d)) | (Repr::Dense(d), Repr::Sparse(s)) => {
                 s.len() as u32 == d.iter().map(|w| w.count_ones()).sum::<u32>()
-                    && s.iter().all(|&p| d[(p / 64) as usize] & (1 << (p % 64)) != 0)
+                    && s.iter().all(|&p| d[usize::from(p / 64)] & (1 << (p % 64)) != 0)
             }
         }
     }
@@ -480,13 +489,13 @@ mod tests {
 
     #[test]
     fn promotion_at_threshold_preserves_content() {
-        // m=1024 → sparse_limit 32 positions. Drive a filter across the
+        // m=1024 → sparse_limit 64 positions. Drive a filter across the
         // threshold one term at a time and check it against an eagerly
         // dense twin at every step.
         let mut adaptive = QrpFilter::new(1024, 2);
         let mut eager = QrpFilter::new(1024, 2);
         eager.promote_to_dense();
-        assert_eq!(QrpFilter::sparse_limit(1024), 32);
+        assert_eq!(QrpFilter::sparse_limit(1024), 64);
         let mut crossed = false;
         for i in 0..100 {
             let t = format!("promo{i}");
@@ -499,7 +508,7 @@ mod tests {
                 crossed = true;
             }
         }
-        assert!(crossed, "100 terms × k=2 in 1024 bits must cross the 32-position limit");
+        assert!(crossed, "100 terms × k=2 in 1024 bits must cross the 64-position limit");
         assert!(!adaptive.is_sparse(), "promotion is monotone");
     }
 

@@ -18,7 +18,9 @@
 //! `Arc` to the catalog plus a `Box<[FileId]>` of the files it shares, so
 //! replicating a file onto ten thousand leaves costs 4 bytes per leaf, not
 //! a `FileMeta` + token-set clone per leaf. Matching and QRP advertising
-//! read through the shared arena. (QRP hash pairs are likewise shared: the
+//! read through the shared arena. Every network builder interns its shares
+//! into one catalog ([`FileStore::shared_all`]), and [`FileStore::new`] is
+//! its one-share case. (QRP hash pairs are likewise shared: the
 //! process-wide vocab table caches one `(u64, u64)` per interned term — see
 //! `pier_vocab::qrp_hashes` — so no per-node hash state exists either.)
 //!
@@ -29,6 +31,7 @@
 
 use pier_netsim::HeapSize;
 use pier_vocab::{scan, TermId};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// One shared file. The name is `Arc`-shared: a `Hit` travelling the
@@ -36,7 +39,7 @@ use std::sync::{Arc, OnceLock};
 /// pointer-sized name clone those hops stop allocating — the last string
 /// hot spot on the result path (wire-size accounting is unchanged: the
 /// retained text and its byte length are identical).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FileMeta {
     pub name: Arc<str>,
     pub size: u64,
@@ -130,46 +133,50 @@ impl HeapSize for ShareCatalog {
     }
 }
 
-/// A node's share: a `Box<[FileId]>` into a shared [`ShareCatalog`], plus
-/// the share-wide sorted token union QRP advertises.
+/// A node's share: a `Box<[FileId]>` into a shared [`ShareCatalog`].
 #[derive(Clone, Debug)]
 pub struct FileStore {
     catalog: Arc<ShareCatalog>,
     files: Box<[FileId]>,
-    /// Distinct tokens across the whole share, sorted — cached once so QRP
-    /// refreshes stop re-allocating and re-cloning the full token set.
-    all_tokens: Box<[TermId]>,
 }
 
 impl Default for FileStore {
     fn default() -> Self {
-        FileStore {
-            catalog: ShareCatalog::empty().clone(),
-            files: Box::default(),
-            all_tokens: Box::default(),
-        }
+        FileStore { catalog: ShareCatalog::empty().clone(), files: Box::default() }
     }
 }
 
 impl FileStore {
-    /// A store owning its own single-node catalog — the construction path
-    /// for unit tests and small drivers. Networks whose shares come from a
-    /// workload catalog share one [`ShareCatalog`] via [`FileStore::shared`]
-    /// instead.
+    /// A store over one share: the one-share case of
+    /// [`FileStore::shared_all`].
     pub fn new(files: Vec<FileMeta>) -> Self {
-        // Holds: one node's share, thousands of files at most, far below 2³².
-        let n = u32::try_from(files.len()).expect("share catalog exceeds u32 file ids");
-        let catalog = Arc::new(ShareCatalog::build(files));
-        FileStore::shared(catalog, (0..n).collect())
+        // Holds: `shared_all` returns one store per share.
+        FileStore::shared_all([files]).pop().expect("one share in, one store out")
+    }
+
+    /// One store per share, all reading through one [`ShareCatalog`] that
+    /// holds each distinct `(name, size)` once. `FileId`s are assigned in
+    /// first-seen order — node order, then share order — and each store
+    /// keeps its share's order, duplicates included.
+    pub fn shared_all(shares: impl IntoIterator<Item = Vec<FileMeta>>) -> Vec<FileStore> {
+        // Lookups only, never iterated: ids follow `metas`' first-seen order.
+        let (mut ids, mut metas) = (HashMap::<FileMeta, FileId>::new(), Vec::new());
+        let mut intern = |meta: FileMeta| {
+            *ids.entry(meta).or_insert_with_key(|meta| {
+                metas.push(meta.clone());
+                // Holds: distinct files of one network, far below 2³².
+                u32::try_from(metas.len() - 1).expect("share catalog exceeds u32 file ids")
+            })
+        };
+        let views: Vec<Box<[FileId]>> =
+            shares.into_iter().map(|share| share.into_iter().map(&mut intern).collect()).collect();
+        let catalog = Arc::new(ShareCatalog::build(metas));
+        views.into_iter().map(|files| FileStore::shared(Arc::clone(&catalog), files)).collect()
     }
 
     /// A share of `files` (catalog indices) backed by a shared catalog.
     pub fn shared(catalog: Arc<ShareCatalog>, files: Box<[FileId]>) -> Self {
-        let mut all_tokens: Vec<TermId> =
-            files.iter().flat_map(|&id| catalog.tokens(id).iter().copied()).collect();
-        all_tokens.sort_unstable();
-        all_tokens.dedup();
-        FileStore { catalog, files, all_tokens: all_tokens.into_boxed_slice() }
+        FileStore { catalog, files }
     }
 
     /// The catalog this share reads through.
@@ -197,9 +204,14 @@ impl FileStore {
     }
 
     /// All distinct tokens across the share, sorted (what QRP filters
-    /// advertise). Cached at construction; O(1) per QRP refresh.
-    pub fn all_tokens(&self) -> &[TermId] {
-        &self.all_tokens
+    /// advertise). Computed on each call; the leaf caches the filter it
+    /// builds from it, not the union.
+    pub fn token_union(&self) -> Vec<TermId> {
+        let mut tokens: Vec<TermId> =
+            self.files.iter().flat_map(|&id| self.catalog.tokens(id).iter().copied()).collect();
+        tokens.sort_unstable();
+        tokens.dedup();
+        tokens
     }
 
     /// Files matching a query (every query term must be a filename token).
@@ -219,10 +231,10 @@ impl FileStore {
         self.matching(&scan(query))
     }
 
-    /// Heap bytes owned by *this node* for its share — the id list and the
-    /// token union, not the shared catalog (accounted once per process).
+    /// Heap bytes owned by *this node* for its share — the id list, not
+    /// the shared catalog (accounted once per process).
     pub fn own_heap_bytes(&self) -> usize {
-        self.files.len() * size_of::<FileId>() + self.all_tokens.len() * size_of::<TermId>()
+        self.files.len() * size_of::<FileId>()
     }
 }
 
@@ -275,11 +287,11 @@ mod tests {
     #[test]
     fn all_tokens_dedup_and_sorted() {
         let store = FileStore::new(vec![FileMeta::new("a_b.mp3", 1), FileMeta::new("b_c.mp3", 1)]);
-        let tokens = store.all_tokens();
+        let tokens = store.token_union();
         assert_eq!(tokens.len(), 4); // a, b, c, mp3
         assert!(tokens.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
-        // The cache holds exactly the union of the per-file sets.
-        let mut names = pier_vocab::texts_of(tokens);
+        // Exactly the union of the per-file sets.
+        let mut names = pier_vocab::texts_of(&tokens);
         names.sort();
         assert_eq!(names, vec!["a", "b", "c", "mp3"]);
     }
@@ -320,7 +332,7 @@ mod tests {
         let owning = FileStore::new(vec![metas[2].clone(), metas[0].clone()]);
         assert_eq!(shared.len(), owning.len());
         assert_eq!(shared.metas(), owning.metas(), "share order preserved");
-        assert_eq!(shared.all_tokens(), owning.all_tokens());
+        assert_eq!(shared.token_union(), owning.token_union());
         for q in ["rare live", "b side", "common", "nothing here"] {
             let a: Vec<&str> = shared.matching_query(q).iter().map(|f| &*f.name).collect();
             let b: Vec<&str> = owning.matching_query(q).iter().map(|f| &*f.name).collect();
@@ -334,7 +346,7 @@ mod tests {
         let b = FileStore::default();
         assert!(Arc::ptr_eq(a.catalog(), b.catalog()));
         assert_eq!(a.own_heap_bytes(), 0);
-        assert!(a.is_empty() && a.all_tokens().is_empty());
+        assert!(a.is_empty() && a.token_union().is_empty());
         assert!(a.matching_query("anything").is_empty());
     }
 }

@@ -121,7 +121,7 @@ impl LeafCore {
     fn qrp_filter(&mut self) -> &Arc<QrpFilter> {
         self.qrp.get_or_insert_with(|| {
             let mut filter = QrpFilter::with_defaults();
-            filter.insert_ids(self.store.all_tokens());
+            filter.insert_ids(&self.store.token_union());
             crate::qrp_catalog::intern(filter)
         })
     }

@@ -202,21 +202,17 @@ pub struct GnutellaHandles {
 
 /// Spawn the topology into a simulation. `up_files[i]` / `leaf_files[j]`
 /// are the shares of ultrapeer `i` / leaf `j` (commonly empty for
-/// ultrapeers). Each node gets a store owning its own catalog; networks
-/// whose shares come from one workload catalog should build shared-catalog
-/// stores and use [`spawn_stores`] instead.
+/// ultrapeers), interned into one catalog by [`FileStore::shared_all`].
 pub fn spawn(
     sim: &mut Sim<GnutellaMsg>,
     topo: &Topology,
     up_files: Vec<Vec<FileMeta>>,
     leaf_files: Vec<Vec<FileMeta>>,
 ) -> GnutellaHandles {
-    spawn_stores(
-        sim,
-        topo,
-        up_files.into_iter().map(FileStore::new).collect(),
-        leaf_files.into_iter().map(FileStore::new).collect(),
-    )
+    let ups = up_files.len();
+    let mut up_stores = FileStore::shared_all(up_files.into_iter().chain(leaf_files));
+    let leaf_stores = up_stores.split_off(ups);
+    spawn_stores(sim, topo, up_stores, leaf_stores)
 }
 
 /// Spawn the topology with pre-built [`FileStore`]s — the shared-catalog

@@ -6,6 +6,8 @@
 //! one hard guarantee — no false negatives — must hold for every
 //! inserted term. These are the semantics the golden determinism pins
 //! ride on: if sparse and dense ever diverge, message counts shift.
+//! Sparse positions are 2-byte, so the top of the 16-bit range is pinned
+//! bit by bit, and tables too wide for it must start dense.
 
 use pier_gnutella::{QrpFilter, QrpProbe, Terms};
 use proptest::prelude::*;
@@ -85,4 +87,60 @@ proptest! {
         }
         prop_assert_eq!(other.matches_probe(&probe), other.matches_all(&terms));
     }
+
+    /// 2-byte positions reach the top of the 16-bit range: over the upper
+    /// half of the default table (32,768 … 65,535) the sparse list and its
+    /// promoted table set exactly the same bits. `TOP_TERM` lands on
+    /// 65,535 itself, so the last position is always exercised.
+    #[test]
+    fn sparse_and_dense_agree_at_the_top_of_the_16_bit_range(
+        names in proptest::collection::vec("[a-z0-9]{2,8}", 0..200),
+    ) {
+        let mut names = names;
+        names.push(TOP_TERM.to_string());
+        let (sparse, dense) = both_planes(&names);
+        prop_assert!(sparse.is_sparse());
+        // `(p, 0)` probes bit `p` alone, for every hash function.
+        let bit = |f: &QrpFilter, p: u32| f.contains_hashes((u64::from(p), 0));
+        prop_assert!(bit(&sparse, 65_535) && bit(&dense, 65_535));
+        let mut upper = 0;
+        for p in 32_768..QrpFilter::DEFAULT_BITS {
+            prop_assert_eq!(bit(&sparse, p), bit(&dense, p), "position {}", p);
+            upper += u32::from(bit(&sparse, p));
+        }
+        let lower = (0..32_768).filter(|&p| bit(&dense, p)).count() as u32;
+        prop_assert_eq!(lower + upper, sparse.count_ones());
+        prop_assert_eq!(sparse.content_hash(), dense.content_hash());
+    }
+}
+
+/// A term whose second QRP position in the default table is 65,535 (found
+/// by scanning `top0`, `top1`, …; asserted below).
+const TOP_TERM: &str = "top55724";
+
+#[test]
+fn the_top_term_lands_on_the_last_position() {
+    let (h1, h2) = pier_vocab::qrp_hashes(pier_vocab::intern(TOP_TERM));
+    let m = u64::from(QrpFilter::DEFAULT_BITS);
+    assert_eq!(h1.wrapping_add(h2) % m, 65_535);
+}
+
+/// Positions of a table wider than 65,536 bits do not fit 2 bytes, so
+/// such a filter starts dense; up to 65,536 bits it starts sparse.
+#[test]
+fn a_filter_wider_than_16_bit_positions_starts_dense() {
+    assert!(QrpFilter::new(65_536, 2).is_sparse());
+    assert_eq!(QrpFilter::sparse_limit(65_536), 4_096);
+    let mut wide = QrpFilter::new(65_537, 2);
+    assert!(!wide.is_sparse());
+    let mut wider = QrpFilter::new(1 << 20, 3);
+    assert!(!wider.is_sparse());
+    for t in ["alpha", "bravo", TOP_TERM] {
+        wide.insert(t);
+        wider.insert(t);
+    }
+    for t in ["alpha", "bravo", TOP_TERM] {
+        assert!(wide.contains(t) && wider.contains(t), "{t}");
+    }
+    assert_eq!(wide.count_ones(), 6, "three terms × k=2, no collision");
 }

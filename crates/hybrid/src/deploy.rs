@@ -31,7 +31,8 @@ pub struct Deployment {
 
 /// Build the network into `sim`. `scheme_for(i)` supplies each hybrid
 /// ultrapeer's rare-item scheme (usually identical). Leaf `j` shares
-/// `leaf_files[j]`.
+/// `leaf_files[j]`; every share reads through one catalog
+/// ([`FileStore::shared_all`]).
 pub fn spawn(
     sim: &mut Sim<HybridMsg>,
     topo: &Topology,
@@ -47,9 +48,10 @@ pub fn spawn(
     // ring on PlanetLab was long-running).
     let dht_contacts: Vec<Contact> = (0..cfg.hybrid_ups).map(contact).collect();
 
-    let up_stores = (0..topo.ultrapeer_count()).map(|_| FileStore::default());
-    let leaf_stores = leaf_files.into_iter().map(FileStore::new);
-    let handles = wire(sim, topo, up_stores, leaf_stores, |sim, i, core| {
+    let ups = topo.ultrapeer_count();
+    let mut stores = FileStore::shared_all(std::iter::repeat_n(Vec::new(), ups).chain(leaf_files));
+    let leaves = stores.split_off(ups);
+    let handles = wire(sim, topo, stores.into_iter(), leaves.into_iter(), |sim, i, core| {
         if i < cfg.hybrid_ups {
             let mut dht = DhtCore::new(cfg.dht.clone(), contact(i));
             bootstrap::fill_table(dht.table_mut(), &dht_contacts, 4);

@@ -2,9 +2,10 @@
 //! through the PIERSearch fallback — the paper's headline §7 result.
 
 use pier_dht::DhtConfig;
-use pier_gnutella::{FileMeta, Topology, TopologyConfig};
+use pier_gnutella::{FileMeta, LeafNode, Topology, TopologyConfig, UltrapeerNode};
 use pier_hybrid::{deploy, HybridConfig, HybridMsg, HybridUp, RareScheme};
 use pier_netsim::{Sim, SimConfig, SimDuration, UniformLatency};
+use std::sync::Arc;
 
 struct TestNet {
     sim: Sim<HybridMsg>,
@@ -47,6 +48,23 @@ fn build(seed: u64, fallback_timeout_s: u64) -> TestNet {
     // SAM with a traffic-estimate threshold: publish items seen ≤ 3 times.
     let deployment = deploy::spawn(&mut sim, &topo, leaf_files, &dcfg, |_| RareScheme::sam(3));
     TestNet { sim, deployment }
+}
+
+#[test]
+fn every_share_reads_through_one_catalog() {
+    let net = build(80, 30);
+    let leaf = |id| &net.sim.actor::<LeafNode>(id).core;
+    let catalog = leaf(net.deployment.leaves[0]).store().catalog();
+    // 800 fillers, one popular file on every fourth leaf, one rare file.
+    assert_eq!(catalog.len(), 802, "each distinct file once");
+    for &id in &net.deployment.leaves {
+        assert!(Arc::ptr_eq(leaf(id).store().catalog(), catalog), "leaf {id:?}");
+    }
+    for &id in &net.deployment.plain_ups {
+        let store = net.sim.actor::<UltrapeerNode>(id).core.store();
+        assert!(store.is_empty() && Arc::ptr_eq(store.catalog(), catalog), "ultrapeer {id:?}");
+    }
+    assert_eq!(leaf(net.deployment.leaves[799]).store().len(), 2);
 }
 
 #[test]
@@ -208,7 +226,6 @@ fn leaf_queries_get_hybrid_treatment() {
 #[test]
 fn traced_fallback_emits_pier_and_dht_events() {
     use pier_trace::{TraceHandle, TraceKind, Tracer};
-    use std::sync::Arc;
 
     let mut net = build(85, 10);
     net.sim.run_for(SimDuration::from_secs(60));

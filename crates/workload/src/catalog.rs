@@ -178,11 +178,11 @@ impl Catalog {
 fn sample_distinct_hosts(rng: &mut impl Rng, hosts: usize, k: usize) -> Vec<u32> {
     debug_assert!(k <= hosts);
     if k * 20 >= hosts {
-        // Dense case: shuffle a full index vector.
+        // Dense case: shuffle a full index vector, keep an exact-size copy
+        // of the first `k`.
         let mut all: Vec<u32> = (0..hosts as u32).collect();
         all.shuffle(rng);
-        all.truncate(k);
-        all
+        all[..k].to_vec()
     } else {
         // Sparse case: rejection sampling.
         let mut set = std::collections::HashSet::with_capacity(k);
@@ -228,6 +228,16 @@ mod tests {
             let set: std::collections::HashSet<_> = f.hosts.iter().collect();
             assert_eq!(set.len(), f.hosts.len(), "duplicate replica host for {}", f.name);
             assert!(f.replicas() >= 1);
+        }
+    }
+
+    #[test]
+    fn host_lists_hold_no_spare_capacity() {
+        let c = small();
+        // 2,000 hosts: files with ≥ 100 replicas take the dense path.
+        assert!(c.files.iter().any(|f| f.hosts.len() * 20 >= 2_000), "a dense file exists");
+        for f in &c.files {
+            assert_eq!(f.hosts.capacity(), f.hosts.len(), "{}", f.name);
         }
     }
 
