@@ -18,13 +18,12 @@
 //! the payload.
 
 use pier_gnutella::{
-    FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, LeafCore, QrpFilter, Terms,
-    UltrapeerConfig, UltrapeerCore,
+    FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, LeafCore, Terms, UltrapeerConfig,
+    UltrapeerCore,
 };
 use pier_netsim::{stream_rng, MetricClass, NodeId, SimDuration, SimRng, SimTime};
 use pier_workload::{Catalog, CatalogConfig, QueryConfig, QueryTrace};
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Sparse-preset magnitudes: 2,560 single-homed leaves over 640 ultrapeers
@@ -151,9 +150,7 @@ fn build_interned(w: &FloodWorkload) -> InternedFixture {
         let leaf_id = NodeId::new(LEAF_BASE + i as u32);
         up.add_leaf(leaf_id);
         let leaf = LeafCore::new(FileStore::new(share.clone()));
-        let mut filter = QrpFilter::with_defaults();
-        filter.insert_ids(&leaf.store().token_union());
-        up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { filter: Arc::new(filter) });
+        up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { view: leaf.store().qrp_view() });
         leaves.push((leaf_id, leaf, SinkNet::new(LEAF_BASE + i as u32)));
     }
     InternedFixture { up, leaves }

@@ -219,7 +219,8 @@ pub struct Lab {
     /// experiments can relate per-vantage results to ultrapeer profiles.
     pub topo: Topology,
     /// The one process-wide copy of every shared file's metadata and token
-    /// set; every leaf's `FileStore` is a `Box<[FileId]>` view into it.
+    /// set and QRP positions; every leaf's `FileStore` is an
+    /// `Arc<[FileId]>` view into it.
     pub share_catalog: Arc<ShareCatalog>,
 }
 

@@ -1,10 +1,10 @@
 //! The per-subsystem `HeapSize` accounting behind the benchmark's
-//! `netsim.heap_bytes_per_node` row is wired through a built lab,
-//! multihomed leaves share one interned QRP filter, and an interned filter
-//! costs what its positions cost plus a small fixed header.
+//! `netsim.heap_bytes_per_node` row is wired through a built lab, every
+//! home ultrapeer's QRP table is a view of its leaf's own id list, and the
+//! share catalog stores each distinct file's QRP positions in a few bytes.
 
 use pier_bench::lab::{Lab, LabConfig, Scale, DEFAULT_SEED};
-use pier_gnutella::UltrapeerNode;
+use pier_gnutella::{LeafNode, UltrapeerNode};
 
 #[test]
 fn built_lab_accounts_every_node_and_interns_leaf_filters() {
@@ -17,22 +17,31 @@ fn built_lab_accounts_every_node_and_interns_leaf_filters() {
     assert!(stats.subsystems.get("leaf.share") > 0, "leaves report their share views");
     assert!(stats.subsystems.get("up.qrp") > 0, "ultrapeers report their QRP entries");
 
-    // metro-lite leaves are 2-homed: both ultrapeers hold the same `Arc`.
+    // metro-lite leaves are 2-homed: both ultrapeers view the leaf's own
+    // id list, and no ultrapeer holds a table for anyone else.
+    let mut views = 0;
+    for &id in &lab.handles.leaves {
+        let leaf = &lab.sim.actor::<LeafNode>(id).core;
+        for &up in leaf.ultrapeers() {
+            let up = &lab.sim.actor::<UltrapeerNode>(up).core;
+            let view = up.qrp_view(id).expect("QRP propagation ran during the build");
+            assert!(view.is_view_of(leaf.store()), "leaf {id:?}: a copy, not a view");
+            views += 1;
+        }
+    }
     let qrp_refs: usize =
         lab.handles.ups.iter().map(|&id| lab.sim.actor::<UltrapeerNode>(id).core.qrp_refs()).sum();
-    let catalog = pier_gnutella::qrp_catalog::stats();
-    let unique = catalog.unique;
-    assert!(unique > 0, "QRP propagation ran during the build");
-    assert!(qrp_refs > unique, "{qrp_refs} ultrapeer entries over {unique} distinct filters");
+    assert_eq!(qrp_refs, views);
+    assert!(views > leaves, "{views} tables over {leaves} leaves");
 
-    // Measured 159 B per filter here (default seed): a 32-byte
-    // `QrpFilter`, the `Arc`'s two counts, and ~55 two-byte positions.
-    // The ceiling leaves ~18% headroom for share-view drift; four-byte
-    // positions (~270 B) would fail it.
-    const BYTES_PER_FILTER_MAX: usize = 190;
-    let per_filter = catalog.bytes / unique;
+    // Measured 25.7 B per distinct file here (default seed): ~11 two-byte
+    // positions and a 4-byte offset. The ceiling leaves ~20% headroom for
+    // catalog drift; four-byte positions (~47 B) would fail it.
+    const QRP_BYTES_PER_FILE_MAX: usize = 31;
+    let catalog = &lab.share_catalog;
+    let per_file = catalog.qrp_heap_bytes() / catalog.len();
     assert!(
-        per_filter <= BYTES_PER_FILTER_MAX,
-        "{per_filter} B per interned filter (ceiling {BYTES_PER_FILTER_MAX} B)"
+        per_file <= QRP_BYTES_PER_FILE_MAX,
+        "{per_file} B of QRP positions per distinct file (ceiling {QRP_BYTES_PER_FILE_MAX} B)"
     );
 }

@@ -25,24 +25,23 @@
 //! never the representation, so promotion can never perturb a determinism
 //! pin.
 //!
-//! A probe goes straight to the representation: one word load on a dense
-//! table, a binary search on a sparse list — a filter is the 32-byte
-//! header plus its positions, nothing more. An ultrapeer screens in
-//! front of all of its leaves at once: it folds every leaf's positions
-//! into one 4096-block [`QrpUnion`], and a query with any position in a
-//! block no leaf has set cannot match any of them, so the per-leaf loop
-//! is not entered at all.
+//! A leaf does not build a filter at all: its table is a [`QrpView`] of
+//! its share, read through the positions the share catalog stores once
+//! per distinct file. The union of each file's positions is exactly the
+//! position set of the union of its tokens, so a view answers every probe
+//! as the filter built from the share would — `QrpFilter` stays as that
+//! oracle. An ultrapeer screens each leaf before the exact test: a
+//! 128-bit [`QrpScreen`] has bit `b` set iff some position `p` of the leaf
+//! has `p >> 9 == b`, and a query with a block the screen lacks cannot
+//! match that leaf.
 
+use crate::files::FileStore;
 use pier_vocab::{intern, TermId, Terms};
+use std::sync::Arc;
 
-/// Words in a [`QrpUnion`]'s block bitmap. 64 words cover 4,096 blocks
-/// of 16 bits each over the default 65,536-bit table.
-const UNION_WORDS: usize = 64;
-/// Blocks the union covers: bit `b` is set iff some position lands in
-/// block `b` (blocks alias mod 4096 for tables above 65,536 bits).
-const UNION_BLOCKS: u32 = (UNION_WORDS * 64) as u32;
-/// log2 of the bit positions per union block (16-bit blocks).
-const BLOCK_SHIFT: u32 = 4;
+/// log2 of the table bits one [`QrpScreen`] bit covers: 128 blocks of
+/// 512 bits over the default 65,536-bit table.
+const SCREEN_SHIFT: u32 = 9;
 /// The largest table whose positions fit a sparse list's `u16`s.
 const SPARSE_MAX_BITS: u32 = 1 << 16;
 
@@ -56,11 +55,15 @@ enum Repr {
     Dense(Vec<u64>),
 }
 
-/// Word index and bit mask of position `p`'s block in a union bitmap.
+/// A 128-bit block screen over default-geometry positions: bit `b` is set
+/// iff some position `p` has `p >> 9 == b`.
+pub type QrpScreen = [u64; 2];
+
+/// Set position `p`'s block in `screen`.
 #[inline]
-fn block_slot(p: u32) -> (usize, u64) {
-    let b = (p >> BLOCK_SHIFT) % UNION_BLOCKS;
-    ((b >> 6) as usize, 1 << (b & 63))
+fn screen_add(screen: &mut QrpScreen, p: u16) {
+    let b = p >> SCREEN_SHIFT;
+    screen[usize::from(b >> 6)] |= 1 << (b & 63);
 }
 
 /// A fixed-size Bloom filter over lowercase terms.
@@ -87,6 +90,13 @@ impl pier_netsim::HeapSize for QrpFilter {
 #[inline]
 fn bit_position(m: u32, (h1, h2): (u64, u64), i: u32) -> u32 {
     (h1.wrapping_add(h2.wrapping_mul(i as u64)) % m as u64) as u32
+}
+
+/// The default-geometry positions of terms' hash pairs — what the share
+/// catalog stores per file (a 65,536-bit table: every position fits).
+pub(crate) fn default_positions(hashes: &[(u64, u64)]) -> impl Iterator<Item = u16> + '_ {
+    let (m, k) = (QrpFilter::DEFAULT_BITS, QrpFilter::DEFAULT_HASHES);
+    hashes.iter().flat_map(move |&h| (0..k).map(move |i| bit_position(m, h, i) as u16))
 }
 
 /// Ascending set-bit positions of a dense table.
@@ -281,8 +291,8 @@ impl QrpFilter {
         }
     }
 
-    /// Content hash over `(m, k, set positions)` — what the process-wide
-    /// filter catalog interns on. Representation-independent, like `Eq`.
+    /// Content hash over `(m, k, set positions)`. Representation-independent,
+    /// like `Eq`.
     pub fn content_hash(&self) -> u64 {
         let mut state = (self.m as u64) << 32 | self.k as u64;
         let mut acc = pier_netsim::split_mix64(&mut state);
@@ -333,71 +343,60 @@ impl QrpProbe {
         QrpProbe::new(QrpFilter::DEFAULT_BITS, QrpFilter::DEFAULT_HASHES, terms)
     }
 
-    /// Could any filter folded into `union` match this probe? `false` is
-    /// exact — a filter matches only if every probe position is set, hence
-    /// every position's block was set when the filter was folded in — and
-    /// costs at most one load per position in 512 resident bytes.
-    /// `true` means "ask the filters": every position's block is some
-    /// leaf's, or the union cannot speak for this probe's geometry.
-    pub(crate) fn may_match_any(&self, union: &QrpUnion) -> bool {
-        if union.foreign || (self.m, self.k) != QrpUnion::GEOMETRY {
-            return true;
+    /// The blocks of the probe's positions in the default table: a leaf
+    /// whose [`QrpView::screen`] lacks one cannot match.
+    pub fn screen(&self) -> QrpScreen {
+        if !self.is_default() {
+            return QrpProbe::with_defaults(&self.terms).screen();
         }
-        !self.positions.is_empty()
-            && self.positions.iter().all(|&p| {
-                let (w, bit) = block_slot(p);
-                union.blocks[w] & bit != 0
-            })
+        let mut screen = [0; 2];
+        self.positions.iter().for_each(|&p| screen_add(&mut screen, p as u16));
+        screen
+    }
+
+    fn is_default(&self) -> bool {
+        (self.m, self.k) == (QrpFilter::DEFAULT_BITS, QrpFilter::DEFAULT_HASHES)
     }
 }
 
-/// The block bitmap of many filters' positions: one screen in front of an
-/// ultrapeer's whole last-hop loop. Block `b` is set iff some folded
-/// filter of the standard table geometry has a position in block `b`; a
-/// filter of any other geometry sets `foreign`, which turns the screen off
-/// (its positions for the same term land elsewhere, so the union cannot
-/// rule it out). Grow-only: a filter leaving the set means rebuilding
-/// from the rest.
+/// A leaf's QRP table: a read-only view of its share, matched through the
+/// positions its catalog stores once per distinct file. It exposes only
+/// what an ultrapeer needs to route — its screen and the exact probe test
+/// — never the share's tokens or files. Cloning it costs two `Arc` bumps.
 #[derive(Clone, Debug)]
-pub(crate) struct QrpUnion {
-    blocks: [u64; UNION_WORDS],
-    foreign: bool,
-}
+pub struct QrpView(pub(crate) FileStore);
 
-impl QrpUnion {
-    /// The `(m, k)` the union speaks for — what
-    /// [`QrpProbe::with_defaults`] probes.
-    const GEOMETRY: (u32, u32) = (QrpFilter::DEFAULT_BITS, QrpFilter::DEFAULT_HASHES);
-
-    /// The union of no filters.
-    pub(crate) fn new() -> Self {
-        QrpUnion { blocks: [0; UNION_WORDS], foreign: false }
+impl QrpView {
+    /// The positions of each shared file, in share order.
+    fn spans(&self) -> impl Iterator<Item = &[u16]> + '_ {
+        let store = &self.0;
+        store.files.iter().map(|&f| store.catalog.qrp_positions(f))
     }
 
-    /// Fold one more filter's positions in. A dense word holds four
-    /// 16-bit blocks, so it is folded a block at a time, not a bit.
-    pub(crate) fn add(&mut self, filter: &QrpFilter) {
-        if (filter.m, filter.k) != Self::GEOMETRY {
-            self.foreign = true;
-            return;
+    /// The blocks of every position the share sets.
+    pub fn screen(&self) -> QrpScreen {
+        let mut screen = [0; 2];
+        self.spans().flatten().for_each(|&p| screen_add(&mut screen, p));
+        screen
+    }
+
+    /// Would the probe's query route to this leaf: is every probe position
+    /// set by some shared file? The same answer as
+    /// [`QrpFilter::matches_probe`] on the filter built from the share.
+    pub fn matches(&self, probe: &QrpProbe) -> bool {
+        if !probe.is_default() {
+            return self.matches(&QrpProbe::with_defaults(&probe.terms));
         }
-        let mut set = |p: u32| {
-            let (w, bit) = block_slot(p);
-            self.blocks[w] |= bit;
-        };
-        match &filter.repr {
-            Repr::Sparse(pos) => pos.iter().map(|&p| u32::from(p)).for_each(set),
-            Repr::Dense(bits) => {
-                const BLOCK: u32 = 1 << BLOCK_SHIFT;
-                for (w, &word) in bits.iter().enumerate() {
-                    for j in (0..64).step_by(BLOCK as usize) {
-                        if word >> j & ((1 << BLOCK) - 1) != 0 {
-                            set(w as u32 * 64 + j);
-                        }
-                    }
-                }
-            }
-        }
+        !probe.positions.is_empty()
+            && probe
+                .positions
+                .iter()
+                .all(|&p| self.spans().any(|span| span.binary_search(&(p as u16)).is_ok()))
+    }
+
+    /// Is this a view of `store`'s own id list (no copy of it)?
+    pub fn is_view_of(&self, store: &FileStore) -> bool {
+        Arc::ptr_eq(&self.0.files, &store.files)
     }
 }
 
@@ -562,35 +561,9 @@ mod tests {
 
     #[test]
     fn filter_header_stays_32_bytes() {
-        // 72k interned leaf filters on a flood lab: any inline field here
-        // is paid once per filter, on top of its positions.
+        // A filter is this header plus its positions: any inline field
+        // here is paid once per filter the oracle builds.
         assert!(size_of::<QrpFilter>() <= 32, "QrpFilter is {} B", size_of::<QrpFilter>());
-    }
-
-    #[test]
-    fn union_folds_sparse_and_dense_positions_alike() {
-        let mut sparse = QrpFilter::with_defaults();
-        for i in 0..300 {
-            sparse.insert(&format!("fold{i}"));
-        }
-        let mut dense = sparse.clone();
-        dense.promote_to_dense();
-        let (mut a, mut b) = (QrpUnion::new(), QrpUnion::new());
-        a.add(&sparse);
-        b.add(&dense);
-        assert_eq!(a.blocks, b.blocks);
-        let mut expected = [0u64; UNION_WORDS];
-        for p in dense_positions(match &dense.repr {
-            Repr::Dense(bits) => bits,
-            Repr::Sparse(_) => unreachable!("promoted"),
-        }) {
-            let (w, bit) = block_slot(p);
-            expected[w] |= bit;
-        }
-        assert_eq!(a.blocks, expected, "one block bit per set position's block");
-        assert!(!a.foreign);
-        a.add(&QrpFilter::new(1024, 3));
-        assert!(a.foreign, "another geometry turns the screen off");
     }
 
     #[test]

@@ -13,22 +13,24 @@
 //! # Memory layout
 //!
 //! File metadata lives in a [`ShareCatalog`]: one columnar, immutable copy
-//! of every distinct file — names, sizes, and sorted token sets in a flat
-//! `TermId` arena indexed by `u32` offsets. A node's [`FileStore`] holds an
-//! `Arc` to the catalog plus a `Box<[FileId]>` of the files it shares, so
-//! replicating a file onto ten thousand leaves costs 4 bytes per leaf, not
-//! a `FileMeta` + token-set clone per leaf. Matching and QRP advertising
-//! read through the shared arena. Every network builder interns its shares
-//! into one catalog ([`FileStore::shared_all`]), and [`FileStore::new`] is
-//! its one-share case. (QRP hash pairs are likewise shared: the
-//! process-wide vocab table caches one `(u64, u64)` per interned term — see
-//! `pier_vocab::qrp_hashes` — so no per-node hash state exists either.)
+//! of every distinct file — names, sizes, sorted token sets in a flat
+//! `TermId` arena, and each file's default-geometry QRP positions in a flat
+//! `u16` arena, both indexed by `u32` offsets. A node's [`FileStore`] holds
+//! an `Arc` to the catalog plus an `Arc<[FileId]>` of the files it shares,
+//! so replicating a file onto ten thousand leaves costs 4 bytes per leaf,
+//! not a `FileMeta` + token-set clone per leaf. Matching reads through the
+//! token arena; a leaf's QRP table is a [`QrpView`] of its store, read
+//! through the position arena, so no node holds a filter of its own and
+//! publishing one costs two `Arc` bumps. Every network builder interns its
+//! shares into one catalog ([`FileStore::shared_all`]), and
+//! [`FileStore::new`] is its one-share case.
 //!
 //! Sharing is safe because the catalog is read-only after construction: the
 //! network only ever *matches against* shares, it never mutates them, and
 //! churn takes a node's share offline by dropping the `FileStore` (4-byte
 //! ids), never by touching the catalog.
 
+use crate::bloom::{default_positions, QrpView};
 use pier_netsim::HeapSize;
 use pier_vocab::{scan, TermId};
 use std::collections::HashMap;
@@ -66,6 +68,11 @@ pub struct ShareCatalog {
     token_arena: Vec<TermId>,
     /// `token_off[i]..token_off[i + 1]` is file `i`'s slice of the arena.
     token_off: Vec<u32>,
+    /// Flat arena of per-file QRP positions in the default table (each
+    /// sorted, deduplicated): the positions of the file's tokens.
+    qrp_arena: Vec<u16>,
+    /// `qrp_off[i]..qrp_off[i + 1]` is file `i`'s slice of `qrp_arena`.
+    qrp_off: Vec<u32>,
 }
 
 impl ShareCatalog {
@@ -85,17 +92,19 @@ impl ShareCatalog {
             token_off.push(end);
         }
         token_arena.shrink_to_fit();
-        ShareCatalog { metas, token_arena, token_off }
-    }
-
-    /// The shared empty catalog (what `FileStore::default()` points at), so
-    /// shareless nodes — every ultrapeer in the lab — cost no allocation.
-    pub fn empty() -> &'static Arc<ShareCatalog> {
-        // pier-lint: allow(shard-static): write-once cache of the canonical
-        // empty catalog; its value is a constant, so shards can never
-        // observe different state through it.
-        static EMPTY: OnceLock<Arc<ShareCatalog>> = OnceLock::new();
-        EMPTY.get_or_init(|| Arc::new(ShareCatalog::default()))
+        let hashes = pier_vocab::qrp_hashes_of(&token_arena);
+        let (mut qrp_arena, mut qrp_off, mut file) = (vec![], vec![0u32], vec![]);
+        for span in token_off.windows(2) {
+            file.clear();
+            file.extend(default_positions(&hashes[span[0] as usize..span[1] as usize]));
+            file.sort_unstable();
+            file.dedup();
+            qrp_arena.extend_from_slice(&file);
+            // Holds: at most twice the token arena, which fits `u32` offsets.
+            qrp_off.push(u32::try_from(qrp_arena.len()).expect("qrp arena exceeds u32 offsets"));
+        }
+        qrp_arena.shrink_to_fit();
+        ShareCatalog { metas, token_arena, token_off, qrp_arena, qrp_off }
     }
 
     /// Number of distinct files.
@@ -117,6 +126,17 @@ impl ShareCatalog {
         &self.token_arena[a as usize..b as usize]
     }
 
+    /// File `id`'s QRP positions in the default table, ascending.
+    pub(crate) fn qrp_positions(&self, id: FileId) -> &[u16] {
+        let (a, b) = (self.qrp_off[id as usize], self.qrp_off[id as usize + 1]);
+        &self.qrp_arena[a as usize..b as usize]
+    }
+
+    /// Heap bytes of the per-file QRP positions and their offsets.
+    pub fn qrp_heap_bytes(&self) -> usize {
+        self.qrp_arena.capacity() * size_of::<u16>() + self.qrp_off.capacity() * size_of::<u32>()
+    }
+
     /// Does file `id` match the query (every term a token of its name)?
     pub fn matches(&self, id: FileId, terms: &[TermId]) -> bool {
         let tokens = self.tokens(id);
@@ -130,19 +150,29 @@ impl HeapSize for ShareCatalog {
             + self.metas.iter().map(|m| m.name.heap_bytes()).sum::<usize>()
             + self.token_arena.capacity() * size_of::<TermId>()
             + self.token_off.capacity() * size_of::<u32>()
+            + self.qrp_heap_bytes()
     }
 }
 
-/// A node's share: a `Box<[FileId]>` into a shared [`ShareCatalog`].
+/// A node's share: an `Arc<[FileId]>` into a shared [`ShareCatalog`]. The
+/// id list is shared with the node's [`QrpView`]s, so a clone is two `Arc`
+/// bumps.
 #[derive(Clone, Debug)]
 pub struct FileStore {
-    catalog: Arc<ShareCatalog>,
-    files: Box<[FileId]>,
+    pub(crate) catalog: Arc<ShareCatalog>,
+    pub(crate) files: Arc<[FileId]>,
 }
 
 impl Default for FileStore {
+    /// The shared empty store, so shareless nodes — every ultrapeer in the
+    /// lab — cost no allocation.
     fn default() -> Self {
-        FileStore { catalog: ShareCatalog::empty().clone(), files: Box::default() }
+        // pier-lint: allow(shard-static): write-once cache of the canonical
+        // empty store; its value is a constant, so shards can never
+        // observe different state through it.
+        static EMPTY: OnceLock<FileStore> = OnceLock::new();
+        let empty = || FileStore { catalog: Arc::default(), files: Arc::new([]) };
+        EMPTY.get_or_init(empty).clone()
     }
 }
 
@@ -176,7 +206,14 @@ impl FileStore {
 
     /// A share of `files` (catalog indices) backed by a shared catalog.
     pub fn shared(catalog: Arc<ShareCatalog>, files: Box<[FileId]>) -> Self {
+        // An empty share takes the shared empty id list.
+        let files = if files.is_empty() { FileStore::default().files } else { files.into() };
         FileStore { catalog, files }
+    }
+
+    /// The share's QRP table: a view of this store, not a copy.
+    pub fn qrp_view(&self) -> QrpView {
+        QrpView(self.clone())
     }
 
     /// The catalog this share reads through.
@@ -203,9 +240,9 @@ impl FileStore {
         self.iter().cloned().collect()
     }
 
-    /// All distinct tokens across the share, sorted (what QRP filters
-    /// advertise). Computed on each call; the leaf caches the filter it
-    /// builds from it, not the union.
+    /// All distinct tokens across the share, sorted: what a QRP filter of
+    /// the share would advertise (the equivalence oracle for
+    /// [`FileStore::qrp_view`]). Computed on each call.
     pub fn token_union(&self) -> Vec<TermId> {
         let mut tokens: Vec<TermId> =
             self.files.iter().flat_map(|&id| self.catalog.tokens(id).iter().copied()).collect();
@@ -345,6 +382,7 @@ mod tests {
         let a = FileStore::default();
         let b = FileStore::default();
         assert!(Arc::ptr_eq(a.catalog(), b.catalog()));
+        assert!(b.qrp_view().is_view_of(&a), "one empty id list");
         assert_eq!(a.own_heap_bytes(), 0);
         assert!(a.is_empty() && a.token_union().is_empty());
         assert!(a.matching_query("anything").is_empty());

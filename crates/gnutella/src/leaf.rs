@@ -2,7 +2,6 @@
 //! answers last-hop forwarded queries, and issues its own searches through
 //! an ultrapeer.
 
-use crate::bloom::QrpFilter;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Hit};
 use crate::net::GnutellaNet;
@@ -10,7 +9,6 @@ use pier_netsim::{NodeId, SimDuration, SimTime};
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// How long a leaf waits for its ultrapeer's `done` before it ends a search
 /// itself: longer than the stock dynamic query at the default degree,
@@ -46,11 +44,9 @@ impl pier_netsim::HeapSize for LeafSearch {
 /// hundreds of thousands of leaves.
 pub struct LeafCore {
     ultrapeers: Box<[NodeId]>,
+    /// The share; its QRP table is a view of it ([`FileStore::qrp_view`]),
+    /// so connect and churn re-attachment advertise the same table.
     store: FileStore,
-    /// The share's QRP filter, built lazily on first publish and interned
-    /// in the process-wide [`crate::qrp_catalog`]. The share is immutable,
-    /// so connect and churn re-attachment advertise one canonical copy.
-    qrp: Option<Arc<QrpFilter>>,
     next_qid: u32,
     /// Keyed by the densely-allocated qid; a `BTreeMap` so the
     /// `searches()` driver API iterates in issue order, never in
@@ -65,7 +61,6 @@ impl LeafCore {
         LeafCore {
             ultrapeers: Box::default(),
             store,
-            qrp: None,
             next_qid: 1,
             searches: BTreeMap::new(),
             trace: TraceHandle::default(),
@@ -104,35 +99,22 @@ impl LeafCore {
         }
     }
 
-    /// Push the share's QRP filter to one ultrapeer (re-attachment path;
+    /// Push the share's QRP table to one ultrapeer (re-attachment path;
     /// the full-broadcast [`LeafCore::publish_qrp`] runs on connect).
-    pub fn publish_qrp_to(&mut self, net: &mut dyn GnutellaNet, up: NodeId) {
-        let filter = Arc::clone(self.qrp_filter());
-        net.send(up, GnutellaMsg::QrpUpdate { filter });
+    pub fn publish_qrp_to(&self, net: &mut dyn GnutellaNet, up: NodeId) {
+        net.send(up, GnutellaMsg::QrpUpdate { view: self.store.qrp_view() });
     }
 
     pub fn store(&self) -> &FileStore {
         &self.store
     }
 
-    /// The share's QRP filter (one builder for connect and re-attachment,
-    /// so the two paths can never advertise different filters), resolved
-    /// through the process-wide catalog and cached.
-    fn qrp_filter(&mut self) -> &Arc<QrpFilter> {
-        self.qrp.get_or_insert_with(|| {
-            let mut filter = QrpFilter::with_defaults();
-            filter.insert_ids(&self.store.token_union());
-            crate::qrp_catalog::intern(filter)
-        })
-    }
-
-    /// Publish the QRP filter of our share to every ultrapeer (done on
+    /// Publish the QRP table of our share to every ultrapeer (done on
     /// connect; the paper's leaves "publish \[their\] file list to those
     /// ultrapeers").
-    pub fn publish_qrp(&mut self, net: &mut dyn GnutellaNet) {
-        let shared = Arc::clone(self.qrp_filter());
+    pub fn publish_qrp(&self, net: &mut dyn GnutellaNet) {
         for &up in &self.ultrapeers {
-            net.send(up, GnutellaMsg::QrpUpdate { filter: Arc::clone(&shared) });
+            net.send(up, GnutellaMsg::QrpUpdate { view: self.store.qrp_view() });
         }
     }
 
@@ -184,9 +166,8 @@ impl LeafCore {
     }
 
     /// Heap accounting by subsystem (see `pier_netsim::Sim::mem_stats`).
-    /// The shared catalog behind the store is *not* charged here, and
-    /// neither is the cached `qrp` filter — it is interned in the
-    /// process-wide `qrp_catalog`, which charges each distinct filter once.
+    /// The shared catalog behind the store is *not* charged here; the id
+    /// list is, once, though the leaf's ultrapeers' views share it.
     pub fn mem_stats(&self, acc: &mut pier_netsim::MemAcc) {
         use pier_netsim::HeapSize;
         acc.add("leaf.share", self.store.own_heap_bytes());
@@ -239,6 +220,7 @@ impl LeafCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bloom::QrpProbe;
     use crate::files::FileMeta;
     use crate::msg::Guid;
     use pier_netsim::{stream_rng, SimRng};
@@ -297,16 +279,19 @@ mod tests {
 
     #[test]
     fn qrp_published_to_all_ultrapeers() {
-        let (mut core, mut net) = leaf_with_files();
+        let (core, mut net) = leaf_with_files();
         core.publish_qrp(&mut net);
         let sent = net.drain();
         assert_eq!(sent.len(), 3);
+        let routes =
+            |view: &crate::QrpView, q: &str| view.matches(&QrpProbe::with_defaults(&q.into()));
         for (_, m) in &sent {
             match m {
-                GnutellaMsg::QrpUpdate { filter } => {
-                    assert!(filter.contains("zeppelin"));
-                    assert!(filter.contains("cat"));
-                    assert!(!filter.contains("floyd"));
+                GnutellaMsg::QrpUpdate { view } => {
+                    assert!(routes(view, "zeppelin"));
+                    assert!(routes(view, "cat"));
+                    assert!(!routes(view, "floyd"));
+                    assert!(view.is_view_of(core.store()), "a view, not a copy");
                 }
                 other => panic!("expected QrpUpdate, got {other:?}"),
             }

@@ -30,11 +30,10 @@ mod leaf;
 mod msg;
 mod net;
 mod node;
-pub mod qrp_catalog;
 pub mod topology;
 mod ultrapeer;
 
-pub use bloom::{QrpFilter, QrpProbe};
+pub use bloom::{QrpFilter, QrpProbe, QrpScreen, QrpView};
 pub use config::UltrapeerConfig;
 pub use crawl::{CrawlGraph, Crawler};
 pub use files::{FileId, FileMeta, FileStore, ShareCatalog};

@@ -7,11 +7,10 @@
 //! retains every term's byte length (a query's payload length equals the
 //! length of the space-joined term text, exactly as before).
 
-use crate::bloom::QrpFilter;
+use crate::bloom::{QrpFilter, QrpView};
 use crate::files::FileMeta;
 use pier_netsim::{MetricClass, NodeId};
 use pier_vocab::Terms;
-use std::sync::Arc;
 
 /// Gnutella descriptor header: 16-byte GUID + type + TTL + hops + 4-byte
 /// payload length.
@@ -70,12 +69,11 @@ pub enum GnutellaMsg {
         neighbors: Vec<NodeId>,
         leaves: Vec<NodeId>,
     },
-    /// Leaf → ultrapeer: its QRP keyword filter — the leaf's own interned
-    /// copy (see [`crate::qrp_catalog`]), which the receiver keeps as is:
-    /// publishing to N home ultrapeers is N `Arc` bumps, not N table
-    /// copies and N catalog lookups.
+    /// Leaf → ultrapeer: its QRP table — a view of the leaf's share, which
+    /// the receiver keeps as is: publishing to N home ultrapeers is 2N
+    /// `Arc` bumps, not N table copies. On the wire it is the raw table.
     QrpUpdate {
-        filter: Arc<QrpFilter>,
+        view: QrpView,
     },
     /// Leaf → ultrapeer: please run this search for me.
     LeafQuery {
@@ -124,7 +122,9 @@ impl GnutellaMsg {
             GnutellaMsg::CrawlPong { neighbors, leaves } => {
                 HEADER_BYTES + 6 * (neighbors.len() + leaves.len())
             }
-            GnutellaMsg::QrpUpdate { filter } => HEADER_BYTES + filter.wire_size(),
+            // Real QRP sends a compressed patch; the raw default table is a
+            // conservative upper bound and what we account.
+            GnutellaMsg::QrpUpdate { .. } => HEADER_BYTES + QrpFilter::DEFAULT_BITS as usize / 8,
             GnutellaMsg::BrowseHost => HEADER_BYTES,
             GnutellaMsg::BrowseHostReply { files } => {
                 HEADER_BYTES + files.iter().map(|f| 10 + f.name.len()).sum::<usize>()
@@ -172,6 +172,13 @@ mod tests {
         let one = GnutellaMsg::QueryHit { guid: Guid(1), ttl: 7, hits: vec![hit.clone()] };
         let two = GnutellaMsg::QueryHit { guid: Guid(1), ttl: 7, hits: vec![hit.clone(), hit] };
         assert_eq!(two.wire_size() - one.wire_size(), 8 + 8 + 2);
+    }
+
+    #[test]
+    fn qrp_update_carries_the_raw_default_table() {
+        let store = crate::files::FileStore::new(vec![FileMeta::new("abcd.mp3", 9)]);
+        let update = GnutellaMsg::QrpUpdate { view: store.qrp_view() };
+        assert_eq!(update.wire_size(), 23 + 65_536 / 8);
     }
 
     #[test]

@@ -44,8 +44,10 @@ pub struct Topology {
     pub up_profiles: Vec<UltrapeerConfig>,
     /// Undirected ultrapeer edges (deduplicated, no self-loops).
     pub up_edges: Vec<(usize, usize)>,
-    /// For each leaf, its ultrapeers (first entry = the one it queries via).
-    pub leaf_homes: Vec<Vec<usize>>,
+    /// Every leaf's ultrapeers, `homes_per_leaf` each, leaf after leaf (see
+    /// [`Topology::leaf_homes`]).
+    homes: Vec<u32>,
+    homes_per_leaf: usize,
 }
 
 /// The inverse of [`Topology::leaf_homes`]: each ultrapeer's leaves, in one
@@ -122,7 +124,8 @@ impl Topology {
         let mut capacity: Vec<usize> = up_profiles.iter().map(|p| p.max_leaves).collect();
         let mut order: Vec<usize> = (0..cfg.ultrapeers).collect();
         order.shuffle(&mut rng);
-        let mut leaf_homes = Vec::with_capacity(cfg.leaves);
+        let homes_per_leaf = cfg.leaf_ups.min(cfg.ultrapeers);
+        let mut homes = Vec::with_capacity(cfg.leaves * homes_per_leaf);
         let mut cursor = 0usize;
         for _ in 0..cfg.leaves {
             // Find the next ultrapeer with spare capacity (wrapping).
@@ -140,17 +143,17 @@ impl Topology {
                 }
             }
             .unwrap_or_else(|| rng.random_range(0..cfg.ultrapeers));
-            let mut homes = vec![home];
-            while homes.len() < cfg.leaf_ups.min(cfg.ultrapeers) {
-                let extra = rng.random_range(0..cfg.ultrapeers);
-                if !homes.contains(&extra) {
+            let first = homes.len();
+            homes.push(home as u32);
+            while homes.len() - first < homes_per_leaf {
+                let extra = rng.random_range(0..cfg.ultrapeers) as u32;
+                if !homes[first..].contains(&extra) {
                     homes.push(extra);
                 }
             }
-            leaf_homes.push(homes);
         }
 
-        Topology { up_profiles, up_edges, leaf_homes }
+        Topology { up_profiles, up_edges, homes, homes_per_leaf }
     }
 
     pub fn ultrapeer_count(&self) -> usize {
@@ -158,26 +161,31 @@ impl Topology {
     }
 
     pub fn leaf_count(&self) -> usize {
-        self.leaf_homes.len()
+        self.homes.len() / self.homes_per_leaf
     }
 
-    /// Invert `leaf_homes` in one pass over the leaves (a counting sort by
-    /// ultrapeer), so spawning costs O(leaves) instead of a scan of every
+    /// Leaf `j`'s ultrapeers (first entry = the one it queries via).
+    pub fn leaf_homes(&self, j: usize) -> &[u32] {
+        &self.homes[j * self.homes_per_leaf..(j + 1) * self.homes_per_leaf]
+    }
+
+    /// Invert the leaf homes in one pass over the leaves (a counting sort
+    /// by ultrapeer), so spawning costs O(leaves) instead of a scan of every
     /// leaf's homes per ultrapeer.
     pub fn up_leaves(&self) -> UpLeaves {
         let mut offsets = vec![0u32; self.ultrapeer_count() + 1];
-        for &up in self.leaf_homes.iter().flatten() {
-            offsets[up + 1] += 1;
+        for &up in &self.homes {
+            offsets[up as usize + 1] += 1;
         }
         for i in 1..offsets.len() {
             offsets[i] += offsets[i - 1];
         }
         let mut next = offsets.clone();
         let mut leaves = vec![0u32; offsets[self.ultrapeer_count()] as usize];
-        for (j, homes) in self.leaf_homes.iter().enumerate() {
+        for (j, homes) in self.homes.chunks_exact(self.homes_per_leaf).enumerate() {
             for &up in homes {
-                leaves[next[up] as usize] = j as u32;
-                next[up] += 1;
+                leaves[next[up as usize] as usize] = j as u32;
+                next[up as usize] += 1;
             }
         }
         UpLeaves { offsets, leaves }
@@ -252,9 +260,7 @@ pub fn wire<M: GnutellaCarrier + Send + 'static>(
     for (i, store) in up_stores.enumerate() {
         let mut core = UltrapeerCore::new(topo.up_profiles[i].clone(), store);
         core.set_neighbors(adj[i].iter().map(|&n| up_id(n)).collect());
-        for &j in up_leaves.of(i) {
-            core.add_leaf(leaf_id(j as usize));
-        }
+        core.add_leaves(up_leaves.of(i).iter().map(|&j| leaf_id(j as usize)));
         let id = host_up(sim, i, core);
         debug_assert_eq!(id, up_id(i));
         ups.push(id);
@@ -262,7 +268,7 @@ pub fn wire<M: GnutellaCarrier + Send + 'static>(
     let mut leaves = Vec::with_capacity(topo.leaf_count());
     for (j, store) in leaf_stores.enumerate() {
         let mut core = LeafCore::new(store);
-        core.set_ultrapeers(topo.leaf_homes[j].iter().map(|&u| up_id(u)).collect());
+        core.set_ultrapeers(topo.leaf_homes(j).iter().map(|&u| up_id(u as usize)).collect());
         let id = sim.add_node(LeafNode::new(core));
         debug_assert_eq!(id, leaf_id(j));
         leaves.push(id);
@@ -289,7 +295,7 @@ mod tests {
         let a = Topology::generate(&small_cfg());
         let b = Topology::generate(&small_cfg());
         assert_eq!(a.up_edges, b.up_edges);
-        assert_eq!(a.leaf_homes, b.leaf_homes);
+        assert_eq!(a.homes, b.homes);
     }
 
     #[test]
@@ -319,7 +325,7 @@ mod tests {
     fn every_leaf_has_distinct_homes() {
         let topo = Topology::generate(&small_cfg());
         assert_eq!(topo.leaf_count(), 400);
-        for homes in &topo.leaf_homes {
+        for homes in (0..topo.leaf_count()).map(|j| topo.leaf_homes(j)) {
             assert_eq!(homes.len(), 3);
             let set: std::collections::HashSet<_> = homes.iter().collect();
             assert_eq!(set.len(), 3, "homes must be distinct");
@@ -335,7 +341,7 @@ mod tests {
         for i in 0..topo.ultrapeer_count() {
             // The scan `spawn_stores` used to run per ultrapeer.
             let scanned: Vec<u32> = (0..topo.leaf_count() as u32)
-                .filter(|&j| topo.leaf_homes[j as usize].contains(&i))
+                .filter(|&j| topo.leaf_homes(j as usize).contains(&(i as u32)))
                 .collect();
             assert_eq!(inverted.of(i), scanned, "ultrapeer {i}");
         }
@@ -346,8 +352,8 @@ mod tests {
     fn leaf_load_respects_capacity_mostly() {
         let topo = Topology::generate(&small_cfg());
         let mut primary_load = vec![0usize; topo.ultrapeer_count()];
-        for homes in &topo.leaf_homes {
-            primary_load[homes[0]] += 1;
+        for j in 0..topo.leaf_count() {
+            primary_load[topo.leaf_homes(j)[0] as usize] += 1;
         }
         for (i, profile) in topo.up_profiles.iter().enumerate() {
             assert!(

@@ -2,7 +2,7 @@
 //! last-hop QRP filtering for its leaves, and runs LimeWire-style *dynamic
 //! querying* for searches it originates.
 
-use crate::bloom::{QrpFilter, QrpProbe, QrpUnion};
+use crate::bloom::{QrpProbe, QrpScreen, QrpView};
 use crate::config::UltrapeerConfig;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Guid, Hit};
@@ -14,7 +14,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// TTL for classic (non-dynamic) flooded queries.
 const FLOOD_TTL: u8 = 4;
@@ -119,21 +118,70 @@ impl Hasher for GuidHasher {
 
 type SeenMap = HashMap<Guid, SeenEntry, BuildHasherDefault<GuidHasher>>;
 
+/// An ultrapeer's connected leaves, struct-of-arrays in ascending id
+/// order: the last-hop loop scans the 16-byte screens and reads a leaf's
+/// view only where its screen admits the probe.
+#[derive(Default)]
+struct LeafTable {
+    ids: Vec<NodeId>,
+    /// Each leaf's view's screen; zero until its first `QrpUpdate`, so a
+    /// leaf without a table admits no query.
+    screens: Vec<QrpScreen>,
+    views: Vec<Option<QrpView>>,
+}
+
+impl LeafTable {
+    fn reserve_exact(&mut self, n: usize) {
+        self.ids.reserve_exact(n);
+        self.screens.reserve_exact(n);
+        self.views.reserve_exact(n);
+    }
+
+    fn insert(&mut self, leaf: NodeId) {
+        if let Err(at) = self.ids.binary_search(&leaf) {
+            self.ids.insert(at, leaf);
+            self.screens.insert(at, [0; 2]);
+            self.views.insert(at, None);
+        }
+    }
+
+    fn remove(&mut self, leaf: NodeId) -> bool {
+        let Ok(at) = self.ids.binary_search(&leaf) else { return false };
+        self.ids.remove(at);
+        self.screens.remove(at);
+        self.views.remove(at);
+        true
+    }
+
+    /// Adopt a connected leaf's table (replacing any earlier one); `false`
+    /// if `leaf` is not connected.
+    fn set_view(&mut self, leaf: NodeId, view: QrpView) -> bool {
+        let Ok(at) = self.ids.binary_search(&leaf) else { return false };
+        self.screens[at] = view.screen();
+        self.views[at] = Some(view);
+        true
+    }
+}
+
+impl pier_netsim::HeapSize for LeafTable {
+    /// The arrays only: a view's id list is the leaf's, charged there.
+    fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * size_of::<NodeId>()
+            + self.screens.capacity() * size_of::<QrpScreen>()
+            + self.views.capacity() * size_of::<Option<QrpView>>()
+    }
+}
+
 /// The ultrapeer protocol state machine. The neighbor list is a
 /// `Box<[NodeId]>`: set once at spawn, rebuilt only by (rare) churn
 /// repair, so no spare `Vec` capacity is carried per node.
 pub struct UltrapeerCore {
     pub cfg: UltrapeerConfig,
     neighbors: Box<[NodeId]>,
-    /// Per-leaf QRP filters for last-hop forwarding. Filters arrive on the
-    /// wire and are interned in the process-wide [`crate::qrp_catalog`], so
-    /// leaves with identical share-views cost one filter copy between all
-    /// their ultrapeers — each entry here is one `Arc` pointer.
-    leaves: BTreeMap<NodeId, Option<Arc<QrpFilter>>>,
-    /// Block union of every filter's positions in `leaves`: the one-probe
-    /// screen in front of the last-hop loop ([`QrpProbe::may_match_any`]).
-    /// Kept equal to the fold of `leaves` wherever `leaves` changes.
-    leaf_union: QrpUnion,
+    /// Connected leaves and their QRP tables for last-hop forwarding. A
+    /// table is a view of the leaf's own share (its id list and the
+    /// network's catalog), so an entry costs no copy of anything.
+    leaves: LeafTable,
     store: FileStore,
     /// GUID → where the query came from (reverse-path routing table).
     /// An entry seen at `at` stores `off = at − seen_base` in a `u32`.
@@ -173,8 +221,7 @@ impl UltrapeerCore {
         UltrapeerCore {
             cfg,
             neighbors: Box::default(),
-            leaves: BTreeMap::new(),
-            leaf_union: QrpUnion::new(),
+            leaves: LeafTable::default(),
             store,
             seen: SeenMap::default(),
             seen_base: SimTime::ZERO,
@@ -226,32 +273,18 @@ impl UltrapeerCore {
 
     /// Topology repair: drop a dead leaf (its QRP entry goes with it).
     pub fn remove_leaf(&mut self, leaf: NodeId) -> bool {
-        let removed = self.leaves.remove(&leaf);
-        if let Some(Some(_)) = removed {
-            self.rebuild_leaf_union();
-        }
-        removed.is_some()
-    }
-
-    /// Record `leaf`'s published filter (replacing any earlier one).
-    fn set_leaf_filter(&mut self, leaf: NodeId, filter: Arc<QrpFilter>) {
-        self.leaf_union.add(&filter);
-        if let Some(Some(_)) = self.leaves.insert(leaf, Some(filter)) {
-            // The union only grows; dropping the old filter's blocks
-            // means folding the remaining filters afresh.
-            self.rebuild_leaf_union();
-        }
-    }
-
-    fn rebuild_leaf_union(&mut self) {
-        self.leaf_union = QrpUnion::new();
-        for filter in self.leaves.values().flatten() {
-            self.leaf_union.add(filter);
-        }
+        self.leaves.remove(leaf)
     }
 
     pub fn add_leaf(&mut self, leaf: NodeId) {
-        self.leaves.entry(leaf).or_insert(None);
+        self.leaves.insert(leaf);
+    }
+
+    /// Connect `leaves` (topology wiring), reserving exactly the room they
+    /// take.
+    pub fn add_leaves(&mut self, leaves: impl ExactSizeIterator<Item = NodeId>) {
+        self.leaves.reserve_exact(leaves.len());
+        leaves.for_each(|leaf| self.leaves.insert(leaf));
     }
 
     /// Session teardown (the node left the network): transient relay state
@@ -280,11 +313,11 @@ impl UltrapeerCore {
             && self.seen.values().all(|e| !self.is_live(e))
     }
 
-    /// Leaves in ascending `NodeId` order — `leaves` is a `BTreeMap`, so
-    /// callers that send or sample from this iterator (QRP broadcast,
-    /// crawl pongs) see the same sequence on every run and shard layout.
+    /// Leaves in ascending `NodeId` order, so callers that send or sample
+    /// from this iterator (QRP broadcast, crawl pongs) see the same
+    /// sequence on every run and shard layout.
     pub fn leaves(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.leaves.keys().copied()
+        self.leaves.ids.iter().copied()
     }
 
     pub fn store(&self) -> &FileStore {
@@ -297,27 +330,22 @@ impl UltrapeerCore {
         use pier_netsim::HeapSize;
         acc.add("up.share", self.store.own_heap_bytes());
         acc.add("up.topology", self.neighbors.heap_bytes());
-        // Filters are catalog-interned `Arc`s, charged once process-wide
-        // by `qrp_catalog::stats()` — here each leaf entry costs only its
-        // map slot (BTreeMap model: ~1.5 slots per live entry) — plus the
-        // leaf union, which is the core's own.
-        let slots = self.leaves.len() + self.leaves.len() / 2;
-        acc.add(
-            "up.qrp",
-            slots * size_of::<(NodeId, Option<Arc<QrpFilter>>)>() + size_of::<QrpUnion>(),
-        );
+        acc.add("up.qrp", self.leaves.heap_bytes());
         // `seen` is charged by capacity, so expired-but-unswept entries
         // stay on the bill until their buckets are reused.
         acc.add("up.relay", self.seen.heap_bytes() + self.snoop_log.heap_bytes());
         acc.add("up.queries", self.queries.heap_bytes());
     }
 
-    /// Number of leaves that have published a QRP filter here (each is one
-    /// `Arc` reference into the process-wide filter catalog). Summed across
-    /// ultrapeers and divided by `qrp_catalog::stats().unique`, it is the
-    /// interning dedup ratio.
+    /// Number of leaves that have published a QRP table here.
     pub fn qrp_refs(&self) -> usize {
-        self.leaves.values().filter(|f| f.is_some()).count()
+        self.leaves.views.iter().filter(|v| v.is_some()).count()
+    }
+
+    /// The QRP table `leaf` published here, if it is connected and has.
+    pub fn qrp_view(&self, leaf: NodeId) -> Option<&QrpView> {
+        let at = self.leaves.ids.binary_search(&leaf).ok()?;
+        self.leaves.views[at].as_ref()
     }
 
     /// Inspect an originated query (driver API).
@@ -447,17 +475,18 @@ impl UltrapeerCore {
             GnutellaMsg::LeafQuery { qid, terms } => {
                 self.start_query(net, &terms, QueryOrigin::Leaf { leaf: from, qid });
             }
-            // The leaf's own catalog-interned copy: leaves with identical
-            // shares hand every ultrapeer the same `Arc`. Only a connected
-            // leaf's filter is adopted; an update from anyone else (a
-            // leaf churn repair already removed, say) is unexpected.
-            GnutellaMsg::QrpUpdate { filter } if self.leaves.contains_key(&from) => {
-                self.set_leaf_filter(from, filter)
+            // Only a connected leaf's table is adopted; an update from
+            // anyone else (a leaf churn repair already removed, say) is
+            // unexpected.
+            GnutellaMsg::QrpUpdate { view } => {
+                if !self.leaves.set_view(from, view) {
+                    net.count(crate::classes::UNEXPECTED_MSG.id(), 1);
+                }
             }
             GnutellaMsg::CrawlPing => {
                 let reply = GnutellaMsg::CrawlPong {
                     neighbors: self.neighbors.to_vec(),
-                    leaves: self.leaves.keys().copied().collect(),
+                    leaves: self.leaves.ids.clone(),
                 };
                 net.send(from, reply);
             }
@@ -465,8 +494,7 @@ impl UltrapeerCore {
                 let reply = GnutellaMsg::BrowseHostReply { files: self.store.metas() };
                 net.send(from, reply);
             }
-            // Leaf-only or reply messages, or a stranger's filter; an
-            // ultrapeer ignores them.
+            // Leaf-only or reply messages; an ultrapeer ignores them.
             _ => net.count(crate::classes::UNEXPECTED_MSG.id(), 1),
         }
     }
@@ -521,18 +549,18 @@ impl UltrapeerCore {
     }
 
     /// Last-hop leaf forwarding via QRP (cached hashes: no re-hashing; one
-    /// probe's positions shared across every leaf filter, and tested
-    /// against the leaf union first — when that says no, no leaf filter is
-    /// touched). Returns the number of leaves forwarded to.
+    /// probe's positions shared across every leaf, whose view is read only
+    /// when its screen holds every block of the probe). Returns the number
+    /// of leaves forwarded to, in ascending `NodeId` order.
     fn forward_to_leaves(&self, net: &mut dyn GnutellaNet, guid: Guid, terms: &Terms) -> u64 {
         let probe = QrpProbe::with_defaults(terms);
-        if !probe.may_match_any(&self.leaf_union) {
-            return 0;
-        }
+        let need = probe.screen();
+        let t = &self.leaves;
         let mut forwards = 0;
-        for (&leaf, qrp) in &self.leaves {
-            if qrp.as_ref().is_some_and(|f| f.matches_probe(&probe)) {
-                net.send(leaf, GnutellaMsg::LeafForward { guid, terms: terms.clone() });
+        for (at, s) in t.screens.iter().enumerate() {
+            let screened_out = need[0] & !s[0] | need[1] & !s[1] != 0;
+            if !screened_out && t.views[at].as_ref().is_some_and(|v| v.matches(&probe)) {
+                net.send(t.ids[at], GnutellaMsg::LeafForward { guid, terms: terms.clone() });
                 forwards += 1;
             }
         }
@@ -582,7 +610,7 @@ impl UltrapeerCore {
 
         let forwards = self.forward_to_leaves(net, guid, &terms);
         net.count(crate::classes::LEAF_FORWARDS.id(), forwards);
-        let screened = self.leaves.len() as u64 - forwards;
+        let screened = self.leaves.ids.len() as u64 - forwards;
         self.trace.emit_guid(guid.0, now, me, TraceKind::QrpScreen, None, forwards, screened);
 
         // Relay deeper. `hops` is the sender's word: it saturates.
@@ -744,6 +772,12 @@ mod tests {
             *self.counts.entry(class).or_default() += n;
         }
         fn observe(&mut self, _class: MetricClass, _value: f64) {}
+    }
+
+    /// A leaf's `QrpUpdate` for a share of these file names.
+    fn qrp_update(names: &[&str]) -> GnutellaMsg {
+        let store = FileStore::new(names.iter().map(|n| FileMeta::new(n, 1)).collect());
+        GnutellaMsg::QrpUpdate { view: store.qrp_view() }
     }
 
     fn up_with_neighbors(n: usize) -> (UltrapeerCore, FakeNet) {
@@ -913,13 +947,8 @@ mod tests {
         let leaf_no = NodeId::new(11);
         core.add_leaf(leaf_yes);
         core.add_leaf(leaf_no);
-        let mut filter = QrpFilter::with_defaults();
-        filter.insert("led");
-        filter.insert("zeppelin");
-        core.on_message(&mut net, leaf_yes, GnutellaMsg::QrpUpdate { filter: Arc::new(filter) });
-        let mut other = QrpFilter::with_defaults();
-        other.insert("floyd");
-        core.on_message(&mut net, leaf_no, GnutellaMsg::QrpUpdate { filter: Arc::new(other) });
+        core.on_message(&mut net, leaf_yes, qrp_update(&["led_zeppelin.mp3"]));
+        core.on_message(&mut net, leaf_no, qrp_update(&["floyd.mp3"]));
         net.drain();
 
         core.handle_query(&mut net, NodeId::new(1), Guid(2), 1, 0, "led zeppelin".into());
@@ -1029,6 +1058,14 @@ mod tests {
     /// `t − d` (the clock has no such operator).
     fn before(t: SimTime, d: SimDuration) -> SimTime {
         SimTime::from_micros(t.as_micros() - d.as_micros())
+    }
+
+    #[test]
+    fn leaf_slot_is_44_bytes() {
+        // Every leaf of every ultrapeer holds one id, one screen and one
+        // view: the view is two `Arc`s, never a copy of the share.
+        let slot = size_of::<NodeId>() + size_of::<QrpScreen>() + size_of::<Option<QrpView>>();
+        assert_eq!(slot, 44);
     }
 
     #[test]
@@ -1210,9 +1247,7 @@ mod tests {
         let (mut core, mut net) = up_with_neighbors(1);
         let (leaf, stranger) = (NodeId::new(10), NodeId::new(11));
         core.add_leaf(leaf);
-        let mut filter = QrpFilter::with_defaults();
-        filter.insert("led");
-        let update = GnutellaMsg::QrpUpdate { filter: Arc::new(filter) };
+        let update = qrp_update(&["led.mp3"]);
         let unexpected = crate::classes::UNEXPECTED_MSG.id();
         core.on_message(&mut net, stranger, update.clone());
         assert_eq!(net.counted(unexpected), 1);

@@ -8,9 +8,14 @@
 //! ride on: if sparse and dense ever diverge, message counts shift.
 //! Sparse positions are 2-byte, so the top of the 16-bit range is pinned
 //! bit by bit, and tables too wide for it must start dense.
+//!
+//! A leaf publishes no filter, only a [`QrpView`] of its share; the filter
+//! built from the share's token union is the oracle it must equal on every
+//! probe, with a screen that never rejects a leaf the view matches.
 
-use pier_gnutella::{QrpFilter, QrpProbe, Terms};
+use pier_gnutella::{FileMeta, FileStore, QrpFilter, QrpProbe, QrpScreen, Terms};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 /// Build one sparse and one (force-promoted) dense filter from the same
 /// term names. The sparse side is only promoted by its density
@@ -143,4 +148,76 @@ fn a_filter_wider_than_16_bit_positions_starts_dense() {
         assert!(wide.contains(t) && wider.contains(t), "{t}");
     }
     assert_eq!(wide.count_ones(), 6, "three terms × k=2, no collision");
+}
+
+/// The 128-block screen of the oracle's set bits (`(p, 0)` probes bit `p`
+/// alone, for every hash function).
+fn oracle_screen(filter: &QrpFilter) -> QrpScreen {
+    let mut screen = [0; 2];
+    for p in (0..QrpFilter::DEFAULT_BITS).filter(|&p| filter.contains_hashes((u64::from(p), 0))) {
+        screen[(p >> 15) as usize] |= 1 << (p >> 9 & 63);
+    }
+    screen
+}
+
+/// `store`'s view against the filter of its token union, on every query.
+fn view_equals_filter(store: &FileStore, queries: &[Terms]) -> Result<(), TestCaseError> {
+    let mut filter = QrpFilter::with_defaults();
+    filter.insert_ids(&store.token_union());
+    let view = store.qrp_view();
+    let screen = view.screen();
+    prop_assert_eq!(screen, oracle_screen(&filter));
+    for q in queries {
+        let probe = QrpProbe::with_defaults(q);
+        let routed = view.matches(&probe);
+        prop_assert_eq!(routed, filter.matches_probe(&probe), "{:?}", q);
+        let other = QrpProbe::new(1024, 3, q);
+        prop_assert_eq!(view.matches(&other), routed, "another geometry's probe: {:?}", q);
+        let need = probe.screen();
+        let admitted = need[0] & !screen[0] | need[1] & !screen[1] == 0;
+        prop_assert!(admitted || !routed, "the screen rejected a matching leaf: {:?}", q);
+    }
+    Ok(())
+}
+
+/// File names of one to four words from a small pool, so shares overlap.
+fn file_name() -> impl Strategy<Value = String> {
+    prop::collection::vec("[a-h][0-9]", 1..5).prop_map(|words| words.join("_"))
+}
+
+proptest! {
+    /// A share view is its filter: shares of up to 64 files drawn from one
+    /// catalog (empty shares and files listed twice among them), plus one
+    /// share of more than 2,048 tokens, whose filter is dense.
+    #[test]
+    fn share_view_equals_its_filter(
+        names in prop::collection::vec(file_name(), 1..40),
+        shares in prop::collection::vec(prop::collection::vec(0usize..1_000, 0..65), 1..6),
+        big_tokens in 2_300usize..2_600,
+        queries in prop::collection::vec("[a-h][0-9]( [a-h][0-9]){0,2}", 1..16),
+    ) {
+        let mut metas: Vec<Vec<FileMeta>> = shares
+            .iter()
+            .map(|picks| picks.iter().map(|&i| FileMeta::new(&names[i % names.len()], 1)).collect())
+            .collect();
+        // 40 tokens a file, every one distinct.
+        let big: Vec<String> = (0..big_tokens).map(|t| format!("big{t}")).collect();
+        metas.push(big.chunks(40).map(|words| FileMeta::new(&words.join("_"), 2)).collect());
+        let stores = FileStore::shared_all(metas);
+
+        let mut filter = QrpFilter::with_defaults();
+        filter.insert_ids(&stores[stores.len() - 1].token_union());
+        prop_assert!(!filter.is_sparse(), "{} tokens make a dense filter", big_tokens);
+
+        let mut queries: Vec<Terms> = queries.iter().map(|q| Terms::from_text(q)).collect();
+        queries.extend(["", "big0", "big7 big2299", "big0 a0"].map(Terms::from_text));
+        for store in &stores {
+            // Some queries the share surely matches: its own tokens.
+            let own = pier_vocab::texts_of(&store.token_union());
+            queries.extend(own.chunks(2).take(3).map(|words| Terms::from_text(&words.join(" "))));
+        }
+        for store in &stores {
+            view_equals_filter(store, &queries)?;
+        }
+    }
 }

@@ -4,10 +4,12 @@
 //! [`UltrapeerCore`] expires seen-GUID entries by moving a horizon at each
 //! tick (sweeping the table only when an insert would grow it), stamps
 //! them as `u32` offsets from a base it moves forward every 2³² µs or so,
-//! and tests a query against the block union of its leaves' QRP positions
-//! before touching any leaf filter. [`EagerCore`] below is the reference: the same
-//! protocol with `seen.retain(..)` on every tick and a brute-force
-//! `matches_all` loop over every leaf. Driven by the same operations
+//! and matches a query against a leaf's QRP table — a view of the leaf's
+//! share — only when the leaf's 128-bit block screen admits it.
+//! [`EagerCore`] below is the reference: the same protocol with
+//! `seen.retain(..)` on every tick and a brute-force loop over every leaf
+//! that builds a `QrpFilter` from the leaf's share and asks `matches_all`.
+//! Driven by the same operations
 //! through two identically seeded [`FakeNet`]s, the two must agree on every
 //! send, every counter and every query record — neither mechanism may be
 //! observable. The reference keeps a query's record and its pacing in two
@@ -27,7 +29,6 @@ use proptest::TestCaseError;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Captures everything a core does to its network, in order.
 struct FakeNet {
@@ -65,12 +66,14 @@ impl GnutellaNet for FakeNet {
     }
 }
 
-/// The ultrapeer as it was before the horizon and the union screen: every
-/// tick walks `seen`, every first-seen query asks every leaf filter.
+/// The ultrapeer as it was before the horizon and the leaf screens: every
+/// tick walks `seen`, every first-seen query asks a filter of every leaf's
+/// share.
 struct EagerCore {
     cfg: UltrapeerConfig,
     neighbors: Vec<NodeId>,
-    leaves: BTreeMap<NodeId, Option<Arc<QrpFilter>>>,
+    /// Each connected leaf's share, once it has published its table.
+    leaves: BTreeMap<NodeId, Option<FileStore>>,
     store: FileStore,
     seen: BTreeMap<Guid, (NodeId, SimTime)>,
     queries: BTreeMap<Guid, QueryRecord>,
@@ -85,8 +88,8 @@ impl EagerCore {
 
     fn forward_to_leaves(&self, net: &mut FakeNet, guid: Guid, terms: &Terms) -> u64 {
         let mut forwards = 0;
-        for (&leaf, qrp) in &self.leaves {
-            if qrp.as_ref().is_some_and(|f| f.matches_all(terms)) {
+        for (&leaf, share) in &self.leaves {
+            if share.as_ref().is_some_and(|s| filter_of(s).matches_all(terms)) {
                 net.send(leaf, GnutellaMsg::LeafForward { guid, terms: terms.clone() });
                 forwards += 1;
             }
@@ -153,10 +156,6 @@ impl EagerCore {
             GnutellaMsg::LeafQuery { qid, terms } => {
                 self.start_query(net, terms, QueryOrigin::Leaf { leaf: from, qid });
             }
-            GnutellaMsg::QrpUpdate { filter } => match self.leaves.get_mut(&from) {
-                Some(slot) => *slot = Some(filter),
-                None => net.count(classes::UNEXPECTED_MSG.id(), 1),
-            },
             other => panic!("the op generator never sends {other:?}"),
         }
     }
@@ -248,12 +247,13 @@ fn terms(mask: u8) -> Terms {
     Terms::from_text(&words(mask).join(" "))
 }
 
+/// How a leaf's words are spread over its files.
 #[derive(Clone, Debug)]
 enum Shape {
-    Sparse,
-    Dense,
-    /// A table geometry the default probe's positions do not apply to.
-    OtherGeometry,
+    /// Every word in one file name.
+    OneFile,
+    /// One file per word, the first listed twice.
+    FilePerWord,
 }
 
 #[derive(Clone, Debug)]
@@ -326,12 +326,7 @@ fn relay_op() -> impl Strategy<Value = Op> {
 }
 
 fn leaf_op() -> impl Strategy<Value = Op> {
-    let shape = prop_oneof![
-        Just(Shape::Sparse),
-        Just(Shape::Sparse),
-        Just(Shape::Dense),
-        Just(Shape::OtherGeometry)
-    ];
+    let shape = prop_oneof![Just(Shape::OneFile), Just(Shape::FilePerWord)];
     prop_oneof![
         (any::<u8>(), any::<u8>(), shape).prop_map(|(leaf, words, shape)| Op::QrpUpdate {
             leaf,
@@ -342,18 +337,27 @@ fn leaf_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn filter_of(mask: u8, shape: &Shape) -> Arc<QrpFilter> {
-    let mut f = match shape {
-        Shape::OtherGeometry => QrpFilter::new(1024, 3),
-        _ => QrpFilter::with_defaults(),
+/// A leaf's share of the words in `mask` (mask 0: an empty share).
+fn share_of(mask: u8, shape: &Shape) -> FileStore {
+    let words = words(mask);
+    let names = match shape {
+        Shape::OneFile if words.is_empty() => vec![],
+        Shape::OneFile => vec![words.join("_")],
+        Shape::FilePerWord => words.iter().chain(words.first()).map(|w| w.to_string()).collect(),
     };
-    for w in words(mask) {
-        f.insert(w);
-    }
-    if matches!(shape, Shape::Dense) {
-        f.promote_to_dense();
-    }
-    Arc::new(f)
+    FileStore::new(names.iter().map(|n| FileMeta::new(n, 1)).collect())
+}
+
+/// The QRP filter of a share: the oracle a leaf's view must equal.
+fn filter_of(share: &FileStore) -> QrpFilter {
+    let mut f = QrpFilter::with_defaults();
+    f.insert_ids(&share.token_union());
+    f
+}
+
+/// A leaf's `QrpUpdate` for a share.
+fn update(share: &FileStore) -> GnutellaMsg {
+    GnutellaMsg::QrpUpdate { view: share.qrp_view() }
 }
 
 fn config() -> UltrapeerConfig {
@@ -426,7 +430,13 @@ fn check_against_reference(ops: &[Op]) -> Result<(), TestCaseError> {
                 Some((leaf(*l), GnutellaMsg::LeafQuery { qid: *l as u32, terms: terms(*words) }))
             }
             Op::QrpUpdate { leaf: l, words, shape } => {
-                Some((leaf(*l), GnutellaMsg::QrpUpdate { filter: filter_of(*words, shape) }))
+                let share = share_of(*words, shape);
+                match reference.leaves.get_mut(&leaf(*l)) {
+                    Some(slot) => *slot = Some(share.clone()),
+                    None => ref_net.count(classes::UNEXPECTED_MSG.id(), 1),
+                }
+                core.on_message(&mut net, leaf(*l), update(&share));
+                None
             }
             Op::Start { leaf_origin: None, words } => {
                 core.start_query(&mut net, terms(*words), QueryOrigin::Driver);
@@ -490,18 +500,18 @@ proptest! {
         check_against_reference(&ops)?;
     }
 
-    /// (b) The union screen is not observable: over random leaf sets —
-    /// leaves with no filter yet, dense-promoted filters, a filter of
-    /// another geometry, replaced filters, removed leaves (whose later
-    /// updates are not adopted), the empty query — a query is forwarded to
-    /// exactly the leaves whose filters match it.
+    /// (b) The leaf screens and share views are not observable: over
+    /// random leaf sets — leaves with no table yet, empty shares, words in
+    /// one file or spread over several, replaced tables, removed leaves
+    /// (whose later updates are not adopted), the empty query — a query is
+    /// forwarded to exactly the leaves whose shares' filters match it.
     #[test]
     fn union_screen_equals_brute_force(
         setup in proptest::collection::vec(leaf_op(), 0..12),
         churn in proptest::collection::vec(leaf_op(), 0..6),
     ) {
         let mut core = UltrapeerCore::new(config(), FileStore::default());
-        let mut filters: BTreeMap<NodeId, Option<Arc<QrpFilter>>> = BTreeMap::new();
+        let mut filters: BTreeMap<NodeId, Option<QrpFilter>> = BTreeMap::new();
         for l in 0..LEAVES as u8 {
             core.add_leaf(leaf(l));
             filters.insert(leaf(l), None);
@@ -511,11 +521,11 @@ proptest! {
             for op in ops {
                 match op {
                     Op::QrpUpdate { leaf: l, words, shape } => {
-                        let filter = filter_of(*words, shape);
+                        let share = share_of(*words, shape);
                         if let Some(slot) = filters.get_mut(&leaf(*l)) {
-                            *slot = Some(Arc::clone(&filter));
+                            *slot = Some(filter_of(&share));
                         }
-                        core.on_message(&mut net, leaf(*l), GnutellaMsg::QrpUpdate { filter });
+                        core.on_message(&mut net, leaf(*l), update(&share));
                     }
                     Op::RemoveLeaf { leaf: l } => {
                         filters.remove(&leaf(*l));

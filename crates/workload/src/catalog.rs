@@ -129,6 +129,10 @@ impl Catalog {
             }
             files.push(DistinctFile { name, tokens, hosts });
         }
+        // The lists grew by `push`, and a lab holds the catalog for a whole run.
+        for list in &mut host_files {
+            list.shrink_to_fit();
+        }
 
         Catalog { config, files, host_files, beta }
     }
@@ -238,6 +242,15 @@ mod tests {
         assert!(c.files.iter().any(|f| f.hosts.len() * 20 >= 2_000), "a dense file exists");
         for f in &c.files {
             assert_eq!(f.hosts.capacity(), f.hosts.len(), "{}", f.name);
+        }
+    }
+
+    #[test]
+    fn host_files_hold_no_spare_capacity() {
+        let c = small();
+        assert!(c.host_files.iter().any(|l| l.len() > 1), "a host shares several files");
+        for (h, list) in c.host_files.iter().enumerate() {
+            assert_eq!(list.capacity(), list.len(), "host {h}");
         }
     }
 
