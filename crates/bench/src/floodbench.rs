@@ -134,14 +134,14 @@ impl GnutellaNet for SinkNet {
     fn observe(&mut self, _class: MetricClass, _value: f64) {}
 }
 
-struct InternedFixture {
+struct HopFixture {
     up: UltrapeerCore,
     /// Each leaf with its own network shim, so `Hit::host` is the real
     /// leaf id and the leaves don't share the ultrapeer's RNG stream.
     leaves: Vec<(NodeId, LeafCore, SinkNet)>,
 }
 
-fn build_interned(w: &FloodWorkload) -> InternedFixture {
+fn build_hop_fixture(w: &FloodWorkload) -> HopFixture {
     let mut up = UltrapeerCore::new(UltrapeerConfig::old_style(), FileStore::default());
     up.set_neighbors((0..NEIGHBORS as u32).map(|i| NodeId::new(NEIGHBOR_BASE + i)).collect());
     let mut net = SinkNet::new(UP_ID);
@@ -153,13 +153,13 @@ fn build_interned(w: &FloodWorkload) -> InternedFixture {
         up.on_message(&mut net, leaf_id, GnutellaMsg::QrpUpdate { view: leaf.store().qrp_view() });
         leaves.push((leaf_id, leaf, SinkNet::new(LEAF_BASE + i as u32)));
     }
-    InternedFixture { up, leaves }
+    HopFixture { up, leaves }
 }
 
 /// ns per hop through the real cores.
 pub fn bench_interned(w: &FloodWorkload, iters: u64) -> f64 {
     measure(iters, |n| {
-        let mut fix = build_interned(w);
+        let mut fix = build_hop_fixture(w);
         let mut net = SinkNet::new(UP_ID);
         let mut guid = 0x1_0000_0000u64;
         let mut forwards: Vec<(NodeId, GnutellaMsg)> = Vec::new();

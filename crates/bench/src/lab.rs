@@ -22,8 +22,9 @@ use std::sync::Arc;
 /// (`repro sweep --jobs J`) exists to amortize; `Metro` is the true metro
 /// rung (100k ultrapeers / 1M leaves, the network the paper's §4.1 crawl
 /// sampled, as a *single* simulated network) and is only feasible because
-/// per-node protocol state shares one columnar catalog copy, QRP filters
-/// are interned sparse position lists, and kernel slot state is packed.
+/// per-node protocol state shares one columnar catalog copy, a leaf's QRP
+/// table is a view of its share through positions that catalog stores once
+/// per distinct file, and kernel slot state is packed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     Quick,
@@ -164,10 +165,10 @@ impl LabConfig {
             // The true metro rung: 100k ultrapeers carrying 1M leaves —
             // the network the paper's §4.1 crawl sampled, as *one*
             // simulated network of 1.1M nodes. Feasible in-memory because
-            // every leaf's share is a `Box<[FileId]>` view into one shared
-            // columnar catalog, QRP filters are sparse position lists
-            // interned in a process-wide catalog, and the kernel's
-            // per-node slot state is one packed word.
+            // every leaf's share is an `Arc<[FileId]>` view into one shared
+            // columnar catalog, its QRP table is a view of that share
+            // (each distinct file's positions stored once, in the catalog),
+            // and the kernel's per-node slot state is one packed word.
             Scale::Metro => LabConfig {
                 ultrapeers: 100_000,
                 leaves: 1_000_000,

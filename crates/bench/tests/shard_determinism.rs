@@ -32,11 +32,11 @@ fn horizon_trials_are_bit_identical_across_shard_counts() {
     );
 }
 
-/// The metro-lite rung with the sparse shared QRP plane: interned
-/// `Arc<QrpFilter>`s are probed from every shard's last-hop loops, so
-/// this pins that filter sharing (and the catalog behind it) stays
-/// invisible to the schedule — summaries bit-identical across 1/2/4
-/// kernel shards. Lab builds need optimized code, so debug builds skip.
+/// The metro-lite rung with the share-view QRP plane: every leaf's table
+/// is a view into the one share catalog, probed from every shard's
+/// last-hop loops, so this pins that the shared catalog stays invisible
+/// to the schedule — summaries bit-identical across 1/2/4 kernel shards.
+/// Lab builds need optimized code, so debug builds skip.
 #[test]
 fn metro_lite_horizon_is_bit_identical_across_shard_counts() {
     if cfg!(debug_assertions) {

@@ -14,7 +14,7 @@
 //!
 //! File metadata lives in a [`ShareCatalog`]: one columnar, immutable copy
 //! of every distinct file — names, sizes, sorted token sets in a flat
-//! `TermId` arena, and each file's default-geometry QRP positions in a flat
+//! `TermId` arena, and each file's QRP table positions in a flat
 //! `u16` arena, both indexed by `u32` offsets. A node's [`FileStore`] holds
 //! an `Arc` to the catalog plus an `Arc<[FileId]>` of the files it shares,
 //! so replicating a file onto ten thousand leaves costs 4 bytes per leaf,
@@ -30,7 +30,7 @@
 //! churn takes a node's share offline by dropping the `FileStore` (4-byte
 //! ids), never by touching the catalog.
 
-use crate::bloom::{default_positions, QrpView};
+use crate::bloom::{table_positions, QrpView};
 use pier_netsim::HeapSize;
 use pier_vocab::{scan, TermId};
 use std::collections::HashMap;
@@ -68,8 +68,8 @@ pub struct ShareCatalog {
     token_arena: Vec<TermId>,
     /// `token_off[i]..token_off[i + 1]` is file `i`'s slice of the arena.
     token_off: Vec<u32>,
-    /// Flat arena of per-file QRP positions in the default table (each
-    /// sorted, deduplicated): the positions of the file's tokens.
+    /// Flat arena of per-file QRP table positions (each sorted,
+    /// deduplicated): the positions of the file's tokens.
     qrp_arena: Vec<u16>,
     /// `qrp_off[i]..qrp_off[i + 1]` is file `i`'s slice of `qrp_arena`.
     qrp_off: Vec<u32>,
@@ -96,7 +96,7 @@ impl ShareCatalog {
         let (mut qrp_arena, mut qrp_off, mut file) = (vec![], vec![0u32], vec![]);
         for span in token_off.windows(2) {
             file.clear();
-            file.extend(default_positions(&hashes[span[0] as usize..span[1] as usize]));
+            file.extend(table_positions(&hashes[span[0] as usize..span[1] as usize]));
             file.sort_unstable();
             file.dedup();
             qrp_arena.extend_from_slice(&file);
@@ -126,7 +126,7 @@ impl ShareCatalog {
         &self.token_arena[a as usize..b as usize]
     }
 
-    /// File `id`'s QRP positions in the default table, ascending.
+    /// File `id`'s QRP table positions, ascending.
     pub(crate) fn qrp_positions(&self, id: FileId) -> &[u16] {
         let (a, b) = (self.qrp_off[id as usize], self.qrp_off[id as usize + 1]);
         &self.qrp_arena[a as usize..b as usize]

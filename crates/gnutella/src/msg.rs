@@ -122,8 +122,9 @@ impl GnutellaMsg {
             GnutellaMsg::CrawlPong { neighbors, leaves } => {
                 HEADER_BYTES + 6 * (neighbors.len() + leaves.len())
             }
-            // Real QRP sends a compressed patch; the raw default table is a
-            // conservative upper bound and what we account.
+            // Real QRP sends a compressed patch; the raw table is a
+            // conservative upper bound and what we account (the one place
+            // the table's wire size is stated).
             GnutellaMsg::QrpUpdate { .. } => HEADER_BYTES + QrpFilter::DEFAULT_BITS as usize / 8,
             GnutellaMsg::BrowseHost => HEADER_BYTES,
             GnutellaMsg::BrowseHostReply { files } => {

@@ -43,7 +43,7 @@ use pier_netsim::split_mix64;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // ---------------------------------------------------------------------------
 // TermId + the global table
@@ -88,6 +88,20 @@ fn table() -> &'static RwLock<Table> {
     TABLE.get_or_init(|| RwLock::new(Table::default()))
 }
 
+/// Shared access to the term table.
+fn read_table() -> RwLockReadGuard<'static, Table> {
+    // Holds: only `write_table`'s holder can poison the lock, see there.
+    table().read().expect("term table poisoned")
+}
+
+/// Exclusive access to the term table.
+fn write_table() -> RwLockWriteGuard<'static, Table> {
+    // Holds: a poisoned lock means `intern` panicked while holding it, and
+    // it panics only once the `u32` id space is spent: a process past that
+    // point cannot intern again, so every later access panics as well.
+    table().write().expect("term table poisoned")
+}
+
 /// The QRP double-hash pair of a term — the exact per-byte mix the Bloom
 /// filter historically applied, so cached-hash filters stay bit-identical
 /// to freshly hashed ones.
@@ -113,10 +127,10 @@ fn qrp_hash_pair(term: &str) -> (u64, u64) {
 /// only becomes worth it if traces start interning unbounded unique
 /// content (see ROADMAP).
 pub fn intern(term: &str) -> TermId {
-    if let Some(&id) = table().read().expect("term table poisoned").by_text.get(term) {
+    if let Some(&id) = read_table().by_text.get(term) {
         return id;
     }
-    let mut t = table().write().expect("term table poisoned");
+    let mut t = write_table();
     if let Some(&id) = t.by_text.get(term) {
         return id;
     }
@@ -134,45 +148,45 @@ pub fn intern(term: &str) -> TermId {
 
 /// The id of an already-interned term, or `None`.
 pub fn lookup(term: &str) -> Option<TermId> {
-    table().read().expect("term table poisoned").by_text.get(term).copied()
+    read_table().by_text.get(term).copied()
 }
 
 /// The term's text (cheap `Arc` clone).
 pub fn text(id: TermId) -> Arc<str> {
-    table().read().expect("term table poisoned").terms[id.index()].text.clone()
+    read_table().terms[id.index()].text.clone()
 }
 
 /// The term's UTF-8 byte length.
 pub fn byte_len(id: TermId) -> usize {
-    table().read().expect("term table poisoned").terms[id.index()].byte_len as usize
+    read_table().terms[id.index()].byte_len as usize
 }
 
 /// The term's precomputed QRP double-hash pair.
 pub fn qrp_hashes(id: TermId) -> (u64, u64) {
-    table().read().expect("term table poisoned").terms[id.index()].qrp
+    read_table().terms[id.index()].qrp
 }
 
 /// The QRP hash pairs of a whole slice, under one table read — the batch
 /// form QRP filter construction uses.
 pub fn qrp_hashes_of(ids: &[TermId]) -> Vec<(u64, u64)> {
-    let t = table().read().expect("term table poisoned");
+    let t = read_table();
     ids.iter().map(|id| t.terms[id.index()].qrp).collect()
 }
 
 /// Number of distinct terms interned so far.
 pub fn vocab_len() -> usize {
-    table().read().expect("term table poisoned").terms.len()
+    read_table().terms.len()
 }
 
 /// Resolve a slice of ids to owned strings (test/driver convenience).
 pub fn texts_of(ids: &[TermId]) -> Vec<String> {
-    let t = table().read().expect("term table poisoned");
+    let t = read_table();
     ids.iter().map(|id| t.terms[id.index()].text.to_string()).collect()
 }
 
 /// Join the ids' texts with spaces — the Gnutella 0.6 query payload text.
 pub fn join_text(ids: &[TermId]) -> String {
-    let t = table().read().expect("term table poisoned");
+    let t = read_table();
     let mut out = String::new();
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {
@@ -237,7 +251,7 @@ pub mod policy {
     //! stop-words and single characters, deduplicated in first-occurrence
     //! order. Plain Gnutella deliberately does **not** apply this layer.
 
-    use super::{scan, table, TermId};
+    use super::{read_table, scan, TermId};
 
     /// Stop-words never indexed or queried. Mix of English function words
     /// and filesharing boilerplate (extensions, rip tags).
@@ -255,13 +269,13 @@ pub mod policy {
     /// Does the term pass the indexing policy (≥ 2 bytes, not a
     /// stop-word)? The verdict is cached in the term table at intern time.
     pub fn indexable(id: TermId) -> bool {
-        table().read().expect("term table poisoned").terms[id.index()].indexable
+        read_table().terms[id.index()].indexable
     }
 
     /// Apply the policy to a scanned token list: drop non-indexable terms
     /// and duplicates, keeping first-occurrence order.
     pub fn filter_indexable(ids: &[TermId]) -> Vec<TermId> {
-        let t = table().read().expect("term table poisoned");
+        let t = read_table();
         let mut out: Vec<TermId> = Vec::with_capacity(ids.len());
         for &id in ids {
             if t.terms[id.index()].indexable && !out.contains(&id) {
@@ -300,7 +314,7 @@ pub struct Terms(Arc<TermsInner>);
 impl Terms {
     /// Build from already-interned ids (one table read for the caches).
     pub fn from_ids(ids: Vec<TermId>) -> Terms {
-        let t = table().read().expect("term table poisoned");
+        let t = read_table();
         let mut wire = 0u32;
         let mut qrp = Vec::with_capacity(ids.len());
         for &id in &ids {
