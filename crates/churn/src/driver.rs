@@ -9,8 +9,7 @@
 //! bit-reproducible: the event list is a pure function of `(plan, seed)`,
 //! and each event fires at an exact virtual time regardless of what the
 //! simulated protocols are doing. After every membership change the
-//! caller's [`ChurnHooks`] run with the simulation borrowed mutably —
-//! that is where topology repair lives (see [`crate::gnutella`]).
+//! caller's [`ChurnHooks`] run with the simulation borrowed mutably.
 
 use crate::session::SessionConfig;
 use pier_netsim::{stream_rng, NodeId, Sim, SimTime};
@@ -39,9 +38,9 @@ pub struct ChurnPlan {
     pub seed: u64,
 }
 
-/// Membership-aware repair callbacks, run after each applied event. The
-/// node is already down (`on_leave`) or back up (`on_join`) when the hook
-/// runs. Implement on `()` for hook-free churn.
+/// Membership callbacks, run after each applied event. The node is
+/// already down (`on_leave`) or back up (`on_join`) when the hook runs.
+/// Implement on `()` for hook-free churn.
 pub trait ChurnHooks<M> {
     fn on_leave(&mut self, _sim: &mut Sim<M>, _node: NodeId) {}
     fn on_join(&mut self, _sim: &mut Sim<M>, _node: NodeId) {}

@@ -16,14 +16,11 @@
 //!   from the trial's seeded RNG. Events apply [`pier_netsim::Sim::set_down`]
 //!   / [`set_up`](pier_netsim::Sim::set_up) (which cancel and re-arm
 //!   timers through the netsim revival hook) and then run the caller's
-//!   [`ChurnHooks`] for membership-aware repair.
-//! * [`gnutella`] — ready-made [`GnutellaRepair`]
-//!   hooks for two-tier Gnutella networks: orphaned leaves reattach to
-//!   live ultrapeers (with a QRP re-push), ultrapeers refill neighbor
-//!   slots lost to peer death, and revived nodes re-wire themselves. The
-//!   driver plays the role of LimeWire's host caches — the out-of-band
-//!   membership knowledge real clients use to find replacement peers.
+//!   [`ChurnHooks`].
 //!
+//! Gnutella links are never repaired: a node's neighbours and homes are set
+//! once at wiring (see `pier_gnutella::topology`), so a departed peer stays
+//! listed where it was and a revived one resumes on the same links.
 //! DHT-side repair needs no hooks: `pier-dht` evicts contacts whose RPCs
 //! time out, refreshes stale buckets, and re-primes the routing table via
 //! a self-lookup on revival; `piersearch`'s Publisher runs the §5
@@ -31,9 +28,7 @@
 //! reappear on live nodes.
 
 pub mod driver;
-pub mod gnutella;
 pub mod session;
 
 pub use driver::{ChurnDriver, ChurnEvent, ChurnHooks, ChurnPlan};
-pub use gnutella::GnutellaRepair;
 pub use session::{LifetimeDist, SessionConfig};

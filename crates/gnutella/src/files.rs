@@ -26,9 +26,8 @@
 //! [`FileStore::new`] is its one-share case.
 //!
 //! Sharing is safe because the catalog is read-only after construction: the
-//! network only ever *matches against* shares, it never mutates them, and
-//! churn takes a node's share offline by dropping the `FileStore` (4-byte
-//! ids), never by touching the catalog.
+//! network only ever *matches against* shares, it never mutates them, and a
+//! node that goes down keeps its `FileStore` for when it revives.
 
 use crate::bloom::{table_positions, QrpView};
 use pier_netsim::HeapSize;

@@ -39,13 +39,13 @@ impl pier_netsim::HeapSize for LeafSearch {
 }
 
 /// The leaf protocol state machine. The home-ultrapeer list is a
-/// `Box<[NodeId]>`: it is set once at spawn and only rebuilt on (rare)
-/// churn repair, so the slimmer no-spare-capacity representation wins at
-/// hundreds of thousands of leaves.
+/// `Box<[NodeId]>`: it is set once at wiring and never rewritten, so the
+/// slimmer no-spare-capacity representation wins at hundreds of thousands
+/// of leaves.
 pub struct LeafCore {
     ultrapeers: Box<[NodeId]>,
     /// The share; its QRP table is a view of it ([`FileStore::qrp_view`]),
-    /// so connect and churn re-attachment advertise the same table.
+    /// so every connect, revival included, advertises the same table.
     store: FileStore,
     next_qid: u32,
     /// Keyed by the densely-allocated qid; a `BTreeMap` so the
@@ -78,31 +78,6 @@ impl LeafCore {
 
     pub fn ultrapeers(&self) -> &[NodeId] {
         &self.ultrapeers
-    }
-
-    /// Topology repair: swap a dead home ultrapeer for a live replacement,
-    /// keeping slot order (slot 0 is the query path). Returns whether the
-    /// dead ultrapeer was actually a home.
-    pub fn replace_ultrapeer(&mut self, dead: NodeId, replacement: NodeId) -> bool {
-        if self.ultrapeers.contains(&replacement) {
-            // Already connected: just drop the dead entry.
-            let before = self.ultrapeers.len();
-            self.ultrapeers = self.ultrapeers.iter().copied().filter(|&u| u != dead).collect();
-            return self.ultrapeers.len() != before;
-        }
-        match self.ultrapeers.iter_mut().find(|u| **u == dead) {
-            Some(slot) => {
-                *slot = replacement;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Push the share's QRP table to one ultrapeer (re-attachment path;
-    /// the full-broadcast [`LeafCore::publish_qrp`] runs on connect).
-    pub fn publish_qrp_to(&self, net: &mut dyn GnutellaNet, up: NodeId) {
-        net.send(up, GnutellaMsg::QrpUpdate { view: self.store.qrp_view() });
     }
 
     pub fn store(&self) -> &FileStore {

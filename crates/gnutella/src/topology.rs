@@ -1,5 +1,12 @@
 //! Two-tier topology generation (ultrapeers + leaves) and spawning a whole
 //! Gnutella network into a simulation.
+//!
+//! A node's links are set once, by [`wire`] (which [`spawn`] and
+//! [`spawn_stores`] call): an ultrapeer's neighbours and leaves, a leaf's
+//! home ultrapeers. Nothing rewrites them afterwards. A node that goes down
+//! stays in its neighbours' lists and its leaves' homes, messages to it are
+//! dropped while it is down, and it resumes on the same links when it
+//! revives.
 
 use crate::config::UltrapeerConfig;
 use crate::files::{FileMeta, FileStore};

@@ -145,14 +145,6 @@ impl LeafTable {
         }
     }
 
-    fn remove(&mut self, leaf: NodeId) -> bool {
-        let Ok(at) = self.ids.binary_search(&leaf) else { return false };
-        self.ids.remove(at);
-        self.screens.remove(at);
-        self.views.remove(at);
-        true
-    }
-
     /// Adopt a connected leaf's table (replacing any earlier one); `false`
     /// if `leaf` is not connected.
     fn set_view(&mut self, leaf: NodeId, view: QrpView) -> bool {
@@ -173,8 +165,8 @@ impl pier_netsim::HeapSize for LeafTable {
 }
 
 /// The ultrapeer protocol state machine. The neighbor list is a
-/// `Box<[NodeId]>`: set once at spawn, rebuilt only by (rare) churn
-/// repair, so no spare `Vec` capacity is carried per node.
+/// `Box<[NodeId]>`: set once at wiring and never rewritten, so no spare
+/// `Vec` capacity is carried per node.
 pub struct UltrapeerCore {
     pub cfg: UltrapeerConfig,
     neighbors: Box<[NodeId]>,
@@ -252,30 +244,6 @@ impl UltrapeerCore {
         &self.neighbors
     }
 
-    /// Topology repair: connect to a new ultrapeer neighbor (idempotent).
-    pub fn add_neighbor(&mut self, n: NodeId) {
-        if !self.neighbors.contains(&n) {
-            let mut v = self.neighbors.to_vec();
-            v.push(n);
-            self.neighbors = v.into_boxed_slice();
-        }
-    }
-
-    /// Topology repair: drop a dead ultrapeer neighbor. Returns whether the
-    /// neighbor was present.
-    pub fn remove_neighbor(&mut self, n: NodeId) -> bool {
-        let before = self.neighbors.len();
-        if self.neighbors.contains(&n) {
-            self.neighbors = self.neighbors.iter().copied().filter(|&x| x != n).collect();
-        }
-        self.neighbors.len() != before
-    }
-
-    /// Topology repair: drop a dead leaf (its QRP entry goes with it).
-    pub fn remove_leaf(&mut self, leaf: NodeId) -> bool {
-        self.leaves.remove(leaf)
-    }
-
     pub fn add_leaf(&mut self, leaf: NodeId) {
         self.leaves.insert(leaf);
     }
@@ -292,8 +260,8 @@ impl UltrapeerCore {
     /// the queries its leaves asked for, the snoop backlog — dies with the
     /// process. `Driver` query records stay readable by the experiment
     /// driver (a query cut off mid-probe stays unfinished), and topology
-    /// links stay until repair rewires them, exactly as a crashed host's
-    /// peers only learn of its death through their own failure detection.
+    /// links stay as wired: a revived node resumes on them, and its peers
+    /// keep listing it while it is down.
     pub fn end_session(&mut self) {
         self.seen.clear();
         self.seen_horizon = None;
@@ -476,8 +444,7 @@ impl UltrapeerCore {
                 self.start_query(net, &terms, QueryOrigin::Leaf { leaf: from, qid });
             }
             // Only a connected leaf's table is adopted; an update from
-            // anyone else (a leaf churn repair already removed, say) is
-            // unexpected.
+            // anyone else is unexpected.
             GnutellaMsg::QrpUpdate { view } => {
                 if !self.leaves.set_view(from, view) {
                     net.count(crate::classes::UNEXPECTED_MSG.id(), 1);
@@ -1253,15 +1220,8 @@ mod tests {
         assert_eq!(net.counted(unexpected), 1);
         assert_eq!(core.leaves().collect::<Vec<_>>(), vec![leaf]);
         assert_eq!(core.qrp_refs(), 0);
-        core.on_message(&mut net, leaf, update.clone());
-        assert_eq!(core.qrp_refs(), 1);
-        // A removed leaf's late update does not bring it back.
-        core.remove_leaf(leaf);
         core.on_message(&mut net, leaf, update);
-        assert_eq!(net.counted(unexpected), 2);
-        assert_eq!(core.leaves().count(), 0);
-        core.handle_query(&mut net, NodeId::new(1), Guid(2), 1, 0, "led".into());
-        assert!(net.drain().iter().all(|(_, m)| !matches!(m, GnutellaMsg::LeafForward { .. })));
+        assert_eq!(core.qrp_refs(), 1);
     }
 
     #[test]

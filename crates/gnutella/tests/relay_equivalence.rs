@@ -280,9 +280,6 @@ enum Op {
         words: u8,
         shape: Shape,
     },
-    RemoveLeaf {
-        leaf: u8,
-    },
     Tick,
     /// Advance the clock by this many microseconds.
     Advance(u64),
@@ -327,14 +324,11 @@ fn relay_op() -> impl Strategy<Value = Op> {
 
 fn leaf_op() -> impl Strategy<Value = Op> {
     let shape = prop_oneof![Just(Shape::OneFile), Just(Shape::FilePerWord)];
-    prop_oneof![
-        (any::<u8>(), any::<u8>(), shape).prop_map(|(leaf, words, shape)| Op::QrpUpdate {
-            leaf,
-            words,
-            shape
-        }),
-        any::<u8>().prop_map(|leaf| Op::RemoveLeaf { leaf }),
-    ]
+    (any::<u8>(), any::<u8>(), shape).prop_map(|(leaf, words, shape)| Op::QrpUpdate {
+        leaf,
+        words,
+        shape,
+    })
 }
 
 /// A leaf's share of the words in `mask` (mask 0: an empty share).
@@ -398,10 +392,10 @@ fn check_against_reference(ops: &[Op]) -> Result<(), TestCaseError> {
         queries: BTreeMap::new(),
         dyn_state: BTreeMap::new(),
     };
-    // Every leaf is connected from the start, with no filter until a
-    // `QrpUpdate` names it. A `RemoveLeaf` disconnects it for good: its
-    // later updates are counted, not adopted.
-    for l in 0..LEAVES as u8 {
+    // Every leaf but the last is connected from the start, with no filter
+    // until a `QrpUpdate` names it. The last is never connected: its
+    // updates are counted, not adopted.
+    for l in 0..LEAVES as u8 - 1 {
         core.add_leaf(leaf(l));
         reference.leaves.insert(leaf(l), None);
     }
@@ -441,11 +435,6 @@ fn check_against_reference(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::Start { leaf_origin: None, words } => {
                 core.start_query(&mut net, terms(*words), QueryOrigin::Driver);
                 reference.start_query(&mut ref_net, terms(*words), QueryOrigin::Driver);
-                None
-            }
-            Op::RemoveLeaf { leaf: l } => {
-                let removed = core.remove_leaf(leaf(*l));
-                prop_assert_eq!(removed, reference.leaves.remove(&leaf(*l)).is_some());
                 None
             }
             Op::Tick => {
@@ -502,40 +491,34 @@ proptest! {
 
     /// (b) The leaf screens and share views are not observable: over
     /// random leaf sets — leaves with no table yet, empty shares, words in
-    /// one file or spread over several, replaced tables, removed leaves
-    /// (whose later updates are not adopted), the empty query — a query is
-    /// forwarded to exactly the leaves whose shares' filters match it.
+    /// one file or spread over several, replaced tables, a leaf never
+    /// connected (whose updates are not adopted), the empty query — a query
+    /// is forwarded to exactly the leaves whose shares' filters match it.
     #[test]
     fn union_screen_equals_brute_force(
         setup in proptest::collection::vec(leaf_op(), 0..12),
-        churn in proptest::collection::vec(leaf_op(), 0..6),
+        replace in proptest::collection::vec(leaf_op(), 0..6),
     ) {
         let mut core = UltrapeerCore::new(config(), FileStore::default());
         let mut filters: BTreeMap<NodeId, Option<QrpFilter>> = BTreeMap::new();
-        for l in 0..LEAVES as u8 {
+        for l in 0..LEAVES as u8 - 1 {
             core.add_leaf(leaf(l));
             filters.insert(leaf(l), None);
         }
         let mut net = FakeNet::new();
-        for (round, ops) in [setup, churn].iter().enumerate() {
+        for (round, ops) in [setup, replace].iter().enumerate() {
             for op in ops {
-                match op {
-                    Op::QrpUpdate { leaf: l, words, shape } => {
-                        let share = share_of(*words, shape);
-                        if let Some(slot) = filters.get_mut(&leaf(*l)) {
-                            *slot = Some(filter_of(&share));
-                        }
-                        core.on_message(&mut net, leaf(*l), update(&share));
-                    }
-                    Op::RemoveLeaf { leaf: l } => {
-                        filters.remove(&leaf(*l));
-                        core.remove_leaf(leaf(*l));
-                    }
-                    other => unreachable!("leaf_op generated {other:?}"),
+                let Op::QrpUpdate { leaf: l, words, shape } = op else {
+                    unreachable!("leaf_op generated {op:?}")
+                };
+                let share = share_of(*words, shape);
+                if let Some(slot) = filters.get_mut(&leaf(*l)) {
+                    *slot = Some(filter_of(&share));
                 }
+                core.on_message(&mut net, leaf(*l), update(&share));
             }
             // Every vocabulary subset as a fresh-GUID query, before and
-            // after the leaf set changes again.
+            // after tables are replaced.
             for words in 0..=255u8 {
                 let guid = 1_000 * (round as u64 + 1) + words as u64;
                 let q = terms(words);

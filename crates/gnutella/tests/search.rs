@@ -205,6 +205,53 @@ fn a_leaf_that_never_searches_arms_no_timer_and_moves_no_metric() {
     assert_eq!(stock.counter("gnutella.leaf_search_timeout").count, 0);
 }
 
+/// Links stay as wired through a crash: a leaf whose only home ultrapeer
+/// goes down cannot be found until that ultrapeer revives, and is found
+/// again after, with nothing rewired in between (`end_session` on the way
+/// down, `on_revive` re-arming the tick on the way up).
+#[test]
+fn a_revived_home_ultrapeer_relays_to_its_leaves_again() {
+    let cfg = SimConfig::with_seed(37)
+        .latency(UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80)));
+    let mut sim = Sim::new(cfg);
+    let (ups, leaves) = (8, 40);
+    let topo = Topology::generate(&TopologyConfig {
+        ultrapeers: ups,
+        leaves,
+        old_style_fraction: 0.25,
+        leaf_ups: 1,
+        seed: 37,
+    });
+    let mut leaf_files: Vec<Vec<FileMeta>> =
+        (0..leaves).map(|j| vec![FileMeta::new(&format!("filler_{j}.bin"), 10)]).collect();
+    leaf_files[leaves - 1].push(FileMeta::new("lone_bootleg_take.mp3", 7));
+    let handles = spawn(&mut sim, &topo, vec![Vec::new(); ups], leaf_files);
+    let holder = handles.leaves[leaves - 1];
+    let &[home] = sim.actor::<LeafNode>(holder).core.ultrapeers() else {
+        panic!("one home per leaf")
+    };
+    let querier = sim.actor::<UltrapeerNode>(home).core.neighbors()[0];
+    sim.run_for(SimDuration::from_secs(2)); // QRP propagation
+
+    let finds = |sim: &mut Sim<GnutellaMsg>| {
+        let guid = sim.with_actor_ctx::<UltrapeerNode, _>(querier, |up, ctx| {
+            let mut net = pier_gnutella::CtxGnutellaNet { ctx };
+            up.core.start_query(&mut net, "lone bootleg take", QueryOrigin::Driver)
+        });
+        sim.run_for(SimDuration::from_secs(120));
+        let record = sim.actor::<UltrapeerNode>(querier).core.query_record(guid).unwrap();
+        assert!(record.finished);
+        record.hits.iter().any(|h| h.host == holder)
+    };
+    assert!(finds(&mut sim), "found before the crash");
+    sim.set_down(home);
+    assert!(!finds(&mut sim), "unreachable while its only home is down");
+    sim.set_up(home);
+    assert!(finds(&mut sim), "found again after revival");
+    assert_eq!(sim.actor::<LeafNode>(holder).core.ultrapeers(), [home]);
+    assert!(sim.actor::<UltrapeerNode>(home).core.leaves().any(|l| l == holder));
+}
+
 #[test]
 fn flood_message_budget_is_bounded_by_duplicate_suppression() {
     let (mut sim, handles) = build_network(34, 40, 400);

@@ -37,11 +37,6 @@ impl DhtApp for PierSearchApp {
         }
     }
 
-    fn mem_stats(&self, acc: &mut pier_netsim::MemAcc) {
-        use pier_netsim::HeapSize;
-        acc.add("pier.term_stats", self.engine.term_stats.heap_bytes());
-    }
-
     fn on_tick(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet) {
         self.pier.tick(dht, net);
         self.publisher.tick(&mut self.pier, dht, net);

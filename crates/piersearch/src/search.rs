@@ -12,7 +12,7 @@ use crate::schema::{inverted_cache_table, inverted_table, item_table, ItemRecord
 use pier_dht::{DhtCore, DhtEvent, DhtNet, Key, OpId};
 use pier_netsim::{SimDuration, SimTime};
 use pier_qp::{Expr, JoinChainBuilder, JoinCols, PierCore, PierEvent, QueryId, Tuple, Value};
-use pier_vocab::{policy, text, IdCounter, TermId, Terms};
+use pier_vocab::{policy, text, Terms};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// Hard deadline for a search (covers plan execution + item fetches).
@@ -50,12 +50,6 @@ pub struct SearchEngine {
     /// Which index the node's publishers populate, and hence which plan
     /// shape to use (Fig. 2 join chain vs. Fig. 3 single-site filter).
     mode: IndexMode,
-    /// Optional keyword document frequencies for join ordering ("optimized
-    /// to compute smaller posting lists first", §5). Nodes learn these from
-    /// observed traffic — the same statistics the TF scheme gathers.
-    /// Keyed by the term's dense index (an open-addressed flat map: half
-    /// the memory of a `HashMap<TermId, u64>` and exact accounting).
-    pub term_stats: IdCounter,
     searches: BTreeMap<QueryId, SearchState>,
     /// Item fetches in flight: the search that issued each, and the fileID
     /// it resolves.
@@ -67,7 +61,6 @@ impl SearchEngine {
     pub fn new(mode: IndexMode) -> Self {
         SearchEngine {
             mode,
-            term_stats: IdCounter::new(),
             searches: BTreeMap::new(),
             fetches: BTreeMap::new(),
             events: VecDeque::new(),
@@ -93,13 +86,6 @@ impl SearchEngine {
         self.fetches.is_empty() && self.searches.values().all(|s| s.done)
     }
 
-    /// Order terms by ascending observed document frequency; unknown terms
-    /// sort first (assumed rare).
-    fn order_terms(&self, mut terms: Vec<TermId>) -> Vec<TermId> {
-        terms.sort_by_key(|t| self.term_stats.get(t.index() as u64).unwrap_or(0));
-        terms
-    }
-
     /// Start a keyword search. The raw scanned query passes through the
     /// indexing policy (stop-words out, dedup) before planning. Returns
     /// `None` when no indexable terms remain.
@@ -111,7 +97,7 @@ impl SearchEngine {
         query: impl Into<Terms>,
     ) -> Option<QueryId> {
         let query: Terms = query.into();
-        let terms = self.order_terms(policy::filter_indexable(query.ids()));
+        let terms = policy::filter_indexable(query.ids());
         if terms.is_empty() {
             net.count(crate::classes::UNSEARCHABLE_QUERY.id(), 1);
             return None;

@@ -1,9 +1,9 @@
 //! `IdCounter` — a flat open-addressed counter map for small integer keys.
 //!
-//! The hot per-node counters (`term_stats: HashMap<TermId, u64>`, the
-//! hybrid TF/TPF tables, SAM's replica sightings) pay SipHash plus a
-//! control-byte table for what is really "bump a counter keyed by a dense
-//! u32 (or a packed pair)". This map stores keys and counts in two parallel
+//! The hybrid rare-item schemes' per-node counters (the TF/TPF tables,
+//! SAM's replica sightings) would pay SipHash plus a control-byte table
+//! for what is really "bump a counter keyed by a dense u32 (or a packed
+//! pair)". This map stores keys and counts in two parallel
 //! `Vec<u64>`s with multiply-shift hashing and linear probing: half the
 //! slot width of `HashMap<u64, u64>`'s (key, value, ctrl) layout, no
 //! per-lookup hasher state, and `heap_bytes` is exact by construction.

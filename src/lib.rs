@@ -19,8 +19,8 @@
 //!   ultrapeers, flooding, dynamic querying, QRP).
 //! * [`hybrid`] — the paper's hybrid search infrastructure plus the
 //!   rare-item identification schemes (QRS/TF/TPF/SAM/Perfect/Random).
-//! * [`churn`] — session-lifetime samplers, the deterministic churn
-//!   driver, and topology-repair hooks (the §5 dynamic-membership story).
+//! * [`churn`] — session-lifetime samplers and the deterministic churn
+//!   driver (the §5 dynamic-membership story).
 //! * [`model`] — the analytical model of §6 (equations 1–5).
 //! * [`workload`] — synthetic Gnutella-like workloads calibrated to the
 //!   paper's published trace statistics.
