@@ -83,9 +83,8 @@ impl ChurnConfig {
             // Median-minutes Gnutella sessions: 150 s median lifetime
             // (heavy-tailed, σ = 1), 60 s median downtime.
             session: SessionConfig {
-                lifetime: LifetimeDist::LogNormal { median_s: 150.0, sigma: 1.0 },
-                downtime: LifetimeDist::LogNormal { median_s: 60.0, sigma: 0.75 },
-                stagger_first_session: true,
+                lifetime: LifetimeDist { median_s: 150.0, sigma: 1.0 },
+                downtime: LifetimeDist { median_s: 60.0, sigma: 0.75 },
             },
             value_ttl: SimDuration::from_secs(900),
             refresh_slow: SimDuration::from_secs(60),

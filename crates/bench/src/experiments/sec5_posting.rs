@@ -154,19 +154,14 @@ fn replay_with_seeds(
     (t, PostingStats { factor, avg_entries_all: avg_all, avg_entries_small: avg_small })
 }
 
-/// The factor the run's final row reports (for assertions).
-pub fn factor_from(t: &Table) -> f64 {
-    t.rows.last().unwrap()[2].parse().unwrap()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn rare_queries_ship_far_fewer_entries() {
-        let tables = run(Scale::Quick, 1, &Obs::default()).tables;
-        let factor = factor_from(&tables[0]);
+        let (_, stats) = replay_with_seeds(Scale::Quick, 0x5EC5, 0x55EC, &Obs::default());
+        let factor = stats.factor;
         assert!(
             factor > 2.0,
             "rare queries must be much cheaper to join (paper: 7×), got {factor}×"

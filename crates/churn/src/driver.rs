@@ -12,7 +12,7 @@
 //! caller's [`ChurnHooks`] run with the simulation borrowed mutably.
 
 use crate::session::SessionConfig;
-use pier_netsim::{stream_rng, NodeId, Sim, SimTime};
+use pier_netsim::{stream_rng, NodeId, Sim, SimDuration, SimTime};
 
 /// One scheduled membership change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub struct ChurnPlan {
     /// settle QRP / routing tables first).
     pub start: SimTime,
     /// No events are scheduled at or after `start + horizon`.
-    pub horizon: pier_netsim::SimDuration,
+    pub horizon: SimDuration,
     /// Seed of the schedule; each node draws from its own derived stream,
     /// so adding or removing one churned node never perturbs another's
     /// session times.
@@ -57,22 +57,19 @@ pub struct ChurnDriver {
 
 impl ChurnDriver {
     /// Plan sessions for `nodes`. Every node starts up; its first
-    /// departure lands in `[start, start + lifetime)` (staggered) or at
-    /// `start + lifetime` (unstaggered), and down/up phases alternate
-    /// until the horizon.
+    /// departure is drawn as `lifetime · U(0,1)` past `start` — sampling
+    /// the node at a uniformly random point of an in-progress session, so
+    /// the run starts in steady state instead of with a synchronized mass
+    /// departure one full lifetime in. Down/up phases then alternate until
+    /// the horizon.
     pub fn plan(nodes: &[NodeId], plan: &ChurnPlan) -> ChurnDriver {
         let end = plan.start + plan.horizon;
         let mut events = Vec::new();
         for (i, &node) in nodes.iter().enumerate() {
             let mut rng = stream_rng(plan.seed, i as u64);
             let first = plan.session.lifetime.sample(&mut rng);
-            let mut t = plan.start
-                + if plan.session.stagger_first_session {
-                    let phase: f64 = rand::Rng::random(&mut rng);
-                    pier_netsim::SimDuration::from_secs_f64(first.as_secs_f64() * phase)
-                } else {
-                    first
-                };
+            let phase: f64 = rand::Rng::random(&mut rng);
+            let mut t = plan.start + SimDuration::from_secs_f64(first.as_secs_f64() * phase);
             let mut up = false; // first event is a departure
             while t < end {
                 events.push(ChurnEvent { at: t, node, up });
@@ -129,7 +126,7 @@ impl ChurnDriver {
 mod tests {
     use super::*;
     use crate::session::LifetimeDist;
-    use pier_netsim::{Actor, Ctx, SimConfig, SimDuration};
+    use pier_netsim::{Actor, Ctx, SimConfig};
 
     struct Idle;
     impl Actor<()> for Idle {
@@ -137,12 +134,13 @@ mod tests {
         fn on_timer(&mut self, _: &mut dyn Ctx<()>, _: pier_netsim::TimerToken) {}
     }
 
+    /// Sessions of exactly 10 s up and 5 s down: a log-normal with σ = 0
+    /// draws its median every time.
     fn fixed_plan(seed: u64) -> ChurnPlan {
         ChurnPlan {
             session: SessionConfig {
-                lifetime: LifetimeDist::Fixed { secs: 10.0 },
-                downtime: LifetimeDist::Fixed { secs: 5.0 },
-                stagger_first_session: false,
+                lifetime: LifetimeDist { median_s: 10.0, sigma: 0.0 },
+                downtime: LifetimeDist { median_s: 5.0, sigma: 0.0 },
             },
             start: SimTime::from_micros(1_000_000),
             horizon: SimDuration::from_secs(40),
@@ -150,27 +148,43 @@ mod tests {
         }
     }
 
+    fn events_of(d: &ChurnDriver, node: NodeId) -> Vec<ChurnEvent> {
+        d.events().iter().copied().filter(|e| e.node == node).collect()
+    }
+
     #[test]
     fn schedule_alternates_and_respects_horizon() {
+        let plan = fixed_plan(1);
+        let end = plan.start + plan.horizon;
         let nodes = [NodeId::new(0), NodeId::new(1)];
-        let d = ChurnDriver::plan(&nodes, &fixed_plan(1));
-        // Per node: down at 11s, up at 16s, down at 26s, up at 31s (41s is
-        // past the 1s+40s horizon).
-        assert_eq!(d.events().len(), 8);
-        let n0: Vec<&ChurnEvent> = d.events().iter().filter(|e| e.node == NodeId::new(0)).collect();
-        assert_eq!(n0.len(), 4);
-        assert!(!n0[0].up && n0[1].up && !n0[2].up && n0[3].up);
-        assert_eq!(n0[0].at, SimTime::from_micros(11_000_000));
-        assert_eq!(n0[3].at, SimTime::from_micros(31_000_000));
-        let end = fixed_plan(1).start + fixed_plan(1).horizon;
-        assert!(d.events().iter().all(|e| e.at < end));
+        let d = ChurnDriver::plan(&nodes, &plan);
+        for node in nodes {
+            let ev = events_of(&d, node);
+            // The first departure is staggered into the first 10 s session.
+            assert!(ev[0].at >= plan.start && ev[0].at < plan.start + SimDuration::from_secs(10));
+            // Then 5 s down, 10 s up, alternating, and nothing at or past
+            // the horizon — but the next transition would be.
+            for (k, e) in ev.iter().enumerate() {
+                assert_eq!(e.up, k % 2 == 1, "{node:?} event {k}");
+                if k > 0 {
+                    let dwell = if e.up { 5 } else { 10 };
+                    assert_eq!(e.at - ev[k - 1].at, SimDuration::from_secs(dwell));
+                }
+            }
+            let last = ev[ev.len() - 1];
+            assert!(last.at < end);
+            assert!(last.at + SimDuration::from_secs(if last.up { 10 } else { 5 }) >= end);
+        }
     }
 
     #[test]
     fn planning_is_deterministic_and_per_node_stable() {
         let nodes: Vec<NodeId> = (0..8).map(NodeId::new).collect();
         let plan = ChurnPlan {
-            session: SessionConfig::gnutella_median(SimDuration::from_secs(120)),
+            session: SessionConfig {
+                lifetime: LifetimeDist { median_s: 120.0, sigma: 1.0 },
+                downtime: LifetimeDist { median_s: 60.0, sigma: 0.75 },
+            },
             start: SimTime::ZERO,
             horizon: SimDuration::from_secs(600),
             seed: 42,
@@ -191,13 +205,17 @@ mod tests {
         let mut sim: Sim<()> = Sim::new(SimConfig::with_seed(5));
         let ids: Vec<NodeId> = (0..2).map(|_| sim.add_node(Idle)).collect();
         let mut d = ChurnDriver::plan(&ids, &fixed_plan(9));
-        d.advance(&mut sim, SimTime::from_micros(12_000_000), &mut ());
-        assert!(!sim.is_up(ids[0]), "down at 11s");
-        assert!(!sim.is_up(ids[1]));
-        assert_eq!(sim.now(), SimTime::from_micros(12_000_000));
-        d.advance(&mut sim, SimTime::from_micros(20_000_000), &mut ());
-        assert!(sim.is_up(ids[0]), "revived at 16s");
-        assert_eq!(d.remaining(), 4);
+        let schedule = d.events().to_vec();
+        for e in &schedule[..4] {
+            d.advance(&mut sim, e.at, &mut ());
+            assert_eq!(sim.is_up(e.node), e.up, "{e:?}");
+            assert_eq!(sim.now(), e.at);
+            assert_eq!(d.remaining(), schedule.iter().filter(|l| l.at > e.at).count());
+        }
+        // The first departure of node 0 was followed by its revival 5 s on.
+        let n0 = events_of(&d, ids[0]);
+        d.advance(&mut sim, n0[1].at, &mut ());
+        assert!(sim.is_up(ids[0]), "revived 5 s after leaving");
     }
 
     #[test]
@@ -216,8 +234,9 @@ mod tests {
         let mut sim: Sim<()> = Sim::new(SimConfig::with_seed(5));
         let ids: Vec<NodeId> = (0..1).map(|_| sim.add_node(Idle)).collect();
         let mut d = ChurnDriver::plan(&ids, &fixed_plan(2));
+        let rejoin = events_of(&d, ids[0])[1].at;
         let mut rec = Recorder { log: Vec::new() };
-        d.advance(&mut sim, SimTime::from_micros(17_000_000), &mut rec);
+        d.advance(&mut sim, rejoin, &mut rec);
         assert_eq!(rec.log, vec![(ids[0], false, false), (ids[0], true, true)]);
     }
 }

@@ -7,10 +7,10 @@
 //! median) and *soft-state refresh intervals*. This crate supplies the
 //! dynamic-membership machinery the static topologies lacked:
 //!
-//! * [`session`] — heavy-tailed session lifetime / downtime samplers
-//!   ([`LifetimeDist`]: Pareto, log-normal, exponential, fixed), with
-//!   clamped support and analytic medians, so experiments can dial a
-//!   "median-minutes" Gnutella session profile per scale.
+//! * [`session`] — the heavy-tailed session lifetime / downtime sampler
+//!   ([`LifetimeDist`], a log-normal set by its median and σ, with clamped
+//!   support), so experiments can dial a "median-minutes" Gnutella
+//!   session profile per scale.
 //! * [`driver`] — the [`ChurnDriver`]: a deterministic, pre-computed
 //!   schedule of join/leave events over the simulation clock, derived
 //!   from the trial's seeded RNG. Events apply [`pier_netsim::Sim::set_down`]

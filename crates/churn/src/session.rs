@@ -1,85 +1,38 @@
-//! Session-lifetime and downtime samplers.
+//! Session-lifetime and downtime sampler.
 //!
 //! Measurement studies of deployed Gnutella (Saroiu et al., Chu et al.)
 //! consistently find heavy-tailed session lengths with median lifetimes of
 //! minutes to tens of minutes: most sessions are short, a few last many
 //! hours. The §5 publishing analysis keys off exactly this quantity — a
 //! soft-state refresh interval only keeps postings alive if it undercuts
-//! the median session. The samplers here are parameterized by their
-//! *median* (the robust statistic the measurement papers report) and draw
-//! exclusively from the trial's seeded RNG stream, so a churn schedule is
-//! a pure function of `(config, seed)`.
+//! the median session. The sampler here is a log-normal parameterized by
+//! its *median* (the robust statistic the measurement papers report) and
+//! draws exclusively from the trial's seeded RNG stream, so a churn
+//! schedule is a pure function of `(config, seed)`.
 
 use pier_netsim::{SimDuration, SimRng};
 use rand::Rng;
 
-/// A positive duration distribution, parameterized for session modelling.
+/// A log-normal duration distribution: the median is exactly `median_s`;
+/// `sigma` widens the tail (σ ≈ 1 matches the order-of-magnitude spread
+/// of measured Gnutella sessions, and σ = 0 draws the median every time).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LifetimeDist {
-    /// Pareto: the classic heavy tail. `scale_s` is the minimum (and mode);
-    /// the median is `scale_s · 2^(1/shape)`. Shapes near 1 give the
-    /// hour-long stragglers the crawls observed.
-    Pareto { scale_s: f64, shape: f64 },
-    /// Log-normal (Box–Muller over the seeded stream): median is exactly
-    /// `median_s`; `sigma` widens the tail (σ ≈ 1 matches the
-    /// order-of-magnitude spread of measured Gnutella sessions).
-    LogNormal { median_s: f64, sigma: f64 },
-    /// Exponential: the memoryless baseline (median = mean · ln 2).
-    Exp { mean_s: f64 },
-    /// Degenerate: every draw is `secs` (deterministic tests, lab presets).
-    Fixed { secs: f64 },
+pub struct LifetimeDist {
+    pub median_s: f64,
+    pub sigma: f64,
 }
 
 impl LifetimeDist {
-    /// Draw one duration. Samples are clamped to `[1 ms, 30 days]` — a
-    /// support guard, not a statistical one: the clamp only triggers on
+    /// Draw one duration (Box–Muller over the seeded stream: two uniforms
+    /// → one standard normal). Samples are clamped to `[1 ms, 30 days]` —
+    /// a support guard, not a statistical one: the clamp only triggers on
     /// the extreme tail of legal parameterizations.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
-        let secs = match *self {
-            LifetimeDist::Pareto { scale_s, shape } => {
-                // Inverse CDF: x = scale / (1-u)^(1/shape).
-                let u: f64 = rng.random();
-                scale_s / (1.0 - u).powf(1.0 / shape.max(1e-6))
-            }
-            LifetimeDist::LogNormal { median_s, sigma } => {
-                // Box–Muller: two uniforms → one standard normal.
-                let u1: f64 = rng.random();
-                let u2: f64 = rng.random();
-                let z = (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                median_s * (sigma * z).exp()
-            }
-            LifetimeDist::Exp { mean_s } => {
-                let u: f64 = rng.random();
-                -mean_s * (1.0 - u).ln()
-            }
-            LifetimeDist::Fixed { secs } => secs,
-        };
+        let u1: f64 = rng.random();
+        let u2: f64 = rng.random();
+        let z = (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        let secs = self.median_s * (self.sigma * z).exp();
         SimDuration::from_secs_f64(secs.clamp(MIN_SAMPLE_S, MAX_SAMPLE_S))
-    }
-
-    /// The analytic median of the (unclamped) distribution.
-    pub fn median_s(&self) -> f64 {
-        match *self {
-            LifetimeDist::Pareto { scale_s, shape } => scale_s * 2f64.powf(1.0 / shape),
-            LifetimeDist::LogNormal { median_s, .. } => median_s,
-            LifetimeDist::Exp { mean_s } => mean_s * std::f64::consts::LN_2,
-            LifetimeDist::Fixed { secs } => secs,
-        }
-    }
-
-    /// The analytic mean of the (unclamped) distribution, or `None` when
-    /// it diverges (Pareto with shape ≤ 1).
-    pub fn mean_s(&self) -> Option<f64> {
-        match *self {
-            LifetimeDist::Pareto { scale_s, shape } => {
-                (shape > 1.0).then(|| shape * scale_s / (shape - 1.0))
-            }
-            LifetimeDist::LogNormal { median_s, sigma } => {
-                Some(median_s * (sigma * sigma / 2.0).exp())
-            }
-            LifetimeDist::Exp { mean_s } => Some(mean_s),
-            LifetimeDist::Fixed { secs } => Some(secs),
-        }
     }
 }
 
@@ -87,32 +40,14 @@ impl LifetimeDist {
 pub const MIN_SAMPLE_S: f64 = 0.001;
 pub const MAX_SAMPLE_S: f64 = 30.0 * 24.0 * 3600.0;
 
-/// One node population's session behaviour: how long it stays up, how long
-/// it stays away, and how session phases are staggered at the start.
+/// One node population's session behaviour: how long it stays up and how
+/// long it stays away.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionConfig {
     /// Up-time per session.
     pub lifetime: LifetimeDist,
     /// Down-time between sessions.
     pub downtime: LifetimeDist,
-    /// Each node's first departure is drawn as `lifetime · U(0,1)` —
-    /// sampling the node at a uniformly random point of an in-progress
-    /// session, so the run starts in steady state instead of with a
-    /// synchronized mass departure one full lifetime in.
-    pub stagger_first_session: bool,
-}
-
-impl SessionConfig {
-    /// A median-minutes Gnutella profile: log-normal lifetimes with the
-    /// given median, log-normal downtimes at half that median, σ = 1.
-    pub fn gnutella_median(median_lifetime: SimDuration) -> SessionConfig {
-        let m = median_lifetime.as_secs_f64();
-        SessionConfig {
-            lifetime: LifetimeDist::LogNormal { median_s: m, sigma: 1.0 },
-            downtime: LifetimeDist::LogNormal { median_s: m / 2.0, sigma: 0.75 },
-            stagger_first_session: true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,50 +62,25 @@ mod tests {
 
     #[test]
     fn samples_are_deterministic_per_seed() {
-        let d = LifetimeDist::LogNormal { median_s: 120.0, sigma: 1.0 };
+        let d = LifetimeDist { median_s: 120.0, sigma: 1.0 };
         assert_eq!(draws(d, 64, 7), draws(d, 64, 7));
         assert_ne!(draws(d, 64, 7), draws(d, 64, 8));
     }
 
     #[test]
-    fn pareto_is_heavy_tailed() {
-        let d = LifetimeDist::Pareto { scale_s: 60.0, shape: 1.2 };
-        let v = draws(d, 4_000, 3);
-        let median = {
-            let mut s = v.clone();
-            s.sort_by(f64::total_cmp);
-            s[s.len() / 2]
-        };
-        let max = v.iter().copied().fold(0.0, f64::max);
-        assert!((median / d.median_s() - 1.0).abs() < 0.15, "median {median}");
-        assert!(max > 20.0 * median, "heavy tail: max {max} vs median {median}");
-        assert!(v.iter().all(|&x| x >= 60.0 - 1e-9), "Pareto support starts at scale");
-    }
-
-    #[test]
     fn medians_match_analytic_values() {
         for d in [
-            LifetimeDist::LogNormal { median_s: 300.0, sigma: 1.0 },
-            LifetimeDist::Exp { mean_s: 200.0 },
-            LifetimeDist::Pareto { scale_s: 30.0, shape: 2.0 },
-            LifetimeDist::Fixed { secs: 42.0 },
+            LifetimeDist { median_s: 300.0, sigma: 1.0 },
+            LifetimeDist { median_s: 42.0, sigma: 0.0 },
         ] {
             let mut v = draws(d, 6_000, 11);
             v.sort_by(f64::total_cmp);
             let median = v[v.len() / 2];
             assert!(
-                (median / d.median_s() - 1.0).abs() < 0.1,
+                (median / d.median_s - 1.0).abs() < 0.1,
                 "{d:?}: sample median {median} vs analytic {}",
-                d.median_s()
+                d.median_s
             );
         }
-    }
-
-    #[test]
-    fn gnutella_profile_has_minutes_scale_median() {
-        let s = SessionConfig::gnutella_median(SimDuration::from_secs(180));
-        assert_eq!(s.lifetime.median_s(), 180.0);
-        assert_eq!(s.downtime.median_s(), 90.0);
-        assert!(s.stagger_first_session);
     }
 }

@@ -1,33 +1,27 @@
-//! Property tests for the session-lifetime samplers: clamped support
+//! Property tests for the session-lifetime sampler: clamped support
 //! whatever the parameters, bit-determinism at a fixed seed, and sample
-//! statistics that track the analytic values where they exist.
+//! statistics that track the log-normal's analytic mean and median.
 
 use pier_churn::session::{LifetimeDist, MAX_SAMPLE_S, MIN_SAMPLE_S};
 use pier_netsim::stream_rng;
 use proptest::prelude::*;
 
-fn dist_from(kind: u8, a_milli: u32, b_milli: u32) -> LifetimeDist {
+fn dist_from(a_milli: u32, b_milli: u32) -> LifetimeDist {
     // Parameters span degenerate-to-extreme shapes; built from integers
     // because the vendored proptest has integer strategies only.
     let a = a_milli as f64 / 1_000.0 + 0.001;
     let b = b_milli as f64 / 1_000.0 + 0.001;
-    match kind % 4 {
-        0 => LifetimeDist::Pareto { scale_s: a * 100.0, shape: b * 3.0 },
-        1 => LifetimeDist::LogNormal { median_s: a * 300.0, sigma: b * 2.0 },
-        2 => LifetimeDist::Exp { mean_s: a * 300.0 },
-        _ => LifetimeDist::Fixed { secs: a * 500.0 },
-    }
+    LifetimeDist { median_s: a * 300.0, sigma: b * 2.0 }
 }
 
 proptest! {
     #[test]
     fn samples_stay_in_clamped_support(
-        kind in any::<u8>(),
         a in 0u32..10_000,
         b in 0u32..10_000,
         seed in any::<u64>(),
     ) {
-        let d = dist_from(kind, a, b);
+        let d = dist_from(a, b);
         let mut rng = stream_rng(seed, 0);
         for _ in 0..128 {
             let s = d.sample(&mut rng).as_secs_f64();
@@ -41,12 +35,11 @@ proptest! {
 
     #[test]
     fn samples_are_deterministic_at_fixed_seed(
-        kind in any::<u8>(),
         a in 0u32..10_000,
         b in 0u32..10_000,
         seed in any::<u64>(),
     ) {
-        let d = dist_from(kind, a, b);
+        let d = dist_from(a, b);
         let draw = |seed: u64| {
             let mut rng = stream_rng(seed, 1);
             (0..32).map(|_| d.sample(&mut rng)).collect::<Vec<_>>()
@@ -56,18 +49,12 @@ proptest! {
 
     #[test]
     fn sample_mean_tracks_analytic_mean(
-        // Well-behaved parameter ranges: finite variance (Pareto shape
-        // > 2), moderate log-normal spread, so a 8k-draw mean converges.
-        kind in any::<u8>(),
+        // A moderate spread, so an 8k-draw mean converges.
         a in 100u32..3_000,
         seed in any::<u64>(),
     ) {
-        let d = match kind % 3 {
-            0 => LifetimeDist::Pareto { scale_s: a as f64 / 10.0, shape: 2.5 },
-            1 => LifetimeDist::LogNormal { median_s: a as f64 / 10.0, sigma: 0.8 },
-            _ => LifetimeDist::Exp { mean_s: a as f64 / 10.0 },
-        };
-        let mean = d.mean_s().expect("all three have finite means");
+        let d = LifetimeDist { median_s: a as f64 / 10.0, sigma: 0.8 };
+        let mean = d.median_s * (d.sigma * d.sigma / 2.0).exp();
         let mut rng = stream_rng(seed, 2);
         let n = 8_000;
         let sum: f64 = (0..n).map(|_| d.sample(&mut rng).as_secs_f64()).sum();
@@ -81,24 +68,19 @@ proptest! {
 
     #[test]
     fn sample_median_tracks_analytic_median(
-        kind in any::<u8>(),
         a in 100u32..3_000,
         b in 200u32..1_500,
         seed in any::<u64>(),
     ) {
-        let d = match kind % 3 {
-            0 => LifetimeDist::Pareto { scale_s: a as f64 / 10.0, shape: b as f64 / 500.0 },
-            1 => LifetimeDist::LogNormal { median_s: a as f64 / 10.0, sigma: b as f64 / 1_000.0 },
-            _ => LifetimeDist::Exp { mean_s: a as f64 / 10.0 },
-        };
+        let d = LifetimeDist { median_s: a as f64 / 10.0, sigma: b as f64 / 1_000.0 };
         let mut rng = stream_rng(seed, 3);
         let mut v: Vec<f64> = (0..4_001).map(|_| d.sample(&mut rng).as_secs_f64()).collect();
         v.sort_by(f64::total_cmp);
         let median = v[v.len() / 2];
         prop_assert!(
-            (median / d.median_s() - 1.0).abs() < 0.15,
+            (median / d.median_s - 1.0).abs() < 0.15,
             "{d:?}: sample median {median} vs analytic {}",
-            d.median_s()
+            d.median_s
         );
     }
 }

@@ -154,11 +154,6 @@ impl MemStats {
     pub fn total_bytes(&self) -> u64 {
         self.subsystems.total() + self.kernel_bytes
     }
-
-    /// Mean accounted node-state bytes per node.
-    pub fn bytes_per_node(&self) -> f64 {
-        self.subsystems.total() as f64 / self.nodes.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -252,6 +247,5 @@ mod tests {
         acc.add("a", 30);
         let stats = MemStats { nodes: 3, subsystems: acc, kernel_bytes: 12 };
         assert_eq!(stats.total_bytes(), 42);
-        assert!((stats.bytes_per_node() - 10.0).abs() < 1e-9);
     }
 }

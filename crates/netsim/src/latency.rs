@@ -1,9 +1,10 @@
 //! Pluggable message-latency models.
 //!
 //! The paper's experiments ran on PlanetLab machines "on two continents";
-//! [`ClusteredWan`] approximates that: nodes are assigned to clusters
-//! (continents), with low intra-cluster and high inter-cluster one-way
-//! delays plus multiplicative jitter.
+//! every run here approximates those wide-area paths with
+//! [`UniformLatency`] (the [`SimConfig`](crate::SimConfig) default draws
+//! one-way delays uniformly from 20–80 ms), and unit tests that want hop
+//! counts to map exactly onto time use [`ConstantLatency`].
 //!
 //! Every model must also report its [`LatencyModel::min_latency`]: the
 //! sharded kernel advances shards in lockstep windows no wider than the
@@ -74,55 +75,6 @@ impl LatencyModel for UniformLatency {
     }
 }
 
-/// Two-level wide-area model: nodes hash into `clusters` clusters
-/// ("continents"); intra-cluster messages take `intra` one-way, inter-cluster
-/// messages take `inter`, both with multiplicative jitter in
-/// `[1, 1 + jitter]`.
-///
-/// Defaults approximate the paper's North-America + Europe PlanetLab layout:
-/// 20 ms one-way intra-continent, 60 ms inter-continent, 50% jitter.
-#[derive(Clone, Copy, Debug)]
-pub struct ClusteredWan {
-    pub clusters: u32,
-    pub intra: SimDuration,
-    pub inter: SimDuration,
-    pub jitter: f64,
-}
-
-impl Default for ClusteredWan {
-    fn default() -> Self {
-        ClusteredWan {
-            clusters: 2,
-            intra: SimDuration::from_millis(20),
-            inter: SimDuration::from_millis(60),
-            jitter: 0.5,
-        }
-    }
-}
-
-impl ClusteredWan {
-    /// The cluster a node belongs to (stable hash of its id).
-    pub fn cluster_of(&self, node: NodeId) -> u32 {
-        // Fibonacci hashing spreads dense indices across clusters.
-        (node.raw().wrapping_mul(2654435761) >> 16) % self.clusters.max(1)
-    }
-}
-
-impl LatencyModel for ClusteredWan {
-    fn sample(&self, rng: &mut SimRng, src: NodeId, dst: NodeId) -> SimDuration {
-        let base =
-            if self.cluster_of(src) == self.cluster_of(dst) { self.intra } else { self.inter };
-        let factor = 1.0 + rng.random_range(0.0..=self.jitter);
-        base.mul_f64(factor)
-    }
-
-    fn min_latency(&self) -> SimDuration {
-        // Jitter is multiplicative with factor >= 1.0, so the floor is the
-        // faster (intra-cluster) base delay.
-        self.intra.min(self.inter)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,37 +108,6 @@ mod tests {
         let _ = UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(10));
     }
 
-    #[test]
-    fn wan_intercluster_slower() {
-        let m = ClusteredWan { jitter: 0.0, ..Default::default() };
-        let mut rng = stream_rng(2, 0);
-        // Find one intra pair and one inter pair.
-        let a = NodeId::new(0);
-        let same = (1..100).map(NodeId::new).find(|b| m.cluster_of(*b) == m.cluster_of(a)).unwrap();
-        let diff = (1..100).map(NodeId::new).find(|b| m.cluster_of(*b) != m.cluster_of(a)).unwrap();
-        assert_eq!(m.sample(&mut rng, a, same), m.intra);
-        assert_eq!(m.sample(&mut rng, a, diff), m.inter);
-    }
-
-    #[test]
-    fn wan_clusters_roughly_balanced() {
-        let m = ClusteredWan::default();
-        let count0 = (0..10_000).filter(|i| m.cluster_of(NodeId::new(*i)) == 0).count();
-        let frac = count0 as f64 / 10_000.0;
-        assert!((0.4..0.6).contains(&frac), "cluster balance {frac}");
-    }
-
-    #[test]
-    fn wan_jitter_bounded() {
-        let m = ClusteredWan { jitter: 0.5, ..Default::default() };
-        let mut rng = stream_rng(3, 0);
-        for i in 0..1000u32 {
-            let d = m.sample(&mut rng, NodeId::new(0), NodeId::new(i + 1));
-            assert!(d >= m.intra);
-            assert!(d <= m.inter.mul_f64(1.5));
-        }
-    }
-
     /// Every vendored model must declare a strictly positive `min_latency`
     /// in its documented configuration range, and no sample may ever fall
     /// below it — the sharded kernel's window safety argument rests on both.
@@ -198,8 +119,6 @@ mod tests {
                 SimDuration::from_millis(20),
                 SimDuration::from_millis(90),
             )),
-            Box::new(ClusteredWan::default()),
-            Box::new(ClusteredWan { jitter: 0.0, ..Default::default() }),
         ];
         for (k, m) in models.iter().enumerate() {
             let floor = m.min_latency();
@@ -213,17 +132,5 @@ mod tests {
                 assert!(d >= floor, "model #{k} sampled {d:?} below its declared floor {floor:?}");
             }
         }
-    }
-
-    /// The inter/intra floor picks the smaller of the two bases even in a
-    /// misconfigured model where `inter < intra`.
-    #[test]
-    fn wan_min_latency_takes_smaller_base() {
-        let m = ClusteredWan {
-            intra: SimDuration::from_millis(50),
-            inter: SimDuration::from_millis(10),
-            ..Default::default()
-        };
-        assert_eq!(m.min_latency(), SimDuration::from_millis(10));
     }
 }

@@ -23,9 +23,9 @@
 //!   the clock, draw randomness). Protocol logic in the higher crates is
 //!   written against `Ctx`, which keeps it composable: the hybrid ultrapeer
 //!   of the paper embeds a Gnutella core *and* a DHT/PIER core in one actor.
-//! * **Latency models.** Pluggable [`LatencyModel`]s, including a
-//!   two-cluster WAN model approximating the paper's "two continents"
-//!   PlanetLab deployment.
+//! * **Latency models.** Pluggable [`LatencyModel`]s: a constant delay
+//!   for unit tests and [`UniformLatency`], the wide-area default
+//!   (20–80 ms one-way) that every experiment names.
 //! * **Metrics.** Global and per-class counters for messages and bytes, and
 //!   bounded streaming histograms whose quantiles feed the paper's latency
 //!   figures. Classes are interned [`MetricClass`] ids resolved once per
@@ -80,7 +80,7 @@ mod time;
 
 pub use actor::{Actor, Ctx, NodeId, TimerToken};
 pub use heap::{HeapSize, MemAcc, MemStats};
-pub use latency::{ClusteredWan, ConstantLatency, LatencyModel, UniformLatency};
+pub use latency::{ConstantLatency, LatencyModel, UniformLatency};
 pub use metrics::{Counter, Histogram, LazyMetricClass, MetricClass, Metrics, MetricsSnapshot};
 pub use probe::KernelProbe;
 pub use rng::{derive_seed, split_mix64, stream_rng, SimRng};

@@ -21,7 +21,7 @@
 
 use crate::actor::{Actor, Ctx, NodeId, TimerToken};
 use crate::event::{EventKey, EventKind, EventQueue};
-use crate::latency::{ClusteredWan, LatencyModel};
+use crate::latency::{LatencyModel, UniformLatency};
 use crate::metrics::{MetricClass, Metrics};
 use crate::probe::KernelProbe;
 use crate::rng::{split_mix64, stream_rng, SimRng};
@@ -49,12 +49,15 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig { seed: 0xC0FFEE, latency: Box::new(ClusteredWan::default()), shards: 1 }
+        let latency =
+            UniformLatency::new(SimDuration::from_millis(20), SimDuration::from_millis(80));
+        SimConfig { seed: 0xC0FFEE, latency: Box::new(latency), shards: 1 }
     }
 }
 
 impl SimConfig {
-    /// Config with a specific seed and the default WAN latency model.
+    /// Config with a specific seed and the default latency model,
+    /// uniform one-way delays in `[20 ms, 80 ms]`.
     pub fn with_seed(seed: u64) -> Self {
         SimConfig { seed, ..Default::default() }
     }
@@ -677,11 +680,6 @@ impl<M: Send + 'static> Sim<M> {
         self.run_until(deadline);
     }
 
-    /// Number of pending events (for tests and progress reporting).
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.core.queue.len()).sum()
-    }
-
     /// Event-queue accounting summed across shards: pending events, peak
     /// queue occupancy, and total events processed. `repro` divides
     /// `processed` by wall time to report events/sec per experiment.
@@ -970,7 +968,7 @@ mod tests {
         // Ping delivered at 10ms; pong (20ms) and timer (1s) still pending.
         assert_eq!(sim.now(), SimTime::from_micros(15_000));
         assert_eq!(sim.actor::<Echo>(a).pongs_got, 0);
-        assert!(sim.pending_events() >= 2);
+        assert!(sim.event_stats().pending >= 2);
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(sim.actor::<Echo>(a).pongs_got, 1);
     }

@@ -5,17 +5,6 @@ use crate::value::{Tuple, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Comparison operators.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
 /// A serializable scalar expression evaluated against one tuple.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub enum Expr {
@@ -23,15 +12,12 @@ pub enum Expr {
     Col(usize),
     /// A literal.
     Lit(Value),
-    /// Comparison; operands must have comparable types.
-    Cmp(CmpOp, Box<Expr>, Box<Expr>),
     /// Case-insensitive substring test: does the string value of the first
     /// operand contain the string value of the second? (The paper's
     /// `Substring(filename, T)` selection.)
     Contains(Box<Expr>, Box<Expr>),
+    /// Conjunction, short-circuiting left to right; empty is true.
     And(Vec<Expr>),
-    Or(Vec<Expr>),
-    Not(Box<Expr>),
 }
 
 /// Evaluation errors (type mismatches, bad column references).
@@ -57,11 +43,6 @@ impl fmt::Display for ExprError {
 impl std::error::Error for ExprError {}
 
 impl Expr {
-    /// Convenience: `col <op> lit`.
-    pub fn cmp(op: CmpOp, col: usize, lit: impl Into<Value>) -> Expr {
-        Expr::Cmp(op, Box::new(Expr::Col(col)), Box::new(Expr::Lit(lit.into())))
-    }
-
     /// Convenience: `Contains(col, needle)`.
     pub fn contains(col: usize, needle: &str) -> Expr {
         Expr::Contains(
@@ -75,11 +56,6 @@ impl Expr {
         match self {
             Expr::Col(i) => tuple.get(*i).cloned().ok_or(ExprError::BadColumn(*i)),
             Expr::Lit(v) => Ok(v.clone()),
-            Expr::Cmp(op, lhs, rhs) => {
-                let l = lhs.eval(tuple)?;
-                let r = rhs.eval(tuple)?;
-                compare(*op, &l, &r).map(Value::Bool)
-            }
             Expr::Contains(hay, needle) => {
                 let h = hay.eval(tuple)?;
                 let n = needle.eval(tuple)?;
@@ -103,15 +79,6 @@ impl Expr {
                 }
                 Ok(Value::Bool(true))
             }
-            Expr::Or(exprs) => {
-                for e in exprs {
-                    if e.eval_bool(tuple)? {
-                        return Ok(Value::Bool(true));
-                    }
-                }
-                Ok(Value::Bool(false))
-            }
-            Expr::Not(e) => Ok(Value::Bool(!e.eval_bool(tuple)?)),
         }
     }
 
@@ -119,7 +86,7 @@ impl Expr {
     pub fn eval_bool(&self, tuple: &Tuple) -> Result<bool, ExprError> {
         match self.eval(tuple)? {
             Value::Bool(b) => Ok(b),
-            // NULL comparison results select nothing.
+            // A NULL value selects nothing.
             Value::Null => Ok(false),
             other => Err(ExprError::NotBool(other.type_name())),
         }
@@ -130,9 +97,8 @@ impl Expr {
         match self {
             Expr::Col(i) => Some(*i),
             Expr::Lit(_) => None,
-            Expr::Cmp(_, l, r) | Expr::Contains(l, r) => l.max_col().max(r.max_col()),
-            Expr::And(es) | Expr::Or(es) => es.iter().filter_map(|e| e.max_col()).max(),
-            Expr::Not(e) => e.max_col(),
+            Expr::Contains(l, r) => l.max_col().max(r.max_col()),
+            Expr::And(es) => es.iter().filter_map(|e| e.max_col()).max(),
         }
     }
 }
@@ -151,50 +117,10 @@ fn contains_ci(hay: &str, needle: &str) -> bool {
     hay.windows(needle.len()).any(|w| w.iter().zip(needle).all(|(a, b)| a.eq_ignore_ascii_case(b)))
 }
 
-fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<bool, ExprError> {
-    use std::cmp::Ordering;
-    // NULLs never compare equal to anything (handled by eval_bool: a Null
-    // result selects nothing), so return false early.
-    if matches!(l, Value::Null) || matches!(r, Value::Null) {
-        return Ok(false);
-    }
-    let ord: Ordering = match (l, r) {
-        (Value::Int(a), Value::Int(b)) => a.cmp(b),
-        (Value::Str(a), Value::Str(b)) => a.cmp(b),
-        (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-        (Value::Key(a), Value::Key(b)) => a.cmp(b),
-        _ => {
-            return Err(ExprError::TypeMismatch {
-                op: "compare",
-                lhs: l.type_name(),
-                rhs: r.type_name(),
-            })
-        }
-    };
-    Ok(match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Ne => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tuple;
-
-    #[test]
-    fn comparisons() {
-        let t = tuple![5i64, "abc"];
-        assert!(Expr::cmp(CmpOp::Eq, 0, 5i64).eval_bool(&t).unwrap());
-        assert!(Expr::cmp(CmpOp::Lt, 0, 6i64).eval_bool(&t).unwrap());
-        assert!(Expr::cmp(CmpOp::Ge, 0, 5i64).eval_bool(&t).unwrap());
-        assert!(!Expr::cmp(CmpOp::Gt, 0, 5i64).eval_bool(&t).unwrap());
-        assert!(Expr::cmp(CmpOp::Ne, 1, "xyz").eval_bool(&t).unwrap());
-    }
 
     #[test]
     fn substring_case_insensitive() {
@@ -207,33 +133,36 @@ mod tests {
 
     #[test]
     fn boolean_connectives_short_circuit() {
-        let t = tuple![1i64];
-        let tru = Expr::cmp(CmpOp::Eq, 0, 1i64);
-        let fal = Expr::cmp(CmpOp::Eq, 0, 2i64);
-        // A type-error expr after a short-circuit point must not evaluate.
-        let broken = Expr::cmp(CmpOp::Eq, 9, 1i64);
+        let t = tuple!["abc"];
+        let tru = Expr::contains(0, "b");
+        let fal = Expr::contains(0, "z");
+        // A bad-column expr after a short-circuit point must not evaluate.
+        let broken = Expr::contains(9, "b");
         assert!(!Expr::And(vec![fal.clone(), broken.clone()]).eval_bool(&t).unwrap());
-        assert!(Expr::Or(vec![tru.clone(), broken]).eval_bool(&t).unwrap());
-        assert!(Expr::Not(Box::new(fal)).eval_bool(&t).unwrap());
+        assert_eq!(
+            Expr::And(vec![tru.clone(), broken]).eval_bool(&t),
+            Err(ExprError::BadColumn(9))
+        );
+        assert!(!Expr::And(vec![tru.clone(), fal]).eval_bool(&t).unwrap());
+        assert!(Expr::And(vec![tru.clone(), tru]).eval_bool(&t).unwrap());
         assert!(Expr::And(vec![]).eval_bool(&t).unwrap(), "empty AND is true");
-        assert!(!Expr::Or(vec![]).eval_bool(&t).unwrap(), "empty OR is false");
-        let _ = tru;
     }
 
     #[test]
     fn null_semantics() {
         let t = Tuple::new(vec![Value::Null, Value::Str("x".into())]);
-        assert!(!Expr::cmp(CmpOp::Eq, 0, 1i64).eval_bool(&t).unwrap());
-        assert!(!Expr::cmp(CmpOp::Ne, 0, 1i64).eval_bool(&t).unwrap(), "NULL != x is unknown");
         assert!(!Expr::contains(0, "x").eval_bool(&t).unwrap());
+        let null_needle = Expr::Contains(Box::new(Expr::Col(1)), Box::new(Expr::Col(0)));
+        assert!(!null_needle.eval_bool(&t).unwrap(), "a NULL needle matches nothing");
+        assert!(!Expr::Col(0).eval_bool(&t).unwrap(), "a NULL predicate selects nothing");
     }
 
     #[test]
     fn errors_surface() {
         let t = tuple![1i64, "s"];
-        assert_eq!(Expr::cmp(CmpOp::Eq, 7, 1i64).eval_bool(&t), Err(ExprError::BadColumn(7)));
+        assert_eq!(Expr::contains(7, "s").eval_bool(&t), Err(ExprError::BadColumn(7)));
         assert!(matches!(
-            Expr::Cmp(CmpOp::Lt, Box::new(Expr::Col(0)), Box::new(Expr::Col(1))).eval_bool(&t),
+            Expr::Contains(Box::new(Expr::Col(0)), Box::new(Expr::Col(1))).eval_bool(&t),
             Err(ExprError::TypeMismatch { .. })
         ));
         assert!(matches!(Expr::Col(0).eval_bool(&t), Err(ExprError::NotBool("int"))));
@@ -241,14 +170,14 @@ mod tests {
 
     #[test]
     fn max_col_for_validation() {
-        let e = Expr::And(vec![Expr::cmp(CmpOp::Eq, 3, 1i64), Expr::contains(7, "x")]);
+        let e = Expr::And(vec![Expr::contains(3, "y"), Expr::contains(7, "x")]);
         assert_eq!(e.max_col(), Some(7));
         assert_eq!(Expr::Lit(Value::Null).max_col(), None);
     }
 
     #[test]
     fn serde_roundtrip() {
-        let e = Expr::And(vec![Expr::contains(1, "zeppelin"), Expr::cmp(CmpOp::Gt, 2, 1000i64)]);
+        let e = Expr::And(vec![Expr::contains(1, "zeppelin"), Expr::contains(2, "stairway")]);
         let bytes = pier_codec::to_bytes(&e).unwrap();
         let back: Expr = pier_codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, e);

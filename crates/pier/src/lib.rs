@@ -45,7 +45,7 @@ mod value;
 
 pub use catalog::Catalog;
 pub use core::{PierCore, PierEvent, PublishError, QueryOutcome, EXEC_TTL, QUERY_TIMEOUT};
-pub use expr::{CmpOp, Expr, ExprError};
+pub use expr::{Expr, ExprError};
 pub use msg::PierMsg;
 pub use node::{PierApp, PierNode};
 pub use plan::{JoinChainBuilder, JoinCols, PlanError, QueryId, QueryPlan, ScanSpec, Stage};

@@ -156,11 +156,6 @@ impl QueryPlan {
         Ok(())
     }
 
-    /// Width of the final result tuples.
-    pub fn result_width(&self) -> usize {
-        self.stages.last().map(|s| s.project.len()).unwrap_or(0)
-    }
-
     /// Encoded size of the plan (what `Install` messages cost on the wire).
     pub fn encoded_size(&self) -> usize {
         pier_codec::encoded_size(self).expect("plans always serialize")
@@ -235,7 +230,6 @@ impl JoinChainBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
     use crate::schema::{Field, FieldType, Schema};
     use pier_netsim::NodeId;
 
@@ -273,7 +267,6 @@ mod tests {
         let plan = two_term_plan();
         assert_eq!(plan.stages.len(), 2);
         plan.validate(&[2, 2]).expect("valid");
-        assert_eq!(plan.result_width(), 1);
         // Stage sites differ (different keywords hash apart).
         assert_ne!(plan.stages[0].site, plan.stages[1].site);
         assert_eq!(plan.stages[0].site, plan.stages[0].scan.key);
@@ -315,7 +308,7 @@ mod tests {
         ));
 
         let mut plan3 = two_term_plan();
-        plan3.stages[0].filter = Some(Expr::cmp(CmpOp::Eq, 9, 1i64));
+        plan3.stages[0].filter = Some(Expr::contains(9, "x"));
         assert!(matches!(
             plan3.validate(&[2, 2]),
             Err(PlanError::BadColumn { stage: 0, what: "filter", .. })
@@ -329,6 +322,48 @@ mod tests {
         assert_eq!(bytes.len(), plan.encoded_size());
         let back: QueryPlan = pier_codec::from_bytes(&bytes).unwrap();
         assert_eq!(back, plan);
+    }
+
+    /// Exact wire sizes of the paper's two plan shapes, so a change to the
+    /// plan or expression encoding cannot move `Install` bytes unseen.
+    #[test]
+    fn plan_wire_sizes_are_pinned() {
+        let cache = TableDef::new(
+            "inverted_cache",
+            Schema::new(vec![
+                Field::new("keyword", FieldType::Str),
+                Field::new("fileID", FieldType::Key),
+                Field::new("fulltext", FieldType::Str),
+            ]),
+            0,
+        );
+        let filter = Expr::And(vec![Expr::contains(2, "zeppelin"), Expr::contains(2, "stairway")]);
+        let single_site = JoinChainBuilder::new(QueryId { origin: 9, seq: 1 }, collector())
+            .scan(&cache, &Value::Str("led".into()), Some(filter), vec![1])
+            .build();
+        assert_eq!(single_site.encoded_size(), 117);
+
+        let inv = inverted();
+        let chain = ["zeppelin", "stairway"].iter().fold(
+            JoinChainBuilder::new(QueryId { origin: 9, seq: 2 }, collector()).scan(
+                &inv,
+                &Value::Str("led".into()),
+                None,
+                vec![1],
+            ),
+            |b, t| {
+                b.join(
+                    &inv,
+                    &Value::Str((*t).into()),
+                    JoinCols { incoming: 0, scanned: 1 },
+                    None,
+                    vec![0],
+                )
+            },
+        );
+        let chain = chain.build();
+        assert_eq!(chain.stages.len(), 3);
+        assert_eq!(chain.encoded_size(), 195);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::fmt;
 /// The type of one field.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub enum FieldType {
-    Bool,
     Int,
     Str,
     Key,
@@ -20,7 +19,6 @@ impl FieldType {
         matches!(
             (self, value),
             (_, Value::Null)
-                | (FieldType::Bool, Value::Bool(_))
                 | (FieldType::Int, Value::Int(_))
                 | (FieldType::Str, Value::Str(_))
                 | (FieldType::Key, Value::Key(_))

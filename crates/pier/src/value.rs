@@ -28,13 +28,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
@@ -178,7 +171,7 @@ mod tests {
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(0).unwrap().as_str(), Some("song.mp3"));
         assert_eq!(t.get(1).unwrap().as_int(), Some(42));
-        assert_eq!(t.get(2).unwrap().as_bool(), Some(true));
+        assert_eq!(t.get(2), Some(&Value::Bool(true)));
         assert!(t.get(3).is_none());
         assert_eq!(t.get(0).unwrap().as_int(), None, "wrong-type access is None");
     }

@@ -2,7 +2,7 @@
 //! tuple codec.
 
 use pier_qp::ops::{nested_loop_join, SymmetricHashJoin};
-use pier_qp::{CmpOp, Expr, Tuple, Value};
+use pier_qp::{Expr, Tuple, Value};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -57,11 +57,13 @@ proptest! {
     /// Ok or Err, never aborts.
     #[test]
     fn expr_total(t in tuple_strategy(3), col in 0usize..5, lit in value_strategy()) {
+        let contains = Expr::Contains(Box::new(Expr::Col(col)), Box::new(Expr::Lit(lit.clone())));
         let exprs = [
-            Expr::cmp(CmpOp::Eq, col, lit.clone()),
-            Expr::cmp(CmpOp::Lt, col, lit.clone()),
-            Expr::Contains(Box::new(Expr::Col(col)), Box::new(Expr::Lit(lit.clone()))),
-            Expr::Not(Box::new(Expr::cmp(CmpOp::Ge, col, lit))),
+            Expr::Col(col),
+            Expr::Lit(lit.clone()),
+            contains.clone(),
+            Expr::Contains(Box::new(Expr::Lit(lit)), Box::new(Expr::Col(col))),
+            Expr::And(vec![Expr::Col(col), contains]),
         ];
         for e in exprs {
             let _ = e.eval_bool(&t);

@@ -7,7 +7,7 @@
 
 use crate::catalog::Catalog;
 use pier_netsim::stream_rng;
-use pier_vocab::{intern, join_text, lookup, matches, TermId};
+use pier_vocab::{intern, join_text, matches, TermId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -193,12 +193,6 @@ impl<'a> Evaluator<'a> {
         Some(&self.postings[self.starts[r] as usize..self.starts[r + 1] as usize])
     }
 
-    /// Posting-list length for a term (document frequency over distinct
-    /// files).
-    pub fn df(&self, term: &str) -> usize {
-        lookup(term).and_then(|id| self.posting(id)).map_or(0, |p| p.len())
-    }
-
     /// All files matching the query, with instance counts.
     pub fn eval(&self, query: &Query) -> GroundTruth {
         if query.terms.is_empty() {
@@ -318,9 +312,9 @@ mod tests {
     fn df_reflects_postings() {
         let (catalog, _) = setup();
         let eval = Evaluator::new(&catalog);
-        let t = pier_vocab::text(catalog.files[0].tokens[0]);
-        assert!(eval.df(&t) >= 1);
-        assert_eq!(eval.df("zzzznotaterm"), 0);
+        let t = catalog.files[0].tokens[0];
+        assert!(eval.posting(t).is_some_and(|p| p.contains(&0)));
+        assert_eq!(pier_vocab::lookup("zzzznotaterm").and_then(|id| eval.posting(id)), None);
     }
 
     #[test]
