@@ -194,13 +194,13 @@ impl DhtCore {
         &self.storage
     }
 
-    /// Heap accounting by subsystem (see `pier_netsim::Sim::mem_stats`).
-    /// Dead arena bytes (swept values awaiting compaction) are reported
-    /// separately so reclaimable space is visible, not hidden in the total.
+    /// Heap accounting by subsystem (see `pier_netsim::Sim::mem_stats`):
+    /// the value store, the routing table, and the in-flight operations.
+    /// A swept value's heap is freed at once, so the store's row is all
+    /// held bytes.
     pub fn mem_stats(&self, acc: &mut pier_netsim::MemAcc) {
         use pier_netsim::HeapSize;
         acc.add("dht.storage", self.storage.heap_bytes());
-        acc.add("dht.storage.dead", self.storage.dead_bytes());
         acc.add("dht.routing", self.table.heap_bytes());
         let ops = self.pending.heap_bytes()
             + self.lookups.heap_bytes()

@@ -2,7 +2,7 @@
 //! storage invariants.
 
 use pier_dht::{bootstrap, Contact, Key, RoutingTable, Storage, KEY_BITS};
-use pier_netsim::{NodeId, SimTime};
+use pier_netsim::{HeapSize, NodeId, SimTime};
 use proptest::prelude::*;
 
 fn key_strategy() -> impl Strategy<Value = Key> {
@@ -207,7 +207,8 @@ proptest! {
     }
 
     /// Storage: reads never return expired values; duplicate inserts never
-    /// inflate byte accounting; expire reclaims everything eventually.
+    /// inflate byte accounting; expire reclaims everything eventually, heap
+    /// included.
     #[test]
     fn storage_invariants(
         entries in prop::collection::vec(
@@ -235,6 +236,7 @@ proptest! {
         s.expire(SimTime::from_micros(max_expiry + 1));
         prop_assert_eq!(s.key_count(), 0);
         prop_assert_eq!(s.total_bytes(), 0);
+        prop_assert_eq!(s.heap_bytes(), 0, "expired values keep no heap");
     }
 }
 
@@ -271,12 +273,11 @@ fn closest_and_next_hop_corner_cases() {
 }
 
 proptest! {
-    /// The columnar arena `Storage` is observationally equivalent to a
-    /// plain insertion-ordered reference model over arbitrary op
-    /// sequences — inserts (with republish-extension), filtering reads,
-    /// sweeping reads, and global expiry passes, under advancing time.
-    /// Exercises slot reuse and arena compaction incidentally (small key
-    /// and value pools force chain collisions and duplicate values).
+    /// `Storage` is observationally equivalent to a plain
+    /// insertion-ordered reference model over arbitrary op sequences —
+    /// inserts (with republish-extension), filtering reads, sweeping
+    /// reads, and global expiry passes, under advancing time. Small key
+    /// and value pools force shared chains and duplicate values.
     #[test]
     fn storage_matches_reference_model(
         ops in prop::collection::vec(

@@ -6,7 +6,8 @@
 
 use pier_gnutella::Hit;
 use pier_netsim::NodeId;
-use pier_vocab::{intern, pack_pair, scan, IdCounter};
+use pier_vocab::{intern, scan, TermId};
+use std::collections::BTreeMap;
 
 /// A file instance observed in traffic (a query hit, or a BrowseHost entry).
 /// The name shares the `FileMeta`'s `Arc` — snooping and publish queues
@@ -36,15 +37,22 @@ impl ObservedItem {
 ///   (the paper's low-bandwidth alternative to active sampling); rare if
 ///   the estimate is at or below the threshold.
 ///
-/// Counter tables are [`IdCounter`]s keyed by dense term indices: a term
+/// Counter tables are ordered maps keyed by dense term indices: a term
 /// for TF, a packed adjacent pair for TPF, and the *interned lowercased
 /// filename* for SAM (whole names intern like terms do, so SAM needs no
 /// per-node `String` keys — one process-wide copy of each observed name).
+/// A node's tables hold one entry per distinct term, pair or name it has
+/// seen, and they are only bumped and read, never iterated.
 pub enum RareScheme {
     Qrs { results_threshold: usize },
-    Tf { threshold: u64, counts: IdCounter },
-    Tpf { threshold: u64, counts: IdCounter },
-    Sam { threshold: u32, counts: IdCounter },
+    Tf { threshold: u64, counts: BTreeMap<u64, u64> },
+    Tpf { threshold: u64, counts: BTreeMap<u64, u64> },
+    Sam { threshold: u32, counts: BTreeMap<u64, u64> },
+}
+
+/// One counter key for an adjacent term pair (TPF).
+fn pack_pair(a: TermId, b: TermId) -> u64 {
+    (a.index() as u64) << 32 | b.index() as u64
 }
 
 impl RareScheme {
@@ -53,15 +61,15 @@ impl RareScheme {
     }
 
     pub fn tf(threshold: u64) -> Self {
-        RareScheme::Tf { threshold, counts: IdCounter::new() }
+        RareScheme::Tf { threshold, counts: BTreeMap::new() }
     }
 
     pub fn tpf(threshold: u64) -> Self {
-        RareScheme::Tpf { threshold, counts: IdCounter::new() }
+        RareScheme::Tpf { threshold, counts: BTreeMap::new() }
     }
 
     pub fn sam(threshold: u32) -> Self {
-        RareScheme::Sam { threshold, counts: IdCounter::new() }
+        RareScheme::Sam { threshold, counts: BTreeMap::new() }
     }
 
     pub fn name(&self) -> &'static str {
@@ -79,17 +87,17 @@ impl RareScheme {
             RareScheme::Qrs { .. } => {}
             RareScheme::Tf { counts, .. } => {
                 for t in scan(name) {
-                    counts.add(t.index() as u64, 1);
+                    *counts.entry(t.index() as u64).or_insert(0) += 1;
                 }
             }
             RareScheme::Tpf { counts, .. } => {
                 let toks = scan(name);
                 for w in toks.windows(2) {
-                    counts.add(pack_pair(w[0].index() as u32, w[1].index() as u32), 1);
+                    *counts.entry(pack_pair(w[0], w[1])).or_insert(0) += 1;
                 }
             }
             RareScheme::Sam { counts, .. } => {
-                counts.add(intern(&name.to_lowercase()).index() as u64, 1);
+                *counts.entry(intern(&name.to_lowercase()).index() as u64).or_insert(0) += 1;
             }
         }
     }
@@ -102,7 +110,7 @@ impl RareScheme {
             RareScheme::Tf { threshold, counts } => {
                 let min = scan(name)
                     .iter()
-                    .map(|t| counts.get(t.index() as u64).unwrap_or(0))
+                    .map(|t| counts.get(&(t.index() as u64)).copied().unwrap_or(0))
                     .min()
                     .unwrap_or(0);
                 Some(min < *threshold)
@@ -111,9 +119,7 @@ impl RareScheme {
                 let toks = scan(name);
                 let min = toks
                     .windows(2)
-                    .map(|w| {
-                        counts.get(pack_pair(w[0].index() as u32, w[1].index() as u32)).unwrap_or(0)
-                    })
+                    .map(|w| counts.get(&pack_pair(w[0], w[1])).copied().unwrap_or(0))
                     .min()
                     .unwrap_or(0);
                 Some(min < *threshold)
@@ -122,7 +128,7 @@ impl RareScheme {
                 // `lookup`, not `intern`: probing a never-observed name
                 // must not grow the process-wide table.
                 let est = pier_vocab::lookup(&name.to_lowercase())
-                    .and_then(|id| counts.get(id.index() as u64))
+                    .and_then(|id| counts.get(&(id.index() as u64)).copied())
                     .unwrap_or(1)
                     .max(1);
                 Some(est <= u64::from(*threshold))
@@ -189,6 +195,14 @@ mod tests {
         assert_eq!(s.is_rare("one_copy.mp3"), Some(false));
         // Never-seen file: lower bound estimate is 1 → rare when t ≥ 1.
         assert_eq!(s.is_rare("unseen.mp3"), Some(true));
+    }
+
+    #[test]
+    fn pair_packing_is_injective() {
+        let (a, b) = (intern("pair_left"), intern("pair_right"));
+        assert_ne!(pack_pair(a, b), pack_pair(b, a));
+        assert_eq!(pack_pair(a, b) >> 32, a.index() as u64);
+        assert_eq!(pack_pair(a, b) & 0xFFFF_FFFF, b.index() as u64);
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub fn workspace_rules() -> BTreeMap<&'static str, CrateRules> {
     m.insert(
         "vocab",
         CrateRules {
-            cast_narrow_paths: &["src/counter.rs"],
+            cast_narrow_paths: &["src/lib.rs"],
             // The process-wide term interner: ids are handed out in
             // first-intern order (deterministic per run of a
             // deterministic workload) and its iteration is never exposed.

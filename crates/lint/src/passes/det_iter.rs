@@ -13,8 +13,7 @@
 //! (struct fields, `let` ascriptions, `Type::new()` initializers, type
 //! aliases) and classifies receivers as *unordered* (`HashMap`,
 //! `HashSet`), *ordered/deterministic* (`BTreeMap`, `BTreeSet`, `Vec`,
-//! `VecDeque`, `IdCounter` — the open-addressed counter is
-//! insertion-deterministic), or *unknown*. It flags:
+//! `VecDeque`, ...), or *unknown*. It flags:
 //!
 //! * map/set-specific iteration (`keys`, `values`, `values_mut`,
 //!   `into_keys`, `into_values`) on unordered or unknown receivers,
@@ -42,10 +41,8 @@ use super::FileCtx;
 /// Containers whose iteration order is arbitrary.
 const UNORDERED: [&str; 2] = ["HashMap", "HashSet"];
 /// Containers whose iteration order is deterministic given deterministic
-/// content (sorted, insertion-ordered, or open-addressed with a fixed
-/// hash and deterministic insert sequence).
-const ORDERED: [&str; 7] =
-    ["BTreeMap", "BTreeSet", "Vec", "VecDeque", "IdCounter", "IndexMap", "Box"];
+/// content (sorted or insertion-ordered).
+const ORDERED: [&str; 6] = ["BTreeMap", "BTreeSet", "Vec", "VecDeque", "IndexMap", "Box"];
 
 /// Map/set-specific iteration methods (exist on ordered maps too, so the
 /// receiver classification decides).

@@ -81,12 +81,6 @@ impl SimDuration {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
-
-    /// Scale a duration by a float factor (used by jitter models).
-    pub fn mul_f64(self, factor: f64) -> Self {
-        assert!(factor >= 0.0 && factor.is_finite());
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -169,13 +163,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(3).as_millis(), 3_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_micros(), 500_000);
         assert!((SimTime::from_micros(2_500_000).as_secs_f64() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_millis(100);
-        assert_eq!(d.mul_f64(1.5).as_micros(), 150_000);
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -35,10 +35,6 @@
 //!
 //! [term table]: intern
 
-mod counter;
-
-pub use counter::{pack_pair, IdCounter};
-
 use pier_netsim::split_mix64;
 use std::collections::HashMap;
 use std::fmt;
@@ -138,7 +134,8 @@ pub fn intern(term: &str) -> TermId {
     let text: Arc<str> = Arc::from(term);
     t.terms.push(TermInfo {
         text: text.clone(),
-        byte_len: term.len() as u32,
+        // Holds: interned text is a token or a filename, far below 4 GiB.
+        byte_len: u32::try_from(term.len()).expect("term longer than u32::MAX bytes"),
         qrp: qrp_hash_pair(term),
         indexable: term.len() >= 2 && !policy::is_stop_word(term),
     });
@@ -323,7 +320,9 @@ impl Terms {
             qrp.push(info.qrp);
         }
         drop(t);
-        wire += ids.len().saturating_sub(1) as u32;
+        // Holds: a term list comes from one query or filename, far fewer
+        // than 4 billion terms.
+        wire += u32::try_from(ids.len().saturating_sub(1)).expect("term list exceeds u32 ids");
         Terms(Arc::new(TermsInner {
             ids: ids.into_boxed_slice(),
             wire_len: wire,
