@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
@@ -122,6 +121,7 @@ base seed {base_seed:#x}",
     output::write_sweep_json(&result);
 }
 
+#[expect(clippy::disallowed_methods, reason = "times the run; the clock feeds back into nothing")]
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let scale =

@@ -7,8 +7,6 @@
 //! file is unparseable or any trace is malformed (multiple roots, orphan
 //! hops, or a relay timestamped before its parent).
 
-#![forbid(unsafe_code)]
-
 use pier_trace::{check_traces, parse_jsonl, render_report};
 use std::process::ExitCode;
 

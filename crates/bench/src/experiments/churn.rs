@@ -39,7 +39,7 @@ use pier_qp::Value;
 use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig};
 use piersearch::{item_table, IndexMode, PierSearchApp, PierSearchNode};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Per-scale knobs. Sessions and intervals are held constant across
 /// scales (the churn *rate* is a property of the population, not of its
@@ -296,7 +296,7 @@ fn run_arm(cfg: &ChurnConfig, master: u64, arm: Arm, shards: usize) -> ArmResult
         sim.run_for(SimDuration::from_millis(60));
     }
     sim.run_for(SimDuration::from_secs(45));
-    let found: HashSet<Key> = sim
+    let found: BTreeSet<Key> = sim
         .actor::<DhtNode<Probe>>(probe)
         .app
         .events

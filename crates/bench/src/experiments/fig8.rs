@@ -79,14 +79,8 @@ pub fn run_seeded(scale: Scale, seed: u64, shards: usize) -> CrawlOutcome {
     t_crawl.row(vec![s("new-style UPs (degree >20)"), s(high), s("~70%")]);
 
     // Figure 8: ultrapeers visited vs messages, averaged over vantages.
-    // `adj` is a HashMap whose iteration order depends on the per-process
-    // hasher seed; sort the crawled ids first so the vantage sample — and
-    // hence the whole flood curve — is reproducible run to run.
-    let starts: Vec<_> = {
-        let mut ids: Vec<_> = graph.adj.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().step_by(17).take(20).collect()
-    };
+    // Every 17th crawled id in id order: the vantage sample.
+    let starts: Vec<_> = graph.adj.keys().copied().step_by(17).take(20).collect();
     let curve = average_flood_curve(&graph, &starts, 8);
     let mut t8 = Table::new(
         "Figure 8: ultrapeers visited vs query messages (diminishing returns)",

@@ -71,15 +71,11 @@ pub fn compute_curves(catalog: &Catalog, view: &TraceView, horizon: f64) -> Vec<
     // TF/TPF thresholds: quantiles of the observed frequency statistics so
     // the sweep spans the budget axis.
     let tf_map = catalog.term_instance_freq();
-    let mut tf_values: Vec<u64> = tf_map.values().copied().collect();
-    tf_values.sort_unstable();
-    let tf_ts = threshold_ladder(&tf_values);
+    let tf_ts = threshold_ladder(&tf_map.sorted_values());
     let tf = curve("TF", view, horizon, tf_ts.iter().map(|&t| schemes::tf(&input, &tf_map, t)));
 
     let pf_map = catalog.pair_instance_freq();
-    let mut pf_values: Vec<u64> = pf_map.values().copied().collect();
-    pf_values.sort_unstable();
-    let pf_ts = threshold_ladder(&pf_values);
+    let pf_ts = threshold_ladder(&pf_map.sorted_values());
     let tpf = curve("TPF", view, horizon, pf_ts.iter().map(|&t| schemes::tpf(&input, &pf_map, t)));
 
     let sam_ts: Vec<u32> = vec![0, 1, 2, 3, 5, 8, 12, 20, 40, 80, 200, 1_000, 100_000];

@@ -9,7 +9,7 @@ use crate::lab::{union_results, Scale, DEFAULT_SEED};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_trace::Obs;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The Figure 4 scatter reduced to buckets: one
 /// `(single-vantage result size, average replication factor,
@@ -17,11 +17,11 @@ use std::collections::HashMap;
 pub fn fig4_points(data: &HorizonData) -> Vec<(usize, f64, usize)> {
     // Group queries by single-vantage result size; average the replication
     // factors measured from the Union-of-all results.
-    let mut by_size: HashMap<usize, Vec<f64>> = HashMap::new();
+    let mut by_size: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
     for per_vantage in &data.per_query {
         let union = union_results(per_vantage, data.vantage_count());
         // Replication factor per distinct filename = #hosts in the union.
-        let mut hosts_per_name: HashMap<&str, usize> = HashMap::new();
+        let mut hosts_per_name: BTreeMap<&str, usize> = BTreeMap::new();
         for (name, _) in &union {
             *hosts_per_name.entry(name).or_insert(0) += 1;
         }
@@ -40,14 +40,9 @@ pub fn fig4_points(data: &HorizonData) -> Vec<(usize, f64, usize)> {
             }
         }
     }
-    let mut sizes: Vec<usize> = by_size.keys().copied().collect();
-    sizes.sort_unstable();
-    sizes
+    by_size
         .into_iter()
-        .map(|size| {
-            let reps = &by_size[&size];
-            (size, reps.iter().sum::<f64>() / reps.len() as f64, reps.len())
-        })
+        .map(|(size, reps)| (size, reps.iter().sum::<f64>() / reps.len() as f64, reps.len()))
         .collect()
 }
 

@@ -125,6 +125,7 @@ impl Experiment {
 /// kernel-throughput line when it drove a simulator, tables printed and
 /// written as CSV. Only this path prints — `trial`s stay silent so
 /// parallel sweep workers don't interleave output.
+#[expect(clippy::disallowed_methods, reason = "times the run; the clock feeds back into nothing")]
 pub fn run_one(exp: &Experiment, scale: Scale, shards: usize, obs: &Obs) -> Report {
     let _phase = obs.phase(&format!("exp.{}", exp.name));
     let t0 = std::time::Instant::now();
@@ -162,14 +163,14 @@ fn model_params(_scale: Scale, _shards: usize, _obs: &Obs) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     /// The table is the only list of experiments, so its own consistency
     /// is the whole contract: unambiguous ids, every historical spelling
     /// still resolves, and file stems are today's.
     #[test]
     fn table_is_consistent() {
-        let mut ids = HashSet::new();
+        let mut ids = BTreeSet::new();
         for e in &EXPERIMENTS {
             assert!(ids.insert(e.name), "duplicate name {}", e.name);
         }

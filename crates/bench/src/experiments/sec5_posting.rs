@@ -12,7 +12,7 @@ use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, Evaluator, Query, QueryConfig, QueryTrace};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Posting entries shipped for one query by the ordered SHJ chain:
 /// |L(1)| + |L(1)∩L(2)| + … + |∩ all| — lists are instance-level (every
@@ -114,7 +114,7 @@ fn replay_with_seeds(
     let mut small_n = 0u64;
     let mut all_ship = 0u64;
     let mut all_n = 0u64;
-    let mut by_bucket: HashMap<&'static str, (u64, u64)> = HashMap::new();
+    let mut by_bucket: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for q in &trace.queries {
         let results = eval.eval(q).instances;
         let shipped = shipped_entries(&catalog, &eval, q);

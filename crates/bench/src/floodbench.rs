@@ -16,6 +16,7 @@
 //! The hop runs through the real cores: [`Terms`] payloads (`Arc` clone per
 //! relay), sorted-`TermId`-slice matching, QRP checks on hashes cached in
 //! the payload.
+#![expect(clippy::disallowed_methods, reason = "times the hop; the clock feeds back into nothing")]
 
 use pier_gnutella::{
     FileMeta, FileStore, GnutellaMsg, GnutellaNet, Guid, LeafCore, Terms, UltrapeerConfig,

@@ -7,10 +7,11 @@ use pier_gnutella::{
     spawn_stores, FileMeta, FileStore, GnutellaHandles, GnutellaMsg, Guid, QueryOrigin,
     ShareCatalog, Terms, Topology, TopologyConfig, UltrapeerNode, PROBE_TTL,
 };
+use pier_netsim::keyed::KeyedSet;
 use pier_netsim::{NodeId, Sim, SimConfig, SimDuration, SimTime, UniformLatency};
 use pier_trace::Obs;
 use pier_workload::{Catalog, CatalogConfig, Query, QueryConfig, QueryTrace};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Experiment scale. `Quick` keeps `repro all` under a few minutes;
@@ -422,7 +423,7 @@ impl Lab {
                             .core
                             .take_query(guid)
                             .expect("query registered");
-                        let mut seen = HashSet::new();
+                        let mut seen = KeyedSet::new();
                         let results: Vec<(Arc<str>, NodeId)> = rec
                             .hits
                             .iter()
@@ -464,8 +465,8 @@ fn ensure_profile(
 }
 
 /// Union of replica results across the first `n` vantages of a query.
-pub fn union_results(per_vantage: &[VantageResult], n: usize) -> HashSet<(Arc<str>, NodeId)> {
-    let mut u = HashSet::new();
+pub fn union_results(per_vantage: &[VantageResult], n: usize) -> BTreeSet<(Arc<str>, NodeId)> {
+    let mut u = BTreeSet::new();
     for v in per_vantage.iter().take(n) {
         u.extend(v.results.iter().cloned());
     }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation. Run

@@ -224,6 +224,10 @@ pub fn run_sweep(experiment: &Experiment, cfg: &SweepConfig) -> SweepResult {
 /// (work-stealing by index), so stragglers do not serialize the sweep;
 /// results are reassembled in trial order, making the output independent
 /// of `jobs` and thread scheduling for any deterministic trial function.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times each trial; the clock feeds back into nothing"
+)]
 pub fn run_sweep_with(
     name: &str,
     cfg: &SweepConfig,
@@ -389,7 +393,7 @@ mod tests {
 
     #[test]
     fn trial_seeds_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for t in 0..1_000 {
             assert!(seen.insert(trial_seed(42, t)), "seed collision at trial {t}");
         }
@@ -421,7 +425,7 @@ mod tests {
             assert_eq!(t.summary, synthetic(Scale::Quick, t.seed));
         }
         // Different seeds actually produce different draws.
-        let draws: std::collections::HashSet<u64> =
+        let draws: std::collections::BTreeSet<u64> =
             sequential.trials.iter().map(|t| t.summary.get("draw").unwrap().to_bits()).collect();
         assert_eq!(draws.len(), 8);
     }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-churn — the churn & maintenance subsystem
 //!
 //! The paper's hybrid design stands or falls on whether DHT publishing of

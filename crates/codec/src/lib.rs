@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-codec — compact binary serde format
 //!
 //! Every DHT and PIER message in this workspace is serialized with this

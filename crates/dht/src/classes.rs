@@ -3,6 +3,8 @@
 //! by [`crate::DhtMsg::class`]; the rest label protocol-level counters and
 //! histograms.
 
+#![expect(clippy::disallowed_methods, reason = "the crate's metric classes are registered here")]
+
 pier_netsim::metric_classes! {
     // Wire messages.
     pub REQ_PING = "dht.req.ping";

@@ -12,9 +12,10 @@ use crate::lookup::{Lookup, LookupKind};
 use crate::msg::{DhtMsg, Request, Response, RpcId};
 use crate::routing::{InsertOutcome, RoutingTable};
 use crate::storage::Storage;
+use pier_netsim::keyed::{KeyedMap, KeyedSet};
 use pier_netsim::{MetricClass, NodeId, SimRng, SimTime};
 use pier_trace::{TraceHandle, TraceId, TraceKind};
-use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{hash_map, BTreeMap, VecDeque};
 
 /// Maximum hops for recursively routed messages (loop guard; log2 of any
 /// realistic network size leaves wide margin).
@@ -97,9 +98,9 @@ pub struct DhtCore {
     next_rpc: RpcId,
     next_op: OpId,
     pending: BTreeMap<RpcId, PendingRpc>,
-    lookups: HashMap<OpId, Lookup>,
-    puts: HashMap<OpId, PutProgress>,
-    evict_in_flight: HashSet<Key>,
+    lookups: KeyedMap<OpId, Lookup>,
+    puts: KeyedMap<OpId, PutProgress>,
+    evict_in_flight: KeyedSet<Key>,
     join_op: Option<OpId>,
     events: VecDeque<DhtEvent>,
     /// Causal query tracing (inert unless the driver sampled queries).
@@ -121,9 +122,9 @@ impl DhtCore {
             next_rpc: 1,
             next_op: 1,
             pending: BTreeMap::new(),
-            lookups: HashMap::new(),
-            puts: HashMap::new(),
-            evict_in_flight: HashSet::new(),
+            lookups: KeyedMap::new(),
+            puts: KeyedMap::new(),
+            evict_in_flight: KeyedSet::new(),
             join_op: None,
             events: VecDeque::new(),
             trace: TraceHandle::default(),

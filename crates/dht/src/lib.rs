@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-dht — Kademlia-style structured overlay
 //!
 //! The structured-overlay substrate of the reproduction: the role the Bamboo

@@ -256,7 +256,7 @@ mod tests {
         everyone.sort_by_key(|c| c.key.distance(&target));
         let got = t.closest(&target, 5);
         // Every table-stored contact at least as close as got[4] must appear.
-        let stored: std::collections::HashSet<_> = t.contacts().map(|c| c.node).collect();
+        let stored: std::collections::BTreeSet<_> = t.contacts().map(|c| c.node).collect();
         let expect: Vec<_> =
             everyone.iter().filter(|c| stored.contains(&c.node)).take(5).map(|c| c.node).collect();
         assert_eq!(got.iter().map(|c| c.node).collect::<Vec<_>>(), expect);

@@ -25,6 +25,7 @@
 //! ever raises it otherwise — extending or dropping the value that holds
 //! the minimum leaves the bound merely early, which costs one pass that
 //! finds nothing and re-tightens it.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::key::Key;
 use pier_netsim::{HeapSize, SimTime};

@@ -4,7 +4,7 @@ use pier_dht::{
     bootstrap, Contact, DhtApp, DhtConfig, DhtCore, DhtEvent, DhtMsg, DhtNet, DhtNode, Key, NullApp,
 };
 use pier_netsim::{ConstantLatency, NodeId, Sim, SimConfig, SimDuration};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Test app that records every event it sees.
 #[derive(Default)]
@@ -110,7 +110,7 @@ fn routed_payload_reaches_single_owner() {
     }
     sim.run_for(SimDuration::from_secs(10));
 
-    let mut deliveries: HashMap<NodeId, usize> = HashMap::new();
+    let mut deliveries: BTreeMap<NodeId, usize> = BTreeMap::new();
     for &id in &ids {
         let node = sim.actor::<Node>(id);
         let n =

@@ -3,7 +3,7 @@
 
 use crate::msg::GnutellaMsg;
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 const CRAWL_TICK: TimerToken = TimerToken(0xC4A1);
 
@@ -11,9 +11,9 @@ const CRAWL_TICK: TimerToken = TimerToken(0xC4A1);
 #[derive(Clone, Debug, Default)]
 pub struct CrawlGraph {
     /// Ultrapeer → its ultrapeer neighbors.
-    pub adj: HashMap<NodeId, Vec<NodeId>>,
+    pub adj: BTreeMap<NodeId, Vec<NodeId>>,
     /// Ultrapeer → its leaves.
-    pub leaves: HashMap<NodeId, Vec<NodeId>>,
+    pub leaves: BTreeMap<NodeId, Vec<NodeId>>,
 }
 
 impl CrawlGraph {
@@ -22,7 +22,7 @@ impl CrawlGraph {
     }
 
     pub fn leaf_count(&self) -> usize {
-        let distinct: HashSet<NodeId> = self.leaves.values().flatten().copied().collect();
+        let distinct: BTreeSet<NodeId> = self.leaves.values().flatten().copied().collect();
         distinct.len()
     }
 
@@ -32,11 +32,8 @@ impl CrawlGraph {
     }
 
     /// Degree histogram of the ultrapeer graph.
-    pub fn degree_counts(&self) -> HashMap<usize, usize> {
-        let mut h = HashMap::new();
-        // pier-lint: allow(det-iter): commutative count-merge into a map
-        // keyed by degree; visit order cannot change any count, and every
-        // consumer (fig8 table, tests) reduces the histogram with sums.
+    pub fn degree_counts(&self) -> BTreeMap<usize, usize> {
+        let mut h = BTreeMap::new();
         for neighbors in self.adj.values() {
             *h.entry(neighbors.len()).or_insert(0) += 1;
         }
@@ -51,8 +48,8 @@ pub struct Crawler {
     max_inflight: usize,
     rpc_timeout: SimDuration,
     queue: VecDeque<NodeId>,
-    pending: HashMap<NodeId, SimTime>,
-    visited: HashSet<NodeId>,
+    pending: BTreeMap<NodeId, SimTime>,
+    visited: BTreeSet<NodeId>,
     pub graph: CrawlGraph,
     pub started_at: SimTime,
     pub finished_at: Option<SimTime>,
@@ -65,8 +62,8 @@ impl Crawler {
             max_inflight,
             rpc_timeout: SimDuration::from_secs(5),
             queue: VecDeque::new(),
-            pending: HashMap::new(),
-            visited: HashSet::new(),
+            pending: BTreeMap::new(),
+            visited: BTreeSet::new(),
             graph: CrawlGraph::default(),
             started_at: SimTime::ZERO,
             finished_at: None,

@@ -28,11 +28,12 @@
 //! Sharing is safe because the catalog is read-only after construction: the
 //! network only ever *matches against* shares, it never mutates them, and a
 //! node that goes down keeps its `FileStore` for when it revives.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::bloom::{table_positions, QrpView};
+use pier_netsim::keyed::KeyedMap;
 use pier_netsim::HeapSize;
 use pier_vocab::{scan, TermId};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// One shared file. The name is `Arc`-shared: a `Hit` travelling the
@@ -166,9 +167,8 @@ impl Default for FileStore {
     /// The shared empty store, so shareless nodes — every ultrapeer in the
     /// lab — cost no allocation.
     fn default() -> Self {
-        // pier-lint: allow(shard-static): write-once cache of the canonical
-        // empty store; its value is a constant, so shards can never
-        // observe different state through it.
+        // Write-once cache of a constant, so shards can never observe
+        // different state through it (`tests/static_inventory.rs`).
         static EMPTY: OnceLock<FileStore> = OnceLock::new();
         let empty = || FileStore { catalog: Arc::default(), files: Arc::new([]) };
         EMPTY.get_or_init(empty).clone()
@@ -188,8 +188,8 @@ impl FileStore {
     /// first-seen order — node order, then share order — and each store
     /// keeps its share's order, duplicates included.
     pub fn shared_all(shares: impl IntoIterator<Item = Vec<FileMeta>>) -> Vec<FileStore> {
-        // Lookups only, never iterated: ids follow `metas`' first-seen order.
-        let (mut ids, mut metas) = (HashMap::<FileMeta, FileId>::new(), Vec::new());
+        // Ids follow `metas`' first-seen order.
+        let (mut ids, mut metas) = (KeyedMap::<FileMeta, FileId>::new(), Vec::new());
         let mut intern = |meta: FileMeta| {
             *ids.entry(meta).or_insert_with_key(|meta| {
                 metas.push(meta.clone());
@@ -345,7 +345,8 @@ mod tests {
             let slow: Vec<&str> = names
                 .iter()
                 .filter(|n| {
-                    let set: std::collections::HashSet<String> = scan_text(n).into_iter().collect();
+                    let set: std::collections::BTreeSet<String> =
+                        scan_text(n).into_iter().collect();
                     !terms.is_empty() && terms.iter().all(|t| set.contains(t))
                 })
                 .copied()

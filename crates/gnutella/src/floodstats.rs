@@ -9,7 +9,7 @@
 
 use crate::crawl::CrawlGraph;
 use pier_netsim::NodeId;
-use std::collections::HashMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// One point per TTL on the Figure-8 curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,7 +28,7 @@ pub struct FloodPoint {
 /// counted per transmission (duplicates included); nodes process a query
 /// only once.
 pub fn flood_curve(graph: &CrawlGraph, start: NodeId, max_ttl: u32) -> Vec<FloodPoint> {
-    let mut depth: HashMap<NodeId, u32> = HashMap::new();
+    let mut depth: BTreeMap<NodeId, u32> = BTreeMap::new();
     depth.insert(start, 0);
     let mut frontier = vec![start];
     let mut points = Vec::with_capacity(max_ttl as usize);
@@ -46,7 +46,7 @@ pub fn flood_curve(graph: &CrawlGraph, start: NodeId, max_ttl: u32) -> Vec<Flood
                 if node == start { neighbors.len() } else { neighbors.len().saturating_sub(1) };
             messages += sends as u64;
             for &n in neighbors {
-                if let std::collections::hash_map::Entry::Vacant(e) = depth.entry(n) {
+                if let btree_map::Entry::Vacant(e) = depth.entry(n) {
                     e.insert(ttl);
                     next.push(n);
                 }
@@ -115,7 +115,7 @@ mod tests {
         let n = NodeId::new;
         let mut g = CrawlGraph::default();
         let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2), (3, 4)];
-        let mut adj: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        let mut adj: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
         for (a, b) in edges {
             adj.entry(n(a)).or_default().push(n(b));
             adj.entry(n(b)).or_default().push(n(a));

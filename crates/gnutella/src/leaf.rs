@@ -49,8 +49,7 @@ pub struct LeafCore {
     store: FileStore,
     next_qid: u32,
     /// Keyed by the densely-allocated qid; a `BTreeMap` so the
-    /// `searches()` driver API iterates in issue order, never in
-    /// hasher order (pier-lint DET-ITER).
+    /// `searches()` driver API iterates in issue order.
     searches: BTreeMap<u32, LeafSearch>,
     /// Causal query tracing (inert unless the driver sampled queries).
     trace: TraceHandle,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-gnutella — the unstructured filesharing network
 //!
 //! A faithful simulation of the Gnutella 0.6 network as the paper measured

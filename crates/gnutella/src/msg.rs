@@ -189,7 +189,7 @@ mod tests {
             GnutellaMsg::BrowseHost,
             GnutellaMsg::Query { guid: Guid(0), ttl: 1, hops: 0, terms: "".into() },
         ];
-        let classes: std::collections::HashSet<_> = msgs.iter().map(|m| m.class()).collect();
+        let classes: std::collections::BTreeSet<_> = msgs.iter().map(|m| m.class()).collect();
         assert_eq!(classes.len(), msgs.len());
     }
 }

@@ -99,32 +99,29 @@ impl Topology {
             stubs.extend(std::iter::repeat_n(i, degree));
         }
         stubs.shuffle(&mut rng);
-        let mut edge_set = std::collections::HashSet::new();
-        for pair in stubs.chunks_exact(2) {
-            let (a, b) = (pair[0].min(pair[1]), pair[0].max(pair[1]));
-            if a != b {
-                edge_set.insert((a, b));
-            }
-        }
-        // Guarantee connectivity: chain any isolated ultrapeers in.
+        let mut up_edges: Vec<(usize, usize)> = stubs
+            .chunks_exact(2)
+            .map(|pair| (pair[0].min(pair[1]), pair[0].max(pair[1])))
+            .filter(|(a, b)| a != b)
+            .collect();
+        up_edges.sort_unstable();
+        up_edges.dedup();
+        // Guarantee connectivity: chain any isolated ultrapeers in. A chain
+        // edge touches an ultrapeer with no edge, so it is never a repeat.
         let mut degree = vec![0usize; cfg.ultrapeers];
-        for (a, b) in &edge_set {
-            degree[*a] += 1;
-            degree[*b] += 1;
+        for &(a, b) in &up_edges {
+            degree[a] += 1;
+            degree[b] += 1;
         }
         for i in 0..cfg.ultrapeers {
             if degree[i] == 0 {
                 let j = (i + 1) % cfg.ultrapeers;
-                edge_set.insert((i.min(j), i.max(j)));
+                up_edges.push((i.min(j), i.max(j)));
                 degree[i] += 1;
                 degree[j] += 1;
             }
         }
-        let up_edges: Vec<(usize, usize)> = {
-            let mut v: Vec<_> = edge_set.into_iter().collect();
-            v.sort_unstable();
-            v
-        };
+        up_edges.sort_unstable();
 
         // Assign leaves to ultrapeers with capacity, round-robin over a
         // shuffled order; extra connections go to random other ultrapeers.
@@ -320,7 +317,7 @@ mod tests {
     #[test]
     fn no_self_loops_or_duplicate_edges() {
         let topo = Topology::generate(&small_cfg());
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(a, b) in &topo.up_edges {
             assert_ne!(a, b);
             assert!(a < b, "edges normalized");
@@ -334,7 +331,7 @@ mod tests {
         assert_eq!(topo.leaf_count(), 400);
         for homes in (0..topo.leaf_count()).map(|j| topo.leaf_homes(j)) {
             assert_eq!(homes.len(), 3);
-            let set: std::collections::HashSet<_> = homes.iter().collect();
+            let set: std::collections::BTreeSet<_> = homes.iter().collect();
             assert_eq!(set.len(), 3, "homes must be distinct");
         }
     }

@@ -7,12 +7,13 @@ use crate::config::UltrapeerConfig;
 use crate::files::FileStore;
 use crate::msg::{GnutellaMsg, Guid, Hit};
 use crate::net::GnutellaNet;
+use pier_netsim::keyed::KeyedMap;
 use pier_netsim::{split_mix64, NodeId, SimDuration, SimTime};
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// TTL for classic (non-dynamic) flooded queries.
@@ -95,9 +96,8 @@ impl pier_netsim::HeapSize for Originated {
 
 /// Hasher for the seen-GUID table: GUIDs are uniform 64-bit randoms, so
 /// one SplitMix64 round replaces SipHash on the per-relay duplicate check
-/// — the hottest lookup on the flood path. (Only `get`/`insert`/`retain`/
-/// `clear` run against this map, so iteration order never leaks into
-/// behavior.)
+/// — the hottest lookup on the flood path. (A `KeyedMap` cannot be
+/// iterated, so its order never leaks into behavior.)
 #[derive(Default)]
 struct GuidHasher(u64);
 
@@ -116,7 +116,7 @@ impl Hasher for GuidHasher {
     }
 }
 
-type SeenMap = HashMap<Guid, SeenEntry, BuildHasherDefault<GuidHasher>>;
+type SeenMap = KeyedMap<Guid, SeenEntry, BuildHasherDefault<GuidHasher>>;
 
 /// An ultrapeer's connected leaves, struct-of-arrays in ascending id
 /// order: the last-hop loop scans the 16-byte screens and reads a leaf's
@@ -278,7 +278,7 @@ impl UltrapeerCore {
     pub fn is_idle(&self) -> bool {
         self.queries.is_empty()
             && self.snoop_log.is_empty()
-            && self.seen.values().all(|e| !self.is_live(e))
+            && self.seen.all(|_, e| !self.is_live(e))
     }
 
     /// Leaves in ascending `NodeId` order, so callers that send or sample
@@ -773,7 +773,7 @@ mod tests {
     fn probe_subset_leaves_rest_for_deep_phase() {
         let (mut core, mut net) = up_with_neighbors(14);
         core.start_query(&mut net, "x", QueryOrigin::Driver);
-        let probed: std::collections::HashSet<NodeId> = net
+        let probed: std::collections::BTreeSet<NodeId> = net
             .drain()
             .into_iter()
             .filter(|(_, m)| matches!(m, GnutellaMsg::Query { .. }))
@@ -781,7 +781,7 @@ mod tests {
             .collect();
         assert_eq!(probed.len(), 10, "probe_neighbors=10 of 14");
         // The deep phase covers exactly the remaining four.
-        let mut deep = std::collections::HashSet::new();
+        let mut deep = std::collections::BTreeSet::new();
         for _ in 0..6 {
             net.advance(SimDuration::from_millis(2500));
             core.tick(&mut net);

@@ -42,8 +42,7 @@ use pier_netsim::{NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-// Each harness uses part of the shared test bed.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each harness uses part of the shared test bed")]
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
 use hostile::{within, Ends, Entry, Fate, Net, Table, Wire, SOON};

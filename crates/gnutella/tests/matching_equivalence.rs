@@ -11,7 +11,7 @@
 use pier_gnutella::{FileMeta, FileStore};
 use pier_vocab::{policy, scan, texts_of};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// The old `gnutella::files::tokenize`, verbatim, as the reference.
 fn legacy_tokenize(name: &str) -> Vec<String> {
@@ -59,7 +59,7 @@ fn legacy_matching(names: &[String], query: &str) -> Vec<String> {
     names
         .iter()
         .filter(|n| {
-            let set: HashSet<String> = legacy_tokenize(n).into_iter().collect();
+            let set: BTreeSet<String> = legacy_tokenize(n).into_iter().collect();
             !terms.is_empty() && terms.iter().all(|t| set.contains(t))
         })
         .cloned()

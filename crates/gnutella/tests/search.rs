@@ -95,7 +95,7 @@ fn rare_query_finds_single_replica_slowly_or_never() {
         match record.first_hit_at {
             Some(t) => {
                 // Replicas are unique: at most one distinct host.
-                let hosts: std::collections::HashSet<_> =
+                let hosts: std::collections::BTreeSet<_> =
                     record.hits.iter().map(|h| h.host).collect();
                 assert_eq!(hosts.len(), 1);
                 latencies.push((t - record.issued_at).as_secs_f64());

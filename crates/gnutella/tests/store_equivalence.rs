@@ -87,7 +87,10 @@ proptest! {
             .collect();
         let interned = FileStore::shared_all(shares.clone());
         prop_assert_eq!(interned.len(), shares.len());
-        let distinct: std::collections::HashSet<&FileMeta> = shares.iter().flatten().collect();
+        let mut distinct = pier_netsim::keyed::KeyedSet::new();
+        for file in shares.iter().flatten() {
+            distinct.insert(file);
+        }
         prop_assert_eq!(interned[0].catalog().len(), distinct.len(), "each (name, size) once");
         for (store, share) in interned.iter().zip(&shares) {
             prop_assert!(Arc::ptr_eq(store.catalog(), interned[0].catalog()));

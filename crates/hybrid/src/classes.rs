@@ -1,4 +1,5 @@
 //! Interned metric classes for the hybrid deployment layer.
+#![expect(clippy::disallowed_methods, reason = "the crate's metric classes are registered here")]
 
 pier_netsim::metric_classes! {
     /// DHT traffic misdelivered to a node that only speaks Gnutella.

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-hybrid — the hybrid search infrastructure
 //!
 //! The paper's proposal (§5, §7): keep Gnutella flooding for popular

@@ -15,12 +15,13 @@ use pier_gnutella::{
     CtxGnutellaNet, FileMeta, GnutellaMsg, GnutellaNet, Guid, Hit, QueryOrigin, UltrapeerCore,
     UP_TICK, UP_TICK_INTERVAL,
 };
+use pier_netsim::keyed::KeyedSet;
 use pier_netsim::{Actor, Ctx, NodeId, SimDuration, SimTime, TimerToken};
 use pier_qp::QueryId;
 use pier_trace::{TraceHandle, TraceKind};
 use pier_vocab::Terms;
 use piersearch::{file_id, IndexMode, ItemRecord, PierSearchApp, PierSearchNode, SearchEvent};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The hybrid bookkeeping tick and its timer token. The Gnutella and DHT
 /// halves arm their stock tokens, [`UP_TICK`] and [`TICK_TOKEN`].
@@ -106,7 +107,7 @@ pub struct HybridUp {
     /// One row per driver query, at the index `start_hybrid_query` returned.
     pub stats: Vec<HybridQueryStats>,
     publish_queue: VecDeque<ObservedItem>,
-    published: HashSet<Key>,
+    published: KeyedSet<Key>,
     next_publish_at: SimTime,
     qrs_windows: BTreeMap<Guid, QrsWindow>,
     /// Total files pushed to the DHT (deployment statistic).
@@ -131,7 +132,7 @@ impl HybridUp {
             live: Vec::new(),
             stats: Vec::new(),
             publish_queue: VecDeque::new(),
-            published: HashSet::new(),
+            published: KeyedSet::new(),
             next_publish_at: SimTime::ZERO,
             qrs_windows: BTreeMap::new(),
             files_published: 0,

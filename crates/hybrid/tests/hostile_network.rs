@@ -51,8 +51,7 @@ use piersearch::ItemRecord;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-// Each harness uses part of the shared test bed.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each harness uses part of the shared test bed")]
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
 use hostile::{Ends, Entry, Fate, Net, Table, Wire, LATENCY};

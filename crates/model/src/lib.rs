@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-model — the analytical model of §6
 //!
 //! Pure math, no I/O: Equation (2)'s hypergeometric find-probability for

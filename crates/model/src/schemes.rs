@@ -3,10 +3,10 @@
 //! of replicas published into the DHT.
 
 use crate::recall::PublishedSet;
+use pier_netsim::keyed::KeyedMap;
 use pier_netsim::{stream_rng, SimRng};
 use pier_vocab::TermId;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Per-file inputs the schemes inspect: tokenized name + replica count.
 pub struct SchemeInput<'a> {
@@ -43,7 +43,7 @@ pub fn random(input: &SchemeInput<'_>, frac: f64, seed: u64) -> PublishedSet {
 /// the same criterion to the same statistics).
 pub fn tf(
     input: &SchemeInput<'_>,
-    term_freq: &HashMap<TermId, u64>,
+    term_freq: &KeyedMap<TermId, u64>,
     threshold: u64,
 ) -> PublishedSet {
     input.check();
@@ -68,7 +68,7 @@ pub fn tf(
 /// resistant to rare files that contain one popular keyword.
 pub fn tpf(
     input: &SchemeInput<'_>,
-    pair_freq: &HashMap<(TermId, TermId), u64>,
+    pair_freq: &KeyedMap<(TermId, TermId), u64>,
     threshold: u64,
 ) -> PublishedSet {
     input.check();
@@ -172,9 +172,9 @@ mod tests {
     fn freq_maps(
         tokens: &[Vec<TermId>],
         replicas: &[u32],
-    ) -> (HashMap<TermId, u64>, HashMap<(TermId, TermId), u64>) {
-        let mut tf_map = HashMap::new();
-        let mut pf_map = HashMap::new();
+    ) -> (KeyedMap<TermId, u64>, KeyedMap<(TermId, TermId), u64>) {
+        let mut tf_map = KeyedMap::new();
+        let mut pf_map = KeyedMap::new();
         for (t, &r) in tokens.iter().zip(replicas) {
             for tok in t {
                 *tf_map.entry(*tok).or_insert(0) += r as u64;

@@ -7,11 +7,11 @@
 //! (one process-wide copy is accounted once by whoever owns the canonical
 //! reference, not once per clone). The numbers are an accounting model,
 //! not an allocator census: capacity is charged where a container exposes
-//! it (`Vec`, `HashMap`), and intrusive allocator overhead (malloc
-//! headers, size-class rounding) is deliberately ignored so the totals
-//! stay stable across allocators.
+//! it (`Vec`, [`KeyedMap`](crate::keyed::KeyedMap)), and intrusive
+//! allocator overhead (malloc headers, size-class rounding) is
+//! deliberately ignored so the totals stay stable across allocators.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Owned heap bytes of a value (see the module docs for the model).
 pub trait HeapSize {
@@ -70,24 +70,6 @@ impl HeapSize for std::sync::Arc<str> {
     }
 }
 
-/// Hash tables are charged at their capacity footprint: hashbrown keeps
-/// one byte of control metadata plus one `(K, V)` slot per bucket, with
-/// capacity ≈ 8/7 of the reported `capacity()`.
-impl<K: HeapSize, V: HeapSize, S> HeapSize for HashMap<K, V, S> {
-    fn heap_bytes(&self) -> usize {
-        let buckets = buckets_for(self.capacity());
-        buckets * (size_of::<(K, V)>() + 1)
-            + self.iter().map(|(k, v)| k.heap_bytes() + v.heap_bytes()).sum::<usize>()
-    }
-}
-
-impl<T: HeapSize, S> HeapSize for HashSet<T, S> {
-    fn heap_bytes(&self) -> usize {
-        let buckets = buckets_for(self.capacity());
-        buckets * (size_of::<T>() + 1) + self.iter().map(HeapSize::heap_bytes).sum::<usize>()
-    }
-}
-
 /// B-tree nodes hold up to 11 `(K, V)` pairs; charge ~⅔ occupancy, the
 /// steady-state fill of random insertion order.
 impl<K: HeapSize, V: HeapSize> HeapSize for BTreeMap<K, V> {
@@ -98,7 +80,8 @@ impl<K: HeapSize, V: HeapSize> HeapSize for BTreeMap<K, V> {
     }
 }
 
-fn buckets_for(capacity: usize) -> usize {
+/// Buckets behind a hash table of `capacity` (see [`crate::keyed`]).
+pub(crate) fn buckets_for(capacity: usize) -> usize {
     if capacity == 0 {
         0
     } else {
@@ -159,6 +142,7 @@ impl MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keyed::KeyedMap;
 
     #[test]
     fn scalars_have_no_heap() {
@@ -198,9 +182,9 @@ mod tests {
 
     #[test]
     fn hashmap_charges_buckets() {
-        let empty: HashMap<u64, u64> = HashMap::new();
+        let empty: KeyedMap<u64, u64> = KeyedMap::new();
         assert_eq!(empty.heap_bytes(), 0);
-        let mut m = HashMap::new();
+        let mut m = KeyedMap::new();
         for i in 0..100u64 {
             m.insert(i, i);
         }

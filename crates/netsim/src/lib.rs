@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Deterministic discrete-event network simulator.
 //!
 //! This crate is the substrate on which every overlay in this workspace runs
@@ -71,6 +70,7 @@
 mod actor;
 mod event;
 pub mod heap;
+pub mod keyed;
 mod latency;
 pub mod metrics;
 mod probe;

@@ -16,7 +16,12 @@
 //! [`Metrics::counter_prefix_sum`], [`Metrics::counters`]) so experiment
 //! drivers and snapshot/diff output are unaffected by registration order.
 
-use std::collections::HashMap;
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the registry and metric_classes! are the sanctioned way to register a class"
+)]
+
+use crate::keyed::KeyedMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -51,12 +56,12 @@ pub struct MetricClass(u32);
 
 struct Registry {
     names: Vec<&'static str>,
-    by_name: HashMap<&'static str, u32>,
+    by_name: KeyedMap<&'static str, u32>,
 }
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Registry { names: Vec::new(), by_name: HashMap::new() }))
+    REGISTRY.get_or_init(|| Mutex::new(Registry { names: Vec::new(), by_name: KeyedMap::new() }))
 }
 
 impl MetricClass {
@@ -167,6 +172,11 @@ macro_rules! metric_classes {
                 $crate::LazyMetricClass::new($class);
         )+
     };
+}
+
+crate::metric_classes! {
+    /// Deliveries dropped because the destination node was down.
+    pub(crate) DROPPED_TO_DOWN = "sim.dropped_to_down_node";
 }
 
 // ---------------------------------------------------------------------------

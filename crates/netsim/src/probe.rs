@@ -1,11 +1,11 @@
 //! Kernel observation hooks.
 //!
-//! The sim kernel is strictly deterministic and wall-clock-free (pier-lint
-//! DET-CLOCK), but observability wants wall-clock window telemetry. The
-//! inversion: netsim defines this trait and calls it at well-defined kernel
-//! points; the implementation (with its `Instant` reads) lives in
-//! `pier-trace`'s profiling module, the one place the lint config grants a
-//! clock. Probes are strictly read-only — they receive already-computed
+//! The sim kernel is strictly deterministic and wall-clock-free (clippy's
+//! `disallowed_methods` bans `Instant::now`), but observability wants
+//! wall-clock window telemetry. The inversion: netsim defines this trait and
+//! calls it at well-defined kernel points; the implementation (with its
+//! `Instant` reads) lives in `pier-trace`'s profiling module, which expects
+//! that lint. Probes are strictly read-only — they receive already-computed
 //! counters and must not (and cannot, through this interface) feed anything
 //! back into the simulation, so installing one cannot perturb any statistic.
 //!

@@ -22,18 +22,13 @@
 use crate::actor::{Actor, Ctx, NodeId, TimerToken};
 use crate::event::{EventKey, EventKind, EventQueue};
 use crate::latency::{LatencyModel, UniformLatency};
-use crate::metrics::{MetricClass, Metrics};
+use crate::metrics::{MetricClass, Metrics, DROPPED_TO_DOWN};
 use crate::probe::KernelProbe;
 use crate::rng::{split_mix64, stream_rng, SimRng};
 use crate::time::{SimDuration, SimTime};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Barrier, Mutex};
-
-crate::metric_classes! {
-    /// Deliveries dropped because the destination node was down.
-    DROPPED_TO_DOWN = "sim.dropped_to_down_node";
-}
 
 /// Simulation-wide configuration.
 pub struct SimConfig {
@@ -831,9 +826,14 @@ mod tests {
     use super::*;
     use crate::latency::{ConstantLatency, UniformLatency};
 
-    crate::metric_classes! {
-        PING = "test.ping";
-        PONG = "test.pong";
+    use classes::{PING, PONG};
+
+    mod classes {
+        #![expect(clippy::disallowed_methods, reason = "the test's metric classes")]
+        crate::metric_classes! {
+            pub(super) PING = "test.ping";
+            pub(super) PONG = "test.pong";
+        }
     }
 
     /// Echoes every ping; counts pongs; optionally re-arms a periodic timer.

@@ -5,12 +5,12 @@
 //! tests and examples register ad-hoc tables.
 
 use crate::schema::TableDef;
-use std::collections::HashMap;
+use pier_netsim::keyed::KeyedMap;
 
 /// Table registry.
 #[derive(Default, Clone)]
 pub struct Catalog {
-    tables: HashMap<String, TableDef>,
+    tables: KeyedMap<String, TableDef>,
 }
 
 impl Catalog {
@@ -34,11 +34,6 @@ impl Catalog {
 
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
-    }
-
-    /// Iterate over definitions in arbitrary order.
-    pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
-        self.tables.values()
     }
 }
 

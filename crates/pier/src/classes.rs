@@ -1,6 +1,8 @@
 //! Interned metric classes for the PIER engine, registered once per
 //! process (see `pier_netsim::metric_classes!`).
 
+#![expect(clippy::disallowed_methods, reason = "the crate's metric classes are registered here")]
+
 pier_netsim::metric_classes! {
     // Wire payload classes (PIER messages ride inside DHT Route/AppDirect).
     pub INSTALL = "pier.install";

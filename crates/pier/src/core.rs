@@ -20,8 +20,9 @@ use crate::msg::PierMsg;
 use crate::plan::{JoinCols, QueryId, QueryPlan};
 use crate::value::{Tuple, Value};
 use pier_dht::{DhtCore, DhtEvent, DhtNet, Key};
+use pier_netsim::keyed::KeyedMap;
 use pier_netsim::{NodeId, SimDuration, SimTime};
-use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{btree_map, BTreeMap, BTreeSet, VecDeque};
 
 /// Tuples per inter-stage / result batch.
 const BATCH_SIZE: usize = 64;
@@ -106,7 +107,7 @@ struct StageExec {
     collector: NodeId,
     /// Build side: scanned (and filtered) local tuples hashed on the join
     /// column. The source stage never builds.
-    build: HashMap<Value, Vec<Tuple>>,
+    build: KeyedMap<Value, Vec<Tuple>>,
     /// Output batching.
     out_buf: Vec<Tuple>,
     out_seq: u32,
@@ -120,7 +121,7 @@ pub struct PierCore {
     pub catalog: Catalog,
     next_seq: u32,
     clients: BTreeMap<QueryId, ClientQuery>,
-    stages: HashMap<(QueryId, u32), StageSlot>,
+    stages: KeyedMap<(QueryId, u32), StageSlot>,
     events: VecDeque<PierEvent>,
 }
 
@@ -130,7 +131,7 @@ impl PierCore {
             catalog,
             next_seq: 1,
             clients: BTreeMap::new(),
-            stages: HashMap::new(),
+            stages: KeyedMap::new(),
             events: VecDeque::new(),
         }
     }
@@ -358,7 +359,7 @@ impl PierCore {
             project: stage.project.clone(),
             next_site: plan.stages.get(stage_idx as usize + 1).map(|s| s.site),
             collector: plan.collector.node,
-            build: HashMap::new(),
+            build: KeyedMap::new(),
             out_buf: Vec::new(),
             out_seq: 0,
             finished: false,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-qp — the PIER relational query processor over a DHT
 //!
 //! A from-scratch reproduction of the query engine the paper builds

@@ -8,15 +8,15 @@
 //! by this module's tests and `tests/proptests.rs`.
 
 use crate::value::{Tuple, Value};
-use std::collections::HashMap;
+use pier_netsim::keyed::KeyedMap;
 
 /// Streaming symmetric hash join: tuples may arrive on either side in any
 /// order; every match is emitted exactly once. Output is `left ++ right`.
 pub struct SymmetricHashJoin {
     left_col: usize,
     right_col: usize,
-    left_table: HashMap<Value, Vec<Tuple>>,
-    right_table: HashMap<Value, Vec<Tuple>>,
+    left_table: KeyedMap<Value, Vec<Tuple>>,
+    right_table: KeyedMap<Value, Vec<Tuple>>,
     /// Tuples inserted (both sides): the posting-list entries this join
     /// processed.
     pub inserted: u64,
@@ -27,8 +27,8 @@ impl SymmetricHashJoin {
         SymmetricHashJoin {
             left_col,
             right_col,
-            left_table: HashMap::new(),
-            right_table: HashMap::new(),
+            left_table: KeyedMap::new(),
+            right_table: KeyedMap::new(),
             inserted: 0,
         }
     }

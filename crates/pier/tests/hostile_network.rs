@@ -28,8 +28,7 @@ use pier_qp::{
 };
 use proptest::prelude::*;
 
-// Each harness uses part of the shared test bed.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each harness uses part of the shared test bed")]
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
 use hostile::{Fate, Net, Table, Wire, LATENCY};

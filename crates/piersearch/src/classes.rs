@@ -1,6 +1,8 @@
 //! Interned metric classes for PIERSearch, registered once per process
 //! (see `pier_netsim::metric_classes!`).
 
+#![expect(clippy::disallowed_methods, reason = "the crate's metric classes are registered here")]
+
 pier_netsim::metric_classes! {
     pub SEARCHES = "piersearch.searches";
     pub UNSEARCHABLE_QUERY = "piersearch.unsearchable_query";

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # piersearch — DHT-based keyword search on PIER
 //!
 //! The paper's primary artifact (§3): a search engine for filesharing

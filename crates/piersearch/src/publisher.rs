@@ -58,7 +58,7 @@ pub struct Publisher {
     pub refresh_interval: Option<SimDuration>,
     soft_state: Vec<SoftStateEntry>,
     /// File ids already under maintenance (idempotence guard).
-    tracked: std::collections::HashSet<Key>,
+    tracked: pier_netsim::keyed::KeyedSet<Key>,
 }
 
 impl Publisher {
@@ -67,7 +67,7 @@ impl Publisher {
             mode,
             refresh_interval: None,
             soft_state: Vec::new(),
-            tracked: std::collections::HashSet::new(),
+            tracked: pier_netsim::keyed::KeyedSet::new(),
         }
     }
 
@@ -81,7 +81,10 @@ impl Publisher {
     /// the filename yields no indexable keywords. With a configured
     /// `refresh_interval` the file also enters the soft-state set and is
     /// re-published every interval from [`Publisher::tick`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the file's fields and the DHT's handles, as the call sites hold them"
+    )]
     pub fn publish_file(
         &mut self,
         pier: &mut PierCore,
@@ -132,7 +135,7 @@ impl Publisher {
     /// `replicated` and go through the replicated put (placement by lookup,
     /// acks unread), whose STORE RPC timeouts double as routing-table
     /// repair — under churn a fire-and-forget RouteStore dies silently.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "publish_file's arguments plus the refresh flag")]
     fn ship(
         &self,
         pier: &mut PierCore,

@@ -10,10 +10,11 @@
 use crate::publisher::IndexMode;
 use crate::schema::{inverted_cache_table, inverted_table, item_table, ItemRecord};
 use pier_dht::{DhtCore, DhtEvent, DhtNet, Key, OpId};
+use pier_netsim::keyed::KeyedSet;
 use pier_netsim::{SimDuration, SimTime};
 use pier_qp::{Expr, JoinChainBuilder, JoinCols, PierCore, PierEvent, QueryId, Tuple, Value};
 use pier_vocab::{policy, text, Terms};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Hard deadline for a search (covers plan execution + item fetches).
 pub const SEARCH_TIMEOUT: SimDuration = SimDuration::from_secs(60);
@@ -29,7 +30,7 @@ pub struct SearchState {
     pub done: bool,
     deadline: SimTime,
     /// Every distinct fileID the plan matched.
-    matched: HashSet<Key>,
+    matched: KeyedSet<Key>,
     /// What the search still waits for: PIER's `Done`, counted as one, and
     /// one per item fetch in flight.
     waiting: usize,
@@ -151,7 +152,7 @@ impl SearchEngine {
                 items: Vec::new(),
                 done: false,
                 deadline: net.now() + SEARCH_TIMEOUT,
-                matched: HashSet::new(),
+                matched: KeyedSet::new(),
                 waiting: 1,
                 trace: dht.current_trace_scope(),
             },

@@ -44,8 +44,7 @@ use piersearch::{classes, IndexMode, ItemRecord, PierSearchApp, SearchEvent};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-// Each harness uses part of the shared test bed.
-#[allow(dead_code)]
+#[allow(dead_code, reason = "each harness uses part of the shared test bed")]
 #[path = "../../../tests/support/hostile.rs"]
 mod hostile;
 use hostile::{Fate, Net, Table, Wire};

@@ -14,11 +14,10 @@
 //!   count (one shard reports as shard 0).
 //!
 //! Determinism: the tracer and reporter are clock-free; all wall-clock reads
-//! live in [`profile`], the one module pier-lint's DET-CLOCK rule exempts.
+//! live in [`profile`], the one module of this crate that expects clippy's
+//! `disallowed_methods` lint on `Instant::now`.
 //! No instrument touches RNG streams or `Metrics`, so every pinned statistic
 //! is bit-identical with observability on or off.
-
-#![forbid(unsafe_code)]
 
 pub mod profile;
 pub mod report;

@@ -1,11 +1,13 @@
 //! Phase profiling, kernel window telemetry, and the progress heartbeat.
 //!
 //! This is the **only** module in the workspace (outside `pier-bench`'s
-//! harness) that may read the wall clock: pier-lint's DET-CLOCK rule grants
-//! `Instant` to exactly this file (see `crates/lint/src/config.rs` for the
-//! written allow-reason). Nothing here feeds back into the simulation —
-//! profiling reads sim state but never touches RNG streams or `Metrics`, so
-//! runs are bit-identical with profiling on or off.
+//! harness) that may read the wall clock. Nothing here feeds back into the
+//! simulation — profiling reads sim state but never touches RNG streams or
+//! `Metrics`, so runs are bit-identical with profiling on or off.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "phase timers read the wall clock and feed nothing back into the run"
+)]
 
 use pier_netsim::KernelProbe;
 use std::collections::BTreeMap;

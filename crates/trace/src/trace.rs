@@ -275,9 +275,10 @@ impl TraceHandle {
         self.0.as_ref()?.lookup(guid)
     }
 
-    // One positional arg per `TraceEvent` field (minus `seq`, which the
-    // tracer assigns); call sites read like the struct literal itself.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one positional arg per `TraceEvent` field but `seq`, so call sites read like the struct literal"
+    )]
     pub fn emit(
         &self,
         trace: TraceId,
@@ -297,7 +298,10 @@ impl TraceHandle {
     /// sampled — the whole of an instrumentation point that needs the
     /// trace id for nothing else. Takes the simulator's own types so call
     /// sites pass `net.now()` / `net.self_node()` as they are.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the arguments of `emit`, with the simulator's own types"
+    )]
     pub fn emit_guid(
         &self,
         guid: u64,

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-vocab — the process-wide interned term vocabulary
 //!
 //! Every layer of the reproduction used to push `Vec<String>` keywords
@@ -34,9 +33,10 @@
 //! the term text, never an id.
 //!
 //! [term table]: intern
+#![deny(clippy::cast_possible_truncation)]
 
+use pier_netsim::keyed::KeyedMap;
 use pier_netsim::split_mix64;
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -75,7 +75,7 @@ struct TermInfo {
 
 #[derive(Default)]
 struct Table {
-    by_text: HashMap<Arc<str>, TermId>,
+    by_text: KeyedMap<Arc<str>, TermId>,
     terms: Vec<TermInfo>,
 }
 

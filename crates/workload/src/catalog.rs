@@ -4,11 +4,11 @@
 
 use crate::words::word;
 use crate::zipf::{calibrate_beta, PowerLaw, Zipf};
+use pier_netsim::keyed::{KeyedMap, KeyedSet};
 use pier_netsim::stream_rng;
 use pier_vocab::{scan, TermId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Target fraction of file *instances* that are singletons (the paper's
 /// Fig. 10 anchor: 23% of items published at replica threshold 1).
@@ -100,7 +100,7 @@ impl Catalog {
         let extensions = ["mp3", "avi", "mpg", "zip", "jpg"];
         let mut files = Vec::with_capacity(config.distinct_files);
         let mut host_files: Vec<Vec<u32>> = vec![Vec::new(); config.hosts];
-        let mut seen_names = std::collections::HashSet::new();
+        let mut seen_names = KeyedSet::new();
 
         for idx in 0..config.distinct_files {
             // Filename = popular phrase + 1–3 title terms + optional track
@@ -157,8 +157,8 @@ impl Catalog {
 
     /// Instance-weighted term frequencies — what an ultrapeer observing
     /// result traffic measures, and what the TF scheme thresholds (§5).
-    pub fn term_instance_freq(&self) -> HashMap<TermId, u64> {
-        let mut tf = HashMap::new();
+    pub fn term_instance_freq(&self) -> KeyedMap<TermId, u64> {
+        let mut tf = KeyedMap::new();
         for f in &self.files {
             for t in &f.tokens {
                 *tf.entry(*t).or_insert(0) += f.replicas() as u64;
@@ -168,8 +168,8 @@ impl Catalog {
     }
 
     /// Instance-weighted adjacent-term-pair frequencies (TPF scheme).
-    pub fn pair_instance_freq(&self) -> HashMap<(TermId, TermId), u64> {
-        let mut pf = HashMap::new();
+    pub fn pair_instance_freq(&self) -> KeyedMap<(TermId, TermId), u64> {
+        let mut pf = KeyedMap::new();
         for f in &self.files {
             for w in f.tokens.windows(2) {
                 *pf.entry((w[0], w[1])).or_insert(0) += f.replicas() as u64;
@@ -189,7 +189,7 @@ fn sample_distinct_hosts(rng: &mut impl Rng, hosts: usize, k: usize) -> Vec<u32>
         all[..k].to_vec()
     } else {
         // Sparse case: rejection sampling.
-        let mut set = std::collections::HashSet::with_capacity(k);
+        let mut set = KeyedSet::with_capacity(k);
         let mut out = Vec::with_capacity(k);
         while out.len() < k {
             let h = rng.random_range(0..hosts as u32);
@@ -229,7 +229,7 @@ mod tests {
     fn replicas_are_distinct_hosts() {
         let c = small();
         for f in &c.files {
-            let set: std::collections::HashSet<_> = f.hosts.iter().collect();
+            let set: std::collections::BTreeSet<_> = f.hosts.iter().collect();
             assert_eq!(set.len(), f.hosts.len(), "duplicate replica host for {}", f.name);
             assert!(f.replicas() >= 1);
         }
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         let c = small();
-        let names: std::collections::HashSet<_> = c.files.iter().map(|f| &f.name).collect();
+        let names: std::collections::BTreeSet<_> = c.files.iter().map(|f| &f.name).collect();
         assert_eq!(names.len(), c.files.len());
     }
 
@@ -285,8 +285,9 @@ mod tests {
         let c = small();
         let tf = c.term_instance_freq();
         assert!(tf.len() > 500, "vocabulary too small: {}", tf.len());
-        let max = *tf.values().max().unwrap();
-        let ones = tf.values().filter(|v| **v <= 2).count();
+        let freqs = tf.sorted_values();
+        let max = *freqs.last().unwrap();
+        let ones = freqs.iter().filter(|v| **v <= 2).count();
         assert!(max > 100, "head terms must be popular");
         assert!(ones > tf.len() / 20, "tail terms must exist");
         let pf = c.pair_instance_freq();

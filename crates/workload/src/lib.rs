@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # pier-workload — synthetic Gnutella-like workloads
 //!
 //! The paper's evaluation is driven by live traces of the 2003 Gnutella

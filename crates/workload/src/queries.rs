@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn vantage_hosts_distinct() {
         let v = vantage_hosts(100, 30, 5);
-        let set: std::collections::HashSet<_> = v.iter().collect();
+        let set: std::collections::BTreeSet<_> = v.iter().collect();
         assert_eq!(set.len(), 30);
         assert_eq!(vantage_hosts(100, 30, 5), v, "deterministic");
     }

@@ -36,11 +36,11 @@ pub fn word(idx: usize) -> String {
 mod tests {
     use super::*;
     use pier_vocab::{matches, scan, scan_text};
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn words_are_distinct_and_wordlike() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..50_000 {
             let w = word(i);
             assert!(w.len() >= 3, "word {i} too short: {w}");

@@ -38,18 +38,14 @@ fn main() {
         c.finished_at.map(|t| (t - c.started_at).as_secs_f64()).unwrap_or(0.0)
     );
 
-    let mut degrees: Vec<(usize, usize)> = c.graph.degree_counts().into_iter().collect();
-    degrees.sort_unstable();
+    let degrees = c.graph.degree_counts();
     println!("\nultrapeer degree profile (old-style ≈6, new-style ≈32):");
-    for (d, n) in degrees.iter().filter(|(_, n)| *n >= 5) {
+    for (d, n) in degrees.iter().filter(|(_, n)| **n >= 5) {
         println!("  degree {d:>3}: {n:>4} ultrapeers  {}", "#".repeat(n / 5));
     }
 
-    // `adj` is a HashMap: sort its ids so the start nodes, and the curve,
-    // are the same on every run.
-    let mut starts: Vec<_> = c.graph.adj.keys().copied().collect();
-    starts.sort_unstable();
-    starts.truncate(10);
+    // The ten lowest crawled ids start the curve.
+    let starts: Vec<_> = c.graph.adj.keys().copied().take(10).collect();
     let curve = average_flood_curve(&c.graph, &starts, 7);
     let mc = marginal_cost(&curve);
     println!("\nflooding overhead (Figure 8): messages vs ultrapeers visited");
