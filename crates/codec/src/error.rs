@@ -1,11 +1,11 @@
-//! Error type shared by the serializer and deserializer.
+//! Decoding errors. Encoding cannot fail: every value has bytes.
 
 use std::fmt;
 
 /// Codec result alias.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Everything that can go wrong while encoding or decoding.
+/// Everything that can go wrong while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// Input ended before the value was complete.
@@ -20,14 +20,14 @@ pub enum Error {
     InvalidBool(u8),
     /// An `Option` tag byte was neither 0 nor 1.
     InvalidOptionTag(u8),
-    /// A char was not a valid Unicode scalar value.
-    InvalidChar(u32),
     /// A length prefix exceeded the remaining input (corrupt or hostile).
     LengthOverrun { declared: u64, remaining: usize },
-    /// The format is not self-describing: `deserialize_any` is unsupported.
-    NotSelfDescribing,
-    /// Error raised by a `Serialize`/`Deserialize` impl.
-    Custom(String),
+    /// A varint does not fit the narrower integer type being decoded.
+    OutOfRange { value: u64, ty: &'static str },
+    /// An enum tag names no variant of the type being decoded.
+    UnknownVariant { ty: &'static str, tag: u64 },
+    /// A fixed-size blob was declared with the wrong length.
+    WrongLength { declared: usize, expected: usize },
 }
 
 impl fmt::Display for Error {
@@ -39,31 +39,19 @@ impl fmt::Display for Error {
             Error::InvalidUtf8 => write!(f, "invalid UTF-8 in string"),
             Error::InvalidBool(b) => write!(f, "invalid bool byte {b:#x}"),
             Error::InvalidOptionTag(b) => write!(f, "invalid option tag {b:#x}"),
-            Error::InvalidChar(c) => write!(f, "invalid char scalar {c:#x}"),
             Error::LengthOverrun { declared, remaining } => {
                 write!(f, "declared length {declared} exceeds remaining {remaining} bytes")
             }
-            Error::NotSelfDescribing => {
-                write!(f, "format is not self-describing (deserialize_any unsupported)")
+            Error::OutOfRange { value, ty } => write!(f, "{value} out of range for {ty}"),
+            Error::UnknownVariant { ty, tag } => write!(f, "unknown {ty} variant tag {tag}"),
+            Error::WrongLength { declared, expected } => {
+                write!(f, "declared length {declared}, expected {expected}")
             }
-            Error::Custom(msg) => write!(f, "{msg}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
-
-impl serde::ser::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Custom(msg.to_string())
-    }
-}
-
-impl serde::de::Error for Error {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        Error::Custom(msg.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -74,11 +62,6 @@ mod tests {
         assert!(Error::Eof.to_string().contains("end of input"));
         assert!(Error::LengthOverrun { declared: 10, remaining: 3 }.to_string().contains("10"));
         assert!(Error::InvalidBool(7).to_string().contains("0x7"));
-    }
-
-    #[test]
-    fn custom_roundtrip() {
-        let e = <Error as serde::ser::Error>::custom("boom");
-        assert_eq!(e, Error::Custom("boom".into()));
+        assert!(Error::UnknownVariant { ty: "Expr", tag: 9 }.to_string().contains("Expr"));
     }
 }

@@ -1,12 +1,12 @@
 //! A contact: the pair of overlay identifier and network address.
 
 use crate::key::Key;
+use pier_codec::{Reader, Sink, Wire};
 use pier_netsim::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One routing-table entry: where a node lives in the key space and how to
 /// reach it on the (simulated) network.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Contact {
     pub key: Key,
     pub node: NodeId,
@@ -27,6 +27,16 @@ impl Contact {
     /// address).
     pub fn for_node(node: NodeId) -> Self {
         Contact { key: Key::for_node(node.raw()), node }
+    }
+}
+
+/// The key, then the node's raw index as a varint.
+impl Wire for Contact {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.put(&self.key).put(&self.node.raw());
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(Contact { key: r.get()?, node: NodeId::new(r.get()?) })
     }
 }
 

@@ -1,8 +1,7 @@
 //! 160-bit DHT identifiers with the XOR distance metric.
 
 use crate::sha1::sha1;
-use serde::de::{Deserialize, Deserializer, Visitor};
-use serde::ser::{Serialize, Serializer};
+use pier_codec::{Error::WrongLength, Reader, Sink, Wire};
 use std::fmt;
 
 /// The number of bits in a key (and buckets in a routing table).
@@ -156,27 +155,16 @@ impl fmt::Debug for Distance {
     }
 }
 
-// Compact serde: a 20-byte blob (21 bytes encoded), not a 20-element tuple.
-impl Serialize for Key {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(&self.0)
+/// A key is the one fixed blob on the wire: its length (20) and then its
+/// raw bytes, 21 bytes in all — not 20 varint elements.
+impl Wire for Key {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.push_varint(self.0.len() as u64);
+        out.extend_from_slice(&self.0);
     }
-}
-
-impl<'de> Deserialize<'de> for Key {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Key, D::Error> {
-        struct KeyVisitor;
-        impl Visitor<'_> for KeyVisitor {
-            type Value = Key;
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "20 bytes")
-            }
-            fn visit_bytes<E: serde::de::Error>(self, v: &[u8]) -> Result<Key, E> {
-                let arr: [u8; 20] = v.try_into().map_err(|_| E::invalid_length(v.len(), &self))?;
-                Ok(Key(arr))
-            }
-        }
-        deserializer.deserialize_bytes(KeyVisitor)
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Key> {
+        let declared = r.length()?;
+        r.take(declared)?.try_into().map(Key).map_err(|_| WrongLength { declared, expected: 20 })
     }
 }
 
@@ -272,7 +260,7 @@ mod tests {
 
     #[test]
     fn serde_is_21_bytes() {
-        let k = Key::hash(b"serde");
+        let k = Key::hash(b"wire");
         let bytes = pier_codec::to_bytes(&k).unwrap();
         assert_eq!(bytes.len(), 21);
         let back: Key = pier_codec::from_bytes(&bytes).unwrap();

@@ -9,8 +9,8 @@
 use crate::classes;
 use crate::contact::Contact;
 use crate::key::Key;
+use pier_codec::{Error, Reader, Sink, Wire};
 use pier_netsim::MetricClass;
-use serde::{Deserialize, Serialize};
 
 /// Fixed per-message overhead accounted on top of the encoded payload
 /// (transport headers), in bytes.
@@ -20,7 +20,7 @@ const HEADER_BYTES: usize = 28;
 pub type RpcId = u64;
 
 /// A full DHT message.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum DhtMsg {
     Request {
         id: RpcId,
@@ -58,7 +58,7 @@ pub enum DhtMsg {
 }
 
 /// RPC request bodies.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Request {
     Ping,
     /// Return the k closest contacts to `target`.
@@ -78,7 +78,7 @@ pub enum Request {
 }
 
 /// RPC response bodies.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Response {
     Pong,
     Nodes {
@@ -96,7 +96,7 @@ pub enum Response {
 impl DhtMsg {
     /// Encoded size of this message's payload, without the header.
     pub fn encoded_len(&self) -> usize {
-        pier_codec::encoded_size(self).expect("DHT messages always serialize")
+        pier_codec::encoded_size(self)
     }
 
     /// Bytes this message costs on the wire: the encoded payload plus the
@@ -124,6 +124,80 @@ impl DhtMsg {
             DhtMsg::RouteStore { .. } => classes::ROUTE_STORE.id(),
             DhtMsg::AppDirect { .. } => classes::APP_DIRECT.id(),
         }
+    }
+}
+
+impl Wire for DhtMsg {
+    fn put<S: Sink>(&self, out: &mut S) {
+        match self {
+            DhtMsg::Request { id, from, body } => out.tag(0).put(id).put(from).put(body),
+            DhtMsg::Response { id, from, body } => out.tag(1).put(id).put(from).put(body),
+            DhtMsg::Route { key, payload, hops, origin } => {
+                out.tag(2).put(key).put(payload).put(hops).put(origin)
+            }
+            DhtMsg::RouteStore { key, value, ttl_us, hops, origin } => {
+                out.tag(3).put(key).put(value).put(ttl_us).put(hops).put(origin)
+            }
+            DhtMsg::AppDirect { payload, origin } => out.tag(4).put(payload).put(origin),
+        };
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(match r.varint()? {
+            0 => DhtMsg::Request { id: r.get()?, from: r.get()?, body: r.get()? },
+            1 => DhtMsg::Response { id: r.get()?, from: r.get()?, body: r.get()? },
+            2 => {
+                DhtMsg::Route { key: r.get()?, payload: r.get()?, hops: r.get()?, origin: r.get()? }
+            }
+            3 => DhtMsg::RouteStore {
+                key: r.get()?,
+                value: r.get()?,
+                ttl_us: r.get()?,
+                hops: r.get()?,
+                origin: r.get()?,
+            },
+            4 => DhtMsg::AppDirect { payload: r.get()?, origin: r.get()? },
+            tag => return Err(Error::UnknownVariant { ty: "DhtMsg", tag }),
+        })
+    }
+}
+
+impl Wire for Request {
+    fn put<S: Sink>(&self, out: &mut S) {
+        match self {
+            Request::Ping => out.tag(0),
+            Request::FindNode { target } => out.tag(1).put(target),
+            Request::Store { key, value, ttl_us } => out.tag(2).put(key).put(value).put(ttl_us),
+            Request::FindValue { key } => out.tag(3).put(key),
+        };
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(match r.varint()? {
+            0 => Request::Ping,
+            1 => Request::FindNode { target: r.get()? },
+            2 => Request::Store { key: r.get()?, value: r.get()?, ttl_us: r.get()? },
+            3 => Request::FindValue { key: r.get()? },
+            tag => return Err(Error::UnknownVariant { ty: "Request", tag }),
+        })
+    }
+}
+
+impl Wire for Response {
+    fn put<S: Sink>(&self, out: &mut S) {
+        match self {
+            Response::Pong => out.tag(0),
+            Response::Nodes { contacts } => out.tag(1).put(contacts),
+            Response::StoreAck => out.tag(2),
+            Response::Values { values, closer } => out.tag(3).put(values).put(closer),
+        };
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(match r.varint()? {
+            0 => Response::Pong,
+            1 => Response::Nodes { contacts: r.get()? },
+            2 => Response::StoreAck,
+            3 => Response::Values { values: r.get()?, closer: r.get()? },
+            tag => return Err(Error::UnknownVariant { ty: "Response", tag }),
+        })
     }
 }
 

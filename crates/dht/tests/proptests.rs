@@ -122,7 +122,7 @@ proptest! {
     /// contacts, sorted ascending.
     #[test]
     fn routing_table_closest_is_correct(
-        nodes in prop::collection::hash_set(1u32..2_000, 1..120),
+        nodes in prop::collection::btree_set(1u32..2_000, 1..120),
         target in key_strategy(),
         n in 1usize..12,
     ) {

@@ -4,12 +4,11 @@
 use crate::metrics::MetricClass;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a node (actor) in the simulation. Dense indices, assigned in
 /// `add_node` order. Plays the role of an (IP address, port) pair.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {

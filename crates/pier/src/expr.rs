@@ -2,11 +2,11 @@
 //! InvertedCache plan (Fig. 3 of the paper) filters with.
 
 use crate::value::{Tuple, Value};
-use serde::{Deserialize, Serialize};
+use pier_codec::{Error, Reader, Sink, Wire};
 use std::fmt;
 
 /// A serializable scalar expression evaluated against one tuple.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum Expr {
     /// The value of column `i`.
     Col(usize),
@@ -115,6 +115,26 @@ fn contains_ci(hay: &str, needle: &str) -> bool {
     let hay = hay.as_bytes();
     let needle = needle.as_bytes();
     hay.windows(needle.len()).any(|w| w.iter().zip(needle).all(|(a, b)| a.eq_ignore_ascii_case(b)))
+}
+
+impl Wire for Expr {
+    fn put<S: Sink>(&self, out: &mut S) {
+        match self {
+            Expr::Col(i) => out.tag(0).put(i),
+            Expr::Lit(v) => out.tag(1).put(v),
+            Expr::Contains(hay, needle) => out.tag(2).put(hay).put(needle),
+            Expr::And(exprs) => out.tag(3).put(exprs),
+        };
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(match r.varint()? {
+            0 => Expr::Col(r.get()?),
+            1 => Expr::Lit(r.get()?),
+            2 => Expr::Contains(r.get()?, r.get()?),
+            3 => Expr::And(r.get()?),
+            tag => return Err(Error::UnknownVariant { ty: "Expr", tag }),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -50,3 +50,36 @@ pub use node::{PierApp, PierNode};
 pub use plan::{JoinChainBuilder, JoinCols, PlanError, QueryId, QueryPlan, ScanSpec, Stage};
 pub use schema::{Field, FieldType, Schema, SchemaError, TableDef};
 pub use value::{Tuple, Value};
+
+#[cfg(test)]
+mod tests {
+    //! The codec's layout rules, held on this crate's wire types.
+    use super::*;
+
+    #[test]
+    fn enums_nested() {
+        let e = Expr::And(vec![Expr::contains(1, "led"), Expr::And(vec![Expr::Lit(Value::Null)])]);
+        let bytes = pier_codec::to_bytes(&e).unwrap();
+        // Variant indices in declaration order: And 3, Contains 2, Col 0,
+        // Lit 1; Value::Str 3, Value::Null 0. Sequences lead with a length.
+        let led = [1, 3, 3, b'l', b'e', b'd'];
+        let want: Vec<u8> = [&[3, 2, 2, 0, 1][..], &led, &[3, 1, 1, 0]].concat();
+        assert_eq!(bytes, want);
+        assert_eq!(pier_codec::from_bytes::<Expr>(&bytes).unwrap(), e);
+    }
+
+    #[test]
+    fn unit_variant_is_one_byte() {
+        assert_eq!(pier_codec::to_bytes(&Value::Null).unwrap(), vec![0]);
+        assert_eq!(pier_codec::to_bytes(&pier_dht::Request::Ping).unwrap(), vec![0]);
+        assert_eq!(pier_codec::to_bytes(&pier_dht::Response::StoreAck).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn struct_fields_have_no_name_overhead() {
+        let qid = QueryId { origin: 5, seq: 300 };
+        assert_eq!(pier_codec::to_bytes(&qid).unwrap(), vec![5, 0xAC, 0x02]);
+        let cols = JoinCols { incoming: 0, scanned: 1 };
+        assert_eq!(pier_codec::to_bytes(&cols).unwrap(), vec![0, 1]);
+    }
+}

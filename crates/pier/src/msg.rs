@@ -4,11 +4,11 @@
 
 use crate::plan::{QueryId, QueryPlan};
 use crate::value::Tuple;
+use pier_codec::{Error, Reader, Sink, Wire};
 use pier_netsim::MetricClass;
-use serde::{Deserialize, Serialize};
 
 /// All engine-to-engine messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PierMsg {
     /// Install stage `stage` of `plan` at the owner of its site key.
     Install { plan: QueryPlan, stage: u32 },
@@ -42,6 +42,30 @@ impl PierMsg {
             PierMsg::Results { .. } => classes::RESULTS.id(),
             PierMsg::ResultsEof { .. } => classes::RESULTS_EOF.id(),
         }
+    }
+}
+
+impl Wire for PierMsg {
+    fn put<S: Sink>(&self, out: &mut S) {
+        match self {
+            PierMsg::Install { plan, stage } => out.tag(0).put(plan).put(stage),
+            PierMsg::Batch { qid, stage, seq, tuples } => {
+                out.tag(1).put(qid).put(stage).put(seq).put(tuples)
+            }
+            PierMsg::BatchEof { qid, stage, total } => out.tag(2).put(qid).put(stage).put(total),
+            PierMsg::Results { qid, seq, tuples } => out.tag(3).put(qid).put(seq).put(tuples),
+            PierMsg::ResultsEof { qid, total } => out.tag(4).put(qid).put(total),
+        };
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(match r.varint()? {
+            0 => PierMsg::Install { plan: r.get()?, stage: r.get()? },
+            1 => PierMsg::Batch { qid: r.get()?, stage: r.get()?, seq: r.get()?, tuples: r.get()? },
+            2 => PierMsg::BatchEof { qid: r.get()?, stage: r.get()?, total: r.get()? },
+            3 => PierMsg::Results { qid: r.get()?, seq: r.get()?, tuples: r.get()? },
+            4 => PierMsg::ResultsEof { qid: r.get()?, total: r.get()? },
+            tag => return Err(Error::UnknownVariant { ty: "PierMsg", tag }),
+        })
     }
 }
 

@@ -11,11 +11,11 @@
 use crate::expr::Expr;
 use crate::schema::TableDef;
 use crate::value::Value;
+use pier_codec::{Reader, Sink, Wire};
 use pier_dht::{Contact, Key};
-use serde::{Deserialize, Serialize};
 
 /// Globally unique query identifier: issuing node + local sequence number.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct QueryId {
     pub origin: u32,
     pub seq: u32,
@@ -29,7 +29,7 @@ impl std::fmt::Display for QueryId {
 
 /// The local relation a stage scans: all tuples of `table` published under
 /// the exact index key `key`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct ScanSpec {
     pub table: String,
     pub key: Key,
@@ -37,14 +37,14 @@ pub struct ScanSpec {
 
 /// Join columns for stages past the first: `incoming` indexes the tuple
 /// stream from the previous stage, `scanned` indexes the local relation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct JoinCols {
     pub incoming: usize,
     pub scanned: usize,
 }
 
 /// One pipeline stage.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Stage {
     /// DHT key whose owner executes this stage.
     pub site: Key,
@@ -59,7 +59,7 @@ pub struct Stage {
 }
 
 /// A complete distributed query.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct QueryPlan {
     pub id: QueryId,
     pub stages: Vec<Stage>,
@@ -68,6 +68,57 @@ pub struct QueryPlan {
     pub collector: Contact,
     /// Stop after this many result tuples.
     pub limit: Option<u32>,
+}
+
+impl Wire for QueryId {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.put(&self.origin).put(&self.seq);
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(QueryId { origin: r.get()?, seq: r.get()? })
+    }
+}
+
+impl Wire for ScanSpec {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.put(&self.table).put(&self.key);
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(ScanSpec { table: r.get()?, key: r.get()? })
+    }
+}
+
+impl Wire for JoinCols {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.put(&self.incoming).put(&self.scanned);
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(JoinCols { incoming: r.get()?, scanned: r.get()? })
+    }
+}
+
+impl Wire for Stage {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.put(&self.site).put(&self.scan).put(&self.filter).put(&self.join).put(&self.project);
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(Stage {
+            site: r.get()?,
+            scan: r.get()?,
+            filter: r.get()?,
+            join: r.get()?,
+            project: r.get()?,
+        })
+    }
+}
+
+impl Wire for QueryPlan {
+    fn put<S: Sink>(&self, out: &mut S) {
+        out.put(&self.id).put(&self.stages).put(&self.collector).put(&self.limit);
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(QueryPlan { id: r.get()?, stages: r.get()?, collector: r.get()?, limit: r.get()? })
+    }
 }
 
 /// Plan construction/validation failures.
@@ -158,7 +209,7 @@ impl QueryPlan {
 
     /// Encoded size of the plan (what `Install` messages cost on the wire).
     pub fn encoded_size(&self) -> usize {
-        pier_codec::encoded_size(self).expect("plans always serialize")
+        pier_codec::encoded_size(self)
     }
 }
 

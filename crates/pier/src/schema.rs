@@ -2,11 +2,10 @@
 
 use crate::value::{Tuple, Value};
 use pier_dht::Key;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of one field.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FieldType {
     Int,
     Str,
@@ -27,7 +26,7 @@ impl FieldType {
 }
 
 /// One named, typed column.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Field {
     pub name: String,
     pub ty: FieldType,
@@ -40,7 +39,7 @@ impl Field {
 }
 
 /// An ordered list of fields.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Schema {
     pub fields: Vec<Field>,
 }
@@ -102,7 +101,7 @@ impl std::error::Error for SchemaError {}
 
 /// A table definition: name, schema, and which column is the publishing
 /// (index) key for the DHT — the paper's "index key" (§3.1).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TableDef {
     pub name: String,
     pub schema: Schema,

@@ -1,12 +1,12 @@
 //! Dynamically-typed values and tuples — the data model PIER ships between
 //! nodes.
 
+use pier_codec::{Error, Reader, Sink, Wire};
 use pier_dht::Key;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single field value.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Value {
     Null,
     Bool(bool),
@@ -94,7 +94,7 @@ impl From<Key> for Value {
 }
 
 /// A tuple: an ordered list of values conforming to some schema.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Tuple(pub Vec<Value>);
 
 impl Tuple {
@@ -112,7 +112,7 @@ impl Tuple {
 
     /// Encoded wire size of this tuple.
     pub fn encoded_size(&self) -> usize {
-        pier_codec::encoded_size(self).expect("tuples always serialize")
+        pier_codec::encoded_size(self)
     }
 
     /// Concatenate two tuples (join output).
@@ -150,6 +150,38 @@ impl fmt::Display for Tuple {
             write!(f, "{v}")?;
         }
         write!(f, ")")
+    }
+}
+
+impl Wire for Value {
+    fn put<S: Sink>(&self, out: &mut S) {
+        match self {
+            Value::Null => out.tag(0),
+            Value::Bool(b) => out.tag(1).put(b),
+            Value::Int(i) => out.tag(2).put(i),
+            Value::Str(s) => out.tag(3).put(s),
+            Value::Key(k) => out.tag(4).put(k),
+        };
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        Ok(match r.varint()? {
+            0 => Value::Null,
+            1 => Value::Bool(r.get()?),
+            2 => Value::Int(r.get()?),
+            3 => Value::Str(r.get()?),
+            4 => Value::Key(r.get()?),
+            tag => return Err(Error::UnknownVariant { ty: "Value", tag }),
+        })
+    }
+}
+
+/// A tuple is its value list.
+impl Wire for Tuple {
+    fn put<S: Sink>(&self, out: &mut S) {
+        self.0.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
+        r.get().map(Tuple)
     }
 }
 

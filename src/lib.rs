@@ -11,7 +11,8 @@
 //!   PlanetLab / wide-area substrate).
 //! * [`vocab`] — the process-wide interned term vocabulary (`TermId` /
 //!   `Terms`) every keyword path runs on.
-//! * [`codec`] — compact binary serde format for wire-size accounting.
+//! * [`codec`] — the compact binary wire format (`Wire`) behind wire-size
+//!   accounting.
 //! * [`dht`] — Kademlia-style structured overlay (the Bamboo substitute).
 //! * [`pier`] — the PIER relational query processor over the DHT.
 //! * [`piersearch`] — keyword search (Publisher + Search Engine) on PIER.
