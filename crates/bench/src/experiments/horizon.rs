@@ -10,7 +10,7 @@
 //! vantages too. This is the figs4–7 apparatus, sliced per vantage.
 
 use crate::experiments::Report;
-use crate::lab::{union_results, Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
+use crate::lab::{Lab, LabConfig, Scale, VantageResult, DEFAULT_SEED};
 use crate::output::{f, s, Table};
 use crate::sweep::Summary;
 use pier_netsim::MetricsSnapshot;
@@ -67,18 +67,20 @@ pub fn zero_single_rate(data: &HorizonData, v: usize) -> f64 {
     100.0 * zero as f64 / data.per_query.len().max(1) as f64
 }
 
-/// Percentage of queries returning zero results in the Union-of-all.
+/// Percentage of queries returning zero results in the Union-of-all: the
+/// union is empty iff every vantage's results are, so no union is built.
 pub fn zero_union_rate(data: &HorizonData) -> f64 {
     let n = data.vantage_count();
-    let zero = data.per_query.iter().filter(|pv| union_results(pv, n).is_empty()).count();
+    let zero =
+        data.per_query.iter().filter(|pv| pv.iter().take(n).all(|v| v.results.is_empty())).count();
     100.0 * zero as f64 / data.per_query.len().max(1) as f64
 }
 
 /// Does at least one new-style (32-neighbor) vantage see strictly more
-/// zero-result queries than the Union-of-all — i.e. is the horizon effect
-/// visible even from the best-connected vantage profile?
-pub fn new_style_horizon_visible(data: &HorizonData) -> bool {
-    let union = zero_union_rate(data);
+/// zero-result queries than the Union-of-all's `zero_union_rate` — i.e. is
+/// the horizon effect visible even from the best-connected vantage
+/// profile?
+pub fn new_style_horizon_visible(data: &HorizonData, union: f64) -> bool {
     data.vantage_degrees
         .iter()
         .enumerate()
@@ -139,7 +141,7 @@ pub fn summarize(data: &HorizonData) -> Summary {
     out.set("zero_gap", zero_single - zero_union);
     out.set("zero_single_new_style", mean_zero_single_rate(data, |d| d >= NEW_STYLE_DEGREE));
     out.set("zero_single_old_style", mean_zero_single_rate(data, |d| d < NEW_STYLE_DEGREE));
-    out.set("new_style_horizon_visible", new_style_horizon_visible(data) as u64 as f64);
+    out.set("new_style_horizon_visible", new_style_horizon_visible(data, zero_union) as u64 as f64);
     out.set("total_messages", data.metrics.total_messages as f64);
     out.set("total_bytes", data.metrics.total_bytes as f64);
     out.set("events_processed", data.events.processed as f64);
@@ -149,6 +151,13 @@ pub fn summarize(data: &HorizonData) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lab::union_results;
+
+    /// Queries whose Union-of-all result set is empty, built as sets.
+    fn zero_union_by_set(data: &HorizonData) -> f64 {
+        let n = data.vantage_count();
+        data.per_query.iter().filter(|pv| union_results(pv, n).is_empty()).count() as f64
+    }
 
     /// The acceptance property of the sparse preset: the horizon effect
     /// shows through *new-style* vantages, not just old-style ones.
@@ -174,8 +183,9 @@ mod tests {
             .filter(|(_, &d)| d >= NEW_STYLE_DEGREE)
             .map(|(v, _)| zero_single_rate(&data, v))
             .collect();
+        assert_eq!(union, 100.0 * zero_union_by_set(&data) / data.per_query.len() as f64);
         assert!(
-            new_style_horizon_visible(&data),
+            new_style_horizon_visible(&data, union),
             "no new-style vantage shows partial coverage: \
              new-style zero_single {new_style_rates:?} vs zero_union {union:.1}"
         );

@@ -28,6 +28,8 @@ pub enum Error {
     UnknownVariant { ty: &'static str, tag: u64 },
     /// A fixed-size blob was declared with the wrong length.
     WrongLength { declared: usize, expected: usize },
+    /// Values nested deeper than the decoder's bound (corrupt or hostile).
+    TooDeep { limit: u32 },
 }
 
 impl fmt::Display for Error {
@@ -47,6 +49,7 @@ impl fmt::Display for Error {
             Error::WrongLength { declared, expected } => {
                 write!(f, "declared length {declared}, expected {expected}")
             }
+            Error::TooDeep { limit } => write!(f, "values nested deeper than {limit} levels"),
         }
     }
 }
@@ -63,5 +66,6 @@ mod tests {
         assert!(Error::LengthOverrun { declared: 10, remaining: 3 }.to_string().contains("10"));
         assert!(Error::InvalidBool(7).to_string().contains("0x7"));
         assert!(Error::UnknownVariant { ty: "Expr", tag: 9 }.to_string().contains("Expr"));
+        assert!(Error::TooDeep { limit: 256 }.to_string().contains("256"));
     }
 }

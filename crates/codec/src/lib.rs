@@ -50,6 +50,9 @@ pub use error::{Error, Result};
 /// `put` is the only encoder: [`encoded_size`] runs it into a counting
 /// sink and [`to_bytes`] into a `Vec`, so a size can never disagree with
 /// the bytes it describes.
+///
+/// A type that can contain itself (`Expr`) decodes inside
+/// [`Reader::nested`], which bounds its depth.
 pub trait Wire: Sized {
     /// Write this value's bytes into `out`.
     fn put<S: Sink>(&self, out: &mut S);
@@ -120,7 +123,7 @@ pub fn encoded_size<T: Wire>(value: &T) -> usize {
 
 /// Decode a value from bytes, requiring the input be fully consumed.
 pub fn from_bytes<T: Wire>(input: &[u8]) -> Result<T> {
-    let mut r = Reader { input };
+    let mut r = Reader { input, depth: MAX_DEPTH };
     let value = T::get(&mut r)?;
     match r.input.len() {
         0 => Ok(value),
@@ -128,17 +131,34 @@ pub fn from_bytes<T: Wire>(input: &[u8]) -> Result<T> {
     }
 }
 
-/// A decoding cursor over the input. Every read is bounds-checked, and a
+/// How many [`Reader::nested`] levels may nest while decoding: far past
+/// any real message, and shallow enough that a recursive `get` cannot
+/// exhaust the stack.
+pub const MAX_DEPTH: u32 = 256;
+
+/// A decoding cursor over the input. Every read is bounds-checked, a
 /// length prefix is checked against the remaining input before anything
-/// is allocated for it.
+/// is allocated for it, and nesting is bounded by [`MAX_DEPTH`].
 pub struct Reader<'a> {
     input: &'a [u8],
+    /// Nesting levels left for [`Reader::nested`].
+    depth: u32,
 }
 
 impl<'a> Reader<'a> {
     /// Read one `T`: [`Wire::get`] with the type taken from the use site.
     pub fn get<T: Wire>(&mut self) -> Result<T> {
         T::get(self)
+    }
+
+    /// Run `get` one nesting level deeper, or fail past [`MAX_DEPTH`]. A
+    /// type that can contain itself decodes through here, so its depth is
+    /// bounded even in hostile input; types that cannot pay nothing.
+    pub fn nested<T>(&mut self, get: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.depth = self.depth.checked_sub(1).ok_or(Error::TooDeep { limit: MAX_DEPTH })?;
+        let value = get(self);
+        self.depth += 1;
+        value
     }
 
     /// The next `n` bytes.
@@ -346,6 +366,49 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(from_bytes::<Vec<u64>>(&bytes[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    /// A `Box` per `Some` byte, then `None`.
+    struct Nest(Option<Box<Nest>>);
+
+    impl Wire for Nest {
+        fn put<S: Sink>(&self, out: &mut S) {
+            out.put(&self.0);
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self> {
+            r.nested(|r| r.get().map(Nest))
+        }
+    }
+
+    /// A one-element sequence per 1 byte, then an empty one.
+    struct Tree(Vec<Tree>);
+
+    impl Wire for Tree {
+        fn put<S: Sink>(&self, out: &mut S) {
+            out.put(&self.0);
+        }
+        fn get(r: &mut Reader<'_>) -> Result<Self> {
+            r.nested(|r| r.get().map(Tree))
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let levels = |n: usize| {
+            let mut bytes = vec![1; n];
+            bytes.push(0);
+            bytes
+        };
+        let too_deep = Err(Error::TooDeep { limit: MAX_DEPTH });
+        // `n` bytes of 1 nest `n + 1` values, the outermost one included.
+        let max = MAX_DEPTH as usize;
+        assert!(from_bytes::<Nest>(&levels(max - 1)).is_ok());
+        assert_eq!(from_bytes::<Nest>(&levels(max)).map(drop), too_deep);
+        assert!(from_bytes::<Tree>(&levels(max - 1)).is_ok());
+        assert_eq!(from_bytes::<Tree>(&levels(max)).map(drop), too_deep);
+        // Deep enough to overflow the stack without the bound.
+        assert_eq!(from_bytes::<Nest>(&levels(1_000_000)).map(drop), too_deep);
+        assert_eq!(from_bytes::<Tree>(&levels(1_000_000)).map(drop), too_deep);
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! (footnote 2 of the paper). False positives cause harmless extra
 //! forwards; false negatives cannot occur.
 //!
-//! Terms are interned: the Kirsch–Mitzenmacher double-hash pair of each
-//! term is computed once at intern time and cached in the term table (and
-//! in every [`Terms`] payload), so the flood hot path never re-hashes
-//! string bytes. The cached pair is produced by the exact historical
+//! Terms are interned: the table positions of each term are computed once
+//! at intern time and cached in the term table, and every [`Terms`]
+//! payload carries its query's positions from the origin, so no relay hop
+//! hashes or allocates. The positions come from the exact historical
 //! per-byte mix, so filters are bit-identical to the string-hashing ones.
 //!
 //! There is one table geometry, LimeWire's: 65,536 slots and two hash
-//! functions, so every position is a `u16`.
+//! functions, so every position is a `u16` ([`pier_vocab::QRP_TABLE_BITS`],
+//! [`pier_vocab::QRP_HASHES`]).
 //!
 //! A leaf does not build a filter at all: its table is a [`QrpView`] of
 //! its share, read through the positions the share catalog stores once
@@ -21,40 +22,49 @@
 //! position set of the union of its tokens, so a view answers every probe
 //! as the filter built from the share would — `QrpFilter` stays as that
 //! oracle. An ultrapeer screens each leaf before the exact test: a
-//! 128-bit [`QrpScreen`] has bit `b` set iff some position `p` of the leaf
-//! has `p >> 9 == b`, and a query with a block the screen lacks cannot
+//! 256-bit [`QrpScreen`] has bit `b` set iff some position `p` of the leaf
+//! has `p >> 8 == b`, and a query with a block the screen lacks cannot
 //! match that leaf.
 
-use crate::files::FileStore;
+use crate::files::{FileId, FileStore, ShareCatalog};
 use pier_vocab::{intern, TermId, Terms};
 use std::sync::Arc;
 
-/// log2 of the table bits one [`QrpScreen`] bit covers: 128 blocks of
-/// 512 bits over the 65,536-bit table.
-const SCREEN_SHIFT: u32 = 9;
+/// log2 of the table bits one [`QrpScreen`] bit covers: 256 blocks of
+/// 256 bits over the 65,536-bit table.
+const SCREEN_SHIFT: u32 = 8;
 /// 64-bit words in the table.
 const WORDS: usize = QrpFilter::DEFAULT_BITS as usize / 64;
 
-/// A 128-bit block screen over table positions: bit `b` is set iff some
-/// position `p` has `p >> 9 == b`.
-pub type QrpScreen = [u64; 2];
+/// A 256-bit block screen over table positions: bit `b` is set iff some
+/// position `p` has `p >> 8 == b`.
+pub type QrpScreen = [u64; 4];
 
-/// Set position `p`'s block in `screen`.
-#[inline]
-fn screen_add(screen: &mut QrpScreen, p: u16) {
-    let b = p >> SCREEN_SHIFT;
-    screen[usize::from(b >> 6)] |= 1 << (b & 63);
+/// The screen of `positions`: the blocks they fall in.
+pub(crate) fn screen_of(positions: impl IntoIterator<Item = u16>) -> QrpScreen {
+    let mut screen = [0; 4];
+    for p in positions {
+        let b = p >> SCREEN_SHIFT;
+        screen[usize::from(b >> 6)] |= 1 << (b & 63);
+    }
+    screen
 }
 
-/// The table positions of terms' cached hash pairs, [`QrpFilter::DEFAULT_HASHES`]
-/// per term, first term first (Kirsch–Mitzenmacher: `h1 + i·h2 mod m`).
-/// The share catalog stores them per file; a probe and the filter test them.
-pub(crate) fn table_positions(hashes: &[(u64, u64)]) -> impl Iterator<Item = u16> + '_ {
-    let m = u64::from(QrpFilter::DEFAULT_BITS);
-    hashes.iter().flat_map(move |&(h1, h2)| {
-        (0..u64::from(QrpFilter::DEFAULT_HASHES))
-            .map(move |i| (h1.wrapping_add(h2.wrapping_mul(i)) % m) as u16)
-    })
+/// Does `screen` hold every block of `need`? A leaf whose screen lacks a
+/// block of the query's positions cannot match it.
+#[inline]
+pub(crate) fn screen_admits(screen: &QrpScreen, need: &QrpScreen) -> bool {
+    need.iter().zip(screen).fold(0, |miss, (n, s)| miss | n & !s) == 0
+}
+
+/// The exact last-hop test: is every probe position set by some file of
+/// the share `files` of `catalog`? Empty positions (an empty query) route
+/// nowhere.
+pub(crate) fn share_matches(catalog: &ShareCatalog, files: &[FileId], positions: &[u16]) -> bool {
+    !positions.is_empty()
+        && positions
+            .iter()
+            .all(|p| files.iter().any(|&f| catalog.qrp_positions(f).binary_search(p).is_ok()))
 }
 
 /// The QRP table: a 65,536-bit Bloom filter over lowercase terms.
@@ -66,22 +76,23 @@ pub struct QrpFilter {
 impl QrpFilter {
     /// Standard LimeWire table size is 65,536 slots; two hashes keep the
     /// false-positive rate low at leaf-share sizes (hundreds of keywords).
-    pub const DEFAULT_BITS: u32 = 65_536;
-    pub const DEFAULT_HASHES: u32 = 2;
+    pub const DEFAULT_BITS: u32 = pier_vocab::QRP_TABLE_BITS;
+    pub const DEFAULT_HASHES: u32 = pier_vocab::QRP_HASHES as u32;
 
     /// An empty table.
     pub fn with_defaults() -> Self {
         QrpFilter { bits: Box::new([0; WORDS]) }
     }
 
+    /// Is table position `p` set?
     #[inline]
-    fn test_bit(&self, p: u16) -> bool {
+    pub fn contains_position(&self, p: u16) -> bool {
         self.bits[usize::from(p / 64)] & (1 << (p % 64)) != 0
     }
 
     /// Insert a batch of interned terms with one term-table read.
     pub fn insert_ids(&mut self, ids: &[TermId]) {
-        for p in table_positions(&pier_vocab::qrp_hashes_of(ids)) {
+        for p in pier_vocab::qrp_positions_of(ids) {
             self.bits[usize::from(p / 64)] |= 1 << (p % 64);
         }
     }
@@ -91,27 +102,24 @@ impl QrpFilter {
         self.insert_ids(&[intern(term)]);
     }
 
-    /// Might this filter contain the term with this cached hash pair?
-    pub fn contains_hashes(&self, h: (u64, u64)) -> bool {
-        table_positions(&[h]).all(|p| self.test_bit(p))
-    }
-
     /// Might this filter contain `term`?
     pub fn contains(&self, term: &str) -> bool {
-        self.contains_hashes(pier_vocab::qrp_hashes(intern(term)))
+        pier_vocab::qrp_positions(intern(term)).iter().all(|&p| self.contains_position(p))
     }
 
-    /// Would a query (all of `terms`) route to this filter's owner? Uses
-    /// the hash pairs cached in the payload — no table access, no hashing.
+    /// Would a query (all of `terms`) route to this filter's owner? Reads
+    /// the positions carried in the payload — no table access, no hashing.
     pub fn matches_all(&self, terms: &Terms) -> bool {
-        !terms.is_empty() && terms.qrp_hashes().iter().all(|&h| self.contains_hashes(h))
+        self.matches_positions(terms.qrp_positions())
     }
 
-    /// [`QrpFilter::matches_all`] against a precomputed [`QrpProbe`]:
-    /// the same answer, with the position arithmetic hoisted out of the
-    /// per-filter loop.
+    /// [`QrpFilter::matches_all`] against a [`QrpProbe`]: the same answer.
     pub fn matches_probe(&self, probe: &QrpProbe) -> bool {
-        !probe.positions.is_empty() && probe.positions.iter().all(|&p| self.test_bit(p))
+        self.matches_positions(probe.positions())
+    }
+
+    fn matches_positions(&self, positions: &[u16]) -> bool {
+        !positions.is_empty() && positions.iter().all(|&p| self.contains_position(p))
     }
 
     /// Number of set bits.
@@ -120,32 +128,29 @@ impl QrpFilter {
     }
 }
 
-/// One query's table positions, computed once and tested against many
-/// leaves. The ultrapeer last-hop loop probes every leaf with the same
-/// query, and the position arithmetic depends only on the query — so
-/// hoisting it turns the inner loop into pure position tests.
-pub struct QrpProbe {
-    /// Flattened `terms × k` positions, first term first (the early-exit
-    /// order of [`QrpFilter::matches_all`]). Empty ⇔ empty query, which
-    /// routes nowhere.
-    positions: Vec<u16>,
-}
+/// One query's table positions, tested against many tables: an owned
+/// handle on the positions its [`Terms`] carries (an `Arc` bump, no
+/// copy). The relay hop reads those positions straight from the payload;
+/// the probe serves the oracle tests and the benchmark's micro-probes.
+pub struct QrpProbe(Terms);
 
 impl QrpProbe {
-    /// Precompute the probe for `terms`.
+    /// The probe for `terms`.
     pub fn with_defaults(terms: &Terms) -> QrpProbe {
-        let hashes = terms.qrp_hashes();
-        let mut positions = Vec::with_capacity(hashes.len() * QrpFilter::DEFAULT_HASHES as usize);
-        positions.extend(table_positions(hashes));
-        QrpProbe { positions }
+        QrpProbe(terms.clone())
+    }
+
+    /// `terms × k` positions, first term first (the early-exit order of
+    /// [`QrpFilter::matches_all`]). Empty ⇔ empty query, which routes
+    /// nowhere.
+    pub fn positions(&self) -> &[u16] {
+        self.0.qrp_positions()
     }
 
     /// The blocks of the probe's positions: a leaf whose
     /// [`QrpView::screen`] lacks one cannot match.
     pub fn screen(&self) -> QrpScreen {
-        let mut screen = [0; 2];
-        self.positions.iter().for_each(|&p| screen_add(&mut screen, p));
-        screen
+        screen_of(self.positions().iter().copied())
     }
 }
 
@@ -157,28 +162,17 @@ impl QrpProbe {
 pub struct QrpView(pub(crate) FileStore);
 
 impl QrpView {
-    /// The positions of each shared file, in share order.
-    fn spans(&self) -> impl Iterator<Item = &[u16]> + '_ {
-        let store = &self.0;
-        store.files.iter().map(|&f| store.catalog.qrp_positions(f))
-    }
-
     /// The blocks of every position the share sets.
     pub fn screen(&self) -> QrpScreen {
-        let mut screen = [0; 2];
-        self.spans().flatten().for_each(|&p| screen_add(&mut screen, p));
-        screen
+        let store = &self.0;
+        screen_of(store.files.iter().flat_map(|&f| store.catalog.qrp_positions(f).iter().copied()))
     }
 
     /// Would the probe's query route to this leaf: is every probe position
     /// set by some shared file? The same answer as
     /// [`QrpFilter::matches_probe`] on the filter built from the share.
     pub fn matches(&self, probe: &QrpProbe) -> bool {
-        !probe.positions.is_empty()
-            && probe
-                .positions
-                .iter()
-                .all(|p| self.spans().any(|span| span.binary_search(p).is_ok()))
+        share_matches(&self.0.catalog, &self.0.files, probe.positions())
     }
 
     /// Is this a view of `store`'s own id list (no copy of it)?
@@ -228,8 +222,8 @@ mod tests {
 
     #[test]
     fn id_and_string_paths_agree() {
-        // The cached-hash path must produce bit-identical filters to the
-        // historical string-hashing path (same bits, same answers).
+        // The cached-position path must produce bit-identical filters to
+        // the historical string-hashing path (same bits, same answers).
         let mut by_str = QrpFilter::with_defaults();
         let mut by_id = QrpFilter::with_defaults();
         let terms = ["led", "zeppelin", "stairway", "07"];
@@ -241,7 +235,7 @@ mod tests {
         assert_eq!(by_id, by_str, "cached hashes must set the exact same bits");
         for (t, id) in terms.iter().zip(&ids) {
             assert!(by_id.contains(t));
-            assert!(by_str.contains_hashes(pier_vocab::qrp_hashes(*id)));
+            assert!(pier_vocab::qrp_positions(*id).iter().all(|&p| by_str.contains_position(p)));
         }
     }
 

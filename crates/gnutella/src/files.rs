@@ -30,7 +30,7 @@
 //! node that goes down keeps its `FileStore` for when it revives.
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::bloom::{table_positions, QrpView};
+use crate::bloom::QrpView;
 use pier_netsim::keyed::KeyedMap;
 use pier_netsim::HeapSize;
 use pier_vocab::{scan, TermId};
@@ -92,11 +92,12 @@ impl ShareCatalog {
             token_off.push(end);
         }
         token_arena.shrink_to_fit();
-        let hashes = pier_vocab::qrp_hashes_of(&token_arena);
+        let positions = pier_vocab::qrp_positions_of(&token_arena);
+        let k = pier_vocab::QRP_HASHES;
         let (mut qrp_arena, mut qrp_off, mut file) = (vec![], vec![0u32], vec![]);
         for span in token_off.windows(2) {
             file.clear();
-            file.extend(table_positions(&hashes[span[0] as usize..span[1] as usize]));
+            file.extend_from_slice(&positions[span[0] as usize * k..span[1] as usize * k]);
             file.sort_unstable();
             file.dedup();
             qrp_arena.extend_from_slice(&file);

@@ -2,9 +2,9 @@
 //! last-hop QRP filtering for its leaves, and runs LimeWire-style *dynamic
 //! querying* for searches it originates.
 
-use crate::bloom::{QrpProbe, QrpScreen, QrpView};
+use crate::bloom::{screen_admits, screen_of, share_matches, QrpScreen, QrpView};
 use crate::config::UltrapeerConfig;
-use crate::files::FileStore;
+use crate::files::{FileId, FileStore, ShareCatalog};
 use crate::msg::{GnutellaMsg, Guid, Hit};
 use crate::net::GnutellaNet;
 use pier_netsim::keyed::KeyedMap;
@@ -15,6 +15,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// TTL for classic (non-dynamic) flooded queries.
 const FLOOD_TTL: u8 = 4;
@@ -119,29 +120,52 @@ impl Hasher for GuidHasher {
 type SeenMap = KeyedMap<Guid, SeenEntry, BuildHasherDefault<GuidHasher>>;
 
 /// An ultrapeer's connected leaves, struct-of-arrays in ascending id
-/// order: the last-hop loop scans the 16-byte screens and reads a leaf's
-/// view only where its screen admits the probe.
+/// order: the last-hop loop scans the 32-byte screens and reads a leaf's
+/// share only where its screen admits the query. A published table is
+/// kept as its two parts: the leaf's own id list in its slot, and the
+/// catalog it reads through once per table. Every leaf of a wired network
+/// reads through one catalog, so a slot costs 52 bytes; only a table that
+/// has seen a second catalog adds a 2-byte index per slot.
 #[derive(Default)]
 struct LeafTable {
     ids: Vec<NodeId>,
     /// Each leaf's view's screen; zero until its first `QrpUpdate`, so a
     /// leaf without a table admits no query.
     screens: Vec<QrpScreen>,
-    views: Vec<Option<QrpView>>,
+    /// Each leaf's shared file ids; `None` until its first `QrpUpdate`.
+    shares: Vec<Option<Arc<[FileId]>>>,
+    /// The catalog of the first published share: catalog index 0.
+    catalog: Option<Arc<ShareCatalog>>,
+    /// The other catalogs and each slot's index, once a share reads
+    /// through a second catalog.
+    mixed: Option<Box<MixedCatalogs>>,
+}
+
+/// The catalogs after a table's first, which only tests mix.
+struct MixedCatalogs {
+    /// Catalog index `i + 1` is `more[i]`. None is ever dropped: a leaf's
+    /// share never changes catalog, so this is bounded by the leaves ever
+    /// connected.
+    more: Vec<Arc<ShareCatalog>>,
+    /// Each slot's catalog index, parallel with the slots.
+    index: Vec<u16>,
 }
 
 impl LeafTable {
     fn reserve_exact(&mut self, n: usize) {
         self.ids.reserve_exact(n);
         self.screens.reserve_exact(n);
-        self.views.reserve_exact(n);
+        self.shares.reserve_exact(n);
     }
 
     fn insert(&mut self, leaf: NodeId) {
         if let Err(at) = self.ids.binary_search(&leaf) {
             self.ids.insert(at, leaf);
-            self.screens.insert(at, [0; 2]);
-            self.views.insert(at, None);
+            self.screens.insert(at, [0; 4]);
+            self.shares.insert(at, None);
+            if let Some(mixed) = &mut self.mixed {
+                mixed.index.insert(at, 0);
+            }
         }
     }
 
@@ -150,17 +174,63 @@ impl LeafTable {
     fn set_view(&mut self, leaf: NodeId, view: QrpView) -> bool {
         let Ok(at) = self.ids.binary_search(&leaf) else { return false };
         self.screens[at] = view.screen();
-        self.views[at] = Some(view);
+        let FileStore { catalog, files } = view.0;
+        self.shares[at] = Some(files);
+        let first = self.catalog.get_or_insert_with(|| Arc::clone(&catalog));
+        if Arc::ptr_eq(first, &catalog) {
+            if let Some(mixed) = &mut self.mixed {
+                mixed.index[at] = 0;
+            }
+            return true;
+        }
+        let slots = self.ids.len();
+        let mixed = self
+            .mixed
+            .get_or_insert_with(|| Box::new(MixedCatalogs { more: vec![], index: vec![0; slots] }));
+        let i = match mixed.more.iter().position(|c| Arc::ptr_eq(c, &catalog)) {
+            Some(i) => i,
+            None => {
+                mixed.more.push(catalog);
+                mixed.more.len() - 1
+            }
+        };
+        // Holds: one catalog per leaf at most, and an ultrapeer holds far
+        // fewer than 65,535 leaves.
+        mixed.index[at] = u16::try_from(i + 1).expect("a leaf table over 2^16 catalogs");
         true
+    }
+
+    /// The catalog slot `at`'s published share reads through.
+    #[inline]
+    fn catalog_at(&self, at: usize) -> &Arc<ShareCatalog> {
+        match self.mixed.as_deref() {
+            Some(m) if m.index[at] > 0 => &m.more[usize::from(m.index[at]) - 1],
+            // Holds: a slot has a share only once a table was adopted, and
+            // the first adoption sets `catalog`.
+            _ => self.catalog.as_ref().expect("a published share has a catalog"),
+        }
+    }
+
+    /// The table `leaf` published, if it is connected and has.
+    fn view(&self, leaf: NodeId) -> Option<QrpView> {
+        let at = self.ids.binary_search(&leaf).ok()?;
+        let files = Arc::clone(self.shares[at].as_ref()?);
+        Some(QrpView(FileStore { catalog: Arc::clone(self.catalog_at(at)), files }))
     }
 }
 
 impl pier_netsim::HeapSize for LeafTable {
-    /// The arrays only: a view's id list is the leaf's, charged there.
+    /// The arrays only: a share's id list is the leaf's, and a catalog the
+    /// network's, charged there.
     fn heap_bytes(&self) -> usize {
         self.ids.capacity() * size_of::<NodeId>()
             + self.screens.capacity() * size_of::<QrpScreen>()
-            + self.views.capacity() * size_of::<Option<QrpView>>()
+            + self.shares.capacity() * size_of::<Option<Arc<[FileId]>>>()
+            + self.mixed.as_ref().map_or(0, |m| {
+                size_of::<MixedCatalogs>()
+                    + m.more.capacity() * size_of::<Arc<ShareCatalog>>()
+                    + m.index.capacity() * size_of::<u16>()
+            })
     }
 }
 
@@ -171,8 +241,8 @@ pub struct UltrapeerCore {
     pub cfg: UltrapeerConfig,
     neighbors: Box<[NodeId]>,
     /// Connected leaves and their QRP tables for last-hop forwarding. A
-    /// table is a view of the leaf's own share (its id list and the
-    /// network's catalog), so an entry costs no copy of anything.
+    /// table is the leaf's own id list plus the network's catalog, so an
+    /// entry costs no copy of anything.
     leaves: LeafTable,
     store: FileStore,
     /// GUID → where the query came from (reverse-path routing table).
@@ -307,13 +377,12 @@ impl UltrapeerCore {
 
     /// Number of leaves that have published a QRP table here.
     pub fn qrp_refs(&self) -> usize {
-        self.leaves.views.iter().filter(|v| v.is_some()).count()
+        self.leaves.shares.iter().filter(|v| v.is_some()).count()
     }
 
     /// The QRP table `leaf` published here, if it is connected and has.
-    pub fn qrp_view(&self, leaf: NodeId) -> Option<&QrpView> {
-        let at = self.leaves.ids.binary_search(&leaf).ok()?;
-        self.leaves.views[at].as_ref()
+    pub fn qrp_view(&self, leaf: NodeId) -> Option<QrpView> {
+        self.leaves.view(leaf)
     }
 
     /// Inspect an originated query (driver API).
@@ -515,18 +584,22 @@ impl UltrapeerCore {
         self.seen_base = base;
     }
 
-    /// Last-hop leaf forwarding via QRP (cached hashes: no re-hashing; one
-    /// probe's positions shared across every leaf, whose view is read only
-    /// when its screen holds every block of the probe). Returns the number
-    /// of leaves forwarded to, in ascending `NodeId` order.
+    /// Last-hop leaf forwarding via QRP: the query's positions ride in
+    /// `terms` from its origin, so this hop neither hashes nor allocates.
+    /// A leaf's share is read only when its screen holds every block of
+    /// those positions. Returns the number of leaves forwarded to, in
+    /// ascending `NodeId` order.
     fn forward_to_leaves(&self, net: &mut dyn GnutellaNet, guid: Guid, terms: &Terms) -> u64 {
-        let probe = QrpProbe::with_defaults(terms);
-        let need = probe.screen();
+        let positions = terms.qrp_positions();
+        let need = screen_of(positions.iter().copied());
         let t = &self.leaves;
         let mut forwards = 0;
-        for (at, s) in t.screens.iter().enumerate() {
-            let screened_out = need[0] & !s[0] | need[1] & !s[1] != 0;
-            if !screened_out && t.views[at].as_ref().is_some_and(|v| v.matches(&probe)) {
+        for (at, screen) in t.screens.iter().enumerate() {
+            if !screen_admits(screen, &need) {
+                continue;
+            }
+            let Some(files) = &t.shares[at] else { continue };
+            if share_matches(t.catalog_at(at), files, positions) {
                 net.send(t.ids[at], GnutellaMsg::LeafForward { guid, terms: terms.clone() });
                 forwards += 1;
             }
@@ -929,6 +1002,41 @@ mod tests {
         // A leaf with no filter yet receives nothing.
     }
 
+    /// Leaves sharing one catalog and leaves with catalogs of their own
+    /// route alike, including a leaf connected after the table mixed
+    /// catalogs and a leaf that republishes through another catalog.
+    #[test]
+    fn leaves_of_one_catalog_and_of_their_own_route_alike() {
+        let (mut core, mut net) = up_with_neighbors(1);
+        let names = [["led_zeppelin.mp3"], ["floyd.mp3"], ["led_astray.avi"]];
+        let shared = FileStore::shared_all(names.map(|n| vec![FileMeta::new(n[0], 1)]).to_vec());
+        let (a, b, c, d) = (NodeId::new(10), NodeId::new(11), NodeId::new(12), NodeId::new(13));
+        core.add_leaves([a, b, c].into_iter());
+        core.on_message(&mut net, a, GnutellaMsg::QrpUpdate { view: shared[0].qrp_view() });
+        core.on_message(&mut net, b, qrp_update(&["led.mp3"]));
+        core.add_leaf(d);
+        core.on_message(&mut net, d, GnutellaMsg::QrpUpdate { view: shared[2].qrp_view() });
+        core.on_message(&mut net, c, qrp_update(&["zeppelin_led.ogg"]));
+        net.drain();
+        assert!(core.qrp_view(a).unwrap().is_view_of(&shared[0]));
+        assert!(core.qrp_view(d).unwrap().is_view_of(&shared[2]));
+        assert!(Arc::ptr_eq(core.qrp_view(a).unwrap().0.catalog(), shared[2].catalog()));
+        let forwarded = |core: &mut UltrapeerCore, net: &mut FakeNet, guid, q: &str| {
+            core.handle_query(net, NodeId::new(1), Guid(guid), 1, 0, q.into());
+            let sent = net.drain().into_iter();
+            sent.filter(|(_, m)| matches!(m, GnutellaMsg::LeafForward { .. }))
+                .map(|(to, _)| to)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(forwarded(&mut core, &mut net, 2, "led"), vec![a, b, c, d]);
+        assert_eq!(forwarded(&mut core, &mut net, 3, "led zeppelin"), vec![a, c]);
+        // `a` moves to a catalog of its own, `c` to the shared one.
+        core.on_message(&mut net, a, qrp_update(&["floyd.mp3"]));
+        core.on_message(&mut net, c, GnutellaMsg::QrpUpdate { view: shared[0].qrp_view() });
+        assert_eq!(forwarded(&mut core, &mut net, 4, "led zeppelin"), vec![c]);
+        assert_eq!(forwarded(&mut core, &mut net, 5, "floyd"), vec![a]);
+    }
+
     #[test]
     fn crawl_pong_reports_topology() {
         let (mut core, mut net) = up_with_neighbors(4);
@@ -1028,11 +1136,13 @@ mod tests {
     }
 
     #[test]
-    fn leaf_slot_is_44_bytes() {
-        // Every leaf of every ultrapeer holds one id, one screen and one
-        // view: the view is two `Arc`s, never a copy of the share.
-        let slot = size_of::<NodeId>() + size_of::<QrpScreen>() + size_of::<Option<QrpView>>();
-        assert_eq!(slot, 44);
+    fn leaf_slot_is_52_bytes() {
+        // Every leaf of every ultrapeer holds one id, one screen and its
+        // share's id list (an `Arc`, never a copy); the catalog is held
+        // once per table.
+        let slot =
+            size_of::<NodeId>() + size_of::<QrpScreen>() + size_of::<Option<Arc<[FileId]>>>();
+        assert_eq!(slot, 52);
     }
 
     #[test]

@@ -58,19 +58,23 @@ const TOP_TERM: &str = "top55724";
 
 #[test]
 fn the_top_term_lands_on_the_last_position() {
-    let (h1, h2) = pier_vocab::qrp_hashes(pier_vocab::intern(TOP_TERM));
-    let m = u64::from(QrpFilter::DEFAULT_BITS);
-    assert_eq!(h1.wrapping_add(h2) % m, 65_535);
+    assert_eq!(pier_vocab::qrp_positions(pier_vocab::intern(TOP_TERM))[1], 65_535);
+    assert_eq!(Terms::from_text(TOP_TERM).qrp_positions()[1], 65_535);
 }
 
-/// The 128-block screen of the oracle's set bits (`(p, 0)` probes bit `p`
-/// alone, for every hash function).
+/// The 256-block screen of the oracle's set bits: bit `b` for each set
+/// position `p` with `p >> 8 == b`.
 fn oracle_screen(filter: &QrpFilter) -> QrpScreen {
-    let mut screen = [0; 2];
-    for p in (0..QrpFilter::DEFAULT_BITS).filter(|&p| filter.contains_hashes((u64::from(p), 0))) {
-        screen[(p >> 15) as usize] |= 1 << (p >> 9 & 63);
+    let mut screen = [0; 4];
+    for p in (0..=u16::MAX).filter(|&p| filter.contains_position(p)) {
+        screen[usize::from(p >> 14)] |= 1 << (p >> 8 & 63);
     }
     screen
+}
+
+/// Does the screen hold every block the probe needs?
+fn admitted(need: QrpScreen, screen: QrpScreen) -> bool {
+    need.iter().zip(screen).all(|(n, s)| n & !s == 0)
 }
 
 /// `store`'s view against the filter of its token union, on every query.
@@ -84,8 +88,7 @@ fn view_equals_filter(store: &FileStore, queries: &[Terms]) -> Result<(), TestCa
         let probe = QrpProbe::with_defaults(q);
         let routed = view.matches(&probe);
         prop_assert_eq!(routed, filter.matches_probe(&probe), "{:?}", q);
-        let need = probe.screen();
-        let admitted = need[0] & !screen[0] | need[1] & !screen[1] == 0;
+        let admitted = admitted(probe.screen(), screen);
         prop_assert!(admitted || !routed, "the screen rejected a matching leaf: {:?}", q);
     }
     Ok(())
@@ -106,7 +109,10 @@ proptest! {
         names in prop::collection::vec(file_name(), 1..40),
         shares in prop::collection::vec(prop::collection::vec(0usize..1_000, 0..65), 1..6),
         big_tokens in 2_300usize..2_600,
-        queries in prop::collection::vec("[a-h][0-9]( [a-h][0-9]){0,2}", 1..16),
+        queries in prop::collection::vec(
+            prop::collection::vec("[a-h][0-9]", 1..4).prop_map(|words| words.join(" ")),
+            1..16,
+        ),
     ) {
         let mut metas: Vec<Vec<FileMeta>> = shares
             .iter()

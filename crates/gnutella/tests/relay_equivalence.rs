@@ -5,7 +5,8 @@
 //! tick (sweeping the table only when an insert would grow it), stamps
 //! them as `u32` offsets from a base it moves forward every 2³² µs or so,
 //! and matches a query against a leaf's QRP table — a view of the leaf's
-//! share — only when the leaf's 128-bit block screen admits it.
+//! share — only when the leaf's 256-bit block screen admits the query's
+//! carried positions.
 //! [`EagerCore`] below is the reference: the same protocol with
 //! `seen.retain(..)` on every tick and a brute-force loop over every leaf
 //! that builds a `QrpFilter` from the leaf's share and asks `matches_all`.

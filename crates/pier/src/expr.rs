@@ -126,13 +126,18 @@ impl Wire for Expr {
             Expr::And(exprs) => out.tag(3).put(exprs),
         };
     }
+    /// `Contains` and `And` hold `Expr`s, so each level is a
+    /// [`Reader::nested`] one: a hostile chain fails instead of
+    /// overflowing the stack.
     fn get(r: &mut Reader<'_>) -> pier_codec::Result<Self> {
-        Ok(match r.varint()? {
-            0 => Expr::Col(r.get()?),
-            1 => Expr::Lit(r.get()?),
-            2 => Expr::Contains(r.get()?, r.get()?),
-            3 => Expr::And(r.get()?),
-            tag => return Err(Error::UnknownVariant { ty: "Expr", tag }),
+        r.nested(|r| {
+            Ok(match r.varint()? {
+                0 => Expr::Col(r.get()?),
+                1 => Expr::Lit(r.get()?),
+                2 => Expr::Contains(r.get()?, r.get()?),
+                3 => Expr::And(r.get()?),
+                tag => return Err(Error::UnknownVariant { ty: "Expr", tag }),
+            })
         })
     }
 }

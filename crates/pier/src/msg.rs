@@ -94,4 +94,39 @@ mod tests {
         assert!(PierMsg::decode(&[0xFF, 0x00, 0x13]).is_err());
         assert!(PierMsg::decode(&[]).is_err());
     }
+
+    /// An `Install` whose filter is 100,048 bytes in all, the filter a
+    /// chain of `Contains` tags (each opens another nested `Expr`): an
+    /// error, where unbounded recursion overflowed the stack.
+    #[test]
+    fn deeply_nested_filter_is_an_error() {
+        use crate::expr::Expr;
+        use crate::plan::{ScanSpec, Stage};
+        use pier_dht::{Contact, Key};
+        let install = |filter| PierMsg::Install {
+            plan: QueryPlan {
+                id: QueryId { origin: 1, seq: 2 },
+                stages: vec![Stage {
+                    site: Key::hash(b"site"),
+                    scan: ScanSpec { table: "inverted".into(), key: Key::hash(b"led") },
+                    filter,
+                    join: None,
+                    project: vec![0],
+                }],
+                collector: Contact::for_node(pier_netsim::NodeId::new(3)),
+                limit: None,
+            },
+            stage: 0,
+        };
+        // The bytes up to the filter's `Some` tag, where the two differ.
+        let (none, some) = (install(None).encode(), install(Some(Expr::Col(0))).encode());
+        let at = none.iter().zip(&some).position(|(a, b)| a != b).unwrap();
+        let mut bytes = some[..=at].to_vec();
+        bytes.resize(100_048, 2);
+        assert_eq!(PierMsg::decode(&bytes), Err(Error::TooDeep { limit: pier_codec::MAX_DEPTH }));
+        // A filter a few levels deep still decodes.
+        let shallow =
+            install(Some(Expr::And(vec![Expr::contains(0, "a"), Expr::contains(1, "b")])));
+        assert_eq!(PierMsg::decode(&shallow.encode()), Ok(shallow));
+    }
 }

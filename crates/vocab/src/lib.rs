@@ -10,12 +10,12 @@
 //! * [`TermId`] — a dense `u32` into the process-wide [term table]. The
 //!   table retains, per term, its text, its byte length (so Gnutella 0.6
 //!   wire-size accounting stays faithful to the joined-string framing) and
-//!   its QRP double-hash pair (so Bloom filters never re-hash bytes and
+//!   its two QRP table positions (so Bloom filters never re-hash bytes and
 //!   produce *bit-identical* filters to the string path).
 //! * [`Terms`] — an immutable, `Arc`-shared term list with its wire length
-//!   and QRP hashes precomputed once. Flooding a query to N neighbors
-//!   clones a pointer, not N strings, and every relay hop re-uses the
-//!   cached hashes for last-hop QRP checks.
+//!   and QRP positions precomputed once, at the query's origin. Flooding a
+//!   query to N neighbors clones a pointer, not N strings, and every relay
+//!   hop reads the carried positions for its last-hop QRP checks.
 //! * [`scan`] — the one shared tokenizer (lowercase alphanumeric runs,
 //!   order kept, duplicates kept), with [`scan_text`] as its string form;
 //!   Gnutella matching and workload generation both call it directly.
@@ -28,7 +28,7 @@
 //! Ids are assigned in first-intern order, which may differ between runs
 //! (parallel sweep trials intern concurrently). Nothing observable may
 //! therefore depend on id *values*: matching compares ids for equality,
-//! wire sizes come from retained byte lengths and Bloom bits from hashes of
+//! wire sizes come from retained text lengths and Bloom bits from hashes of
 //! the term bytes. Ids are never put on a wire: a message's size counts
 //! the term text, never an id.
 //!
@@ -62,13 +62,13 @@ impl fmt::Debug for TermId {
     }
 }
 
+/// One interned term: 24 bytes. The text's byte length (what the
+/// joined-query wire framing counts) is the `Arc<str>`'s own length.
 struct TermInfo {
     text: Arc<str>,
-    /// UTF-8 byte length (what the joined-query wire framing counts).
-    byte_len: u32,
-    /// Kirsch–Mitzenmacher double-hash pair for QRP Bloom filters,
-    /// precomputed from the term bytes at intern time.
-    qrp: (u64, u64),
+    /// The term's QRP table positions, computed from the term bytes at
+    /// intern time.
+    qrp: [u16; QRP_HASHES],
     /// Passes the PIERSearch indexing policy (≥ 2 bytes, not a stop-word).
     indexable: bool,
 }
@@ -98,18 +98,30 @@ fn write_table() -> RwLockWriteGuard<'static, Table> {
     table().write().expect("term table poisoned")
 }
 
-/// The QRP double-hash pair of a term — the exact per-byte mix the Bloom
-/// filter historically applied, so cached-hash filters stay bit-identical
-/// to freshly hashed ones.
-fn qrp_hash_pair(term: &str) -> (u64, u64) {
+/// Slots in a QRP table: LimeWire's 65,536, so every position is a `u16`.
+pub const QRP_TABLE_BITS: u32 = 65_536;
+/// Hash functions per term in a QRP table (positions per term).
+pub const QRP_HASHES: usize = 2;
+
+/// A term's QRP table positions: `(h1 + i·h2) mod 65,536` for `i` in
+/// `0..QRP_HASHES` (Kirsch–Mitzenmacher double hashing), where `(h1, h2)`
+/// is the exact per-byte mix the Bloom filter historically applied, so
+/// filters built from cached positions stay bit-identical to freshly
+/// hashed ones.
+fn qrp_positions_of_text(term: &str) -> [u16; QRP_HASHES] {
     let mut state = 0xF11E_D00D_u64;
     for b in term.as_bytes() {
         state = state.rotate_left(8) ^ (*b as u64);
         split_mix64(&mut state);
     }
     let h1 = split_mix64(&mut state);
+    // Odd, so coprime with the power-of-two table size.
     let h2 = split_mix64(&mut state) | 1;
-    (h1, h2)
+    let m = u64::from(QRP_TABLE_BITS);
+    // Holds: a value below `m` = 2¹⁶ fits a `u16`.
+    std::array::from_fn(|i| {
+        u16::try_from(h1.wrapping_add(h2.wrapping_mul(i as u64)) % m).expect("position below 2^16")
+    })
 }
 
 /// Intern `term`, returning its id. Idempotent and thread-safe; ids are
@@ -134,9 +146,7 @@ pub fn intern(term: &str) -> TermId {
     let text: Arc<str> = Arc::from(term);
     t.terms.push(TermInfo {
         text: text.clone(),
-        // Holds: interned text is a token or a filename, far below 4 GiB.
-        byte_len: u32::try_from(term.len()).expect("term longer than u32::MAX bytes"),
-        qrp: qrp_hash_pair(term),
+        qrp: qrp_positions_of_text(term),
         indexable: term.len() >= 2 && !policy::is_stop_word(term),
     });
     t.by_text.insert(text, id);
@@ -155,19 +165,20 @@ pub fn text(id: TermId) -> Arc<str> {
 
 /// The term's UTF-8 byte length.
 pub fn byte_len(id: TermId) -> usize {
-    read_table().terms[id.index()].byte_len as usize
+    read_table().terms[id.index()].text.len()
 }
 
-/// The term's precomputed QRP double-hash pair.
-pub fn qrp_hashes(id: TermId) -> (u64, u64) {
+/// The term's precomputed QRP table positions.
+pub fn qrp_positions(id: TermId) -> [u16; QRP_HASHES] {
     read_table().terms[id.index()].qrp
 }
 
-/// The QRP hash pairs of a whole slice, under one table read — the batch
-/// form QRP filter construction uses.
-pub fn qrp_hashes_of(ids: &[TermId]) -> Vec<(u64, u64)> {
+/// The QRP positions of a whole slice, [`QRP_HASHES`] per id in slice
+/// order, under one table read — the batch form QRP table construction
+/// uses.
+pub fn qrp_positions_of(ids: &[TermId]) -> Vec<u16> {
     let t = read_table();
-    ids.iter().map(|id| t.terms[id.index()].qrp).collect()
+    ids.iter().flat_map(|id| t.terms[id.index()].qrp).collect()
 }
 
 /// Number of distinct terms interned so far.
@@ -298,13 +309,14 @@ struct TermsInner {
     /// Bytes of the space-joined query text (Gnutella 0.6 framing):
     /// Σ byte_len + (n − 1) separators; 0 when empty.
     wire_len: u32,
-    /// Per-term QRP hash pairs, for lock-free Bloom checks at every hop.
-    qrp: Box<[(u64, u64)]>,
+    /// [`QRP_HASHES`] QRP table positions per term, in term order: the
+    /// query's probe, read lock-free at every hop.
+    qrp: Box<[u16]>,
 }
 
 /// An immutable, reference-counted term list — the keyword payload every
 /// protocol message carries. Cloning is an `Arc` bump; the wire length and
-/// QRP hashes are computed once at construction.
+/// QRP positions are computed once at construction.
 #[derive(Clone)]
 pub struct Terms(Arc<TermsInner>);
 
@@ -312,17 +324,17 @@ impl Terms {
     /// Build from already-interned ids (one table read for the caches).
     pub fn from_ids(ids: Vec<TermId>) -> Terms {
         let t = read_table();
-        let mut wire = 0u32;
-        let mut qrp = Vec::with_capacity(ids.len());
+        let mut wire = ids.len().saturating_sub(1);
+        let mut qrp = Vec::with_capacity(ids.len() * QRP_HASHES);
         for &id in &ids {
             let info = &t.terms[id.index()];
-            wire += info.byte_len;
-            qrp.push(info.qrp);
+            wire += info.text.len();
+            qrp.extend_from_slice(&info.qrp);
         }
         drop(t);
-        // Holds: a term list comes from one query or filename, far fewer
-        // than 4 billion terms.
-        wire += u32::try_from(ids.len().saturating_sub(1)).expect("term list exceeds u32 ids");
+        // Holds: a term list comes from one query or filename, far below
+        // 4 GiB of text.
+        let wire = u32::try_from(wire).expect("term list exceeds u32 bytes");
         Terms(Arc::new(TermsInner {
             ids: ids.into_boxed_slice(),
             wire_len: wire,
@@ -346,8 +358,9 @@ impl Terms {
         self.0.wire_len as usize
     }
 
-    /// The precomputed QRP hash pair per term.
-    pub fn qrp_hashes(&self) -> &[(u64, u64)] {
+    /// The query's QRP probe: [`QRP_HASHES`] table positions per term, in
+    /// term order, duplicates kept (computed once, at construction).
+    pub fn qrp_positions(&self) -> &[u16] {
         &self.0.qrp
     }
 
@@ -475,14 +488,20 @@ mod tests {
     }
 
     #[test]
-    fn terms_qrp_hashes_match_table() {
-        let t = Terms::from_text("led zeppelin");
-        assert_eq!(t.qrp_hashes().len(), 2);
-        assert_eq!(t.qrp_hashes()[0], qrp_hashes(t.ids()[0]));
-        assert_eq!(t.qrp_hashes()[1], qrp_hashes(intern("zeppelin")));
-        // h2 is forced odd (double hashing needs it coprime with the table
-        // size in the power-of-two case).
-        assert_eq!(t.qrp_hashes()[0].1 & 1, 1);
+    fn terms_qrp_positions_match_table() {
+        let t = Terms::from_text("led zeppelin led");
+        assert_eq!(t.qrp_positions().len(), 6, "two per term, duplicates kept");
+        assert_eq!(t.qrp_positions()[..2], qrp_positions(t.ids()[0]));
+        assert_eq!(t.qrp_positions()[2..4], qrp_positions(intern("zeppelin")));
+        assert_eq!(t.qrp_positions()[4..], t.qrp_positions()[..2]);
+        assert_eq!(qrp_positions_of(t.ids()), t.qrp_positions());
+        assert!(Terms::from_text("").qrp_positions().is_empty());
+    }
+
+    #[test]
+    fn term_info_is_24_bytes() {
+        // One per interned term, for the life of the process.
+        assert_eq!(size_of::<TermInfo>(), 24);
     }
 
     #[test]
