@@ -214,7 +214,6 @@ pub struct VantageResult {
 pub struct Lab {
     pub sim: Sim<GnutellaMsg>,
     pub handles: GnutellaHandles,
-    pub catalog: Catalog,
     pub trace: QueryTrace,
     pub vantages: Vec<NodeId>,
     /// The generated topology (profiles, edges, leaf homes) — kept so
@@ -275,13 +274,14 @@ impl Lab {
                 .enumerate()
                 .map(|(fi, f)| FileMeta::new(&f.name, 1_000_000 + fi as u64)),
         ));
+        // Nothing reads the workload catalog after this: its host lists
+        // become the stores and the rest is freed before the spawn.
         let leaf_stores: Vec<FileStore> = catalog
             .host_files
-            .iter()
-            .map(|files| {
-                FileStore::shared(Arc::clone(&share_catalog), files.clone().into_boxed_slice())
-            })
+            .into_iter()
+            .map(|files| FileStore::shared(Arc::clone(&share_catalog), files.into_boxed_slice()))
             .collect();
+        drop(catalog.files);
         let up_stores: Vec<FileStore> = (0..cfg.ultrapeers).map(|_| FileStore::default()).collect();
         drop(_stores);
 
@@ -332,7 +332,7 @@ impl Lab {
                 sim.actor_mut::<LeafNode>(id).core.set_trace(handle.clone());
             }
         }
-        Lab { sim, handles, catalog, trace, vantages, topo, share_catalog }
+        Lab { sim, handles, trace, vantages, topo, share_catalog }
     }
 
     /// The `up_neighbors` degree target of each vantage's profile (32 for

@@ -13,7 +13,7 @@ use crate::msg::{DhtMsg, Request, Response, RpcId};
 use crate::routing::{InsertOutcome, RoutingTable};
 use crate::storage::Storage;
 use pier_netsim::keyed::{KeyedMap, KeyedSet};
-use pier_netsim::{MetricClass, NodeId, SimRng, SimTime};
+use pier_netsim::{Deadlines, MetricClass, NodeId, SimRng, SimTime};
 use pier_trace::{TraceHandle, TraceId, TraceKind};
 use std::collections::{hash_map, BTreeMap, VecDeque};
 
@@ -73,8 +73,6 @@ impl pier_netsim::HeapSize for PendingRpc {
 
 struct PendingRpc {
     dst: Contact,
-    /// Send time + `cfg.rpc_timeout`, so non-decreasing in `RpcId`.
-    deadline: SimTime,
     purpose: RpcPurpose,
 }
 
@@ -97,7 +95,7 @@ pub struct DhtCore {
     storage: Storage,
     next_rpc: RpcId,
     next_op: OpId,
-    pending: BTreeMap<RpcId, PendingRpc>,
+    pending: Deadlines<RpcId, PendingRpc>,
     lookups: KeyedMap<OpId, Lookup>,
     puts: KeyedMap<OpId, PutProgress>,
     evict_in_flight: KeyedSet<Key>,
@@ -121,7 +119,7 @@ impl DhtCore {
             storage: Storage::new(),
             next_rpc: 1,
             next_op: 1,
-            pending: BTreeMap::new(),
+            pending: Deadlines::default(),
             lookups: KeyedMap::new(),
             puts: KeyedMap::new(),
             evict_in_flight: KeyedSet::new(),
@@ -401,7 +399,7 @@ impl DhtCore {
     // ------------------------------------------------------------------
 
     fn handle_response(&mut self, net: &mut dyn DhtNet, id: RpcId, body: Response) {
-        let Some(pending) = self.pending.remove(&id) else {
+        let Some(pending) = self.pending.close(&id) else {
             net.count(crate::classes::STALE_RESPONSE.id(), 1);
             return;
         };
@@ -630,18 +628,11 @@ impl DhtCore {
     // Maintenance
     // ------------------------------------------------------------------
 
-    /// Time out every RPC whose deadline has passed, oldest first. Deadlines
-    /// are non-decreasing in `RpcId` (see [`Self::send_request`]), so the
-    /// expired RPCs are a prefix of the id-ordered map and an idle tick
-    /// reads one entry. RPCs sent by the handlers below are not swept until
-    /// the next tick, whatever their deadline.
+    /// Time out every RPC whose deadline has passed, oldest first. No RPC
+    /// is due in the instant it is sent (see [`Self::send_request`]), so the
+    /// ones the handlers below send wait for the next tick.
     fn sweep_timeouts(&mut self, net: &mut dyn DhtNet, now: SimTime) {
-        let sent_before_sweep = self.next_rpc;
-        while let Some(first) = self.pending.first_entry() {
-            if *first.key() >= sent_before_sweep || first.get().deadline > now {
-                break;
-            }
-            let p = first.remove();
+        while let Some((_, p)) = self.pending.pop_due(now) {
             net.count(crate::classes::RPC_TIMEOUT.id(), 1);
             self.table.remove(&p.dst.key);
             match p.purpose {
@@ -690,8 +681,9 @@ impl DhtCore {
     // ------------------------------------------------------------------
 
     /// Ids are issued in send order and every deadline is the send time
-    /// plus the one `cfg.rpc_timeout`, so deadlines never decrease with id —
-    /// what lets [`Self::sweep_timeouts`] stop at the first live entry.
+    /// plus the one `cfg.rpc_timeout` (at least 1 µs, so a zero timeout
+    /// still leaves the RPC to the next sweep): the order [`Deadlines`]
+    /// keeps.
     fn send_request(
         &mut self,
         net: &mut dyn DhtNet,
@@ -701,8 +693,8 @@ impl DhtCore {
     ) {
         let id = self.next_rpc;
         self.next_rpc += 1;
-        let deadline = net.now() + self.cfg.rpc_timeout;
-        self.pending.insert(id, PendingRpc { dst, deadline, purpose });
+        let due = net.now() + self.cfg.rpc_timeout.max(pier_netsim::SimDuration::from_micros(1));
+        self.pending.open(id, due, PendingRpc { dst, purpose });
         let msg = DhtMsg::Request { id, from: self.local(), body };
         net.send_dht(dst.node, msg);
     }

@@ -364,10 +364,11 @@ impl DhtNet for SilentNet {
     fn observe(&mut self, _class: MetricClass, _value: f64) {}
 }
 
-/// With `rpc_timeout = 0` the replacement RPCs a sweep sends are already
-/// "due" the instant they leave. The sweep must still stop at the RPCs that
-/// were in flight when it began: each tick fails exactly those, the lookup
-/// walks its shortlist one round per tick, and it ends in one `LookupDone`.
+/// With `rpc_timeout = 0` the replacement RPCs a sweep sends would be due
+/// the instant they leave, were a deadline not at least 1 µs after its send.
+/// The sweep must still stop at the RPCs that were in flight when it began:
+/// each tick fails exactly those, the lookup walks its shortlist one round
+/// per tick, and it ends in one `LookupDone`.
 #[test]
 fn a_sweep_never_times_out_the_rpcs_it_sends() {
     let cfg = DhtConfig { rpc_timeout: SimDuration::ZERO, ..DhtConfig::test() };

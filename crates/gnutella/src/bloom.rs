@@ -74,10 +74,10 @@ pub struct QrpFilter {
 }
 
 impl QrpFilter {
-    /// Standard LimeWire table size is 65,536 slots; two hashes keep the
-    /// false-positive rate low at leaf-share sizes (hundreds of keywords).
+    /// Standard LimeWire table size is 65,536 slots; the two positions per
+    /// term (`pier_vocab::QRP_HASHES`) keep the false-positive rate low at
+    /// leaf-share sizes (hundreds of keywords).
     pub const DEFAULT_BITS: u32 = pier_vocab::QRP_TABLE_BITS;
-    pub const DEFAULT_HASHES: u32 = pier_vocab::QRP_HASHES as u32;
 
     /// An empty table.
     pub fn with_defaults() -> Self {

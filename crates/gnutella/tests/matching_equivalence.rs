@@ -82,7 +82,9 @@ proptest! {
     #[test]
     fn policy_keywords_equal_legacy_on_filenames(
         parts in proptest::collection::vec("[a-zA-Z0-9]{0,6}", 0..6),
-        ext in "(mp3|avi|x|zip|the|song)",
+        ext in prop_oneof![
+            Just("mp3"), Just("avi"), Just("x"), Just("zip"), Just("the"), Just("song")
+        ],
     ) {
         let name = format!("{}.{}", parts.join("_"), ext);
         prop_assert_eq!(texts_of(&policy::keywords(&name)), legacy_keywords(&name));

@@ -278,8 +278,7 @@ impl HybridUp {
         let (now, me) = (ctx.now(), ctx.self_id());
         let mut leaf_hits = Vec::new();
         let engine = &mut self.search.app.engine;
-        let done = q.search.filter(|&sid| engine.search(sid).is_some_and(|s| s.done));
-        if let Some(state) = done.and_then(|sid| engine.take_search(sid)) {
+        if let Some(state) = q.search.and_then(|sid| engine.take_search(sid)) {
             q.search = None;
             let n = state.items.len() as u64;
             self.trace.emit_guid(q.guid.0, now, me, TraceKind::PierDone, None, n, 0);

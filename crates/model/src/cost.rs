@@ -1,77 +1,5 @@
-//! The cost side of the analytical model: Equations (1) and (3)–(5) with
-//! the Table 1 / Table 2 parameterization.
-
-use crate::gnutella_pf::pf_gnutella;
-
-/// Table 1: system parameters for one item.
-#[derive(Clone, Copy, Debug)]
-pub struct ItemParams {
-    /// N — nodes in the system.
-    pub n: u64,
-    /// N_horizon — distinct nodes contacted by a Gnutella flood (including
-    /// the query node).
-    pub horizon: u64,
-    /// R_i — replicas of the item.
-    pub replicas: u64,
-    /// T_i — item lifetime, in time units.
-    pub lifetime: f64,
-    /// Q_i — queries for the item per time unit.
-    pub query_rate: f64,
-}
-
-/// DHT cost constants for Equations (3)–(5).
-#[derive(Clone, Copy, Debug)]
-pub struct DhtCosts {
-    /// CS_DHT — messages to answer one query in the DHT (log N with the
-    /// InvertedCache option).
-    pub search_cost: f64,
-    /// CP_DHT — messages to publish the item and its posting-list entries.
-    pub publish_cost: f64,
-}
-
-impl DhtCosts {
-    /// The paper's default: `CS = log₂ N` (InvertedCache single-site
-    /// query), `CP = (1 + keywords) · log₂ N` (one put per tuple).
-    pub fn typical(n: u64, keywords: usize) -> Self {
-        let log_n = (n.max(2) as f64).log2();
-        DhtCosts { search_cost: log_n, publish_cost: (1.0 + keywords as f64) * log_n }
-    }
-}
-
-/// Equation (2) wrapper: PF_{i,Gnutella}.
-pub fn pf_found_gnutella(p: &ItemParams) -> f64 {
-    pf_gnutella(p.n, p.horizon, p.replicas)
-}
-
-/// Equation (1): PF_{i,hybrid} = PF_G + PNF_G · PF_DHT.
-pub fn pf_found_hybrid(p: &ItemParams, published: bool) -> f64 {
-    let pf_g = pf_found_gnutella(p);
-    let pf_dht = if published { 1.0 } else { 0.0 };
-    pf_g + (1.0 - pf_g) * pf_dht
-}
-
-/// Equation (3): per-time-unit search cost of the item in the hybrid
-/// system. Flooding costs `horizon − 1` messages (efficient broadcast);
-/// misses fall through to the DHT.
-pub fn search_cost_hybrid(p: &ItemParams, costs: &DhtCosts, published: bool) -> f64 {
-    let pnf_g = 1.0 - pf_found_gnutella(p);
-    let dht_part = if published { pnf_g * costs.search_cost } else { 0.0 };
-    p.query_rate * ((p.horizon.saturating_sub(1)) as f64 + dht_part)
-}
-
-/// Equation (4): total per-time-unit cost of supporting the item —
-/// searching plus amortized (re)publishing over its lifetime.
-pub fn overall_cost_hybrid(p: &ItemParams, costs: &DhtCosts, published: bool) -> f64 {
-    let publish_part =
-        if published { costs.publish_cost / p.lifetime.max(f64::MIN_POSITIVE) } else { 0.0 };
-    search_cost_hybrid(p, costs, published) + publish_part
-}
-
-/// Equation (5): total publishing cost over a population of items, where
-/// `published[i]` says whether item `i` enters the DHT.
-pub fn total_publish_cost(items: &[(ItemParams, bool)], costs: &DhtCosts) -> f64 {
-    items.iter().filter(|(_, p)| *p).map(|_| costs.publish_cost).sum()
-}
+//! The notation of the analytical model: the Table 1 / Table 2 glossary
+//! behind Equations (1)–(5).
 
 /// Pretty-print the Table 1 / Table 2 glossary (the `repro model-params`
 /// experiment re-emits the paper's notation tables).
@@ -97,63 +25,6 @@ pub fn params_glossary() -> Vec<(&'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn item(replicas: u64) -> ItemParams {
-        ItemParams { n: 10_000, horizon: 500, replicas, lifetime: 3_600.0, query_rate: 0.01 }
-    }
-
-    #[test]
-    fn eq1_publishing_guarantees_find() {
-        let rare = item(1);
-        assert!(pf_found_gnutella(&rare) < 0.06);
-        assert_eq!(pf_found_hybrid(&rare, true), 1.0);
-        assert_eq!(pf_found_hybrid(&rare, false), pf_found_gnutella(&rare));
-    }
-
-    #[test]
-    fn eq3_dht_fallback_costs_little_for_popular_items() {
-        let costs = DhtCosts::typical(10_000, 5);
-        let popular = item(2_000);
-        let rare = item(1);
-        // Popular item: almost never falls through to the DHT, so the
-        // published and unpublished search costs almost coincide.
-        let d_pop = search_cost_hybrid(&popular, &costs, true)
-            - search_cost_hybrid(&popular, &costs, false);
-        let d_rare =
-            search_cost_hybrid(&rare, &costs, true) - search_cost_hybrid(&rare, &costs, false);
-        assert!(d_pop < d_rare);
-        assert!(d_pop < 1e-4);
-        // Flooding dominates either way.
-        assert!(search_cost_hybrid(&rare, &costs, true) > 0.01 * 499.0 * 0.99);
-    }
-
-    #[test]
-    fn eq4_amortizes_publishing_over_lifetime() {
-        let costs = DhtCosts::typical(10_000, 5);
-        let mut short = item(1);
-        short.lifetime = 10.0;
-        let mut long = item(1);
-        long.lifetime = 100_000.0;
-        let c_short = overall_cost_hybrid(&short, &costs, true);
-        let c_long = overall_cost_hybrid(&long, &costs, true);
-        assert!(c_short > c_long, "short-lived items cost more per time unit");
-    }
-
-    #[test]
-    fn eq5_sums_published_only() {
-        let costs = DhtCosts::typical(1_000, 4);
-        let items = vec![(item(1), true), (item(2), false), (item(3), true), (item(9), false)];
-        let total = total_publish_cost(&items, &costs);
-        assert!((total - 2.0 * costs.publish_cost).abs() < 1e-9);
-    }
-
-    #[test]
-    fn typical_costs_scale_logarithmically() {
-        let small = DhtCosts::typical(1_000, 5);
-        let big = DhtCosts::typical(1_000_000, 5);
-        assert!(big.search_cost / small.search_cost < 2.1, "log scaling");
-        assert!(big.publish_cost > big.search_cost, "publishing multiple tuples costs more");
-    }
 
     #[test]
     fn glossary_covers_both_tables() {

@@ -1,8 +1,8 @@
 //! # pier-model — the analytical model of §6
 //!
 //! Pure math, no I/O: Equation (2)'s hypergeometric find-probability for
-//! flooding ([`pf_gnutella`]), the hybrid-system equations (1) and (3)–(5)
-//! ([`cost`]), trace-driven average QR / QDR evaluation ([`TraceView`]),
+//! flooding ([`pf_gnutella`]), the notation of Tables 1 and 2 ([`cost`]),
+//! trace-driven average QR / QDR evaluation ([`TraceView`]),
 //! the §6.2 replica-threshold sweeps behind Figures 9–12 ([`curves`]), and
 //! the §6.3 trace-driven comparison of the rare-item publishing schemes —
 //! Perfect, Random, TF, TPF, SAM — behind Figures 13–15 ([`schemes`]).
@@ -18,7 +18,6 @@ mod gnutella_pf;
 mod recall;
 pub mod schemes;
 
-pub use cost::{DhtCosts, ItemParams};
 pub use curves::{pf_threshold_curve, threshold_sweep, PfThresholdPoint, ThresholdSweepPoint};
 pub use gnutella_pf::{expected_replica_fraction, pf_gnutella, pf_gnutella_frac};
 pub use recall::{PublishedSet, TraceView};

@@ -131,26 +131,6 @@ impl TraceView {
             sum / counted as f64
         }
     }
-
-    /// Fraction of queries expected to return nothing: no file matched, or
-    /// every matching file was both unpublished and missed by the flood.
-    pub fn zero_result_fraction(&self, horizon_frac: f64, published: &PublishedSet) -> f64 {
-        if self.queries.is_empty() {
-            return 0.0;
-        }
-        let mut pf = PfByReplicas::new(self.hosts, horizon_frac);
-        let mut zero = 0.0;
-        for q in &self.queries {
-            let mut p_all_missed = 1.0;
-            for &fi in q {
-                let r = self.replicas[fi as usize];
-                let p_found = if published.per_file[fi as usize] > 0 { 1.0 } else { pf.get(r) };
-                p_all_missed *= 1.0 - p_found;
-            }
-            zero += p_all_missed; // empty query: product over nothing = 1
-        }
-        zero / self.queries.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -232,22 +212,9 @@ mod tests {
         assert_eq!(PublishedSet::none(4).overhead(&v.replicas), 0.0);
     }
 
-    #[test]
-    fn zero_results_drop_when_rare_published() {
-        let v = view();
-        let none = PublishedSet::none(4);
-        let t1 = PublishedSet { per_file: vec![1, 0, 0, 0] };
-        let h = 0.05;
-        let before = v.zero_result_fraction(h, &none);
-        let after = v.zero_result_fraction(h, &t1);
-        assert!(after < before);
-        // The empty query contributes 1/4 forever (nothing to find).
-        assert!(after >= 0.25);
-    }
-
     /// Equation 2 evaluated afresh for every (query, matching file), as
-    /// `avg_qdr` and `zero_result_fraction` are defined.
-    fn direct(v: &TraceView, h: f64, p: &PublishedSet) -> (f64, f64) {
+    /// `avg_qdr` is defined.
+    fn direct(v: &TraceView, h: f64, p: &PublishedSet) -> f64 {
         let p_found = |fi: u32| {
             if p.per_file[fi as usize] > 0 {
                 1.0
@@ -255,21 +222,12 @@ mod tests {
                 pf_gnutella_frac(v.hosts, h, v.replicas[fi as usize] as u64)
             }
         };
-        let (mut qdr_sum, mut counted, mut zero) = (0.0, 0usize, 0.0);
-        for q in &v.queries {
-            let mut found = 0.0;
-            let mut p_all_missed = 1.0;
-            for &fi in q {
-                found += p_found(fi);
-                p_all_missed *= 1.0 - p_found(fi);
-            }
-            zero += p_all_missed;
-            if !q.is_empty() {
-                qdr_sum += found / q.len() as f64;
-                counted += 1;
-            }
+        let (mut qdr_sum, mut counted) = (0.0, 0usize);
+        for q in v.queries.iter().filter(|q| !q.is_empty()) {
+            qdr_sum += q.iter().map(|&fi| p_found(fi)).sum::<f64>() / q.len() as f64;
+            counted += 1;
         }
-        (qdr_sum / counted as f64, zero / v.queries.len() as f64)
+        qdr_sum / counted as f64
     }
 
     #[test]
@@ -294,13 +252,8 @@ mod tests {
                 PublishedSet { per_file: vec![1, 0, 2, 0, 0, 0, 0, 3, 0, 0] },
                 PublishedSet { per_file: v.replicas.clone() },
             ] {
-                let (qdr, zero) = direct(&v, h, &published);
+                let qdr = direct(&v, h, &published);
                 assert_eq!(v.avg_qdr(h, &published).to_bits(), qdr.to_bits(), "qdr h={h}");
-                assert_eq!(
-                    v.zero_result_fraction(h, &published).to_bits(),
-                    zero.to_bits(),
-                    "zero h={h}"
-                );
             }
         }
     }

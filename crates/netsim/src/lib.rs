@@ -68,6 +68,7 @@
 //! ```
 
 mod actor;
+mod deadlines;
 mod event;
 pub mod heap;
 pub mod keyed;
@@ -79,6 +80,7 @@ mod sim;
 mod time;
 
 pub use actor::{Actor, Ctx, NodeId, TimerToken};
+pub use deadlines::Deadlines;
 pub use heap::{HeapSize, MemAcc, MemStats};
 pub use latency::{ConstantLatency, LatencyModel, UniformLatency};
 pub use metrics::{Counter, Histogram, LazyMetricClass, MetricClass, Metrics, MetricsSnapshot};

@@ -21,8 +21,8 @@ use crate::plan::{JoinCols, QueryId, QueryPlan};
 use crate::value::{Tuple, Value};
 use pier_dht::{DhtCore, DhtEvent, DhtNet, Key};
 use pier_netsim::keyed::KeyedMap;
-use pier_netsim::{NodeId, SimDuration, SimTime};
-use std::collections::{btree_map, BTreeMap, BTreeSet, VecDeque};
+use pier_netsim::{Deadlines, NodeId, SimDuration, SimTime};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Tuples per inter-stage / result batch.
 const BATCH_SIZE: usize = 64;
@@ -74,7 +74,6 @@ impl Stream {
 }
 
 struct ClientQuery {
-    deadline: SimTime,
     limit: Option<u32>,
     results: usize,
     stream: Stream,
@@ -120,7 +119,7 @@ struct StageExec {
 pub struct PierCore {
     pub catalog: Catalog,
     next_seq: u32,
-    clients: BTreeMap<QueryId, ClientQuery>,
+    clients: Deadlines<QueryId, ClientQuery>,
     stages: KeyedMap<(QueryId, u32), StageSlot>,
     events: VecDeque<PierEvent>,
 }
@@ -130,7 +129,7 @@ impl PierCore {
         PierCore {
             catalog,
             next_seq: 1,
-            clients: BTreeMap::new(),
+            clients: Deadlines::default(),
             stages: KeyedMap::new(),
             events: VecDeque::new(),
         }
@@ -198,15 +197,8 @@ impl PierCore {
     /// be this node.
     pub fn issue(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, plan: QueryPlan) {
         debug_assert_eq!(plan.collector.node, dht.local().node, "collector must be the issuer");
-        self.clients.insert(
-            plan.id,
-            ClientQuery {
-                deadline: net.now() + QUERY_TIMEOUT,
-                limit: plan.limit,
-                results: 0,
-                stream: Stream::default(),
-            },
-        );
+        let client = ClientQuery { limit: plan.limit, results: 0, stream: Stream::default() };
+        self.clients.open(plan.id, net.now() + QUERY_TIMEOUT, client);
         net.count(crate::classes::QUERIES_ISSUED.id(), 1);
         // Route the plan to every stage site ("PIER routes the query plan
         // via the DHT to all sites that host a keyword in the query").
@@ -247,16 +239,11 @@ impl PierCore {
             return;
         }
         let now = net.now();
-        let events = &mut self.events;
-        self.clients.retain(|&qid, c| {
-            if c.deadline > now {
-                return true;
-            }
+        while let Some((qid, c)) = self.clients.pop_due(now) {
             let total = c.results;
-            events.push_back(PierEvent::Done { qid, outcome: QueryOutcome::TimedOut, total });
+            self.events.push_back(PierEvent::Done { qid, outcome: QueryOutcome::TimedOut, total });
             net.count(crate::classes::QUERY_TIMEOUT.id(), 1);
-            false
-        });
+        }
         self.stages.retain(|_, s| s.last_activity + EXEC_TTL > now);
     }
 
@@ -419,10 +406,9 @@ impl PierCore {
     /// result stream, and forget it: whatever arrives for it later is an
     /// orphan.
     fn maybe_done(&mut self, qid: QueryId) {
-        let btree_map::Entry::Occupied(entry) = self.clients.entry(qid) else {
+        let Some(c) = self.clients.get_mut(&qid) else {
             return;
         };
-        let c = entry.get();
         let outcome = if c.limit.is_some_and(|l| c.results >= l as usize) {
             QueryOutcome::LimitReached
         } else if c.stream.is_complete() {
@@ -430,7 +416,8 @@ impl PierCore {
         } else {
             return;
         };
-        let total = entry.remove().results;
+        let total = c.results;
+        self.clients.close(&qid);
         self.events.push_back(PierEvent::Done { qid, outcome, total });
     }
 }

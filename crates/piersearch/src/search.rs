@@ -1,17 +1,17 @@
 //! The Search Engine (§3.2): compiles keyword queries into PIER plans,
 //! collects the matching fileIDs, and fetches the Item tuples from the DHT.
 //!
-//! A search is keyed by its PIER [`QueryId`], and every item fetch in
-//! flight lives in one engine-wide table. Each matched fileID ends once:
-//! as an item, or counted in `piersearch.unresolved_match` (its fetch
-//! found no Item, or the search timed out first). A search's one
-//! [`SearchEvent::Done`] freezes it.
+//! A search is keyed by its PIER [`QueryId`]: open until it finishes or
+//! times out, then finished until taken. Every item fetch in flight lives
+//! in one engine-wide table. Each matched fileID ends once: as an item, or
+//! counted in `piersearch.unresolved_match` (its fetch found no Item, or
+//! the search timed out first). A finished search never changes again.
 
 use crate::publisher::IndexMode;
 use crate::schema::{inverted_cache_table, inverted_table, item_table, ItemRecord};
 use pier_dht::{DhtCore, DhtEvent, DhtNet, Key, OpId};
 use pier_netsim::keyed::KeyedSet;
-use pier_netsim::{SimDuration, SimTime};
+use pier_netsim::{Deadlines, SimDuration, SimTime};
 use pier_qp::{Expr, JoinChainBuilder, JoinCols, PierCore, PierEvent, QueryId, Tuple, Value};
 use pier_vocab::{policy, text, Terms};
 use std::collections::{BTreeMap, VecDeque};
@@ -26,9 +26,6 @@ pub struct SearchState {
     /// When the first complete result (Item tuple) arrived.
     pub first_result_at: Option<SimTime>,
     pub items: Vec<ItemRecord>,
-    /// Set by the search's one `Done`; nothing changes the search after.
-    pub done: bool,
-    deadline: SimTime,
     /// Every distinct fileID the plan matched.
     matched: KeyedSet<Key>,
     /// What the search still waits for: PIER's `Done`, counted as one, and
@@ -51,7 +48,10 @@ pub struct SearchEngine {
     /// Which index the node's publishers populate, and hence which plan
     /// shape to use (Fig. 2 join chain vs. Fig. 3 single-site filter).
     mode: IndexMode,
-    searches: BTreeMap<QueryId, SearchState>,
+    /// Searches waiting for PIER or their item fetches, by deadline.
+    open: Deadlines<QueryId, SearchState>,
+    /// Searches that finished or timed out, until taken.
+    finished: BTreeMap<QueryId, SearchState>,
     /// Item fetches in flight: the search that issued each, and the fileID
     /// it resolves.
     fetches: BTreeMap<OpId, (QueryId, Key)>,
@@ -62,7 +62,8 @@ impl SearchEngine {
     pub fn new(mode: IndexMode) -> Self {
         SearchEngine {
             mode,
-            searches: BTreeMap::new(),
+            open: Deadlines::default(),
+            finished: BTreeMap::new(),
             fetches: BTreeMap::new(),
             events: VecDeque::new(),
         }
@@ -72,19 +73,20 @@ impl SearchEngine {
         self.events.drain(..).collect()
     }
 
+    /// A finished search (`None` while it runs).
     pub fn search(&self, id: QueryId) -> Option<&SearchState> {
-        self.searches.get(&id)
+        self.finished.get(&id)
     }
 
     /// Remove a finished search and return its state.
     pub fn take_search(&mut self, id: QueryId) -> Option<SearchState> {
-        self.searches.remove(&id)
+        self.finished.remove(&id)
     }
 
-    /// No item fetch in flight and every search done (a test observer, like
-    /// `PierCore::is_idle`).
+    /// No item fetch in flight and every search finished (a test observer,
+    /// like `PierCore::is_idle`).
     pub fn is_idle(&self) -> bool {
-        self.fetches.is_empty() && self.searches.values().all(|s| s.done)
+        self.fetches.is_empty() && self.open.is_empty()
     }
 
     /// Start a keyword search. The raw scanned query passes through the
@@ -144,19 +146,15 @@ impl SearchEngine {
         };
         net.count(crate::classes::SEARCHES.id(), 1);
         pier.issue(dht, net, plan);
-        self.searches.insert(
-            qid,
-            SearchState {
-                issued_at: net.now(),
-                first_result_at: None,
-                items: Vec::new(),
-                done: false,
-                deadline: net.now() + SEARCH_TIMEOUT,
-                matched: KeyedSet::new(),
-                waiting: 1,
-                trace: dht.current_trace_scope(),
-            },
-        );
+        let search = SearchState {
+            issued_at: net.now(),
+            first_result_at: None,
+            items: Vec::new(),
+            matched: KeyedSet::new(),
+            waiting: 1,
+            trace: dht.current_trace_scope(),
+        };
+        self.open.open(qid, net.now() + SEARCH_TIMEOUT, search);
         Some(qid)
     }
 
@@ -166,7 +164,7 @@ impl SearchEngine {
     /// plan.
     pub fn on_pier_event(&mut self, dht: &mut DhtCore, net: &mut dyn DhtNet, event: &PierEvent) {
         let (PierEvent::Results { qid, .. } | PierEvent::Done { qid, .. }) = *event;
-        let Some(s) = self.searches.get_mut(&qid).filter(|s| !s.done) else {
+        let Some(s) = self.open.get_mut(&qid) else {
             return;
         };
         let PierEvent::Results { tuples, .. } = event else {
@@ -200,12 +198,12 @@ impl SearchEngine {
             return;
         };
         // A fetch leaves the table when it ends or its search times out, so
-        // one found here belongs to a live search.
+        // one found here belongs to an open search.
         let Some((qid, want)) = self.fetches.remove(op) else {
             return;
         };
-        let Some(s) = self.searches.get_mut(&qid) else {
-            return; // taken before it finished
+        let Some(s) = self.open.get_mut(&qid) else {
+            return;
         };
         let mut item = None;
         for bytes in values {
@@ -233,11 +231,12 @@ impl SearchEngine {
     /// Report `qid` done once PIER has finished and every fetch has
     /// returned.
     fn finish(&mut self, net: &mut dyn DhtNet, qid: QueryId) {
-        let Some(s) = self.searches.get_mut(&qid).filter(|s| s.waiting == 0) else {
+        if self.open.get_mut(&qid).is_none_or(|s| s.waiting > 0) {
             return;
-        };
-        s.done = true;
+        }
+        let Some(s) = self.open.close(&qid) else { return };
         net.observe(crate::classes::RESULTS_PER_SEARCH.id(), s.items.len() as f64);
+        self.finished.insert(qid, s);
         self.events.push_back(SearchEvent::Done(qid));
     }
 
@@ -246,9 +245,9 @@ impl SearchEngine {
     pub fn tick(&mut self, net: &mut dyn DhtNet) {
         let now = net.now();
         let mut timed_out = Vec::new();
-        for (&qid, s) in self.searches.iter_mut().filter(|(_, s)| !s.done && s.deadline <= now) {
-            s.done = true;
+        while let Some((qid, s)) = self.open.pop_due(now) {
             net.count(crate::classes::SEARCH_TIMEOUT.id(), 1);
+            self.finished.insert(qid, s);
             self.events.push_back(SearchEvent::Done(qid));
             timed_out.push(qid);
         }
@@ -322,8 +321,8 @@ mod tests {
         let results = PierEvent::Results { qid, tuples: matched(other.file_id) };
         engine.on_pier_event(&mut dht, &mut net, &results);
 
-        let s = engine.search(qid).unwrap();
-        assert!(s.done && s.items.is_empty() && s.first_result_at.is_none());
+        let s = engine.search(qid).expect("the timeout finished it");
+        assert!(s.items.is_empty() && s.first_result_at.is_none());
         assert!(engine.take_events().is_empty(), "one Done per search");
         assert!(engine.is_idle(), "a late batch issues no fetch");
         let count = |c: &pier_netsim::LazyMetricClass| net.counts.get(&c.id()).copied();

@@ -262,11 +262,11 @@ fn broken((w, searches): &(World, Vec<(usize, QueryId)>), polite: bool) -> Vec<S
         broken.push(format!("node {} reported op {} {n} times", key.0, key.1));
     }
     for (query, &(node, qid)) in QUERIES.iter().zip(searches) {
-        let s = w.nodes[node].app.engine.search(qid).expect("kept");
+        let s = w.nodes[node].app.engine.search(qid).expect("finished and kept");
         let now = Finished { items: s.items.clone(), first_result_at: s.first_result_at };
         let dones: Vec<&Finished> =
             w.dones.iter().filter(|(k, _)| *k == (node, qid)).map(|(_, f)| f).collect();
-        if dones != [&now] || !s.done {
+        if dones != [&now] {
             broken.push(format!("{query:?}: Done as {dones:?}, now {now:?}"));
         }
         let want = reference(query);

@@ -66,8 +66,8 @@ fn run_mode(mode: IndexMode, seed: u64) {
     sim.run_for(SimDuration::from_secs(30));
 
     let names = |sim: &Sim<DhtMsg>, node: NodeId, sid: QueryId| -> Vec<String> {
-        let s = sim.actor::<PierSearchNode>(node).app.engine.search(sid).unwrap();
-        assert!(s.done, "search must finish");
+        let s = sim.actor::<PierSearchNode>(node).app.engine.search(sid);
+        let s = s.expect("search must finish");
         let mut v: Vec<String> = s.items.iter().map(|i| i.filename.clone()).collect();
         v.sort();
         v

@@ -70,8 +70,9 @@ fn main() {
     sim.run_for(SimDuration::from_secs(20));
 
     let node = sim.actor::<PierSearchNode>(searcher);
-    let search = node.app.engine.search(sid).expect("registered");
-    println!("\nsearch 'led zeppelin' from {searcher}: done={}", search.done);
+    let search = node.app.engine.search(sid);
+    println!("\nsearch 'led zeppelin' from {searcher}: done={}", search.is_some());
+    let search = search.expect("finished");
     for item in &search.items {
         println!(
             "  {} ({} bytes) shared by {} port {}",

@@ -52,8 +52,8 @@ fn facade_publish_and_search() {
             .unwrap()
     });
     sim.run_for(SimDuration::from_secs(15));
-    let s = sim.actor::<PierSearchNode>(ids[30]).app.engine.search(sid).unwrap();
-    assert!(s.done);
+    let s = sim.actor::<PierSearchNode>(ids[30]).app.engine.search(sid);
+    let s = s.expect("the search finished");
     assert_eq!(s.items.len(), 1);
     assert_eq!(s.items[0].filename, "integration_test_track.mp3");
 }
